@@ -18,10 +18,12 @@ from hslag.models import (
 )
 from hslag.operators import (
     assemble_flat_operator,
+    assemble_perturbed_operator,
     eigensolve,
     stability_check,
     torus_multiplier,
 )
+from hslag.weinstein import WeinsteinChart
 
 
 def torus_rows(radii, k_range=2):
@@ -57,17 +59,21 @@ def main() -> int:
         model = TorusModel(tuple(args.radii), grid_size=args.grid)
         rows = torus_rows(model.radii)
         label = f"torus with radii {model.radii}"
+        # the complex-step Hessian of the discrete volume, checked against
+        # the analytic multiplier (the symbol would compare it with itself)
+        operator = assemble_perturbed_operator(WeinsteinChart(model.radii), model.grid(), None)
     else:
         model = CircleSphereModel(args.n, grid_size=args.grid)
         rows = circle_sphere_rows(args.n)
         label = f"circle-sphere Lagrangian at n={args.n}"
+        operator = assemble_flat_operator(model)
 
     print(f"analytic spectrum, {label}:")
     print(f"  {'mode':>12s} {'mult':>4s} {'eigenvalue':>16s}")
     for mode, mult, eig in rows[:12]:
         print(f"  {mode:>12s} {mult:4d} {eig:16.6f}")
 
-    spectrum = eigensolve(assemble_flat_operator(model))
+    spectrum = eigensolve(operator)
     kdim = spectrum.kernel_size()
     eigs = spectrum.eigenvalues
     print(f"\nnumerical spectrum on a {args.grid}^2 grid:")

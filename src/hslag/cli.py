@@ -16,6 +16,7 @@ import glob
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,7 +40,12 @@ from .models import (
     circle_sphere_spectrum,
     clifford_torus,
 )
-from .operators import assemble_flat_operator, eigensolve, torus_multiplier
+from .operators import (
+    assemble_flat_operator,
+    assemble_perturbed_operator,
+    eigensolve,
+    torus_multiplier,
+)
 from .moser import QuadraticPerturbedForm, moser_flow
 from .reduction import (
     build_context,
@@ -48,6 +54,7 @@ from .reduction import (
     random_frame_state,
     second_variation_Q,
 )
+from .weinstein import WeinsteinChart
 
 __all__ = ["ExperimentConfig", "run_suite", "main", "SUITES"]
 
@@ -136,6 +143,16 @@ class ExperimentConfig:
         self.radii = tuple(float(r) for r in self.radii)
         if any(r <= 0 for r in self.radii):
             raise ConfigError("radii must be positive")
+        spectrum_of = self.model if self.suite == "spectrum" else None
+        builds_torus = self.suite in ("verify-models", "reduce", "sweep") or spectrum_of == "torus"
+        if builds_torus and len(self.radii) != self.n:
+            raise ConfigError(
+                f"the {self.suite} suite needs one torus radius per complex dimension: "
+                f"n = {self.n}, radii = {self.radii}"
+            )
+        builds_circle_sphere = self.suite == "verify-models" or spectrum_of == "ln"
+        if builds_circle_sphere and self.n != 2:
+            raise ConfigError(f"the {self.suite} suite needs n = 2 for its circle-sphere grid")
         self.seeds = tuple(int(s) for s in self.seeds)
 
     def all_t_values(self) -> Tuple[float, ...]:
@@ -259,6 +276,7 @@ def _suite_spectrum(config: ExperimentConfig, out: str):
             (k, l, mult, eig)
             for (k, l, mult, eig) in circle_sphere_spectrum(config.n, 4, 4)
         ]
+        operator = assemble_flat_operator(model)
     else:
         model = TorusModel(config.radii, grid_size=config.grid_size)
         analytic = []
@@ -266,7 +284,10 @@ def _suite_spectrum(config: ExperimentConfig, out: str):
             for k2 in range(-4, 5):
                 eig = float(torus_multiplier(config.radii, np.array([k1, k2])))
                 analytic.append((k1, k2, 1, eig))
-    spectrum = eigensolve(assemble_flat_operator(model))
+        # the complex-step Hessian, not the symbol: the suite certifies that the
+        # discrete volume reproduces the analytic multiplier
+        operator = assemble_perturbed_operator(WeinsteinChart(model.radii), model.grid(), None)
+    spectrum = eigensolve(operator)
     eigs = spectrum.eigenvalues
     rows, worst = [], 0.0
     for k, l, mult, eig in analytic:
@@ -537,9 +558,13 @@ def run_suite(config: ExperimentConfig) -> int:
         checks, artifacts, payload = _SUITE_RUNNERS[config.suite](config, out)
     except ConfigError:
         raise
-    except HslagError as exc:
+    except Exception as exc:
+        # Any failure leaves a manifest.  An exception outside the package's
+        # own types is a bug, so its traceback goes to stderr as well.
+        if not isinstance(exc, HslagError):
+            traceback.print_exc()
         manifest.update(
-            {"checks": [], "passed": False, "artifacts": [], "error": str(exc)}
+            checks=[], passed=False, artifacts=[], error=str(exc), error_type=type(exc).__name__
         )
         write_manifest(os.path.join(out, "manifest.json"), manifest)
         print(f"suite failed: {exc}", file=sys.stderr)

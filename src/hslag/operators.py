@@ -1,13 +1,19 @@
-"""Assembly and spectral analysis of the linearized stationarity operator.
+"""The linearized stationarity operator: flat models by their Fourier symbol,
+perturbed metrics by complex-step assembly.
 
 The operator is the Hessian of the discrete graph-volume functional at the
 model critical point (equivalently, the linearization of the volume-gradient
-residual at the zero graph).  For the torus model it is assembled column by
-column by complex-step differentiation of the exact discrete gradient, so the
-matrix is the Hessian of the actual discrete functional to machine precision
--- symmetric by construction up to roundoff, with no step-size error.  For the
-circle-sphere quotient model the operator is constant-coefficient and is
-realized as a Fourier multiplier acting on the even (deck-invariant) modes.
+residual at the zero graph).  On the flat torus and on the circle-sphere
+quotient it has constant coefficients, so it is diagonal in Fourier space:
+`assemble_flat_operator` stores it as its symbol on the admissible modes (the
+Nyquist-free band, and on quotient grids the deck-invariant modes).  Applying
+it is FFT, multiply, inverse FFT; its eigensolve is a sort of the symbol.
+
+Under a perturbed metric the coefficients vary, and `assemble_perturbed_operator`
+assembles the dense matrix column by column by complex-step differentiation of
+the exact discrete gradient -- the Hessian of the actual discrete functional
+to machine precision, with no step-size error.  At the flat metric the same
+assembly is the independent oracle the symbol is tested against.
 
 The analytic references: on the flat torus with radii a the operator acts on
 the mode exp(i k.theta) by
@@ -24,12 +30,10 @@ spectra (stability).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from .errors import (
     OperatorSymmetryError,
@@ -42,33 +46,33 @@ from .weinstein import WeinsteinChart, graph_volume_and_gradient
 
 __all__ = [
     "GridOperator",
+    "SymbolOperator",
     "SpectralData",
+    "mode_mesh",
+    "fourier_multiply",
     "assemble_flat_operator",
     "assemble_perturbed_operator",
     "assemble_by_finite_differences",
     "band_limited_basis",
     "torus_multiplier",
     "eigensolve",
+    "kernel_dimension",
     "kernel_basis",
-    "zero_mean_kernel_basis",
-    "project_out_kernel",
     "stability_check",
     "StabilityVerdict",
     "second_variation_consistency",
     "operator_distance",
-    "DENSE_NODE_LIMIT",
 ]
 
 _CS_STEP = 1e-100
-DENSE_NODE_LIMIT = 48 * 48
 
 
 @dataclass
 class GridOperator:
     """Dense self-adjoint operator on grid fields with a constant measure weight.
 
-    basis_matrix maps basis coefficients to node values (identity for plain
-    grids; the deck-invariant pair basis on quotient grids).  The L^2 measure
+    basis_matrix maps basis coefficients to node values (identity when None;
+    the Nyquist-free band basis for assembled Hessians).  The L^2 measure
     is weight * sum over nodes, with constant weight (the model volume
     densities are constant), so self-adjointness is plain matrix symmetry.
     """
@@ -77,10 +81,6 @@ class GridOperator:
     matrix: np.ndarray
     weight: float
     basis_matrix: Optional[np.ndarray] = None
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     def to_node_values(self, coeffs: np.ndarray) -> np.ndarray:
         vec = coeffs if self.basis_matrix is None else self.basis_matrix @ coeffs
@@ -112,42 +112,39 @@ class GridOperator:
         )
 
 
-def band_limited_basis(
-    grid: GridDescriptor, columns: Optional[np.ndarray] = None
-) -> Optional[np.ndarray]:
-    """Orthonormal basis (nodes x dim) of the Nyquist-free part of a subspace.
+def mode_mesh(grid: GridDescriptor) -> list[np.ndarray]:
+    """Integer wave number along each axis of every np.fft.fftn coefficient."""
+    freqs = [np.fft.fftfreq(size, d=1.0 / size) for size in grid.sizes]
+    return np.meshgrid(*freqs, indexing="ij")
+
+
+def fourier_multiply(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+    """Apply a real, even Fourier multiplier (np.fft.fftn layout) to real samples."""
+    return np.fft.ifftn(np.fft.fftn(values) * multiplier).real
+
+
+def _band_mask(grid: GridDescriptor) -> np.ndarray:
+    """The faithfully represented modes |k_j| < N_j/2.
 
     On an even grid the spectral derivative zeroes the unpaired Nyquist mode,
     so fields with frequency N/2 along any axis see a truncated symbol: modes
     whose non-Nyquist part lies in the operator kernel would appear spuriously
-    flat.  Grid operators therefore act on the faithfully represented band
-    |k_j| < N_j/2.  With columns given, returns a basis of the band-limited
-    part of their span (the deck-invariant pair space on quotient grids);
-    otherwise of the full band.  Returns None when nothing is cut.
+    flat.  Grid operators therefore act on this band only.
     """
-    mask_1d = []
-    any_cut = False
-    for size in grid.sizes:
-        m = np.ones(size, dtype=bool)
-        if size % 2 == 0:
-            m[size // 2] = False
-            any_cut = True
-        mask_1d.append(m)
-    if not any_cut and columns is None:
-        return None
-    mask = mask_1d[0]
-    for m in mask_1d[1:]:
-        mask = np.logical_and.outer(mask, m)
-    if columns is None:
-        columns = np.eye(grid.num_nodes)
-    stack = columns.reshape(grid.sizes + (columns.shape[1],))
+    inside = [np.abs(k) < size / 2 for k, size in zip(mode_mesh(grid), grid.sizes)]
+    return np.logical_and.reduce(inside)
+
+
+def band_limited_basis(grid: GridDescriptor) -> np.ndarray:
+    """Orthonormal node-space basis (nodes x dim) of the Nyquist-free band."""
+    stack = np.eye(grid.num_nodes).reshape(grid.sizes + (grid.num_nodes,))
     axes = tuple(range(grid.dim))
     spec = np.fft.fftn(stack, axes=axes)
-    spec *= mask[..., None]
+    spec *= _band_mask(grid)[..., None]
     masked = np.fft.ifftn(spec, axes=axes).real.reshape(grid.num_nodes, -1)
     u, s, _ = np.linalg.svd(masked, full_matrices=False)
-    # The deck translation and the Nyquist mask commute, so singular values
-    # are exactly 1 (kept mode pairs) or 0 (cut); 0.5 is a safe threshold.
+    # The mask is an orthogonal projector, so singular values are exactly 1
+    # (kept modes) or 0 (cut); 0.5 is a safe threshold.
     return np.ascontiguousarray(u[:, s > 0.5])
 
 
@@ -161,21 +158,70 @@ def torus_multiplier(radii: Sequence[float], modes: np.ndarray) -> np.ndarray:
     return lap**2 - corr + cross
 
 
-def _torus_flat_weight(model: TorusModel) -> float:
-    grid = model.grid()
-    return grid.node_weight() * float(np.prod(model.radii))
+@dataclass
+class SymbolOperator:
+    """Constant-coefficient self-adjoint operator stored as its Fourier symbol.
+
+    symbol holds the eigenvalue of every mode exp(i k.theta) in np.fft.fftn
+    layout; the operator acts on the admissible modes and maps the others
+    (Nyquist, and deck-odd modes on quotient grids) to zero.  weight is the
+    model volume measure of one node, as for GridOperator.
+    """
+
+    grid: GridDescriptor
+    symbol: np.ndarray
+    admissible: np.ndarray
+    weight: float
+
+    def apply(self, f: ScalarField) -> ScalarField:
+        multiplier = np.where(self.admissible, self.symbol, 0.0)
+        return ScalarField(self.grid, fourier_multiply(f.values, multiplier), check=False)
+
+    def sorted_modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues, flat mode indices) of the admissible modes, ascending.
+
+        Ties (k with -k) are broken by mode index, so the order is deterministic.
+        """
+        modes = np.flatnonzero(self.admissible)
+        values = self.symbol.reshape(-1)[modes]
+        order = np.lexsort((modes, values))
+        return values[order], modes[order]
+
+    def mode_field(self, index: int) -> ScalarField:
+        """L^2-normalized real eigenfield of one mode.
+
+        Mode k gives cos(k.theta) when its flat index is below that of -k and
+        sin(k.theta) when above, so each pair {k, -k} yields one of each (the
+        mode k = 0 gives the constant).
+        """
+        sizes = self.grid.sizes
+        k = np.unravel_index(index, sizes)
+        partner = np.ravel_multi_index(tuple(-np.array(k)), sizes, mode="wrap")
+        nodes = np.indices(sizes)
+        phase = sum(2.0 * np.pi * kj * nodes[j] / sizes[j] for j, kj in enumerate(k))
+        values = np.cos(phase) if index <= partner else np.sin(phase)
+        fld = ScalarField(self.grid, values, check=False)
+        return ScalarField(self.grid, values / l2_norm(fld), check=False)
 
 
-def assemble_flat_operator(model) -> GridOperator:
+def assemble_flat_operator(model) -> SymbolOperator:
     """The linearized operator of the model at its stationary configuration."""
+    grid = model.grid()
+    k = mode_mesh(grid)
+    admissible = _band_mask(grid)
     if isinstance(model, TorusModel):
-        chart = WeinsteinChart(model.radii)
-        grid = model.grid()
-        op = _assemble_graph_hessian(chart, grid, metric=None)
-        return op.symmetrized()
-    if isinstance(model, CircleSphereModel):
-        return _assemble_circle_sphere_operator(model).symmetrized()
-    raise UnsupportedModelError(f"no flat operator assembly for {type(model).__name__}")
+        symbol = torus_multiplier(model.radii, np.stack(k, axis=-1))
+        weight = grid.node_weight() * WeinsteinChart(model.radii).flat_density()
+    elif isinstance(model, CircleSphereModel):
+        # (k^2+l^2)^2 - 2n(k^2+l^2) + n^2 k^2 on exp(i(k s + l phi)); the
+        # half-period deck shift multiplies it by (-1)^(k+l).
+        lap = k[0] ** 2 + k[1] ** 2
+        symbol = lap**2 - 2 * model.n * lap + model.n**2 * k[0] ** 2
+        admissible &= (k[0] + k[1]) % 2 == 0
+        weight = grid.node_weight()
+    else:
+        raise UnsupportedModelError(f"no flat operator assembly for {type(model).__name__}")
+    return SymbolOperator(grid, symbol, admissible, weight)
 
 
 def _assemble_graph_hessian(chart: WeinsteinChart, grid: GridDescriptor, metric) -> GridOperator:
@@ -196,13 +242,16 @@ def _assemble_graph_hessian(chart: WeinsteinChart, grid: GridDescriptor, metric)
         flat[k] = 0.0
     weight = grid.node_weight() * chart.flat_density()
     basis = band_limited_basis(grid)
-    if basis is not None:
-        cols = basis.T @ cols @ basis
+    cols = basis.T @ cols @ basis
     return GridOperator(grid, cols, weight, basis_matrix=basis)
 
 
 def assemble_perturbed_operator(chart: WeinsteinChart, grid: GridDescriptor, metric) -> GridOperator:
-    """Linearization of the scaled-metric residual at the zero graph."""
+    """Linearization of the scaled-metric residual at the zero graph.
+
+    With metric None this is the flat Hessian, the dense oracle for the symbol
+    of `assemble_flat_operator`.
+    """
     return _assemble_graph_hessian(chart, grid, metric).symmetrized()
 
 
@@ -235,97 +284,59 @@ def assemble_by_finite_differences(
         cols[:, k] = (4 * estimates[1] - estimates[0]) / 3
     weight = grid.node_weight() * chart.flat_density()
     basis = band_limited_basis(grid)
-    if basis is not None:
-        cols = basis.T @ cols @ basis
+    cols = basis.T @ cols @ basis
     return GridOperator(grid, cols, weight, basis_matrix=basis).symmetrized(tol=1e-6)
 
 
-def _quotient_pair_basis(grid: GridDescriptor) -> np.ndarray:
-    """Columns (e_q + e_{Tq})/sqrt(2) over deck orbits of the quotient grid."""
-    shift = grid.quotient_shift()
-    nn = grid.num_nodes
-    idx = np.arange(nn).reshape(grid.sizes)
-    tidx = np.roll(idx, shift, axis=tuple(range(grid.dim))).reshape(-1)
-    seen = np.zeros(nn, dtype=bool)
-    cols = []
-    for q in range(nn):
-        if seen[q]:
-            continue
-        seen[q] = True
-        tq = tidx[q]
-        col = np.zeros(nn)
-        if tq == q:
-            col[q] = 1.0
-        else:
-            seen[tq] = True
-            col[q] = col[tq] = 1.0 / np.sqrt(2.0)
-        cols.append(col)
-    return np.stack(cols, axis=1)
+def kernel_dimension(
+    eigenvalues: np.ndarray, kernel_tol: float = 1e-5, gap_ratio: float = 100.0
+) -> int:
+    """Number of eigenvalues (ascending) below kernel_tol in magnitude.
 
-
-def _assemble_circle_sphere_operator(model: CircleSphereModel) -> GridOperator:
-    """Constant-coefficient operator of the circle-sphere model (n = 2 grid).
-
-    Acts on exp(i(k s + l phi)) by (k^2+l^2)^2 - 2n(k^2+l^2) + n^2 k^2,
-    realized in Fourier space and restricted to the deck-invariant pair basis.
+    Raises SpectralGapError unless the next eigenvalue clears gap_ratio times
+    the tolerance, so the count is a certified kernel dimension.
     """
-    grid = model.grid()
-    n = model.n
-    k1 = np.fft.fftfreq(grid.sizes[0], d=1.0 / grid.sizes[0])
-    k2 = np.fft.fftfreq(grid.sizes[1], d=1.0 / grid.sizes[1])
-    K1, K2 = np.meshgrid(k1, k2, indexing="ij")
-    lap = K1**2 + K2**2
-    symbol = lap**2 - 2 * n * lap + n**2 * K1**2
-    basis = band_limited_basis(grid, _quotient_pair_basis(grid))
-    nb = basis.shape[1]
-    mat = np.empty((nb, nb))
-    for j in range(nb):
-        vals = basis[:, j].reshape(grid.sizes)
-        out = np.fft.ifftn(symbol * np.fft.fftn(vals)).real
-        mat[:, j] = basis.T @ out.reshape(-1)
-    return GridOperator(grid, mat, grid.node_weight(), basis_matrix=basis)
+    k = int(np.sum(np.abs(eigenvalues) < kernel_tol))
+    if k < len(eigenvalues):
+        nxt = float(np.abs(eigenvalues[k]))
+        if nxt < gap_ratio * kernel_tol:
+            raise SpectralGapError(
+                f"no clear spectral gap: |lambda_{k}| = {nxt:.3e} "
+                f"< {gap_ratio} * {kernel_tol}"
+            )
+    return k
 
 
 @dataclass
 class SpectralData:
-    operator: GridOperator
+    operator: GridOperator | SymbolOperator
     eigenvalues: np.ndarray
     eigenfields: list
     kernel_tol: float = 1e-5
     gap_ratio: float = 100.0
 
     def kernel_size(self) -> int:
-        k = int(np.sum(np.abs(self.eigenvalues) < self.kernel_tol))
-        if k < len(self.eigenvalues):
-            nxt = float(np.abs(self.eigenvalues[k]))
-            if nxt < self.gap_ratio * self.kernel_tol:
-                raise SpectralGapError(
-                    f"no clear spectral gap: |lambda_{k}| = {nxt:.3e} "
-                    f"< {self.gap_ratio} * {self.kernel_tol}"
-                )
-        return k
+        return kernel_dimension(self.eigenvalues, self.kernel_tol, self.gap_ratio)
 
 
-def eigensolve(op: GridOperator, count: Optional[int] = None, symmetry_tol: float = 1e-8) -> SpectralData:
-    """Lowest eigenpairs of a self-adjoint grid operator.
+def eigensolve(
+    op: GridOperator | SymbolOperator, count: Optional[int] = None, symmetry_tol: float = 1e-8
+) -> SpectralData:
+    """The lowest `count` eigenpairs (all when None), eigenvalues ascending.
 
-    Dense symmetric solve when the grid has at most 48^2 nodes, shift-invert
-    Lanczos around the bottom of the spectrum otherwise.  Eigenfields are
-    returned L^2-orthonormalized against the model volume weight.
+    A SymbolOperator is already diagonal: its eigenvalues are the sorted
+    symbol and its eigenfields the real Fourier modes.  A GridOperator is
+    diagonalized by a dense symmetric solve.  Eigenfields are returned
+    L^2-orthonormalized against the grid weight.
     """
+    if isinstance(op, SymbolOperator):
+        w, modes = op.sorted_modes()
+        fields = [op.mode_field(i) for i in modes[:count]]
+        return SpectralData(op, w[:count], fields)
     if op.asymmetry() > symmetry_tol:
         raise OperatorSymmetryError("operator asymmetric beyond tolerance; refusing eigensolve")
-    A = 0.5 * (op.matrix + op.matrix.T)
-    if op.grid.num_nodes <= DENSE_NODE_LIMIT:
-        w, V = np.linalg.eigh(A)
-        if count is not None:
-            w, V = w[:count], V[:, :count]
-    else:
-        if count is None:
-            raise ValueError("iterative eigensolve requires an explicit count")
-        w, V = scipy.sparse.linalg.eigsh(A, k=count, sigma=-1e-3, which="LM")
-        order = np.argsort(w)
-        w, V = w[order], V[:, order]
+    w, V = np.linalg.eigh(0.5 * (op.matrix + op.matrix.T))
+    w, V = w[:count], V[:, :count]
     fields = []
     for i in range(V.shape[1]):
         vals = op.to_node_values(V[:, i])
@@ -337,28 +348,6 @@ def eigensolve(op: GridOperator, count: Optional[int] = None, symmetry_tol: floa
 def kernel_basis(spec: SpectralData) -> list:
     """Orthonormal basis of the numerical kernel (gap-checked)."""
     return spec.eigenfields[: spec.kernel_size()]
-
-
-def zero_mean_kernel_basis(spec: SpectralData) -> list:
-    """Orthonormal basis of the zero-mean part of the kernel (dim kernel - 1)."""
-    kernel = kernel_basis(spec)
-    grid = spec.operator.grid
-    mat = np.stack([b.values.reshape(-1) - np.mean(b.values) for b in kernel], axis=1)
-    q, r = np.linalg.qr(mat)
-    keep = np.abs(np.diag(r)) > 1e-10 * max(1.0, np.abs(r[0, 0]))
-    q = q[:, keep]
-    out = []
-    for i in range(q.shape[1]):
-        fld = ScalarField(grid, q[:, i].reshape(grid.sizes), check=False)
-        out.append(ScalarField(grid, fld.values / l2_norm(fld), check=False))
-    return out
-
-
-def project_out_kernel(f: ScalarField, basis: Sequence[ScalarField]) -> ScalarField:
-    out = f.values.astype(float).copy()
-    for b in basis:
-        out -= l2_inner(ScalarField(f.grid, out, check=False), b) * b.values
-    return ScalarField(f.grid, out, check=False)
 
 
 @dataclass
@@ -374,7 +363,8 @@ def stability_check(spec: SpectralData, tol: float = 1e-5) -> StabilityVerdict:
 
 
 def second_variation_consistency(
-    model: TorusModel, f: ScalarField, op: Optional[GridOperator] = None, step: float = 1e-3
+    model: TorusModel, f: ScalarField, op: GridOperator | SymbolOperator | None = None,
+    step: float = 1e-3,
 ) -> tuple[float, float]:
     """(5-point FD second derivative of Vol along the graph ray, <Lf, f>)."""
     if op is None:

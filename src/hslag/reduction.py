@@ -49,17 +49,16 @@ from .geomcore import (
     l2_norm,
     mean_curvature_one_form,
     one_form_l2_norm,
+    standard_symplectic_matrix,
     volume_density,
 )
 from .models import TorusModel, moment_from_generator
 from .operators import (
-    GridOperator,
-    SpectralData,
+    SymbolOperator,
     assemble_flat_operator,
-    eigensolve,
-    kernel_basis,
-    project_out_kernel,
-    zero_mean_kernel_basis,
+    fourier_multiply,
+    kernel_dimension,
+    mode_mesh,
 )
 from .weinstein import (
     WeinsteinChart,
@@ -83,7 +82,6 @@ __all__ = [
     "functional_F",
     "residual_P",
     "projected_solve",
-    "K_eval",
     "H_eval",
     "variation_potential",
     "xi_map",
@@ -132,19 +130,20 @@ class OptimizeSettings:
 class ReductionContext:
     """Precomputed flat-model data shared by every reduction run.
 
-    The flat linearized operator is diagonalized once; its pseudo-inverse on
-    the kernel complement drives the contraction, and the zero-mean kernel
-    fields (volume-orthonormalized) index the reduced equation.
+    The flat linearized operator is a Fourier symbol; only its kernel modes
+    get eigenfields.  inverse_symbol (1/lambda, 0 on the kernel and Nyquist
+    modes) is the pseudo-inverse that drives the contraction, and the
+    zero-mean kernel fields (volume-orthonormalized) index the reduced equation.
     """
 
     chart: WeinsteinChart
     grid: GridDescriptor
     metric: object
-    flat_operator: GridOperator
-    spectrum: SpectralData
+    flat_operator: SymbolOperator
     kernel_fields: List[ScalarField]
     reduced_basis: List[ScalarField]
-    pseudo_inverse: np.ndarray
+    kernel_modes: np.ndarray
+    inverse_symbol: np.ndarray
     t: float
     solve: SolveSettings
 
@@ -184,31 +183,15 @@ class ReductionContext:
         return l2_norm(f) * np.sqrt(self.density)
 
     def project_transverse(self, f: ScalarField) -> ScalarField:
-        return project_out_kernel(f, self.kernel_fields)
+        """Remove the kernel modes; everything else, Nyquist included, stays."""
+        values = fourier_multiply(f.values, ~self.kernel_modes)
+        return ScalarField(self.grid, values, check=False)
 
     def apply_pseudo_inverse(self, values: np.ndarray) -> np.ndarray:
-        flat = np.asarray(values, dtype=float).reshape(-1)
-        return (self.pseudo_inverse @ flat).reshape(self.grid.sizes)
+        return fourier_multiply(np.asarray(values, dtype=float), self.inverse_symbol)
 
     def zero_mean(self, values: np.ndarray) -> np.ndarray:
         return values - np.mean(values)
-
-
-def _kernel_pseudo_inverse(spectrum: SpectralData) -> np.ndarray:
-    """Dense node-space inverse of the flat operator on the kernel complement.
-
-    Eigenfields are L^2-orthonormal with constant weight w, so the spectral
-    projector in node space needs an explicit 1/w to invert the measure.
-    """
-    op = spectrum.operator
-    kdim = spectrum.kernel_size()
-    weight = op.grid.node_weight()
-    cols = []
-    for fld in spectrum.eigenfields[kdim:]:
-        cols.append(fld.values.reshape(-1))
-    V = np.stack(cols, axis=1)
-    inv_eigs = 1.0 / spectrum.eigenvalues[kdim:]
-    return (V * inv_eigs) @ V.T * weight
 
 
 def build_context(
@@ -227,22 +210,29 @@ def build_context(
     if metric is None:
         metric = default_perturbed_metric(model.n, amplitude=amplitude, seed=seed)
     operator = assemble_flat_operator(model)
-    spectrum = eigensolve(operator)
-    kernel = kernel_basis(spectrum)
+    eigenvalues, modes = operator.sorted_modes()
+    kdim = kernel_dimension(eigenvalues)
+    kernel = [operator.mode_field(i) for i in modes[:kdim]]
+    kernel_modes = np.zeros(grid.sizes, dtype=bool)
+    kernel_modes.flat[modes[:kdim]] = True
+    inverse_symbol = np.zeros(grid.sizes)
+    inverse_symbol.flat[modes[kdim:]] = 1.0 / eigenvalues[kdim:]
+    # The kernel fields are single Fourier modes; all but the constant one
+    # (mode index 0) have zero mean.
     density = chart.flat_density()
     reduced = [
         ScalarField(grid, b.values / np.sqrt(density), check=False)
-        for b in zero_mean_kernel_basis(spectrum)
+        for b, mode in zip(kernel, modes) if mode != 0
     ]
     return ReductionContext(
         chart=chart,
         grid=grid,
         metric=metric,
         flat_operator=operator,
-        spectrum=spectrum,
         kernel_fields=kernel,
         reduced_basis=reduced,
-        pseudo_inverse=_kernel_pseudo_inverse(spectrum),
+        kernel_modes=kernel_modes,
+        inverse_symbol=inverse_symbol,
         t=t,
         solve=solve if solve is not None else SolveSettings(),
     )
@@ -426,11 +416,6 @@ def projected_solve(
     )
 
 
-def K_eval(ctx: ReductionContext, state: ReductionState) -> float:
-    """Reduced volume at a solved state."""
-    return state.K_value
-
-
 def H_eval(ctx: ReductionContext, state: ReductionState) -> np.ndarray:
     """Kernel components of the residual at a solved state.
 
@@ -495,14 +480,6 @@ def _ambient_immersion(
     )
 
 
-def _symplectic_pairing(n: int) -> np.ndarray:
-    omega = np.zeros((2 * n, 2 * n))
-    for j in range(n):
-        omega[2 * j, 2 * j + 1] = 1.0
-        omega[2 * j + 1, 2 * j] = -1.0
-    return omega
-
-
 def variation_potential(
     ctx: ReductionContext,
     state: ReductionState,
@@ -532,7 +509,7 @@ def variation_potential(
     jets = _graph_jets(ctx.chart, ctx.grid, state.f.values)
     tangents = np.real(jets[7])  # (*grid, n, 2n), chart coordinates
     frame_tangents = np.einsum("nm,...am->...an", state.unitary.matrix, tangents)
-    omega = _symplectic_pairing(ctx.n)
+    omega = standard_symplectic_matrix(ctx.n)
     # ambient tangents are t * frame_tangents; with the 1/t^2 chart
     # normalization one factor 1/t survives.
     beta = (
@@ -552,12 +529,10 @@ def _integrate_exact_one_form(
     grid = ctx.grid
     n = grid.dim
     radii_sq = np.array([a * a for a in ctx.chart.radii])
-    freqs = []
-    for a in range(n):
-        k = np.fft.fftfreq(grid.sizes[a], d=1.0 / grid.sizes[a])
-        k[grid.sizes[a] // 2] = 0.0  # match the Nyquist-free derivative
-        freqs.append(k)
-    mesh = np.meshgrid(*freqs, indexing="ij")
+    # zero the Nyquist wave numbers to match the Nyquist-free derivative
+    mesh = [
+        np.where(np.abs(k) < size / 2, k, 0.0) for k, size in zip(mode_mesh(grid), grid.sizes)
+    ]
     den = sum(mesh[a] ** 2 / radii_sq[a] for a in range(n))
     den = np.where(den == 0.0, 1.0, den)
     num = np.zeros(grid.sizes, dtype=complex)
@@ -864,6 +839,9 @@ def optimize_frame(
     # volume differences drop under floating-point resolution, but the solved
     # gradient stays measurable (each evaluation sits at a transverse critical
     # point), so Newton steps with the finite-difference Hessian still converge.
+    # A curvature below the Hessian's finite-difference noise overshoots, so a
+    # step that raises the solved gradient is discarded and the softest
+    # direction still in use leaves the Newton step.
     def quotient_gradient(st: ReductionState) -> np.ndarray:
         nonlocal evaluations
         g = np.zeros(quotient.size)
@@ -878,11 +856,12 @@ def optimize_frame(
 
     grad = quotient_gradient(state)
     floor = settings.hessian_eig_floor * max(1.0, float(np.max(np.abs(eigs))))
+    active = np.ones(eigs.size, dtype=bool)
     for _ in range(settings.max_polish_steps):
-        if np.linalg.norm(grad) <= settings.polish_tol:
+        if np.linalg.norm(grad) <= settings.polish_tol or not active.any():
             break
-        coeffs = vecs.T @ grad
-        step = -vecs @ (coeffs / np.maximum(eigs, floor))
+        coeffs = vecs[:, active].T @ grad
+        step = -vecs[:, active] @ (coeffs / np.maximum(eigs[active], floor))
         norm = float(np.linalg.norm(step))
         if norm > settings.max_polish_step_norm:
             step *= settings.max_polish_step_norm / norm
@@ -899,8 +878,11 @@ def optimize_frame(
             candidate = projected_solve(ctx, t, candidate_frame, init=state.f)
             evaluations += 1
             halvings += 1
-        frame, state = candidate_frame, candidate
-        grad = quotient_gradient(state)
+        candidate_grad = quotient_gradient(candidate)
+        if np.linalg.norm(candidate_grad) >= np.linalg.norm(grad):
+            active[np.argmax(active)] = False
+            continue
+        frame, state, grad = candidate_frame, candidate, candidate_grad
         trace.append(
             {
                 "step": len(trace),

@@ -48,6 +48,27 @@ def flat_operator(torus_model):
 
 
 @pytest.fixture(scope="session")
+def hessian_oracle():
+    """Complex-step Hessian of the discrete volume at the flat torus, by grid size.
+
+    The dense, independently assembled counterpart of the flat symbol operator;
+    each size is assembled once per session.
+    """
+    from hslag.operators import assemble_perturbed_operator
+    from hslag.weinstein import WeinsteinChart
+
+    cache = {}
+
+    def build(size):
+        if size not in cache:
+            grid = TorusModel(radii=RADII, grid_size=size).grid()
+            cache[size] = assemble_perturbed_operator(WeinsteinChart(RADII), grid, None)
+        return cache[size]
+
+    return build
+
+
+@pytest.fixture(scope="session")
 def flat_spectrum(flat_operator):
     from hslag.operators import eigensolve
 

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from hslag import cli
 from hslag.cli import ExperimentConfig, main
 from hslag.errors import ConfigError
 from hslag.fieldio import load_field, load_manifest, read_csv
@@ -72,6 +73,35 @@ def test_t_override_validation_exit_2(tmp_path):
     assert run_cli("reduce", "--t", "0.5", "--out", str(tmp_path / "r")) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--n", "3", "--grid", "8"],  # two radii for a 3-torus
+        ["reduce", "--n", "3"],
+        ["spectrum", "--n", "3"],
+        ["verify-models", "--n", "3"],  # circle-sphere grids need n = 2
+        ["spectrum", "--model", "ln", "--n", "3"],
+    ],
+)
+def test_unservable_shape_exit_2(tmp_path, argv):
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert not (out / "manifest.json").exists()
+
+
+def test_unexpected_error_writes_failure_manifest(tmp_path, monkeypatch):
+    def broken(config, out):
+        raise ValueError("synthetic defect")
+
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "verify-models", broken)
+    out = str(tmp_path / "broken")
+    assert run_cli("verify-models", "--out", out) == 1
+    manifest = load_manifest(os.path.join(out, "manifest.json"))
+    assert manifest["passed"] is False
+    assert manifest["error_type"] == "ValueError"
+    assert manifest["error"] == "synthetic defect"
+
+
 # ---------------------------------------------------------------------------
 # fast suites end to end
 # ---------------------------------------------------------------------------
@@ -111,6 +141,13 @@ def test_spectrum_suite_circle_sphere(tmp_path):
     ls = {row[1] for row in rows}
     assert max(ks) == 4 and max(ls) == 4
     assert all((row[0] + row[1]) % 2 == 0 for row in rows)
+
+
+def test_spectrum_suite_circle_sphere_beyond_dense_size(tmp_path):
+    out = str(tmp_path / "sp50")
+    assert run_cli("spectrum", "--model", "ln", "--grid", "50", "--out", out) == 0
+    manifest = load_manifest(os.path.join(out, "manifest.json"))
+    assert manifest["payload"]["kernel_dimension"] == 7
 
 
 def test_estimates_suite(tmp_path):

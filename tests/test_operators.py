@@ -1,8 +1,10 @@
 """Spectral analysis of the linearized stationarity operator.
 
-Oracles: the analytic Fourier multiplier on the flat torus, the closed-form
-circle-sphere eigenvalue table, Richardson finite differences of the exact
-discrete gradient, and five-point second differences of the volume itself.
+Oracles: the complex-step Hessian of the discrete volume (which the flat
+symbol must reproduce column by column), the analytic Fourier multiplier on
+the flat torus, the closed-form circle-sphere eigenvalue table, Richardson
+finite differences of the exact discrete gradient, and five-point second
+differences of the volume itself.
 """
 
 import numpy as np
@@ -27,16 +29,14 @@ from hslag.operators import (
     assemble_by_finite_differences,
     assemble_flat_operator,
     assemble_perturbed_operator,
-    band_limited_basis,
     eigensolve,
     kernel_basis,
     operator_distance,
-    project_out_kernel,
     second_variation_consistency,
     stability_check,
     torus_multiplier,
-    zero_mean_kernel_basis,
 )
+from hslag.reduction import build_context
 from hslag.weinstein import WeinsteinChart
 
 RADII = (1.0, 1.3)
@@ -60,11 +60,12 @@ def band_limited_field(grid, rng, scale, modes=6, k_max=3):
 # ---------------------------------------------------------------------------
 
 
-def test_torus_assembly_symmetric(flat_operator):
-    assert flat_operator.asymmetry() <= 1e-12
+def test_torus_assembly_symmetric(hessian_oracle):
+    assert hessian_oracle(32).asymmetry() <= 1e-12
 
 
-def test_torus_matches_multiplier(flat_operator, torus_model):
+def test_torus_matches_multiplier(hessian_oracle, torus_model):
+    hessian = hessian_oracle(32)
     grid = torus_model.grid()
     mesh = grid.meshgrid()
     for k1 in range(-4, 5):
@@ -77,7 +78,7 @@ def test_torus_matches_multiplier(flat_operator, torus_model):
                 if np.max(np.abs(vals)) < 1e-12:
                     continue
                 f = ScalarField(grid, vals, check=False)
-                ray = flat_operator.rayleigh(f)
+                ray = hessian.rayleigh(f)
                 if abs(lam) > 1e-8:
                     assert abs(ray - lam) / abs(lam) <= 1e-9
                 else:
@@ -145,17 +146,14 @@ def test_complex_step_matches_finite_differences():
     assert operator_distance(cs, fd) <= 1e-6
 
 
-def test_spectrum_grid_convergence():
-    eigs = []
-    for size in (16, 24):
-        op = assemble_flat_operator(TorusModel(radii=RADII, grid_size=size))
-        eigs.append(eigensolve(op, count=14).eigenvalues)
+def test_spectrum_grid_convergence(hessian_oracle):
+    eigs = [eigensolve(hessian_oracle(size), count=14).eigenvalues for size in (16, 24)]
     assert np.max(np.abs(eigs[0] - eigs[1])) <= 1e-8
 
 
-def test_band_restriction_excludes_nyquist(flat_operator, torus_model):
+def test_band_restriction_excludes_nyquist(hessian_oracle, torus_model):
     grid = torus_model.grid()
-    basis = flat_operator.basis_matrix
+    basis = hessian_oracle(32).basis_matrix
     assert basis is not None
     n = grid.sizes[0]
     assert basis.shape == (grid.num_nodes, grid.num_nodes - (2 * n - 1))
@@ -164,6 +162,62 @@ def test_band_restriction_excludes_nyquist(flat_operator, torus_model):
     assert np.max(np.abs(spec[:, n // 2, :])) <= 1e-10
     gram = basis.T @ basis
     assert np.max(np.abs(gram - np.eye(basis.shape[1]))) <= 1e-10
+
+
+@pytest.mark.parametrize("size", [16, 32])
+def test_symbol_matches_complex_step_hessian(size, hessian_oracle):
+    hessian = hessian_oracle(size)
+    symbol = assemble_flat_operator(TorusModel(radii=RADII, grid_size=size))
+    grid = hessian.grid
+    basis = hessian.basis_matrix
+    # the symbol applied to every band basis column, read back in that basis
+    applied = np.stack(
+        [
+            symbol.apply(ScalarField(grid, basis[:, j].reshape(grid.sizes), check=False)).values
+            for j in range(basis.shape[1])
+        ],
+        axis=-1,
+    ).reshape(grid.num_nodes, -1)
+    top = float(np.max(symbol.symbol[symbol.admissible]))
+    assert np.max(np.abs(basis.T @ applied - hessian.matrix)) <= 1e-12 * top
+    assert symbol.weight == hessian.weight
+    dense = eigensolve(hessian).eigenvalues
+    sorted_symbol = eigensolve(symbol).eigenvalues
+    assert dense.shape == sorted_symbol.shape
+    assert np.max(np.abs(dense - sorted_symbol)) <= 1e-12 * top
+
+
+@pytest.mark.parametrize("size", [16, 32])
+def test_context_inverse_and_projector_match_dense(size, hessian_oracle):
+    hessian = hessian_oracle(size)
+    ctx = build_context(grid_size=size)
+    grid = ctx.grid
+    spec = eigensolve(hessian)
+    kdim = spec.kernel_size()
+    assert kdim == len(ctx.kernel_fields) == 7
+    # dense node-space references from eigh of the complex-step Hessian; the
+    # eigenfields are L^2-orthonormal, so the projectors carry the node weight
+    V = np.stack([fld.values.reshape(-1) for fld in spec.eigenfields], axis=1)
+    w = grid.node_weight()
+    pinv = (V[:, kdim:] / spec.eigenvalues[kdim:]) @ V[:, kdim:].T * w
+    proj = np.eye(grid.num_nodes) - V[:, :kdim] @ V[:, :kdim].T * w
+    indicators = np.eye(grid.num_nodes).reshape((grid.num_nodes,) + grid.sizes)
+    ctx_pinv = np.stack([ctx.apply_pseudo_inverse(e).reshape(-1) for e in indicators], axis=1)
+    ctx_proj = np.stack(
+        [
+            ctx.project_transverse(ScalarField(grid, e, check=False)).values.reshape(-1)
+            for e in indicators
+        ],
+        axis=1,
+    )
+    assert np.max(np.abs(ctx_pinv - pinv)) <= 1e-11 * np.max(np.abs(pinv))
+    assert np.max(np.abs(ctx_proj - proj)) <= 1e-11 * np.max(np.abs(proj))
+
+
+def test_three_torus_kernel_matches_rigidity():
+    model = TorusModel(radii=(1.0, 1.3, 1.7), grid_size=12)
+    spec = eigensolve(assemble_flat_operator(model), count=20)
+    assert spec.kernel_size() == rigidity_prediction(model) == 13
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +265,13 @@ def test_circle_sphere_stability(cs_spectrum):
 
 
 @pytest.fixture(scope="module")
-def pert_setup():
+def pert_setup(hessian_oracle):
     chart = WeinsteinChart(RADII)
-    grid = GridDescriptor(sizes=(16, 16), periods=(2 * np.pi, 2 * np.pi))
+    flat = hessian_oracle(16)
     metric = default_perturbed_metric(n=2, amplitude=0.05, seed=0)
     p = np.array([0.15, -0.3, 0.42, 0.07])
     frame = unitary_frame(metric, p)
-    flat = _assemble_graph_hessian(chart, grid, None).symmetrized()
-    return chart, grid, metric, frame, flat
+    return chart, flat.grid, metric, frame, flat
 
 
 def test_perturbed_operator_linear_drift(pert_setup):
@@ -266,23 +319,32 @@ def test_torus_action_leaves_spectrum_invariant(pert_setup):
 # ---------------------------------------------------------------------------
 
 
-def test_project_out_kernel(flat_spectrum, torus_model, rng):
-    grid = torus_model.grid()
-    kern = kernel_basis(flat_spectrum)
+def test_project_out_kernel(reduction_ctx, rng):
+    grid = reduction_ctx.grid
     f = ScalarField(grid, band_limited_field(grid, rng, scale=1.0), check=False)
-    g = project_out_kernel(f, kern)
-    for b in kern:
+    g = reduction_ctx.project_transverse(f)
+    for b in reduction_ctx.kernel_fields:
         assert abs(l2_inner(g, b)) <= 1e-10
-    g2 = project_out_kernel(g, kern)
+    g2 = reduction_ctx.project_transverse(g)
     assert np.max(np.abs(g2.values - g.values)) <= 1e-12
 
 
-def test_zero_mean_kernel_basis(flat_spectrum):
-    basis = zero_mean_kernel_basis(flat_spectrum)
-    assert len(basis) == 6
-    for b in basis:
-        assert abs(np.mean(b.values)) <= 1e-12
-        assert abs(l2_norm(b) - 1.0) <= 1e-12
+def test_zero_mean_kernel_basis():
+    for size in (24, 32):
+        ctx = build_context(grid_size=size)
+        basis = ctx.reduced_basis
+        assert len(basis) == 6
+        for b in basis:
+            assert abs(np.mean(b.values)) <= 1e-12
+        gram = np.array([[ctx.vol_inner(a, b) for b in basis] for a in basis])
+        assert np.max(np.abs(gram - np.eye(6))) <= 1e-12
+        # with the constant they span the whole kernel
+        span = np.stack(
+            [b.values.reshape(-1) for b in basis] + [np.ones(ctx.grid.num_nodes)], axis=1
+        )
+        for b in ctx.kernel_fields:
+            coeffs = np.linalg.lstsq(span, b.values.reshape(-1), rcond=None)[0]
+            assert np.max(np.abs(span @ coeffs - b.values.reshape(-1))) <= 1e-12
 
 
 def test_synthetic_unstable_operator():
@@ -312,10 +374,3 @@ def test_kernel_gap_guard():
     with pytest.raises(SpectralGapError):
         spec.kernel_size()
 
-
-def test_iterative_eigensolve_matches_dense(monkeypatch):
-    op = assemble_flat_operator(TorusModel(radii=RADII, grid_size=16))
-    dense = eigensolve(op, count=12).eigenvalues
-    monkeypatch.setattr("hslag.operators.DENSE_NODE_LIMIT", 10)
-    sparse = eigensolve(op, count=12).eigenvalues
-    assert np.max(np.abs(dense - sparse)) <= 1e-8

@@ -13,6 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hslag.operators
+import hslag.reduction
+import hslag.weinstein
 from hslag.ambient import EuclideanMetric
 from hslag.errors import ExactnessError, NonContractionError
 from hslag.geomcore import ScalarField, l2_inner
@@ -40,6 +43,35 @@ def flat_ctx():
 
 def field_norm(ctx, values):
     return ctx.vol_norm(ScalarField(ctx.grid, values, check=False))
+
+
+# ---------------------------------------------------------------------------
+# the shared context: the flat operator stays a symbol
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("size", [32, 50, 64])
+def test_build_context_is_solve_free(size, monkeypatch):
+    calls = []
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    volume = hslag.weinstein.graph_volume_and_gradient
+    for module in (hslag.weinstein, hslag.operators, hslag.reduction):
+        if module.__dict__.get("graph_volume_and_gradient") is volume:
+            monkeypatch.setattr(module, "graph_volume_and_gradient", counting("volume", volume))
+    eigensolve = hslag.operators.eigensolve
+    monkeypatch.setattr(hslag.operators, "eigensolve", counting("eigensolve", eigensolve))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    ctx = build_context(grid_size=size)
+    assert calls == []
+    assert len(ctx.kernel_fields) == 7
+    assert len(ctx.reduced_basis) == 6
 
 
 # ---------------------------------------------------------------------------
