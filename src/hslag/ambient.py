@@ -3,16 +3,19 @@
 The ambient manifold is the square symplectic torus (period 2*pi in every
 coordinate) with the constant standard form omega0.  A metric G is compatible
 when J := -G^{-1} Omega0 squares to -I; then (G, omega0, J) is a compatible
-triple.  Two constructions are provided:
+triple.  The construction is an exponential family G(p) = expm(Y(p)) with
+Y(p) a trigonometric polynomial valued in the symmetric matrices that
+anticommute with Omega0.  Such G is compatible exactly (expm(Y/2) is
+symplectic and symmetric, so G = S^T S with S symplectic), periodic, and
+complex-analytic in the point, which the complex-step linearization of the
+volume gradient relies on.
 
-* an exponential family G(p) = expm(Y(p)) with Y(p) a trigonometric polynomial
-  valued in the symmetric matrices that anticommute with Omega0.  Such G is
-  compatible exactly (expm(Y/2) is symplectic and symmetric, so G = S^T S with
-  S symplectic), periodic, and has closed-form derivatives to second order via
-  Frechet-series recurrences.  This family is complex-analytic in the point,
-  which the complex-step linearization of the volume gradient relies on.
-* a pointwise polar retraction that projects an arbitrary positive metric onto
-  the compatible ones (value-only; derivatives by finite differences).
+Every metric evaluator (EuclideanMetric, SymplecticExpMetric, ChartMetric)
+has two methods: value(points) returns G with shape [..., i, j], and
+derivative(points, order=1) returns the jet (G, dG), or (G, dG, d2G) when
+order=2, with dG[..., mu, i, j] = dG_ij / dp_mu and
+d2G[..., mu, nu, i, j] = d^2 G_ij / dp_mu dp_nu.  The jet's G equals value's
+bit for bit.
 
 Frames: a unitary frame at p is a real matrix upsilon with
 upsilon^T G(p) upsilon = I and upsilon^T Omega0 upsilon = Omega0, built by
@@ -24,8 +27,8 @@ estimates and the reduction pipeline consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -36,10 +39,8 @@ from .geomcore import standard_symplectic_matrix
 __all__ = [
     "EuclideanMetric",
     "SymplecticExpMetric",
-    "CompatibilizedMetric",
     "ChartMetric",
     "UnitaryFrame",
-    "compatibilize_values",
     "compatibility_defect",
     "symmetric_anticommuting_basis",
     "default_perturbed_metric",
@@ -73,15 +74,14 @@ class EuclideanMetric:
         points = np.asarray(points)
         return _eye_like(points.shape[:-1], self.dim, points.dtype)
 
-    def derivative(self, points: np.ndarray) -> np.ndarray:
+    def derivative(self, points: np.ndarray, order: int = 1) -> tuple[np.ndarray, ...]:
         points = np.asarray(points)
         d = self.dim
-        return np.zeros(points.shape[:-1] + (d, d, d), dtype=points.dtype)
-
-    def second_derivative(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points)
-        d = self.dim
-        return np.zeros(points.shape[:-1] + (d, d, d, d), dtype=points.dtype)
+        zeros = [
+            np.zeros(points.shape[:-1] + (d,) * (2 + k), dtype=points.dtype)
+            for k in range(1, order + 1)
+        ]
+        return (self.value(points), *zeros)
 
 
 def symmetric_anticommuting_basis(n: int) -> list[np.ndarray]:
@@ -122,13 +122,16 @@ class SymplecticExpMetric:
 
     A_k, B_k are symmetric and anticommute with Omega0, so G is compatible at
     every point without any retraction, and 2*pi-periodic since the wave
-    vectors m_k are integers.  Derivatives are Frechet derivatives of expm,
-    evaluated by the convergent series recurrences
+    vectors m_k are integers.  One loop over the powers of Y gives G and its
+    first and second Frechet derivatives along the generator's derivatives
+    (the shared-powers recurrence of Al-Mohy & Higham, SIAM J. Matrix Anal.
+    Appl. 2009):
 
         T_j = T_{j-1} Y / j,
         F_j(E) = (F_{j-1}(E) Y + T_{j-1} E) / j,
         S_j(E1,E2) = (S_{j-1} Y + F_{j-1}(E1) E2 + F_{j-1}(E2) E1) / j,
 
+    G = sum T_j, dG = sum F_j(dY), d2G = sum S_j(dY, dY) + sum F_j(d2Y),
     summed to 30 terms (|Y| stays well under 1 in every intended use).  All
     operations are polynomial in the point, hence safe under complex-step
     differentiation.
@@ -159,102 +162,76 @@ class SymplecticExpMetric:
     def dim(self) -> int:
         return 2 * self.n
 
-    # -- generator Y and its coordinate derivatives --------------------------
+    def _generator_jet(self, points: np.ndarray, order: int) -> list[np.ndarray]:
+        """[Y, dY, d2Y][:order + 1] from one evaluation of the phases.
 
-    def _phase(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        dY[..., mu, i, j] = dY_ij / dp_mu and d2Y[..., mu, nu, i, j] likewise.
+        """
         arg = np.einsum("...m,km->...k", points, self.wave_vectors)
-        return np.cos(arg), np.sin(arg)
+        c, s = np.cos(arg), np.sin(arg)
+        m, A, B = self.wave_vectors, self.cos_coeffs, self.sin_coeffs
+        jet = [np.einsum("...k,kij->...ij", c, A) + np.einsum("...k,kij->...ij", s, B)]
+        if order >= 1:
+            jet.append(
+                np.einsum("...k,km,kij->...mij", -s, m, A)
+                + np.einsum("...k,km,kij->...mij", c, m, B)
+            )
+        if order >= 2:
+            mm = np.einsum("km,kn->kmn", m, m)
+            jet.append(
+                np.einsum("...k,kmn,kij->...mnij", -c, mm, A)
+                + np.einsum("...k,kmn,kij->...mnij", -s, mm, B)
+            )
+        return [self.amplitude * x for x in jet]
 
-    def generator(self, points: np.ndarray) -> np.ndarray:
-        c, s = self._phase(points)
-        return self.amplitude * (
-            np.einsum("...k,kij->...ij", c, self.cos_coeffs)
-            + np.einsum("...k,kij->...ij", s, self.sin_coeffs)
-        )
+    def _jet(self, points: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
+        """(G, dG, d2G)[:order + 1] from one pass of the series recurrences.
 
-    def _generator_d1(self, points: np.ndarray) -> np.ndarray:
-        # [..., mu, i, j] = dY_ij / dp_mu
-        c, s = self._phase(points)
-        return self.amplitude * (
-            np.einsum("...k,km,kij->...mij", -s, self.wave_vectors, self.cos_coeffs)
-            + np.einsum("...k,km,kij->...mij", c, self.wave_vectors, self.sin_coeffs)
-        )
-
-    def _generator_d2(self, points: np.ndarray) -> np.ndarray:
-        # [..., mu, nu, i, j]
-        c, s = self._phase(points)
-        mm = np.einsum("km,kn->kmn", self.wave_vectors, self.wave_vectors)
-        return self.amplitude * (
-            np.einsum("...k,kmn,kij->...mnij", -c, mm, self.cos_coeffs)
-            + np.einsum("...k,kmn,kij->...mnij", -s, mm, self.sin_coeffs)
-        )
-
-    # -- exponential series ---------------------------------------------------
+        F runs over the stacked directions [dY; d2Y] and S over the pairs
+        (dY_mu, dY_nu); d2G is the sum of S plus the d2Y part of F.
+        """
+        if order > 2:
+            raise ValueError(f"metric jets are available to order 2, not {order}")
+        Y, *dY = self._generator_jet(np.asarray(points), order)
+        lead, d = Y.shape[:-2], Y.shape[-1]
+        Yb = Y[..., None, :, :]
+        T = _eye_like(lead, d, Y.dtype)
+        G = T.copy()
+        if order >= 1:
+            E = np.concatenate([D.reshape(lead + (-1, d, d)) for D in dY], axis=-3)
+            F, dG = np.zeros_like(E), np.zeros_like(E)
+        if order == 2:
+            dY1 = dY[0]
+            S = np.zeros(lead + (d, d, d, d), dtype=Y.dtype)
+            d2G = np.zeros_like(S)
+        # In-place updates keep the per-term temporaries few; they round
+        # exactly as the recurrences written out of place.
+        for j in range(1, _SERIES_TERMS + 1):
+            if order == 2:
+                F1 = F[..., :d, :, :]
+                S = S @ Yb[..., None, :, :]
+                S += F1[..., :, None, :, :] @ dY1[..., None, :, :, :]
+                S += F1[..., None, :, :, :] @ dY1[..., :, None, :, :]
+                S /= j
+                d2G += S
+            if order >= 1:
+                F = F @ Yb
+                F += T[..., None, :, :] @ E
+                F /= j
+                dG += F
+            T = T @ Y
+            T /= j
+            G += T
+        if order == 2:
+            return G, dG[..., :d, :, :], d2G + dG[..., d:, :, :].reshape(S.shape)
+        return (G, dG) if order else (G,)
 
     def value(self, points: np.ndarray) -> np.ndarray:
-        Y = self.generator(np.asarray(points))
-        d = Y.shape[-1]
-        T = _eye_like(Y.shape[:-2], d, Y.dtype)
-        out = T.copy()
-        for j in range(1, _SERIES_TERMS + 1):
-            T = T @ Y / j
-            out = out + T
-        return out
+        return self._jet(points, 0)[0]
 
-    def _frechet(self, Y: np.ndarray, E: np.ndarray) -> np.ndarray:
-        """Directional derivative of expm at Y along each direction in E.
-
-        E has one extra axis of directions just before the matrix axes.
-        """
-        d = Y.shape[-1]
-        Yb = Y[..., None, :, :]
-        T = _eye_like(Y.shape[:-2] + (1,), d, np.result_type(Y, E))
-        F = np.zeros_like(E, dtype=np.result_type(Y, E))
-        total = np.zeros_like(F)
-        for j in range(1, _SERIES_TERMS + 1):
-            F = (F @ Yb + T @ E) / j
-            T = T @ Yb / j
-            total = total + F
-        return total
-
-    def _frechet2(self, Y: np.ndarray, E1: np.ndarray, E2: np.ndarray) -> np.ndarray:
-        """Symmetric second Frechet derivative along stacked direction pairs."""
-        d = Y.shape[-1]
-        dt = np.result_type(Y, E1, E2)
-        Yb = Y[..., None, :, :]
-        T = _eye_like(Y.shape[:-2] + (1,), d, dt)
-        F1 = np.zeros_like(E1, dtype=dt)
-        F2 = np.zeros_like(E2, dtype=dt)
-        S = np.zeros_like(E1, dtype=dt)
-        total = np.zeros_like(S)
-        for j in range(1, _SERIES_TERMS + 1):
-            S = (S @ Yb + F1 @ E2 + F2 @ E1) / j
-            F1 = (F1 @ Yb + T @ E1) / j
-            F2 = (F2 @ Yb + T @ E2) / j
-            T = T @ Yb / j
-            total = total + S
-        return total
-
-    def derivative(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points)
-        return self._frechet(self.generator(points), self._generator_d1(points))
-
-    def second_derivative(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points)
-        d = self.dim
-        Y = self.generator(points)
-        dY = self._generator_d1(points)
-        lead = points.shape[:-1]
-        E1 = np.broadcast_to(dY[..., :, None, :, :], lead + (d, d, d, d)).reshape(
-            lead + (d * d, d, d)
-        )
-        E2 = np.broadcast_to(dY[..., None, :, :, :], lead + (d, d, d, d)).reshape(
-            lead + (d * d, d, d)
-        )
-        S = self._frechet2(Y, E1, E2).reshape(lead + (d, d, d, d))
-        d2Y = self._generator_d2(points).reshape(lead + (d * d, d, d))
-        S = S + self._frechet(Y, d2Y).reshape(lead + (d, d, d, d))
-        return S
+    def derivative(self, points: np.ndarray, order: int = 1) -> tuple[np.ndarray, ...]:
+        """The jet (G, dG), or (G, dG, d2G) when order=2, from one series."""
+        return self._jet(points, order)
 
     def symplectic_factor(self, points: np.ndarray) -> np.ndarray:
         """S(p) = expm(Y(p)/2): symmetric, symplectic, with S^T S = G."""
@@ -285,36 +262,6 @@ def default_perturbed_metric(
     )
 
 
-# ---------------------------------------------------------------------------
-# polar retraction onto compatible metrics
-
-
-def compatibilize_values(H: np.ndarray) -> np.ndarray:
-    """Pointwise polar retraction of positive metrics onto compatible ones.
-
-    A is defined by omega0(u, v) = H(Au, v); its polar unitary factor J
-    satisfies J^2 = -I, and G(u, v) := omega0(u, Jv) is the returned
-    compatible metric.  Fixed points are exactly the compatible metrics.
-    Conformal factors are normalized away: c*g0 maps to g0, since J only sees
-    the conformal class of H against omega0.
-    """
-    H = np.asarray(H, dtype=float)
-    d = H.shape[-1]
-    om = standard_symplectic_matrix(d // 2)
-    w, V = np.linalg.eigh(H)
-    if np.any(w <= 0):
-        raise RankDeficiencyError("metric not positive definite")
-    Hs = np.einsum("...ik,...k,...jk->...ij", V, np.sqrt(w), V)
-    Hsi = np.einsum("...ik,...k,...jk->...ij", V, 1.0 / np.sqrt(w), V)
-    At = -Hsi @ om @ Hsi  # antisymmetric
-    M = -At @ At  # = At^T At, symmetric positive
-    w2, V2 = np.linalg.eigh(M)
-    Misqrt = np.einsum("...ik,...k,...jk->...ij", V2, 1.0 / np.sqrt(w2), V2)
-    Jt = At @ Misqrt
-    J = Hsi @ Jt @ Hs
-    return om @ J
-
-
 def compatibility_defect(values: np.ndarray) -> float:
     """max |J^2 + I| over points, J = -G^{-1} Omega0."""
     d = values.shape[-1]
@@ -322,35 +269,6 @@ def compatibility_defect(values: np.ndarray) -> float:
     J = -np.linalg.solve(values, np.broadcast_to(om, values.shape))
     eye = np.eye(d)
     return float(np.max(np.abs(J @ J + eye)))
-
-
-class CompatibilizedMetric:
-    """Compatible metric obtained by retracting an arbitrary metric evaluator.
-
-    Derivatives come from central finite differences of the retracted values
-    (step fd_step); adequate for curvature terms at qualitative accuracy, not
-    for the complex-step assembly paths (those require analytic families).
-    """
-
-    def __init__(self, raw: Callable[[np.ndarray], np.ndarray], n: int, fd_step: float = 1e-5):
-        self.raw = raw
-        self.n = n
-        self.dim = 2 * n
-        self.fd_step = fd_step
-
-    def value(self, points: np.ndarray) -> np.ndarray:
-        return compatibilize_values(self.raw(np.asarray(points)))
-
-    def derivative(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points)
-        d = self.dim
-        h = self.fd_step
-        cols = []
-        for mu in range(d):
-            e = np.zeros(d)
-            e[mu] = h
-            cols.append((self.value(points + e) - self.value(points - e)) / (2 * h))
-        return np.stack(cols, axis=-3)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +397,9 @@ def unitary_algebra_basis(n: int) -> list[np.ndarray]:
 class ChartMetric:
     """Scaled chart pullback g^t(z) = upsilon^T G(p + t upsilon z) upsilon.
 
-    Implements the same evaluator interface as the ambient metrics, so the
-    graph-volume machinery can run unchanged in chart coordinates.  At t = 0
+    Implements the same value/derivative contract as the ambient metrics, so
+    the graph-volume machinery can run unchanged in chart coordinates; a jet
+    makes one base call and pulls back each order.  At t = 0
     (or for the flat metric) it is identically the identity matrix.
     """
 
@@ -496,23 +415,23 @@ class ChartMetric:
         return self.frame.point + self.t * np.einsum("nm,...m->...n", self.frame.matrix, z)
 
     def value(self, z: np.ndarray) -> np.ndarray:
-        G = self.base.value(self.embed(z))
+        return self._pullback(self.base.value(self.embed(z)))
+
+    def _pullback(self, G: np.ndarray) -> np.ndarray:
         u = self.frame.matrix
         return np.einsum("ia,...ij,jb->...ab", u, G, u)
 
-    def derivative(self, z: np.ndarray) -> np.ndarray:
-        D = self.base.derivative(self.embed(z))
+    def derivative(self, z: np.ndarray, order: int = 1) -> tuple[np.ndarray, ...]:
+        G, D, *S = self.base.derivative(self.embed(z), order)
         u = self.frame.matrix
         D = np.einsum("ia,...nij,jb->...nab", u, D, u)
-        return self.t * np.einsum("nm,...nab->...mab", u, D)
-
-    def second_derivative(self, z: np.ndarray) -> np.ndarray:
-        S = self.base.second_derivative(self.embed(z))
-        u = self.frame.matrix
-        S = np.einsum("ia,...mnij,jb->...mnab", u, S, u)
-        S = np.einsum("mc,...mnab->...cnab", u, S)
-        S = np.einsum("nd,...cnab->...cdab", u, S)
-        return self.t**2 * S
+        jet = [self._pullback(G), self.t * np.einsum("nm,...nab->...mab", u, D)]
+        if order >= 2:
+            S = np.einsum("ia,...mnij,jb->...mnab", u, S[0], u)
+            S = np.einsum("mc,...mnab->...cnab", u, S)
+            S = np.einsum("nd,...cnab->...cdab", u, S)
+            jet.append(self.t**2 * S)
+        return tuple(jet)
 
 
 def ball_samples(dim: int, radius: float, count: int, seed: int = 0) -> np.ndarray:
@@ -556,11 +475,10 @@ def estimate_sweep(
         sup = {k: 0.0 for k in range(k_max + 1)}
         for fr in frames:
             cm = ChartMetric(metric, fr, t)
-            sup[0] = max(sup[0], float(np.max(np.abs(cm.value(z) - eye))))
-            if k_max >= 1:
-                sup[1] = max(sup[1], float(np.max(np.abs(cm.derivative(z)))))
-            if k_max >= 2:
-                sup[2] = max(sup[2], float(np.max(np.abs(cm.second_derivative(z)))))
+            jet = cm.derivative(z, k_max) if k_max else (cm.value(z),)
+            sup[0] = max(sup[0], float(np.max(np.abs(jet[0] - eye))))
+            for k in range(1, k_max + 1):
+                sup[k] = max(sup[k], float(np.max(np.abs(jet[k]))))
         for k in range(k_max + 1):
             constants[k].append(sup[k] / t**k if k > 0 else sup[0] / t)
     ratios = {}

@@ -371,13 +371,12 @@ def volume(imm: Immersion, metric=None) -> float:
 def _ambient_christoffel(metric, coords: np.ndarray) -> Optional[np.ndarray]:
     """Gamma^mu_{nu lam} of the ambient metric along the immersion.
 
-    metric.derivative(points) must return dG with index layout
-    [..., mu, i, j] = dG_ij / dz_mu.
+    Uses the jet (g, dg) = metric.derivative(points), whose second element has
+    index layout dg[..., mu, i, j] = dg_ij / dz_mu.
     """
     if metric is None:
         return None
-    g = metric.value(coords)
-    dg = metric.derivative(coords)
+    g, dg = metric.derivative(coords)
     ginv = np.linalg.inv(g)
     # S[..., s, nu, l] = d_nu g_{sl} + d_l g_{s nu} - d_s g_{nu l}
     S = np.moveaxis(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg

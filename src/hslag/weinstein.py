@@ -140,7 +140,10 @@ def graph_volume_and_gradient(
     y, r2, coords, phi_theta, phi_y, phi_yy, Y, T = _graph_jets(chart, grid, f)
     if metric is None:
         metric = EuclideanMetric(n)
-    G = metric.value(coords)
+    if need_gradient:
+        G, dG = metric.derivative(coords)
+    else:
+        G = metric.value(coords)
     h = np.einsum("...am,...mn,...bn->...ab", T, G, T)
     det = np.linalg.det(h)
     q = np.sqrt(det)
@@ -156,7 +159,6 @@ def graph_volume_and_gradient(
     for j in range(n):
         dTdy[..., j, j, :] += phi_theta[..., j, :] / r2[..., j, None]
     A = q[..., None] * np.einsum("...ab,...jam,...bm->...j", hinv, dTdy, GT)
-    dG = metric.derivative(coords)
     Gdot = np.einsum("...mik,...jm->...jik", dG, phi_y)  # d G / d y_j along the chart
     A = A + 0.5 * q[..., None] * np.einsum("...ab,...am,...jmn,...bn->...j", hinv, T, Gdot, T)
     B = q[..., None, None] * np.einsum(

@@ -1,20 +1,16 @@
-"""Ambient metric family, compatibility retraction, frames, and chart scaling."""
+"""Ambient metric family, the evaluator contract, frames, and chart scaling."""
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hslag.ambient import (
     ChartMetric,
-    CompatibilizedMetric,
     EuclideanMetric,
     SymplecticExpMetric,
     UnitaryFrame,
     ball_samples,
     compatibility_defect,
-    compatibilize_values,
     default_perturbed_metric,
     estimate_sweep,
     frame_defects,
@@ -24,7 +20,7 @@ from hslag.ambient import (
     unitary_embedding,
     unitary_frame,
 )
-from hslag.errors import ConfigError, RankDeficiencyError
+from hslag.errors import ConfigError
 from hslag.geomcore import standard_symplectic_matrix
 
 
@@ -43,8 +39,9 @@ def test_flat_metric_trivial():
     g0 = EuclideanMetric(2)
     pts = np.zeros((3, 4))
     assert np.array_equal(g0.value(pts), np.broadcast_to(np.eye(4), (3, 4, 4)))
-    assert not g0.derivative(pts).any()
-    assert not g0.second_derivative(pts).any()
+    _, D, S = g0.derivative(pts, 2)
+    assert D.shape == (3, 4, 4, 4) and not D.any()
+    assert S.shape == (3, 4, 4, 4, 4) and not S.any()
     # complex points keep complex dtype (complex-step safety)
     assert g0.value(pts + 0j).dtype == complex
 
@@ -68,9 +65,8 @@ def test_exp_metric_exact_compatibility(metric, points):
 
 def test_exp_metric_derivative_matches_scipy_frechet(metric):
     p = np.array([0.3, 1.1, 4.0, 2.5])
-    Y = metric.generator(p)
-    dY = metric._generator_d1(p)
-    mine = metric.derivative(p)
+    Y, dY = metric._generator_jet(p, 1)
+    mine = metric.derivative(p)[1]
     for mu in range(4):
         ref = scipy.linalg.expm_frechet(Y, dY[mu], compute_expm=False)
         assert np.max(np.abs(ref - mine[mu])) < 1e-13
@@ -78,25 +74,23 @@ def test_exp_metric_derivative_matches_scipy_frechet(metric):
 
 def test_exp_metric_complex_step_consistency(metric, points):
     h = 1e-100
-    D = metric.derivative(points)
-    S = metric.second_derivative(points)
+    _, D, S = metric.derivative(points, 2)
     for mu in range(4):
         e = np.zeros(4)
         e[mu] = 1.0
-        cs1 = metric.value(points + 1j * h * e).imag / h
-        assert np.max(np.abs(cs1 - D[:, mu])) < 1e-12
-        cs2 = metric.derivative(points + 1j * h * e).imag / h
-        assert np.max(np.abs(cs2 - S[:, mu])) < 1e-12
+        G_cs, D_cs = metric.derivative(points + 1j * h * e)
+        assert np.max(np.abs(G_cs.imag / h - D[:, mu])) < 1e-12
+        assert np.max(np.abs(D_cs.imag / h - S[:, mu])) < 1e-12
 
 
 def test_exp_metric_second_derivative_symmetric_and_fd(metric):
     p = np.array([0.3, 1.1, 4.0, 2.5])
-    S = metric.second_derivative(p)
+    G, _, S = metric.derivative(p, 2)
     assert np.max(np.abs(S - np.swapaxes(S, 0, 1))) < 1e-14
     h = 1e-5
     e = np.zeros(4)
     e[1] = h
-    fd = (metric.value(p + e) - 2 * metric.value(p) + metric.value(p - e)) / h**2
+    fd = (metric.value(p + e) - 2 * G + metric.value(p - e)) / h**2
     assert np.max(np.abs(fd - S[1, 1])) < 1e-4
 
 
@@ -117,41 +111,31 @@ def test_exp_metric_validation():
         SymplecticExpMetric(1, np.array([[1.0, 0.0]]), np.array([bad]), np.array([bad]))
 
 
-def test_compatibilize_idempotent(metric, points):
-    G = metric.value(points)
-    assert np.max(np.abs(compatibilize_values(G) - G)) < 1e-12
+def _contract_evaluators():
+    metric = default_perturbed_metric(2, amplitude=0.05, seed=3)
+    frame = unitary_frame(metric, np.array([0.3, 1.1, 4.0, 2.5]), seed=5)
+    return {
+        "euclidean": EuclideanMetric(2),
+        "exp": metric,
+        "chart": ChartMetric(metric, frame, t=0.1),
+    }
 
 
-def test_compatibilize_normalizes_conformal_flat():
-    for c in (0.5, 1.0, 3.7):
-        out = compatibilize_values(c * np.eye(4))
-        assert np.max(np.abs(out - np.eye(4))) < 1e-12
-
-
-@settings(max_examples=20)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_compatibilize_output_compatible(seed):
-    rng = np.random.default_rng(seed)
-    A = rng.normal(size=(4, 4))
-    H = np.eye(4) + 0.2 * (A + A.T)
-    if np.linalg.eigvalsh(H).min() <= 0.05:
-        H = np.eye(4) + 0.05 * (A + A.T)
-    G = compatibilize_values(H)
-    assert compatibility_defect(G[None]) < 1e-10
-    assert np.max(np.abs(G - G.T)) < 1e-10
-    assert np.linalg.eigvalsh(G).min() > 0
-
-
-def test_compatibilized_metric_reproduces_exact_family(metric):
-    wrapped = CompatibilizedMetric(metric.value, n=2)
-    p = np.array([[0.3, 1.1, 4.0, 2.5]])
-    assert np.max(np.abs(wrapped.value(p) - metric.value(p))) < 1e-12
-    assert np.max(np.abs(wrapped.derivative(p) - metric.derivative(p))) < 1e-7
-
-
-def test_non_positive_metric_rejected():
-    with pytest.raises(RankDeficiencyError):
-        compatibilize_values(np.diag([1.0, -1.0, 1.0, 1.0]))
+@pytest.mark.parametrize("name", ["euclidean", "exp", "chart"])
+@pytest.mark.parametrize("step", [0.0, 1e-20], ids=["real", "complex_step"])
+def test_evaluator_jet_contract(name, step, points):
+    """The order-1 jet is the head of the order-2 jet, and G is value's, bitwise."""
+    ev = _contract_evaluators()[name]
+    rng = np.random.default_rng(2)
+    p = points + 1j * step * rng.normal(size=points.shape) if step else points
+    G, D = ev.derivative(p, 1)
+    jet2 = ev.derivative(p, 2)
+    G_value = ev.value(p)
+    assert len(jet2) == 3 and jet2[2].shape == p.shape[:-1] + (4,) * 4
+    for a, b in ((jet2[0], G), (jet2[1], D), (G, G_value)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert ev.derivative(p)[1].tobytes() == D.tobytes()
 
 
 def test_unitary_frame_properties(metric):
@@ -201,8 +185,10 @@ def test_chart_metric_flat_is_identity():
     fr = unitary_frame(g0, np.array([0.3, 1.1, 4.0, 2.5]), seed=0)
     cm = ChartMetric(g0, fr, t=0.07)
     z = ball_samples(4, 1.0, 11, seed=2)
-    assert np.max(np.abs(cm.value(z) - np.eye(4))) < 1e-13
-    assert np.max(np.abs(cm.derivative(z))) < 1e-13
+    G, D, S = cm.derivative(z, 2)
+    assert np.max(np.abs(G - np.eye(4))) < 1e-13
+    assert np.max(np.abs(D)) < 1e-13
+    assert not S.any()
 
 
 def test_chart_metric_identity_at_origin(metric):
@@ -216,12 +202,13 @@ def test_chart_metric_complex_step(metric):
     cm = ChartMetric(metric, fr, t=0.05)
     z = ball_samples(4, 0.8, 7, seed=3)
     h = 1e-100
-    D, S = cm.derivative(z), cm.second_derivative(z)
+    _, D, S = cm.derivative(z, 2)
     for mu in range(4):
         e = np.zeros(4)
         e[mu] = 1.0
-        assert np.max(np.abs(cm.value(z + 1j * h * e).imag / h - D[:, mu])) < 1e-14
-        assert np.max(np.abs(cm.derivative(z + 1j * h * e).imag / h - S[:, mu])) < 1e-14
+        G_cs, D_cs = cm.derivative(z + 1j * h * e)
+        assert np.max(np.abs(G_cs.imag / h - D[:, mu])) < 1e-14
+        assert np.max(np.abs(D_cs.imag / h - S[:, mu])) < 1e-14
 
 
 def test_chart_metric_frame_equivariance(metric, rng):

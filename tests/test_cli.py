@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -100,6 +102,22 @@ def test_unexpected_error_writes_failure_manifest(tmp_path, monkeypatch):
     assert manifest["passed"] is False
     assert manifest["error_type"] == "ValueError"
     assert manifest["error"] == "synthetic defect"
+
+
+def test_module_entry_point_runs_without_warning():
+    """`python -m hslag.cli` must not find hslag.cli already imported by the package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "hslag.cli", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 # ---------------------------------------------------------------------------
