@@ -545,6 +545,18 @@ _SUITE_RUNNERS = {
 }
 
 
+def _failure_stage(exc: BaseException) -> str:
+    """`module.function` of the innermost hslag frame in the traceback."""
+    stage = ""
+    tb = exc.__traceback__
+    while tb is not None:
+        module = tb.tb_frame.f_globals.get("__name__", "")
+        if module.startswith("hslag."):
+            stage = f"{module[len('hslag.'):]}.{tb.tb_frame.f_code.co_name}"
+        tb = tb.tb_next
+    return stage
+
+
 def run_suite(config: ExperimentConfig) -> int:
     """Execute a suite; write manifest + traces; return the exit code."""
     out = config.out_dir
@@ -564,7 +576,12 @@ def run_suite(config: ExperimentConfig) -> int:
         if not isinstance(exc, HslagError):
             traceback.print_exc()
         manifest.update(
-            checks=[], passed=False, artifacts=[], error=str(exc), error_type=type(exc).__name__
+            checks=[],
+            passed=False,
+            artifacts=[],
+            error=str(exc),
+            error_type=type(exc).__name__,
+            stage=_failure_stage(exc),
         )
         write_manifest(os.path.join(out, "manifest.json"), manifest)
         print(f"suite failed: {exc}", file=sys.stderr)

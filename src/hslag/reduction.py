@@ -17,7 +17,7 @@ this a posteriori straight from the ambient immersion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -321,17 +321,28 @@ class ReductionState:
 
     Invariants: the kernel-orthogonal residual norm is at most the solver
     tolerance when converged, and f is L^2-orthogonal to the flat kernel.
+    gradient is the unprojected L^2 volume gradient (`residual_P`) that the
+    converging iteration computed at (unitary, f), kept so the kernel
+    components and the cross block read it instead of recomputing it.
+
+    Warm solves at frames shifted from this one, started from f, are kept in
+    a private memo (`_solve_near`): the finite-difference stencils around a
+    state share their neighbour solves, and the memo is freed with the state.
     """
 
     t: float
     frame: FrameState
     unitary: UnitaryFrame
     f: ScalarField
+    gradient: ScalarField
     residual_norm: float
     K_value: float
     converged: bool
     iterations: int
     residual_history: Optional[List[float]] = None
+    _neighbours: Dict[bytes, "ReductionState"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def kernel_overlap(self, ctx: ReductionContext) -> float:
         return max(abs(l2_inner(self.f, b)) for b in ctx.kernel_fields)
@@ -395,6 +406,7 @@ def projected_solve(
                 frame=frame,
                 unitary=unitary,
                 f=f,
+                gradient=grad,
                 residual_norm=rnorm,
                 K_value=vol,
                 converged=True,
@@ -422,7 +434,7 @@ def H_eval(ctx: ReductionContext, state: ReductionState) -> np.ndarray:
     The residual gradient has exactly zero grid mean (it is a divergence), so
     only the zero-mean kernel directions carry data.
     """
-    _, grad = residual_P(ctx, state.t, state.unitary, state.f)
+    grad = state.gradient
     mean = abs(float(np.mean(grad.values)))
     if mean > 1e-9:
         raise HslagError(
@@ -489,8 +501,10 @@ def variation_potential(
 ) -> ScalarField:
     """Chart-Hamiltonian potential of the solved-family variation along a direction.
 
-    Differentiates the ambient immersion (with f re-solved at the shifted
-    frames), pairs with the symplectic form to get a one-form on the torus,
+    Differentiates the ambient immersion (with f solved at the shifted frames
+    through the state's memo, so a frame the finite-difference gradient
+    already solved is shared, not re-solved), pairs with the symplectic form
+    to get a one-form on the torus,
     and integrates it to a zero-mean potential via a spectral Poisson solve.
     The potential is normalized against the chart symplectic form (ambient
     pairing / t^2), which makes dK(e) = <potential, residual gradient> hold
@@ -500,8 +514,8 @@ def variation_potential(
     """
     direction = np.asarray(direction, dtype=float)
     step = eps * direction
-    plus = projected_solve(ctx, state.t, state.frame.shifted(step), init=state.f)
-    minus = projected_solve(ctx, state.t, state.frame.shifted(-step), init=state.f)
+    plus = _solve_near(ctx, state, step)
+    minus = _solve_near(ctx, state, -step)
     amb_plus = _ambient_immersion(ctx, state.t, plus.unitary, plus.f)
     amb_minus = _ambient_immersion(ctx, state.t, minus.unitary, minus.f)
     velocity = (amb_plus - amb_minus) / (2.0 * eps)
@@ -625,9 +639,32 @@ class GradientReport:
     stabilizer_factored: np.ndarray
 
 
-def _solved_K(ctx: ReductionContext, state: ReductionState, delta: np.ndarray) -> float:
-    shifted = projected_solve(ctx, state.t, state.frame.shifted(delta), init=state.f)
-    return shifted.K_value
+def _solve_near(ctx: ReductionContext, state: ReductionState, delta: np.ndarray) -> ReductionState:
+    """Warm solve at the state's frame shifted by delta, memoized on the state.
+
+    The key is the shifted coordinates, not delta: -e carries -0.0 where +e
+    carries +0.0, and both must find the frame they shift to."""
+    frame = state.frame.shifted(delta)
+    key = frame.coords.tobytes()
+    near = state._neighbours.get(key)
+    if near is None:
+        near = projected_solve(ctx, state.t, frame, init=state.f)
+        state._neighbours[key] = near
+    return near
+
+
+def _fd_gradient(
+    ctx: ReductionContext, state: ReductionState, indices: np.ndarray, eps: float
+) -> np.ndarray:
+    """Central differences of the solved K over the given frame coordinates."""
+    grad = np.zeros(indices.size)
+    for pos, idx in enumerate(indices):
+        e = np.zeros(ctx.num_frame_coords)
+        e[idx] = eps
+        plus = _solve_near(ctx, state, e).K_value
+        minus = _solve_near(ctx, state, -e).K_value
+        grad[pos] = (plus - minus) / (2.0 * eps)
+    return grad
 
 
 def gradient_K(
@@ -637,11 +674,7 @@ def gradient_K(
 ) -> GradientReport:
     """Gradient of the reduced volume over all frame coordinates, twice."""
     dim = ctx.num_frame_coords
-    fd = np.zeros(dim)
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = eps
-        fd[i] = (_solved_K(ctx, state, e) - _solved_K(ctx, state, -e)) / (2.0 * eps)
+    fd = _fd_gradient(ctx, state, np.arange(dim), eps)
     H = H_eval(ctx, state)
     factored = np.zeros(dim)
     for i in range(dim):
@@ -700,8 +733,10 @@ def hessian_K(
     """Finite-difference Hessian of the solved K over quotient coordinates.
 
     Five-point second differences on the diagonal, four-corner stencils off
-    the diagonal; every evaluation re-solves the transverse equation (warm
-    started), so this is the Hessian of the true reduced functional."""
+    the diagonal; every evaluation solves the transverse equation (warm
+    started), so this is the Hessian of the true reduced functional.  The
+    neighbour solves go through the state's memo, so the +-eps frames are
+    shared with the gradient stencils and the cross block, not re-solved."""
     if indices is None:
         indices = ctx.quotient_indices
     m = indices.size
@@ -710,7 +745,7 @@ def hessian_K(
     hess = np.zeros((m, m))
 
     def K_at(delta: np.ndarray) -> float:
-        return _solved_K(ctx, state, delta)
+        return _solve_near(ctx, state, delta).K_value
 
     for a in range(m):
         e = np.zeros(dim)
@@ -844,15 +879,8 @@ def optimize_frame(
     # direction still in use leaves the Newton step.
     def quotient_gradient(st: ReductionState) -> np.ndarray:
         nonlocal evaluations
-        g = np.zeros(quotient.size)
-        for pos, idx in enumerate(quotient):
-            e = np.zeros(dim)
-            e[idx] = settings.fd_step
-            g[pos] = (_solved_K(ctx, st, e) - _solved_K(ctx, st, -e)) / (
-                2.0 * settings.fd_step
-            )
-            evaluations += 2
-        return g
+        evaluations += 2 * quotient.size
+        return _fd_gradient(ctx, st, quotient, settings.fd_step)
 
     grad = quotient_gradient(state)
     floor = settings.hessian_eig_floor * max(1.0, float(np.max(np.abs(eigs))))
@@ -990,6 +1018,10 @@ def second_variation_Q(
     for i, direction in enumerate(field_directions):
         values = []
         for s in (-2, -1, 0, 1, 2):
+            if s == 0:
+                # the centre is the solved state, whose volume K_value holds
+                values.append(state.K_value)
+                continue
             f = ScalarField(
                 ctx.grid, state.f.values + s * field_step * direction.values, check=False
             )
@@ -1017,13 +1049,11 @@ def second_variation_Q(
     for j, idx in enumerate(quotient):
         e = np.zeros(ctx.num_frame_coords)
         e[idx] = frame_step
-        plus = projected_solve(ctx, t, state.frame.shifted(e), init=state.f)
-        minus = projected_solve(ctx, t, state.frame.shifted(-e), init=state.f)
-        _, grad_plus = residual_P(ctx, t, plus.unitary, plus.f)
-        _, grad_minus = residual_P(ctx, t, minus.unitary, minus.f)
+        plus = _solve_near(ctx, state, e)
+        minus = _solve_near(ctx, state, -e)
         for i, direction in enumerate(field_directions):
-            pair_plus = ctx.vol_inner(grad_plus, direction)
-            pair_minus = ctx.vol_inner(grad_minus, direction)
+            pair_plus = ctx.vol_inner(plus.gradient, direction)
+            pair_minus = ctx.vol_inner(minus.gradient, direction)
             cross[i, j] = scale * (pair_plus - pair_minus) / (2.0 * frame_step)
     diag_scale = np.sqrt(
         np.abs(transverse_fd)[:, None] * np.abs(np.diag(frame_block))[None, :]

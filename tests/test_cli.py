@@ -102,6 +102,24 @@ def test_unexpected_error_writes_failure_manifest(tmp_path, monkeypatch):
     assert manifest["passed"] is False
     assert manifest["error_type"] == "ValueError"
     assert manifest["error"] == "synthetic defect"
+    # the runner lives outside the package, so the innermost hslag frame is the caller
+    assert manifest["stage"] == "cli.run_suite"
+
+
+def test_numerical_failure_manifest_names_stage(tmp_path, monkeypatch):
+    from hslag.reduction import SolveSettings, build_context, projected_solve, random_frame_state
+
+    def starved(config, out):
+        ctx = build_context(grid_size=16, solve=SolveSettings(max_iterations=1))
+        projected_solve(ctx, ctx.t, random_frame_state(ctx, seed=1))
+
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "reduce", starved)
+    out = str(tmp_path / "starved")
+    assert run_cli("reduce", "--out", out) == 1
+    manifest = load_manifest(os.path.join(out, "manifest.json"))
+    assert manifest["passed"] is False
+    assert manifest["error_type"] == "NonContractionError"
+    assert manifest["stage"] == "reduction.projected_solve"
 
 
 def test_module_entry_point_runs_without_warning():

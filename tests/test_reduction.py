@@ -322,3 +322,67 @@ def test_second_variation_blocks(reduction_ctx, frame_optimum):
     tn = reduction_ctx.t ** reduction_ctx.n
     expected = tn * np.linalg.eigvalsh(frame_optimum.hessian)
     assert np.allclose(report.frame_eigenvalues, expected, rtol=1e-10, atol=1e-16)
+
+
+# ---------------------------------------------------------------------------
+# a solved state: its own residual and its memo of neighbour solves
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def coarse_ctx():
+    return build_context(grid_size=24, t=0.02)
+
+
+def fresh_state(ctx, seed=5):
+    return projected_solve(ctx, ctx.t, random_frame_state(ctx, seed=seed))
+
+
+def test_solve_near_is_memoized_and_equals_direct_solve(coarse_ctx):
+    state = fresh_state(coarse_ctx)
+    for sign in (1.0, -1.0):
+        e = np.zeros(coarse_ctx.num_frame_coords)
+        e[1] = sign * 1e-4
+        near = hslag.reduction._solve_near(coarse_ctx, state, e)
+        assert hslag.reduction._solve_near(coarse_ctx, state, e) is near
+        direct = projected_solve(coarse_ctx, state.t, state.frame.shifted(e), init=state.f)
+        assert near.f.values.tobytes() == direct.f.values.tobytes()
+        assert near.K_value == direct.K_value
+        assert near.residual_history == direct.residual_history
+
+
+def test_state_gradient_is_final_residual(coarse_ctx, monkeypatch):
+    state = fresh_state(coarse_ctx)
+    vol, grad = hslag.reduction.residual_P(coarse_ctx, state.t, state.unitary, state.f)
+    assert state.gradient.values.tobytes() == grad.values.tobytes()
+    assert vol == state.K_value
+    # the value-only volume of the jet contract: second_variation_Q's stencil centre
+    assert hslag.reduction.functional_F(coarse_ctx, state.t, state.unitary, state.f) == vol
+
+    calls = []
+    volume = hslag.reduction.graph_volume_and_gradient
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return volume(*args, **kwargs)
+
+    monkeypatch.setattr(hslag.reduction, "graph_volume_and_gradient", counting)
+    H_eval(coarse_ctx, state)
+    assert calls == []
+
+
+def test_stencils_around_a_state_solve_each_frame_once(coarse_ctx, monkeypatch):
+    state = fresh_state(coarse_ctx)
+    seen = []
+    solve = hslag.reduction.projected_solve
+
+    def counting(ctx, t, frame, init=None):
+        seen.append((t, frame.coords.tobytes(), None if init is None else init.values.tobytes()))
+        return solve(ctx, t, frame, init=init)
+
+    monkeypatch.setattr(hslag.reduction, "projected_solve", counting)
+    gradient_K(coarse_ctx, state)
+    second_variation_Q(coarse_ctx, state)
+    assert len(seen) == len(set(seen))
+    # 16 gradient frames, then the Hessian's 84 less its 12 shared +-e frames
+    assert len(seen) == 16 + 72
