@@ -8,7 +8,9 @@ Y(p) a trigonometric polynomial valued in the symmetric matrices that
 anticommute with Omega0.  Such G is compatible exactly (expm(Y/2) is
 symplectic and symmetric, so G = S^T S with S symplectic), periodic, and
 complex-analytic in the point, which the complex-step linearization of the
-volume gradient relies on.
+volume gradient relies on.  expm is its Taylor series, cut at a length that
+each metric fixes once from a bound on |Y| (see SymplecticExpMetric), so
+the evaluated G is one polynomial in the point.
 
 Every metric evaluator (EuclideanMetric, SymplecticExpMetric, ChartMetric)
 has two methods: value(points) returns G with shape [..., i, j], and
@@ -22,7 +24,8 @@ upsilon^T G(p) upsilon = I and upsilon^T Omega0 upsilon = Omega0, built by
 Gram-Schmidt over the complex structure J_p.  Affine charts z -> p + upsilon z
 pull omega back to omega0 exactly; the scaled pullback metric
 g^t(z) = upsilon^T G(p + t upsilon z) upsilon is the object all scaling
-estimates and the reduction pipeline consume.
+estimates and the reduction pipeline consume, evaluated as batched matrix
+products.
 """
 
 from __future__ import annotations
@@ -53,9 +56,6 @@ __all__ = [
     "estimate_sweep",
     "EstimateReport",
 ]
-
-_SERIES_TERMS = 30
-
 
 def _eye_like(shape: tuple, d: int, dtype) -> np.ndarray:
     out = np.zeros(shape + (d, d), dtype=dtype)
@@ -131,10 +131,17 @@ class SymplecticExpMetric:
         F_j(E) = (F_{j-1}(E) Y + T_{j-1} E) / j,
         S_j(E1,E2) = (S_{j-1} Y + F_{j-1}(E1) E2 + F_{j-1}(E2) E1) / j,
 
-    G = sum T_j, dG = sum F_j(dY), d2G = sum S_j(dY, dY) + sum F_j(d2Y),
-    summed to 30 terms (|Y| stays well under 1 in every intended use).  All
-    operations are polynomial in the point, hence safe under complex-step
-    differentiation.
+    G = sum T_j, dG = sum F_j(dY), d2G = sum S_j(dY, dY) + sum F_j(d2Y).
+
+    The number of terms J is fixed once, at construction, from the bound
+    r = amplitude * sum_k sqrt(|A_k|_F^2 + |B_k|_F^2) >= sup_p |Y(p)|_2: it is
+    the fewest terms whose geometric tail bound for the order-2 series is
+    below 2^-60 (14 terms for the default amplitude 0.05).  value and every
+    order of derivative sum the same J terms, and J never depends on the
+    points, so the jet stays one polynomial in the point: exact under
+    complex-step differentiation, and the jet contract holds bit for bit.
+    The bound grows with the amplitude, so J does too (about 27 at 0.5);
+    there is no scaling and squaring.
     """
 
     n: int
@@ -157,6 +164,9 @@ class SymplecticExpMetric:
             raise ConfigError("wave vector shape mismatch")
         if np.max(np.abs(self.wave_vectors - np.round(self.wave_vectors))) > 0:
             raise ConfigError("wave vectors must be integers (periodicity)")
+        # |A c + B s|_F <= sqrt(|A|_F^2 + |B|_F^2) whenever c^2 + s^2 = 1
+        norms = np.sqrt(np.sum(self.cos_coeffs**2 + self.sin_coeffs**2, axis=(1, 2)))
+        self._terms = _series_length(abs(self.amplitude) * float(np.sum(norms)))
 
     @property
     def dim(self) -> int:
@@ -187,44 +197,52 @@ class SymplecticExpMetric:
     def _jet(self, points: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
         """(G, dG, d2G)[:order + 1] from one pass of the series recurrences.
 
-        F runs over the stacked directions [dY; d2Y] and S over the pairs
-        (dY_mu, dY_nu); d2G is the sum of S plus the d2Y part of F.
+        F runs over the stacked directions e of [dY; d2Y] and S over the
+        pairs (dY_mu, dY_nu); d2G is the sum of S plus the d2Y part of F.
+        Both are stored direction-inside, F as [..., a, e, j] and S as
+        [..., a, mu, nu, j], so each term is one matrix product per point
+        rather than one per direction.
         """
         if order > 2:
             raise ValueError(f"metric jets are available to order 2, not {order}")
         Y, *dY = self._generator_jet(np.asarray(points), order)
         lead, d = Y.shape[:-2], Y.shape[-1]
-        Yb = Y[..., None, :, :]
         T = _eye_like(lead, d, Y.dtype)
         G = T.copy()
         if order >= 1:
             E = np.concatenate([D.reshape(lead + (-1, d, d)) for D in dY], axis=-3)
+            E = np.moveaxis(E, -3, -2).reshape(lead + (d, -1))  # [k, (e, j)]
             F, dG = np.zeros_like(E), np.zeros_like(E)
         if order == 2:
-            dY1 = dY[0]
+            dY1 = E[..., : d * d]  # [k, (nu, j)] for the first-order directions
             S = np.zeros(lead + (d, d, d, d), dtype=Y.dtype)
             d2G = np.zeros_like(S)
         # In-place updates keep the per-term temporaries few; they round
         # exactly as the recurrences written out of place.
-        for j in range(1, _SERIES_TERMS + 1):
+        for j in range(1, self._terms + 1):
             if order == 2:
-                F1 = F[..., :d, :, :]
-                S = S @ Yb[..., None, :, :]
-                S += F1[..., :, None, :, :] @ dY1[..., None, :, :, :]
-                S += F1[..., None, :, :, :] @ dY1[..., :, None, :, :]
+                F1 = F.reshape(lead + (d, -1, d))[..., :d, :].reshape(lead + (d * d, d))
+                P = (F1 @ dY1).reshape(S.shape)  # P[a, mu, nu, j] = (F_mu dY_nu)[a, j]
+                S = (S.reshape(lead + (-1, d)) @ Y).reshape(P.shape)
+                S += P
+                S += np.swapaxes(P, -3, -2)
                 S /= j
                 d2G += S
             if order >= 1:
-                F = F @ Yb
-                F += T[..., None, :, :] @ E
+                F = (F.reshape(lead + (-1, d)) @ Y).reshape(E.shape)
+                F += T @ E
                 F /= j
                 dG += F
             T = T @ Y
             T /= j
             G += T
-        if order == 2:
-            return G, dG[..., :d, :, :], d2G + dG[..., d:, :, :].reshape(S.shape)
-        return (G, dG) if order else (G,)
+        if order == 0:
+            return (G,)
+        dG = np.moveaxis(dG.reshape(lead + (d, -1, d)), -3, -2)  # [e, a, j]
+        if order == 1:
+            return G, dG
+        d2G = np.moveaxis(d2G, -4, -2) + dG[..., d:, :, :].reshape(S.shape)
+        return G, dG[..., :d, :, :], d2G
 
     def value(self, points: np.ndarray) -> np.ndarray:
         return self._jet(points, 0)[0]
@@ -239,6 +257,20 @@ class SymplecticExpMetric:
             self.n, self.wave_vectors, self.cos_coeffs, self.sin_coeffs, self.amplitude / 2
         )
         return half.value(points)
+
+
+def _series_length(r: float) -> int:
+    """Fewest series terms J whose omitted order-2 tail is below 2^-60.
+
+    With |Y|_2 <= r the j-th term of the d2G series is at most r^(j-2)/(j-2)!
+    per unit pair of directions (T_j and F_j are smaller), and after the
+    J-th term each falls by a factor r/J or more, so the tail after J terms
+    is at most r^(J-1)/(J-1)! / (1 - r/J)."""
+    J, lead = 2, r  # lead = r^(J-1)/(J-1)!
+    while r >= J or lead / (1.0 - r / J) >= 2.0**-60:
+        lead *= r / J
+        J += 1
+    return J
 
 
 def default_perturbed_metric(
@@ -411,26 +443,25 @@ class ChartMetric:
 
     def embed(self, z: np.ndarray) -> np.ndarray:
         """Ambient coordinates of chart points: p + t * upsilon z."""
-        z = np.asarray(z)
-        return self.frame.point + self.t * np.einsum("nm,...m->...n", self.frame.matrix, z)
+        return self.frame.point + self.t * (np.asarray(z) @ self.frame.matrix.T)
 
     def value(self, z: np.ndarray) -> np.ndarray:
-        return self._pullback(self.base.value(self.embed(z)))
-
-    def _pullback(self, G: np.ndarray) -> np.ndarray:
         u = self.frame.matrix
-        return np.einsum("ia,...ij,jb->...ab", u, G, u)
+        return u.T @ self.base.value(self.embed(z)) @ u
 
     def derivative(self, z: np.ndarray, order: int = 1) -> tuple[np.ndarray, ...]:
-        G, D, *S = self.base.derivative(self.embed(z), order)
+        G, *dG = self.base.derivative(self.embed(z), order)
         u = self.frame.matrix
-        D = np.einsum("ia,...nij,jb->...nab", u, D, u)
-        jet = [self._pullback(G), self.t * np.einsum("nm,...nab->...mab", u, D)]
+        lead, d = G.shape[:-2], self.dim
+        jet = [u.T @ G @ u]
+        # chain rule d/dz_m = t sum_n u[n, m] d/dp_n on each direction slot
+        if order >= 1:
+            D = u.T @ (u.T @ dG[0] @ u).reshape(lead + (d, d * d))
+            jet.append(self.t * D.reshape(lead + (d, d, d)))
         if order >= 2:
-            S = np.einsum("ia,...mnij,jb->...mnab", u, S[0], u)
-            S = np.einsum("mc,...mnab->...cnab", u, S)
-            S = np.einsum("nd,...cnab->...cdab", u, S)
-            jet.append(self.t**2 * S)
+            S = u.T @ (u.T @ dG[1] @ u).reshape(lead + (d, d**3))
+            S = u.T @ S.reshape(lead + (d, d, d * d))
+            jet.append(self.t**2 * S.reshape(lead + (d,) * 4))
         return tuple(jet)
 
 

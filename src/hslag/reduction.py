@@ -383,7 +383,11 @@ def projected_solve(
     Iterates f <- f - Linv Pi P^t(f) where Linv is the flat pseudo-inverse and
     Pi projects out the flat kernel.  For metrics t-close to flat this is a
     contraction and converges linearly; geometric divergence raises
-    NonContractionError.
+    NonContractionError, and so does a residual that stops falling above the
+    tolerance (a roundoff floor): three iterations in a row that do not bring
+    it 1 % below its smallest earlier value.  Roundoff jitter at a floor
+    still makes tiny new minima, hence the 1 %; a solve that gains less per
+    step could not gain a digit in the default 200 iterations anyway.
     """
     settings = ctx.solve
     unitary = frame.realize(ctx.metric)
@@ -393,10 +397,13 @@ def projected_solve(
         f = ctx.project_transverse(init)
     first_norm = None
     history: List[float] = []
+    best, stalled = np.inf, 0
     for iteration in range(settings.max_iterations):
         vol, grad = residual_P(ctx, t, unitary, f)
         projected = ctx.project_transverse(grad)
         rnorm = ctx.vol_norm(projected)
+        stalled = 0 if rnorm < 0.99 * best else stalled + 1
+        best = min(best, rnorm)
         history.append(rnorm)
         if first_norm is None:
             first_norm = rnorm
@@ -417,6 +424,11 @@ def projected_solve(
             raise NonContractionError(
                 f"projected iteration diverged: residual {rnorm:.3e} after "
                 f"{iteration + 1} steps from initial {first_norm:.3e}"
+            )
+        if stalled == 3:
+            raise NonContractionError(
+                f"projected iteration stagnated at a residual floor of {best:.3e} "
+                f"above tol={settings.tol:.1e}: no 1 % drop in 3 iterations"
             )
         update = ctx.apply_pseudo_inverse(projected.values)
         f = ctx.project_transverse(
@@ -487,9 +499,7 @@ def _ambient_immersion(
 ) -> np.ndarray:
     """Node coordinates of the ambient torus p + t * (frame @ graph)."""
     chart_coords = _graph_jets(ctx.chart, ctx.grid, f.values)[2]
-    return unitary.point + t * np.einsum(
-        "nm,...m->...n", unitary.matrix, np.real(chart_coords)
-    )
+    return unitary.point + t * (np.real(chart_coords) @ unitary.matrix.T)
 
 
 def variation_potential(
@@ -787,6 +797,18 @@ class OptimizationResult:
     trace: Optional[List[dict]] = None
 
 
+def _is_saddle(eigenvalue: float, K: float, settings: OptimizeSettings) -> bool:
+    """Whether a Hessian eigenvalue of K is a descent direction, not noise.
+
+    The five-point second difference weighs the values by
+    (-1, 16, -30, 16, -1) / (12 fd_step^2), so a roundoff of eps |K| in each
+    solved K moves a diagonal entry by up to (64/12) eps |K| / fd_step^2; an
+    eigenvalue counts as negative only below minus the larger of saddle_tol
+    and that noise."""
+    noise = 64.0 / 12.0 * np.finfo(float).eps * abs(K) / settings.fd_step**2
+    return bool(eigenvalue < -max(settings.saddle_tol, noise))
+
+
 def optimize_frame(
     ctx: ReductionContext,
     t: float,
@@ -863,7 +885,10 @@ def optimize_frame(
     while True:
         hess = hessian_K(ctx, state, eps=settings.fd_step)
         eigs, vecs = np.linalg.eigh(hess)
-        if eigs[0] >= -settings.saddle_tol or saddle_restarts >= settings.max_saddle_restarts:
+        if (
+            not _is_saddle(eigs[0], state.K_value, settings)
+            or saddle_restarts >= settings.max_saddle_restarts
+        ):
             break
         saddle_restarts += 1
         kick = settings.saddle_kick * lift(vecs[:, 0])
@@ -931,7 +956,7 @@ def optimize_frame(
         stabilizer_gradient_norm=stab_norm,
         hessian=hess,
         hessian_eigenvalues=eigs,
-        is_minimum=bool(eigs[0] >= -settings.saddle_tol),
+        is_minimum=not _is_saddle(eigs[0], state.K_value, settings),
         saddle_restarts=saddle_restarts,
         anchor_rounds=anchor_rounds,
         residual_relative=rel,

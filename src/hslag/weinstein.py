@@ -117,7 +117,7 @@ def _graph_jets(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray):
         axis=-2,
     )  # (*s, j, a)
     # tangent vectors T_a = phi_theta_a + sum_j phi_y_j Y_{ja}
-    T = phi_theta + np.einsum("...jm,...ja->...am", phi_y, Y)
+    T = phi_theta + np.swapaxes(Y, -1, -2) @ phi_y
     return y, r2, coords, phi_theta, phi_y, phi_yy, Y, T
 
 
@@ -144,7 +144,9 @@ def graph_volume_and_gradient(
         G, dG = metric.derivative(coords)
     else:
         G = metric.value(coords)
-    h = np.einsum("...am,...mn,...bn->...ab", T, G, T)
+    Tt = np.swapaxes(T, -1, -2)
+    GTt = G @ Tt  # (G T_b)_m as [..., m, b]
+    h = T @ GTt
     det = np.linalg.det(h)
     q = np.sqrt(det)
     w = grid.node_weight()
@@ -153,17 +155,19 @@ def graph_volume_and_gradient(
         return vol, None
 
     hinv = np.linalg.inv(h)
-    GT = np.einsum("...mn,...bn->...bm", G, T)  # (G T_b)_m
+    lead, d = q.shape, 2 * n
     # dT_a/dy_j = delta_{aj} phi_theta_a / r_a^2 + phi_yy_j Y_{ja}
-    dTdy = np.einsum("...jm,...ja->...jam", phi_yy, Y).astype(q.dtype, copy=False)
+    dTdy = (phi_yy[..., :, None, :] * Y[..., :, :, None]).astype(q.dtype, copy=False)
     for j in range(n):
         dTdy[..., j, j, :] += phi_theta[..., j, :] / r2[..., j, None]
-    A = q[..., None] * np.einsum("...ab,...jam,...bm->...j", hinv, dTdy, GT)
-    Gdot = np.einsum("...mik,...jm->...jik", dG, phi_y)  # d G / d y_j along the chart
-    A = A + 0.5 * q[..., None] * np.einsum("...ab,...am,...jmn,...bn->...j", hinv, T, Gdot, T)
-    B = q[..., None, None] * np.einsum(
-        "...cb,...jm,...bm->...jc", hinv, np.einsum("...jm,...mn->...jn", phi_y, G), T
-    )
+    # sum_{a,b,m} hinv_ab dTdy_jam (G T_b)_m, as dTdy_j : (hinv GT)
+    W = hinv @ np.swapaxes(GTt, -1, -2)
+    A = dTdy.reshape(lead + (n, n * d)) @ W.reshape(lead + (n * d, 1))
+    # d G / d y_j = sum_m phi_y_jm dG_m, paired with T^T hinv T
+    M = Tt @ hinv @ T
+    dGM = dG.reshape(lead + (d, d * d)) @ M.reshape(lead + (d * d, 1))
+    A = q[..., None] * (A + 0.5 * (phi_y @ dGM))[..., 0]
+    B = q[..., None, None] * (phi_y @ GTt @ np.swapaxes(hinv, -1, -2))
     P = np.zeros_like(f, dtype=q.dtype)
     for j in range(n):
         P = P - _deriv_array(A[..., j], grid, axis=j)

@@ -1,5 +1,8 @@
 """Ambient metric family, the evaluator contract, frames, and chart scaling."""
 
+import copy
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -243,3 +246,119 @@ def test_estimate_sweep_perturbed_bounded(metric):
     for k in range(3):
         assert rep.ratios[k] <= 2.0
         assert max(rep.constants[k]) > 1e-4  # genuinely nonzero perturbation
+
+
+# ---------------------------------------------------------------------------
+# the series length: fixed per metric from a bound on |Y|
+# ---------------------------------------------------------------------------
+
+
+def _bound_length(metric):
+    """r >= sup |Y|_2 and the fewest terms J whose order-2 tail bound
+    r^(J-1)/(J-1)! / (1 - r/J) is below 2^-60, written out independently."""
+    r = metric.amplitude * sum(
+        np.sqrt(np.sum(A**2) + np.sum(B**2)) for A, B in zip(metric.cos_coeffs, metric.sin_coeffs)
+    )
+    J = 2
+    while r >= J or r ** (J - 1) / math.factorial(J - 1) / (1 - r / J) >= 2.0**-60:
+        J += 1
+    return r, J
+
+
+@pytest.mark.parametrize("amplitude", [0.05, 0.5])
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_series_length_is_the_bound_length(seed, amplitude):
+    metric = default_perturbed_metric(2, amplitude=amplitude, seed=seed)
+    r, J = _bound_length(metric)
+    assert metric._terms == J
+    if amplitude == 0.05:
+        assert J == 14
+    else:
+        assert 25 <= J <= 28
+    p = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size=(200, 4))
+    Y = metric._generator_jet(p, 0)[0]
+    assert np.max(np.linalg.norm(Y, ord=2, axis=(-2, -1))) <= r
+
+
+def test_series_length_is_shared_by_every_order_and_dtype():
+    """Cut the series after 4 terms at amplitude 0.5, where the cut shows:
+    value is then the degree-4 Taylor polynomial of expm(Y), and the real
+    jet of each order is the complex-step derivative of the order below,
+    taken at complex points, so every path sums the same terms."""
+    metric = copy.copy(default_perturbed_metric(2, amplitude=0.5, seed=1))
+    metric._terms = 4
+    p = np.random.default_rng(4).uniform(0.0, 2 * np.pi, size=(30, 4))
+    Y = metric._generator_jet(p, 0)[0]
+    power = np.broadcast_to(np.eye(4), Y.shape)
+    taylor = power.copy()
+    for j in range(1, 5):
+        power = power @ Y / j
+        taylor += power
+    G, D, S = metric.derivative(p, 2)
+    assert np.max(np.abs(G - taylor)) < 1e-14 * np.max(np.abs(G))
+    longer = copy.copy(metric)
+    longer._terms = 5
+    assert np.max(np.abs(longer.value(p) - G)) > 1e-3
+    h = 1e-100
+    for mu in range(4):
+        e = np.zeros(4)
+        e[mu] = 1.0
+        G_cs, D_cs = metric.derivative(p + 1j * h * e, 1)
+        assert np.max(np.abs(metric.value(p + 1j * h * e).imag / h - D[:, mu])) < 1e-13
+        assert np.max(np.abs(G_cs.imag / h - D[:, mu])) < 1e-13
+        assert np.max(np.abs(D_cs.imag / h - S[:, mu])) < 1e-13 * np.max(np.abs(S))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+@pytest.mark.parametrize("step", [0.0, 1e-100], ids=["real", "complex_step"])
+def test_series_equals_thirty_term_reference_bitwise(seed, step):
+    metric = default_perturbed_metric(2, amplitude=0.05, seed=seed)
+    reference = copy.copy(metric)
+    reference._terms = 30
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.0, 2 * np.pi, size=(200, 4))
+    if step:
+        p = p + 1j * step * rng.normal(size=p.shape)
+    for mine, ref in zip(metric.derivative(p, 2), reference.derivative(p, 2)):
+        assert mine.tobytes() == ref.tobytes()
+
+
+def test_large_amplitude_series_matches_scipy_expm():
+    metric = default_perturbed_metric(2, amplitude=0.5, seed=1)
+    p = np.random.default_rng(6).uniform(0.0, 2 * np.pi, size=(20, 4))
+    Y, dY = metric._generator_jet(p, 1)
+    G, D = metric.derivative(p)
+    for k in range(len(p)):
+        ref = scipy.linalg.expm(Y[k])
+        assert np.max(np.abs(G[k] - ref)) <= 1e-13 * np.max(np.abs(ref))
+        for mu in range(4):
+            ref = scipy.linalg.expm_frechet(Y[k], dY[k, mu], compute_expm=False)
+            assert np.max(np.abs(D[k, mu] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _einsum_pullback(chart, z, order):
+    """The chart jet in three-operand einsum form, as an independent oracle."""
+    G, *dG = chart.base.derivative(chart.embed(z), order)
+    u, t = chart.frame.matrix, chart.t
+    jet = [np.einsum("ia,...ij,jb->...ab", u, G, u)]
+    if order >= 1:
+        D = np.einsum("ia,...nij,jb->...nab", u, dG[0], u)
+        jet.append(t * np.einsum("nm,...nab->...mab", u, D))
+    if order >= 2:
+        S = np.einsum("ia,...mnij,jb->...mnab", u, dG[1], u)
+        S = np.einsum("mc,...mnab->...cnab", u, S)
+        jet.append(t**2 * np.einsum("nd,...cnab->...cdab", u, S))
+    return jet
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_chart_pullbacks_match_einsum_oracle(metric, order):
+    fr = unitary_frame(metric, np.array([0.3, 1.1, 4.0, 2.5]), seed=5)
+    cm = ChartMetric(metric, fr, t=0.05)
+    z = ball_samples(4, 0.8, 50, seed=3)
+    embedded = fr.point + 0.05 * np.einsum("nm,...m->...n", fr.matrix, z)
+    assert np.max(np.abs(cm.embed(z) - embedded)) <= 1e-15 * np.max(np.abs(embedded))
+    mine = cm.derivative(z, order) if order else (cm.value(z),)
+    for a, b in zip(mine, _einsum_pullback(cm, z, order)):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))

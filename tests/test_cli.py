@@ -248,6 +248,7 @@ def test_reduce_suite_end_to_end(tmp_path):
     assert by_name["converged"]["passed"]
     payload = manifest["payload"]
     assert payload["is_minimum"] is True
+    assert payload["saddle_restarts"] == 0
     assert payload["converged"] is True
     # config echo and per-iteration traces are present
     assert manifest["config"]["seed"] == 7

@@ -21,6 +21,7 @@ from hslag.errors import ExactnessError, NonContractionError
 from hslag.geomcore import ScalarField, l2_inner
 from hslag.reduction import (
     H_eval,
+    OptimizeSettings,
     SolveSettings,
     _integrate_exact_one_form,
     build_context,
@@ -166,6 +167,24 @@ def test_non_contraction_raises(reduction_ctx, base_reduction_state):
     )
     with pytest.raises(NonContractionError):
         projected_solve(starved, 0.05, base_reduction_state.frame)
+
+
+def test_roundoff_floor_raises_early(monkeypatch):
+    """At grid 24 and t = 0.05 this frame's residual floors at about
+    2.45e-12, above the 1e-12 tolerance; the solve stops at the floor instead
+    of running its 200 iterations."""
+    ctx = build_context(grid_size=24)
+    calls = []
+    residual = hslag.reduction.residual_P
+
+    def counting(*args):
+        calls.append(1)
+        return residual(*args)
+
+    monkeypatch.setattr(hslag.reduction, "residual_P", counting)
+    with pytest.raises(NonContractionError, match="floor of 2.45"):
+        projected_solve(ctx, ctx.t, random_frame_state(ctx, seed=5))
+    assert len(calls) <= 11
 
 
 @settings(max_examples=5)
@@ -386,3 +405,14 @@ def test_stencils_around_a_state_solve_each_frame_once(coarse_ctx, monkeypatch):
     assert len(seen) == len(set(seen))
     # 16 gradient frames, then the Hessian's 84 less its 12 shared +-e frames
     assert len(seen) == 16 + 72
+
+
+def test_saddle_test_ignores_stencil_noise():
+    """At K ~ 51.3 and fd_step 1e-4 the five-point stencil's roundoff is
+    about 6.1e-6, so -3e-6 is noise and -2e-5 a saddle."""
+    default = OptimizeSettings()
+    assert not hslag.reduction._is_saddle(-3e-6, 51.317, default)
+    assert hslag.reduction._is_saddle(-2e-5, 51.317, default)
+    # where the noise is smaller than saddle_tol, saddle_tol decides
+    assert not hslag.reduction._is_saddle(-0.9e-6, 1.0, default)
+    assert hslag.reduction._is_saddle(-1.1e-6, 1.0, default)

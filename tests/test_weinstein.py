@@ -6,16 +6,18 @@ from scipy.spatial.distance import directed_hausdorff
 
 from hslag.ambient import (
     ChartMetric,
+    EuclideanMetric,
     UnitaryFrame,
     default_perturbed_metric,
     unitary_embedding,
     unitary_frame,
 )
 from hslag.errors import ChartDomainError
-from hslag.geomcore import ScalarField, l2_inner, translate, volume
+from hslag.geomcore import ScalarField, _deriv_array, l2_inner, translate, volume
 from hslag.models import TorusModel, clifford_torus
 from hslag.weinstein import (
     WeinsteinChart,
+    _graph_jets,
     graph_functional,
     graph_immersion,
     graph_residual,
@@ -173,3 +175,48 @@ def test_residual_field_wrapper(chart, grid, perturbed, rng):
     P = graph_residual(chart, f, ChartMetric(m, fr, 0.05))
     assert P.grid is grid
     assert abs(np.mean(P.values)) < 1e-15
+
+
+def _einsum_volume_and_gradient(chart, grid, f, metric):
+    """The graph volume gradient in per-node einsum form, as an independent
+    oracle for the batched matrix products of graph_volume_and_gradient."""
+    n = chart.n
+    _, r2, coords, phi_theta, phi_y, phi_yy, Y, _ = _graph_jets(chart, grid, f)
+    T = phi_theta + np.einsum("...jm,...ja->...am", phi_y, Y)
+    G, dG = metric.derivative(coords)
+    h = np.einsum("...am,...mn,...bn->...ab", T, G, T)
+    q = np.sqrt(np.linalg.det(h))
+    hinv = np.linalg.inv(h)
+    GT = np.einsum("...mn,...bn->...bm", G, T)
+    dTdy = np.einsum("...jm,...ja->...jam", phi_yy, Y).astype(q.dtype, copy=False)
+    for j in range(n):
+        dTdy[..., j, j, :] += phi_theta[..., j, :] / r2[..., j, None]
+    A = q[..., None] * np.einsum("...ab,...jam,...bm->...j", hinv, dTdy, GT)
+    Gdot = np.einsum("...mik,...jm->...jik", dG, phi_y)
+    A = A + 0.5 * q[..., None] * np.einsum("...ab,...am,...jmn,...bn->...j", hinv, T, Gdot, T)
+    B = q[..., None, None] * np.einsum(
+        "...cb,...jm,...bm->...jc", hinv, np.einsum("...jm,...mn->...jn", phi_y, G), T
+    )
+    P = np.zeros_like(f, dtype=q.dtype)
+    for j in range(n):
+        P = P - _deriv_array(A[..., j], grid, axis=j)
+        for c in range(n):
+            P = P + _deriv_array(_deriv_array(B[..., j, c], grid, axis=j), grid, axis=c)
+    return np.sum(q) * grid.node_weight(), P / chart.flat_density()
+
+
+@pytest.mark.parametrize("step", [0.0, 1e-100], ids=["real", "complex_step"])
+def test_volume_gradient_matches_einsum_oracle(chart, perturbed, rng, step):
+    m, fr = perturbed
+    grid = chart.grid(16)
+    f = band_limited_field(grid, rng, 0.05)
+    if step:
+        f = f + 1j * step * band_limited_field(grid, rng, 1.0)
+    for metric in (EuclideanMetric(2), ChartMetric(m, fr, 0.05)):
+        vol, P = graph_volume_and_gradient(chart, grid, f, metric)
+        ref_vol, ref_P = _einsum_volume_and_gradient(chart, grid, f, metric)
+        assert abs(vol - ref_vol) <= 1e-14 * abs(ref_vol)
+        for part in (np.real, np.imag) if step else (np.real,):
+            scale = np.max(np.abs(part(ref_P)))
+            assert scale > 0
+            assert np.max(np.abs(part(P) - part(ref_P))) <= 1e-12 * scale
