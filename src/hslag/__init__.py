@@ -1,133 +1,3 @@
 """Discrete Hamiltonian stationary Lagrangian geometry on periodic grids."""
 
-from .geomcore import (
-    GridDescriptor,
-    Immersion,
-    MetricField,
-    OneFormField,
-    ScalarField,
-    hs_residual,
-    induced_metric,
-    l2_inner,
-    l2_norm,
-    mean_curvature_one_form,
-    one_form_l2_norm,
-    sobolev_norm,
-    spectral_derivative,
-    volume,
-    volume_density,
-)
-from .models import (
-    CircleSphereModel,
-    MomentPolynomial,
-    TorusModel,
-    circle_sphere_lagrangian,
-    circle_sphere_spectrum,
-    clifford_torus,
-    moment_basis,
-    restrict_moment,
-    rigidity_prediction,
-)
-from .ambient import (
-    ChartMetric,
-    EuclideanMetric,
-    SymplecticExpMetric,
-    UnitaryFrame,
-    default_perturbed_metric,
-    frame_fit,
-    unitary_frame,
-)
-from .weinstein import (
-    WeinsteinChart,
-    graph_functional,
-    graph_immersion,
-    graph_residual,
-)
-from .operators import (
-    GridOperator,
-    SpectralData,
-    assemble_flat_operator,
-    assemble_perturbed_operator,
-    eigensolve,
-    kernel_basis,
-    stability_check,
-    torus_multiplier,
-)
-from .reduction import (
-    FrameState,
-    OptimizationResult,
-    ReductionContext,
-    ReductionState,
-    build_context,
-    geometric_residual,
-    gradient_K,
-    optimize_frame,
-    projected_solve,
-    random_frame_state,
-    second_variation_Q,
-)
-from .fieldio import load_field, load_manifest, save_field, write_manifest
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "GridDescriptor",
-    "ScalarField",
-    "OneFormField",
-    "MetricField",
-    "Immersion",
-    "spectral_derivative",
-    "l2_inner",
-    "l2_norm",
-    "sobolev_norm",
-    "induced_metric",
-    "volume_density",
-    "volume",
-    "mean_curvature_one_form",
-    "hs_residual",
-    "one_form_l2_norm",
-    "TorusModel",
-    "CircleSphereModel",
-    "MomentPolynomial",
-    "clifford_torus",
-    "circle_sphere_lagrangian",
-    "moment_basis",
-    "restrict_moment",
-    "circle_sphere_spectrum",
-    "rigidity_prediction",
-    "ChartMetric",
-    "EuclideanMetric",
-    "SymplecticExpMetric",
-    "UnitaryFrame",
-    "default_perturbed_metric",
-    "frame_fit",
-    "unitary_frame",
-    "WeinsteinChart",
-    "graph_functional",
-    "graph_immersion",
-    "graph_residual",
-    "GridOperator",
-    "SpectralData",
-    "assemble_flat_operator",
-    "assemble_perturbed_operator",
-    "eigensolve",
-    "kernel_basis",
-    "stability_check",
-    "torus_multiplier",
-    "FrameState",
-    "OptimizationResult",
-    "ReductionContext",
-    "ReductionState",
-    "build_context",
-    "geometric_residual",
-    "gradient_K",
-    "optimize_frame",
-    "projected_solve",
-    "random_frame_state",
-    "second_variation_Q",
-    "load_field",
-    "load_manifest",
-    "save_field",
-    "write_manifest",
-    "__version__",
-]

@@ -44,12 +44,10 @@ __all__ = [
     "SymplecticExpMetric",
     "ChartMetric",
     "UnitaryFrame",
-    "compatibility_defect",
     "symmetric_anticommuting_basis",
     "default_perturbed_metric",
     "unitary_frame",
     "frame_fit",
-    "frame_defects",
     "unitary_embedding",
     "unitary_algebra_basis",
     "ball_samples",
@@ -251,13 +249,6 @@ class SymplecticExpMetric:
         """The jet (G, dG), or (G, dG, d2G) when order=2, from one series."""
         return self._jet(points, order)
 
-    def symplectic_factor(self, points: np.ndarray) -> np.ndarray:
-        """S(p) = expm(Y(p)/2): symmetric, symplectic, with S^T S = G."""
-        half = SymplecticExpMetric(
-            self.n, self.wave_vectors, self.cos_coeffs, self.sin_coeffs, self.amplitude / 2
-        )
-        return half.value(points)
-
 
 def _series_length(r: float) -> int:
     """Fewest series terms J whose omitted order-2 tail is below 2^-60.
@@ -292,15 +283,6 @@ def default_perturbed_metric(
     return SymplecticExpMetric(
         n, np.array(waves, dtype=float), np.array(cos_c), np.array(sin_c), amplitude
     )
-
-
-def compatibility_defect(values: np.ndarray) -> float:
-    """max |J^2 + I| over points, J = -G^{-1} Omega0."""
-    d = values.shape[-1]
-    om = standard_symplectic_matrix(d // 2)
-    J = -np.linalg.solve(values, np.broadcast_to(om, values.shape))
-    eye = np.eye(d)
-    return float(np.max(np.abs(J @ J + eye)))
 
 
 # ---------------------------------------------------------------------------
@@ -375,16 +357,6 @@ def frame_fit(metric, p: np.ndarray, target: np.ndarray) -> UnitaryFrame:
     seeds = [target[:, 2 * j] for j in range(target.shape[1] // 2)]
     extra = [np.eye(target.shape[0])[:, k] for k in range(target.shape[0])]
     return UnitaryFrame(p, _gram_schmidt_frame(G, seeds + extra))
-
-
-def frame_defects(metric, frame: UnitaryFrame) -> tuple[float, float]:
-    G = metric.value(frame.point)
-    om = standard_symplectic_matrix(G.shape[0] // 2)
-    u = frame.matrix
-    return (
-        float(np.max(np.abs(u.T @ G @ u - np.eye(G.shape[0])))),
-        float(np.max(np.abs(u.T @ om @ u - om))),
-    )
 
 
 def unitary_embedding(gamma: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .ambient import EuclideanMetric, default_perturbed_metric, estimate_sweep, unitary_frame
 from .errors import ConfigError, HslagError
-from .fieldio import load_manifest, read_csv, save_field, write_csv, write_long_csv, write_manifest
+from .fieldio import read_csv, save_field, write_csv, write_long_csv, write_manifest
 from .geomcore import (
     ScalarField,
     hs_residual,
@@ -153,6 +153,10 @@ class ExperimentConfig:
         builds_circle_sphere = self.suite == "verify-models" or spectrum_of == "ln"
         if builds_circle_sphere and self.n != 2:
             raise ConfigError(f"the {self.suite} suite needs n = 2 for its circle-sphere grid")
+        # the sweep fits a slope and the estimates compare constants across t
+        scale_t = {"sweep": self.sweep_t_values, "estimates": self.estimate_t_values}
+        if self.suite in scale_t and len(set(scale_t[self.suite]())) < 2:
+            raise ConfigError(f"the {self.suite} suite needs at least two distinct t_values")
         self.seeds = tuple(int(s) for s in self.seeds)
 
     def all_t_values(self) -> Tuple[float, ...]:
@@ -187,19 +191,19 @@ class ExperimentConfig:
         if "suite" not in data:
             raise ConfigError("config must name a suite")
         kwargs = dict(data)
-        if "radii" in kwargs:
-            kwargs["radii"] = tuple(kwargs["radii"])
-        if "t_values" in kwargs and kwargs["t_values"] is not None:
-            kwargs["t_values"] = tuple(float(t) for t in kwargs["t_values"])
-        if "seeds" in kwargs:
-            kwargs["seeds"] = tuple(kwargs["seeds"])
-        if "tolerances" in kwargs:
-            merged = dict(DEFAULT_TOLERANCES)
-            merged.update(kwargs["tolerances"])
-            kwargs["tolerances"] = merged
         try:
+            if "radii" in kwargs:
+                kwargs["radii"] = tuple(kwargs["radii"])
+            if "t_values" in kwargs and kwargs["t_values"] is not None:
+                kwargs["t_values"] = tuple(float(t) for t in kwargs["t_values"])
+            if "seeds" in kwargs:
+                kwargs["seeds"] = tuple(kwargs["seeds"])
+            if "tolerances" in kwargs:
+                merged = dict(DEFAULT_TOLERANCES)
+                merged.update(kwargs["tolerances"])
+                kwargs["tolerances"] = merged
             return cls(**kwargs)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
 
     @classmethod
@@ -375,12 +379,7 @@ def _suite_estimates(config: ExperimentConfig, out: str):
 
 def _reduction_context(config: ExperimentConfig):
     return build_context(
-        radii=config.radii,
-        grid_size=config.grid_size,
-        metric=config.ambient_metric(),
-        amplitude=config.amplitude,
-        seed=config.seed,
-        t=config.t,
+        radii=config.radii, grid_size=config.grid_size, metric=config.ambient_metric()
     )
 
 

@@ -14,7 +14,7 @@ import io
 import json
 import os
 import tempfile
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 

@@ -13,7 +13,7 @@ ambient metric supplied by an evaluator object (None means Euclidean).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -27,10 +27,8 @@ __all__ = [
     "Immersion",
     "standard_symplectic_matrix",
     "spectral_derivative",
-    "translate",
     "l2_inner",
     "l2_norm",
-    "sobolev_norm",
     "induced_metric",
     "volume",
     "volume_density",
@@ -284,19 +282,6 @@ def spectral_derivative(f: ScalarField, axis: int) -> ScalarField:
     return ScalarField(f.grid, vals, check=False)
 
 
-def translate(f: ScalarField, offsets: Sequence[float]) -> ScalarField:
-    """Evaluate theta -> f(theta + offsets); exact on band-limited data."""
-    grid = f.grid
-    spec = np.fft.fftn(f.values)
-    for a in range(grid.dim):
-        k = np.fft.fftfreq(grid.sizes[a], d=1.0 / grid.sizes[a])
-        phase = np.exp(2j * np.pi / grid.periods[a] * k * offsets[a])
-        shape = [1] * grid.dim
-        shape[a] = grid.sizes[a]
-        spec = spec * phase.reshape(shape)
-    return ScalarField(grid, np.fft.ifftn(spec).real, check=False)
-
-
 def l2_inner(f: ScalarField, g: ScalarField, density: Optional[ScalarField] = None) -> float:
     """L2 inner product; density defaults to 1 (unit volume element).
 
@@ -313,21 +298,6 @@ def l2_inner(f: ScalarField, g: ScalarField, density: Optional[ScalarField] = No
 
 def l2_norm(f: ScalarField, density: Optional[ScalarField] = None) -> float:
     return float(np.sqrt(max(l2_inner(f, f, density), 0.0)))
-
-
-def sobolev_norm(f: ScalarField, order: int = 4) -> float:
-    """Fourier-side Sobolev norm, used as a smallness surrogate in reports."""
-    grid = f.grid
-    spec = np.fft.fftn(f.values) / f.grid.num_nodes
-    k2 = np.zeros(grid.sizes)
-    for a in range(grid.dim):
-        k = 2.0 * np.pi / grid.periods[a] * np.fft.fftfreq(grid.sizes[a], d=1.0 / grid.sizes[a])
-        shape = [1] * grid.dim
-        shape[a] = grid.sizes[a]
-        k2 = k2 + (k.reshape(shape)) ** 2
-    weight = (1.0 + k2) ** order
-    total = float(np.sum(weight * np.abs(spec) ** 2))
-    return float(np.sqrt(total * np.prod(grid.periods)))
 
 
 # ---------------------------------------------------------------------------

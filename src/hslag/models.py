@@ -1,4 +1,4 @@
-"""Model Hamiltonian stationary Lagrangians and their moment-map polynomials.
+"""Model Hamiltonian stationary Lagrangians and their analytic spectra.
 
 Two model families:
 
@@ -7,46 +7,27 @@ Two model families:
   (s, x) -> (x_1 e^{is}, ..., x_n e^{is}) on S^1 x S^{n-1} modulo the free Z2
   action (s, x) ~ (s + pi, -x).  For n = 2 it is realized on a covering
   (s, phi) grid with the half-period shift identification.
-
-The moment polynomials Q(z) = a + sum_j (b_j z_j + conj) + sum_jk c_jk z_j conj(z_k)
-(c Hermitian) are the Hamiltonians of the affine isometry group generated by
-translations and unitary rotations; their restrictions to a model span the
-expected kernel of the stability operator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import UnsupportedModelError
-from .geomcore import GridDescriptor, Immersion, ScalarField
+from .geomcore import GridDescriptor, Immersion
 
 __all__ = [
     "TorusModel",
     "CircleSphereModel",
-    "MomentPolynomial",
     "clifford_torus",
     "circle_sphere_lagrangian",
-    "moment_basis",
-    "restrict_moment",
     "circle_sphere_spectrum",
-    "rigidity_prediction",
-    "moment_from_generator",
-    "moment_flow",
-    "complex_coordinates",
 ]
 
 TWO_PI = 2.0 * np.pi
-
-
-def complex_coordinates(coords: np.ndarray) -> np.ndarray:
-    """Interleaved real coords (..., 2n) -> complex coords (..., n)."""
-    return coords[..., 0::2] + 1j * coords[..., 1::2]
 
 
 @dataclass(frozen=True)
@@ -69,9 +50,6 @@ class TorusModel:
             sizes=(self.grid_size,) * self.n, periods=(TWO_PI,) * self.n
         )
 
-    def has_distinct_radii(self) -> bool:
-        return len(set(self.radii)) == len(self.radii)
-
 
 @dataclass(frozen=True)
 class CircleSphereModel:
@@ -88,7 +66,7 @@ class CircleSphereModel:
         if self.n != 2:
             raise UnsupportedModelError(
                 "grids for the circle-sphere model exist only at n = 2; "
-                "spectrum and rigidity counts remain available analytically"
+                "its spectrum remains available analytically"
             )
         return GridDescriptor(
             sizes=(self.grid_size,) * 2,
@@ -124,126 +102,6 @@ def circle_sphere_lagrangian(model: CircleSphereModel) -> Immersion:
     return Immersion(grid, coords)
 
 
-@dataclass
-class MomentPolynomial:
-    """Q(z) = constant + sum_j (b_j z_j + conj) + sum_jk c_jk z_j conj(z_k).
-
-    The Hermitian constraint conj(c_jk) = c_kj makes Q real-valued.
-    """
-
-    constant: float
-    linear: np.ndarray  # complex (n,)
-    hermitian: np.ndarray  # complex (n, n), Hermitian
-
-    def __post_init__(self) -> None:
-        self.linear = np.asarray(self.linear, dtype=complex)
-        self.hermitian = np.asarray(self.hermitian, dtype=complex)
-        n = self.linear.shape[0]
-        if self.hermitian.shape != (n, n):
-            raise UnsupportedModelError("hermitian block shape mismatch")
-        if np.max(np.abs(self.hermitian - self.hermitian.conj().T)) > 1e-12:
-            raise UnsupportedModelError("quadratic block must be Hermitian")
-
-    @property
-    def n(self) -> int:
-        return self.linear.shape[0]
-
-    def evaluate_complex(self, z: np.ndarray) -> np.ndarray:
-        lin = 2.0 * np.real(np.einsum("j,...j->...", self.linear, z))
-        quad = np.real(np.einsum("jk,...j,...k->...", self.hermitian, z, z.conj()))
-        return self.constant + lin + quad
-
-    def evaluate(self, coords: np.ndarray) -> np.ndarray:
-        return self.evaluate_complex(complex_coordinates(coords))
-
-    def generator(self) -> tuple[np.ndarray, np.ndarray]:
-        """Hamiltonian generator (translation c in C^n, rotation delta in u(n)).
-
-        The flow of Q under omega0 is z' = delta z + c with delta = -2i c_herm^T
-        and c = -2i conj(b); both identities are pinned by tests against
-        finite differences of Q.
-        """
-        delta = -2j * self.hermitian.T
-        c = -2j * np.conj(self.linear)
-        return c, delta
-
-
-def moment_from_generator(
-    translation: Optional[np.ndarray] = None, rotation: Optional[np.ndarray] = None, n: int = 2
-) -> MomentPolynomial:
-    """Moment polynomial of a Euclidean-symplectic generator.
-
-    translation: real vector (2n,) in interleaved coordinates, or None.
-    rotation: complex anti-Hermitian (n, n), or None.
-    """
-    if translation is not None:
-        translation = np.asarray(translation, dtype=float)
-        n = translation.shape[0] // 2
-    if rotation is not None:
-        rotation = np.asarray(rotation, dtype=complex)
-        n = rotation.shape[0]
-    b = np.zeros(n, dtype=complex)
-    c = np.zeros((n, n), dtype=complex)
-    if translation is not None:
-        cx, cy = translation[0::2], translation[1::2]
-        b = 0.5 * (-cy - 1j * cx)
-    if rotation is not None:
-        if np.max(np.abs(rotation + rotation.conj().T)) > 1e-12:
-            raise UnsupportedModelError("rotation generator must be anti-Hermitian")
-        c = (0.5j * rotation).T
-    return MomentPolynomial(0.0, b, c)
-
-
-def moment_flow(Q: MomentPolynomial, z: np.ndarray, s: float) -> np.ndarray:
-    """Time-s Hamiltonian flow of Q on complex points (exact affine map)."""
-    c, delta = Q.generator()
-    n = Q.n
-    block = np.zeros((n + 1, n + 1), dtype=complex)
-    block[:n, :n] = s * delta
-    block[:n, n] = s * c
-    phi = scipy.linalg.expm(block)
-    return np.einsum("jk,...k->...j", phi[:n, :n], z) + phi[:n, n]
-
-
-def moment_basis(n: int) -> list[MomentPolynomial]:
-    """Basis of the moment polynomial space, dimension n^2 + 2n + 1.
-
-    Order: constant; Re/Im linear generator per coordinate; diagonal |z_j|^2;
-    off-diagonal Hermitian pairs Re(z_j conj(z_k)), -Im(z_j conj(z_k)).
-    """
-    out = [MomentPolynomial(1.0, np.zeros(n), np.zeros((n, n)))]
-    for j in range(n):
-        b = np.zeros(n, dtype=complex)
-        b[j] = 0.5
-        out.append(MomentPolynomial(0.0, b, np.zeros((n, n))))
-        b = np.zeros(n, dtype=complex)
-        b[j] = -0.5j
-        out.append(MomentPolynomial(0.0, b, np.zeros((n, n))))
-    for j in range(n):
-        c = np.zeros((n, n), dtype=complex)
-        c[j, j] = 1.0
-        out.append(MomentPolynomial(0.0, np.zeros(n), c))
-    for j in range(n):
-        for k in range(j + 1, n):
-            c = np.zeros((n, n), dtype=complex)
-            c[j, k] = 0.5
-            c[k, j] = 0.5
-            out.append(MomentPolynomial(0.0, np.zeros(n), c))
-            c = np.zeros((n, n), dtype=complex)
-            c[j, k] = 0.5j
-            c[k, j] = -0.5j
-            out.append(MomentPolynomial(0.0, np.zeros(n), c))
-    assert len(out) == n * n + 2 * n + 1
-    return out
-
-
-def restrict_moment(Q: MomentPolynomial, imm: Immersion) -> ScalarField:
-    """Q restricted to the Lagrangian: one real sample per grid node."""
-    if Q.n != imm.grid.dim and 2 * Q.n != imm.coords.shape[-1]:
-        raise UnsupportedModelError("moment polynomial dimension mismatch")
-    return ScalarField(imm.grid, Q.evaluate(imm.coords), check=False)
-
-
 def _harm(n: int, l: int) -> int:
     """dim H_l(S^{n-1}) = C(l+n-1, l) - C(l+n-3, l-2)."""
     a = math.comb(l + n - 1, l)
@@ -276,24 +134,3 @@ def circle_sphere_spectrum(
             mult = (1 if k == 0 else 2) * _harm(n, l)
             rows.append((k, l, mult, float(eig)))
     return rows
-
-
-def rigidity_prediction(model) -> int:
-    """Expected kernel dimension of the flat stability operator.
-
-    Torus with pairwise distinct radii: n^2 + n + 1 (the diagonal torus is the
-    full isometry stabilizer).  Circle-sphere model: n^2 + 2n - n(n-1)/2.
-    Repeated torus radii enlarge the stabilizer and are rejected explicitly.
-    """
-    if isinstance(model, TorusModel):
-        if not model.has_distinct_radii():
-            raise UnsupportedModelError(
-                "rigidity count implemented only for pairwise distinct radii "
-                "(repeated radii enlarge the symmetry group)"
-            )
-        n = model.n
-        return n * n + n + 1
-    if isinstance(model, CircleSphereModel):
-        n = model.n
-        return n * n + 2 * n - (n * (n - 1)) // 2
-    raise UnsupportedModelError(f"unknown model {type(model)!r}")

@@ -28,7 +28,7 @@ pipeline uses exact affine Darboux charts and never calls this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -37,32 +37,17 @@ from .geomcore import standard_symplectic_matrix
 
 __all__ = [
     "QuadraticPerturbedForm",
-    "ConstantForm",
     "homotopy_primitive",
     "moser_vector_field",
     "flow_map",
     "pullback_values",
     "moser_flow",
-    "refinement_orders",
     "MoserReport",
 ]
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GAUSS_NODES = 0.5 * (_GAUSS_NODES + 1.0)  # map [-1, 1] -> [0, 1]
 _GAUSS_WEIGHTS = 0.5 * _GAUSS_WEIGHTS
-
-
-class ConstantForm:
-    """The constant standard form omega0 (as a form evaluator on points)."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.matrix = standard_symplectic_matrix(n)
-
-    def value(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points)
-        shape = points.shape[:-1] + self.matrix.shape
-        return np.broadcast_to(self.matrix, shape).copy()
 
 
 class QuadraticPerturbedForm:
@@ -244,26 +229,3 @@ def moser_flow(
         identity_defect=identity_defect,
         closedness_defect=_closedness_defect(form, z),
     )
-
-
-def refinement_orders(
-    form,
-    n: int,
-    steps_list: Sequence[int] = (8, 16, 32),
-    reference_steps: int = 256,
-    radius: float = 1.0,
-    num_samples: int = 12,
-    seed: int = 0,
-) -> list[float]:
-    """Observed convergence orders of the flow under RK4 step refinement.
-
-    Returns the successive orders log2(e_N / e_2N) of the max trajectory error
-    against a fine reference; classical RK4 should give values near 4 (the
-    contract asks only >= 3).
-    """
-    from .ambient import ball_samples
-
-    z = ball_samples(2 * n, radius / 2, num_samples, seed)
-    ref = flow_map(form, z, reference_steps)
-    errs = [float(np.max(np.abs(flow_map(form, z, N) - ref))) for N in steps_list]
-    return [float(np.log2(errs[i] / errs[i + 1])) for i in range(len(errs) - 1)]

@@ -40,7 +40,7 @@ from .errors import (
     SpectralGapError,
     UnsupportedModelError,
 )
-from .geomcore import GridDescriptor, ScalarField, l2_inner, l2_norm
+from .geomcore import GridDescriptor, ScalarField, l2_norm
 from .models import CircleSphereModel, TorusModel
 from .weinstein import WeinsteinChart, graph_volume_and_gradient
 
@@ -52,16 +52,10 @@ __all__ = [
     "fourier_multiply",
     "assemble_flat_operator",
     "assemble_perturbed_operator",
-    "assemble_by_finite_differences",
     "band_limited_basis",
     "torus_multiplier",
     "eigensolve",
     "kernel_dimension",
-    "kernel_basis",
-    "stability_check",
-    "StabilityVerdict",
-    "second_variation_consistency",
-    "operator_distance",
 ]
 
 _CS_STEP = 1e-100
@@ -93,9 +87,6 @@ class GridOperator:
     def apply(self, f: ScalarField) -> ScalarField:
         coeffs = self.matrix @ self.from_node_values(f.values)
         return ScalarField(self.grid, self.to_node_values(coeffs), check=False)
-
-    def rayleigh(self, f: ScalarField) -> float:
-        return l2_inner(f, self.apply(f)) / l2_inner(f, f)
 
     def asymmetry(self) -> float:
         scale = max(float(np.max(np.abs(self.matrix))), 1e-300)
@@ -255,39 +246,6 @@ def assemble_perturbed_operator(chart: WeinsteinChart, grid: GridDescriptor, met
     return _assemble_graph_hessian(chart, grid, metric).symmetrized()
 
 
-def assemble_by_finite_differences(
-    chart: WeinsteinChart, grid: GridDescriptor, metric=None, step: float = 1e-4
-) -> GridOperator:
-    """Richardson-extrapolated central-difference assembly (cross-check path).
-
-    Columns combine central differences at steps h and h/2 to cancel the
-    O(h^2) truncation term; used to validate the complex-step assembly.
-    """
-    nn = grid.num_nodes
-    cols = np.empty((nn, nn))
-    f = np.zeros(grid.sizes)
-    flat = f.reshape(-1)
-
-    def residual():
-        _, P = graph_volume_and_gradient(chart, grid, f, metric)
-        return P.reshape(-1)
-
-    for k in range(nn):
-        estimates = []
-        for h in (step, step / 2):
-            flat[k] = h
-            plus = residual()
-            flat[k] = -h
-            minus = residual()
-            flat[k] = 0.0
-            estimates.append((plus - minus) / (2 * h))
-        cols[:, k] = (4 * estimates[1] - estimates[0]) / 3
-    weight = grid.node_weight() * chart.flat_density()
-    basis = band_limited_basis(grid)
-    cols = basis.T @ cols @ basis
-    return GridOperator(grid, cols, weight, basis_matrix=basis).symmetrized(tol=1e-6)
-
-
 def kernel_dimension(
     eigenvalues: np.ndarray, kernel_tol: float = 1e-5, gap_ratio: float = 100.0
 ) -> int:
@@ -343,51 +301,3 @@ def eigensolve(
         fld = ScalarField(op.grid, vals, check=False)
         fields.append(ScalarField(op.grid, vals / l2_norm(fld), check=False))
     return SpectralData(op, np.asarray(w, dtype=float), fields)
-
-
-def kernel_basis(spec: SpectralData) -> list:
-    """Orthonormal basis of the numerical kernel (gap-checked)."""
-    return spec.eigenfields[: spec.kernel_size()]
-
-
-@dataclass
-class StabilityVerdict:
-    stable: bool
-    min_eigenvalue: float
-    tolerance: float
-
-
-def stability_check(spec: SpectralData, tol: float = 1e-5) -> StabilityVerdict:
-    mn = float(np.min(spec.eigenvalues))
-    return StabilityVerdict(stable=mn >= -tol, min_eigenvalue=mn, tolerance=tol)
-
-
-def second_variation_consistency(
-    model: TorusModel, f: ScalarField, op: GridOperator | SymbolOperator | None = None,
-    step: float = 1e-3,
-) -> tuple[float, float]:
-    """(5-point FD second derivative of Vol along the graph ray, <Lf, f>)."""
-    if op is None:
-        op = assemble_flat_operator(model)
-    chart = WeinsteinChart(model.radii)
-    grid = f.grid
-
-    def vol(s: float) -> float:
-        v, _ = graph_volume_and_gradient(chart, grid, s * f.values, None, need_gradient=False)
-        return float(v.real)
-
-    e = step
-    fd2 = (-vol(2 * e) + 16 * vol(e) - 30 * vol(0.0) + 16 * vol(-e) - vol(-2 * e)) / (12 * e * e)
-    # The Hessian form lives in L^2 of the model volume measure, i.e. the
-    # operator's weight (node weight times the flat density), not the bare
-    # coordinate measure used by l2_inner.
-    fv = f.values.reshape(-1)
-    quad = float(fv @ op.apply(f).values.reshape(-1)) * op.weight
-    return fd2, quad
-
-
-def operator_distance(op_a: GridOperator, op_b: GridOperator) -> float:
-    """Spectral-norm distance between two operators on the same grid/basis."""
-    diff = op_a.matrix - op_b.matrix
-    diff = 0.5 * (diff + diff.T)
-    return float(np.max(np.abs(np.linalg.eigvalsh(diff))))

@@ -33,12 +33,7 @@ from .ambient import (
     unitary_embedding,
     unitary_frame,
 )
-from .errors import (
-    ExactnessError,
-    HslagError,
-    NonContractionError,
-    RankDeficiencyError,
-)
+from .errors import ExactnessError, HslagError, NonContractionError
 from .geomcore import (
     GridDescriptor,
     Immersion,
@@ -52,7 +47,7 @@ from .geomcore import (
     standard_symplectic_matrix,
     volume_density,
 )
-from .models import TorusModel, moment_from_generator
+from .models import TorusModel
 from .operators import (
     SymbolOperator,
     assemble_flat_operator,
@@ -60,12 +55,7 @@ from .operators import (
     kernel_dimension,
     mode_mesh,
 )
-from .weinstein import (
-    WeinsteinChart,
-    _graph_jets,
-    graph_immersion,
-    graph_volume_and_gradient,
-)
+from .weinstein import WeinsteinChart, _graph_jets, graph_volume_and_gradient
 
 __all__ = [
     "SolveSettings",
@@ -74,7 +64,6 @@ __all__ = [
     "FrameState",
     "ReductionState",
     "GradientReport",
-    "PsiReport",
     "OptimizationResult",
     "SecondVariationReport",
     "build_context",
@@ -84,8 +73,6 @@ __all__ = [
     "projected_solve",
     "H_eval",
     "variation_potential",
-    "xi_map",
-    "psi_matrices",
     "gradient_K",
     "hessian_K",
     "optimize_frame",
@@ -110,20 +97,33 @@ class SolveSettings:
 
 @dataclass(frozen=True)
 class OptimizeSettings:
-    """Parameters of the reduced-volume frame optimization."""
+    """How many saddle kicks the reduced-volume frame optimization may take."""
 
-    gradient_tol: float = 1e-9
-    fd_step: float = 1e-4
-    max_bfgs_iterations: int = 200
-    max_anchor_rounds: int = 4
-    anchor_xi_norm: float = 1.0
-    saddle_tol: float = 1e-6
     max_saddle_restarts: int = 3
-    saddle_kick: float = 0.05
-    polish_tol: float = 1e-9
-    max_polish_steps: int = 6
-    max_polish_step_norm: float = 1.0
-    hessian_eig_floor: float = 1e-9
+
+
+# Step of every central difference over frame coordinates: the reduced
+# gradient and Hessian, the variation potentials and the cross block.
+FRAME_STEP = 1e-4
+# Step of the transverse-block stencil along field directions.
+FIELD_STEP = 1e-3
+# Relative defect above which a recovered potential fails its exactness check.
+EXACTNESS_TOL = 1e-6
+
+# optimize_frame: BFGS gradient tolerance and iteration cap, re-anchoring
+# (rounds, and the rotation-coordinate norm that triggers one), saddle test
+# and kick, and the Newton polish (target gradient, steps, step norm cap,
+# eigenvalue floor relative to the largest Hessian eigenvalue).
+_BFGS_GTOL = 1e-9
+_MAX_BFGS_ITERATIONS = 200
+_MAX_ANCHOR_ROUNDS = 4
+_ANCHOR_XI_NORM = 1.0
+_SADDLE_TOL = 1e-6
+_SADDLE_KICK = 0.05
+_POLISH_TOL = 1e-9
+_MAX_POLISH_STEPS = 6
+_MAX_POLISH_STEP_NORM = 1.0
+_HESSIAN_EIG_FLOOR = 1e-9
 
 
 @dataclass
@@ -144,7 +144,6 @@ class ReductionContext:
     reduced_basis: List[ScalarField]
     kernel_modes: np.ndarray
     inverse_symbol: np.ndarray
-    t: float
     solve: SolveSettings
 
     @property
@@ -198,17 +197,16 @@ def build_context(
     radii: Sequence[float] = (1.0, 1.3),
     grid_size: int = 32,
     metric=None,
-    amplitude: float = 0.05,
-    seed: int = 0,
-    t: float = 0.05,
     solve: Optional[SolveSettings] = None,
 ) -> ReductionContext:
-    """Assemble the shared reduction data for a perturbed torus problem."""
+    """Assemble the shared reduction data for a perturbed torus problem.
+
+    metric None means `default_perturbed_metric` with its defaults."""
     model = TorusModel(tuple(radii), grid_size=grid_size)
     chart = WeinsteinChart(model.radii)
     grid = model.grid()
     if metric is None:
-        metric = default_perturbed_metric(model.n, amplitude=amplitude, seed=seed)
+        metric = default_perturbed_metric(model.n)
     operator = assemble_flat_operator(model)
     eigenvalues, modes = operator.sorted_modes()
     kdim = kernel_dimension(eigenvalues)
@@ -233,7 +231,6 @@ def build_context(
         reduced_basis=reduced,
         kernel_modes=kernel_modes,
         inverse_symbol=inverse_symbol,
-        t=t,
         solve=solve if solve is not None else SolveSettings(),
     )
 
@@ -457,41 +454,8 @@ def H_eval(ctx: ReductionContext, state: ReductionState) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# frame variations: potentials and the moment map
+# frame variations: potentials
 # --------------------------------------------------------------------------
-
-
-def xi_map(ctx: ReductionContext, t: float, direction: np.ndarray) -> ScalarField:
-    """Leading-order potential of an infinitesimal frame motion.
-
-    The frame direction acts on the scaled model torus by a rigid unitary
-    motion; its Hamiltonian potential, restricted to the torus and rescaled
-    by 1/t, is the quadratic moment polynomial evaluated on t times the unit
-    model embedding.  Stabilizer directions give exactly zero.
-
-    The model describes motions of an anchored frame (zero displacement
-    coordinates); away from the anchor, exponential coordinates mix
-    directions through commutators and the exact `variation_potential`
-    acquires O(|coords|) corrections relative to this map.
-    """
-    direction = np.asarray(direction, dtype=float)
-    n = ctx.n
-    translation = np.zeros(2 * n)
-    translation[:] = direction[: 2 * n]
-    basis = unitary_algebra_basis(n)
-    rotation = np.zeros((n, n), dtype=complex)
-    for c, mat in zip(direction[2 * n :], basis):
-        rotation = rotation + c * mat
-    poly = moment_from_generator(translation=translation, rotation=rotation)
-    mesh = ctx.grid.meshgrid()
-    z0 = np.stack(
-        [ctx.chart.radii[j] * np.exp(1j * mesh[j]) for j in range(n)], axis=-1
-    )
-    # The ambient symplectic form pulls back to t^2 times the chart form
-    # dtheta ^ dy, so the chart-Hamiltonian potential of the ambient moment
-    # carries a 1/t^2.
-    values = poly.evaluate_complex(t * z0) / t**2
-    return ScalarField(ctx.grid, ctx.zero_mean(np.real(values)), check=False)
 
 
 def _ambient_immersion(
@@ -506,8 +470,6 @@ def variation_potential(
     ctx: ReductionContext,
     state: ReductionState,
     direction: np.ndarray,
-    eps: float = 1e-4,
-    certify_tol: float = 1e-6,
 ) -> ScalarField:
     """Chart-Hamiltonian potential of the solved-family variation along a direction.
 
@@ -523,12 +485,12 @@ def variation_potential(
     raised.
     """
     direction = np.asarray(direction, dtype=float)
-    step = eps * direction
+    step = FRAME_STEP * direction
     plus = _solve_near(ctx, state, step)
     minus = _solve_near(ctx, state, -step)
     amb_plus = _ambient_immersion(ctx, state.t, plus.unitary, plus.f)
     amb_minus = _ambient_immersion(ctx, state.t, minus.unitary, minus.f)
-    velocity = (amb_plus - amb_minus) / (2.0 * eps)
+    velocity = (amb_plus - amb_minus) / (2.0 * FRAME_STEP)
 
     jets = _graph_jets(ctx.chart, ctx.grid, state.f.values)
     tangents = np.real(jets[7])  # (*grid, n, 2n), chart coordinates
@@ -540,13 +502,11 @@ def variation_potential(
         np.einsum("...k,kl,...al->...a", velocity, omega, frame_tangents) / state.t
     )
 
-    values = _integrate_exact_one_form(ctx, beta, certify_tol)
+    values = _integrate_exact_one_form(ctx, beta)
     return ScalarField(ctx.grid, values, check=False)
 
 
-def _integrate_exact_one_form(
-    ctx: ReductionContext, beta: np.ndarray, certify_tol: float
-) -> np.ndarray:
+def _integrate_exact_one_form(ctx: ReductionContext, beta: np.ndarray) -> np.ndarray:
     """Zero-mean h with dh = beta, via Fourier division; certified afterwards."""
     from .geomcore import _deriv_array
 
@@ -572,60 +532,12 @@ def _integrate_exact_one_form(
     for a in range(n):
         defect = _deriv_array(values, grid, axis=a) - beta[..., a]
         worst = max(worst, float(np.max(np.abs(defect))))
-    if worst > certify_tol * scale:
+    if worst > EXACTNESS_TOL * scale:
         raise ExactnessError(
             f"variation one-form is not exact: potential recovery defect "
-            f"{worst:.3e} exceeds {certify_tol:.1e} (scale {scale:.3e})"
+            f"{worst:.3e} exceeds {EXACTNESS_TOL:.1e} (scale {scale:.3e})"
         )
     return values
-
-
-@dataclass
-class PsiReport:
-    """Pairings of frame-variation potentials with the reduced kernel basis.
-
-    Rows are quotient frame directions; Psi uses the exact solved-family
-    potentials, psi_leading the moment-map approximation.  stabilizer_norms
-    records how close the stabilizer rows are to zero.
-    """
-
-    Psi: np.ndarray
-    psi_leading: np.ndarray
-    condition: float
-    stabilizer_norms: np.ndarray
-
-
-def psi_matrices(
-    ctx: ReductionContext, state: ReductionState, eps: float = 1e-4
-) -> PsiReport:
-    """Assemble the reduced pairing matrix and its leading-order model."""
-    dim = ctx.num_frame_coords
-    quotient = ctx.quotient_indices
-    full_psi = np.zeros((dim, len(ctx.reduced_basis)))
-    full_leading = np.zeros_like(full_psi)
-    stabilizer_norms = np.zeros(len(ctx.stabilizer_indices))
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        lead = xi_map(ctx, state.t, e)
-        full_leading[i] = [ctx.vol_inner(lead, b) for b in ctx.reduced_basis]
-        h = variation_potential(ctx, state, e, eps=eps)
-        full_psi[i] = [ctx.vol_inner(h, b) for b in ctx.reduced_basis]
-    for pos, idx in enumerate(ctx.stabilizer_indices):
-        stabilizer_norms[pos] = np.linalg.norm(full_psi[idx])
-    Psi = full_psi[quotient]
-    sing = np.linalg.svd(Psi, compute_uv=False)
-    if sing[-1] <= 1e-12 * sing[0]:
-        raise RankDeficiencyError(
-            "reduced pairing matrix is singular beyond the stabilizer degeneracy "
-            f"(singular values {sing})"
-        )
-    return PsiReport(
-        Psi=Psi,
-        psi_leading=full_leading[quotient],
-        condition=float(sing[0] / sing[-1]),
-        stabilizer_norms=stabilizer_norms,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -664,33 +576,29 @@ def _solve_near(ctx: ReductionContext, state: ReductionState, delta: np.ndarray)
 
 
 def _fd_gradient(
-    ctx: ReductionContext, state: ReductionState, indices: np.ndarray, eps: float
+    ctx: ReductionContext, state: ReductionState, indices: np.ndarray
 ) -> np.ndarray:
     """Central differences of the solved K over the given frame coordinates."""
     grad = np.zeros(indices.size)
     for pos, idx in enumerate(indices):
         e = np.zeros(ctx.num_frame_coords)
-        e[idx] = eps
+        e[idx] = FRAME_STEP
         plus = _solve_near(ctx, state, e).K_value
         minus = _solve_near(ctx, state, -e).K_value
-        grad[pos] = (plus - minus) / (2.0 * eps)
+        grad[pos] = (plus - minus) / (2.0 * FRAME_STEP)
     return grad
 
 
-def gradient_K(
-    ctx: ReductionContext,
-    state: ReductionState,
-    eps: float = 1e-4,
-) -> GradientReport:
+def gradient_K(ctx: ReductionContext, state: ReductionState) -> GradientReport:
     """Gradient of the reduced volume over all frame coordinates, twice."""
     dim = ctx.num_frame_coords
-    fd = _fd_gradient(ctx, state, np.arange(dim), eps)
+    fd = _fd_gradient(ctx, state, np.arange(dim))
     H = H_eval(ctx, state)
     factored = np.zeros(dim)
     for i in range(dim):
         e = np.zeros(dim)
         e[i] = 1.0
-        h = variation_potential(ctx, state, e, eps=eps)
+        h = variation_potential(ctx, state, e)
         factored[i] = np.dot([ctx.vol_inner(h, b) for b in ctx.reduced_basis], H)
     stab = ctx.stabilizer_indices
     return GradientReport(
@@ -717,7 +625,6 @@ def _envelope_gradient(
     frame: FrameState,
     f: ScalarField,
     indices: np.ndarray,
-    eps: float,
 ) -> np.ndarray:
     """dK over selected coordinates with f frozen at the solved transverse state.
 
@@ -727,28 +634,22 @@ def _envelope_gradient(
     grad = np.zeros(indices.size)
     for pos, idx in enumerate(indices):
         e = np.zeros(ctx.num_frame_coords)
-        e[idx] = eps
+        e[idx] = FRAME_STEP
         plus = _frozen_F(ctx, t, frame.shifted(e), f)
         minus = _frozen_F(ctx, t, frame.shifted(-e), f)
-        grad[pos] = (plus - minus) / (2.0 * eps)
+        grad[pos] = (plus - minus) / (2.0 * FRAME_STEP)
     return grad
 
 
-def hessian_K(
-    ctx: ReductionContext,
-    state: ReductionState,
-    eps: float = 1e-4,
-    indices: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def hessian_K(ctx: ReductionContext, state: ReductionState) -> np.ndarray:
     """Finite-difference Hessian of the solved K over quotient coordinates.
 
     Five-point second differences on the diagonal, four-corner stencils off
     the diagonal; every evaluation solves the transverse equation (warm
     started), so this is the Hessian of the true reduced functional.  The
-    neighbour solves go through the state's memo, so the +-eps frames are
-    shared with the gradient stencils and the cross block, not re-solved."""
-    if indices is None:
-        indices = ctx.quotient_indices
+    neighbour solves go through the state's memo, so the +-FRAME_STEP frames
+    are shared with the gradient stencils and the cross block, not re-solved."""
+    indices = ctx.quotient_indices
     m = indices.size
     dim = ctx.num_frame_coords
     K0 = state.K_value
@@ -759,21 +660,21 @@ def hessian_K(
 
     for a in range(m):
         e = np.zeros(dim)
-        e[indices[a]] = eps
+        e[indices[a]] = FRAME_STEP
         k_p1, k_m1 = K_at(e), K_at(-e)
         k_p2, k_m2 = K_at(2 * e), K_at(-2 * e)
         hess[a, a] = (
             -k_p2 + 16.0 * k_p1 - 30.0 * K0 + 16.0 * k_m1 - k_m2
-        ) / (12.0 * eps**2)
+        ) / (12.0 * FRAME_STEP**2)
     for a in range(m):
         for b in range(a + 1, m):
             ea = np.zeros(dim)
             eb = np.zeros(dim)
-            ea[indices[a]] = eps
-            eb[indices[b]] = eps
+            ea[indices[a]] = FRAME_STEP
+            eb[indices[b]] = FRAME_STEP
             val = (
                 K_at(ea + eb) - K_at(ea - eb) - K_at(-ea + eb) + K_at(-ea - eb)
-            ) / (4.0 * eps**2)
+            ) / (4.0 * FRAME_STEP**2)
             hess[a, b] = val
             hess[b, a] = val
     return hess
@@ -797,16 +698,16 @@ class OptimizationResult:
     trace: Optional[List[dict]] = None
 
 
-def _is_saddle(eigenvalue: float, K: float, settings: OptimizeSettings) -> bool:
+def _is_saddle(eigenvalue: float, K: float) -> bool:
     """Whether a Hessian eigenvalue of K is a descent direction, not noise.
 
     The five-point second difference weighs the values by
-    (-1, 16, -30, 16, -1) / (12 fd_step^2), so a roundoff of eps |K| in each
-    solved K moves a diagonal entry by up to (64/12) eps |K| / fd_step^2; an
-    eigenvalue counts as negative only below minus the larger of saddle_tol
-    and that noise."""
-    noise = 64.0 / 12.0 * np.finfo(float).eps * abs(K) / settings.fd_step**2
-    return bool(eigenvalue < -max(settings.saddle_tol, noise))
+    (-1, 16, -30, 16, -1) / (12 FRAME_STEP^2), so a roundoff of eps |K| in
+    each solved K moves a diagonal entry by up to
+    (64/12) eps |K| / FRAME_STEP^2; an eigenvalue counts as negative only
+    below minus the larger of the saddle tolerance and that noise."""
+    noise = 64.0 / 12.0 * np.finfo(float).eps * abs(K) / FRAME_STEP**2
+    return bool(eigenvalue < -max(_SADDLE_TOL, noise))
 
 
 def optimize_frame(
@@ -850,7 +751,7 @@ def optimize_frame(
             st = projected_solve(ctx, t, fs, init=warm[0])
             warm[0] = st.f
             evaluations += 1
-            grad = _envelope_gradient(ctx, t, fs, st.f, quotient, settings.fd_step)
+            grad = _envelope_gradient(ctx, t, fs, st.f, quotient)
             cache[key] = (st.K_value, grad, st)
             trace.append(
                 {
@@ -868,30 +769,27 @@ def optimize_frame(
             np.zeros(quotient.size),
             jac=True,
             method="BFGS",
-            options={
-                "gtol": settings.gradient_tol,
-                "maxiter": settings.max_bfgs_iterations,
-            },
+            options={"gtol": _BFGS_GTOL, "maxiter": _MAX_BFGS_ITERATIONS},
         )
         _, _, final_state = evaluate(result.x)
         return anchor.shifted(lift(result.x)), final_state
 
     state: Optional[ReductionState] = None
-    for anchor_rounds in range(1, settings.max_anchor_rounds + 1):
+    for anchor_rounds in range(1, _MAX_ANCHOR_ROUNDS + 1):
         frame, state = run_bfgs(frame.anchored(ctx.metric))
-        if frame.xi_norm() <= settings.anchor_xi_norm:
+        if frame.xi_norm() <= _ANCHOR_XI_NORM:
             break
 
     while True:
-        hess = hessian_K(ctx, state, eps=settings.fd_step)
+        hess = hessian_K(ctx, state)
         eigs, vecs = np.linalg.eigh(hess)
         if (
-            not _is_saddle(eigs[0], state.K_value, settings)
+            not _is_saddle(eigs[0], state.K_value)
             or saddle_restarts >= settings.max_saddle_restarts
         ):
             break
         saddle_restarts += 1
-        kick = settings.saddle_kick * lift(vecs[:, 0])
+        kick = _SADDLE_KICK * lift(vecs[:, 0])
         frame = frame.shifted(kick).anchored(ctx.metric)
         frame, state = run_bfgs(frame)
 
@@ -905,19 +803,19 @@ def optimize_frame(
     def quotient_gradient(st: ReductionState) -> np.ndarray:
         nonlocal evaluations
         evaluations += 2 * quotient.size
-        return _fd_gradient(ctx, st, quotient, settings.fd_step)
+        return _fd_gradient(ctx, st, quotient)
 
     grad = quotient_gradient(state)
-    floor = settings.hessian_eig_floor * max(1.0, float(np.max(np.abs(eigs))))
+    floor = _HESSIAN_EIG_FLOOR * max(1.0, float(np.max(np.abs(eigs))))
     active = np.ones(eigs.size, dtype=bool)
-    for _ in range(settings.max_polish_steps):
-        if np.linalg.norm(grad) <= settings.polish_tol or not active.any():
+    for _ in range(_MAX_POLISH_STEPS):
+        if np.linalg.norm(grad) <= _POLISH_TOL or not active.any():
             break
         coeffs = vecs[:, active].T @ grad
         step = -vecs[:, active] @ (coeffs / np.maximum(eigs[active], floor))
         norm = float(np.linalg.norm(step))
-        if norm > settings.max_polish_step_norm:
-            step *= settings.max_polish_step_norm / norm
+        if norm > _MAX_POLISH_STEP_NORM:
+            step *= _MAX_POLISH_STEP_NORM / norm
         candidate_frame = frame.shifted(lift(step))
         candidate = projected_solve(ctx, t, candidate_frame, init=state.f)
         evaluations += 1
@@ -946,7 +844,7 @@ def optimize_frame(
             }
         )
 
-    report = gradient_K(ctx, state, eps=settings.fd_step)
+    report = gradient_K(ctx, state)
     grad_norm = float(np.linalg.norm(report.fd[quotient]))
     stab_norm = float(np.linalg.norm(report.stabilizer_fd))
     rel, absolute, _ = geometric_residual(ctx, state)
@@ -956,7 +854,7 @@ def optimize_frame(
         stabilizer_gradient_norm=stab_norm,
         hessian=hess,
         hessian_eigenvalues=eigs,
-        is_minimum=not _is_saddle(eigs[0], state.K_value, settings),
+        is_minimum=not _is_saddle(eigs[0], state.K_value),
         saddle_restarts=saddle_restarts,
         anchor_rounds=anchor_rounds,
         residual_relative=rel,
@@ -1009,7 +907,8 @@ class SecondVariationReport:
     cross_relative: float
 
 
-def _default_field_directions(ctx: ReductionContext) -> List[ScalarField]:
+def _field_directions(ctx: ReductionContext) -> List[ScalarField]:
+    """Three volume-normalized kernel-orthogonal modes for the transverse block."""
     mesh = ctx.grid.meshgrid()
     raw = [
         np.cos(2.0 * mesh[0]),
@@ -1026,14 +925,13 @@ def _default_field_directions(ctx: ReductionContext) -> List[ScalarField]:
 def second_variation_Q(
     ctx: ReductionContext,
     state: ReductionState,
-    field_directions: Optional[Sequence[ScalarField]] = None,
-    field_step: float = 1e-3,
-    frame_step: float = 1e-4,
     frame_block: Optional[np.ndarray] = None,
 ) -> SecondVariationReport:
-    """Assemble the three Hessian blocks at a solved critical frame."""
-    if field_directions is None:
-        field_directions = _default_field_directions(ctx)
+    """Assemble the three Hessian blocks at a solved critical frame.
+
+    frame_block is the reduced Hessian when the caller already has it
+    (`optimize_frame` returns it); None computes it with `hessian_K`."""
+    field_directions = _field_directions(ctx)
     t = state.t
     tn = t**ctx.n
     scale = tn
@@ -1048,12 +946,12 @@ def second_variation_Q(
                 values.append(state.K_value)
                 continue
             f = ScalarField(
-                ctx.grid, state.f.values + s * field_step * direction.values, check=False
+                ctx.grid, state.f.values + s * FIELD_STEP * direction.values, check=False
             )
             values.append(functional_F(ctx, t, state.unitary, f))
         second = (
             -values[4] + 16.0 * values[3] - 30.0 * values[2] + 16.0 * values[1] - values[0]
-        ) / (12.0 * field_step**2)
+        ) / (12.0 * FIELD_STEP**2)
         transverse_fd[i] = scale * second
         lf = ctx.flat_operator.apply(direction)
         transverse_model[i] = scale * ctx.vol_inner(direction, lf)
@@ -1065,7 +963,7 @@ def second_variation_Q(
     )
 
     if frame_block is None:
-        frame_block = hessian_K(ctx, state, eps=frame_step)
+        frame_block = hessian_K(ctx, state)
     frame_block = scale * np.asarray(frame_block)
     frame_eigs = np.linalg.eigvalsh(frame_block)
 
@@ -1073,13 +971,13 @@ def second_variation_Q(
     cross = np.zeros((len(field_directions), quotient.size))
     for j, idx in enumerate(quotient):
         e = np.zeros(ctx.num_frame_coords)
-        e[idx] = frame_step
+        e[idx] = FRAME_STEP
         plus = _solve_near(ctx, state, e)
         minus = _solve_near(ctx, state, -e)
         for i, direction in enumerate(field_directions):
             pair_plus = ctx.vol_inner(plus.gradient, direction)
             pair_minus = ctx.vol_inner(minus.gradient, direction)
-            cross[i, j] = scale * (pair_plus - pair_minus) / (2.0 * frame_step)
+            cross[i, j] = scale * (pair_plus - pair_minus) / (2.0 * FRAME_STEP)
     diag_scale = np.sqrt(
         np.abs(transverse_fd)[:, None] * np.abs(np.diag(frame_block))[None, :]
     )

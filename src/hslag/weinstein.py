@@ -22,22 +22,16 @@ complex-step linearization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .ambient import EuclideanMetric
 from .errors import ChartDomainError
-from .geomcore import GridDescriptor, ScalarField, _deriv_array
+from .geomcore import GridDescriptor, _deriv_array
 
-__all__ = [
-    "WeinsteinChart",
-    "graph_immersion",
-    "graph_volume_and_gradient",
-    "graph_functional",
-    "graph_residual",
-]
+__all__ = ["WeinsteinChart", "graph_volume_and_gradient"]
 
 
 @dataclass(frozen=True)
@@ -174,21 +168,3 @@ def graph_volume_and_gradient(
         for c in range(n):
             P = P + _deriv_array(_deriv_array(B[..., j, c], grid, axis=j), grid, axis=c)
     return vol, P / chart.flat_density()
-
-
-def graph_immersion(chart: WeinsteinChart, f: ScalarField) -> "Immersion":
-    """Node immersion theta -> Phi(theta, grad f), validity-gated."""
-    from .geomcore import Immersion
-
-    *_, coords = _graph_jets(chart, f.grid, f.values)[:3]
-    return Immersion(f.grid, coords.real)
-
-
-def graph_functional(chart: WeinsteinChart, f: ScalarField, metric=None) -> float:
-    vol, _ = graph_volume_and_gradient(chart, f.grid, f.values, metric, need_gradient=False)
-    return float(vol.real)
-
-
-def graph_residual(chart: WeinsteinChart, f: ScalarField, metric=None) -> ScalarField:
-    _, P = graph_volume_and_gradient(chart, f.grid, f.values, metric)
-    return ScalarField(f.grid, P.real, check=False)

@@ -10,14 +10,10 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
-from hslag import (
-    CircleSphereModel,
-    TorusModel,
-    circle_sphere_lagrangian,
-    clifford_torus,
-)
+from hslag.models import CircleSphereModel, TorusModel, circle_sphere_lagrangian, clifford_torus
 
 RADII = (1.0, 1.3)
+T = 0.05  # the scale of the shared reduction problem
 
 
 @pytest.fixture(scope="session")
@@ -101,7 +97,7 @@ def base_reduction_state(reduction_ctx):
     from hslag.reduction import projected_solve, random_frame_state
 
     frame = random_frame_state(reduction_ctx, seed=7)
-    return projected_solve(reduction_ctx, reduction_ctx.t, frame)
+    return projected_solve(reduction_ctx, T, frame)
 
 
 @pytest.fixture(scope="session")
@@ -112,7 +108,7 @@ def frame_optimum_timed(reduction_ctx):
 
     frame = random_frame_state(reduction_ctx, seed=1)
     start = time.perf_counter()
-    result = optimize_frame(reduction_ctx, reduction_ctx.t, frame)
+    result = optimize_frame(reduction_ctx, T, frame)
     return result, time.perf_counter() - start
 
 

@@ -10,11 +10,11 @@ import time
 import numpy as np
 from scipy.linalg import subspace_angles
 
+from oracles import moment_basis, restrict_moment, second_variation_consistency
+
 from hslag.ambient import default_perturbed_metric, estimate_sweep, unitary_frame
 from hslag.geomcore import ScalarField, hs_residual, l2_norm
-from hslag.models import moment_basis, restrict_moment
 from hslag.moser import QuadraticPerturbedForm, moser_flow
-from hslag.operators import kernel_basis, second_variation_consistency
 from hslag.reduction import (
     geometric_residual,
     gradient_K,
@@ -23,6 +23,8 @@ from hslag.reduction import (
     random_frame_state,
     second_variation_Q,
 )
+
+T = 0.05  # the scale of the shared reduction problem
 
 
 def band_limited_field(grid, rng, scale, modes=6, k_max=3):
@@ -67,7 +69,8 @@ def test_criterion_03_kernel_dimension_and_moment_span(
         assert np.max(np.abs(eigs[:7])) <= 1e-5
         assert eigs[7] / max(np.max(np.abs(eigs[:7])), 1e-300) >= 100.0
 
-        K = np.stack([b.values.reshape(-1) for b in kernel_basis(spectrum)], axis=1)
+        kernel = spectrum.eigenfields[: spectrum.kernel_size()]
+        K = np.stack([b.values.reshape(-1) for b in kernel], axis=1)
         restrictions = [restrict_moment(Q, imm) for Q in moment_basis(2)]
         cols = [
             r.values.reshape(-1)
@@ -142,7 +145,7 @@ def test_criterion_09_gradient_factorization(reduction_ctx):
     ctx = reduction_ctx
     for seed in (101, 102, 103, 104, 105):
         frame = random_frame_state(ctx, seed=seed)
-        state = projected_solve(ctx, ctx.t, frame)
+        state = projected_solve(ctx, T, frame)
         report = gradient_K(ctx, state)
         scale = float(np.max(np.abs(report.fd)))
         if scale >= 1e-6:
@@ -165,12 +168,16 @@ def test_criterion_10_optimizer_locates_stationary_tori(
     results = [first_result]
     for seed in (2, 3):
         frame = random_frame_state(ctx, seed=seed)
-        results.append(optimize_frame(ctx, ctx.t, frame))
+        results.append(optimize_frame(ctx, T, frame))
     elapsed = first_elapsed + (time.perf_counter() - start)
     for result in results:
         assert result.gradient_norm <= 1e-8
         relative, _, _ = geometric_residual(ctx, result.state)
         assert relative <= 1e-5
+        # the work, bounded independently of machine load: no spurious saddle
+        # kicks from stencil noise, and a bounded number of transverse solves
+        assert result.saddle_restarts == 0
+        assert result.solver_evaluations <= 120
     assert elapsed <= 300.0
 
 

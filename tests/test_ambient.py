@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from oracles import compatibility_defect, frame_defects
+
 from hslag.ambient import (
     ChartMetric,
     EuclideanMetric,
     SymplecticExpMetric,
     UnitaryFrame,
     ball_samples,
-    compatibility_defect,
     default_perturbed_metric,
     estimate_sweep,
-    frame_defects,
     frame_fit,
     symmetric_anticommuting_basis,
     unitary_algebra_basis,
@@ -98,8 +98,13 @@ def test_exp_metric_second_derivative_symmetric_and_fd(metric):
 
 
 def test_symplectic_factor(metric, points):
+    """S = expm(Y/2), the same metric at half the amplitude, is symmetric and
+    symplectic with S^T S = G."""
     om = standard_symplectic_matrix(2)
-    S = metric.symplectic_factor(points)
+    half = SymplecticExpMetric(
+        metric.n, metric.wave_vectors, metric.cos_coeffs, metric.sin_coeffs, metric.amplitude / 2
+    )
+    S = half.value(points)
     assert np.max(np.abs(S - np.swapaxes(S, -1, -2))) < 1e-13
     assert np.max(np.abs(np.swapaxes(S, -1, -2) @ om @ S - om)) < 1e-13
     assert np.max(np.abs(S @ S - metric.value(points))) < 1e-13

@@ -91,6 +91,34 @@ def test_unservable_shape_exit_2(tmp_path, argv):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"suite": "sweep", "seeds": 5},
+        {"suite": "sweep", "radii": 1.0},
+        {"suite": "sweep", "t_values": [0.01, "a"]},
+        {"suite": "sweep", "tolerances": [1]},
+    ],
+    ids=["seeds", "radii", "t_values", "tolerances"],
+)
+def test_config_value_of_wrong_type_exit_2(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert run_cli("sweep", "--config", str(path), "--out", str(out)) == 2
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("suite", ["sweep", "estimates"])
+@pytest.mark.parametrize("t_values", [[], [0.05], [0.05, 0.05]], ids=["none", "one", "repeated"])
+def test_scaling_suites_need_two_distinct_t_exit_2(tmp_path, suite, t_values):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"suite": suite, "t_values": t_values}))
+    out = tmp_path / "run"
+    assert run_cli(suite, "--config", str(path), "--out", str(out)) == 2
+    assert not (out / "manifest.json").exists()
+
+
 def test_unexpected_error_writes_failure_manifest(tmp_path, monkeypatch):
     def broken(config, out):
         raise ValueError("synthetic defect")
@@ -111,7 +139,7 @@ def test_numerical_failure_manifest_names_stage(tmp_path, monkeypatch):
 
     def starved(config, out):
         ctx = build_context(grid_size=16, solve=SolveSettings(max_iterations=1))
-        projected_solve(ctx, ctx.t, random_frame_state(ctx, seed=1))
+        projected_solve(ctx, 0.05, random_frame_state(ctx, seed=1))
 
     monkeypatch.setitem(cli._SUITE_RUNNERS, "reduce", starved)
     out = str(tmp_path / "starved")
@@ -156,13 +184,13 @@ def test_verify_models_suite(tmp_path):
 
 
 def test_verify_models_deterministic_bytes(tmp_path):
-    out = str(tmp_path / "det")
-    assert run_cli("verify-models", "--out", out) == 0
-    first = open(os.path.join(out, "manifest.json"), "rb").read()
-    first_csv = open(os.path.join(out, "model_checks.csv"), "rb").read()
-    assert run_cli("verify-models", "--out", out) == 0
-    assert open(os.path.join(out, "manifest.json"), "rb").read() == first
-    assert open(os.path.join(out, "model_checks.csv"), "rb").read() == first_csv
+    out = tmp_path / "det"
+    assert run_cli("verify-models", "--out", str(out)) == 0
+    first = (out / "manifest.json").read_bytes()
+    first_csv = (out / "model_checks.csv").read_bytes()
+    assert run_cli("verify-models", "--out", str(out)) == 0
+    assert (out / "manifest.json").read_bytes() == first
+    assert (out / "model_checks.csv").read_bytes() == first_csv
 
 
 def test_spectrum_suite_circle_sphere(tmp_path):

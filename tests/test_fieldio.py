@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ def test_manifest_deterministic_bytes(tmp_path):
     t1 = write_manifest(p1, doc)
     t2 = write_manifest(p2, doc)
     assert t1 == t2
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
     assert t1.endswith("\n")
     assert load_manifest(p1) == doc
 

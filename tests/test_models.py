@@ -1,17 +1,12 @@
-"""Model Lagrangians, moment polynomials, and the analytic spectrum."""
+"""Model Lagrangians, the moment-polynomial oracle, and the analytic spectrum."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hslag.errors import UnsupportedModelError
-from hslag.models import (
-    CircleSphereModel,
+from oracles import (
     MomentPolynomial,
-    TorusModel,
-    circle_sphere_spectrum,
-    clifford_torus,
     complex_coordinates,
     moment_basis,
     moment_flow,
@@ -19,6 +14,9 @@ from hslag.models import (
     restrict_moment,
     rigidity_prediction,
 )
+
+from hslag.errors import UnsupportedModelError
+from hslag.models import CircleSphereModel, TorusModel, circle_sphere_spectrum
 
 
 def test_torus_model_validation():

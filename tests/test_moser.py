@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
+from oracles import ConstantForm, refinement_orders
+
 from hslag.errors import ChartDomainError, ConfigError, RankDeficiencyError
 from hslag.geomcore import standard_symplectic_matrix
 from hslag.moser import (
-    ConstantForm,
-    MoserReport,
     QuadraticPerturbedForm,
     flow_map,
     homotopy_primitive,
     moser_flow,
     moser_vector_field,
-    refinement_orders,
 )
 
 

@@ -13,28 +13,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import psi_matrices, xi_map
+
 import hslag.operators
 import hslag.reduction
 import hslag.weinstein
 from hslag.ambient import EuclideanMetric
 from hslag.errors import ExactnessError, NonContractionError
-from hslag.geomcore import ScalarField, l2_inner
+from hslag.geomcore import ScalarField
 from hslag.reduction import (
+    FRAME_STEP,
     H_eval,
-    OptimizeSettings,
     SolveSettings,
     _integrate_exact_one_form,
     build_context,
     gradient_K,
     projected_solve,
-    psi_matrices,
     random_frame_state,
     second_variation_Q,
     variation_potential,
-    xi_map,
 )
 
 RADII = (1.0, 1.3)
+T = 0.05  # the scale of the shared reduction problem
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +184,7 @@ def test_roundoff_floor_raises_early(monkeypatch):
 
     monkeypatch.setattr(hslag.reduction, "residual_P", counting)
     with pytest.raises(NonContractionError, match="floor of 2.45"):
-        projected_solve(ctx, ctx.t, random_frame_state(ctx, seed=5))
+        projected_solve(ctx, T, random_frame_state(ctx, seed=5))
     assert len(calls) <= 11
 
 
@@ -266,7 +267,7 @@ def test_moment_potentials_span_reduced_kernel(reduction_ctx):
     for idx in reduction_ctx.quotient_indices:
         e = np.zeros(reduction_ctx.num_frame_coords)
         e[idx] = 1.0
-        columns.append(xi_map(reduction_ctx, reduction_ctx.t, e).values.reshape(-1))
+        columns.append(xi_map(reduction_ctx, T, e).values.reshape(-1))
     kernel = np.stack(
         [b.values.reshape(-1) for b in reduction_ctx.reduced_basis], axis=1
     )
@@ -279,7 +280,7 @@ def test_exactness_certificate_rejects_inexact_form(reduction_ctx):
     beta = np.zeros(reduction_ctx.grid.sizes + (2,))
     beta[..., 0] = np.cos(mesh[1])  # rotational component, not a gradient
     with pytest.raises(ExactnessError):
-        _integrate_exact_one_form(reduction_ctx, beta, certify_tol=1e-6)
+        _integrate_exact_one_form(reduction_ctx, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +291,7 @@ def test_exactness_certificate_rejects_inexact_form(reduction_ctx):
 def test_gradient_factorization_identity(reduction_ctx):
     for seed in (1, 2):
         frame = random_frame_state(reduction_ctx, seed=seed)
-        state = projected_solve(reduction_ctx, reduction_ctx.t, frame)
+        state = projected_solve(reduction_ctx, T, frame)
         report = gradient_K(reduction_ctx, state)
         q = reduction_ctx.quotient_indices
         scale = max(float(np.max(np.abs(report.fd[q]))), 1e-12)
@@ -338,7 +339,7 @@ def test_second_variation_blocks(reduction_ctx, frame_optimum):
     assert report.transverse_relative_error <= 0.1
     assert np.min(report.frame_eigenvalues) >= -1e-8
     assert report.cross_relative <= 1e-3
-    tn = reduction_ctx.t ** reduction_ctx.n
+    tn = T**reduction_ctx.n
     expected = tn * np.linalg.eigvalsh(frame_optimum.hessian)
     assert np.allclose(report.frame_eigenvalues, expected, rtol=1e-10, atol=1e-16)
 
@@ -350,18 +351,19 @@ def test_second_variation_blocks(reduction_ctx, frame_optimum):
 
 @pytest.fixture(scope="module")
 def coarse_ctx():
-    return build_context(grid_size=24, t=0.02)
+    return build_context(grid_size=24)
 
 
 def fresh_state(ctx, seed=5):
-    return projected_solve(ctx, ctx.t, random_frame_state(ctx, seed=seed))
+    # t 0.02: at grid 24 and t 0.05 this frame stalls at a roundoff floor
+    return projected_solve(ctx, 0.02, random_frame_state(ctx, seed=seed))
 
 
 def test_solve_near_is_memoized_and_equals_direct_solve(coarse_ctx):
     state = fresh_state(coarse_ctx)
     for sign in (1.0, -1.0):
         e = np.zeros(coarse_ctx.num_frame_coords)
-        e[1] = sign * 1e-4
+        e[1] = sign * FRAME_STEP
         near = hslag.reduction._solve_near(coarse_ctx, state, e)
         assert hslag.reduction._solve_near(coarse_ctx, state, e) is near
         direct = projected_solve(coarse_ctx, state.t, state.frame.shifted(e), init=state.f)
@@ -408,11 +410,11 @@ def test_stencils_around_a_state_solve_each_frame_once(coarse_ctx, monkeypatch):
 
 
 def test_saddle_test_ignores_stencil_noise():
-    """At K ~ 51.3 and fd_step 1e-4 the five-point stencil's roundoff is
-    about 6.1e-6, so -3e-6 is noise and -2e-5 a saddle."""
-    default = OptimizeSettings()
-    assert not hslag.reduction._is_saddle(-3e-6, 51.317, default)
-    assert hslag.reduction._is_saddle(-2e-5, 51.317, default)
-    # where the noise is smaller than saddle_tol, saddle_tol decides
-    assert not hslag.reduction._is_saddle(-0.9e-6, 1.0, default)
-    assert hslag.reduction._is_saddle(-1.1e-6, 1.0, default)
+    """At K ~ 51.3 and the frame step 1e-4 the five-point stencil's roundoff
+    is about 6.1e-6, so -3e-6 is noise and -2e-5 a saddle."""
+    assert FRAME_STEP == 1e-4
+    assert not hslag.reduction._is_saddle(-3e-6, 51.317)
+    assert hslag.reduction._is_saddle(-2e-5, 51.317)
+    # where the noise is smaller than the 1e-6 saddle tolerance, that decides
+    assert not hslag.reduction._is_saddle(-0.9e-6, 1.0)
+    assert hslag.reduction._is_saddle(-1.1e-6, 1.0)
