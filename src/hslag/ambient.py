@@ -55,6 +55,12 @@ __all__ = [
     "EstimateReport",
 ]
 
+def _inexact(values) -> np.ndarray:
+    """values as a float array, or a complex one when they are complex."""
+    values = np.asarray(values)
+    return values.astype(np.result_type(values.dtype, float), copy=False)
+
+
 def _eye_like(shape: tuple, d: int, dtype) -> np.ndarray:
     out = np.zeros(shape + (d, d), dtype=dtype)
     out[..., range(d), range(d)] = 1.0
@@ -291,14 +297,17 @@ def default_perturbed_metric(
 
 @dataclass
 class UnitaryFrame:
-    """A point of the ambient torus plus a frame matrix unitary for (G, omega0)."""
+    """A point of the ambient torus plus a frame matrix unitary for (G, omega0).
+
+    Both are real, except under complex-step differentiation, where a
+    complex point and matrix carry the derivative in their imaginary parts."""
 
     point: np.ndarray
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        self.point = np.asarray(self.point, dtype=float)
-        self.matrix = np.asarray(self.matrix, dtype=float)
+        self.point = _inexact(self.point)
+        self.matrix = _inexact(self.matrix)
 
 
 def _gram_schmidt_frame(G: np.ndarray, candidates: Sequence[np.ndarray]) -> np.ndarray:
@@ -307,7 +316,10 @@ def _gram_schmidt_frame(G: np.ndarray, candidates: Sequence[np.ndarray]) -> np.n
     Orthonormalizes w.r.t. the Hermitian form h(u, v) = G(u, v) + i omega0(u, v)
     on the complex vector space (R^{2n}, J); columns come out interleaved as
     (u_1, J u_1, ..., u_n, J u_n), which gives upsilon^T G upsilon = I and
-    upsilon^T Omega0 upsilon = Omega0 in the standard conventions.
+    upsilon^T Omega0 upsilon = Omega0 in the standard conventions.  Complex G
+    and candidates go through the same arithmetic without conjugation, and
+    seeds are accepted or skipped on the real part of their norm, so the
+    frame is complex-analytic in its inputs (complex-step safe).
     """
     d = G.shape[0]
     n = d // 2
@@ -319,12 +331,12 @@ def _gram_schmidt_frame(G: np.ndarray, candidates: Sequence[np.ndarray]) -> np.n
     for _ in range(n):
         v = None
         while cand:
-            v = np.array(cand.pop(0), dtype=float)
+            v = _inexact(cand.pop(0))
             for u in built:
                 Ju = J @ u
                 v = v - (u @ G @ v) * u - (Ju @ G @ v) * Ju
-            norm2 = float(v @ G @ v)
-            if norm2 > 1e-16:
+            norm2 = v @ G @ v
+            if norm2.real > 1e-16:
                 v = v / np.sqrt(norm2)
                 break
             v = None
@@ -349,11 +361,12 @@ def frame_fit(metric, p: np.ndarray, target: np.ndarray) -> UnitaryFrame:
 
     Seeds the Gram-Schmidt with the target's x_j columns, so the output is a
     smooth function of (p, target) near any valid frame and reduces to the
-    identity correction when the target is already unitary.
+    identity correction when the target is already unitary.  Complex p and
+    target give the complex-analytic continuation (see _gram_schmidt_frame).
     """
-    p = np.asarray(p, dtype=float)
+    p = _inexact(p)
     G = metric.value(p)
-    target = np.asarray(target, dtype=float)
+    target = _inexact(target)
     seeds = [target[:, 2 * j] for j in range(target.shape[1] // 2)]
     extra = [np.eye(target.shape[0])[:, k] for k in range(target.shape[0])]
     return UnitaryFrame(p, _gram_schmidt_frame(G, seeds + extra))

@@ -91,7 +91,6 @@ _CONFIG_FIELDS = {
     "metric",
     "num_waves",
     "seed",
-    "seeds",
     "tolerances",
     "out_dir",
     "run",
@@ -100,7 +99,7 @@ _CONFIG_FIELDS = {
 
 @dataclass
 class ExperimentConfig:
-    """One experiment run: suite, model/metric descriptors, seeds, tolerances."""
+    """One experiment run: suite, model/metric descriptors, seed, tolerances."""
 
     suite: str
     model: str = "torus"
@@ -114,7 +113,6 @@ class ExperimentConfig:
     metric: str = "perturbed"
     num_waves: int = 3
     seed: int = 0
-    seeds: Tuple[int, ...] = (1, 2, 3)
     tolerances: Dict[str, float] = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     out_dir: str = "runs"
     run: Optional[str] = None
@@ -157,7 +155,6 @@ class ExperimentConfig:
         scale_t = {"sweep": self.sweep_t_values, "estimates": self.estimate_t_values}
         if self.suite in scale_t and len(set(scale_t[self.suite]())) < 2:
             raise ConfigError(f"the {self.suite} suite needs at least two distinct t_values")
-        self.seeds = tuple(int(s) for s in self.seeds)
 
     def all_t_values(self) -> Tuple[float, ...]:
         values = [self.t]
@@ -196,8 +193,6 @@ class ExperimentConfig:
                 kwargs["radii"] = tuple(kwargs["radii"])
             if "t_values" in kwargs and kwargs["t_values"] is not None:
                 kwargs["t_values"] = tuple(float(t) for t in kwargs["t_values"])
-            if "seeds" in kwargs:
-                kwargs["seeds"] = tuple(kwargs["seeds"])
             if "tolerances" in kwargs:
                 merged = dict(DEFAULT_TOLERANCES)
                 merged.update(kwargs["tolerances"])
@@ -220,7 +215,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         data = dataclasses.asdict(self)
         data["radii"] = list(self.radii)
-        data["seeds"] = list(self.seeds)
         if self.t_values is not None:
             data["t_values"] = list(self.t_values)
         return data

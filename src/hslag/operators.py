@@ -228,7 +228,7 @@ def _assemble_graph_hessian(chart: WeinsteinChart, grid: GridDescriptor, metric)
     flat = f.reshape(-1)
     for k in range(nn):
         flat[k] = 1j * _CS_STEP
-        _, P = graph_volume_and_gradient(chart, grid, f, metric)
+        _, P, _ = graph_volume_and_gradient(chart, grid, f, metric)
         cols[:, k] = (P.imag / _CS_STEP).reshape(-1)
         flat[k] = 0.0
     weight = grid.node_weight() * chart.flat_density()

@@ -73,6 +73,7 @@ __all__ = [
     "projected_solve",
     "H_eval",
     "variation_potential",
+    "frame_gradient",
     "gradient_K",
     "hessian_K",
     "optimize_frame",
@@ -105,6 +106,8 @@ class OptimizeSettings:
 # Step of every central difference over frame coordinates: the reduced
 # gradient and Hessian, the variation potentials and the cross block.
 FRAME_STEP = 1e-4
+# Imaginary step of the complex-step Jacobian of FrameState.realize.
+_COMPLEX_STEP = 1e-20
 # Step of the transverse-block stencil along field directions.
 FIELD_STEP = 1e-3
 # Relative defect above which a recovered potential fails its exactness check.
@@ -113,8 +116,13 @@ EXACTNESS_TOL = 1e-6
 # optimize_frame: BFGS gradient tolerance and iteration cap, re-anchoring
 # (rounds, and the rotation-coordinate norm that triggers one), saddle test
 # and kick, and the Newton polish (target gradient, steps, step norm cap,
-# eigenvalue floor relative to the largest Hessian eigenvalue).
-_BFGS_GTOL = 1e-9
+# eigenvalue floor relative to the largest Hessian eigenvalue).  BFGS hands
+# over at |dK| <= 1e-7: there a line-search step along the softest frame
+# directions (curvature ~1e-3) still lowers K by ~1e-11, far above K's
+# roundoff (~1e-14 at K ~ 51), while below ~1e-8 the line search fails on
+# roundoff and spends tens of solves.  The polish, one solve per step with
+# the exact gradient, then takes |dK| to _POLISH_TOL.
+_BFGS_GTOL = 1e-7
 _MAX_BFGS_ITERATIONS = 200
 _MAX_ANCHOR_ROUNDS = 4
 _ANCHOR_XI_NORM = 1.0
@@ -269,14 +277,6 @@ class FrameState:
     def displacement(self) -> np.ndarray:
         return self.coords[: 2 * self.n]
 
-    def algebra_element(self) -> np.ndarray:
-        n = self.n
-        basis = unitary_algebra_basis(n)
-        xi = np.zeros((n, n), dtype=complex)
-        for c, mat in zip(self.coords[2 * n :], basis):
-            xi = xi + c * mat
-        return xi
-
     def xi_norm(self) -> float:
         return float(np.linalg.norm(self.coords[2 * self.n :]))
 
@@ -284,9 +284,16 @@ class FrameState:
         return replace(self, coords=self.coords + np.asarray(delta, dtype=float))
 
     def realize(self, metric) -> UnitaryFrame:
+        """The frame at these coordinates.
+
+        The rotation is expm of the real embedding of the u(n) element, so
+        complex coordinates give the complex-analytic continuation of the
+        frame, which `_realize_jacobian` differentiates by complex step."""
+        n = self.n
         point = self.base_point + self.base_matrix @ self.displacement()
-        rotation = unitary_embedding(scipy.linalg.expm(self.algebra_element()))
-        target = self.base_matrix @ rotation
+        basis = np.array([unitary_embedding(m) for m in unitary_algebra_basis(n)])
+        generator = np.tensordot(self.coords[2 * n :], basis, axes=1)
+        target = self.base_matrix @ scipy.linalg.expm(generator)
         return frame_fit(metric, point, target)
 
     def anchored(self, metric) -> "FrameState":
@@ -321,6 +328,10 @@ class ReductionState:
     gradient is the unprojected L^2 volume gradient (`residual_P`) that the
     converging iteration computed at (unitary, f), kept so the kernel
     components and the cross block read it instead of recomputing it.
+    frame_sensitivity is the same call's pair (dvol/db, dvol/dA), the
+    volume's derivatives under an affine move of the chart metric (see
+    `graph_volume_and_gradient`): O(n^2) floats from which `frame_gradient`
+    forms the exact reduced gradient without another volume.
 
     Warm solves at frames shifted from this one, started from f, are kept in
     a private memo (`_solve_near`): the finite-difference stencils around a
@@ -332,6 +343,7 @@ class ReductionState:
     unitary: UnitaryFrame
     f: ScalarField
     gradient: ScalarField
+    frame_sensitivity: Tuple[np.ndarray, np.ndarray]
     residual_norm: float
     K_value: float
     converged: bool
@@ -353,7 +365,7 @@ def functional_F(
     ctx: ReductionContext, t: float, unitary: UnitaryFrame, f: ScalarField
 ) -> float:
     """Chart-scale volume of the graph of df in the frame's scaled metric."""
-    vol, _ = graph_volume_and_gradient(
+    vol, _, _ = graph_volume_and_gradient(
         ctx.chart, ctx.grid, f.values, _chart_metric(ctx, t, unitary), need_gradient=False
     )
     return float(np.real(vol))
@@ -361,12 +373,13 @@ def functional_F(
 
 def residual_P(
     ctx: ReductionContext, t: float, unitary: UnitaryFrame, f: ScalarField
-) -> Tuple[float, ScalarField]:
-    """(volume, L^2 gradient of the volume) at the graph of df."""
-    vol, grad = graph_volume_and_gradient(
+) -> Tuple[float, ScalarField, Tuple[np.ndarray, np.ndarray]]:
+    """(volume, L^2 gradient of the volume, affine frame sensitivity) at the
+    graph of df; see `graph_volume_and_gradient`."""
+    vol, grad, sensitivity = graph_volume_and_gradient(
         ctx.chart, ctx.grid, f.values, _chart_metric(ctx, t, unitary)
     )
-    return float(np.real(vol)), ScalarField(ctx.grid, np.real(grad), check=False)
+    return float(np.real(vol)), ScalarField(ctx.grid, np.real(grad), check=False), sensitivity
 
 
 def projected_solve(
@@ -396,7 +409,7 @@ def projected_solve(
     history: List[float] = []
     best, stalled = np.inf, 0
     for iteration in range(settings.max_iterations):
-        vol, grad = residual_P(ctx, t, unitary, f)
+        vol, grad, sensitivity = residual_P(ctx, t, unitary, f)
         projected = ctx.project_transverse(grad)
         rnorm = ctx.vol_norm(projected)
         stalled = 0 if rnorm < 0.99 * best else stalled + 1
@@ -411,6 +424,7 @@ def projected_solve(
                 unitary=unitary,
                 f=f,
                 gradient=grad,
+                frame_sensitivity=sensitivity,
                 residual_norm=rnorm,
                 K_value=vol,
                 converged=True,
@@ -547,15 +561,17 @@ def _integrate_exact_one_form(ctx: ReductionContext, beta: np.ndarray) -> np.nda
 
 @dataclass
 class GradientReport:
-    """Two independent evaluations of dK at a frame.
+    """Three independent evaluations of dK at a frame.
 
     fd differentiates the solved K directly; factored assembles the same
     gradient as the pairing of frame-variation potentials with the kernel
-    residual components.  Agreement is the correctness certificate of the
-    reduction."""
+    residual components; envelope is `frame_gradient`, the exact frame
+    derivative at frozen f that the optimizer uses.  Agreement is the
+    correctness certificate of the reduction."""
 
     fd: np.ndarray
     factored: np.ndarray
+    envelope: np.ndarray
     kernel_components: np.ndarray
     stabilizer_fd: np.ndarray
     stabilizer_factored: np.ndarray
@@ -575,35 +591,58 @@ def _solve_near(ctx: ReductionContext, state: ReductionState, delta: np.ndarray)
     return near
 
 
-def _fd_gradient(
-    ctx: ReductionContext, state: ReductionState, indices: np.ndarray
-) -> np.ndarray:
-    """Central differences of the solved K over the given frame coordinates."""
-    grad = np.zeros(indices.size)
-    for pos, idx in enumerate(indices):
-        e = np.zeros(ctx.num_frame_coords)
-        e[idx] = FRAME_STEP
-        plus = _solve_near(ctx, state, e).K_value
-        minus = _solve_near(ctx, state, -e).K_value
-        grad[pos] = (plus - minus) / (2.0 * FRAME_STEP)
-    return grad
+def _realize_jacobian(metric, frame: FrameState) -> Tuple[np.ndarray, np.ndarray]:
+    """(d point / dc, d matrix / dc) of `FrameState.realize` at the frame's
+    coordinates, by complex step: exact to roundoff, with no subtraction."""
+    dim = frame.coords.size
+    d_point, d_matrix = [], []
+    for i in range(dim):
+        coords = frame.coords.astype(complex)
+        coords[i] += 1j * _COMPLEX_STEP
+        moved = replace(frame, coords=coords).realize(metric)
+        d_point.append(moved.point.imag / _COMPLEX_STEP)
+        d_matrix.append(moved.matrix.imag / _COMPLEX_STEP)
+    return np.array(d_point), np.array(d_matrix)
+
+
+def frame_gradient(ctx: ReductionContext, state: ReductionState) -> np.ndarray:
+    """Exact dK over all frame coordinates at a solved state, with no solve.
+
+    At a solved state f is kernel-orthogonal and the projected residual
+    vanishes to the solver tolerance, so by the envelope theorem dK/dc is
+    the frame derivative of the volume at frozen f, up to O(tol).  A frame
+    moved to (p', u') pulls the chart metric back by the affine map with
+    1 + A = u^-1 u' and b = u^-1 (p' - p) / t, so that derivative is the
+    state's affine sensitivity chained through the Jacobian of `realize`."""
+    d_shift, d_linear = state.frame_sensitivity
+    d_point, d_matrix = _realize_jacobian(ctx.metric, state.frame)
+    inverse = np.linalg.inv(state.unitary.matrix)
+    db = d_point @ inverse.T / state.t  # (coords, 2n)
+    dA = inverse @ d_matrix  # (coords, 2n, 2n)
+    return np.real(db @ d_shift + np.einsum("ikl,kl->i", dA, d_linear))
 
 
 def gradient_K(ctx: ReductionContext, state: ReductionState) -> GradientReport:
-    """Gradient of the reduced volume over all frame coordinates, twice."""
+    """Gradient of the reduced volume over all frame coordinates, three ways.
+
+    fd is central differences of the solved K at +-FRAME_STEP, whose warm
+    solves the variation potentials and `hessian_K` share."""
     dim = ctx.num_frame_coords
-    fd = _fd_gradient(ctx, state, np.arange(dim))
     H = H_eval(ctx, state)
-    factored = np.zeros(dim)
+    fd, factored = np.zeros(dim), np.zeros(dim)
     for i in range(dim):
         e = np.zeros(dim)
         e[i] = 1.0
+        plus = _solve_near(ctx, state, FRAME_STEP * e).K_value
+        minus = _solve_near(ctx, state, -FRAME_STEP * e).K_value
+        fd[i] = (plus - minus) / (2.0 * FRAME_STEP)
         h = variation_potential(ctx, state, e)
         factored[i] = np.dot([ctx.vol_inner(h, b) for b in ctx.reduced_basis], H)
     stab = ctx.stabilizer_indices
     return GradientReport(
         fd=fd,
         factored=factored,
+        envelope=frame_gradient(ctx, state),
         kernel_components=H,
         stabilizer_fd=fd[stab],
         stabilizer_factored=factored[stab],
@@ -615,69 +654,26 @@ def gradient_K(ctx: ReductionContext, state: ReductionState) -> GradientReport:
 # --------------------------------------------------------------------------
 
 
-def _frozen_F(ctx: ReductionContext, t: float, frame: FrameState, f: ScalarField) -> float:
-    return functional_F(ctx, t, frame.realize(ctx.metric), f)
+def hessian_K(ctx: ReductionContext, state: ReductionState) -> np.ndarray:
+    """Hessian of the solved K over quotient coordinates, symmetrized.
 
-
-def _envelope_gradient(
-    ctx: ReductionContext,
-    t: float,
-    frame: FrameState,
-    f: ScalarField,
-    indices: np.ndarray,
-) -> np.ndarray:
-    """dK over selected coordinates with f frozen at the solved transverse state.
-
-    At a solved state the transverse derivative of F vanishes against the
-    f-variation, so freezing f changes the frame gradient only at second
-    order in the solver tolerance."""
-    grad = np.zeros(indices.size)
-    for pos, idx in enumerate(indices):
+    Central differences of the exact `frame_gradient` at the 2m frames
+    shifted by +-FRAME_STEP along each of the m quotient coordinates: 12
+    warm solves at n = 2.  Each neighbour is solved through the state's memo,
+    so these frames are shared with `gradient_K` and the cross block.  The
+    gradients carry the envelope error O(tol), so an entry's noise is about
+    tol / FRAME_STEP (see `_is_saddle`); the O(FRAME_STEP^2) truncation
+    error is below it."""
+    indices = ctx.quotient_indices
+    columns = []
+    for idx in indices:
         e = np.zeros(ctx.num_frame_coords)
         e[idx] = FRAME_STEP
-        plus = _frozen_F(ctx, t, frame.shifted(e), f)
-        minus = _frozen_F(ctx, t, frame.shifted(-e), f)
-        grad[pos] = (plus - minus) / (2.0 * FRAME_STEP)
-    return grad
-
-
-def hessian_K(ctx: ReductionContext, state: ReductionState) -> np.ndarray:
-    """Finite-difference Hessian of the solved K over quotient coordinates.
-
-    Five-point second differences on the diagonal, four-corner stencils off
-    the diagonal; every evaluation solves the transverse equation (warm
-    started), so this is the Hessian of the true reduced functional.  The
-    neighbour solves go through the state's memo, so the +-FRAME_STEP frames
-    are shared with the gradient stencils and the cross block, not re-solved."""
-    indices = ctx.quotient_indices
-    m = indices.size
-    dim = ctx.num_frame_coords
-    K0 = state.K_value
-    hess = np.zeros((m, m))
-
-    def K_at(delta: np.ndarray) -> float:
-        return _solve_near(ctx, state, delta).K_value
-
-    for a in range(m):
-        e = np.zeros(dim)
-        e[indices[a]] = FRAME_STEP
-        k_p1, k_m1 = K_at(e), K_at(-e)
-        k_p2, k_m2 = K_at(2 * e), K_at(-2 * e)
-        hess[a, a] = (
-            -k_p2 + 16.0 * k_p1 - 30.0 * K0 + 16.0 * k_m1 - k_m2
-        ) / (12.0 * FRAME_STEP**2)
-    for a in range(m):
-        for b in range(a + 1, m):
-            ea = np.zeros(dim)
-            eb = np.zeros(dim)
-            ea[indices[a]] = FRAME_STEP
-            eb[indices[b]] = FRAME_STEP
-            val = (
-                K_at(ea + eb) - K_at(ea - eb) - K_at(-ea + eb) + K_at(-ea - eb)
-            ) / (4.0 * FRAME_STEP**2)
-            hess[a, b] = val
-            hess[b, a] = val
-    return hess
+        plus = frame_gradient(ctx, _solve_near(ctx, state, e))
+        minus = frame_gradient(ctx, _solve_near(ctx, state, -e))
+        columns.append((plus - minus)[indices] / (2.0 * FRAME_STEP))
+    hess = np.array(columns).T
+    return 0.5 * (hess + hess.T)
 
 
 @dataclass
@@ -698,15 +694,15 @@ class OptimizationResult:
     trace: Optional[List[dict]] = None
 
 
-def _is_saddle(eigenvalue: float, K: float) -> bool:
+def _is_saddle(eigenvalue: float, tol: float) -> bool:
     """Whether a Hessian eigenvalue of K is a descent direction, not noise.
 
-    The five-point second difference weighs the values by
-    (-1, 16, -30, 16, -1) / (12 FRAME_STEP^2), so a roundoff of eps |K| in
-    each solved K moves a diagonal entry by up to
-    (64/12) eps |K| / FRAME_STEP^2; an eigenvalue counts as negative only
-    below minus the larger of the saddle tolerance and that noise."""
-    noise = 64.0 / 12.0 * np.finfo(float).eps * abs(K) / FRAME_STEP**2
+    `hessian_K` differences exact gradients whose envelope error is at most
+    about the solver tolerance tol, over a span of 2 FRAME_STEP, so an entry
+    is off by about tol / FRAME_STEP (1e-8 at the default 1e-12); an
+    eigenvalue counts as negative only below minus the larger of the saddle
+    tolerance and that noise."""
+    noise = tol / FRAME_STEP
     return bool(eigenvalue < -max(_SADDLE_TOL, noise))
 
 
@@ -718,11 +714,14 @@ def optimize_frame(
 ) -> OptimizationResult:
     """Minimize the reduced volume over the frame quotient.
 
-    BFGS over the six quotient coordinates with the envelope gradient (frame
-    derivative of F at the frozen transverse solution); re-anchors whenever
-    the rotation coordinates leave the trust region of the exponential chart;
-    classifies the critical point by the finite-difference Hessian and kicks
-    off saddles along their most negative direction."""
+    BFGS over the six quotient coordinates down to |dK| <= _BFGS_GTOL, with
+    the exact `frame_gradient`, which each solved frame yields without
+    another volume; re-anchors whenever the rotation coordinates leave the
+    trust region of the exponential chart; classifies the critical point by
+    `hessian_K` (12 warm solves) and kicks off saddles along their most
+    negative direction; then Newton-polishes with that Hessian, one solve per
+    step, down to |dK| <= _POLISH_TOL.  The only volumes are the solves' own
+    gradient volumes."""
     settings = settings if settings is not None else OptimizeSettings()
     quotient = ctx.quotient_indices
     dim = ctx.num_frame_coords
@@ -751,7 +750,7 @@ def optimize_frame(
             st = projected_solve(ctx, t, fs, init=warm[0])
             warm[0] = st.f
             evaluations += 1
-            grad = _envelope_gradient(ctx, t, fs, st.f, quotient)
+            grad = frame_gradient(ctx, st)[quotient]
             cache[key] = (st.K_value, grad, st)
             trace.append(
                 {
@@ -784,7 +783,7 @@ def optimize_frame(
         hess = hessian_K(ctx, state)
         eigs, vecs = np.linalg.eigh(hess)
         if (
-            not _is_saddle(eigs[0], state.K_value)
+            not _is_saddle(eigs[0], ctx.solve.tol)
             or saddle_restarts >= settings.max_saddle_restarts
         ):
             break
@@ -794,18 +793,12 @@ def optimize_frame(
         frame, state = run_bfgs(frame)
 
     # Newton polish: along soft Hessian directions the line search stalls once
-    # volume differences drop under floating-point resolution, but the solved
-    # gradient stays measurable (each evaluation sits at a transverse critical
-    # point), so Newton steps with the finite-difference Hessian still converge.
-    # A curvature below the Hessian's finite-difference noise overshoots, so a
-    # step that raises the solved gradient is discarded and the softest
-    # direction still in use leaves the Newton step.
-    def quotient_gradient(st: ReductionState) -> np.ndarray:
-        nonlocal evaluations
-        evaluations += 2 * quotient.size
-        return _fd_gradient(ctx, st, quotient)
-
-    grad = quotient_gradient(state)
+    # volume differences drop under floating-point resolution, but the exact
+    # gradient stays measurable, so Newton steps with the Hessian still
+    # converge.  A curvature below the Hessian's noise overshoots, so a step
+    # that raises the gradient is discarded and the softest direction still
+    # in use leaves the Newton step.
+    grad = frame_gradient(ctx, state)[quotient]
     floor = _HESSIAN_EIG_FLOOR * max(1.0, float(np.max(np.abs(eigs))))
     active = np.ones(eigs.size, dtype=bool)
     for _ in range(_MAX_POLISH_STEPS):
@@ -829,7 +822,7 @@ def optimize_frame(
             candidate = projected_solve(ctx, t, candidate_frame, init=state.f)
             evaluations += 1
             halvings += 1
-        candidate_grad = quotient_gradient(candidate)
+        candidate_grad = frame_gradient(ctx, candidate)[quotient]
         if np.linalg.norm(candidate_grad) >= np.linalg.norm(grad):
             active[np.argmax(active)] = False
             continue
@@ -854,7 +847,7 @@ def optimize_frame(
         stabilizer_gradient_norm=stab_norm,
         hessian=hess,
         hessian_eigenvalues=eigs,
-        is_minimum=not _is_saddle(eigs[0], state.K_value),
+        is_minimum=not _is_saddle(eigs[0], ctx.solve.tol),
         saddle_restarts=saddle_restarts,
         anchor_rounds=anchor_rounds,
         residual_relative=rel,

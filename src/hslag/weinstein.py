@@ -124,10 +124,23 @@ def graph_volume_and_gradient(
 ):
     """Volume of the graph of df in the given metric, and its exact L^2 gradient.
 
-    Returns (volume, gradient_values) with the gradient taken with respect to
-    the flat model inner product <u, v> = sum_nodes u v * node_weight * prod a.
+    Returns (volume, gradient_values, affine_sensitivity) with the gradient
+    taken with respect to the flat model inner product
+    <u, v> = sum_nodes u v * node_weight * prod a.  affine_sensitivity is the
+    pair (dvol/db, dvol/dA) at b = 0, A = 0 of the volume at fixed f in the
+    affinely moved metric
+
+        G'(z) = (I + A)^T G((I + A) z + b) (I + A),
+
+        dvol/db_k  = sum_nodes w (q/2) <M, dG_k>,
+        dvol/dA_kl = sum_nodes w (q/2) (2 (G M)_kl + <M, dG_k> z_l),
+
+    with w the node weight, q the volume density, M = T^T h^-1 T and z the
+    graph's chart coordinates.  A moved chart frame pulls its chart metric back by exactly
+    such a map, so these give the frame derivative of the volume.  With
+    need_gradient=False only the value is formed and the other two are None.
     Complex f_values propagate through (for complex-step linearization); the
-    returned volume is then complex as well.
+    returned values are then complex as well.
     """
     f = np.asarray(f_values)
     n = chart.n
@@ -146,7 +159,7 @@ def graph_volume_and_gradient(
     w = grid.node_weight()
     vol = np.sum(q) * w
     if not need_gradient:
-        return vol, None
+        return vol, None, None
 
     hinv = np.linalg.inv(h)
     lead, d = q.shape, 2 * n
@@ -160,6 +173,13 @@ def graph_volume_and_gradient(
     # d G / d y_j = sum_m phi_y_jm dG_m, paired with T^T hinv T
     M = Tt @ hinv @ T
     dGM = dG.reshape(lead + (d, d * d)) @ M.reshape(lead + (d * d, 1))
+    # the affine sensitivities as node sums, each one flat matrix product;
+    # T^T W = M G, the transpose of G M
+    half_q = 0.5 * w * q.reshape(-1)
+    weighted_dGM = half_q[:, None] * dGM.reshape(-1, d)
+    weighted_T = (half_q[:, None, None] * T.reshape(-1, n, d)).reshape(-1, d)
+    d_shift = weighted_dGM.sum(axis=0)
+    d_linear = 2.0 * (W.reshape(-1, d).T @ weighted_T) + weighted_dGM.T @ coords.reshape(-1, d)
     A = q[..., None] * (A + 0.5 * (phi_y @ dGM))[..., 0]
     B = q[..., None, None] * (phi_y @ GTt @ np.swapaxes(hinv, -1, -2))
     P = np.zeros_like(f, dtype=q.dtype)
@@ -167,4 +187,4 @@ def graph_volume_and_gradient(
         P = P - _deriv_array(A[..., j], grid, axis=j)
         for c in range(n):
             P = P + _deriv_array(_deriv_array(B[..., j, c], grid, axis=j), grid, axis=c)
-    return vol, P / chart.flat_density()
+    return vol, P / chart.flat_density(), (d_shift, d_linear)

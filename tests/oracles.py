@@ -239,7 +239,7 @@ def assemble_by_finite_differences(
     flat = f.reshape(-1)
 
     def residual():
-        _, P = graph_volume_and_gradient(chart, grid, f, metric)
+        _, P, _ = graph_volume_and_gradient(chart, grid, f, metric)
         return P.reshape(-1)
 
     for k in range(nn):
@@ -268,7 +268,7 @@ def second_variation_consistency(
     grid = f.grid
 
     def vol(s: float) -> float:
-        v, _ = graph_volume_and_gradient(chart, grid, s * f.values, None, need_gradient=False)
+        v, _, _ = graph_volume_and_gradient(chart, grid, s * f.values, None, need_gradient=False)
         return float(v.real)
 
     e = step
@@ -323,6 +323,19 @@ def xi_map(ctx: ReductionContext, t: float, direction: np.ndarray) -> ScalarFiel
     # carries a 1/t^2.
     values = poly.evaluate_complex(t * z0) / t**2
     return ScalarField(ctx.grid, ctx.zero_mean(np.real(values)), check=False)
+
+
+def realize_jacobian_fd(metric, frame, step: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+    """Central differences of `FrameState.realize` over every frame coordinate:
+    (d point / dc, d matrix / dc), stacked along the first axis."""
+    d_point, d_matrix = [], []
+    for i in range(frame.coords.size):
+        e = np.zeros(frame.coords.size)
+        e[i] = step
+        plus, minus = frame.shifted(e).realize(metric), frame.shifted(-e).realize(metric)
+        d_point.append((plus.point - minus.point) / (2.0 * step))
+        d_matrix.append((plus.matrix - minus.matrix) / (2.0 * step))
+    return np.array(d_point), np.array(d_matrix)
 
 
 @dataclass

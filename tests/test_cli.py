@@ -94,7 +94,7 @@ def test_unservable_shape_exit_2(tmp_path, argv):
 @pytest.mark.parametrize(
     "config",
     [
-        {"suite": "sweep", "seeds": 5},
+        {"suite": "sweep", "seeds": [1, 2, 3]},  # no config key: unknown, whatever its type
         {"suite": "sweep", "radii": 1.0},
         {"suite": "sweep", "t_values": [0.01, "a"]},
         {"suite": "sweep", "tolerances": [1]},

@@ -10,10 +10,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import psi_matrices, xi_map
+from oracles import psi_matrices, realize_jacobian_fd, xi_map
 
 import hslag.operators
 import hslag.reduction
@@ -24,10 +25,12 @@ from hslag.geomcore import ScalarField
 from hslag.reduction import (
     FRAME_STEP,
     H_eval,
+    OptimizeSettings,
     SolveSettings,
     _integrate_exact_one_form,
     build_context,
     gradient_K,
+    optimize_frame,
     projected_solve,
     random_frame_state,
     second_variation_Q,
@@ -299,6 +302,23 @@ def test_gradient_factorization_identity(reduction_ctx):
         assert mismatch <= 1e-3
         assert np.max(np.abs(report.stabilizer_fd)) <= 1e-8
         assert np.max(np.abs(report.stabilizer_factored)) <= 1e-8
+        # with the exact envelope gradient, all three agree over every
+        # coordinate, stabilizer components included, at a frame that is not
+        # critical
+        assert scale >= 1e-5
+        for a, b in ((report.envelope, report.fd), (report.envelope, report.factored),
+                     (report.fd, report.factored)):
+            assert np.max(np.abs(a - b)) <= 1e-9
+
+
+def test_realize_jacobian_complex_step_matches_central_differences(reduction_ctx):
+    rng = np.random.default_rng(4)
+    frame = random_frame_state(reduction_ctx, seed=3)
+    frame = frame.shifted(rng.uniform(-0.3, 0.3, size=frame.coords.size))
+    exact = hslag.reduction._realize_jacobian(reduction_ctx.metric, frame)
+    for cs, fd in zip(exact, realize_jacobian_fd(reduction_ctx.metric, frame)):
+        assert cs.dtype == float and cs.shape == fd.shape
+        assert np.max(np.abs(cs - fd)) <= 1e-8
 
 
 def test_pairing_matrix_report(reduction_ctx, base_reduction_state):
@@ -330,6 +350,24 @@ def test_optimize_frame_locates_stationary_torus(reduction_ctx, frame_optimum):
     # independent geometric certificate: the located torus is Hamiltonian
     # stationary for the full ambient metric
     assert result.residual_relative <= 1e-5
+
+
+def test_frame_hessian_zero_mode_is_the_metric_translation(reduction_ctx, frame_optimum):
+    """Three integer wave vectors in R^4 leave one ambient translation v
+    under which G, and so K, is exactly invariant; moving the base point
+    along v is the frame-coordinate direction (U^-1 v, 0) of the quotient."""
+    waves = reduction_ctx.metric.wave_vectors
+    assert waves.shape == (3, 4)
+    v = scipy.linalg.null_space(waves)[:, 0]
+    n = reduction_ctx.n
+    direction = np.zeros(reduction_ctx.num_frame_coords)
+    direction[: 2 * n] = np.linalg.solve(frame_optimum.state.frame.base_matrix, v)
+    direction = direction[reduction_ctx.quotient_indices]
+    eigs, vecs = np.linalg.eigh(frame_optimum.hessian)
+    assert abs(eigs[0]) <= 1e-9
+    assert eigs[1] >= 1e-5  # the zero mode is isolated
+    cosine = abs(vecs[:, 0] @ direction) / np.linalg.norm(direction)
+    assert cosine >= 1.0 - 1e-6
 
 
 def test_second_variation_blocks(reduction_ctx, frame_optimum):
@@ -374,9 +412,13 @@ def test_solve_near_is_memoized_and_equals_direct_solve(coarse_ctx):
 
 def test_state_gradient_is_final_residual(coarse_ctx, monkeypatch):
     state = fresh_state(coarse_ctx)
-    vol, grad = hslag.reduction.residual_P(coarse_ctx, state.t, state.unitary, state.f)
+    vol, grad, sensitivity = hslag.reduction.residual_P(
+        coarse_ctx, state.t, state.unitary, state.f
+    )
     assert state.gradient.values.tobytes() == grad.values.tobytes()
     assert vol == state.K_value
+    for kept, final in zip(state.frame_sensitivity, sensitivity):
+        assert kept.tobytes() == final.tobytes()
     # the value-only volume of the jet contract: second_variation_Q's stencil centre
     assert hslag.reduction.functional_F(coarse_ctx, state.t, state.unitary, state.f) == vol
 
@@ -405,16 +447,57 @@ def test_stencils_around_a_state_solve_each_frame_once(coarse_ctx, monkeypatch):
     gradient_K(coarse_ctx, state)
     second_variation_Q(coarse_ctx, state)
     assert len(seen) == len(set(seen))
-    # 16 gradient frames, then the Hessian's 84 less its 12 shared +-e frames
-    assert len(seen) == 16 + 72
+    # 16 gradient frames; the Hessian's 12 +-e frames are among them
+    assert len(seen) == 16
 
 
 def test_saddle_test_ignores_stencil_noise():
-    """At K ~ 51.3 and the frame step 1e-4 the five-point stencil's roundoff
-    is about 6.1e-6, so -3e-6 is noise and -2e-5 a saddle."""
+    """The Hessian differences exact gradients, so its noise is about
+    solver tol / FRAME_STEP: 1e-8 at tol 1e-12, under the 1e-6 saddle
+    tolerance, which then decides; at tol 1e-9 the noise, 1e-5, decides."""
     assert FRAME_STEP == 1e-4
-    assert not hslag.reduction._is_saddle(-3e-6, 51.317)
-    assert hslag.reduction._is_saddle(-2e-5, 51.317)
-    # where the noise is smaller than the 1e-6 saddle tolerance, that decides
-    assert not hslag.reduction._is_saddle(-0.9e-6, 1.0)
-    assert hslag.reduction._is_saddle(-1.1e-6, 1.0)
+    assert not hslag.reduction._is_saddle(-0.9e-6, 1e-12)
+    assert hslag.reduction._is_saddle(-1.1e-6, 1e-12)
+    assert not hslag.reduction._is_saddle(-9e-6, 1e-9)
+    assert hslag.reduction._is_saddle(-1.1e-5, 1e-9)
+
+
+def test_optimize_frame_makes_no_value_only_volume(reduction_ctx, frame_optimum, monkeypatch):
+    """Every volume of a frame search is a solve's gradient volume: the
+    gradients are exact, and the Hessian takes 12 solves.  Only the
+    second-variation field stencil makes value-only volumes.  The start is
+    the located torus kicked off its critical point."""
+    volumes, solves, hessian_solves = [], [], []
+    volume = hslag.reduction.graph_volume_and_gradient
+    solve = hslag.reduction.projected_solve
+    hessian = hslag.reduction.hessian_K
+
+    def counting_volume(*args, **kwargs):
+        volumes.append(kwargs.get("need_gradient", args[4] if len(args) > 4 else True))
+        return volume(*args, **kwargs)
+
+    def counting_solve(ctx, t, frame, init=None):
+        solves.append(1)
+        return solve(ctx, t, frame, init=init)
+
+    def counting_hessian(ctx, state):
+        before = len(solves)
+        hess = hessian(ctx, state)
+        hessian_solves.append(len(solves) - before)
+        return hess
+
+    monkeypatch.setattr(hslag.reduction, "graph_volume_and_gradient", counting_volume)
+    monkeypatch.setattr(hslag.reduction, "projected_solve", counting_solve)
+    monkeypatch.setattr(hslag.reduction, "hessian_K", counting_hessian)
+    kick = np.zeros(reduction_ctx.num_frame_coords)
+    kick[[0, 6]] = 0.005
+    start = frame_optimum.state.frame.shifted(kick)
+    result = optimize_frame(reduction_ctx, T, start, OptimizeSettings(max_saddle_restarts=0))
+    assert result.gradient_norm <= 1e-8
+    assert volumes and all(volumes)
+    assert hessian_solves == [12]
+    # the blocks at the result: the field stencil's 3 x 4 value-only volumes,
+    # and the cross block re-solves nothing
+    volumes.clear()
+    second_variation_Q(reduction_ctx, result.state, frame_block=result.hessian)
+    assert volumes == [False] * 12

@@ -32,7 +32,7 @@ def grid(chart):
 
 def volume_of(chart, f, metric):
     """The value-only graph volume of a field."""
-    vol, _ = graph_volume_and_gradient(chart, f.grid, f.values, metric, need_gradient=False)
+    vol, _, _ = graph_volume_and_gradient(chart, f.grid, f.values, metric, need_gradient=False)
     return float(vol.real)
 
 
@@ -68,7 +68,7 @@ def test_zero_section_is_model_torus(chart, grid):
     gi = graph_immersion(chart, ScalarField(grid, np.zeros(grid.sizes)))
     model = clifford_torus(TorusModel((1.0, 1.3), grid_size=32))
     assert np.array_equal(gi.coords, model.coords)
-    vol, P = graph_volume_and_gradient(chart, grid, np.zeros(grid.sizes))
+    vol, P, _ = graph_volume_and_gradient(chart, grid, np.zeros(grid.sizes))
     assert vol == pytest.approx((2 * np.pi) ** 2 * 1.3, rel=1e-14)
     assert np.max(np.abs(P)) < 1e-12
 
@@ -95,14 +95,14 @@ def test_gradient_matches_finite_differences(chart, grid, perturbed, rng):
     m, fr = perturbed
     f = band_limited_field(grid, rng, 0.05)
     for metric in (None, ChartMetric(m, fr, 0.05)):
-        vol, P = graph_volume_and_gradient(chart, grid, f, metric)
+        vol, P, _ = graph_volume_and_gradient(chart, grid, f, metric)
         assert abs(np.mean(P)) < 1e-15  # exact zero mean by construction
         for _ in range(10):
             h = band_limited_field(grid, rng, 1.0)
             s = 1e-3
 
             def vol_at(step):
-                v, _ = graph_volume_and_gradient(
+                v, _, _ = graph_volume_and_gradient(
                     chart, grid, f + step * h, metric, need_gradient=False
                 )
                 return v
@@ -141,7 +141,7 @@ def test_scaled_residual_at_zero_decays_linearly(chart, grid, perturbed):
     f0 = np.zeros(grid.sizes)
     norms = []
     for t in (0.08, 0.04, 0.02):
-        _, P = graph_volume_and_gradient(chart, grid, f0, ChartMetric(m, fr, t))
+        _, P, _ = graph_volume_and_gradient(chart, grid, f0, ChartMetric(m, fr, t))
         norms.append(np.max(np.abs(P)))
     for a, b in zip(norms, norms[1:]):
         assert 1.5 < a / b < 2.5  # O(t)
@@ -173,7 +173,7 @@ def test_torus_action_equivariance(chart, grid, perturbed, rng):
 def test_residual_field_wrapper(chart, grid, perturbed, rng):
     m, fr = perturbed
     f = ScalarField(grid, band_limited_field(grid, rng, 0.05))
-    _, values = graph_volume_and_gradient(chart, grid, f.values, ChartMetric(m, fr, 0.05))
+    _, values, _ = graph_volume_and_gradient(chart, grid, f.values, ChartMetric(m, fr, 0.05))
     P = ScalarField(grid, values.real, check=False)
     assert P.grid is grid
     assert abs(np.mean(P.values)) < 1e-15
@@ -215,10 +215,44 @@ def test_volume_gradient_matches_einsum_oracle(chart, perturbed, rng, step):
     if step:
         f = f + 1j * step * band_limited_field(grid, rng, 1.0)
     for metric in (EuclideanMetric(2), ChartMetric(m, fr, 0.05)):
-        vol, P = graph_volume_and_gradient(chart, grid, f, metric)
+        vol, P, _ = graph_volume_and_gradient(chart, grid, f, metric)
         ref_vol, ref_P = _einsum_volume_and_gradient(chart, grid, f, metric)
         assert abs(vol - ref_vol) <= 1e-14 * abs(ref_vol)
         for part in (np.real, np.imag) if step else (np.real,):
             scale = np.max(np.abs(part(ref_P)))
             assert scale > 0
             assert np.max(np.abs(part(P) - part(ref_P))) <= 1e-12 * scale
+
+
+class _AffinelyMoved:
+    """The metric z -> (I + A)^T G((I + A) z + b) (I + A), value only."""
+
+    def __init__(self, base, A, b):
+        self.base, self.A, self.b = base, A, b
+
+    def value(self, z):
+        L = np.eye(self.A.shape[0]) + self.A
+        return L.T @ self.base.value(z @ L.T + self.b) @ L
+
+
+def test_affine_sensitivity_matches_complex_step(chart, perturbed, rng):
+    m, fr = perturbed
+    grid = chart.grid(16)
+    f = band_limited_field(grid, rng, 0.05)
+    base = ChartMetric(m, fr, 0.05)
+    _, _, (d_shift, d_linear) = graph_volume_and_gradient(chart, grid, f, base)
+    d, step = 4, 1e-20
+
+    def moved(index, linear):
+        A, b = np.zeros((d, d), dtype=complex), np.zeros(d, dtype=complex)
+        (A if linear else b)[index] = 1j * step
+        vol, _, _ = graph_volume_and_gradient(
+            chart, grid, f, _AffinelyMoved(base, A, b), need_gradient=False
+        )
+        return vol.imag / step
+
+    ref_shift = np.array([moved(k, False) for k in range(d)])
+    ref_linear = np.array([[moved((k, l), True) for l in range(d)] for k in range(d)])
+    for exact, ref in ((d_shift, ref_shift), (d_linear, ref_linear)):
+        assert exact.shape == ref.shape
+        assert np.max(np.abs(exact - ref)) <= 1e-12 * np.max(np.abs(ref))
