@@ -9,15 +9,21 @@ anticommute with Omega0.  Such G is compatible exactly (expm(Y/2) is
 symplectic and symmetric, so G = S^T S with S symplectic), periodic, and
 complex-analytic in the point, which the complex-step linearization of the
 volume gradient relies on.  expm is its Taylor series, cut at a length that
-each metric fixes once from a bound on |Y| (see SymplecticExpMetric), so
-the evaluated G is one polynomial in the point.
+each metric fixes once from a bound on |Y|, so the evaluated G is one
+polynomial in the point.  SymplecticExpMetric evaluates that polynomial in
+Paterson-Stockmeyer form over jets: the product rule carries G, dG and d2G
+through the same few matrix products, and the generator's jet is one GEMM
+of the phases against a weight matrix fixed at construction.  Its
+temporaries live in workspaces the metric reuses, so a warm call allocates
+only the arrays it returns.
 
 Every metric evaluator (EuclideanMetric, SymplecticExpMetric, ChartMetric)
 has two methods: value(points) returns G with shape [..., i, j], and
 derivative(points, order=1) returns the jet (G, dG), or (G, dG, d2G) when
 order=2, with dG[..., mu, i, j] = dG_ij / dp_mu and
 d2G[..., mu, nu, i, j] = d^2 G_ij / dp_mu dp_nu.  The jet's G equals value's
-bit for bit.
+bit for bit.  Every call returns new arrays that the caller owns and may
+overwrite (ChartMetric pulls back in its base's returned jet).
 
 Frames: a unitary frame at p is a real matrix upsilon with
 upsilon^T G(p) upsilon = I and upsilon^T Omega0 upsilon = Omega0, built by
@@ -30,6 +36,7 @@ products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -126,26 +133,42 @@ class SymplecticExpMetric:
 
     A_k, B_k are symmetric and anticommute with Omega0, so G is compatible at
     every point without any retraction, and 2*pi-periodic since the wave
-    vectors m_k are integers.  One loop over the powers of Y gives G and its
-    first and second Frechet derivatives along the generator's derivatives
-    (the shared-powers recurrence of Al-Mohy & Higham, SIAM J. Matrix Anal.
-    Appl. 2009):
+    vectors m_k are integers.
 
-        T_j = T_{j-1} Y / j,
-        F_j(E) = (F_{j-1}(E) Y + T_{j-1} E) / j,
-        S_j(E1,E2) = (S_{j-1} Y + F_{j-1}(E1) E2 + F_{j-1}(E2) E1) / j,
-
-    G = sum T_j, dG = sum F_j(dY), d2G = sum S_j(dY, dY) + sum F_j(d2Y).
-
-    The number of terms J is fixed once, at construction, from the bound
+    expm is its Taylor polynomial sum_{j <= J} Y^j / j!.  The number of terms
+    J is fixed once, at construction, from the bound
     r = amplitude * sum_k sqrt(|A_k|_F^2 + |B_k|_F^2) >= sup_p |Y(p)|_2: it is
     the fewest terms whose geometric tail bound for the order-2 series is
-    below 2^-60 (14 terms for the default amplitude 0.05).  value and every
-    order of derivative sum the same J terms, and J never depends on the
-    points, so the jet stays one polynomial in the point: exact under
-    complex-step differentiation, and the jet contract holds bit for bit.
-    The bound grows with the amplitude, so J does too (about 27 at 0.5);
-    there is no scaling and squaring.
+    below 2^-60 (14 terms for the default amplitude 0.05, about 27 at 0.5;
+    there is no scaling and squaring).  J never depends on the points, so
+    the jet stays one polynomial in the point: exact under complex-step
+    differentiation.
+
+    The polynomial is evaluated in Paterson-Stockmeyer form (Paterson &
+    Stockmeyer, SIAM J. Comput. 1973) with blocks of s = 5 powers,
+
+        G = (...(B_{m-1} Y^s + B_{m-2}) Y^s + ...) Y^s + B_0,
+        B_i = sum_{l < s} Y^l / (i s + l)!,
+
+    over jets, so that the same products give G and its first and second
+    derivatives (the Frechet-derivative jet of Al-Mohy & Higham, SIAM J.
+    Matrix Anal. Appl. 2009).  A jet (X, dX, d2X) is stored direction-inside,
+    X as [N, a, j], dX as [N, a, mu, j] and d2X as [N, a, mu, nu, j], so a jet
+    product is the product rule with one batched matmul per pair of slots,
+    and the generator's d2Y enters through the chain rule.  The powers
+    Y^0..Y^(s-1) are stacked, so every block B_i comes from one small GEMM
+    against the coefficient matrix; at J = 14 the series costs 4 power
+    products and 2 Horner products.  The generator's jet is one weight
+    matrix, fixed at construction and laid out in the jet's layout, applied
+    to the phases [cos(m_k.p), sin(m_k.p)]: one GEMM per slot against that
+    slot's column block.
+
+    The points are taken in chunks of at most _CHUNK.  Every temporary lives
+    in a workspace that the metric keeps and reuses, one per (chunk length,
+    dtype, order, J); only the returned arrays are allocated per call, and
+    they never alias the workspace.  The value slot's arithmetic is the same
+    at every order, so the jet contract (value's G is the jet's G, the
+    order-1 jet the head of the order-2 one) holds bit for bit.
     """
 
     n: int
@@ -171,82 +194,61 @@ class SymplecticExpMetric:
         # |A c + B s|_F <= sqrt(|A|_F^2 + |B|_F^2) whenever c^2 + s^2 = 1
         norms = np.sqrt(np.sum(self.cos_coeffs**2 + self.sin_coeffs**2, axis=(1, 2)))
         self._terms = _series_length(abs(self.amplitude) * float(np.sum(norms)))
+        self._phase_weights = _phase_weights(
+            self.wave_vectors, self.cos_coeffs, self.sin_coeffs, self.amplitude
+        )
+        self._workspaces: dict = {}
 
     @property
     def dim(self) -> int:
         return 2 * self.n
 
+    def _workspace(self, count: int, dtype, order: int) -> "_JetWorkspace":
+        """The reused buffers for `count` points of this dtype at this order,
+        most recent last."""
+        key = (count, dtype, order, self._terms)
+        ws = self._workspaces.pop(key, None)
+        if ws is None:
+            if len(self._workspaces) >= _WORKSPACES:
+                del self._workspaces[next(iter(self._workspaces))]
+            ws = _JetWorkspace(self, key)
+        self._workspaces[key] = ws
+        return ws
+
+    def _generator_into(self, ws: "_JetWorkspace", points: np.ndarray) -> None:
+        """Y's jet at points [N, 2n] into ws.powers[1]: the phases times the
+        weight matrix, one GEMM per slot against its column block."""
+        K = len(self.wave_vectors)
+        np.matmul(ws.waves, points.T, out=ws.arg)
+        np.cos(ws.arg, out=ws.phases[:K])
+        np.sin(ws.arg, out=ws.phases[K:])
+        for weights, slot in zip(ws.weights, ws.power_jets[1].slots):
+            np.matmul(ws.phases.T, weights, out=slot)
+
     def _generator_jet(self, points: np.ndarray, order: int) -> list[np.ndarray]:
-        """[Y, dY, d2Y][:order + 1] from one evaluation of the phases.
+        """[Y, dY, d2Y][:order + 1], with dY[..., mu, i, j] = dY_ij / dp_mu and
+        d2Y[..., mu, nu, i, j] likewise."""
+        return list(self._jet(points, order, series=False))
 
-        dY[..., mu, i, j] = dY_ij / dp_mu and d2Y[..., mu, nu, i, j] likewise.
-        """
-        arg = np.einsum("...m,km->...k", points, self.wave_vectors)
-        c, s = np.cos(arg), np.sin(arg)
-        m, A, B = self.wave_vectors, self.cos_coeffs, self.sin_coeffs
-        jet = [np.einsum("...k,kij->...ij", c, A) + np.einsum("...k,kij->...ij", s, B)]
-        if order >= 1:
-            jet.append(
-                np.einsum("...k,km,kij->...mij", -s, m, A)
-                + np.einsum("...k,km,kij->...mij", c, m, B)
-            )
-        if order >= 2:
-            mm = np.einsum("km,kn->kmn", m, m)
-            jet.append(
-                np.einsum("...k,kmn,kij->...mnij", -c, mm, A)
-                + np.einsum("...k,kmn,kij->...mnij", -s, mm, B)
-            )
-        return [self.amplitude * x for x in jet]
-
-    def _jet(self, points: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
-        """(G, dG, d2G)[:order + 1] from one pass of the series recurrences.
-
-        F runs over the stacked directions e of [dY; d2Y] and S over the
-        pairs (dY_mu, dY_nu); d2G is the sum of S plus the d2Y part of F.
-        Both are stored direction-inside, F as [..., a, e, j] and S as
-        [..., a, mu, nu, j], so each term is one matrix product per point
-        rather than one per direction.
-        """
+    def _jet(self, points: np.ndarray, order: int, series: bool = True) -> tuple[np.ndarray, ...]:
+        """(G, dG, d2G)[:order + 1] from one Paterson-Stockmeyer evaluation
+        per chunk of at most _CHUNK points; the generator's jet instead when
+        series is False."""
         if order > 2:
             raise ValueError(f"metric jets are available to order 2, not {order}")
-        Y, *dY = self._generator_jet(np.asarray(points), order)
-        lead, d = Y.shape[:-2], Y.shape[-1]
-        T = _eye_like(lead, d, Y.dtype)
-        G = T.copy()
-        if order >= 1:
-            E = np.concatenate([D.reshape(lead + (-1, d, d)) for D in dY], axis=-3)
-            E = np.moveaxis(E, -3, -2).reshape(lead + (d, -1))  # [k, (e, j)]
-            F, dG = np.zeros_like(E), np.zeros_like(E)
-        if order == 2:
-            dY1 = E[..., : d * d]  # [k, (nu, j)] for the first-order directions
-            S = np.zeros(lead + (d, d, d, d), dtype=Y.dtype)
-            d2G = np.zeros_like(S)
-        # In-place updates keep the per-term temporaries few; they round
-        # exactly as the recurrences written out of place.
-        for j in range(1, self._terms + 1):
-            if order == 2:
-                F1 = F.reshape(lead + (d, -1, d))[..., :d, :].reshape(lead + (d * d, d))
-                P = (F1 @ dY1).reshape(S.shape)  # P[a, mu, nu, j] = (F_mu dY_nu)[a, j]
-                S = (S.reshape(lead + (-1, d)) @ Y).reshape(P.shape)
-                S += P
-                S += np.swapaxes(P, -3, -2)
-                S /= j
-                d2G += S
-            if order >= 1:
-                F = (F.reshape(lead + (-1, d)) @ Y).reshape(E.shape)
-                F += T @ E
-                F /= j
-                dG += F
-            T = T @ Y
-            T /= j
-            G += T
-        if order == 0:
-            return (G,)
-        dG = np.moveaxis(dG.reshape(lead + (d, -1, d)), -3, -2)  # [e, a, j]
-        if order == 1:
-            return G, dG
-        d2G = np.moveaxis(d2G, -4, -2) + dG[..., d:, :, :].reshape(S.shape)
-        return G, dG[..., :d, :, :], d2G
+        points = np.asarray(points)
+        lead, d = points.shape[:-1], self.dim
+        dtype = np.result_type(points.dtype, float)
+        outputs = [np.empty(lead + (d,) * (2 + k), dtype) for k in range(order + 1)]
+        flat = points.reshape(-1, points.shape[-1])
+        rows = [x.reshape((len(flat),) + x.shape[len(lead) :]) for x in outputs]
+        for start in range(0, len(flat), _CHUNK):
+            chunk = flat[start : start + _CHUNK]
+            ws = self._workspace(len(chunk), dtype, order)
+            self._generator_into(ws, chunk)
+            jet = _paterson_stockmeyer(ws) if series else ws.power_jets[1]
+            _copy_out(jet, rows, start)
+        return tuple(outputs)
 
     def value(self, points: np.ndarray) -> np.ndarray:
         return self._jet(points, 0)[0]
@@ -256,13 +258,144 @@ class SymplecticExpMetric:
         return self._jet(points, order)
 
 
+# Paterson-Stockmeyer block length s: at the default J = 14 the powers up to
+# Y^5 and two Horner steps make 6 jet products, as few as any s gives.
+_PS_BLOCK = 5
+# Workspaces a metric keeps; the least recently used one goes first.
+_WORKSPACES = 8
+# Points per workspace: 256 keeps an order-1 workspace near 1.5 MB, inside
+# a core's L2 cache, at any grid size.
+_CHUNK = 256
+
+
+def _phase_weights(m: np.ndarray, A: np.ndarray, B: np.ndarray, amplitude: float) -> np.ndarray:
+    """(2K, d^2 + d^3 + d^4) weights W with [cos | sin](m.p) W = [Y | dY | d2Y],
+    each slot in the jet's direction-inside layout [a, (mu, (nu,)) j]."""
+    K = len(m)
+    m1 = m[:, None, :, None]  # [k, a, mu, j]
+    m2 = (m[:, :, None] * m[:, None, :])[:, None, :, :, None]  # [k, a, mu, nu, j]
+    cos_rows = [A, B[:, :, None, :] * m1, -A[:, :, None, None, :] * m2]
+    sin_rows = [B, -A[:, :, None, :] * m1, -B[:, :, None, None, :] * m2]
+    rows = [np.concatenate([x.reshape(K, -1) for x in r], axis=1) for r in (cos_rows, sin_rows)]
+    return amplitude * np.concatenate(rows, axis=0)
+
+
+class _JetView:
+    """One jet stored slot by slot in a flat buffer, as matmul-ready views.
+
+    The buffer holds X as [N, a, j], then dX as [N, a, mu, j], then d2X as
+    [N, a, mu, nu, j], each slot contiguous.  slots are the [N, -1] views the
+    generator GEMM writes; g_rows / g_cols view dX as [N, (a, mu), j] and
+    [N, a, (mu, j)], and h_rows / h_cols / h_pairs view d2X as
+    [N, (a, mu, nu), j], [N, a, (mu, nu, j)] and [N, (a, mu), (nu, j)]."""
+
+    def __init__(self, flat: np.ndarray, N: int, d: int, order: int):
+        ends = np.cumsum([N * d ** (2 + k) for k in range(order + 1)])
+        self.slots = [x.reshape(N, -1) for x in np.split(flat, ends[:-1])]
+        self.v = self.slots[0].reshape(N, d, d)
+        self.g = self.h = None
+        if order >= 1:
+            self.g = self.slots[1].reshape(N, d, d, d)
+            self.g_rows = self.g.reshape(N, d * d, d)
+            self.g_cols = self.g.reshape(N, d, d * d)
+        if order == 2:
+            self.h = self.slots[2].reshape(N, d, d, d, d)
+            self.h_rows = self.h.reshape(N, d**3, d)
+            self.h_cols = self.h.reshape(N, d, d**3)
+            self.h_pairs = self.h.reshape(N, d * d, d * d)
+
+
+def _paterson_stockmeyer(ws: "_JetWorkspace") -> "_JetView":
+    """The series' jet from the generator's jet in ws.powers[1]."""
+    P, Y, B = ws.power_jets, ws.power_jets[1], ws.blocks
+    for l in range(2, len(P)):
+        _jet_product(P[l - 1], Y, P[l], ws.scratch)
+    np.matmul(ws.coeffs, ws.powers_flat, out=ws.blocks_flat)
+    if len(B) > 1:
+        # Y^s replaces Y^2, and Y^3 takes each Horner product
+        _jet_product(P[-1], Y, P[2], ws.scratch)
+        for i in range(len(B) - 2, -1, -1):
+            _jet_product(ws.block_jets[i + 1], P[2], P[3], ws.scratch)
+            B[i] += ws.powers[3]
+    return ws.block_jets[0]
+
+
+def _jet_product(x: _JetView, w: _JetView, out: _JetView, tmp: _JetView) -> None:
+    """out = x w over jets, by the product rule; tmp is scratch.
+
+    d(xw) = dx w + x dw and d2(xw)_mn = d2x_mn w + x d2w_mn + dx_m dw_n + dx_n dw_m,
+    each term one batched matmul in the direction-inside layout."""
+    np.matmul(x.v, w.v, out=out.v)
+    if out.g is None:
+        return
+    np.matmul(x.g_rows, w.v, out=out.g_rows)
+    np.matmul(x.v, w.g_cols, out=tmp.g_cols)
+    out.g += tmp.g
+    if out.h is None:
+        return
+    np.matmul(x.h_rows, w.v, out=out.h_rows)
+    np.matmul(x.v, w.h_cols, out=tmp.h_cols)
+    out.h += tmp.h
+    np.matmul(x.g_rows, w.g_cols, out=tmp.h_pairs)
+    out.h += tmp.h
+    out.h += tmp.h.swapaxes(2, 3)
+
+
+class _JetWorkspace:
+    """The buffers of one jet evaluation, reused from call to call.
+
+    powers[l] holds the jet of Y^l for l < s (powers[0] is the identity, set
+    once); blocks[i] the jet of the block B_i, and then of the Horner partial
+    sum from B_i up.  The block GEMM runs on float views, so complex points
+    take the real GEMM twice over, with no complex cast of the coefficients."""
+
+    def __init__(self, metric: SymplecticExpMetric, key: tuple):
+        N, dtype, order, terms = key
+        d, K = metric.dim, len(metric.wave_vectors)
+        widths = [d ** (2 + k) for k in range(order + 1)]
+        s = min(_PS_BLOCK, terms + 1)
+        m = -(-(terms + 1) // s)
+        self.waves = metric.wave_vectors.astype(dtype)
+        bounds = np.cumsum([0] + widths)
+        self.weights = [
+            np.ascontiguousarray(metric._phase_weights[:, a:b], dtype=dtype)
+            for a, b in zip(bounds[:-1], bounds[1:])
+        ]
+        # node-last, so that cos and sin write contiguous rows
+        self.arg = np.empty((K, N), dtype)
+        self.phases = np.empty((2 * K, N), dtype)
+        self.powers = np.zeros((s, N * sum(widths)), dtype)
+        self.blocks = np.empty((m, N * sum(widths)), dtype)
+        self.coeffs = np.array(
+            [[1 / math.factorial(i * s + l) if i * s + l <= terms else 0.0 for l in range(s)]
+             for i in range(m)]
+        )
+        self.powers_flat = self.powers.view(np.float64)
+        self.blocks_flat = self.blocks.view(np.float64)
+        self.power_jets = [_JetView(x, N, d, order) for x in self.powers]
+        self.block_jets = [_JetView(x, N, d, order) for x in self.blocks]
+        self.scratch = _JetView(np.empty(N * sum(widths), dtype), N, d, order)
+        self.power_jets[0].slots[0][:, :: d + 1] = 1.0
+
+
+def _copy_out(jet: _JetView, rows: list, start: int) -> None:
+    """The jet into rows[k][start:], in the contract layout (direction axes
+    before [i, j])."""
+    stop = start + len(jet.v)
+    np.copyto(rows[0][start:stop], jet.v)
+    if jet.g is not None:
+        np.copyto(rows[1][start:stop], jet.g.swapaxes(1, 2))
+    if jet.h is not None:
+        np.copyto(rows[2][start:stop], np.moveaxis(jet.h, 1, 3))
+
+
 def _series_length(r: float) -> int:
     """Fewest series terms J whose omitted order-2 tail is below 2^-60.
 
     With |Y|_2 <= r the j-th term of the d2G series is at most r^(j-2)/(j-2)!
-    per unit pair of directions (T_j and F_j are smaller), and after the
-    J-th term each falls by a factor r/J or more, so the tail after J terms
-    is at most r^(J-1)/(J-1)! / (1 - r/J)."""
+    per unit pair of directions (the terms of G and dG are smaller), and
+    after the J-th term each falls by a factor r/J or more, so the tail after
+    J terms is at most r^(J-1)/(J-1)! / (1 - r/J)."""
     J, lead = 2, r  # lead = r^(J-1)/(J-1)!
     while r >= J or lead / (1.0 - r / J) >= 2.0**-60:
         lead *= r / J
@@ -439,10 +572,13 @@ class ChartMetric:
         u = self.frame.matrix
         lead, d = G.shape[:-2], self.dim
         jet = [u.T @ G @ u]
-        # chain rule d/dz_m = t sum_n u[n, m] d/dp_n on each direction slot
+        # chain rule d/dz_m = t sum_n u[n, m] d/dp_n on each direction slot;
+        # the base jet is fresh, so its buffer takes the inner pullback
         if order >= 1:
-            D = u.T @ (u.T @ dG[0] @ u).reshape(lead + (d, d * d))
-            jet.append(self.t * D.reshape(lead + (d, d, d)))
+            np.matmul(u.T @ dG[0], u, out=dG[0])
+            D = u.T @ dG[0].reshape(lead + (d, d * d))
+            D *= self.t
+            jet.append(D.reshape(lead + (d, d, d)))
         if order >= 2:
             S = u.T @ (u.T @ dG[1] @ u).reshape(lead + (d, d**3))
             S = u.T @ S.reshape(lead + (d, d, d * d))
@@ -459,6 +595,11 @@ def ball_samples(dim: int, radius: float, count: int, seed: int = 0) -> np.ndarr
     return r * dirs
 
 
+# estimate_sweep's chart ball: radius and number of samples
+_SWEEP_RADIUS = 1.0
+_SWEEP_SAMPLES = 160
+
+
 @dataclass
 class EstimateReport:
     t_values: list[float]
@@ -473,8 +614,6 @@ def estimate_sweep(
     frames: Sequence[UnitaryFrame],
     t_values: Sequence[float],
     k_max: int = 2,
-    radius: float = 1.0,
-    num_samples: int = 160,
     seed: int = 0,
     ratio_bound: float = 2.0,
 ) -> EstimateReport:
@@ -484,7 +623,7 @@ def estimate_sweep(
     list and over ball samples; the report records whether each C_k stays
     within ratio_bound across the t list (flat behaviour in t).
     """
-    z = ball_samples(metric.dim, radius, num_samples, seed)
+    z = ball_samples(metric.dim, _SWEEP_RADIUS, _SWEEP_SAMPLES, seed)
     eye = np.eye(metric.dim)
     constants: dict[int, list[float]] = {k: [] for k in range(k_max + 1)}
     for t in t_values:

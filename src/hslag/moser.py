@@ -49,6 +49,13 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GAUSS_NODES = 0.5 * (_GAUSS_NODES + 1.0)  # map [-1, 1] -> [0, 1]
 _GAUSS_WEIGHTS = 0.5 * _GAUSS_WEIGHTS
 
+# moser_flow's ball radius R and sample count, the closedness tolerance of the
+# form, and the agreement at which the RK4 step doubling stops
+_FLOW_RADIUS = 1.0
+_FLOW_SAMPLES = 24
+_CLOSED_TOL = 1e-8
+_ODE_TOL = 1e-10
+
 
 class QuadraticPerturbedForm:
     """omega0 + d[(c/2)|z|^2 lambda0], lambda0 = omega0(z, .) the linear primitive.
@@ -170,45 +177,35 @@ class MoserReport:
     closedness_defect: float
 
 
-def moser_flow(
-    form,
-    n: int,
-    radius: float = 1.0,
-    num_samples: int = 24,
-    steps: Optional[int] = None,
-    seed: int = 0,
-    closed_tol: float = 1e-8,
-    ode_tol: float = 1e-10,
-) -> MoserReport:
+def moser_flow(form, n: int, seed: int = 0) -> MoserReport:
     """Integrate the normalizing flow and report its defects on B_{R/2}.
 
-    Preconditions checked: closedness of the form (<= closed_tol by central
+    Preconditions checked: closedness of the form (<= _CLOSED_TOL by central
     differences), omega(0) = omega0, and nondegeneracy of the interpolation
-    along the flow.  With steps=None the RK4 step count is chosen adaptively,
-    doubling from 16 until two resolutions agree to ode_tol (or 512 is hit).
-    Samples are drawn from the interior ball B_{R/2} so trajectories stay
-    well inside B_R.
+    along the flow.  The RK4 step count is chosen adaptively, doubling from
+    16 until two resolutions agree to _ODE_TOL (or 512 is hit).  Samples are
+    drawn from the interior ball B_{R/2}, R = _FLOW_RADIUS, so trajectories
+    stay well inside B_R.
     """
     from .ambient import ball_samples
 
     om0 = standard_symplectic_matrix(n)
-    z = ball_samples(2 * n, radius / 2, num_samples, seed)
-    if _closedness_defect(form, z) > closed_tol:
+    z = ball_samples(2 * n, _FLOW_RADIUS / 2, _FLOW_SAMPLES, seed)
+    if _closedness_defect(form, z) > _CLOSED_TOL:
         raise ConfigError("perturbed form is not closed to tolerance")
     if np.max(np.abs(form.value(np.zeros(2 * n)) - om0)) > 1e-12:
         raise ConfigError("perturbed form does not equal omega0 at the origin")
 
-    if steps is None:
-        steps = 16
-        prev = flow_map(form, z, steps, radius=radius)
-        while steps < 512:
-            cur = flow_map(form, z, 2 * steps, radius=radius)
-            if np.max(np.abs(cur - prev)) <= ode_tol:
-                steps *= 2
-                break
-            prev, steps = cur, 2 * steps
+    steps = 16
+    prev = flow_map(form, z, steps, radius=_FLOW_RADIUS)
+    while steps < 512:
+        cur = flow_map(form, z, 2 * steps, radius=_FLOW_RADIUS)
+        if np.max(np.abs(cur - prev)) <= _ODE_TOL:
+            steps *= 2
+            break
+        prev, steps = cur, 2 * steps
 
-    images = flow_map(form, z, steps, radius=radius)
+    images = flow_map(form, z, steps, radius=_FLOW_RADIUS)
     pb = pullback_values(form, z, steps)
     pullback_defect = float(np.max(np.abs(pb - om0)))
     origin = flow_map(form, np.zeros(2 * n), steps)

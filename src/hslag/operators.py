@@ -58,7 +58,17 @@ __all__ = [
     "kernel_dimension",
 ]
 
-_CS_STEP = 1e-100
+# The complex step of the Hessian columns.  Its O(step^2) error is far below
+# roundoff at any small step; at 1e-100 the roundoff that the 2-D spectral
+# derivatives spread over the grid (about 1e-116) multiplies into subnormal
+# numbers, whose arithmetic is slow.
+_CS_STEP = 1e-20
+# kernel_dimension counts eigenvalues below _KERNEL_TOL and certifies the
+# count only when the next one clears _GAP_RATIO times it; eigensolve refuses
+# a dense operator whose asymmetry exceeds _SYMMETRY_TOL
+_KERNEL_TOL = 1e-5
+_GAP_RATIO = 100.0
+_SYMMETRY_TOL = 1e-8
 
 
 @dataclass
@@ -246,21 +256,19 @@ def assemble_perturbed_operator(chart: WeinsteinChart, grid: GridDescriptor, met
     return _assemble_graph_hessian(chart, grid, metric).symmetrized()
 
 
-def kernel_dimension(
-    eigenvalues: np.ndarray, kernel_tol: float = 1e-5, gap_ratio: float = 100.0
-) -> int:
-    """Number of eigenvalues (ascending) below kernel_tol in magnitude.
+def kernel_dimension(eigenvalues: np.ndarray) -> int:
+    """Number of eigenvalues (ascending) below _KERNEL_TOL in magnitude.
 
-    Raises SpectralGapError unless the next eigenvalue clears gap_ratio times
-    the tolerance, so the count is a certified kernel dimension.
+    Raises SpectralGapError unless the next eigenvalue clears _GAP_RATIO
+    times the tolerance, so the count is a certified kernel dimension.
     """
-    k = int(np.sum(np.abs(eigenvalues) < kernel_tol))
+    k = int(np.sum(np.abs(eigenvalues) < _KERNEL_TOL))
     if k < len(eigenvalues):
         nxt = float(np.abs(eigenvalues[k]))
-        if nxt < gap_ratio * kernel_tol:
+        if nxt < _GAP_RATIO * _KERNEL_TOL:
             raise SpectralGapError(
                 f"no clear spectral gap: |lambda_{k}| = {nxt:.3e} "
-                f"< {gap_ratio} * {kernel_tol}"
+                f"< {_GAP_RATIO} * {_KERNEL_TOL}"
             )
     return k
 
@@ -270,16 +278,12 @@ class SpectralData:
     operator: GridOperator | SymbolOperator
     eigenvalues: np.ndarray
     eigenfields: list
-    kernel_tol: float = 1e-5
-    gap_ratio: float = 100.0
 
     def kernel_size(self) -> int:
-        return kernel_dimension(self.eigenvalues, self.kernel_tol, self.gap_ratio)
+        return kernel_dimension(self.eigenvalues)
 
 
-def eigensolve(
-    op: GridOperator | SymbolOperator, count: Optional[int] = None, symmetry_tol: float = 1e-8
-) -> SpectralData:
+def eigensolve(op: GridOperator | SymbolOperator, count: Optional[int] = None) -> SpectralData:
     """The lowest `count` eigenpairs (all when None), eigenvalues ascending.
 
     A SymbolOperator is already diagonal: its eigenvalues are the sorted
@@ -291,7 +295,7 @@ def eigensolve(
         w, modes = op.sorted_modes()
         fields = [op.mode_field(i) for i in modes[:count]]
         return SpectralData(op, w[:count], fields)
-    if op.asymmetry() > symmetry_tol:
+    if op.asymmetry() > _SYMMETRY_TOL:
         raise OperatorSymmetryError("operator asymmetric beyond tolerance; refusing eigensolve")
     w, V = np.linalg.eigh(0.5 * (op.matrix + op.matrix.T))
     w, V = w[:count], V[:, :count]

@@ -591,12 +591,16 @@ def _solve_near(ctx: ReductionContext, state: ReductionState, delta: np.ndarray)
     return near
 
 
-def _realize_jacobian(metric, frame: FrameState) -> Tuple[np.ndarray, np.ndarray]:
+def _realize_jacobian(
+    metric, frame: FrameState, indices: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
     """(d point / dc, d matrix / dc) of `FrameState.realize` at the frame's
-    coordinates, by complex step: exact to roundoff, with no subtraction."""
-    dim = frame.coords.size
+    coordinates, by complex step: exact to roundoff, with no subtraction.
+    Rows follow `indices`, every coordinate when None; each is one complex
+    realization, so only the coordinates a caller keeps are formed."""
+    indices = range(frame.coords.size) if indices is None else indices
     d_point, d_matrix = [], []
-    for i in range(dim):
+    for i in indices:
         coords = frame.coords.astype(complex)
         coords[i] += 1j * _COMPLEX_STEP
         moved = replace(frame, coords=coords).realize(metric)
@@ -605,8 +609,11 @@ def _realize_jacobian(metric, frame: FrameState) -> Tuple[np.ndarray, np.ndarray
     return np.array(d_point), np.array(d_matrix)
 
 
-def frame_gradient(ctx: ReductionContext, state: ReductionState) -> np.ndarray:
-    """Exact dK over all frame coordinates at a solved state, with no solve.
+def frame_gradient(
+    ctx: ReductionContext, state: ReductionState, indices: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Exact dK over the frame coordinates `indices` (all when None) at a
+    solved state, with no solve.
 
     At a solved state f is kernel-orthogonal and the projected residual
     vanishes to the solver tolerance, so by the envelope theorem dK/dc is
@@ -615,7 +622,7 @@ def frame_gradient(ctx: ReductionContext, state: ReductionState) -> np.ndarray:
     1 + A = u^-1 u' and b = u^-1 (p' - p) / t, so that derivative is the
     state's affine sensitivity chained through the Jacobian of `realize`."""
     d_shift, d_linear = state.frame_sensitivity
-    d_point, d_matrix = _realize_jacobian(ctx.metric, state.frame)
+    d_point, d_matrix = _realize_jacobian(ctx.metric, state.frame, indices)
     inverse = np.linalg.inv(state.unitary.matrix)
     db = d_point @ inverse.T / state.t  # (coords, 2n)
     dA = inverse @ d_matrix  # (coords, 2n, 2n)
@@ -669,9 +676,9 @@ def hessian_K(ctx: ReductionContext, state: ReductionState) -> np.ndarray:
     for idx in indices:
         e = np.zeros(ctx.num_frame_coords)
         e[idx] = FRAME_STEP
-        plus = frame_gradient(ctx, _solve_near(ctx, state, e))
-        minus = frame_gradient(ctx, _solve_near(ctx, state, -e))
-        columns.append((plus - minus)[indices] / (2.0 * FRAME_STEP))
+        plus = frame_gradient(ctx, _solve_near(ctx, state, e), indices)
+        minus = frame_gradient(ctx, _solve_near(ctx, state, -e), indices)
+        columns.append((plus - minus) / (2.0 * FRAME_STEP))
     hess = np.array(columns).T
     return 0.5 * (hess + hess.T)
 
@@ -750,7 +757,7 @@ def optimize_frame(
             st = projected_solve(ctx, t, fs, init=warm[0])
             warm[0] = st.f
             evaluations += 1
-            grad = frame_gradient(ctx, st)[quotient]
+            grad = frame_gradient(ctx, st, quotient)
             cache[key] = (st.K_value, grad, st)
             trace.append(
                 {
@@ -798,7 +805,7 @@ def optimize_frame(
     # converge.  A curvature below the Hessian's noise overshoots, so a step
     # that raises the gradient is discarded and the softest direction still
     # in use leaves the Newton step.
-    grad = frame_gradient(ctx, state)[quotient]
+    grad = frame_gradient(ctx, state, quotient)
     floor = _HESSIAN_EIG_FLOOR * max(1.0, float(np.max(np.abs(eigs))))
     active = np.ones(eigs.size, dtype=bool)
     for _ in range(_MAX_POLISH_STEPS):
@@ -822,7 +829,7 @@ def optimize_frame(
             candidate = projected_solve(ctx, t, candidate_frame, init=state.f)
             evaluations += 1
             halvings += 1
-        candidate_grad = frame_gradient(ctx, candidate)[quotient]
+        candidate_grad = frame_gradient(ctx, candidate, quotient)
         if np.linalg.norm(candidate_grad) >= np.linalg.norm(grad):
             active[np.argmax(active)] = False
             continue

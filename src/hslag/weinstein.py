@@ -29,7 +29,7 @@ import numpy as np
 
 from .ambient import EuclideanMetric
 from .errors import ChartDomainError
-from .geomcore import GridDescriptor, _deriv_array
+from .geomcore import GridDescriptor, _multiplier
 
 __all__ = ["WeinsteinChart", "graph_volume_and_gradient"]
 
@@ -68,12 +68,53 @@ class WeinsteinChart:
         return float(np.prod(self.radii))
 
 
+def _multipliers(grid: GridDescriptor) -> list[np.ndarray]:
+    """The derivative multipliers i k_a of geomcore._multiplier (Nyquist
+    zeroed), on the mode mesh of rfftn over the grid axes."""
+    out = []
+    for a in range(grid.dim):
+        k = _multiplier(grid, a)
+        if a == grid.dim - 1:
+            k = k[: grid.sizes[a] // 2 + 1]
+        shape = [1] * grid.dim
+        shape[a] = k.size
+        out.append(k.reshape(shape))
+    return out
+
+
+def _forward(fields: np.ndarray, grid: GridDescriptor) -> np.ndarray:
+    """rfftn of a stack of fields over the trailing grid axes.
+
+    Complex fields go in as their real and imaginary parts, on a new axis
+    before the grid axes, so the two are never mixed in one transform: a
+    complex FFT would spill roundoff from an O(1) real part into the tiny
+    imaginary part that carries a complex-step derivative."""
+    if np.iscomplexobj(fields):
+        fields = np.stack([fields.real, fields.imag], axis=-grid.dim - 1)
+    return np.fft.rfftn(fields, axes=range(-grid.dim, 0))
+
+
+def _inverse(spectra: np.ndarray, grid: GridDescriptor, complex_out: bool) -> np.ndarray:
+    """Real fields from `_forward`-layout spectra; complex when the fields were."""
+    values = np.fft.irfftn(spectra, s=grid.sizes, axes=range(-grid.dim, 0))
+    if not complex_out:
+        return values
+    re, im = np.moveaxis(values, -grid.dim - 1, 0)
+    return re + 1j * im
+
+
 def _graph_jets(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray):
     """Gradient field, chart point coordinates, and tangent data of a graph."""
     n = chart.n
     if grid.dim != n:
         raise ChartDomainError("grid dimension does not match chart")
-    y = np.stack([_deriv_array(f, grid, axis=j) for j in range(n)], axis=-1)  # (*s, n)
+    # y_j = d_j f and the Hessian Y[j, a] = d_j d_a f from one transform of f
+    ik = _multipliers(grid)
+    spec = _forward(f, grid)
+    pairs = [(j, a) for j in range(n) for a in range(j, n)]
+    spectra = [ik[j] * spec for j in range(n)] + [ik[j] * ik[a] * spec for j, a in pairs]
+    derivs = _inverse(np.stack(spectra), grid, np.iscomplexobj(f))
+    y = np.stack(list(derivs[:n]), axis=-1)  # (*s, n)
     ymax = np.max(np.abs(y.real), axis=tuple(range(grid.dim)))
     if np.any(ymax >= chart.delta):
         raise ChartDomainError(
@@ -102,14 +143,9 @@ def _graph_jets(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray):
         phi_y[..., j, 2 * j + 1] = sin[..., j] / r[..., j]
         phi_yy[..., j, 2 * j] = -cos[..., j] / r[..., j] ** 3
         phi_yy[..., j, 2 * j + 1] = -sin[..., j] / r[..., j] ** 3
-    # Y[j, a] = d y_j / d theta_a (symmetric Hessian of f)
-    Y = np.stack(
-        [
-            np.stack([_deriv_array(y[..., j], grid, axis=a) for a in range(n)], axis=-1)
-            for j in range(n)
-        ],
-        axis=-2,
-    )  # (*s, j, a)
+    Y = np.empty(f.shape + (n, n), dtype=derivs.dtype)  # (*s, j, a)
+    for (j, a), D in zip(pairs, derivs[n:]):
+        Y[..., j, a] = Y[..., a, j] = D
     # tangent vectors T_a = phi_theta_a + sum_j phi_y_j Y_{ja}
     T = phi_theta + np.swapaxes(Y, -1, -2) @ phi_y
     return y, r2, coords, phi_theta, phi_y, phi_yy, Y, T
@@ -182,9 +218,12 @@ def graph_volume_and_gradient(
     d_linear = 2.0 * (W.reshape(-1, d).T @ weighted_T) + weighted_dGM.T @ coords.reshape(-1, d)
     A = q[..., None] * (A + 0.5 * (phi_y @ dGM))[..., 0]
     B = q[..., None, None] * (phi_y @ GTt @ np.swapaxes(hinv, -1, -2))
-    P = np.zeros_like(f, dtype=q.dtype)
-    for j in range(n):
-        P = P - _deriv_array(A[..., j], grid, axis=j)
-        for c in range(n):
-            P = P + _deriv_array(_deriv_array(B[..., j, c], grid, axis=j), grid, axis=c)
+    # P = -sum_j d_j A_j + sum_jc d_c d_j B_jc: one batched forward transform,
+    # the multipliers summed in Fourier space, one inverse transform
+    ik = _multipliers(grid)
+    fields = np.concatenate([np.moveaxis(A, -1, 0), np.moveaxis(B.reshape(lead + (n * n,)), -1, 0)])
+    spectra = _forward(fields, grid)
+    symbols = [-ik[j] for j in range(n)] + [ik[j] * ik[c] for j in range(n) for c in range(n)]
+    P_hat = sum(k * x for k, x in zip(symbols, spectra))
+    P = _inverse(P_hat, grid, np.iscomplexobj(fields))
     return vol, P / chart.flat_density(), (d_shift, d_linear)

@@ -59,6 +59,73 @@ def compatibility_defect(values: np.ndarray) -> float:
     return float(np.max(np.abs(J @ J + eye)))
 
 
+def einsum_generator_jet(metric, points: np.ndarray, order: int) -> list:
+    """[Y, dY, d2Y][:order + 1] of a SymplecticExpMetric's generator, each
+    derivative written out as its own einsum over the waves, in the jet
+    contract's layout dY[..., mu, i, j] and d2Y[..., mu, nu, i, j]."""
+    arg = np.einsum("...m,km->...k", points, metric.wave_vectors)
+    c, s = np.cos(arg), np.sin(arg)
+    m, A, B = metric.wave_vectors, metric.cos_coeffs, metric.sin_coeffs
+    jet = [np.einsum("...k,kij->...ij", c, A) + np.einsum("...k,kij->...ij", s, B)]
+    if order >= 1:
+        jet.append(
+            np.einsum("...k,km,kij->...mij", -s, m, A) + np.einsum("...k,km,kij->...mij", c, m, B)
+        )
+    if order >= 2:
+        mm = np.einsum("km,kn->kmn", m, m)
+        jet.append(
+            np.einsum("...k,kmn,kij->...mnij", -c, mm, A)
+            + np.einsum("...k,kmn,kij->...mnij", -s, mm, B)
+        )
+    return [metric.amplitude * x for x in jet]
+
+
+def recurrence_jet(metric, points: np.ndarray, order: int) -> tuple:
+    """(G, dG, d2G)[:order + 1] of a SymplecticExpMetric by the shared-powers
+    recurrences of Al-Mohy & Higham (SIAM J. Matrix Anal. Appl. 2009),
+
+        T_j = T_{j-1} Y / j,
+        F_j(E) = (F_{j-1}(E) Y + T_{j-1} E) / j,
+        S_j(E1,E2) = (S_{j-1} Y + F_{j-1}(E1) E2 + F_{j-1}(E2) E1) / j,
+
+    G = sum T_j, dG = sum F_j(dY), d2G = sum S_j(dY, dY) + sum F_j(d2Y), over
+    the metric's own number of terms and from its own generator jet: the
+    same polynomial as the package's Paterson-Stockmeyer jet, summed term by
+    term in another order.  F runs
+    over the stacked directions [dY; d2Y] and S over the pairs (dY_mu, dY_nu),
+    stored direction-inside as [..., a, e, j] and [..., a, mu, nu, j]."""
+    Y, *dY = metric._generator_jet(np.asarray(points), order)
+    lead, d = Y.shape[:-2], Y.shape[-1]
+    T = np.broadcast_to(np.eye(d, dtype=Y.dtype), Y.shape).copy()
+    G = T.copy()
+    if order >= 1:
+        E = np.concatenate([D.reshape(lead + (-1, d, d)) for D in dY], axis=-3)
+        E = np.moveaxis(E, -3, -2).reshape(lead + (d, -1))  # [k, (e, j)]
+        F, dG = np.zeros_like(E), np.zeros_like(E)
+    if order == 2:
+        dY1 = E[..., : d * d]  # [k, (nu, j)] for the first-order directions
+        S = np.zeros(lead + (d, d, d, d), dtype=Y.dtype)
+        d2G = np.zeros_like(S)
+    for j in range(1, metric._terms + 1):
+        if order == 2:
+            F1 = F.reshape(lead + (d, -1, d))[..., :d, :].reshape(lead + (d * d, d))
+            P = (F1 @ dY1).reshape(S.shape)  # P[a, mu, nu, j] = (F_mu dY_nu)[a, j]
+            S = ((S.reshape(lead + (-1, d)) @ Y).reshape(P.shape) + P + np.swapaxes(P, -3, -2)) / j
+            d2G += S
+        if order >= 1:
+            F = ((F.reshape(lead + (-1, d)) @ Y).reshape(E.shape) + T @ E) / j
+            dG += F
+        T = T @ Y / j
+        G += T
+    if order == 0:
+        return (G,)
+    dG = np.moveaxis(dG.reshape(lead + (d, -1, d)), -3, -2)  # [e, a, j]
+    if order == 1:
+        return G, dG
+    d2G = np.moveaxis(d2G, -4, -2) + dG[..., d:, :, :].reshape(S.shape)
+    return G, dG[..., :d, :, :], d2G
+
+
 def frame_defects(metric, frame) -> tuple[float, float]:
     G = metric.value(frame.point)
     om = standard_symplectic_matrix(G.shape[0] // 2)

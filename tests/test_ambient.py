@@ -2,12 +2,13 @@
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import compatibility_defect, frame_defects
+from oracles import compatibility_defect, einsum_generator_jet, frame_defects, recurrence_jet
 
 from hslag.ambient import (
     ChartMetric,
@@ -367,3 +368,90 @@ def test_chart_pullbacks_match_einsum_oracle(metric, order):
     for a, b in zip(mine, _einsum_pullback(cm, z, order)):
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+
+
+# ---------------------------------------------------------------------------
+# the Paterson-Stockmeyer jet against the term-by-term recurrence
+# ---------------------------------------------------------------------------
+
+
+def _series_case(case):
+    """(metric, J): the default amplitude, a large one, and a series shorter
+    than one Paterson-Stockmeyer block."""
+    if case == "amplitude_0.05":
+        return default_perturbed_metric(2, amplitude=0.05, seed=1), 14
+    metric = default_perturbed_metric(2, amplitude=0.5, seed=1)
+    if case == "amplitude_0.5":
+        return metric, metric._terms
+    metric = copy.copy(metric)
+    metric._terms = 4
+    return metric, 4
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("step", [0.0, 1e-100], ids=["real", "complex_step"])
+@pytest.mark.parametrize("case", ["amplitude_0.05", "amplitude_0.5", "shorter_than_a_block"])
+def test_jet_matches_recurrence_oracle(case, step, order):
+    """Every slot of the jet, and under complex step its imaginary part,
+    agrees with the recurrence oracle to a few ulps of the slot's size, on
+    more points than one workspace chunk holds."""
+    metric, terms = _series_case(case)
+    assert metric._terms == terms
+    if case == "amplitude_0.5":
+        assert 25 <= terms <= 28
+    rng = np.random.default_rng(7)
+    p = rng.uniform(0.0, 2 * np.pi, size=(300, 4))
+    if step:
+        p = p + 1j * step * rng.normal(size=p.shape)
+    mine = metric.derivative(p, order) if order else (metric.value(p),)
+    reference = recurrence_jet(metric, p, order)
+    assert len(mine) == len(reference) == order + 1
+    ulps = 8 * np.finfo(float).eps
+    for a, b in zip(mine, reference):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.max(np.abs(a.real - b.real)) <= ulps * np.max(np.abs(b.real))
+        if step:
+            assert np.max(np.abs(a.imag - b.imag)) <= ulps * np.max(np.abs(b.imag))
+
+
+@pytest.mark.parametrize("amplitude", [0.05, 0.5])
+@pytest.mark.parametrize("step", [0.0, 1e-100], ids=["real", "complex_step"])
+def test_generator_jet_matches_einsum_oracle(amplitude, step):
+    """The GEMM generator jet against one einsum per slot.  The two
+    round the phase arguments m.p (up to about 50 here) differently, so they
+    agree to a few ulps of the largest argument rather than of Y."""
+    metric = default_perturbed_metric(2, amplitude=amplitude, seed=3)
+    rng = np.random.default_rng(8)
+    p = rng.uniform(0.0, 2 * np.pi, size=(200, 4))
+    tol = 4 * np.spacing(np.max(np.abs(p @ metric.wave_vectors.T)))
+    if step:
+        p = p + 1j * step * rng.normal(size=p.shape)
+    mine = metric._generator_jet(p, 2)
+    for a, b in zip(mine, einsum_generator_jet(metric, p, 2)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.max(np.abs(a.real - b.real)) <= tol * np.max(np.abs(b.real))
+        if step:
+            assert np.max(np.abs(a.imag - b.imag)) <= tol * np.max(np.abs(b.imag))
+
+
+def test_warm_jet_allocates_only_its_outputs():
+    """After one call has built the workspace, an order-1 jet on 576 points
+    allocates its two outputs and at most 4 KiB more (views, tuples, the
+    workspace lookup), and the outputs do not alias the workspace: a later
+    call leaves them unchanged."""
+    margin = 4096
+    metric = default_perturbed_metric(2, amplitude=0.05, seed=1)
+    rng = np.random.default_rng(3)
+    p, q = rng.uniform(0.0, 2 * np.pi, size=(2, 24, 24, 4))
+    metric.derivative(q)
+    tracemalloc.start()
+    try:
+        G, dG = metric.derivative(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert G.nbytes + dG.nbytes == 576 * (16 + 64) * 8
+    assert peak <= G.nbytes + dG.nbytes + margin
+    kept = G.copy(), dG.copy()
+    metric.derivative(q)
+    assert G.tobytes() == kept[0].tobytes() and dG.tobytes() == kept[1].tobytes()
