@@ -78,25 +78,6 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
     "frame_eig_floor": 1e-8,
 }
 
-_CONFIG_FIELDS = {
-    "suite",
-    "model",
-    "n",
-    "radii",
-    "grid_size",
-    "t",
-    "t_values",
-    "t_max",
-    "amplitude",
-    "metric",
-    "num_waves",
-    "seed",
-    "tolerances",
-    "out_dir",
-    "run",
-}
-
-
 @dataclass
 class ExperimentConfig:
     """One experiment run: suite, model/metric descriptors, seed, tolerances."""
@@ -182,7 +163,7 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("config document must be a JSON object")
-        unknown = set(data) - _CONFIG_FIELDS
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "suite" not in data:

@@ -26,7 +26,11 @@ __all__ = [
     "MetricField",
     "Immersion",
     "standard_symplectic_matrix",
-    "spectral_derivative",
+    "mode_mesh",
+    "band_mask",
+    "derivative_multipliers",
+    "fourier_multiply",
+    "spectral_gradient",
     "l2_inner",
     "l2_norm",
     "induced_metric",
@@ -218,68 +222,103 @@ class Immersion:
     def jacobian(self) -> np.ndarray:
         """d_a iota^mu, shape (*sizes, 2 dim, dim), via spectral derivatives."""
         if self._jac is None:
-            cols = [
-                _deriv_array(self.coords, self.grid, axis=a, coord_axis=True)
-                for a in range(self.grid.dim)
-            ]
-            self._jac = np.stack(cols, axis=-1)
+            self._jac = np.moveaxis(spectral_gradient(self.coords, self.grid), 0, -1)
         return self._jac
 
     def second_derivatives(self) -> np.ndarray:
         """d_a d_b iota^mu, shape (*sizes, 2 dim, dim, dim)."""
-        jac = self.jacobian()
-        cols = []
-        for b in range(self.grid.dim):
-            cols.append(_deriv_array(jac, self.grid, axis=b, coord_axis=True))
-        return np.stack(cols, axis=-1)
+        return np.moveaxis(spectral_gradient(self.jacobian(), self.grid), 0, -1)
 
 
 # ---------------------------------------------------------------------------
-# spectral primitives
+# the spectral layer: the one place that decides which Fourier modes a grid
+# field carries.  Spectra use the rfftn layout over the trailing grid axes;
+# mode tables (band mask, operator symbols) use the full fftn layout of
+# `mode_mesh`, and a real, even table enters the rfftn layout as its first
+# N/2 + 1 columns along the last axis.
 
 
-def _multiplier(grid: GridDescriptor, axis: int) -> np.ndarray:
-    """i * k derivative multiplier with the Nyquist mode zeroed.
+def mode_mesh(grid: GridDescriptor) -> list[np.ndarray]:
+    """Integer wave number along each axis of every np.fft.fftn coefficient."""
+    freqs = [np.fft.fftfreq(size, d=1.0 / size) for size in grid.sizes]
+    return np.meshgrid(*freqs, indexing="ij")
+
+
+def band_mask(grid: GridDescriptor) -> np.ndarray:
+    """The faithfully represented modes |k_j| < N_j/2, on the `mode_mesh` layout.
+
+    On an even grid the spectral derivative zeroes the unpaired Nyquist mode,
+    so fields with frequency N/2 along any axis see a truncated symbol: modes
+    whose non-Nyquist part lies in an operator kernel would appear spuriously
+    flat.  Grid operators and the fields they act on live on this band.
+    """
+    inside = [np.abs(k) < size / 2 for k, size in zip(mode_mesh(grid), grid.sizes)]
+    return np.logical_and.reduce(inside)
+
+
+def derivative_multipliers(grid: GridDescriptor) -> list[np.ndarray]:
+    """i k_a for each grid axis a on the rfftn layout, Nyquist zeroed.
 
     Zeroing Nyquist keeps the derivative of real data real and makes the
     derivative matrix exactly antisymmetric, which the adjoint-based gradient
-    code relies on.
+    code relies on.  Each multiplier broadcasts against the grid axes.
     """
-    n, p = grid.sizes[axis], grid.periods[axis]
-    k = np.fft.fftfreq(n, d=1.0 / n)  # integer frequencies
-    k[n // 2] = 0.0
-    return 1j * (2.0 * np.pi / p) * k
+    out = []
+    for a, (n, p) in enumerate(zip(grid.sizes, grid.periods)):
+        k = np.fft.fftfreq(n, d=1.0 / n)  # integer frequencies
+        k[n // 2] = 0.0
+        if a == grid.dim - 1:
+            k = k[: n // 2 + 1]
+        shape = [1] * grid.dim
+        shape[a] = k.size
+        out.append((1j * (2.0 * np.pi / p) * k).reshape(shape))
+    return out
 
 
-def _deriv_array(
-    values: np.ndarray, grid: GridDescriptor, axis: int, coord_axis: bool = False
-) -> np.ndarray:
-    """Spectral d/dx_axis on raw samples; preserves real/complex dtype.
+def _forward(fields: np.ndarray, grid: GridDescriptor) -> np.ndarray:
+    """rfftn of a stack of fields over the trailing grid axes.
 
-    coord_axis=True means trailing axes are component axes (not grid axes);
-    grid axes always occupy the leading block.
+    Complex fields go in as their real and imaginary parts, on a new axis
+    before the grid axes, so the two are never mixed in one transform: a
+    complex FFT would spill roundoff from an O(1) real part into the tiny
+    imaginary part that carries a complex-step derivative."""
+    if np.iscomplexobj(fields):
+        fields = np.stack([fields.real, fields.imag], axis=-grid.dim - 1)
+    return np.fft.rfftn(fields, axes=range(-grid.dim, 0))
+
+
+def _inverse(spectra: np.ndarray, grid: GridDescriptor, complex_out: bool) -> np.ndarray:
+    """Real fields from `_forward`-layout spectra; complex when the fields were."""
+    values = np.fft.irfftn(spectra, s=grid.sizes, axes=range(-grid.dim, 0))
+    if not complex_out:
+        return values
+    re, im = np.moveaxis(values, -grid.dim - 1, 0)
+    return re + 1j * im
+
+
+def fourier_multiply(values: np.ndarray, grid: GridDescriptor, table: np.ndarray) -> np.ndarray:
+    """Apply a real, even multiplier, given on the `mode_mesh` layout, to real
+    fields over the trailing grid axes."""
+    half = table[..., : grid.sizes[-1] // 2 + 1]
+    return _inverse(_forward(values, grid) * half, grid, False)
+
+
+def spectral_gradient(values: np.ndarray, grid: GridDescriptor) -> np.ndarray:
+    """Spectral derivatives along every grid axis, stacked on a new leading axis.
+
+    The grid axes of values lead and any component axes trail; one forward
+    transform serves all axes.  Real and complex values stay so, and complex
+    values keep their parts apart (see `_forward`).
     """
-    if not np.isrealobj(values):
-        # Differentiate real and imaginary parts through separate real
-        # transforms.  A single complex FFT mixes the two slots in its
-        # butterflies, so roundoff from an O(1) real part would contaminate a
-        # tiny imaginary part (fatal for complex-step derivatives, which carry
-        # the directional derivative in an O(1e-100) imaginary slot).
-        return _deriv_array(values.real, grid, axis) + 1j * _deriv_array(
-            values.imag, grid, axis
-        )
-    mult = _multiplier(grid, axis)
-    shape = [1] * values.ndim
-    shape[axis] = grid.sizes[axis]
-    spec = np.fft.fft(values, axis=axis) * mult.reshape(shape)
-    out = np.fft.ifft(spec, axis=axis)
-    return np.ascontiguousarray(out.real)
-
-
-def spectral_derivative(f: ScalarField, axis: int) -> ScalarField:
-    """Exact derivative of the trigonometric interpolant of f along one axis."""
-    vals = _deriv_array(f.values, f.grid, axis)
-    return ScalarField(f.grid, vals, check=False)
+    d = grid.dim
+    leading, trailing = tuple(range(d)), tuple(range(-d, 0))
+    spec = _forward(np.moveaxis(values, leading, trailing), grid)
+    derivs = _inverse(
+        np.stack([ik * spec for ik in derivative_multipliers(grid)]),
+        grid,
+        np.iscomplexobj(values),
+    )
+    return np.ascontiguousarray(np.moveaxis(derivs, trailing, tuple(range(1, d + 1))))
 
 
 def l2_inner(f: ScalarField, g: ScalarField, density: Optional[ScalarField] = None) -> float:
@@ -355,10 +394,7 @@ def _ambient_christoffel(metric, coords: np.ndarray) -> Optional[np.ndarray]:
 
 def _induced_christoffel(h: MetricField) -> np.ndarray:
     grid = h.grid
-    dh = np.stack(
-        [_deriv_array(h.entries, grid, axis=c, coord_axis=True) for c in range(grid.dim)],
-        axis=-3,
-    )  # dh[..., c, a, b] = d_c h_{ab}
+    dh = np.moveaxis(spectral_gradient(h.entries, grid), 0, -3)  # dh[..., c, a, b] = d_c h_{ab}
     hinv = h.inverse()
     # S[..., d, a, b] = d_a h_{db} + d_b h_{da} - d_d h_{ab}
     S = np.moveaxis(dh, -3, -2) + np.moveaxis(dh, -3, -1) - dh
@@ -402,21 +438,11 @@ def codifferential(alpha: OneFormField, h: MetricField) -> ScalarField:
     _check_same_grid(alpha.grid, h.grid)
     grid = alpha.grid
     hinv = h.inverse()
-    dhinv = np.stack(
-        [_deriv_array(hinv, grid, axis=b, coord_axis=True) for b in range(grid.dim)],
-        axis=-3,
-    )  # [..., b, a, c] = d_b h^{ac}
+    dhinv = np.moveaxis(spectral_gradient(hinv, grid), 0, -3)  # [..., b, a, c] = d_b h^{ac}
     comp = alpha.components  # [a, ...]
-    dalpha = np.stack(
-        [
-            np.stack([_deriv_array(comp[a], grid, axis=b) for a in range(grid.dim)])
-            for b in range(grid.dim)
-        ]
-    )  # [b, a, ...] = d_b alpha_a
-    logdet = np.log(h.determinant())
-    dlog = np.stack(
-        [_deriv_array(logdet, grid, axis=b) for b in range(grid.dim)], axis=0
-    )  # [b, ...]
+    # [b, a, ...] = d_b alpha_a
+    dalpha = np.moveaxis(spectral_gradient(np.moveaxis(comp, 0, -1), grid), -1, 1)
+    dlog = spectral_gradient(np.log(h.determinant()), grid)  # [b, ...]
     # Explicit loops over the (small) coordinate indices beat einsum gymnastics
     # here for clarity; dim <= 3 in every use.
     out = np.zeros(grid.sizes, dtype=np.result_type(comp, hinv))

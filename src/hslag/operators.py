@@ -40,7 +40,14 @@ from .errors import (
     SpectralGapError,
     UnsupportedModelError,
 )
-from .geomcore import GridDescriptor, ScalarField, l2_norm
+from .geomcore import (
+    GridDescriptor,
+    ScalarField,
+    band_mask,
+    fourier_multiply,
+    l2_norm,
+    mode_mesh,
+)
 from .models import CircleSphereModel, TorusModel
 from .weinstein import WeinsteinChart, graph_volume_and_gradient
 
@@ -48,8 +55,6 @@ __all__ = [
     "GridOperator",
     "SymbolOperator",
     "SpectralData",
-    "mode_mesh",
-    "fourier_multiply",
     "assemble_flat_operator",
     "assemble_perturbed_operator",
     "band_limited_basis",
@@ -113,40 +118,28 @@ class GridOperator:
         )
 
 
-def mode_mesh(grid: GridDescriptor) -> list[np.ndarray]:
-    """Integer wave number along each axis of every np.fft.fftn coefficient."""
-    freqs = [np.fft.fftfreq(size, d=1.0 / size) for size in grid.sizes]
-    return np.meshgrid(*freqs, indexing="ij")
+def _real_modes(grid: GridDescriptor, indices: np.ndarray) -> np.ndarray:
+    """Real Fourier fields of the modes at flat `mode_mesh` indices, unnormalized,
+    stacked on a trailing axis.
 
-
-def fourier_multiply(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
-    """Apply a real, even Fourier multiplier (np.fft.fftn layout) to real samples."""
-    return np.fft.ifftn(np.fft.fftn(values) * multiplier).real
-
-
-def _band_mask(grid: GridDescriptor) -> np.ndarray:
-    """The faithfully represented modes |k_j| < N_j/2.
-
-    On an even grid the spectral derivative zeroes the unpaired Nyquist mode,
-    so fields with frequency N/2 along any axis see a truncated symbol: modes
-    whose non-Nyquist part lies in the operator kernel would appear spuriously
-    flat.  Grid operators therefore act on this band only.
+    Mode k gives cos(k.theta) when its flat index is below that of -k and
+    sin(k.theta) when above, so each pair {k, -k} yields one of each (the
+    mode k = 0 gives the constant).
     """
-    inside = [np.abs(k) < size / 2 for k, size in zip(mode_mesh(grid), grid.sizes)]
-    return np.logical_and.reduce(inside)
+    sizes = grid.sizes
+    indices = np.asarray(indices)
+    k = np.unravel_index(indices, sizes)
+    partner = np.ravel_multi_index(tuple(-kj for kj in k), sizes, mode="wrap")
+    nodes = np.indices(sizes)[..., None]
+    phase = sum(2.0 * np.pi * kj * nodes[j] / sizes[j] for j, kj in enumerate(k))
+    return np.where(indices <= partner, np.cos(phase), np.sin(phase))
 
 
 def band_limited_basis(grid: GridDescriptor) -> np.ndarray:
-    """Orthonormal node-space basis (nodes x dim) of the Nyquist-free band."""
-    stack = np.eye(grid.num_nodes).reshape(grid.sizes + (grid.num_nodes,))
-    axes = tuple(range(grid.dim))
-    spec = np.fft.fftn(stack, axes=axes)
-    spec *= _band_mask(grid)[..., None]
-    masked = np.fft.ifftn(spec, axes=axes).real.reshape(grid.num_nodes, -1)
-    u, s, _ = np.linalg.svd(masked, full_matrices=False)
-    # The mask is an orthogonal projector, so singular values are exactly 1
-    # (kept modes) or 0 (cut); 0.5 is a safe threshold.
-    return np.ascontiguousarray(u[:, s > 0.5])
+    """Orthonormal node-space basis (nodes x dim) of the band: its real
+    Fourier fields, in flat mode order."""
+    fields = _real_modes(grid, np.flatnonzero(band_mask(grid))).reshape(grid.num_nodes, -1)
+    return fields / np.linalg.norm(fields, axis=0)
 
 
 def torus_multiplier(radii: Sequence[float], modes: np.ndarray) -> np.ndarray:
@@ -163,9 +156,9 @@ def torus_multiplier(radii: Sequence[float], modes: np.ndarray) -> np.ndarray:
 class SymbolOperator:
     """Constant-coefficient self-adjoint operator stored as its Fourier symbol.
 
-    symbol holds the eigenvalue of every mode exp(i k.theta) in np.fft.fftn
-    layout; the operator acts on the admissible modes and maps the others
-    (Nyquist, and deck-odd modes on quotient grids) to zero.  weight is the
+    symbol holds the eigenvalue of every mode exp(i k.theta) on the
+    `mode_mesh` layout; the operator acts on the admissible modes and maps
+    the others (Nyquist, and deck-odd modes on quotient grids) to zero.  weight is the
     model volume measure of one node, as for GridOperator.
     """
 
@@ -176,7 +169,8 @@ class SymbolOperator:
 
     def apply(self, f: ScalarField) -> ScalarField:
         multiplier = np.where(self.admissible, self.symbol, 0.0)
-        return ScalarField(self.grid, fourier_multiply(f.values, multiplier), check=False)
+        values = fourier_multiply(f.values, self.grid, multiplier)
+        return ScalarField(self.grid, values, check=False)
 
     def sorted_modes(self) -> tuple[np.ndarray, np.ndarray]:
         """(eigenvalues, flat mode indices) of the admissible modes, ascending.
@@ -189,18 +183,8 @@ class SymbolOperator:
         return values[order], modes[order]
 
     def mode_field(self, index: int) -> ScalarField:
-        """L^2-normalized real eigenfield of one mode.
-
-        Mode k gives cos(k.theta) when its flat index is below that of -k and
-        sin(k.theta) when above, so each pair {k, -k} yields one of each (the
-        mode k = 0 gives the constant).
-        """
-        sizes = self.grid.sizes
-        k = np.unravel_index(index, sizes)
-        partner = np.ravel_multi_index(tuple(-np.array(k)), sizes, mode="wrap")
-        nodes = np.indices(sizes)
-        phase = sum(2.0 * np.pi * kj * nodes[j] / sizes[j] for j, kj in enumerate(k))
-        values = np.cos(phase) if index <= partner else np.sin(phase)
+        """L^2-normalized real eigenfield of one mode (see `_real_modes`)."""
+        values = _real_modes(self.grid, np.array([index]))[..., 0]
         fld = ScalarField(self.grid, values, check=False)
         return ScalarField(self.grid, values / l2_norm(fld), check=False)
 
@@ -209,7 +193,7 @@ def assemble_flat_operator(model) -> SymbolOperator:
     """The linearized operator of the model at its stationary configuration."""
     grid = model.grid()
     k = mode_mesh(grid)
-    admissible = _band_mask(grid)
+    admissible = band_mask(grid)
     if isinstance(model, TorusModel):
         symbol = torus_multiplier(model.radii, np.stack(k, axis=-1))
         weight = grid.node_weight() * WeinsteinChart(model.radii).flat_density()

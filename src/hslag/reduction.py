@@ -38,27 +38,25 @@ from .geomcore import (
     GridDescriptor,
     Immersion,
     ScalarField,
+    _forward,
+    _inverse,
+    derivative_multipliers,
+    fourier_multiply,
     hs_residual,
     induced_metric,
     l2_inner,
     l2_norm,
     mean_curvature_one_form,
     one_form_l2_norm,
+    spectral_gradient,
     standard_symplectic_matrix,
     volume_density,
 )
 from .models import TorusModel
-from .operators import (
-    SymbolOperator,
-    assemble_flat_operator,
-    fourier_multiply,
-    kernel_dimension,
-    mode_mesh,
-)
+from .operators import SymbolOperator, assemble_flat_operator, kernel_dimension
 from .weinstein import WeinsteinChart, _graph_jets, graph_volume_and_gradient
 
 __all__ = [
-    "SolveSettings",
     "OptimizeSettings",
     "ReductionContext",
     "FrameState",
@@ -88,21 +86,17 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SolveSettings:
-    """Parameters of the transverse contraction iteration."""
-
-    tol: float = 1e-12
-    max_iterations: int = 200
-    divergence_factor: float = 50.0
-
-
-@dataclass(frozen=True)
 class OptimizeSettings:
     """How many saddle kicks the reduced-volume frame optimization may take."""
 
     max_saddle_restarts: int = 3
 
 
+# The transverse contraction: its residual tolerance, its iteration cap, and
+# the growth over the first residual at which it counts as diverged.
+SOLVE_TOL = 1e-12
+_MAX_SOLVE_ITERATIONS = 200
+_DIVERGENCE_FACTOR = 50.0
 # Step of every central difference over frame coordinates: the reduced
 # gradient and Hessian, the variation potentials and the cross block.
 FRAME_STEP = 1e-4
@@ -139,9 +133,11 @@ class ReductionContext:
     """Precomputed flat-model data shared by every reduction run.
 
     The flat linearized operator is a Fourier symbol; only its kernel modes
-    get eigenfields.  inverse_symbol (1/lambda, 0 on the kernel and Nyquist
-    modes) is the pseudo-inverse that drives the contraction, and the
-    zero-mean kernel fields (volume-orthonormalized) index the reduced equation.
+    get eigenfields.  transverse_mask holds the band modes off the kernel
+    (`operator.admissible & ~kernel`): the transverse fields, residuals and
+    updates all live there.  inverse_symbol (1/lambda there, 0 elsewhere) is
+    the pseudo-inverse that drives the contraction, and the zero-mean kernel
+    fields (volume-orthonormalized) index the reduced equation.
     """
 
     chart: WeinsteinChart
@@ -150,9 +146,8 @@ class ReductionContext:
     flat_operator: SymbolOperator
     kernel_fields: List[ScalarField]
     reduced_basis: List[ScalarField]
-    kernel_modes: np.ndarray
+    transverse_mask: np.ndarray
     inverse_symbol: np.ndarray
-    solve: SolveSettings
 
     @property
     def n(self) -> int:
@@ -190,22 +185,18 @@ class ReductionContext:
         return l2_norm(f) * np.sqrt(self.density)
 
     def project_transverse(self, f: ScalarField) -> ScalarField:
-        """Remove the kernel modes; everything else, Nyquist included, stays."""
-        values = fourier_multiply(f.values, ~self.kernel_modes)
+        """Keep exactly the band modes off the flat kernel."""
+        values = fourier_multiply(f.values, self.grid, self.transverse_mask)
         return ScalarField(self.grid, values, check=False)
 
     def apply_pseudo_inverse(self, values: np.ndarray) -> np.ndarray:
-        return fourier_multiply(np.asarray(values, dtype=float), self.inverse_symbol)
-
-    def zero_mean(self, values: np.ndarray) -> np.ndarray:
-        return values - np.mean(values)
+        return fourier_multiply(np.asarray(values, dtype=float), self.grid, self.inverse_symbol)
 
 
 def build_context(
     radii: Sequence[float] = (1.0, 1.3),
     grid_size: int = 32,
     metric=None,
-    solve: Optional[SolveSettings] = None,
 ) -> ReductionContext:
     """Assemble the shared reduction data for a perturbed torus problem.
 
@@ -219,8 +210,8 @@ def build_context(
     eigenvalues, modes = operator.sorted_modes()
     kdim = kernel_dimension(eigenvalues)
     kernel = [operator.mode_field(i) for i in modes[:kdim]]
-    kernel_modes = np.zeros(grid.sizes, dtype=bool)
-    kernel_modes.flat[modes[:kdim]] = True
+    transverse_mask = np.zeros(grid.sizes, dtype=bool)
+    transverse_mask.flat[modes[kdim:]] = True
     inverse_symbol = np.zeros(grid.sizes)
     inverse_symbol.flat[modes[kdim:]] = 1.0 / eigenvalues[kdim:]
     # The kernel fields are single Fourier modes; all but the constant one
@@ -237,9 +228,8 @@ def build_context(
         flat_operator=operator,
         kernel_fields=kernel,
         reduced_basis=reduced,
-        kernel_modes=kernel_modes,
+        transverse_mask=transverse_mask,
         inverse_symbol=inverse_symbol,
-        solve=solve if solve is not None else SolveSettings(),
     )
 
 
@@ -323,8 +313,8 @@ def random_frame_state(ctx: ReductionContext, seed: int) -> FrameState:
 class ReductionState:
     """A solved transverse configuration at one frame.
 
-    Invariants: the kernel-orthogonal residual norm is at most the solver
-    tolerance when converged, and f is L^2-orthogonal to the flat kernel.
+    Invariants: the transverse residual norm is at most the solver tolerance
+    when converged, and f lies on the band modes off the flat kernel.
     gradient is the unprojected L^2 volume gradient (`residual_P`) that the
     converging iteration computed at (unitary, f), kept so the kernel
     components and the cross block read it instead of recomputing it.
@@ -391,15 +381,16 @@ def projected_solve(
     """Solve the kernel-orthogonal stationarity equation at a fixed frame.
 
     Iterates f <- f - Linv Pi P^t(f) where Linv is the flat pseudo-inverse and
-    Pi projects out the flat kernel.  For metrics t-close to flat this is a
+    Pi projects onto the band modes off the flat kernel, the modes Linv
+    inverts, so f and the tested residual share one band and every residual
+    mode is one an update can reduce.  For metrics t-close to flat this is a
     contraction and converges linearly; geometric divergence raises
     NonContractionError, and so does a residual that stops falling above the
     tolerance (a roundoff floor): three iterations in a row that do not bring
     it 1 % below its smallest earlier value.  Roundoff jitter at a floor
     still makes tiny new minima, hence the 1 %; a solve that gains less per
-    step could not gain a digit in the default 200 iterations anyway.
+    step could not gain a digit in its 200 iterations anyway.
     """
-    settings = ctx.solve
     unitary = frame.realize(ctx.metric)
     if init is None:
         f = ScalarField(ctx.grid, np.zeros(ctx.grid.sizes), check=False)
@@ -408,7 +399,7 @@ def projected_solve(
     first_norm = None
     history: List[float] = []
     best, stalled = np.inf, 0
-    for iteration in range(settings.max_iterations):
+    for iteration in range(_MAX_SOLVE_ITERATIONS):
         vol, grad, sensitivity = residual_P(ctx, t, unitary, f)
         projected = ctx.project_transverse(grad)
         rnorm = ctx.vol_norm(projected)
@@ -417,7 +408,7 @@ def projected_solve(
         history.append(rnorm)
         if first_norm is None:
             first_norm = rnorm
-        if rnorm <= settings.tol:
+        if rnorm <= SOLVE_TOL:
             return ReductionState(
                 t=t,
                 frame=frame,
@@ -431,7 +422,7 @@ def projected_solve(
                 iterations=iteration + 1,
                 residual_history=history,
             )
-        if rnorm > settings.divergence_factor * max(first_norm, settings.tol):
+        if rnorm > _DIVERGENCE_FACTOR * max(first_norm, SOLVE_TOL):
             raise NonContractionError(
                 f"projected iteration diverged: residual {rnorm:.3e} after "
                 f"{iteration + 1} steps from initial {first_norm:.3e}"
@@ -439,15 +430,15 @@ def projected_solve(
         if stalled == 3:
             raise NonContractionError(
                 f"projected iteration stagnated at a residual floor of {best:.3e} "
-                f"above tol={settings.tol:.1e}: no 1 % drop in 3 iterations"
+                f"above tol={SOLVE_TOL:.1e}: no 1 % drop in 3 iterations"
             )
         update = ctx.apply_pseudo_inverse(projected.values)
         f = ctx.project_transverse(
             ScalarField(ctx.grid, f.values - update, check=False)
         )
     raise NonContractionError(
-        f"projected iteration did not reach tol={settings.tol:.1e} within "
-        f"{settings.max_iterations} iterations (last residual {rnorm:.3e})"
+        f"projected iteration did not reach tol={SOLVE_TOL:.1e} within "
+        f"{_MAX_SOLVE_ITERATIONS} iterations (last residual {rnorm:.3e})"
     )
 
 
@@ -521,31 +512,20 @@ def variation_potential(
 
 
 def _integrate_exact_one_form(ctx: ReductionContext, beta: np.ndarray) -> np.ndarray:
-    """Zero-mean h with dh = beta, via Fourier division; certified afterwards."""
-    from .geomcore import _deriv_array
-
+    """Zero-mean h with dh = beta, via Fourier division by the flat Laplacian
+    sum_a d_a^2 / a_a^2; certified afterwards."""
     grid = ctx.grid
-    n = grid.dim
-    radii_sq = np.array([a * a for a in ctx.chart.radii])
-    # zero the Nyquist wave numbers to match the Nyquist-free derivative
-    mesh = [
-        np.where(np.abs(k) < size / 2, k, 0.0) for k, size in zip(mode_mesh(grid), grid.sizes)
-    ]
-    den = sum(mesh[a] ** 2 / radii_sq[a] for a in range(n))
-    den = np.where(den == 0.0, 1.0, den)
-    num = np.zeros(grid.sizes, dtype=complex)
-    for a in range(n):
-        num -= (1j * mesh[a] / radii_sq[a]) * np.fft.fftn(beta[..., a])
-    hat = num / den
-    hat[(0,) * n] = 0.0
-    values = np.real(np.fft.ifftn(hat))
-    values = values - np.mean(values)
+    radii_sq = [a * a for a in ctx.chart.radii]
+    ik = derivative_multipliers(grid)
+    spectra = _forward(np.moveaxis(beta, -1, 0), grid)
+    laplacian = sum(k * k / r2 for k, r2 in zip(ik, radii_sq))
+    laplacian = np.where(laplacian == 0.0, 1.0, laplacian)
+    hat = sum(k / r2 * b for k, r2, b in zip(ik, radii_sq, spectra)) / laplacian
+    values = _inverse(hat, grid, False)
 
     scale = max(1.0, float(np.max(np.abs(beta))))
-    worst = 0.0
-    for a in range(n):
-        defect = _deriv_array(values, grid, axis=a) - beta[..., a]
-        worst = max(worst, float(np.max(np.abs(defect))))
+    defect = np.moveaxis(spectral_gradient(values, grid), 0, -1) - beta
+    worst = float(np.max(np.abs(defect)))
     if worst > EXACTNESS_TOL * scale:
         raise ExactnessError(
             f"variation one-form is not exact: potential recovery defect "
@@ -790,7 +770,7 @@ def optimize_frame(
         hess = hessian_K(ctx, state)
         eigs, vecs = np.linalg.eigh(hess)
         if (
-            not _is_saddle(eigs[0], ctx.solve.tol)
+            not _is_saddle(eigs[0], SOLVE_TOL)
             or saddle_restarts >= settings.max_saddle_restarts
         ):
             break
@@ -854,7 +834,7 @@ def optimize_frame(
         stabilizer_gradient_norm=stab_norm,
         hessian=hess,
         hessian_eigenvalues=eigs,
-        is_minimum=not _is_saddle(eigs[0], ctx.solve.tol),
+        is_minimum=not _is_saddle(eigs[0], SOLVE_TOL),
         saddle_restarts=saddle_restarts,
         anchor_rounds=anchor_rounds,
         residual_relative=rel,

@@ -29,7 +29,7 @@ import numpy as np
 
 from .ambient import EuclideanMetric
 from .errors import ChartDomainError
-from .geomcore import GridDescriptor, _multiplier
+from .geomcore import GridDescriptor, _forward, _inverse, derivative_multipliers
 
 __all__ = ["WeinsteinChart", "graph_volume_and_gradient"]
 
@@ -68,48 +68,13 @@ class WeinsteinChart:
         return float(np.prod(self.radii))
 
 
-def _multipliers(grid: GridDescriptor) -> list[np.ndarray]:
-    """The derivative multipliers i k_a of geomcore._multiplier (Nyquist
-    zeroed), on the mode mesh of rfftn over the grid axes."""
-    out = []
-    for a in range(grid.dim):
-        k = _multiplier(grid, a)
-        if a == grid.dim - 1:
-            k = k[: grid.sizes[a] // 2 + 1]
-        shape = [1] * grid.dim
-        shape[a] = k.size
-        out.append(k.reshape(shape))
-    return out
-
-
-def _forward(fields: np.ndarray, grid: GridDescriptor) -> np.ndarray:
-    """rfftn of a stack of fields over the trailing grid axes.
-
-    Complex fields go in as their real and imaginary parts, on a new axis
-    before the grid axes, so the two are never mixed in one transform: a
-    complex FFT would spill roundoff from an O(1) real part into the tiny
-    imaginary part that carries a complex-step derivative."""
-    if np.iscomplexobj(fields):
-        fields = np.stack([fields.real, fields.imag], axis=-grid.dim - 1)
-    return np.fft.rfftn(fields, axes=range(-grid.dim, 0))
-
-
-def _inverse(spectra: np.ndarray, grid: GridDescriptor, complex_out: bool) -> np.ndarray:
-    """Real fields from `_forward`-layout spectra; complex when the fields were."""
-    values = np.fft.irfftn(spectra, s=grid.sizes, axes=range(-grid.dim, 0))
-    if not complex_out:
-        return values
-    re, im = np.moveaxis(values, -grid.dim - 1, 0)
-    return re + 1j * im
-
-
 def _graph_jets(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray):
     """Gradient field, chart point coordinates, and tangent data of a graph."""
     n = chart.n
     if grid.dim != n:
         raise ChartDomainError("grid dimension does not match chart")
     # y_j = d_j f and the Hessian Y[j, a] = d_j d_a f from one transform of f
-    ik = _multipliers(grid)
+    ik = derivative_multipliers(grid)
     spec = _forward(f, grid)
     pairs = [(j, a) for j in range(n) for a in range(j, n)]
     spectra = [ik[j] * spec for j in range(n)] + [ik[j] * ik[a] * spec for j, a in pairs]
@@ -220,7 +185,7 @@ def graph_volume_and_gradient(
     B = q[..., None, None] * (phi_y @ GTt @ np.swapaxes(hinv, -1, -2))
     # P = -sum_j d_j A_j + sum_jc d_c d_j B_jc: one batched forward transform,
     # the multipliers summed in Fourier space, one inverse transform
-    ik = _multipliers(grid)
+    ik = derivative_multipliers(grid)
     fields = np.concatenate([np.moveaxis(A, -1, 0), np.moveaxis(B.reshape(lead + (n * n,)), -1, 0)])
     spectra = _forward(fields, grid)
     symbols = [-ik[j] for j in range(n)] + [ik[j] * ik[c] for j in range(n) for c in range(n)]

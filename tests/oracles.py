@@ -389,7 +389,8 @@ def xi_map(ctx: ReductionContext, t: float, direction: np.ndarray) -> ScalarFiel
     # dtheta ^ dy, so the chart-Hamiltonian potential of the ambient moment
     # carries a 1/t^2.
     values = poly.evaluate_complex(t * z0) / t**2
-    return ScalarField(ctx.grid, ctx.zero_mean(np.real(values)), check=False)
+    values = np.real(values)
+    return ScalarField(ctx.grid, values - np.mean(values), check=False)
 
 
 def realize_jacobian_fd(metric, frame, step: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:

@@ -135,12 +135,13 @@ def test_unexpected_error_writes_failure_manifest(tmp_path, monkeypatch):
 
 
 def test_numerical_failure_manifest_names_stage(tmp_path, monkeypatch):
-    from hslag.reduction import SolveSettings, build_context, projected_solve, random_frame_state
+    from hslag import reduction
 
     def starved(config, out):
-        ctx = build_context(grid_size=16, solve=SolveSettings(max_iterations=1))
-        projected_solve(ctx, 0.05, random_frame_state(ctx, seed=1))
+        ctx = reduction.build_context(grid_size=16)
+        reduction.projected_solve(ctx, 0.05, reduction.random_frame_state(ctx, seed=1))
 
+    monkeypatch.setattr(reduction, "_MAX_SOLVE_ITERATIONS", 1)
     monkeypatch.setitem(cli._SUITE_RUNNERS, "reduce", starved)
     out = str(tmp_path / "starved")
     assert run_cli("reduce", "--out", out) == 1

@@ -190,11 +190,14 @@ def test_context_inverse_and_projector_match_dense(size, hessian_oracle):
     kdim = spec.kernel_size()
     assert kdim == len(ctx.kernel_fields) == 7
     # dense node-space references from eigh of the complex-step Hessian; the
-    # eigenfields are L^2-orthonormal, so the projectors carry the node weight
+    # eigenfields are L^2-orthonormal, so the projectors carry the node weight.
+    # The transverse projector is the one onto the band's non-kernel
+    # eigenfields: off the band (the Nyquist modes) it is zero, as the
+    # pseudo-inverse is.
     V = np.stack([fld.values.reshape(-1) for fld in spec.eigenfields], axis=1)
     w = grid.node_weight()
     pinv = (V[:, kdim:] / spec.eigenvalues[kdim:]) @ V[:, kdim:].T * w
-    proj = np.eye(grid.num_nodes) - V[:, :kdim] @ V[:, :kdim].T * w
+    proj = V[:, kdim:] @ V[:, kdim:].T * w
     indicators = np.eye(grid.num_nodes).reshape((grid.num_nodes,) + grid.sizes)
     ctx_pinv = np.stack([ctx.apply_pseudo_inverse(e).reshape(-1) for e in indicators], axis=1)
     ctx_proj = np.stack(

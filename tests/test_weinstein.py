@@ -15,7 +15,7 @@ from hslag.ambient import (
     unitary_frame,
 )
 from hslag.errors import ChartDomainError
-from hslag.geomcore import ScalarField, _deriv_array, l2_inner, volume
+from hslag.geomcore import ScalarField, l2_inner, spectral_gradient, volume
 from hslag.models import TorusModel, clifford_torus
 from hslag.weinstein import WeinsteinChart, _graph_jets, graph_volume_and_gradient
 
@@ -201,9 +201,9 @@ def _einsum_volume_and_gradient(chart, grid, f, metric):
     )
     P = np.zeros_like(f, dtype=q.dtype)
     for j in range(n):
-        P = P - _deriv_array(A[..., j], grid, axis=j)
+        P = P - spectral_gradient(A[..., j], grid)[j]
         for c in range(n):
-            P = P + _deriv_array(_deriv_array(B[..., j, c], grid, axis=j), grid, axis=c)
+            P = P + spectral_gradient(spectral_gradient(B[..., j, c], grid)[j], grid)[c]
     return np.sum(q) * grid.node_weight(), P / chart.flat_density()
 
 
