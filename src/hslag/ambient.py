@@ -30,8 +30,9 @@ upsilon^T G(p) upsilon = I and upsilon^T Omega0 upsilon = Omega0, built by
 Gram-Schmidt over the complex structure J_p.  Affine charts z -> p + upsilon z
 pull omega back to omega0 exactly; the scaled pullback metric
 g^t(z) = upsilon^T G(p + t upsilon z) upsilon is the object all scaling
-estimates and the reduction pipeline consume, evaluated as batched matrix
-products.
+estimates and the reduction pipeline consume.  The scaling estimates
+evaluate it as batched matrix products; the graph volume pushes its tangent
+data through the affine map instead and never forms it.
 """
 
 from __future__ import annotations
@@ -547,10 +548,12 @@ def unitary_algebra_basis(n: int) -> list[np.ndarray]:
 class ChartMetric:
     """Scaled chart pullback g^t(z) = upsilon^T G(p + t upsilon z) upsilon.
 
-    Implements the same value/derivative contract as the ambient metrics, so
-    the graph-volume machinery can run unchanged in chart coordinates; a jet
-    makes one base call and pulls back each order.  At t = 0
-    (or for the flat metric) it is identically the identity matrix.
+    Implements the same value/derivative contract as the ambient metrics; a
+    jet makes one base call and pulls back each order.  Those jets serve
+    `estimate_sweep` and the tests.  The graph volume does not call them: it
+    reads base, frame and t and works in the ambient frame (see
+    `weinstein.graph_volume_and_gradient`).  At t = 0 (or for the flat
+    metric) it is identically the identity matrix.
     """
 
     def __init__(self, base, frame: UnitaryFrame, t: float):

@@ -593,6 +593,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--amplitude", type=float, help="metric perturbation amplitude")
         p.add_argument("--model", choices=["torus", "ln"], help="model override")
         p.add_argument("--n", type=int, help="complex dimension override")
+        p.add_argument(
+            "--radii", type=float, nargs="+", metavar="A", help="torus radii override, one per n"
+        )
         p.add_argument("--grid", type=int, help="grid size override")
         if name == "plot-data":
             p.add_argument("--run", help="run directory containing CSV traces")
@@ -621,6 +624,13 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         overrides["n"] = args.n
     if args.grid is not None:
         overrides["grid_size"] = args.grid
+    if args.radii is not None:
+        n = overrides.get("n", config.n)
+        if len(args.radii) != n:
+            raise ConfigError(
+                f"--radii needs one radius per complex dimension: n = {n}, got {args.radii}"
+            )
+        overrides["radii"] = tuple(args.radii)
     if getattr(args, "run", None) is not None:
         overrides["run"] = args.run
     if overrides:

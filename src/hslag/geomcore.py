@@ -13,6 +13,7 @@ ambient metric supplied by an evaluator object (None means Euclidean).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -43,6 +44,9 @@ __all__ = [
 ]
 
 _QUOTIENT_TOL = 1e-12
+# Grids whose tables (the derivative multipliers here, the graph volume's
+# in weinstein) stay cached; a run uses one or two.
+_GRID_TABLES = 8
 
 
 @dataclass(frozen=True)
@@ -256,12 +260,14 @@ def band_mask(grid: GridDescriptor) -> np.ndarray:
     return np.logical_and.reduce(inside)
 
 
-def derivative_multipliers(grid: GridDescriptor) -> list[np.ndarray]:
+@lru_cache(maxsize=_GRID_TABLES)
+def derivative_multipliers(grid: GridDescriptor) -> tuple[np.ndarray, ...]:
     """i k_a for each grid axis a on the rfftn layout, Nyquist zeroed.
 
     Zeroing Nyquist keeps the derivative of real data real and makes the
     derivative matrix exactly antisymmetric, which the adjoint-based gradient
-    code relies on.  Each multiplier broadcasts against the grid axes.
+    code relies on.  Each multiplier broadcasts against the grid axes.  The
+    tables are built once per grid and shared, so they are read-only.
     """
     out = []
     for a, (n, p) in enumerate(zip(grid.sizes, grid.periods)):
@@ -272,7 +278,8 @@ def derivative_multipliers(grid: GridDescriptor) -> list[np.ndarray]:
         shape = [1] * grid.dim
         shape[a] = k.size
         out.append((1j * (2.0 * np.pi / p) * k).reshape(shape))
-    return out
+        out[-1].flags.writeable = False
+    return tuple(out)
 
 
 def _forward(fields: np.ndarray, grid: GridDescriptor) -> np.ndarray:

@@ -323,9 +323,10 @@ class ReductionState:
     `graph_volume_and_gradient`): O(n^2) floats from which `frame_gradient`
     forms the exact reduced gradient without another volume.
 
-    Warm solves at frames shifted from this one, started from f, are kept in
-    a private memo (`_solve_near`): the finite-difference stencils around a
-    state share their neighbour solves, and the memo is freed with the state.
+    Warm solves at frames shifted from this one, started from f or from its
+    reflection through an opposite neighbour, are kept in a private memo
+    (`_solve_near`): the finite-difference stencils around a state share
+    their neighbour solves, and the memo is freed with the state.
     """
 
     t: float
@@ -560,13 +561,21 @@ class GradientReport:
 def _solve_near(ctx: ReductionContext, state: ReductionState, delta: np.ndarray) -> ReductionState:
     """Warm solve at the state's frame shifted by delta, memoized on the state.
 
+    The solve starts from f, or, when the opposite neighbour (shift -delta)
+    is already solved, from the reflected field 2 f - f_{-delta}: the solved
+    field is smooth in the frame, so the reflection is its linear
+    extrapolation and the start is off by O(delta^2) instead of O(delta).
     The key is the shifted coordinates, not delta: -e carries -0.0 where +e
     carries +0.0, and both must find the frame they shift to."""
     frame = state.frame.shifted(delta)
     key = frame.coords.tobytes()
     near = state._neighbours.get(key)
     if near is None:
-        near = projected_solve(ctx, state.t, frame, init=state.f)
+        mirror = state._neighbours.get(state.frame.shifted(-delta).coords.tobytes())
+        init = state.f
+        if mirror is not None:
+            init = ScalarField(ctx.grid, 2.0 * state.f.values - mirror.f.values, check=False)
+        near = projected_solve(ctx, state.t, frame, init=init)
         state._neighbours[key] = near
     return near
 

@@ -18,18 +18,35 @@ volume (constant density prod a_j).  Critical points of the discrete
 functional are therefore exactly the zeros of the returned residual field.
 The whole computation is polynomial/sqrt in the field values and supports
 complex-step linearization.
+
+A chart metric g(z) = u^T G(p + t u z) u enters only through the graph's
+thin tangent data, so the volume is assembled in the ambient metric's own
+frame: the tangent vectors are pushed through the chart's affine map once,
+the base metric's jet is taken at the embedded points, and the induced
+metric, its inverse and the dG contraction are formed there, with no
+pullback of G or dG.  Any other metric evaluator is the identity chart
+(p = 0, u = I, t = 1).  The n x n induced metric is inverted by elimination
+on node vectors, and the per-grid tables (node trigonometry, spectral
+symbols, node weight) are built once per grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .ambient import EuclideanMetric
+from .ambient import ChartMetric, EuclideanMetric
 from .errors import ChartDomainError
-from .geomcore import GridDescriptor, _forward, _inverse, derivative_multipliers
+from .geomcore import (
+    _GRID_TABLES,
+    GridDescriptor,
+    _forward,
+    _inverse,
+    derivative_multipliers,
+)
 
 __all__ = ["WeinsteinChart", "graph_volume_and_gradient"]
 
@@ -68,17 +85,47 @@ class WeinsteinChart:
         return float(np.prod(self.radii))
 
 
+@dataclass(frozen=True)
+class _GridTables:
+    """What a graph volume needs of its grid alone, built once per grid.
+
+    cos and sin are the node angles' trigonometry [*sizes, n]; pairs are the
+    index pairs j <= a of the Hessian of f; jet_symbols the multipliers
+    i k_j, then i k_j i k_a per pair, that give y and the Hessian from one
+    transform; p_symbols -i k_j, then i k_j i k_c over all (j, c), that sum
+    the residual's divergence terms in Fourier space."""
+
+    cos: np.ndarray
+    sin: np.ndarray
+    pairs: tuple
+    jet_symbols: tuple
+    p_symbols: tuple
+    weight: float
+
+
+@lru_cache(maxsize=_GRID_TABLES)
+def _grid_tables(grid: GridDescriptor) -> _GridTables:
+    n, ik = grid.dim, derivative_multipliers(grid)
+    mesh = grid.meshgrid()
+    cos = np.stack([np.cos(m) for m in mesh], axis=-1)
+    sin = np.stack([np.sin(m) for m in mesh], axis=-1)
+    pairs = tuple((j, a) for j in range(n) for a in range(j, n))
+    jet_symbols = tuple(ik) + tuple(ik[j] * ik[a] for j, a in pairs)
+    p_symbols = tuple(-k for k in ik) + tuple(ik[j] * ik[c] for j in range(n) for c in range(n))
+    for table in (cos, sin) + jet_symbols + p_symbols:
+        table.flags.writeable = False
+    return _GridTables(cos, sin, pairs, jet_symbols, p_symbols, grid.node_weight())
+
+
 def _graph_jets(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray):
     """Gradient field, chart point coordinates, and tangent data of a graph."""
     n = chart.n
     if grid.dim != n:
         raise ChartDomainError("grid dimension does not match chart")
+    tables = _grid_tables(grid)
     # y_j = d_j f and the Hessian Y[j, a] = d_j d_a f from one transform of f
-    ik = derivative_multipliers(grid)
     spec = _forward(f, grid)
-    pairs = [(j, a) for j in range(n) for a in range(j, n)]
-    spectra = [ik[j] * spec for j in range(n)] + [ik[j] * ik[a] * spec for j, a in pairs]
-    derivs = _inverse(np.stack(spectra), grid, np.iscomplexobj(f))
+    derivs = _inverse(np.stack([k * spec for k in tables.jet_symbols]), grid, np.iscomplexobj(f))
     y = np.stack(list(derivs[:n]), axis=-1)  # (*s, n)
     ymax = np.max(np.abs(y.real), axis=tuple(range(grid.dim)))
     if np.any(ymax >= chart.delta):
@@ -89,9 +136,7 @@ def _graph_jets(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray):
     a2 = np.array([a * a for a in chart.radii])
     r2 = a2 + 2 * y
     r = np.sqrt(r2)
-    mesh = grid.meshgrid()
-    cos = np.stack([np.cos(m) for m in mesh], axis=-1)  # (*s, n)
-    sin = np.stack([np.sin(m) for m in mesh], axis=-1)
+    cos, sin = tables.cos, tables.sin
     dt = np.result_type(f, float)
     coords = np.zeros(f.shape + (2 * n,), dtype=dt)
     coords[..., 0::2] = r * cos
@@ -109,11 +154,45 @@ def _graph_jets(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray):
         phi_yy[..., j, 2 * j] = -cos[..., j] / r[..., j] ** 3
         phi_yy[..., j, 2 * j + 1] = -sin[..., j] / r[..., j] ** 3
     Y = np.empty(f.shape + (n, n), dtype=derivs.dtype)  # (*s, j, a)
-    for (j, a), D in zip(pairs, derivs[n:]):
+    for (j, a), D in zip(tables.pairs, derivs[n:]):
         Y[..., j, a] = Y[..., a, j] = D
     # tangent vectors T_a = phi_theta_a + sum_j phi_y_j Y_{ja}
     T = phi_theta + np.swapaxes(Y, -1, -2) @ phi_y
     return y, r2, coords, phi_theta, phi_y, phi_yy, Y, T
+
+
+def _small_inverse(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h^-1, det h) for a stack of small symmetric positive definite
+    matrices h[..., n, n].
+
+    Gauss-Jordan elimination in place, without pivoting (the pivots of a
+    positive definite matrix are positive), with every entry a vector over
+    the stack: O(n^3) vector operations and no per-matrix call.  det is the
+    product of the pivots.  The arithmetic is analytic in h, so a complex
+    step through it stays exact."""
+    n = h.shape[-1]
+    inv = h.copy()
+    for k in range(n):
+        pivot = inv[..., k, k].copy()
+        det = pivot if k == 0 else det * pivot
+        inv[..., k, k] = 1.0
+        inv[..., k, :] /= pivot[..., None]
+        for i in range(n):
+            if i != k:
+                factor = inv[..., i, k].copy()
+                inv[..., i, k] = 0.0
+                inv[..., i, :] -= factor[..., None] * inv[..., k, :]
+    return inv, det
+
+
+def _affine_chart(metric, n: int, coords: np.ndarray):
+    """(base, u, t, points): the metric as u^T base(p + t u z) u, and the
+    chart points z = coords embedded as p + t u z.  A metric other than a
+    ChartMetric is its own base in the identity chart."""
+    if isinstance(metric, ChartMetric):
+        return metric.base, metric.frame.matrix, metric.t, metric.embed(coords)
+    base = EuclideanMetric(n) if metric is None else metric
+    return base, np.eye(2 * n), 1.0, coords
 
 
 def graph_volume_and_gradient(
@@ -142,53 +221,63 @@ def graph_volume_and_gradient(
     need_gradient=False only the value is formed and the other two are None.
     Complex f_values propagate through (for complex-step linearization); the
     returned values are then complex as well.
+
+    The volume is assembled in the ambient frame through the chart's affine
+    map z -> p + t u z (the identity for a metric that is not a ChartMetric):
+    with T' = T u^T the ambient tangent vectors (up to the factor t), the
+    chart metric's h = T g T^T is T' G T'^T, its rows T g are (T' G) u, and
+    its contraction <M, dg_m> is t ((dG : T'^T h^-1 T') u)_m, so the base
+    metric's jet is used as it comes, at the embedded points.
     """
     f = np.asarray(f_values)
-    n = chart.n
+    n, d = chart.n, 2 * chart.n
     y, r2, coords, phi_theta, phi_y, phi_yy, Y, T = _graph_jets(chart, grid, f)
-    if metric is None:
-        metric = EuclideanMetric(n)
+    tables = _grid_tables(grid)
+    base, u, t, points = _affine_chart(metric, n, coords)
     if need_gradient:
-        G, dG = metric.derivative(coords)
+        G, dG = base.derivative(points)
     else:
-        G = metric.value(coords)
-    Tt = np.swapaxes(T, -1, -2)
-    GTt = G @ Tt  # (G T_b)_m as [..., m, b]
-    h = T @ GTt
-    det = np.linalg.det(h)
+        G = base.value(points)
+    lead = f.shape
+    # T' = T u^T, one flat GEMM over all N n tangent rows
+    T_amb = (T.reshape(-1, d) @ u.T).reshape(T.shape)
+    TG_amb = T_amb @ G
+    h = TG_amb @ np.swapaxes(T_amb, -1, -2)
+    hinv, det = _small_inverse(h)
     q = np.sqrt(det)
-    w = grid.node_weight()
+    w = tables.weight
     vol = np.sum(q) * w
     if not need_gradient:
         return vol, None, None
 
-    hinv = np.linalg.inv(h)
-    lead, d = q.shape, 2 * n
+    TG = (TG_amb.reshape(-1, d) @ u).reshape(T.shape)  # rows T_a g in the chart
     # dT_a/dy_j = delta_{aj} phi_theta_a / r_a^2 + phi_yy_j Y_{ja}
     dTdy = (phi_yy[..., :, None, :] * Y[..., :, :, None]).astype(q.dtype, copy=False)
     for j in range(n):
         dTdy[..., j, j, :] += phi_theta[..., j, :] / r2[..., j, None]
-    # sum_{a,b,m} hinv_ab dTdy_jam (G T_b)_m, as dTdy_j : (hinv GT)
-    W = hinv @ np.swapaxes(GTt, -1, -2)
+    # sum_{a,b,m} hinv_ab dTdy_jam (T_b g)_m, as dTdy_j : (hinv T g)
+    W = hinv @ TG
     A = dTdy.reshape(lead + (n, n * d)) @ W.reshape(lead + (n * d, 1))
-    # d G / d y_j = sum_m phi_y_jm dG_m, paired with T^T hinv T
-    M = Tt @ hinv @ T
-    dGM = dG.reshape(lead + (d, d * d)) @ M.reshape(lead + (d * d, 1))
+    # d g / d y_j = sum_m phi_y_jm dg_m, paired with M = T^T hinv T; in the
+    # ambient frame <M, dg_m> = t sum_k <T'^T hinv T', dG_k> u_km
+    M_amb = np.swapaxes(T_amb, -1, -2) @ hinv @ T_amb
+    dGM_amb = dG.reshape(lead + (d, d * d)) @ M_amb.reshape(lead + (d * d, 1))
+    dGM = t * (dGM_amb.reshape(-1, d) @ u)  # (N, d)
     # the affine sensitivities as node sums, each one flat matrix product;
-    # T^T W = M G, the transpose of G M
+    # T^T W = M g, the transpose of g M
     half_q = 0.5 * w * q.reshape(-1)
-    weighted_dGM = half_q[:, None] * dGM.reshape(-1, d)
+    weighted_dGM = half_q[:, None] * dGM
     weighted_T = (half_q[:, None, None] * T.reshape(-1, n, d)).reshape(-1, d)
     d_shift = weighted_dGM.sum(axis=0)
     d_linear = 2.0 * (W.reshape(-1, d).T @ weighted_T) + weighted_dGM.T @ coords.reshape(-1, d)
-    A = q[..., None] * (A + 0.5 * (phi_y @ dGM))[..., 0]
-    B = q[..., None, None] * (phi_y @ GTt @ np.swapaxes(hinv, -1, -2))
+    A = q[..., None] * (A + 0.5 * (phi_y @ dGM.reshape(lead + (d, 1))))[..., 0]
+    # phi_y g T^T first: phi_y is normal to the graph at the zero section, so
+    # that product is small and exact, where phi_y W^T would cancel
+    B = q[..., None, None] * (phi_y @ np.swapaxes(TG, -1, -2) @ np.swapaxes(hinv, -1, -2))
     # P = -sum_j d_j A_j + sum_jc d_c d_j B_jc: one batched forward transform,
     # the multipliers summed in Fourier space, one inverse transform
-    ik = derivative_multipliers(grid)
     fields = np.concatenate([np.moveaxis(A, -1, 0), np.moveaxis(B.reshape(lead + (n * n,)), -1, 0)])
     spectra = _forward(fields, grid)
-    symbols = [-ik[j] for j in range(n)] + [ik[j] * ik[c] for j in range(n) for c in range(n)]
-    P_hat = sum(k * x for k, x in zip(symbols, spectra))
+    P_hat = sum(k * x for k, x in zip(tables.p_symbols, spectra))
     P = _inverse(P_hat, grid, np.iscomplexobj(fields))
     return vol, P / chart.flat_density(), (d_shift, d_linear)

@@ -14,9 +14,17 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from hslag.ambient import ball_samples, unitary_algebra_basis
+from hslag.ambient import EuclideanMetric, ball_samples, unitary_algebra_basis
 from hslag.errors import RankDeficiencyError, UnsupportedModelError
-from hslag.geomcore import GridDescriptor, Immersion, ScalarField, standard_symplectic_matrix
+from hslag.geomcore import (
+    GridDescriptor,
+    Immersion,
+    ScalarField,
+    _forward,
+    _inverse,
+    derivative_multipliers,
+    standard_symplectic_matrix,
+)
 from hslag.models import CircleSphereModel, TorusModel
 from hslag.moser import flow_map
 from hslag.operators import GridOperator, assemble_flat_operator, band_limited_basis
@@ -44,6 +52,42 @@ def graph_immersion(chart: WeinsteinChart, f: ScalarField) -> Immersion:
     """Node immersion theta -> Phi(theta, grad f), validity-gated."""
     *_, coords = _graph_jets(chart, f.grid, f.values)[:3]
     return Immersion(f.grid, coords.real)
+
+
+def pullback_graph_volume(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray, metric=None):
+    """`graph_volume_and_gradient` in chart coordinates: the metric's own jet
+    (for a ChartMetric, the base jet pulled back through the frame), the
+    induced metric T g T^T, and LAPACK's per-node det and inv.  Returns
+    (volume, gradient, (dvol/db, dvol/dA)) as the package does."""
+    n, d = chart.n, 2 * chart.n
+    _, r2, coords, phi_theta, phi_y, phi_yy, Y, T = _graph_jets(chart, grid, f)
+    G, dG = (EuclideanMetric(n) if metric is None else metric).derivative(coords)
+    Tt = np.swapaxes(T, -1, -2)
+    GTt = G @ Tt
+    h = T @ GTt
+    q = np.sqrt(np.linalg.det(h))
+    hinv = np.linalg.inv(h)
+    w, lead = grid.node_weight(), q.shape
+    dTdy = (phi_yy[..., :, None, :] * Y[..., :, :, None]).astype(q.dtype, copy=False)
+    for j in range(n):
+        dTdy[..., j, j, :] += phi_theta[..., j, :] / r2[..., j, None]
+    W = hinv @ np.swapaxes(GTt, -1, -2)
+    A = dTdy.reshape(lead + (n, n * d)) @ W.reshape(lead + (n * d, 1))
+    M = Tt @ hinv @ T
+    dGM = dG.reshape(lead + (d, d * d)) @ M.reshape(lead + (d * d, 1))
+    half_q = 0.5 * w * q.reshape(-1)
+    weighted_dGM = half_q[:, None] * dGM.reshape(-1, d)
+    weighted_T = (half_q[:, None, None] * T.reshape(-1, n, d)).reshape(-1, d)
+    d_shift = weighted_dGM.sum(axis=0)
+    d_linear = 2.0 * (W.reshape(-1, d).T @ weighted_T) + weighted_dGM.T @ coords.reshape(-1, d)
+    A = q[..., None] * (A + 0.5 * (phi_y @ dGM))[..., 0]
+    B = q[..., None, None] * (phi_y @ GTt @ np.swapaxes(hinv, -1, -2))
+    ik = derivative_multipliers(grid)
+    fields = np.concatenate([np.moveaxis(A, -1, 0), np.moveaxis(B.reshape(lead + (n * n,)), -1, 0)])
+    symbols = [-ik[j] for j in range(n)] + [ik[j] * ik[c] for j in range(n) for c in range(n)]
+    P_hat = sum(k * x for k, x in zip(symbols, _forward(fields, grid)))
+    P = _inverse(P_hat, grid, np.iscomplexobj(fields))
+    return np.sum(q) * w, P / chart.flat_density(), (d_shift, d_linear)
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,29 @@ def test_unservable_shape_exit_2(tmp_path, argv):
     assert not (out / "manifest.json").exists()
 
 
+def test_radii_override_sets_an_n3_torus():
+    args = cli._build_parser().parse_args(["reduce", "--n", "3", "--radii", "1", "1.3", "1.6"])
+    config = cli._config_from_args(args)
+    assert (config.n, config.radii) == (3, (1.0, 1.3, 1.6))
+
+
+@pytest.mark.parametrize(
+    "radii, message",
+    [
+        (["--n", "3", "--radii", "1", "1.3"], "one radius per complex dimension"),
+        (["--radii", "1", "1.3", "1.6"], "one radius per complex dimension"),  # n defaults to 2
+        (["--radii", "1", "0"], "radii must be positive"),
+        (["--n", "3", "--radii", "1", "-1.3", "1.6"], "radii must be positive"),
+    ],
+    ids=["short", "long", "zero", "negative"],
+)
+def test_radii_override_errors_exit_2(tmp_path, capsys, radii, message):
+    out = tmp_path / "run"
+    assert run_cli("reduce", *radii, "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize(
     "config",
     [

@@ -439,16 +439,23 @@ def fresh_state(ctx, seed=5):
 
 
 def test_solve_near_is_memoized_and_equals_direct_solve(coarse_ctx):
+    # the first neighbour starts from f, its mirror image from the reflection
+    # 2 f - f_{+e} through it
     state = fresh_state(coarse_ctx)
+    init = state.f
     for sign in (1.0, -1.0):
         e = np.zeros(coarse_ctx.num_frame_coords)
         e[1] = sign * FRAME_STEP
         near = hslag.reduction._solve_near(coarse_ctx, state, e)
         assert hslag.reduction._solve_near(coarse_ctx, state, e) is near
-        direct = projected_solve(coarse_ctx, state.t, state.frame.shifted(e), init=state.f)
+        direct = projected_solve(coarse_ctx, state.t, state.frame.shifted(e), init=init)
         assert near.f.values.tobytes() == direct.f.values.tobytes()
         assert near.K_value == direct.K_value
         assert near.residual_history == direct.residual_history
+        init = ScalarField(coarse_ctx.grid, 2.0 * state.f.values - near.f.values, check=False)
+    # the reflected start is second-order close, the start from f first-order
+    from_f = projected_solve(coarse_ctx, state.t, state.frame.shifted(e), init=state.f)
+    assert near.residual_history[0] < 1e-3 * from_f.residual_history[0]
 
 
 def test_state_gradient_is_final_residual(coarse_ctx, monkeypatch):
