@@ -76,11 +76,12 @@ def _eye_like(shape: tuple, d: int, dtype) -> np.ndarray:
 
 
 class EuclideanMetric:
-    """The flat metric g0 = identity on R^{2n}; trivially compatible."""
+    """The flat metric g0 = identity on R^{2n}; trivially compatible, no waves."""
 
     def __init__(self, n: int):
         self.n = n
         self.dim = 2 * n
+        self.wave_vectors = np.zeros((0, self.dim))
 
     def value(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points)

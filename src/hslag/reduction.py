@@ -8,7 +8,8 @@ Lagrangian tori near scaled copies of the model product torus:
 2. solve the stationarity equation transverse to the kernel of the flat
    linearized operator by a contraction built from the flat pseudo-inverse,
 3. minimize the remaining finite-dimensional reduced volume K over the frame
-   variables modulo the diagonal-torus symmetry that fixes the model.
+   variables modulo its symmetries: the diagonal torus that fixes the model
+   and the ambient translations that fix the metric.
 
 Critical points of K with the transverse equation solved are discretely
 Hamiltonian stationary for the full metric; `geometric_residual` certifies
@@ -109,8 +110,9 @@ EXACTNESS_TOL = 1e-6
 
 # optimize_frame: BFGS gradient tolerance and iteration cap, re-anchoring
 # (rounds, and the rotation-coordinate norm that triggers one), saddle test
-# and kick, and the Newton polish (target gradient, steps, step norm cap,
-# eigenvalue floor relative to the largest Hessian eigenvalue).  BFGS hands
+# and kick, and the Newton polish (target gradient, steps, step norm cap).
+# A saddle needs a Hessian eigenvalue below -_SADDLE_TOL, which is above the
+# Hessian's noise SOLVE_TOL / FRAME_STEP = 1e-8 (see `hessian_K`).  BFGS hands
 # over at |dK| <= 1e-7: there a line-search step along the softest frame
 # directions (curvature ~1e-3) still lowers K by ~1e-11, far above K's
 # roundoff (~1e-14 at K ~ 51), while below ~1e-8 the line search fails on
@@ -120,12 +122,11 @@ _BFGS_GTOL = 1e-7
 _MAX_BFGS_ITERATIONS = 200
 _MAX_ANCHOR_ROUNDS = 4
 _ANCHOR_XI_NORM = 1.0
-_SADDLE_TOL = 1e-6
+_SADDLE_TOL = max(1e-6, SOLVE_TOL / FRAME_STEP)
 _SADDLE_KICK = 0.05
 _POLISH_TOL = 1e-9
 _MAX_POLISH_STEPS = 6
 _MAX_POLISH_STEP_NORM = 1.0
-_HESSIAN_EIG_FLOOR = 1e-9
 
 
 @dataclass
@@ -138,6 +139,13 @@ class ReductionContext:
     updates all live there.  inverse_symbol (1/lambda there, 0 elsewhere) is
     the pseudo-inverse that drives the contraction, and the zero-mean kernel
     fields (volume-orthonormalized) index the reduced equation.
+
+    quotient and symmetries split the frame coordinates into two constant
+    orthonormal bases (columns).  K is exactly constant along symmetries: the
+    translations along the null space of the metric's wave vectors, and the
+    diagonal torus.  The search moves along quotient: the wave vectors' row
+    space and the off-diagonal u(n) axes (5 columns at n = 2 and 9 at n = 3
+    for three independent waves).
     """
 
     chart: WeinsteinChart
@@ -148,6 +156,8 @@ class ReductionContext:
     reduced_basis: List[ScalarField]
     transverse_mask: np.ndarray
     inverse_symbol: np.ndarray
+    quotient: np.ndarray
+    symmetries: np.ndarray
 
     @property
     def n(self) -> int:
@@ -171,12 +181,6 @@ class ReductionContext:
         """
         n = self.n
         return np.arange(2 * n, 3 * n)
-
-    @property
-    def quotient_indices(self) -> np.ndarray:
-        mask = np.ones(self.num_frame_coords, dtype=bool)
-        mask[self.stabilizer_indices] = False
-        return np.nonzero(mask)[0]
 
     def vol_inner(self, f: ScalarField, g: ScalarField) -> float:
         return l2_inner(f, g) * self.density
@@ -221,6 +225,12 @@ def build_context(
         ScalarField(grid, b.values / np.sqrt(density), check=False)
         for b, mode in zip(kernel, modes) if mode != 0
     ]
+    # Displacement axes: the wave vectors' row space, then their null space.
+    n = model.n
+    _, singular, vt = np.linalg.svd(metric.wave_vectors)
+    rank = int(np.count_nonzero(singular > 1e-10 * singular.max(initial=0.0)))
+    moves = np.eye(2 * n + n * n)
+    moves[: 2 * n, : 2 * n] = vt.T
     return ReductionContext(
         chart=chart,
         grid=grid,
@@ -230,6 +240,8 @@ def build_context(
         reduced_basis=reduced,
         transverse_mask=transverse_mask,
         inverse_symbol=inverse_symbol,
+        quotient=np.hstack([moves[:, :rank], moves[:, 3 * n :]]),
+        symmetries=np.hstack([moves[:, rank : 2 * n], moves[:, 2 * n : 3 * n]]),
     )
 
 
@@ -242,8 +254,8 @@ def build_context(
 class FrameState:
     """A unitary frame parametrized by displacement coordinates.
 
-    coords = (dp, xi): dp in R^{2n} moves the base point along the frame
-    columns; xi holds u(n) coefficients (basis `unitary_algebra_basis`) whose
+    coords = (dp, xi): dp in R^{2n} translates the ambient base point; xi
+    holds u(n) coefficients (basis `unitary_algebra_basis`) whose
     exponential rotates the frame.  The realized frame is re-fitted to the
     ambient metric, so coordinates stay valid at every t.
     """
@@ -264,9 +276,6 @@ class FrameState:
     def n(self) -> int:
         return self.base_point.size // 2
 
-    def displacement(self) -> np.ndarray:
-        return self.coords[: 2 * self.n]
-
     def xi_norm(self) -> float:
         return float(np.linalg.norm(self.coords[2 * self.n :]))
 
@@ -280,7 +289,7 @@ class FrameState:
         complex coordinates give the complex-analytic continuation of the
         frame, which `_realize_jacobian` differentiates by complex step."""
         n = self.n
-        point = self.base_point + self.base_matrix @ self.displacement()
+        point = self.base_point + self.coords[: 2 * n]
         basis = np.array([unitary_embedding(m) for m in unitary_algebra_basis(n)])
         generator = np.tensordot(self.coords[2 * n :], basis, axes=1)
         target = self.base_matrix @ scipy.linalg.expm(generator)
@@ -542,13 +551,15 @@ def _integrate_exact_one_form(ctx: ReductionContext, beta: np.ndarray) -> np.nda
 
 @dataclass
 class GradientReport:
-    """Three independent evaluations of dK at a frame.
+    """Three independent evaluations of dK at a frame, along the columns of
+    [ctx.quotient | ctx.symmetries].
 
     fd differentiates the solved K directly; factored assembles the same
     gradient as the pairing of frame-variation potentials with the kernel
     residual components; envelope is `frame_gradient`, the exact frame
     derivative at frozen f that the optimizer uses.  Agreement is the
-    correctness certificate of the reduction."""
+    correctness certificate of the reduction; the symmetry components
+    (stabilizer_fd, stabilizer_factored) vanish."""
 
     fd: np.ndarray
     factored: np.ndarray
@@ -581,17 +592,14 @@ def _solve_near(ctx: ReductionContext, state: ReductionState, delta: np.ndarray)
 
 
 def _realize_jacobian(
-    metric, frame: FrameState, indices: Optional[np.ndarray] = None
+    metric, frame: FrameState, directions: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(d point / dc, d matrix / dc) of `FrameState.realize` at the frame's
-    coordinates, by complex step: exact to roundoff, with no subtraction.
-    Rows follow `indices`, every coordinate when None; each is one complex
-    realization, so only the coordinates a caller keeps are formed."""
-    indices = range(frame.coords.size) if indices is None else indices
+    """(d point, d matrix) of `FrameState.realize` along each row of
+    directions at the frame's coordinates, by complex step: exact to
+    roundoff, with no subtraction.  Each row is one complex realization."""
     d_point, d_matrix = [], []
-    for i in indices:
-        coords = frame.coords.astype(complex)
-        coords[i] += 1j * _COMPLEX_STEP
+    for direction in directions:
+        coords = frame.coords + 1j * _COMPLEX_STEP * direction
         moved = replace(frame, coords=coords).realize(metric)
         d_point.append(moved.point.imag / _COMPLEX_STEP)
         d_matrix.append(moved.matrix.imag / _COMPLEX_STEP)
@@ -599,10 +607,10 @@ def _realize_jacobian(
 
 
 def frame_gradient(
-    ctx: ReductionContext, state: ReductionState, indices: Optional[np.ndarray] = None
+    ctx: ReductionContext, state: ReductionState, directions: np.ndarray
 ) -> np.ndarray:
-    """Exact dK over the frame coordinates `indices` (all when None) at a
-    solved state, with no solve.
+    """Exact derivative of K along each row of directions (frame-coordinate
+    vectors) at a solved state, with no solve.
 
     At a solved state f is kernel-orthogonal and the projected residual
     vanishes to the solver tolerance, so by the envelope theorem dK/dc is
@@ -611,37 +619,36 @@ def frame_gradient(
     1 + A = u^-1 u' and b = u^-1 (p' - p) / t, so that derivative is the
     state's affine sensitivity chained through the Jacobian of `realize`."""
     d_shift, d_linear = state.frame_sensitivity
-    d_point, d_matrix = _realize_jacobian(ctx.metric, state.frame, indices)
+    d_point, d_matrix = _realize_jacobian(ctx.metric, state.frame, directions)
     inverse = np.linalg.inv(state.unitary.matrix)
-    db = d_point @ inverse.T / state.t  # (coords, 2n)
-    dA = inverse @ d_matrix  # (coords, 2n, 2n)
+    db = d_point @ inverse.T / state.t  # (directions, 2n)
+    dA = inverse @ d_matrix  # (directions, 2n, 2n)
     return np.real(db @ d_shift + np.einsum("ikl,kl->i", dA, d_linear))
 
 
 def gradient_K(ctx: ReductionContext, state: ReductionState) -> GradientReport:
-    """Gradient of the reduced volume over all frame coordinates, three ways.
+    """Gradient of the reduced volume along quotient and symmetries, three ways.
 
     fd is central differences of the solved K at +-FRAME_STEP, whose warm
-    solves the variation potentials and `hessian_K` share."""
-    dim = ctx.num_frame_coords
+    solves the variation potentials, `hessian_K` and the cross block share."""
+    directions = np.hstack([ctx.quotient, ctx.symmetries]).T
     H = H_eval(ctx, state)
-    fd, factored = np.zeros(dim), np.zeros(dim)
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        plus = _solve_near(ctx, state, FRAME_STEP * e).K_value
-        minus = _solve_near(ctx, state, -FRAME_STEP * e).K_value
+    fd, factored = np.zeros(len(directions)), np.zeros(len(directions))
+    for i, direction in enumerate(directions):
+        step = FRAME_STEP * direction
+        plus = _solve_near(ctx, state, step).K_value
+        minus = _solve_near(ctx, state, -step).K_value
         fd[i] = (plus - minus) / (2.0 * FRAME_STEP)
-        h = variation_potential(ctx, state, e)
+        h = variation_potential(ctx, state, direction)
         factored[i] = np.dot([ctx.vol_inner(h, b) for b in ctx.reduced_basis], H)
-    stab = ctx.stabilizer_indices
+    m = ctx.quotient.shape[1]
     return GradientReport(
         fd=fd,
         factored=factored,
-        envelope=frame_gradient(ctx, state),
+        envelope=frame_gradient(ctx, state, directions),
         kernel_components=H,
-        stabilizer_fd=fd[stab],
-        stabilizer_factored=factored[stab],
+        stabilizer_fd=fd[m:],
+        stabilizer_factored=factored[m:],
     )
 
 
@@ -651,22 +658,22 @@ def gradient_K(ctx: ReductionContext, state: ReductionState) -> GradientReport:
 
 
 def hessian_K(ctx: ReductionContext, state: ReductionState) -> np.ndarray:
-    """Hessian of the solved K over quotient coordinates, symmetrized.
+    """Hessian of the solved K over the quotient basis, symmetrized.
 
     Central differences of the exact `frame_gradient` at the 2m frames
-    shifted by +-FRAME_STEP along each of the m quotient coordinates: 12
+    shifted by +-FRAME_STEP along each of the m columns of ctx.quotient: 10
     warm solves at n = 2.  Each neighbour is solved through the state's memo,
     so these frames are shared with `gradient_K` and the cross block.  The
-    gradients carry the envelope error O(tol), so an entry's noise is about
-    tol / FRAME_STEP (see `_is_saddle`); the O(FRAME_STEP^2) truncation
-    error is below it."""
-    indices = ctx.quotient_indices
+    symmetries are left out, so the default metric's Hessian has no exact
+    zero mode.  The gradients carry the envelope error O(tol), so an entry's
+    noise is about tol / FRAME_STEP (see `_SADDLE_TOL`); the O(FRAME_STEP^2)
+    truncation error is below it."""
+    quotient = ctx.quotient.T
     columns = []
-    for idx in indices:
-        e = np.zeros(ctx.num_frame_coords)
-        e[idx] = FRAME_STEP
-        plus = frame_gradient(ctx, _solve_near(ctx, state, e), indices)
-        minus = frame_gradient(ctx, _solve_near(ctx, state, -e), indices)
+    for direction in quotient:
+        step = FRAME_STEP * direction
+        plus = frame_gradient(ctx, _solve_near(ctx, state, step), quotient)
+        minus = frame_gradient(ctx, _solve_near(ctx, state, -step), quotient)
         columns.append((plus - minus) / (2.0 * FRAME_STEP))
     hess = np.array(columns).T
     return 0.5 * (hess + hess.T)
@@ -690,16 +697,9 @@ class OptimizationResult:
     trace: Optional[List[dict]] = None
 
 
-def _is_saddle(eigenvalue: float, tol: float) -> bool:
-    """Whether a Hessian eigenvalue of K is a descent direction, not noise.
-
-    `hessian_K` differences exact gradients whose envelope error is at most
-    about the solver tolerance tol, over a span of 2 FRAME_STEP, so an entry
-    is off by about tol / FRAME_STEP (1e-8 at the default 1e-12); an
-    eigenvalue counts as negative only below minus the larger of the saddle
-    tolerance and that noise."""
-    noise = tol / FRAME_STEP
-    return bool(eigenvalue < -max(_SADDLE_TOL, noise))
+def _is_saddle(eigenvalue: float) -> bool:
+    """Whether a Hessian eigenvalue of K is a descent direction, not noise."""
+    return bool(eigenvalue < -_SADDLE_TOL)
 
 
 def optimize_frame(
@@ -710,27 +710,23 @@ def optimize_frame(
 ) -> OptimizationResult:
     """Minimize the reduced volume over the frame quotient.
 
-    BFGS over the six quotient coordinates down to |dK| <= _BFGS_GTOL, with
-    the exact `frame_gradient`, which each solved frame yields without
-    another volume; re-anchors whenever the rotation coordinates leave the
-    trust region of the exponential chart; classifies the critical point by
-    `hessian_K` (12 warm solves) and kicks off saddles along their most
-    negative direction; then Newton-polishes with that Hessian, one solve per
-    step, down to |dK| <= _POLISH_TOL.  The only volumes are the solves' own
-    gradient volumes."""
+    BFGS over the quotient coordinates y (the frame moved by ctx.quotient @ y)
+    down to |dK| <= _BFGS_GTOL, with the exact `frame_gradient`, which each
+    solved frame yields without another volume; re-anchors whenever the
+    rotation coordinates leave the trust region of the exponential chart;
+    classifies the critical point by `hessian_K` (10 warm solves at n = 2)
+    and kicks off saddles along their most negative direction; then
+    Newton-polishes with that Hessian, one solve per step, down to
+    |dK| <= _POLISH_TOL.  Nothing moves along the symmetries, so the base
+    point keeps the start's component along the metric's translations.  The
+    only volumes are the solves' own gradient volumes."""
     settings = settings if settings is not None else OptimizeSettings()
-    quotient = ctx.quotient_indices
-    dim = ctx.num_frame_coords
+    Q = ctx.quotient
     evaluations = 0
     anchor_rounds = 0
     saddle_restarts = 0
     frame = init
     trace: List[dict] = []
-
-    def lift(y: np.ndarray) -> np.ndarray:
-        delta = np.zeros(dim)
-        delta[quotient] = y
-        return delta
 
     def run_bfgs(anchor: FrameState) -> Tuple[FrameState, ReductionState]:
         nonlocal evaluations
@@ -742,11 +738,11 @@ def optimize_frame(
             if key in cache:
                 return cache[key]
             nonlocal evaluations
-            fs = anchor.shifted(lift(y))
+            fs = anchor.shifted(Q @ y)
             st = projected_solve(ctx, t, fs, init=warm[0])
             warm[0] = st.f
             evaluations += 1
-            grad = frame_gradient(ctx, st, quotient)
+            grad = frame_gradient(ctx, st, Q.T)
             cache[key] = (st.K_value, grad, st)
             trace.append(
                 {
@@ -761,13 +757,13 @@ def optimize_frame(
 
         result = scipy.optimize.minimize(
             lambda y: evaluate(y)[:2],
-            np.zeros(quotient.size),
+            np.zeros(Q.shape[1]),
             jac=True,
             method="BFGS",
             options={"gtol": _BFGS_GTOL, "maxiter": _MAX_BFGS_ITERATIONS},
         )
         _, _, final_state = evaluate(result.x)
-        return anchor.shifted(lift(result.x)), final_state
+        return anchor.shifted(Q @ result.x), final_state
 
     state: Optional[ReductionState] = None
     for anchor_rounds in range(1, _MAX_ANCHOR_ROUNDS + 1):
@@ -779,33 +775,28 @@ def optimize_frame(
         hess = hessian_K(ctx, state)
         eigs, vecs = np.linalg.eigh(hess)
         if (
-            not _is_saddle(eigs[0], SOLVE_TOL)
+            not _is_saddle(eigs[0])
             or saddle_restarts >= settings.max_saddle_restarts
         ):
             break
         saddle_restarts += 1
-        kick = _SADDLE_KICK * lift(vecs[:, 0])
+        kick = _SADDLE_KICK * (Q @ vecs[:, 0])
         frame = frame.shifted(kick).anchored(ctx.metric)
         frame, state = run_bfgs(frame)
 
     # Newton polish: along soft Hessian directions the line search stalls once
     # volume differences drop under floating-point resolution, but the exact
     # gradient stays measurable, so Newton steps with the Hessian still
-    # converge.  A curvature below the Hessian's noise overshoots, so a step
-    # that raises the gradient is discarded and the softest direction still
-    # in use leaves the Newton step.
-    grad = frame_gradient(ctx, state, quotient)
-    floor = _HESSIAN_EIG_FLOOR * max(1.0, float(np.max(np.abs(eigs))))
-    active = np.ones(eigs.size, dtype=bool)
+    # converge.  A step that does not lower the gradient ends the polish.
+    grad = frame_gradient(ctx, state, Q.T)
     for _ in range(_MAX_POLISH_STEPS):
-        if np.linalg.norm(grad) <= _POLISH_TOL or not active.any():
+        if np.linalg.norm(grad) <= _POLISH_TOL:
             break
-        coeffs = vecs[:, active].T @ grad
-        step = -vecs[:, active] @ (coeffs / np.maximum(eigs[active], floor))
+        step = -vecs @ ((vecs.T @ grad) / eigs)
         norm = float(np.linalg.norm(step))
         if norm > _MAX_POLISH_STEP_NORM:
             step *= _MAX_POLISH_STEP_NORM / norm
-        candidate_frame = frame.shifted(lift(step))
+        candidate_frame = frame.shifted(Q @ step)
         candidate = projected_solve(ctx, t, candidate_frame, init=state.f)
         evaluations += 1
         halvings = 0
@@ -814,14 +805,13 @@ def optimize_frame(
             and halvings < 5
         ):
             step = 0.5 * step
-            candidate_frame = frame.shifted(lift(step))
+            candidate_frame = frame.shifted(Q @ step)
             candidate = projected_solve(ctx, t, candidate_frame, init=state.f)
             evaluations += 1
             halvings += 1
-        candidate_grad = frame_gradient(ctx, candidate, quotient)
+        candidate_grad = frame_gradient(ctx, candidate, Q.T)
         if np.linalg.norm(candidate_grad) >= np.linalg.norm(grad):
-            active[np.argmax(active)] = False
-            continue
+            break
         frame, state, grad = candidate_frame, candidate, candidate_grad
         trace.append(
             {
@@ -834,7 +824,7 @@ def optimize_frame(
         )
 
     report = gradient_K(ctx, state)
-    grad_norm = float(np.linalg.norm(report.fd[quotient]))
+    grad_norm = float(np.linalg.norm(report.fd[: Q.shape[1]]))
     stab_norm = float(np.linalg.norm(report.stabilizer_fd))
     rel, absolute, _ = geometric_residual(ctx, state)
     return OptimizationResult(
@@ -843,7 +833,7 @@ def optimize_frame(
         stabilizer_gradient_norm=stab_norm,
         hessian=hess,
         hessian_eigenvalues=eigs,
-        is_minimum=not _is_saddle(eigs[0], SOLVE_TOL),
+        is_minimum=not _is_saddle(eigs[0]),
         saddle_restarts=saddle_restarts,
         anchor_rounds=anchor_rounds,
         residual_relative=rel,
@@ -956,13 +946,11 @@ def second_variation_Q(
     frame_block = scale * np.asarray(frame_block)
     frame_eigs = np.linalg.eigvalsh(frame_block)
 
-    quotient = ctx.quotient_indices
-    cross = np.zeros((len(field_directions), quotient.size))
-    for j, idx in enumerate(quotient):
-        e = np.zeros(ctx.num_frame_coords)
-        e[idx] = FRAME_STEP
-        plus = _solve_near(ctx, state, e)
-        minus = _solve_near(ctx, state, -e)
+    cross = np.zeros((len(field_directions), ctx.quotient.shape[1]))
+    for j, direction in enumerate(ctx.quotient.T):
+        step = FRAME_STEP * direction
+        plus = _solve_near(ctx, state, step)
+        minus = _solve_near(ctx, state, -step)
         for i, direction in enumerate(field_directions):
             pair_plus = ctx.vol_inner(plus.gradient, direction)
             pair_minus = ctx.vol_inner(minus.gradient, direction)

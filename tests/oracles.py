@@ -403,13 +403,18 @@ def operator_distance(op_a: GridOperator, op_b: GridOperator) -> float:
 # the reduction: leading-order frame-variation potentials
 
 
-def xi_map(ctx: ReductionContext, t: float, direction: np.ndarray) -> ScalarField:
+def xi_map(
+    ctx: ReductionContext, t: float, direction: np.ndarray, matrix: np.ndarray
+) -> ScalarField:
     """Leading-order potential of an infinitesimal frame motion.
 
     The frame direction acts on the scaled model torus by a rigid unitary
     motion; its Hamiltonian potential, restricted to the torus and rescaled
     by 1/t, is the quadratic moment polynomial evaluated on t times the unit
-    model embedding.  Stabilizer directions give exactly zero.
+    model embedding.  Stabilizer directions give exactly zero.  The
+    displacement coordinates translate the ambient base point, so the model,
+    which moves the torus in its own frame, sees them turned by the frame
+    matrix's inverse.
 
     The model describes motions of an anchored frame (zero displacement
     coordinates); away from the anchor, exponential coordinates mix
@@ -418,8 +423,7 @@ def xi_map(ctx: ReductionContext, t: float, direction: np.ndarray) -> ScalarFiel
     """
     direction = np.asarray(direction, dtype=float)
     n = ctx.n
-    translation = np.zeros(2 * n)
-    translation[:] = direction[: 2 * n]
+    translation = np.linalg.solve(matrix, direction[: 2 * n])
     basis = unitary_algebra_basis(n)
     rotation = np.zeros((n, n), dtype=complex)
     for c, mat in zip(direction[2 * n :], basis):
@@ -454,7 +458,9 @@ def realize_jacobian_fd(metric, frame, step: float = 1e-5) -> tuple[np.ndarray, 
 class PsiReport:
     """Pairings of frame-variation potentials with the reduced kernel basis.
 
-    Rows are quotient frame directions; Psi uses the exact solved-family
+    Rows are the frame-coordinate axes off the diagonal torus, every
+    translation included, since translations span the moment-map kernel
+    modes whether or not they fix the metric; Psi uses the exact solved-family
     potentials, psi_leading the moment-map approximation.  stabilizer_norms
     records how close the stabilizer rows are to zero.
     """
@@ -468,14 +474,14 @@ class PsiReport:
 def psi_matrices(ctx: ReductionContext, state: ReductionState) -> PsiReport:
     """Assemble the reduced pairing matrix and its leading-order model."""
     dim = ctx.num_frame_coords
-    quotient = ctx.quotient_indices
+    quotient = np.delete(np.arange(dim), ctx.stabilizer_indices)
     full_psi = np.zeros((dim, len(ctx.reduced_basis)))
     full_leading = np.zeros_like(full_psi)
     stabilizer_norms = np.zeros(len(ctx.stabilizer_indices))
     for i in range(dim):
         e = np.zeros(dim)
         e[i] = 1.0
-        lead = xi_map(ctx, state.t, e)
+        lead = xi_map(ctx, state.t, e, state.unitary.matrix)
         full_leading[i] = [ctx.vol_inner(lead, b) for b in ctx.reduced_basis]
         h = variation_potential(ctx, state, e)
         full_psi[i] = [ctx.vol_inner(h, b) for b in ctx.reduced_basis]

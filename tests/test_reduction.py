@@ -265,7 +265,7 @@ def test_translation_potential_matches_moment_model(
 ):
     e = np.zeros(reduction_ctx.num_frame_coords)
     e[0] = 1.0
-    lead = xi_map(reduction_ctx, base_reduction_state.t, e)
+    lead = xi_map(reduction_ctx, base_reduction_state.t, e, base_reduction_state.unitary.matrix)
     h = variation_potential(reduction_ctx, base_reduction_state, e)
     deviation = field_norm(reduction_ctx, h.values - lead.values)
     assert deviation <= 5e-3 * reduction_ctx.vol_norm(lead)
@@ -274,7 +274,7 @@ def test_translation_potential_matches_moment_model(
 def test_rotation_potential_matches_moment_model(reduction_ctx, base_reduction_state):
     e = np.zeros(reduction_ctx.num_frame_coords)
     e[6] = 1.0
-    lead = xi_map(reduction_ctx, base_reduction_state.t, e)
+    lead = xi_map(reduction_ctx, base_reduction_state.t, e, base_reduction_state.unitary.matrix)
     h = variation_potential(reduction_ctx, base_reduction_state, e)
     deviation = field_norm(reduction_ctx, h.values - lead.values)
     assert deviation <= 5e-3 * reduction_ctx.vol_norm(lead)
@@ -284,20 +284,20 @@ def test_stabilizer_potentials_vanish(reduction_ctx, base_reduction_state):
     for idx in reduction_ctx.stabilizer_indices:
         e = np.zeros(reduction_ctx.num_frame_coords)
         e[idx] = 1.0
-        lead = xi_map(reduction_ctx, base_reduction_state.t, e)
+        lead = xi_map(reduction_ctx, base_reduction_state.t, e, base_reduction_state.unitary.matrix)
         h = variation_potential(reduction_ctx, base_reduction_state, e)
         assert reduction_ctx.vol_norm(lead) <= 1e-12
         assert reduction_ctx.vol_norm(h) <= 1e-8
 
 
-def test_moment_potentials_span_reduced_kernel(reduction_ctx):
-    import scipy.linalg
-
+def test_moment_potentials_span_reduced_kernel(reduction_ctx, base_reduction_state):
+    """Every translation and the off-diagonal rotations: the moment maps of
+    the frame motions off the diagonal torus span the zero-mean kernel."""
+    matrix = base_reduction_state.unitary.matrix
     columns = []
-    for idx in reduction_ctx.quotient_indices:
-        e = np.zeros(reduction_ctx.num_frame_coords)
-        e[idx] = 1.0
-        columns.append(xi_map(reduction_ctx, T, e).values.reshape(-1))
+    axes = np.eye(reduction_ctx.num_frame_coords)
+    for e in np.delete(axes, reduction_ctx.stabilizer_indices, axis=0):
+        columns.append(xi_map(reduction_ctx, T, e, matrix).values.reshape(-1))
     kernel = np.stack(
         [b.values.reshape(-1) for b in reduction_ctx.reduced_basis], axis=1
     )
@@ -323,14 +323,14 @@ def test_gradient_factorization_identity(reduction_ctx):
         frame = random_frame_state(reduction_ctx, seed=seed)
         state = projected_solve(reduction_ctx, T, frame)
         report = gradient_K(reduction_ctx, state)
-        q = reduction_ctx.quotient_indices
+        q = slice(reduction_ctx.quotient.shape[1])
         scale = max(float(np.max(np.abs(report.fd[q]))), 1e-12)
         mismatch = float(np.max(np.abs(report.fd[q] - report.factored[q]))) / scale
         assert mismatch <= 1e-3
         assert np.max(np.abs(report.stabilizer_fd)) <= 1e-8
         assert np.max(np.abs(report.stabilizer_factored)) <= 1e-8
-        # with the exact envelope gradient, all three agree over every
-        # coordinate, stabilizer components included, at a frame that is not
+        # with the exact envelope gradient, all three agree along every
+        # direction, symmetry components included, at a frame that is not
         # critical
         assert scale >= 1e-5
         for a, b in ((report.envelope, report.fd), (report.envelope, report.factored),
@@ -342,7 +342,9 @@ def test_realize_jacobian_complex_step_matches_central_differences(reduction_ctx
     rng = np.random.default_rng(4)
     frame = random_frame_state(reduction_ctx, seed=3)
     frame = frame.shifted(rng.uniform(-0.3, 0.3, size=frame.coords.size))
-    exact = hslag.reduction._realize_jacobian(reduction_ctx.metric, frame)
+    exact = hslag.reduction._realize_jacobian(
+        reduction_ctx.metric, frame, np.eye(frame.coords.size)
+    )
     for cs, fd in zip(exact, realize_jacobian_fd(reduction_ctx.metric, frame)):
         assert cs.dtype == float and cs.shape == fd.shape
         assert np.max(np.abs(cs - fd)) <= 1e-8
@@ -379,36 +381,47 @@ def test_optimize_frame_locates_stationary_torus(reduction_ctx, frame_optimum):
     assert result.residual_relative <= 1e-5
 
 
-def test_frame_hessian_zero_mode_is_the_metric_translation(reduction_ctx, frame_optimum):
-    """Three integer wave vectors in R^4 leave one ambient translation v
-    under which G, and so K, is exactly invariant; moving the base point
-    along v is the frame-coordinate direction (U^-1 v, 0) of the quotient."""
-    waves = reduction_ctx.metric.wave_vectors
-    assert waves.shape == (3, 4)
-    v = scipy.linalg.null_space(waves)[:, 0]
-    n = reduction_ctx.n
-    direction = np.zeros(reduction_ctx.num_frame_coords)
-    direction[: 2 * n] = np.linalg.solve(frame_optimum.state.frame.base_matrix, v)
-    direction = direction[reduction_ctx.quotient_indices]
-    eigs, vecs = np.linalg.eigh(frame_optimum.hessian)
-    assert abs(eigs[0]) <= 1e-9
-    assert eigs[1] >= 1e-5  # the zero mode is isolated
-    cosine = abs(vecs[:, 0] @ direction) / np.linalg.norm(direction)
-    assert cosine >= 1.0 - 1e-6
+def test_symmetries_fix_K_and_leave_no_hessian_zero_mode(reduction_ctx, frame_optimum):
+    """K is exactly invariant along every column of ctx.symmetries: the one
+    translation along the null space of the three wave vectors in R^4, and
+    the diagonal torus, turned here by one grid spacing so nodes map to
+    nodes.  With the symmetries out of the quotient, the located Hessian has
+    no zero mode."""
+    state = frame_optimum.state
+    anchor = state.frame.anchored(reduction_ctx.metric)
+    step = 2.0 * np.pi / reduction_ctx.grid.sizes[0]
+    assert reduction_ctx.symmetries.shape == (8, 3)
+    for direction in reduction_ctx.symmetries.T:
+        moved = projected_solve(reduction_ctx, T, anchor.shifted(step * direction), init=state.f)
+        assert abs(moved.K_value - state.K_value) <= 1e-12 * state.K_value
+    assert frame_optimum.hessian.shape == (5, 5)
+    assert np.linalg.eigvalsh(frame_optimum.hessian)[0] >= 1e-5
+
+
+def test_frame_bases_split_the_coordinates_at_n3():
+    """Three wave vectors in R^6 leave three translations that fix the
+    metric: the quotient has 3 + 6 columns, the symmetries 3 + 3, and
+    together they are an orthonormal basis of the 15 frame coordinates."""
+    ctx = build_context(radii=(1.0, 1.3, 1.6), grid_size=16)
+    assert ctx.quotient.shape == (15, 9)
+    assert ctx.symmetries.shape == (15, 6)
+    basis = np.hstack([ctx.quotient, ctx.symmetries])
+    assert np.max(np.abs(basis.T @ basis - np.eye(15))) <= 1e-14
+    translations = ctx.symmetries[: 2 * ctx.n]
+    assert np.max(np.abs(ctx.metric.wave_vectors @ translations)) <= 1e-14
 
 
 def test_grid_24_locates_the_grid_32_torus(coarse_ctx, reduction_ctx, frame_optimum):
     """Grid convergence: from the same start, grid 24 finds the torus that
-    grid 32 finds.  The located base points are compared off the metric's
-    translation zero mode, the one direction K cannot distinguish."""
+    grid 32 finds, base point included: the search never moves along the
+    translations that fix the metric, so nothing is split off."""
     coarse = optimize_frame(coarse_ctx, T, random_frame_state(coarse_ctx, seed=1))
     K_coarse, K_fine = coarse.state.K_value, frame_optimum.state.K_value
     assert abs(K_coarse - K_fine) <= 1e-13 * abs(K_fine)
     assert coarse.residual_relative <= 1e-5
     assert frame_optimum.residual_relative <= 1e-5
-    null = scipy.linalg.null_space(reduction_ctx.metric.wave_vectors)
     gap = coarse.state.unitary.point - frame_optimum.state.unitary.point
-    assert np.linalg.norm(gap - null @ (null.T @ gap)) <= 1e-9
+    assert np.linalg.norm(gap) <= 1e-9
 
 
 def test_second_variation_blocks(reduction_ctx, frame_optimum):
@@ -495,24 +508,22 @@ def test_stencils_around_a_state_solve_each_frame_once(coarse_ctx, monkeypatch):
     gradient_K(coarse_ctx, state)
     second_variation_Q(coarse_ctx, state)
     assert len(seen) == len(set(seen))
-    # 16 gradient frames; the Hessian's 12 +-e frames are among them
+    # 16 gradient frames; the Hessian's 10 quotient frames are among them
     assert len(seen) == 16
 
 
 def test_saddle_test_ignores_stencil_noise():
     """The Hessian differences exact gradients, so its noise is about
-    solver tol / FRAME_STEP: 1e-8 at tol 1e-12, under the 1e-6 saddle
-    tolerance, which then decides; at tol 1e-9 the noise, 1e-5, decides."""
-    assert FRAME_STEP == 1e-4
-    assert not hslag.reduction._is_saddle(-0.9e-6, 1e-12)
-    assert hslag.reduction._is_saddle(-1.1e-6, 1e-12)
-    assert not hslag.reduction._is_saddle(-9e-6, 1e-9)
-    assert hslag.reduction._is_saddle(-1.1e-5, 1e-9)
+    SOLVE_TOL / FRAME_STEP = 1e-8, under the 1e-6 saddle tolerance."""
+    assert SOLVE_TOL / FRAME_STEP == pytest.approx(1e-8)
+    assert hslag.reduction._SADDLE_TOL == 1e-6
+    assert not hslag.reduction._is_saddle(-0.9e-6)
+    assert hslag.reduction._is_saddle(-1.1e-6)
 
 
 def test_optimize_frame_makes_no_value_only_volume(reduction_ctx, frame_optimum, monkeypatch):
     """Every volume of a frame search is a solve's gradient volume: the
-    gradients are exact, and the Hessian takes 12 solves.  Only the
+    gradients are exact, and the Hessian takes 10 solves.  Only the
     second-variation field stencil makes value-only volumes.  The start is
     the located torus kicked off its critical point."""
     volumes, solves, hessian_solves = [], [], []
@@ -543,7 +554,7 @@ def test_optimize_frame_makes_no_value_only_volume(reduction_ctx, frame_optimum,
     result = optimize_frame(reduction_ctx, T, start, OptimizeSettings(max_saddle_restarts=0))
     assert result.gradient_norm <= 1e-8
     assert volumes and all(volumes)
-    assert hessian_solves == [12]
+    assert hessian_solves == [10]
     # the blocks at the result: the field stencil's 3 x 4 value-only volumes,
     # and the cross block re-solves nothing
     volumes.clear()
