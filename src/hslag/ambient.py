@@ -446,39 +446,45 @@ class UnitaryFrame:
 
 
 def _gram_schmidt_frame(G: np.ndarray, candidates: Sequence[np.ndarray]) -> np.ndarray:
-    """Complex Gram-Schmidt against J = -G^{-1} Omega0.
+    """Complex Gram-Schmidt against J = -G^{-1} Omega0, for a stack of frames.
 
     Orthonormalizes w.r.t. the Hermitian form h(u, v) = G(u, v) + i omega0(u, v)
     on the complex vector space (R^{2n}, J); columns come out interleaved as
     (u_1, J u_1, ..., u_n, J u_n), which gives upsilon^T G upsilon = I and
-    upsilon^T Omega0 upsilon = Omega0 in the standard conventions.  Complex G
-    and candidates go through the same arithmetic without conjugation, and
-    seeds are accepted or skipped on the real part of their norm, so the
-    frame is complex-analytic in its inputs (complex-step safe).
+    upsilon^T Omega0 upsilon = Omega0 in the standard conventions.  G is
+    [..., d, d] and each candidate broadcasts against [..., d]; every frame of
+    the stack runs the same arithmetic.  Complex G and candidates go through
+    it without conjugation, and a seed is accepted or skipped on the real part
+    of its norm, so the frame is complex-analytic in its inputs (complex-step
+    safe).  The stack accepts a seed only where every frame accepts it:
+    complex-step rows of one frame share their real parts, so they agree.
     """
-    d = G.shape[0]
-    n = d // 2
-    om = standard_symplectic_matrix(n)
+    d = G.shape[-1]
+    om = standard_symplectic_matrix(d // 2)
     J = -np.linalg.solve(G, om)
+
+    def pair(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.sum(u * (G @ v[..., None])[..., 0], axis=-1)
+
     built: list[np.ndarray] = []
     cand = list(candidates)
     cols = []
-    for _ in range(n):
+    for _ in range(d // 2):
         v = None
         while cand:
-            v = _inexact(cand.pop(0))
+            v = np.broadcast_to(_inexact(cand.pop(0)), G.shape[:-1])
             for u in built:
-                Ju = J @ u
-                v = v - (u @ G @ v) * u - (Ju @ G @ v) * Ju
-            norm2 = v @ G @ v
-            if norm2.real > 1e-16:
-                v = v / np.sqrt(norm2)
+                Ju = (J @ u[..., None])[..., 0]
+                v = v - pair(u, v)[..., None] * u - pair(Ju, v)[..., None] * Ju
+            norm2 = pair(v, v)
+            if np.all(norm2.real > 1e-16):
+                v = v / np.sqrt(norm2)[..., None]
                 break
             v = None
         if v is None:
             raise RankDeficiencyError("frame Gram-Schmidt ran out of independent seeds")
         built.append(v)
-        cols.extend([v, J @ v])
+        cols.extend([v, (J @ v[..., None])[..., 0]])
     return np.stack(cols, axis=-1)
 
 
@@ -492,7 +498,8 @@ def unitary_frame(metric, p: np.ndarray, seed: int = 0) -> UnitaryFrame:
 
 
 def frame_fit(metric, p: np.ndarray, target: np.ndarray) -> UnitaryFrame:
-    """Correct a nearly-unitary frame to an exact one at p.
+    """Correct nearly-unitary frames to exact ones: p [..., 2n] and target
+    [..., 2n, 2n], one frame per leading index.
 
     Seeds the Gram-Schmidt with the target's x_j columns, so the output is a
     smooth function of (p, target) near any valid frame and reduces to the
@@ -502,9 +509,9 @@ def frame_fit(metric, p: np.ndarray, target: np.ndarray) -> UnitaryFrame:
     p = _inexact(p)
     G = metric.value(p)
     target = _inexact(target)
-    seeds = [target[:, 2 * j] for j in range(target.shape[1] // 2)]
-    extra = [np.eye(target.shape[0])[:, k] for k in range(target.shape[0])]
-    return UnitaryFrame(p, _gram_schmidt_frame(G, seeds + extra))
+    d = target.shape[-1]
+    seeds = [target[..., :, 2 * j] for j in range(d // 2)]
+    return UnitaryFrame(p, _gram_schmidt_frame(G, seeds + list(np.eye(d))))
 
 
 def unitary_embedding(gamma: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from .errors import ConfigError, HslagError
 from .fieldio import read_csv, save_field, write_csv, write_long_csv, write_manifest
 from .geomcore import (
     ScalarField,
-    hs_residual,
+    codifferential,
     induced_metric,
     mean_curvature_one_form,
     one_form_l2_norm,
@@ -229,10 +229,11 @@ def _suite_verify_models(config: ExperimentConfig, out: str):
     checks, rows, payload = [], [], {}
     for name, model, build in _model_instances(config):
         imm = build(model)
-        defect = float(np.max(np.abs(hs_residual(imm).values)))
-        vol = volume(imm)
         h = induced_metric(imm)
-        alpha = one_form_l2_norm(mean_curvature_one_form(imm), h)
+        alpha_form = mean_curvature_one_form(imm)
+        defect = float(np.max(np.abs(codifferential(alpha_form, h).values)))
+        vol = volume(imm)
+        alpha = one_form_l2_norm(alpha_form, h)
         checks.append(_check(f"{name}_hs_residual", defect, config.tolerance("model_residual")))
         rows.append((name, config.grid_size, defect, vol, alpha))
         payload[name] = {"max_residual": defect, "volume": vol, "alpha_h_norm": alpha}

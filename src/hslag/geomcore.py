@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "band_mask",
     "derivative_multipliers",
     "fourier_multiply",
+    "translate",
     "spectral_gradient",
     "l2_inner",
     "l2_norm",
@@ -308,6 +309,17 @@ def fourier_multiply(values: np.ndarray, grid: GridDescriptor, table: np.ndarray
     fields over the trailing grid axes."""
     half = table[..., : grid.sizes[-1] // 2 + 1]
     return _inverse(_forward(values, grid) * half, grid, False)
+
+
+def translate(values: np.ndarray, grid: GridDescriptor, shift: Sequence[float]) -> np.ndarray:
+    """Real fields over the trailing grid axes, translated: values(theta + shift).
+
+    The phase exp(i k . shift) on the rfftn spectrum, with the derivative
+    multipliers' wave numbers: exact on the band, and an unpaired Nyquist
+    mode, whose translate no real grid field carries, is not moved along its
+    Nyquist axis."""
+    phase = np.exp(sum(ik * s for ik, s in zip(derivative_multipliers(grid), shift)))
+    return _inverse(_forward(values, grid) * phase, grid, False)
 
 
 def spectral_gradient(values: np.ndarray, grid: GridDescriptor) -> np.ndarray:

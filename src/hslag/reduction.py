@@ -19,6 +19,7 @@ this a posteriori straight from the ambient immersion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,9 +42,9 @@ from .geomcore import (
     ScalarField,
     _forward,
     _inverse,
+    codifferential,
     derivative_multipliers,
     fourier_multiply,
-    hs_residual,
     induced_metric,
     l2_inner,
     l2_norm,
@@ -51,6 +52,7 @@ from .geomcore import (
     one_form_l2_norm,
     spectral_gradient,
     standard_symplectic_matrix,
+    translate,
     volume_density,
 )
 from .models import TorusModel
@@ -193,9 +195,6 @@ class ReductionContext:
         values = fourier_multiply(f.values, self.grid, self.transverse_mask)
         return ScalarField(self.grid, values, check=False)
 
-    def apply_pseudo_inverse(self, values: np.ndarray) -> np.ndarray:
-        return fourier_multiply(np.asarray(values, dtype=float), self.grid, self.inverse_symbol)
-
 
 def build_context(
     radii: Sequence[float] = (1.0, 1.3),
@@ -250,6 +249,15 @@ def build_context(
 # --------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _algebra_embedding(n: int) -> np.ndarray:
+    """The real embeddings of the `unitary_algebra_basis`, [n^2, 2n, 2n];
+    built once per n and shared, so read-only."""
+    basis = np.array([unitary_embedding(m) for m in unitary_algebra_basis(n)])
+    basis.flags.writeable = False
+    return basis
+
+
 @dataclass(frozen=True)
 class FrameState:
     """A unitary frame parametrized by displacement coordinates.
@@ -283,15 +291,16 @@ class FrameState:
         return replace(self, coords=self.coords + np.asarray(delta, dtype=float))
 
     def realize(self, metric) -> UnitaryFrame:
-        """The frame at these coordinates.
+        """The frame at these coordinates, or the stack of frames when coords
+        has leading axes: one expm over the stacked generators and one
+        `frame_fit`, whose metric evaluation takes every point at once.
 
         The rotation is expm of the real embedding of the u(n) element, so
         complex coordinates give the complex-analytic continuation of the
         frame, which `_realize_jacobian` differentiates by complex step."""
         n = self.n
-        point = self.base_point + self.coords[: 2 * n]
-        basis = np.array([unitary_embedding(m) for m in unitary_algebra_basis(n)])
-        generator = np.tensordot(self.coords[2 * n :], basis, axes=1)
+        point = self.base_point + self.coords[..., : 2 * n]
+        generator = np.tensordot(self.coords[..., 2 * n :], _algebra_embedding(n), axes=1)
         target = self.base_matrix @ scipy.linalg.expm(generator)
         return frame_fit(metric, point, target)
 
@@ -332,10 +341,11 @@ class ReductionState:
     `graph_volume_and_gradient`): O(n^2) floats from which `frame_gradient`
     forms the exact reduced gradient without another volume.
 
-    Warm solves at frames shifted from this one, started from f or from its
-    reflection through an opposite neighbour, are kept in a private memo
-    (`_solve_near`): the finite-difference stencils around a state share
-    their neighbour solves, and the memo is freed with the state.
+    Warm solves at frames shifted from this one, started from f turned along
+    the diagonal torus and corrected through an opposite neighbour, are kept
+    in a private memo (`_solve_near`): the finite-difference stencils around
+    a state share their neighbour solves, and the memo is freed with the
+    state.
     """
 
     t: float
@@ -402,17 +412,23 @@ def projected_solve(
     step could not gain a digit in its 200 iterations anyway.
     """
     unitary = frame.realize(ctx.metric)
+    grid = ctx.grid
+    half = grid.sizes[-1] // 2 + 1
+    mask, inverse_symbol = ctx.transverse_mask[..., :half], ctx.inverse_symbol[..., :half]
+    # f is carried as its band spectrum: one forward transform of each
+    # gradient gives the residual and the update, one inverse the next field
     if init is None:
-        f = ScalarField(ctx.grid, np.zeros(ctx.grid.sizes), check=False)
+        spectrum = np.zeros(mask.shape, dtype=complex)
     else:
-        f = ctx.project_transverse(init)
+        spectrum = _forward(init.values, grid) * mask
+    f = ScalarField(grid, _inverse(spectrum, grid, False), check=False)
     first_norm = None
     history: List[float] = []
     best, stalled = np.inf, 0
     for iteration in range(_MAX_SOLVE_ITERATIONS):
         vol, grad, sensitivity = residual_P(ctx, t, unitary, f)
-        projected = ctx.project_transverse(grad)
-        rnorm = ctx.vol_norm(projected)
+        residual = _forward(grad.values, grid) * mask
+        rnorm = ctx.vol_norm(ScalarField(grid, _inverse(residual, grid, False), check=False))
         stalled = 0 if rnorm < 0.99 * best else stalled + 1
         best = min(best, rnorm)
         history.append(rnorm)
@@ -442,10 +458,8 @@ def projected_solve(
                 f"projected iteration stagnated at a residual floor of {best:.3e} "
                 f"above tol={SOLVE_TOL:.1e}: no 1 % drop in 3 iterations"
             )
-        update = ctx.apply_pseudo_inverse(projected.values)
-        f = ctx.project_transverse(
-            ScalarField(ctx.grid, f.values - update, check=False)
-        )
+        spectrum = spectrum - inverse_symbol * residual
+        f = ScalarField(grid, _inverse(spectrum, grid, False), check=False)
     raise NonContractionError(
         f"projected iteration did not reach tol={SOLVE_TOL:.1e} within "
         f"{_MAX_SOLVE_ITERATIONS} iterations (last residual {rnorm:.3e})"
@@ -572,23 +586,38 @@ class GradientReport:
 def _solve_near(ctx: ReductionContext, state: ReductionState, delta: np.ndarray) -> ReductionState:
     """Warm solve at the state's frame shifted by delta, memoized on the state.
 
-    The solve starts from f, or, when the opposite neighbour (shift -delta)
-    is already solved, from the reflected field 2 f - f_{-delta}: the solved
-    field is smooth in the frame, so the reflection is its linear
-    extrapolation and the start is off by O(delta^2) instead of O(delta).
+    The start predicts the solved field.  Along the diagonal torus (rows
+    ctx.stabilizer_indices) the turned frame only reparametrizes the model,
+    theta -> theta + delta, so the prediction is f turned by those
+    components, f(theta + delta): exact at an anchored state.  Along every
+    other direction it is f itself.  When the opposite neighbour (shift
+    -delta) is already solved, the start also subtracts that neighbour's
+    prediction error: the solved field is smooth in the frame, so the error
+    is odd in delta to first order, and the start is off by O(delta^2)
+    instead of O(delta).  With no turn this is the reflection 2 f - f_{-delta}.
     The key is the shifted coordinates, not delta: -e carries -0.0 where +e
     carries +0.0, and both must find the frame they shift to."""
     frame = state.frame.shifted(delta)
     key = frame.coords.tobytes()
     near = state._neighbours.get(key)
     if near is None:
+        init = _predicted_field(ctx, state, delta)
         mirror = state._neighbours.get(state.frame.shifted(-delta).coords.tobytes())
-        init = state.f
         if mirror is not None:
-            init = ScalarField(ctx.grid, 2.0 * state.f.values - mirror.f.values, check=False)
+            opposite = _predicted_field(ctx, state, -delta).values
+            init = ScalarField(ctx.grid, init.values + opposite - mirror.f.values, check=False)
         near = projected_solve(ctx, state.t, frame, init=init)
         state._neighbours[key] = near
     return near
+
+
+def _predicted_field(ctx: ReductionContext, state: ReductionState, delta: np.ndarray) -> ScalarField:
+    """The state's field turned by delta's diagonal-torus components; f
+    itself when delta has none."""
+    turn = np.asarray(delta, dtype=float)[ctx.stabilizer_indices]
+    if not np.any(turn):
+        return state.f
+    return ScalarField(ctx.grid, translate(state.f.values, ctx.grid, turn), check=False)
 
 
 def _realize_jacobian(
@@ -596,14 +625,24 @@ def _realize_jacobian(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(d point, d matrix) of `FrameState.realize` along each row of
     directions at the frame's coordinates, by complex step: exact to
-    roundoff, with no subtraction.  Each row is one complex realization."""
-    d_point, d_matrix = [], []
-    for direction in directions:
-        coords = frame.coords + 1j * _COMPLEX_STEP * direction
-        moved = replace(frame, coords=coords).realize(metric)
-        d_point.append(moved.point.imag / _COMPLEX_STEP)
-        d_matrix.append(moved.matrix.imag / _COMPLEX_STEP)
-    return np.array(d_point), np.array(d_matrix)
+    roundoff, with no subtraction.  The rows are one stacked complex
+    realization; a frame whose coords carry leading axes (a stack of frames)
+    gets those axes in front of the rows."""
+    coords = frame.coords[..., None, :] + 1j * _COMPLEX_STEP * np.asarray(directions)
+    moved = replace(frame, coords=coords).realize(metric)
+    return moved.point.imag / _COMPLEX_STEP, moved.matrix.imag / _COMPLEX_STEP
+
+
+def _envelope_gradient(
+    state: ReductionState, d_point: np.ndarray, d_matrix: np.ndarray
+) -> np.ndarray:
+    """The state's affine sensitivity chained through a Jacobian of `realize`
+    (see `frame_gradient`)."""
+    d_shift, d_linear = state.frame_sensitivity
+    inverse = np.linalg.inv(state.unitary.matrix)
+    db = d_point @ inverse.T / state.t  # (directions, 2n)
+    dA = inverse @ d_matrix  # (directions, 2n, 2n)
+    return np.real(db @ d_shift + np.einsum("ikl,kl->i", dA, d_linear))
 
 
 def frame_gradient(
@@ -618,12 +657,7 @@ def frame_gradient(
     moved to (p', u') pulls the chart metric back by the affine map with
     1 + A = u^-1 u' and b = u^-1 (p' - p) / t, so that derivative is the
     state's affine sensitivity chained through the Jacobian of `realize`."""
-    d_shift, d_linear = state.frame_sensitivity
-    d_point, d_matrix = _realize_jacobian(ctx.metric, state.frame, directions)
-    inverse = np.linalg.inv(state.unitary.matrix)
-    db = d_point @ inverse.T / state.t  # (directions, 2n)
-    dA = inverse @ d_matrix  # (directions, 2n, 2n)
-    return np.real(db @ d_shift + np.einsum("ikl,kl->i", dA, d_linear))
+    return _envelope_gradient(state, *_realize_jacobian(ctx.metric, state.frame, directions))
 
 
 def gradient_K(ctx: ReductionContext, state: ReductionState) -> GradientReport:
@@ -662,20 +696,23 @@ def hessian_K(ctx: ReductionContext, state: ReductionState) -> np.ndarray:
 
     Central differences of the exact `frame_gradient` at the 2m frames
     shifted by +-FRAME_STEP along each of the m columns of ctx.quotient: 10
-    warm solves at n = 2.  Each neighbour is solved through the state's memo,
-    so these frames are shared with `gradient_K` and the cross block.  The
+    warm solves at n = 2, and one stacked complex-step realization for all
+    2m Jacobians.  Each neighbour is solved through the state's memo, so
+    these frames are shared with `gradient_K` and the cross block.  The
     symmetries are left out, so the default metric's Hessian has no exact
     zero mode.  The gradients carry the envelope error O(tol), so an entry's
     noise is about tol / FRAME_STEP (see `_SADDLE_TOL`); the O(FRAME_STEP^2)
     truncation error is below it."""
     quotient = ctx.quotient.T
-    columns = []
-    for direction in quotient:
-        step = FRAME_STEP * direction
-        plus = frame_gradient(ctx, _solve_near(ctx, state, step), quotient)
-        minus = frame_gradient(ctx, _solve_near(ctx, state, -step), quotient)
-        columns.append((plus - minus) / (2.0 * FRAME_STEP))
-    hess = np.array(columns).T
+    near = [
+        _solve_near(ctx, state, sign * FRAME_STEP * direction)
+        for direction in quotient
+        for sign in (1.0, -1.0)
+    ]
+    stack = replace(state.frame, coords=np.array([s.frame.coords for s in near]))
+    jacobians = zip(*_realize_jacobian(ctx.metric, stack, quotient))
+    grads = np.array([_envelope_gradient(s, *jac) for s, jac in zip(near, jacobians)])
+    hess = ((grads[0::2] - grads[1::2]) / (2.0 * FRAME_STEP)).T
     return 0.5 * (hess + hess.T)
 
 
@@ -854,9 +891,9 @@ def geometric_residual(
     the reduction machinery."""
     coords = _ambient_immersion(ctx, state.t, state.unitary, state.f)
     imm = Immersion(ctx.grid, coords)
-    defect = hs_residual(imm, ctx.metric)
     h = induced_metric(imm, ctx.metric)
     alpha = mean_curvature_one_form(imm, ctx.metric)
+    defect = codifferential(alpha, h)  # hs_residual, from the same alpha_H and h
     alpha_norm = one_form_l2_norm(alpha, h)
     defect_norm = l2_norm(defect, density=volume_density(h))
     return defect_norm / alpha_norm, defect_norm, alpha_norm

@@ -24,7 +24,8 @@ from hslag.ambient import (
     unitary_embedding,
     unitary_frame,
 )
-from hslag.errors import ConfigError
+from hslag.ambient import _gram_schmidt_frame
+from hslag.errors import ConfigError, RankDeficiencyError
 from hslag.geomcore import standard_symplectic_matrix
 
 
@@ -167,6 +168,23 @@ def test_frame_fit_corrects_and_is_stable(metric):
     assert np.max(np.abs(fixed.matrix - fr.matrix)) < 5e-3
     again = frame_fit(metric, p, fr.matrix)
     assert np.max(np.abs(again.matrix - fr.matrix)) < 1e-13
+
+
+def test_frame_fit_takes_a_stack_of_frames(metric):
+    """A stack of (point, target) pairs fits as the pairs do one by one, and a
+    stack whose seeds all vanish raises, as a single frame does."""
+    rng = np.random.default_rng(2)
+    points = rng.uniform(0.0, 2 * np.pi, size=(3, 4))
+    targets = np.array([unitary_frame(metric, p, seed=k).matrix for k, p in enumerate(points)])
+    targets += 1e-3 * rng.normal(size=targets.shape)
+    fitted = frame_fit(metric, points, targets)
+    assert fitted.matrix.shape == (3, 4, 4)
+    for p, target, matrix in zip(points, targets, fitted.matrix):
+        assert np.max(np.abs(frame_fit(metric, p, target).matrix - matrix)) <= 1e-15
+        dm, ds = frame_defects(metric, UnitaryFrame(p, matrix))
+        assert dm < 1e-12 and ds < 1e-12
+    with pytest.raises(RankDeficiencyError):
+        _gram_schmidt_frame(metric.value(points), [np.zeros(4)] * 4)
 
 
 def test_unitary_embedding_properties(rng):

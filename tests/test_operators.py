@@ -22,7 +22,7 @@ from oracles import (
 
 from hslag.ambient import ChartMetric, default_perturbed_metric, frame_fit, unitary_frame
 from hslag.errors import OperatorSymmetryError, SpectralGapError
-from hslag.geomcore import GridDescriptor, ScalarField, l2_inner, l2_norm
+from hslag.geomcore import GridDescriptor, ScalarField, fourier_multiply, l2_inner, l2_norm
 from hslag.models import TorusModel, circle_sphere_spectrum
 from hslag.operators import (
     GridOperator,
@@ -199,7 +199,7 @@ def test_context_inverse_and_projector_match_dense(size, hessian_oracle):
     pinv = (V[:, kdim:] / spec.eigenvalues[kdim:]) @ V[:, kdim:].T * w
     proj = V[:, kdim:] @ V[:, kdim:].T * w
     indicators = np.eye(grid.num_nodes).reshape((grid.num_nodes,) + grid.sizes)
-    ctx_pinv = np.stack([ctx.apply_pseudo_inverse(e).reshape(-1) for e in indicators], axis=1)
+    ctx_pinv = fourier_multiply(indicators, grid, ctx.inverse_symbol).reshape(len(indicators), -1).T
     ctx_proj = np.stack(
         [
             ctx.project_transverse(ScalarField(grid, e, check=False)).values.reshape(-1)

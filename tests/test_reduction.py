@@ -471,6 +471,67 @@ def test_solve_near_is_memoized_and_equals_direct_solve(coarse_ctx):
     assert near.residual_history[0] < 1e-3 * from_f.residual_history[0]
 
 
+def test_diagonal_neighbours_start_from_the_turned_field(coarse_ctx):
+    """Turning an anchored frame along the diagonal torus reparametrizes the
+    model, theta -> theta + delta, so the neighbour solve started from
+    f(theta + delta) is solved at its first residual, and its K is the K of
+    a solve started from f."""
+    state = fresh_state(coarse_ctx)
+    for index in coarse_ctx.stabilizer_indices:
+        for sign in (1.0, -1.0):
+            e = np.zeros(coarse_ctx.num_frame_coords)
+            e[index] = sign * FRAME_STEP
+            near = hslag.reduction._solve_near(coarse_ctx, state, e)
+            assert near.iterations == 1
+            direct = projected_solve(coarse_ctx, state.t, state.frame.shifted(e), init=state.f)
+            assert direct.iterations > 1
+            assert abs(near.K_value - direct.K_value) <= 1e-13 * abs(direct.K_value)
+
+
+def test_gradient_K_after_hessian_solves_each_symmetry_neighbour_once(coarse_ctx, monkeypatch):
+    """After `hessian_K` the gradient stencil needs only the 2 x 3 symmetry
+    neighbours (one translation and the two diagonal-torus axes at n = 2),
+    and each is solved by its first volume: the translation fixes the metric,
+    and the diagonal torus starts from the turned field."""
+    state = fresh_state(coarse_ctx)
+    hslag.reduction.hessian_K(coarse_ctx, state)
+    volumes = []
+    volume = hslag.reduction.graph_volume_and_gradient
+
+    def counting(*args, **kwargs):
+        volumes.append(1)
+        return volume(*args, **kwargs)
+
+    monkeypatch.setattr(hslag.reduction, "graph_volume_and_gradient", counting)
+    report = gradient_K(coarse_ctx, state)
+    assert len(volumes) == 2 * coarse_ctx.symmetries.shape[1] == 6
+    assert np.max(np.abs(report.stabilizer_fd)) <= 1e-8
+    assert np.max(np.abs(report.stabilizer_factored)) <= 1e-8
+
+
+def test_realize_jacobian_stacks_equal_one_row_calls(reduction_ctx):
+    """One stacked complex-step realization equals the one-row calls, for a
+    stack of directions and for a stack of frames (as `hessian_K` uses)."""
+    rng = np.random.default_rng(8)
+    frame = random_frame_state(reduction_ctx, seed=3)
+    frame = frame.shifted(rng.uniform(-0.3, 0.3, size=frame.coords.size))
+    directions = np.hstack([reduction_ctx.quotient, reduction_ctx.symmetries]).T
+    jacobian = hslag.reduction._realize_jacobian
+    stacked = jacobian(reduction_ctx.metric, frame, directions)
+    rows = [jacobian(reduction_ctx.metric, frame, d[None]) for d in directions]
+    for got, want in zip(stacked, zip(*rows)):
+        assert np.max(np.abs(got - np.concatenate(want))) <= 1e-15
+    frames = frame.coords + FRAME_STEP * rng.normal(size=(4, frame.coords.size))
+    stack = dataclasses.replace(frame, coords=frames)
+    stacked = jacobian(reduction_ctx.metric, stack, directions)
+    singles = [
+        jacobian(reduction_ctx.metric, dataclasses.replace(frame, coords=c), directions)
+        for c in frames
+    ]
+    for got, want in zip(stacked, zip(*singles)):
+        assert np.max(np.abs(got - np.array(want))) <= 1e-15
+
+
 def test_state_gradient_is_final_residual(coarse_ctx, monkeypatch):
     state = fresh_state(coarse_ctx)
     vol, grad, sensitivity = hslag.reduction.residual_P(
