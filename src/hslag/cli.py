@@ -28,8 +28,7 @@ from .fieldio import read_csv, save_field, write_csv, write_long_csv, write_mani
 from .geomcore import (
     ScalarField,
     codifferential,
-    induced_metric,
-    mean_curvature_one_form,
+    mean_curvature_and_metric,
     one_form_l2_norm,
     volume,
 )
@@ -229,8 +228,7 @@ def _suite_verify_models(config: ExperimentConfig, out: str):
     checks, rows, payload = [], [], {}
     for name, model, build in _model_instances(config):
         imm = build(model)
-        h = induced_metric(imm)
-        alpha_form = mean_curvature_one_form(imm)
+        alpha_form, h = mean_curvature_and_metric(imm)
         defect = float(np.max(np.abs(codifferential(alpha_form, h).values)))
         vol = volume(imm)
         alpha = one_form_l2_norm(alpha_form, h)

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.fft
 
 from .errors import GridMismatchError, ImmersionError, QuotientError
 
@@ -39,6 +40,7 @@ __all__ = [
     "volume",
     "volume_density",
     "mean_curvature_one_form",
+    "mean_curvature_and_metric",
     "codifferential",
     "hs_residual",
     "one_form_l2_norm",
@@ -160,10 +162,14 @@ class OneFormField:
 
 @dataclass
 class MetricField:
-    """Symmetric 2-tensor h_ab per node; entries has shape (*sizes, dim, dim)."""
+    """Symmetric 2-tensor h_ab per node; entries has shape (*sizes, dim, dim).
+
+    The inverse and the determinant are computed on first use and kept."""
 
     grid: GridDescriptor
     entries: np.ndarray
+    _inv: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _det: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.entries = np.asarray(self.entries, dtype=float)
@@ -172,10 +178,14 @@ class MetricField:
             raise GridMismatchError(f"entry shape {self.entries.shape} != {want}")
 
     def inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.entries)
+        if self._inv is None:
+            self._inv = np.linalg.inv(self.entries)
+        return self._inv
 
     def determinant(self) -> np.ndarray:
-        return np.linalg.det(self.entries)
+        if self._det is None:
+            self._det = np.linalg.det(self.entries)
+        return self._det
 
 
 def standard_symplectic_matrix(n: int) -> np.ndarray:
@@ -289,15 +299,17 @@ def _forward(fields: np.ndarray, grid: GridDescriptor) -> np.ndarray:
     Complex fields go in as their real and imaginary parts, on a new axis
     before the grid axes, so the two are never mixed in one transform: a
     complex FFT would spill roundoff from an O(1) real part into the tiny
-    imaginary part that carries a complex-step derivative."""
+    imaginary part that carries a complex-step derivative.  scipy.fft makes
+    the multi-axis transform one call into pocketfft, where numpy loops over
+    the axes in Python."""
     if np.iscomplexobj(fields):
         fields = np.stack([fields.real, fields.imag], axis=-grid.dim - 1)
-    return np.fft.rfftn(fields, axes=range(-grid.dim, 0))
+    return scipy.fft.rfftn(fields, axes=tuple(range(-grid.dim, 0)))
 
 
 def _inverse(spectra: np.ndarray, grid: GridDescriptor, complex_out: bool) -> np.ndarray:
     """Real fields from `_forward`-layout spectra; complex when the fields were."""
-    values = np.fft.irfftn(spectra, s=grid.sizes, axes=range(-grid.dim, 0))
+    values = scipy.fft.irfftn(spectra, s=grid.sizes, axes=tuple(range(-grid.dim, 0)))
     if not complex_out:
         return values
     re, im = np.moveaxis(values, -grid.dim - 1, 0)
@@ -396,15 +408,11 @@ def volume(imm: Immersion, metric=None) -> float:
     return float(np.sum(dens.values) * imm.grid.node_weight())
 
 
-def _ambient_christoffel(metric, coords: np.ndarray) -> Optional[np.ndarray]:
-    """Gamma^mu_{nu lam} of the ambient metric along the immersion.
-
-    Uses the jet (g, dg) = metric.derivative(points), whose second element has
-    index layout dg[..., mu, i, j] = dg_ij / dz_mu.
+def _ambient_christoffel(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma^mu_{nu lam} of the ambient metric from its jet (g, dg) =
+    metric.derivative(points), whose second element has index layout
+    dg[..., mu, i, j] = dg_ij / dz_mu.
     """
-    if metric is None:
-        return None
-    g, dg = metric.derivative(coords)
     ginv = np.linalg.inv(g)
     # S[..., s, nu, l] = d_nu g_{sl} + d_l g_{s nu} - d_s g_{nu l}
     S = np.moveaxis(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg
@@ -430,20 +438,31 @@ def mean_curvature_one_form(imm: Immersion, metric=None) -> OneFormField:
     one-form on the grid.  Sign convention: the round circle of radius a in the
     Euclidean plane gives alpha_H(d_theta) = -1.
     """
+    return mean_curvature_and_metric(imm, metric)[0]
+
+
+def mean_curvature_and_metric(imm: Immersion, metric=None) -> Tuple[OneFormField, MetricField]:
+    """(alpha_H, h): `mean_curvature_one_form` with the induced metric it is
+    built on, for callers that need both.  One metric jet serves both: its G
+    is `metric.value`'s bitwise, so h is the `induced_metric`."""
     grid = imm.grid
     jac = imm.jacobian()
     dd = imm.second_derivatives()
-    h = induced_metric(imm, metric)
+    if metric is None:
+        h, gamma_a = induced_metric(imm), None
+    else:
+        g, dg = metric.derivative(imm.coords)
+        h = MetricField(grid, np.einsum("...ma,...mn,...nb->...ab", jac, g, jac))
+        gamma_a = _ambient_christoffel(g, dg)
     hinv = h.inverse()
     gamma_l = _induced_christoffel(h)
     H = np.einsum("...ab,...mab->...m", hinv, dd)
     H -= np.einsum("...ab,...cab,...mc->...m", hinv, gamma_l, jac)
-    gamma_a = _ambient_christoffel(metric, imm.coords)
     if gamma_a is not None:
         H += np.einsum("...ab,...mnl,...na,...lb->...m", hinv, gamma_a, jac, jac)
     omega = standard_symplectic_matrix(grid.dim)
     comps = np.einsum("...m,mn,...na->a...", H, omega, jac)
-    return OneFormField(grid, comps)
+    return OneFormField(grid, comps), h
 
 
 def codifferential(alpha: OneFormField, h: MetricField) -> ScalarField:
@@ -479,8 +498,7 @@ def hs_residual(imm: Immersion, metric=None) -> ScalarField:
     Zero (to discretization error) exactly on discretely Hamiltonian
     stationary immersions.
     """
-    h = induced_metric(imm, metric)
-    alpha = mean_curvature_one_form(imm, metric)
+    alpha, h = mean_curvature_and_metric(imm, metric)
     return codifferential(alpha, h)
 
 

@@ -45,10 +45,9 @@ from .geomcore import (
     codifferential,
     derivative_multipliers,
     fourier_multiply,
-    induced_metric,
     l2_inner,
     l2_norm,
-    mean_curvature_one_form,
+    mean_curvature_and_metric,
     one_form_l2_norm,
     spectral_gradient,
     standard_symplectic_matrix,
@@ -57,7 +56,7 @@ from .geomcore import (
 )
 from .models import TorusModel
 from .operators import SymbolOperator, assemble_flat_operator, kernel_dimension
-from .weinstein import WeinsteinChart, _graph_jets, graph_volume_and_gradient
+from .weinstein import WeinsteinChart, _chart_points, _graph_jets, graph_volume_and_gradient
 
 __all__ = [
     "OptimizeSettings",
@@ -415,6 +414,10 @@ def projected_solve(
     grid = ctx.grid
     half = grid.sizes[-1] // 2 + 1
     mask, inverse_symbol = ctx.transverse_mask[..., :half], ctx.inverse_symbol[..., :half]
+    # the residual's vol_norm by Parseval on the half spectrum, where every
+    # column but 0 and Nyquist also stands for its conjugate column
+    norm_weight = np.full(half, 2.0 * grid.node_weight() * ctx.density / grid.num_nodes)
+    norm_weight[[0, -1]] *= 0.5
     # f is carried as its band spectrum: one forward transform of each
     # gradient gives the residual and the update, one inverse the next field
     if init is None:
@@ -428,7 +431,7 @@ def projected_solve(
     for iteration in range(_MAX_SOLVE_ITERATIONS):
         vol, grad, sensitivity = residual_P(ctx, t, unitary, f)
         residual = _forward(grad.values, grid) * mask
-        rnorm = ctx.vol_norm(ScalarField(grid, _inverse(residual, grid, False), check=False))
+        rnorm = float(np.sqrt(np.sum(norm_weight * (residual.real**2 + residual.imag**2))))
         stalled = 0 if rnorm < 0.99 * best else stalled + 1
         best = min(best, rnorm)
         history.append(rnorm)
@@ -488,74 +491,87 @@ def H_eval(ctx: ReductionContext, state: ReductionState) -> np.ndarray:
 
 
 def _ambient_immersion(
-    ctx: ReductionContext, t: float, unitary: UnitaryFrame, f: ScalarField
+    ctx: ReductionContext, t: float, states: Sequence[ReductionState]
 ) -> np.ndarray:
-    """Node coordinates of the ambient torus p + t * (frame @ graph)."""
-    chart_coords = _graph_jets(ctx.chart, ctx.grid, f.values)[2]
-    return unitary.point + t * (np.real(chart_coords) @ unitary.matrix.T)
+    """Node coordinates of the ambient tori p + t * (frame @ graph), one per
+    state, stacked on a leading axis.  The chart points need only grad f, so
+    the fields take one stacked spectral gradient."""
+    grid, d = ctx.grid, 2 * ctx.n
+    fields = np.stack([s.f.values for s in states], axis=-1)
+    y = np.moveaxis(spectral_gradient(fields, grid), (0, -1), (-1, 0))  # (states, *grid, n)
+    chart_coords = _chart_points(ctx.chart, grid, y)[2].reshape(len(states), -1, d)
+    points = np.array([s.unitary.point for s in states])[:, None, :]
+    matrices = np.array([s.unitary.matrix for s in states])
+    ambient = points + t * (chart_coords @ np.swapaxes(matrices, -1, -2))
+    return ambient.reshape((len(states),) + grid.sizes + (d,))
 
 
 def variation_potential(
     ctx: ReductionContext,
     state: ReductionState,
-    direction: np.ndarray,
-) -> ScalarField:
-    """Chart-Hamiltonian potential of the solved-family variation along a direction.
+    directions: np.ndarray,
+) -> List[ScalarField]:
+    """Chart-Hamiltonian potentials of the solved-family variation along each
+    row of directions (frame-coordinate vectors).
 
     Differentiates the ambient immersion (with f solved at the shifted frames
     through the state's memo, so a frame the finite-difference gradient
     already solved is shared, not re-solved), pairs with the symplectic form
-    to get a one-form on the torus,
-    and integrates it to a zero-mean potential via a spectral Poisson solve.
-    The potential is normalized against the chart symplectic form (ambient
-    pairing / t^2), which makes dK(e) = <potential, residual gradient> hold
-    with unit coefficient.  The integration is certified: if the recovered
-    potential fails to differentiate back to the one-form, ExactnessError is
+    to get a one-form on the torus, and integrates it to a zero-mean
+    potential via a spectral Poisson solve.  The potential is normalized
+    against the chart symplectic form (ambient pairing / t^2), which makes
+    dK(e) = <potential, residual gradient> hold with unit coefficient.  The
+    centre's tangents are taken once and the 2m neighbours' immersions in one
+    stack, and each row's integration is certified: if its recovered
+    potential fails to differentiate back to its one-form, ExactnessError is
     raised.
     """
-    direction = np.asarray(direction, dtype=float)
-    step = FRAME_STEP * direction
-    plus = _solve_near(ctx, state, step)
-    minus = _solve_near(ctx, state, -step)
-    amb_plus = _ambient_immersion(ctx, state.t, plus.unitary, plus.f)
-    amb_minus = _ambient_immersion(ctx, state.t, minus.unitary, minus.f)
-    velocity = (amb_plus - amb_minus) / (2.0 * FRAME_STEP)
+    directions = np.asarray(directions, dtype=float)
+    near = [
+        _solve_near(ctx, state, sign * FRAME_STEP * direction)
+        for direction in directions
+        for sign in (1.0, -1.0)
+    ]
+    ambient = _ambient_immersion(ctx, state.t, near)
+    velocity = (ambient[0::2] - ambient[1::2]) / (2.0 * FRAME_STEP)  # (rows, *grid, 2n)
 
-    jets = _graph_jets(ctx.chart, ctx.grid, state.f.values)
-    tangents = np.real(jets[7])  # (*grid, n, 2n), chart coordinates
+    tangents = np.real(_graph_jets(ctx.chart, ctx.grid, state.f.values)[-1])  # (*grid, n, 2n)
     frame_tangents = np.einsum("nm,...am->...an", state.unitary.matrix, tangents)
     omega = standard_symplectic_matrix(ctx.n)
     # ambient tangents are t * frame_tangents; with the 1/t^2 chart
     # normalization one factor 1/t survives.
-    beta = (
-        np.einsum("...k,kl,...al->...a", velocity, omega, frame_tangents) / state.t
-    )
-
-    values = _integrate_exact_one_form(ctx, beta)
-    return ScalarField(ctx.grid, values, check=False)
+    omega_tangents = np.einsum("kl,...al->...ak", omega, frame_tangents) / state.t
+    beta = np.einsum("r...k,...ak->r...a", velocity, omega_tangents)
+    potentials = _integrate_exact_one_form(ctx, beta)
+    return [ScalarField(ctx.grid, values, check=False) for values in potentials]
 
 
 def _integrate_exact_one_form(ctx: ReductionContext, beta: np.ndarray) -> np.ndarray:
     """Zero-mean h with dh = beta, via Fourier division by the flat Laplacian
-    sum_a d_a^2 / a_a^2; certified afterwards."""
+    sum_a d_a^2 / a_a^2; certified afterwards.  beta is [..., *grid, n], its
+    leading axes a stack of one-forms, and each is certified on its own."""
     grid = ctx.grid
+    forms = beta.reshape((-1,) + grid.sizes + (grid.dim,))
     radii_sq = [a * a for a in ctx.chart.radii]
     ik = derivative_multipliers(grid)
-    spectra = _forward(np.moveaxis(beta, -1, 0), grid)
+    spectra = _forward(np.moveaxis(forms, -1, 0), grid)
     laplacian = sum(k * k / r2 for k, r2 in zip(ik, radii_sq))
     laplacian = np.where(laplacian == 0.0, 1.0, laplacian)
     hat = sum(k / r2 * b for k, r2, b in zip(ik, radii_sq, spectra)) / laplacian
-    values = _inverse(hat, grid, False)
+    values = _inverse(hat, grid, False)  # (stack, *grid)
 
-    scale = max(1.0, float(np.max(np.abs(beta))))
-    defect = np.moveaxis(spectral_gradient(values, grid), 0, -1) - beta
-    worst = float(np.max(np.abs(defect)))
-    if worst > EXACTNESS_TOL * scale:
-        raise ExactnessError(
-            f"variation one-form is not exact: potential recovery defect "
-            f"{worst:.3e} exceeds {EXACTNESS_TOL:.1e} (scale {scale:.3e})"
-        )
-    return values
+    derivs = spectral_gradient(np.moveaxis(values, 0, -1), grid)  # (n, *grid, stack)
+    defect = np.moveaxis(derivs, (0, -1), (-1, 0)) - forms
+    axes = tuple(range(1, forms.ndim))
+    worst = np.max(np.abs(defect), axis=axes)
+    scale = np.maximum(1.0, np.max(np.abs(forms), axis=axes))
+    for row_worst, row_scale in zip(worst, scale):
+        if row_worst > EXACTNESS_TOL * row_scale:
+            raise ExactnessError(
+                f"variation one-form is not exact: potential recovery defect "
+                f"{row_worst:.3e} exceeds {EXACTNESS_TOL:.1e} (scale {row_scale:.3e})"
+            )
+    return values.reshape(beta.shape[:-1])
 
 
 # --------------------------------------------------------------------------
@@ -667,14 +683,18 @@ def gradient_K(ctx: ReductionContext, state: ReductionState) -> GradientReport:
     solves the variation potentials, `hessian_K` and the cross block share."""
     directions = np.hstack([ctx.quotient, ctx.symmetries]).T
     H = H_eval(ctx, state)
-    fd, factored = np.zeros(len(directions)), np.zeros(len(directions))
+    fd = np.zeros(len(directions))
     for i, direction in enumerate(directions):
         step = FRAME_STEP * direction
         plus = _solve_near(ctx, state, step).K_value
         minus = _solve_near(ctx, state, -step).K_value
         fd[i] = (plus - minus) / (2.0 * FRAME_STEP)
-        h = variation_potential(ctx, state, direction)
-        factored[i] = np.dot([ctx.vol_inner(h, b) for b in ctx.reduced_basis], H)
+    factored = np.array(
+        [
+            np.dot([ctx.vol_inner(h, b) for b in ctx.reduced_basis], H)
+            for h in variation_potential(ctx, state, directions)
+        ]
+    )
     m = ctx.quotient.shape[1]
     return GradientReport(
         fd=fd,
@@ -889,10 +909,8 @@ def geometric_residual(
     codifferential of the mean-curvature one-form against its own norm,
     measured with the induced volume density.  This certificate never touches
     the reduction machinery."""
-    coords = _ambient_immersion(ctx, state.t, state.unitary, state.f)
-    imm = Immersion(ctx.grid, coords)
-    h = induced_metric(imm, ctx.metric)
-    alpha = mean_curvature_one_form(imm, ctx.metric)
+    imm = Immersion(ctx.grid, _ambient_immersion(ctx, state.t, [state])[0])
+    alpha, h = mean_curvature_and_metric(imm, ctx.metric)
     defect = codifferential(alpha, h)  # hs_residual, from the same alpha_H and h
     alpha_norm = one_form_l2_norm(alpha, h)
     defect_norm = l2_norm(defect, density=volume_density(h))

@@ -28,6 +28,12 @@ pullback of G or dG.  Any other metric evaluator is the identity chart
 (p = 0, u = I, t = 1).  The n x n induced metric is inverted by elimination
 on node vectors, and the per-grid tables (node trigonometry, spectral
 symbols, node weight) are built once per grid.
+
+The chart's Jacobian is diagonal per pair of slots (2j, 2j+1): d Phi/d theta_j
+is r_j (-sin, cos)(theta_j) and d Phi/d y_j is (cos, sin)(theta_j) / r_j.  So
+the chart enters as the per-node scalars r_j, cos(theta_j)/r_j and
+sin(theta_j)/r_j, and the tangents and the chart terms of the gradient are
+formed elementwise, with no dense chart Jacobians.
 """
 
 from __future__ import annotations
@@ -117,8 +123,29 @@ def _grid_tables(grid: GridDescriptor) -> _GridTables:
     return _GridTables(cos, sin, pairs, jet_symbols, p_symbols, grid.node_weight())
 
 
+def _chart_points(chart: WeinsteinChart, grid: GridDescriptor, y: np.ndarray):
+    """(r^2, r, coords) of the chart points Phi(theta, y) over the grid nodes:
+    r_j^2 = a_j^2 + 2 y_j and coords (r_j cos theta_j, r_j sin theta_j).
+    y is [..., *sizes, n]; leading axes are a stack of fields."""
+    tables = _grid_tables(grid)
+    r2 = np.array([a * a for a in chart.radii]) + 2 * y
+    r = np.sqrt(r2)
+    coords = np.empty(y.shape[:-1] + (2 * chart.n,), dtype=r.dtype)
+    coords[..., 0::2] = r * tables.cos
+    coords[..., 1::2] = r * tables.sin
+    return r2, r, coords
+
+
 def _graph_jets(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray):
-    """Gradient field, chart point coordinates, and tangent data of a graph."""
+    """Chart data of the graph of df over the grid nodes, as per-node scalars.
+
+    Returns (r2, r, cos_r, sin_r, coords, Y, T): r_j^2 = a_j^2 + 2 d_j f, r_j,
+    cos(theta_j)/r_j and sin(theta_j)/r_j, the chart points, the Hessian
+    Y[j, a] = d_j d_a f, and the tangent vectors T_a = d_a Phi(theta, df).
+    The chart's Jacobian is diagonal per pair of slots: d Phi/d theta_j is
+    r_j (-sin, cos) and d Phi/d y_j is (cos, sin)/r_j in slots (2j, 2j+1), so
+    T[a, 2j] = Y_ja cos_j/r_j - delta_aj r_j sin_j and
+    T[a, 2j+1] = Y_ja sin_j/r_j + delta_aj r_j cos_j, formed elementwise."""
     n = chart.n
     if grid.dim != n:
         raise ChartDomainError("grid dimension does not match chart")
@@ -133,32 +160,20 @@ def _graph_jets(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray):
             f"graph one-form too large for the chart: max |df| = {ymax.max():.4f} "
             f">= delta = {chart.delta:.4f}"
         )
-    a2 = np.array([a * a for a in chart.radii])
-    r2 = a2 + 2 * y
-    r = np.sqrt(r2)
+    r2, r, coords = _chart_points(chart, grid, y)
     cos, sin = tables.cos, tables.sin
-    dt = np.result_type(f, float)
-    coords = np.zeros(f.shape + (2 * n,), dtype=dt)
-    coords[..., 0::2] = r * cos
-    coords[..., 1::2] = r * sin
-    # partial Phi / partial theta_j at fixed y: slots (2j, 2j+1) = r_j(-sin, cos)
-    phi_theta = np.zeros(f.shape + (n, 2 * n), dtype=dt)
-    # partial Phi / partial y_j: (cos, sin)/r_j;  second y-derivative: -(cos, sin)/r_j^3
-    phi_y = np.zeros_like(phi_theta)
-    phi_yy = np.zeros_like(phi_theta)
-    for j in range(n):
-        phi_theta[..., j, 2 * j] = -r[..., j] * sin[..., j]
-        phi_theta[..., j, 2 * j + 1] = r[..., j] * cos[..., j]
-        phi_y[..., j, 2 * j] = cos[..., j] / r[..., j]
-        phi_y[..., j, 2 * j + 1] = sin[..., j] / r[..., j]
-        phi_yy[..., j, 2 * j] = -cos[..., j] / r[..., j] ** 3
-        phi_yy[..., j, 2 * j + 1] = -sin[..., j] / r[..., j] ** 3
+    cos_r, sin_r = cos / r, sin / r
     Y = np.empty(f.shape + (n, n), dtype=derivs.dtype)  # (*s, j, a)
     for (j, a), D in zip(tables.pairs, derivs[n:]):
         Y[..., j, a] = Y[..., a, j] = D
-    # tangent vectors T_a = phi_theta_a + sum_j phi_y_j Y_{ja}
-    T = phi_theta + np.swapaxes(Y, -1, -2) @ phi_y
-    return y, r2, coords, phi_theta, phi_y, phi_yy, Y, T
+    Yt = np.swapaxes(Y, -1, -2)  # (*s, a, j)
+    T = np.empty(f.shape + (n, 2 * n), dtype=coords.dtype)
+    T[..., 0::2] = Yt * cos_r[..., None, :]
+    T[..., 1::2] = Yt * sin_r[..., None, :]
+    diagonal = np.arange(n)
+    T[..., diagonal, 2 * diagonal] -= r * sin
+    T[..., diagonal, 2 * diagonal + 1] += r * cos
+    return r2, r, cos_r, sin_r, coords, Y, T
 
 
 def _small_inverse(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,7 +246,7 @@ def graph_volume_and_gradient(
     """
     f = np.asarray(f_values)
     n, d = chart.n, 2 * chart.n
-    y, r2, coords, phi_theta, phi_y, phi_yy, Y, T = _graph_jets(chart, grid, f)
+    r2, r, cos_r, sin_r, coords, Y, T = _graph_jets(chart, grid, f)
     tables = _grid_tables(grid)
     base, u, t, points = _affine_chart(metric, n, coords)
     if need_gradient:
@@ -251,15 +266,21 @@ def graph_volume_and_gradient(
         return vol, None, None
 
     TG = (TG_amb.reshape(-1, d) @ u).reshape(T.shape)  # rows T_a g in the chart
-    # dT_a/dy_j = delta_{aj} phi_theta_a / r_a^2 + phi_yy_j Y_{ja}
-    dTdy = (phi_yy[..., :, None, :] * Y[..., :, :, None]).astype(q.dtype, copy=False)
-    for j in range(n):
-        dTdy[..., j, j, :] += phi_theta[..., j, :] / r2[..., j, None]
-    # sum_{a,b,m} hinv_ab dTdy_jam (T_b g)_m, as dTdy_j : (hinv T g)
+    # A_j = sum_{a,m} dT_am/dy_j W_am with W = hinv T g, where dT_a/dy_j in
+    # slots (2j, 2j+1) is delta_aj d Phi/d theta_j / r_j^2 + Y_ja d^2 Phi/d y_j^2,
+    # d^2 Phi/d y_j^2 = -(cos, sin)/r_j^3: per pair of slots, elementwise
     W = hinv @ TG
-    A = dTdy.reshape(lead + (n, n * d)) @ W.reshape(lead + (n * d, 1))
-    # d g / d y_j = sum_m phi_y_jm dg_m, paired with M = T^T hinv T; in the
-    # ambient frame <M, dg_m> = t sum_k <T'^T hinv T', dG_k> u_km
+    cos, sin = tables.cos, tables.sin
+    diagonal = np.arange(n)
+    r3 = r**3
+    dTdy_cos = (-cos / r3)[..., :, None] * Y  # (*s, j, a)
+    dTdy_sin = (-sin / r3)[..., :, None] * Y
+    dTdy_cos[..., diagonal, diagonal] -= r * sin / r2
+    dTdy_sin[..., diagonal, diagonal] += r * cos / r2
+    W_t = np.swapaxes(W, -1, -2)  # (*s, m, a)
+    A = np.sum(dTdy_cos * W_t[..., 0::2, :] + dTdy_sin * W_t[..., 1::2, :], axis=-1)
+    # d g / d y_j = sum_m (d Phi/d y_j)_m dg_m, paired with M = T^T hinv T; in
+    # the ambient frame <M, dg_m> = t sum_k <T'^T hinv T', dG_k> u_km
     M_amb = np.swapaxes(T_amb, -1, -2) @ hinv @ T_amb
     dGM_amb = dG.reshape(lead + (d, d * d)) @ M_amb.reshape(lead + (d * d, 1))
     dGM = t * (dGM_amb.reshape(-1, d) @ u)  # (N, d)
@@ -270,10 +291,14 @@ def graph_volume_and_gradient(
     weighted_T = (half_q[:, None, None] * T.reshape(-1, n, d)).reshape(-1, d)
     d_shift = weighted_dGM.sum(axis=0)
     d_linear = 2.0 * (W.reshape(-1, d).T @ weighted_T) + weighted_dGM.T @ coords.reshape(-1, d)
-    A = q[..., None] * (A + 0.5 * (phi_y @ dGM.reshape(lead + (d, 1))))[..., 0]
-    # phi_y g T^T first: phi_y is normal to the graph at the zero section, so
-    # that product is small and exact, where phi_y W^T would cancel
-    B = q[..., None, None] * (phi_y @ np.swapaxes(TG, -1, -2) @ np.swapaxes(hinv, -1, -2))
+    dGM = dGM.reshape(lead + (d,))
+    A = q[..., None] * (A + 0.5 * (cos_r * dGM[..., 0::2] + sin_r * dGM[..., 1::2]))
+    # (d Phi/d y) g T^T first: d Phi/d y is normal to the graph at the zero
+    # section, so that product is small and exact, where (d Phi/d y) W^T
+    # would cancel
+    TG_t = np.swapaxes(TG, -1, -2)  # (*s, m, b)
+    normal_TG = cos_r[..., None] * TG_t[..., 0::2, :] + sin_r[..., None] * TG_t[..., 1::2, :]
+    B = q[..., None, None] * (normal_TG @ np.swapaxes(hinv, -1, -2))
     # P = -sum_j d_j A_j + sum_jc d_c d_j B_jc: one batched forward transform,
     # the multipliers summed in Fourier space, one inverse transform
     fields = np.concatenate([np.moveaxis(A, -1, 0), np.moveaxis(B.reshape(lead + (n * n,)), -1, 0)])

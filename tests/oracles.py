@@ -23,13 +23,14 @@ from hslag.geomcore import (
     _forward,
     _inverse,
     derivative_multipliers,
+    spectral_gradient,
     standard_symplectic_matrix,
 )
 from hslag.models import CircleSphereModel, TorusModel
 from hslag.moser import flow_map
 from hslag.operators import GridOperator, assemble_flat_operator, band_limited_basis
 from hslag.reduction import ReductionContext, ReductionState, variation_potential
-from hslag.weinstein import WeinsteinChart, _graph_jets, graph_volume_and_gradient
+from hslag.weinstein import WeinsteinChart, graph_volume_and_gradient
 
 # ---------------------------------------------------------------------------
 # grids and graphs
@@ -48,9 +49,35 @@ def translate(f: ScalarField, offsets: Sequence[float]) -> ScalarField:
     return ScalarField(grid, np.fft.ifftn(spec).real, check=False)
 
 
+def chart_map_jets(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray):
+    """The graph of df through the chart map Phi(theta, y), with dense chart
+    Jacobians: (r2, coords, phi_theta, phi_y, phi_yy, Y).
+
+    y = grad f and the Hessian Y[j, a] = d_j d_a f come from `spectral_gradient`;
+    coords = Phi(theta, y) with Phi_j = sqrt(a_j^2 + 2 y_j) (cos, sin)(theta_j),
+    and phi_theta, phi_y, phi_yy [..., n, 2n] hold d Phi/d theta_j,
+    d Phi/d y_j and d^2 Phi/d y_j^2 in row j, written out slot by slot."""
+    n = chart.n
+    y = np.moveaxis(spectral_gradient(f, grid), 0, -1)
+    Y = np.moveaxis(spectral_gradient(y, grid), 0, -1)  # [..., j, a] = d_a y_j
+    theta = grid.meshgrid()
+    r2 = np.array([a * a for a in chart.radii]) + 2 * y
+    r = np.sqrt(r2)
+    coords = np.zeros(f.shape + (2 * n,), dtype=r.dtype)
+    phi_theta = np.zeros(f.shape + (n, 2 * n), dtype=r.dtype)
+    phi_y, phi_yy = np.zeros_like(phi_theta), np.zeros_like(phi_theta)
+    for j in range(n):
+        c, s, rj = np.cos(theta[j]), np.sin(theta[j]), r[..., j]
+        coords[..., 2 * j], coords[..., 2 * j + 1] = rj * c, rj * s
+        phi_theta[..., j, 2 * j], phi_theta[..., j, 2 * j + 1] = -rj * s, rj * c
+        phi_y[..., j, 2 * j], phi_y[..., j, 2 * j + 1] = c / rj, s / rj
+        phi_yy[..., j, 2 * j], phi_yy[..., j, 2 * j + 1] = -c / rj**3, -s / rj**3
+    return r2, coords, phi_theta, phi_y, phi_yy, Y
+
+
 def graph_immersion(chart: WeinsteinChart, f: ScalarField) -> Immersion:
     """Node immersion theta -> Phi(theta, grad f), validity-gated."""
-    *_, coords = _graph_jets(chart, f.grid, f.values)[:3]
+    coords = chart_map_jets(chart, f.grid, f.values)[1]
     return Immersion(f.grid, coords.real)
 
 
@@ -60,7 +87,8 @@ def pullback_graph_volume(chart: WeinsteinChart, grid: GridDescriptor, f: np.nda
     induced metric T g T^T, and LAPACK's per-node det and inv.  Returns
     (volume, gradient, (dvol/db, dvol/dA)) as the package does."""
     n, d = chart.n, 2 * chart.n
-    _, r2, coords, phi_theta, phi_y, phi_yy, Y, T = _graph_jets(chart, grid, f)
+    r2, coords, phi_theta, phi_y, phi_yy, Y = chart_map_jets(chart, grid, f)
+    T = phi_theta + np.swapaxes(Y, -1, -2) @ phi_y
     G, dG = (EuclideanMetric(n) if metric is None else metric).derivative(coords)
     Tt = np.swapaxes(T, -1, -2)
     GTt = G @ Tt
@@ -478,12 +506,10 @@ def psi_matrices(ctx: ReductionContext, state: ReductionState) -> PsiReport:
     full_psi = np.zeros((dim, len(ctx.reduced_basis)))
     full_leading = np.zeros_like(full_psi)
     stabilizer_norms = np.zeros(len(ctx.stabilizer_indices))
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        lead = xi_map(ctx, state.t, e, state.unitary.matrix)
+    axes = np.eye(dim)
+    for i, h in enumerate(variation_potential(ctx, state, axes)):
+        lead = xi_map(ctx, state.t, axes[i], state.unitary.matrix)
         full_leading[i] = [ctx.vol_inner(lead, b) for b in ctx.reduced_basis]
-        h = variation_potential(ctx, state, e)
         full_psi[i] = [ctx.vol_inner(h, b) for b in ctx.reduced_basis]
     for pos, idx in enumerate(ctx.stabilizer_indices):
         stabilizer_norms[pos] = np.linalg.norm(full_psi[idx])

@@ -29,6 +29,7 @@ from hslag.reduction import (
     SOLVE_TOL,
     _integrate_exact_one_form,
     build_context,
+    geometric_residual,
     gradient_K,
     optimize_frame,
     projected_solve,
@@ -266,7 +267,7 @@ def test_translation_potential_matches_moment_model(
     e = np.zeros(reduction_ctx.num_frame_coords)
     e[0] = 1.0
     lead = xi_map(reduction_ctx, base_reduction_state.t, e, base_reduction_state.unitary.matrix)
-    h = variation_potential(reduction_ctx, base_reduction_state, e)
+    [h] = variation_potential(reduction_ctx, base_reduction_state, [e])
     deviation = field_norm(reduction_ctx, h.values - lead.values)
     assert deviation <= 5e-3 * reduction_ctx.vol_norm(lead)
 
@@ -275,7 +276,7 @@ def test_rotation_potential_matches_moment_model(reduction_ctx, base_reduction_s
     e = np.zeros(reduction_ctx.num_frame_coords)
     e[6] = 1.0
     lead = xi_map(reduction_ctx, base_reduction_state.t, e, base_reduction_state.unitary.matrix)
-    h = variation_potential(reduction_ctx, base_reduction_state, e)
+    [h] = variation_potential(reduction_ctx, base_reduction_state, [e])
     deviation = field_norm(reduction_ctx, h.values - lead.values)
     assert deviation <= 5e-3 * reduction_ctx.vol_norm(lead)
 
@@ -285,7 +286,7 @@ def test_stabilizer_potentials_vanish(reduction_ctx, base_reduction_state):
         e = np.zeros(reduction_ctx.num_frame_coords)
         e[idx] = 1.0
         lead = xi_map(reduction_ctx, base_reduction_state.t, e, base_reduction_state.unitary.matrix)
-        h = variation_potential(reduction_ctx, base_reduction_state, e)
+        [h] = variation_potential(reduction_ctx, base_reduction_state, [e])
         assert reduction_ctx.vol_norm(lead) <= 1e-12
         assert reduction_ctx.vol_norm(h) <= 1e-8
 
@@ -311,6 +312,15 @@ def test_exactness_certificate_rejects_inexact_form(reduction_ctx):
     beta[..., 0] = np.cos(mesh[1])  # rotational component, not a gradient
     with pytest.raises(ExactnessError):
         _integrate_exact_one_form(reduction_ctx, beta)
+    # in a stack each form is certified on its own, against its own scale:
+    # a small inexact form fails beside a large exact one, whose scale would
+    # hide its defect
+    exact = np.stack([np.cos(mesh[0]), -1.3 * np.sin(mesh[1])], axis=-1)
+    potentials = _integrate_exact_one_form(reduction_ctx, np.stack([exact, 2.0 * exact]))
+    assert np.max(np.abs(potentials[1] - 2.0 * potentials[0])) <= 1e-14
+    for stack in ([1e4 * exact, 1e-5 * beta], [1e-5 * beta, 1e4 * exact]):
+        with pytest.raises(ExactnessError):
+            _integrate_exact_one_form(reduction_ctx, np.stack(stack))
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +581,78 @@ def test_stencils_around_a_state_solve_each_frame_once(coarse_ctx, monkeypatch):
     assert len(seen) == len(set(seen))
     # 16 gradient frames; the Hessian's 10 quotient frames are among them
     assert len(seen) == 16
+
+
+def test_variation_potential_rows_equal_one_row_calls(coarse_ctx):
+    state = fresh_state(coarse_ctx)
+    directions = np.hstack([coarse_ctx.quotient, coarse_ctx.symmetries]).T
+    stacked = variation_potential(coarse_ctx, state, directions)
+    assert len(stacked) == len(directions)
+    for h, direction in zip(stacked, directions):
+        [single] = variation_potential(coarse_ctx, state, direction[None])
+        assert np.max(np.abs(h.values - single.values)) <= 1e-15 * np.max(np.abs(single.values))
+
+
+def test_gradient_K_takes_the_centre_jets_once(coarse_ctx, monkeypatch):
+    """With every neighbour solved, the potentials take one `_graph_jets`
+    call, at the centre: the neighbours' immersions need only grad f."""
+    state = fresh_state(coarse_ctx)
+    first = gradient_K(coarse_ctx, state)
+    calls = []
+    jets = hslag.weinstein._graph_jets
+
+    def counting(chart, grid, f):
+        calls.append(f)
+        return jets(chart, grid, f)
+
+    for module in (hslag.weinstein, hslag.reduction):
+        monkeypatch.setattr(module, "_graph_jets", counting)
+    again = gradient_K(coarse_ctx, state)
+    assert len(calls) == 1 and calls[0] is state.f.values
+    assert again.factored.tobytes() == first.factored.tobytes()
+
+
+def test_projected_solve_norm_is_the_grid_norm(coarse_ctx, monkeypatch):
+    """The residual norm read off the half spectrum by Parseval equals the
+    vol_norm of the projected residual field, at every iteration."""
+    gradients = []
+    residual = hslag.reduction.residual_P
+
+    def recording(*args):
+        out = residual(*args)
+        gradients.append(out[1])
+        return out
+
+    monkeypatch.setattr(hslag.reduction, "residual_P", recording)
+    state = fresh_state(coarse_ctx)
+    assert len(state.residual_history) == len(gradients) > 3
+    for rnorm, grad in zip(state.residual_history, gradients):
+        grid_norm = coarse_ctx.vol_norm(coarse_ctx.project_transverse(grad))
+        assert abs(rnorm - grid_norm) <= 1e-14 * grid_norm
+
+
+def test_geometric_residual_takes_one_metric_jet(coarse_ctx, monkeypatch):
+    """The certificate builds h once, from the Christoffel jet's G, and
+    inverts h and G once each."""
+    state = fresh_state(coarse_ctx)
+    reference = geometric_residual(coarse_ctx, state)
+    calls = []
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def recorded(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recorded)
+
+    for owner, name in ((type(coarse_ctx.metric), "value"), (type(coarse_ctx.metric), "derivative")):
+        spy(owner, name)
+    for name in ("inv", "det"):
+        spy(np.linalg, name)
+    assert geometric_residual(coarse_ctx, state) == reference
+    assert sorted(calls) == ["derivative", "det", "inv", "inv"]
 
 
 def test_saddle_test_ignores_stencil_noise():

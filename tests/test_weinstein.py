@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import directed_hausdorff
 
-from oracles import graph_immersion, pullback_graph_volume, translate
+from oracles import chart_map_jets, graph_immersion, pullback_graph_volume, translate
 
 from hslag.ambient import (
     ChartMetric,
@@ -184,11 +184,37 @@ def test_residual_field_wrapper(chart, grid, perturbed, rng):
     assert abs(np.mean(P.values)) < 1e-15
 
 
+@pytest.mark.parametrize("step", [0.0, 1e-20], ids=["real", "complex_step"])
+@pytest.mark.parametrize("radii, size", [((1.0, 1.3), 24), ((1.0, 1.3, 1.6), 12)], ids=["n2", "n3"])
+def test_graph_jets_match_dense_chart_map(radii, size, step):
+    """The per-node chart scalars and the elementwise tangents against the
+    chart map's dense Jacobians, T = d Phi/d theta + Y^T d Phi/d y."""
+    chart = WeinsteinChart(radii)
+    grid = chart.grid(size)
+    rng = np.random.default_rng(4)
+    f = band_limited_field(grid, rng, 0.05)
+    if step:
+        f = f + 1j * step * band_limited_field(grid, rng, 1.0)
+    r2, r, cos_r, sin_r, coords, Y, T = _graph_jets(chart, grid, f)
+    ref_r2, ref_coords, phi_theta, phi_y, _, ref_Y = chart_map_jets(chart, grid, f)
+    ref_T = phi_theta + np.swapaxes(ref_Y, -1, -2) @ phi_y
+    assert np.array_equal(r, np.sqrt(r2))
+    # row j of d Phi/d y holds (cos, sin)/r_j in slots (2j, 2j+1) and zeros
+    ref_cos_r, ref_sin_r = phi_y[..., 0::2].sum(axis=-2), phi_y[..., 1::2].sum(axis=-2)
+    pairs = (
+        (r2, ref_r2), (cos_r, ref_cos_r), (sin_r, ref_sin_r), (coords, ref_coords), (Y, ref_Y), (T, ref_T)
+    )
+    for part in (np.real, np.imag) if step else (np.real,):
+        for got, want in pairs:
+            scale = np.max(np.abs(part(want)))
+            assert np.max(np.abs(part(got - want))) <= 1e-14 * scale
+
+
 def _einsum_volume_and_gradient(chart, grid, f, metric):
     """The graph volume gradient in per-node einsum form, as an independent
     oracle for the batched matrix products of graph_volume_and_gradient."""
     n = chart.n
-    _, r2, coords, phi_theta, phi_y, phi_yy, Y, _ = _graph_jets(chart, grid, f)
+    r2, coords, phi_theta, phi_y, phi_yy, Y = chart_map_jets(chart, grid, f)
     T = phi_theta + np.einsum("...jm,...ja->...am", phi_y, Y)
     G, dG = metric.derivative(coords)
     h = np.einsum("...am,...mn,...bn->...ab", T, G, T)
