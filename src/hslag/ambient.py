@@ -13,9 +13,11 @@ each metric fixes once from a bound on |Y|, so the evaluated G is one
 polynomial in the point.  SymplecticExpMetric evaluates that polynomial in
 Paterson-Stockmeyer form over jets: the product rule carries G, dG and d2G
 through the same few matrix products, and the generator's jet is one GEMM
-of the phases against a weight matrix fixed at construction.  Its
-temporaries live in workspaces the metric reuses, so a warm call allocates
-only the arrays it returns.
+of the phases against a weight matrix fixed at construction.  Where only
+the contraction dG : M is wanted, one value pass and one reverse sweep
+through its products give it without the jet.  Its temporaries live in
+workspaces the metric reuses, so a warm call allocates only the arrays it
+returns; for the same reason one metric instance is not thread-safe.
 
 Every metric evaluator (EuclideanMetric, SymplecticExpMetric, ChartMetric)
 has two methods: value(points) returns G with shape [..., i, j], and
@@ -23,7 +25,10 @@ derivative(points, order=1) returns the jet (G, dG), or (G, dG, d2G) when
 order=2, with dG[..., mu, i, j] = dG_ij / dp_mu and
 d2G[..., mu, nu, i, j] = d^2 G_ij / dp_mu dp_nu.  The jet's G equals value's
 bit for bit.  Every call returns new arrays that the caller owns and may
-overwrite (ChartMetric pulls back in its base's returned jet).
+overwrite (ChartMetric pulls back in its base's returned jet).  The ambient
+metrics also have linearize(points), which returns (G, pullback) with G
+value's bit for bit and pullback(M)[..., mu] = sum_ij dG_ij / dp_mu M_ij:
+the graph volume's whole use of the metric.
 
 Frames: a unitary frame at p is a real matrix upsilon with
 upsilon^T G(p) upsilon = I and upsilon^T Omega0 upsilon = Omega0, built by
@@ -96,6 +101,11 @@ class EuclideanMetric:
         ]
         return (self.value(points), *zeros)
 
+    def linearize(self, points: np.ndarray):
+        """(I, pullback) with pullback(M) = 0: the flat metric is constant."""
+        G = self.value(points)
+        return G, lambda M: np.zeros(G.shape[:-1], dtype=np.result_type(G, M))
+
 
 def symmetric_anticommuting_basis(n: int) -> list[np.ndarray]:
     """Orthonormal basis of {X = X^T : X Omega0 = -Omega0 X} in R^{2n x 2n}.
@@ -165,12 +175,29 @@ class SymplecticExpMetric:
     to the phases [cos(m_k.p), sin(m_k.p)]: one GEMM per slot against that
     slot's column block.
 
-    The points are taken in chunks of at most _CHUNK.  Every temporary lives
-    in a workspace that the metric keeps and reuses, one per (chunk length,
-    dtype, order, J); only the returned arrays are allocated per call, and
-    they never alias the workspace.  The value slot's arithmetic is the same
-    at every order, so the jet contract (value's G is the jet's G, the
-    order-1 jet the head of the order-2 one) holds bit for bit.
+    linearize runs the order-0 pass and keeps its products: the powers
+    Y^0..Y^(s-1), Y^s and the Horner partial sums.  Its pullback(M) then
+    gives dG : M by reverse mode (Griewank & Walther, Evaluating
+    Derivatives, 2008) through those products: at J = 14, 4 products back
+    through the Horner steps, 2 through Y^s and 6 through the powers, the
+    block GEMM transposed, and one GEMM of the generator's adjoint against
+    the value slot's weights, paired with the phases' derivatives.  That is
+    the contraction of the Frechet derivative with M, with no d-direction
+    jet formed; it uses transposes and no conjugates, so it is exact under
+    complex step.
+
+    The points are taken in chunks of at most _CHUNK, except by linearize,
+    which keeps the whole point set for its sweep.  Every temporary lives in
+    a workspace that the metric keeps and reuses, one per (chunk length,
+    dtype, order, J, whether it serves a sweep); only the returned arrays
+    are allocated per call, and they never alias the workspace.  A pullback
+    reads its linearize's workspace, so it is valid until the metric's next
+    evaluation and raises RuntimeError after that; nor may two threads
+    evaluate one metric at once, since they would share the workspaces.
+    The value slot's arithmetic is the same at every order and in
+    linearize, so the jet contract (value's G is the jet's G and
+    linearize's, the order-1 jet the head of the order-2 one) holds bit
+    for bit.
     """
 
     n: int
@@ -200,15 +227,16 @@ class SymplecticExpMetric:
             self.wave_vectors, self.cos_coeffs, self.sin_coeffs, self.amplitude
         )
         self._workspaces: dict = {}
+        self._evaluations = 0
 
     @property
     def dim(self) -> int:
         return 2 * self.n
 
-    def _workspace(self, count: int, dtype, order: int) -> "_JetWorkspace":
+    def _workspace(self, count: int, dtype, order: int, reverse: bool = False) -> "_JetWorkspace":
         """The reused buffers for `count` points of this dtype at this order,
-        most recent last."""
-        key = (count, dtype, order, self._terms)
+        most recent last; reverse ones also keep what a reverse sweep reads."""
+        key = (count, dtype, order, self._terms, reverse)
         ws = self._workspaces.pop(key, None)
         if ws is None:
             if len(self._workspaces) >= _WORKSPACES:
@@ -238,6 +266,7 @@ class SymplecticExpMetric:
         series is False."""
         if order > 2:
             raise ValueError(f"metric jets are available to order 2, not {order}")
+        self._evaluations += 1
         points = np.asarray(points)
         lead, d = points.shape[:-1], self.dim
         dtype = np.result_type(points.dtype, float)
@@ -258,6 +287,31 @@ class SymplecticExpMetric:
     def derivative(self, points: np.ndarray, order: int = 1) -> tuple[np.ndarray, ...]:
         """The jet (G, dG), or (G, dG, d2G) when order=2, from one series."""
         return self._jet(points, order)
+
+    def linearize(self, points: np.ndarray):
+        """(G, pullback): G is value(points) bit for bit, and pullback(M) for
+        M [..., 2n, 2n] returns dG : M, that is
+        pullback(M)[..., mu] = sum_ij dG_ij/dp_mu M_ij, with shape [..., 2n].
+
+        The pullback runs one reverse sweep through the products of the
+        value pass, which it reads from this metric's workspace, so it is
+        valid until the next evaluation on this metric; a stale pullback
+        raises RuntimeError."""
+        self._evaluations += 1
+        evaluation = self._evaluations
+        points = np.asarray(points)
+        lead, d = points.shape[:-1], self.dim
+        flat = points.reshape(-1, points.shape[-1])
+        ws = self._workspace(len(flat), np.result_type(points.dtype, float), 0, reverse=True)
+        self._generator_into(ws, flat)
+        G = _paterson_stockmeyer(ws).v.reshape(lead + (d, d)).copy()
+
+        def pullback(M: np.ndarray) -> np.ndarray:
+            if self._evaluations != evaluation:
+                raise RuntimeError("stale pullback: the metric was evaluated again after linearize")
+            return _reverse_sweep(ws, np.reshape(M, (-1, d, d))).reshape(lead + (d,))
+
+        return G, pullback
 
 
 # Paterson-Stockmeyer block length s: at the default J = 14 the powers up to
@@ -293,6 +347,7 @@ class _JetView:
 
     def __init__(self, flat: np.ndarray, N: int, d: int, order: int):
         ends = np.cumsum([N * d ** (2 + k) for k in range(order + 1)])
+        self.flat = flat
         self.slots = [x.reshape(N, -1) for x in np.split(flat, ends[:-1])]
         self.v = self.slots[0].reshape(N, d, d)
         self.g = self.h = None
@@ -314,12 +369,51 @@ def _paterson_stockmeyer(ws: "_JetWorkspace") -> "_JetView":
         _jet_product(P[l - 1], Y, P[l], ws.scratch)
     np.matmul(ws.coeffs, ws.powers_flat, out=ws.blocks_flat)
     if len(B) > 1:
-        # Y^s replaces Y^2, and Y^3 takes each Horner product
-        _jet_product(P[-1], Y, P[2], ws.scratch)
+        _jet_product(P[-1], Y, ws.top, ws.scratch)
         for i in range(len(B) - 2, -1, -1):
-            _jet_product(ws.block_jets[i + 1], P[2], P[3], ws.scratch)
-            B[i] += ws.powers[3]
+            _jet_product(ws.block_jets[i + 1], ws.top, ws.product, ws.scratch)
+            B[i] += ws.product.flat
     return ws.block_jets[0]
+
+
+def _reverse_sweep(ws: "_JetWorkspace", M: np.ndarray) -> np.ndarray:
+    """dG : M [N, d] for M [N, d, d], by reverse mode through the products
+    of the order-0 series pass that ws keeps.
+
+    With H_i the Horner partial sums (H_i = B_i + H_{i+1} Z, Z = Y^s, G = H_0)
+    and P_l = P_{l-1} Y the powers, the sweep carries each adjoint X_bar as
+    its transpose Q = X_bar^T, so that a product x w hands it on by plain
+    products, Q_x += w Q_out and Q_w += Q_out x, and the block GEMM's adjoint
+    is its transpose.  Q_Y, paired with the generator's value-slot weights
+    and the phases' derivatives, gives dG : M.  Only transposes, no
+    conjugates, so a complex step stays exact."""
+    P = [x.v for x in ws.power_jets]
+    H = [x.v for x in ws.block_jets]
+    Q_H, Q_P, Q_Z, tmp = ws.block_bars, ws.power_bars, ws.top_bar, ws.scratch.v
+    Z, Y, Q_Y = ws.top.v, P[1], Q_P[1]
+    np.copyto(Q_H[0], M.swapaxes(1, 2))
+    Q_Z.fill(0.0)
+    for i in range(len(H) - 1):
+        np.matmul(Z, Q_H[i], out=Q_H[i + 1])
+        np.matmul(Q_H[i], H[i + 1], out=tmp)
+        Q_Z += tmp
+    np.matmul(ws.coeffs.T, ws.block_bars_flat, out=ws.power_bars_flat)
+    # Z = P_{s-1} Y, then P_l = P_{l-1} Y down to l = 2
+    steps = [(P[-1], Q_Z, Q_P[-1])] if len(H) > 1 else []
+    steps += [(P[l - 1], Q_P[l], Q_P[l - 1]) for l in range(len(P) - 1, 1, -1)]
+    for x, Q_out, Q_x in steps:
+        np.matmul(Y, Q_out, out=tmp)
+        Q_x += tmp
+        np.matmul(Q_out, x, out=tmp)
+        Q_Y += tmp
+    # Y = sum_k cos_k A_k + sin_k B_k, so dY/dp = sum_k (-sin_k A_k + cos_k B_k) m_k
+    K = len(ws.waves)
+    paired = np.matmul(ws.transposed_weights, Q_Y.reshape(len(M), -1).T, out=ws.phase_bars)
+    at_A, at_B = paired[:K], paired[K:]
+    at_A *= ws.phases[K:]
+    at_B *= ws.phases[:K]
+    at_B -= at_A
+    return at_B.T @ ws.waves
 
 
 def _jet_product(x: _JetView, w: _JetView, out: _JetView, tmp: _JetView) -> None:
@@ -352,7 +446,7 @@ class _JetWorkspace:
     take the real GEMM twice over, with no complex cast of the coefficients."""
 
     def __init__(self, metric: SymplecticExpMetric, key: tuple):
-        N, dtype, order, terms = key
+        N, dtype, order, terms, reverse = key
         d, K = metric.dim, len(metric.wave_vectors)
         widths = [d ** (2 + k) for k in range(order + 1)]
         s = min(_PS_BLOCK, terms + 1)
@@ -378,6 +472,22 @@ class _JetWorkspace:
         self.block_jets = [_JetView(x, N, d, order) for x in self.blocks]
         self.scratch = _JetView(np.empty(N * sum(widths), dtype), N, d, order)
         self.power_jets[0].slots[0][:, :: d + 1] = 1.0
+        if not reverse:
+            # Y^s replaces Y^2, and Y^3 takes each Horner product
+            self.top, self.product = self.power_jets[2:4] if m > 1 else (None, None)
+            return
+        # a reverse sweep reads every power, so Y^s gets its own buffer, and
+        # the Horner product uses the scratch; then the adjoints of each
+        self.top, self.product = _JetView(np.empty(N * d * d, dtype), N, d, 0), self.scratch
+        self.top_bar = np.empty((N, d, d), dtype)
+        bars = np.empty((m + s, N * d * d), dtype)
+        self.block_bars_flat, self.power_bars_flat = np.split(bars.view(np.float64), [m])
+        self.block_bars = [x.reshape(N, d, d) for x in bars[:m]]
+        self.power_bars = [x.reshape(N, d, d) for x in bars[m:]]
+        self.phase_bars = np.empty((2 * K, N), dtype)
+        # the value slot's weights with (i, j) read as (j, i), to pair with Q_Y
+        value_weights = self.weights[0].reshape(2 * K, d, d)
+        self.transposed_weights = value_weights.transpose(0, 2, 1).reshape(2 * K, -1)
 
 
 def _copy_out(jet: _JetView, rows: list, start: int) -> None:

@@ -381,13 +381,15 @@ def _symplectic_pullback(grid: GridDescriptor, jac: np.ndarray) -> np.ndarray:
 
 def induced_metric(imm: Immersion, metric=None) -> MetricField:
     """First fundamental form h_ab = g(d_a iota, d_b iota)."""
+    g = None if metric is None else metric.value(imm.coords)
+    return _first_fundamental_form(imm, g)
+
+
+def _first_fundamental_form(imm: Immersion, g: Optional[np.ndarray]) -> MetricField:
+    """h = jac^T g jac as batched products, or jac^T jac when g is None."""
     jac = imm.jacobian()
-    if metric is None:
-        entries = np.einsum("...ma,...mb->...ab", jac, jac)
-    else:
-        g = metric.value(imm.coords)
-        entries = np.einsum("...ma,...mn,...nb->...ab", jac, g, jac)
-    return MetricField(imm.grid, entries)
+    jac_t = np.swapaxes(jac, -1, -2)
+    return MetricField(imm.grid, jac_t @ jac if g is None else jac_t @ g @ jac)
 
 
 def volume_density(h: MetricField) -> ScalarField:
@@ -416,7 +418,7 @@ def _ambient_christoffel(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
     ginv = np.linalg.inv(g)
     # S[..., s, nu, l] = d_nu g_{sl} + d_l g_{s nu} - d_s g_{nu l}
     S = np.moveaxis(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg
-    return 0.5 * np.einsum("...ms,...snl->...mnl", ginv, S)
+    return 0.5 * (ginv @ S.reshape(S.shape[:-2] + (-1,))).reshape(S.shape)
 
 
 def _induced_christoffel(h: MetricField) -> np.ndarray:
@@ -425,7 +427,7 @@ def _induced_christoffel(h: MetricField) -> np.ndarray:
     hinv = h.inverse()
     # S[..., d, a, b] = d_a h_{db} + d_b h_{da} - d_d h_{ab}
     S = np.moveaxis(dh, -3, -2) + np.moveaxis(dh, -3, -1) - dh
-    return 0.5 * np.einsum("...cd,...dab->...cab", hinv, S)
+    return 0.5 * (hinv @ S.reshape(S.shape[:-2] + (-1,))).reshape(S.shape)
 
 
 def mean_curvature_one_form(imm: Immersion, metric=None) -> OneFormField:
@@ -452,17 +454,22 @@ def mean_curvature_and_metric(imm: Immersion, metric=None) -> Tuple[OneFormField
         h, gamma_a = induced_metric(imm), None
     else:
         g, dg = metric.derivative(imm.coords)
-        h = MetricField(grid, np.einsum("...ma,...mn,...nb->...ab", jac, g, jac))
+        h = _first_fundamental_form(imm, g)
         gamma_a = _ambient_christoffel(g, dg)
     hinv = h.inverse()
     gamma_l = _induced_christoffel(h)
-    H = np.einsum("...ab,...mab->...m", hinv, dd)
-    H -= np.einsum("...ab,...cab,...mc->...m", hinv, gamma_l, jac)
+    # each h^ab contraction as one batched product: the (a, b) pair is one
+    # axis of length n^2, and the ambient term contracts d iota h^-1 d iota^T
+    lead, (d, n) = jac.shape[:-2], jac.shape[-2:]
+    hinv_col = hinv.reshape(lead + (n * n, 1))
+    trace_l = gamma_l.reshape(lead + (n, n * n)) @ hinv_col  # Gamma^c_ab h^ab
+    H = dd.reshape(lead + (d, n * n)) @ hinv_col - jac @ trace_l
     if gamma_a is not None:
-        H += np.einsum("...ab,...mnl,...na,...lb->...m", hinv, gamma_a, jac, jac)
+        spread = jac @ hinv @ np.swapaxes(jac, -1, -2)
+        H += gamma_a.reshape(lead + (d, d * d)) @ spread.reshape(lead + (d * d, 1))
     omega = standard_symplectic_matrix(grid.dim)
-    comps = np.einsum("...m,mn,...na->a...", H, omega, jac)
-    return OneFormField(grid, comps), h
+    comps = (np.swapaxes(H, -1, -2) @ omega) @ jac  # (*s, 1, n)
+    return OneFormField(grid, np.moveaxis(comps[..., 0, :], -1, 0)), h
 
 
 def codifferential(alpha: OneFormField, h: MetricField) -> ScalarField:

@@ -22,12 +22,15 @@ complex-step linearization.
 A chart metric g(z) = u^T G(p + t u z) u enters only through the graph's
 thin tangent data, so the volume is assembled in the ambient metric's own
 frame: the tangent vectors are pushed through the chart's affine map once,
-the base metric's jet is taken at the embedded points, and the induced
-metric, its inverse and the dG contraction are formed there, with no
-pullback of G or dG.  Any other metric evaluator is the identity chart
-(p = 0, u = I, t = 1).  The n x n induced metric is inverted by elimination
-on node vectors, and the per-grid tables (node trigonometry, spectral
-symbols, node weight) are built once per grid.
+the base metric is linearized at the embedded points, and the induced
+metric, its inverse and the contraction dG : M are formed there, with no
+pullback of G or dG.  The gradient reads the metric's derivative only
+through that contraction, so it takes it from the linearization's reverse
+sweep and never forms dG (see `SymplecticExpMetric.linearize`).  Any other
+metric evaluator is the identity chart (p = 0, u = I, t = 1).  The n x n
+induced metric is inverted by elimination on node vectors, and the per-grid
+tables (node trigonometry, spectral symbols, node weight) are built once per
+grid.
 
 The chart's Jacobian is diagonal per pair of slots (2j, 2j+1): d Phi/d theta_j
 is r_j (-sin, cos)(theta_j) and d Phi/d y_j is (cos, sin)(theta_j) / r_j.  So
@@ -242,7 +245,9 @@ def graph_volume_and_gradient(
     with T' = T u^T the ambient tangent vectors (up to the factor t), the
     chart metric's h = T g T^T is T' G T'^T, its rows T g are (T' G) u, and
     its contraction <M, dg_m> is t ((dG : T'^T h^-1 T') u)_m, so the base
-    metric's jet is used as it comes, at the embedded points.
+    metric is used as it comes, at the embedded points.  The base metric's
+    `linearize` gives G and then dG : M' by one reverse sweep; dG itself is
+    never formed.
     """
     f = np.asarray(f_values)
     n, d = chart.n, 2 * chart.n
@@ -250,7 +255,7 @@ def graph_volume_and_gradient(
     tables = _grid_tables(grid)
     base, u, t, points = _affine_chart(metric, n, coords)
     if need_gradient:
-        G, dG = base.derivative(points)
+        G, pullback = base.linearize(points)
     else:
         G = base.value(points)
     lead = f.shape
@@ -282,8 +287,7 @@ def graph_volume_and_gradient(
     # d g / d y_j = sum_m (d Phi/d y_j)_m dg_m, paired with M = T^T hinv T; in
     # the ambient frame <M, dg_m> = t sum_k <T'^T hinv T', dG_k> u_km
     M_amb = np.swapaxes(T_amb, -1, -2) @ hinv @ T_amb
-    dGM_amb = dG.reshape(lead + (d, d * d)) @ M_amb.reshape(lead + (d * d, 1))
-    dGM = t * (dGM_amb.reshape(-1, d) @ u)  # (N, d)
+    dGM = t * (pullback(M_amb).reshape(-1, d) @ u)  # (N, d)
     # the affine sensitivities as node sums, each one flat matrix product;
     # T^T W = M g, the transpose of g M
     half_q = 0.5 * w * q.reshape(-1)

@@ -49,6 +49,10 @@ def test_flat_metric_trivial():
     assert S.shape == (3, 4, 4, 4, 4) and not S.any()
     # complex points keep complex dtype (complex-step safety)
     assert g0.value(pts + 0j).dtype == complex
+    G, pullback = g0.linearize(pts)
+    assert np.array_equal(G, g0.value(pts))
+    dGM = pullback(np.ones((3, 4, 4)))
+    assert dGM.shape == (3, 4) and not dGM.any()
 
 
 def test_anticommuting_basis_dimension_and_membership():
@@ -473,3 +477,79 @@ def test_warm_jet_allocates_only_its_outputs():
     kept = G.copy(), dG.copy()
     metric.derivative(q)
     assert G.tobytes() == kept[0].tobytes() and dG.tobytes() == kept[1].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# linearize: dG : M by one reverse sweep, against the forward jet
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("step", [0.0, 1e-20], ids=["real", "complex_step"])
+@pytest.mark.parametrize(
+    "case", ["amplitude_0.05", "amplitude_0.5", "shorter_than_a_block", "n_3"]
+)
+def test_pullback_is_the_jet_contraction(case, step):
+    """pullback(M) is derivative's dG contracted with M, for random
+    symmetric M, to 1e-14 relative in each part, on a stack of points
+    larger than one chunk; linearize's G is value's bit for bit."""
+    if case == "n_3":
+        metric = default_perturbed_metric(3, amplitude=0.05, seed=2)
+    else:
+        metric = _series_case(case)[0]
+    d = metric.dim
+    rng = np.random.default_rng(11)
+    p = rng.uniform(0.0, 2 * np.pi, size=(2, 150, d))
+    M = rng.normal(size=p.shape[:-1] + (d, d))
+    if step:
+        p = p + 1j * step * rng.normal(size=p.shape)
+        M = M + 1j * step * rng.normal(size=M.shape)
+    M = M + np.swapaxes(M, -1, -2)
+    G, pullback = metric.linearize(p)
+    dGM = pullback(M)
+    reference = np.einsum("...mij,...ij->...m", metric.derivative(p)[1], M)
+    assert dGM.dtype == reference.dtype and dGM.shape == p.shape
+    for part in (np.real, np.imag) if step else (np.real,):
+        assert np.max(np.abs(part(dGM - reference))) <= 1e-14 * np.max(np.abs(part(reference)))
+    assert G.tobytes() == metric.value(p).tobytes()
+
+
+def test_stale_pullback_raises(metric, points):
+    """A pullback reads its linearize's buffers: it may be called again
+    until the metric's next evaluation, and raises after that."""
+    M = np.broadcast_to(np.eye(4), points.shape[:-1] + (4, 4))
+    _, pullback = metric.linearize(points)
+    first = pullback(M)
+    assert pullback(M).tobytes() == first.tobytes()
+    metric.value(points[:3])
+    with pytest.raises(RuntimeError, match="stale"):
+        pullback(M)
+    _, pullback = metric.linearize(points)
+    _, later = metric.linearize(points[:5])
+    with pytest.raises(RuntimeError, match="stale"):
+        pullback(M)
+    assert later(M[:5]).tobytes() == first[:5].tobytes()
+
+
+def test_warm_linearize_allocates_only_its_outputs():
+    """After one call has built the workspace, a linearize on 576 points and
+    its pullback allocate G, dG : M and at most 4 KiB more: the sweep's
+    buffers are the metric's, sized for the point set and reused.  The
+    outputs do not alias the workspace: a later call leaves them unchanged."""
+    margin = 4096
+    metric = default_perturbed_metric(2, amplitude=0.05, seed=1)
+    rng = np.random.default_rng(3)
+    p, q = rng.uniform(0.0, 2 * np.pi, size=(2, 24, 24, 4))
+    M = rng.normal(size=(24, 24, 4, 4))
+    metric.linearize(q)[1](M)
+    tracemalloc.start()
+    try:
+        G, pullback = metric.linearize(p)
+        dGM = pullback(M)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert G.nbytes + dGM.nbytes == 576 * (16 + 4) * 8
+    assert peak <= G.nbytes + dGM.nbytes + margin
+    kept = G.copy(), dGM.copy()
+    metric.linearize(q)[1](M)
+    assert G.tobytes() == kept[0].tobytes() and dGM.tobytes() == kept[1].tobytes()

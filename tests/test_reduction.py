@@ -667,16 +667,28 @@ def test_saddle_test_ignores_stencil_noise():
 def test_optimize_frame_makes_no_value_only_volume(reduction_ctx, frame_optimum, monkeypatch):
     """Every volume of a frame search is a solve's gradient volume: the
     gradients are exact, and the Hessian takes 10 solves.  Only the
-    second-variation field stencil makes value-only volumes.  The start is
-    the located torus kicked off its critical point."""
-    volumes, solves, hessian_solves = [], [], []
+    second-variation field stencil makes value-only volumes.  No volume
+    takes the metric's forward jet: a gradient volume gets dG : M from the
+    metric's linearization, and the search's one jet is its geometric
+    residual's.  The start is the located torus kicked off its critical
+    point."""
+    volumes, solves, hessian_solves, jets, volume_jets = [], [], [], [], []
     volume = hslag.reduction.graph_volume_and_gradient
     solve = hslag.reduction.projected_solve
     hessian = hslag.reduction.hessian_K
+    metric_type = type(reduction_ctx.metric)
+    jet = metric_type.derivative
+
+    def counting_jet(*args, **kwargs):
+        jets.append(1)
+        return jet(*args, **kwargs)
 
     def counting_volume(*args, **kwargs):
         volumes.append(kwargs.get("need_gradient", args[4] if len(args) > 4 else True))
-        return volume(*args, **kwargs)
+        before = len(jets)
+        out = volume(*args, **kwargs)
+        volume_jets.append(len(jets) - before)
+        return out
 
     def counting_solve(ctx, t, frame, init=None):
         solves.append(1)
@@ -691,6 +703,7 @@ def test_optimize_frame_makes_no_value_only_volume(reduction_ctx, frame_optimum,
     monkeypatch.setattr(hslag.reduction, "graph_volume_and_gradient", counting_volume)
     monkeypatch.setattr(hslag.reduction, "projected_solve", counting_solve)
     monkeypatch.setattr(hslag.reduction, "hessian_K", counting_hessian)
+    monkeypatch.setattr(metric_type, "derivative", counting_jet)
     kick = np.zeros(reduction_ctx.num_frame_coords)
     kick[[0, 6]] = 0.005
     start = frame_optimum.state.frame.shifted(kick)
@@ -698,8 +711,10 @@ def test_optimize_frame_makes_no_value_only_volume(reduction_ctx, frame_optimum,
     assert result.gradient_norm <= 1e-8
     assert volumes and all(volumes)
     assert hessian_solves == [10]
+    assert not any(volume_jets) and len(jets) == 1
     # the blocks at the result: the field stencil's 3 x 4 value-only volumes,
     # and the cross block re-solves nothing
     volumes.clear()
     second_variation_Q(reduction_ctx, result.state, frame_block=result.hessian)
     assert volumes == [False] * 12
+    assert not any(volume_jets)
