@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, RankDeficiencyError
 from .geomcore import standard_symplectic_matrix
@@ -107,12 +106,9 @@ class EuclideanMetric:
         return G, lambda M: np.zeros(G.shape[:-1], dtype=np.result_type(G, M))
 
 
-def symmetric_anticommuting_basis(n: int) -> list[np.ndarray]:
-    """Orthonormal basis of {X = X^T : X Omega0 = -Omega0 X} in R^{2n x 2n}.
-
-    This is the tangent space (at the identity) of compatible metrics inside
-    the exponential family; its dimension is n(n+1).
-    """
+def _anticommuting_constraints(n: int) -> np.ndarray:
+    """The linear conditions X_ij = X_ji and X Omega0 + Omega0 X = 0 on the
+    flattened X in R^{2n x 2n}, one per row."""
     d = 2 * n
     om = standard_symplectic_matrix(n)
     rows = []
@@ -131,7 +127,21 @@ def symmetric_anticommuting_basis(n: int) -> list[np.ndarray]:
                 for l in range(d):
                     r[k, l] = (om[l, j] if k == i else 0.0) + (om[i, k] if l == j else 0.0)
             rows.append(r.reshape(-1))
-    null = scipy.linalg.null_space(np.array(rows))
+    return np.array(rows)
+
+
+def symmetric_anticommuting_basis(n: int) -> list[np.ndarray]:
+    """Orthonormal basis of {X = X^T : X Omega0 = -Omega0 X} in R^{2n x 2n}.
+
+    This is the tangent space (at the identity) of compatible metrics inside
+    the exponential family; its dimension is n(n+1).  It is the null space of
+    the constraints: the right singular vectors past their numerical rank.
+    """
+    d = 2 * n
+    rows = _anticommuting_constraints(n)
+    _, singular, vt = np.linalg.svd(rows)
+    rank = int(np.count_nonzero(singular > max(rows.shape) * np.finfo(float).eps * singular[0]))
+    null = vt[rank:].T
     if null.shape[1] != n * (n + 1):
         raise RankDeficiencyError(
             f"anticommuting-symmetric space has dim {null.shape[1]}, expected {n * (n + 1)}"
@@ -228,6 +238,15 @@ class SymplecticExpMetric:
         )
         self._workspaces: dict = {}
         self._evaluations = 0
+
+    def __copy__(self) -> "SymplecticExpMetric":
+        """A twin with this metric's series and its own workspaces and
+        evaluation counter: neither's evaluations touch the other's buffers,
+        so a pullback stays valid across the twin's calls."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        twin._workspaces = {}
+        return twin
 
     @property
     def dim(self) -> int:

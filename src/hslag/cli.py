@@ -128,6 +128,10 @@ class ExperimentConfig:
                 f"the {self.suite} suite needs one torus radius per complex dimension: "
                 f"n = {self.n}, radii = {self.radii}"
             )
+        if spectrum_of == "torus" and self.n != 2:
+            raise ConfigError(
+                f"the spectrum suite's analytic torus table covers n = 2 only, not n = {self.n}"
+            )
         builds_circle_sphere = self.suite == "verify-models" or spectrum_of == "ln"
         if builds_circle_sphere and self.n != 2:
             raise ConfigError(f"the {self.suite} suite needs n = 2 for its circle-sphere grid")
@@ -357,6 +361,10 @@ def _reduction_context(config: ExperimentConfig):
     )
 
 
+# One row per solve of the frame search (see `optimize_frame`).
+TRACE_COLUMNS = ("step", "K", "residual_norm", "gradient_norm", "radius", "ratio", "outcome")
+
+
 def _suite_reduce(config: ExperimentConfig, out: str):
     ctx = _reduction_context(config)
     start = random_frame_state(ctx, seed=config.seed)
@@ -392,11 +400,8 @@ def _suite_reduce(config: ExperimentConfig, out: str):
 
     write_csv(
         os.path.join(out, "trace.csv"),
-        ["step", "phase", "K", "residual_norm", "gradient_norm"],
-        [
-            (e["step"], e["phase"], e["K"], e["residual_norm"], e["gradient_norm"])
-            for e in (result.trace or [])
-        ],
+        TRACE_COLUMNS,
+        [[e[name] for name in TRACE_COLUMNS] for e in (result.trace or [])],
     )
     final_solve = projected_solve(ctx, config.t, result.state.frame)
     write_csv(

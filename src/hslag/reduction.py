@@ -8,8 +8,9 @@ Lagrangian tori near scaled copies of the model product torus:
 2. solve the stationarity equation transverse to the kernel of the flat
    linearized operator by a contraction built from the flat pseudo-inverse,
 3. minimize the remaining finite-dimensional reduced volume K over the frame
-   variables modulo its symmetries: the diagonal torus that fixes the model
-   and the ambient translations that fix the metric.
+   variables modulo its symmetries (the diagonal torus that fixes the model
+   and the ambient translations that fix the metric) by a trust-region search
+   on a quadratic model of K.
 
 Critical points of K with the transverse equation solved are discretely
 Hamiltonian stationary for the full metric; `geometric_residual` certifies
@@ -23,8 +24,6 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .ambient import (
     ChartMetric,
@@ -89,7 +88,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OptimizeSettings:
-    """How many saddle kicks the reduced-volume frame optimization may take."""
+    """How many times the frame search may escape a saddle: at a critical
+    point whose Hessian has a descent direction, restart the search along it."""
 
     max_saddle_restarts: int = 3
 
@@ -109,25 +109,19 @@ FIELD_STEP = 1e-3
 # Relative defect above which a recovered potential fails its exactness check.
 EXACTNESS_TOL = 1e-6
 
-# optimize_frame: BFGS gradient tolerance and iteration cap, re-anchoring
-# (rounds, and the rotation-coordinate norm that triggers one), saddle test
-# and kick, and the Newton polish (target gradient, steps, step norm cap).
-# A saddle needs a Hessian eigenvalue below -_SADDLE_TOL, which is above the
-# Hessian's noise SOLVE_TOL / FRAME_STEP = 1e-8 (see `hessian_K`).  BFGS hands
-# over at |dK| <= 1e-7: there a line-search step along the softest frame
-# directions (curvature ~1e-3) still lowers K by ~1e-11, far above K's
-# roundoff (~1e-14 at K ~ 51), while below ~1e-8 the line search fails on
-# roundoff and spends tens of solves.  The polish, one solve per step with
-# the exact gradient, then takes |dK| to _POLISH_TOL.
-_BFGS_GTOL = 1e-7
-_MAX_BFGS_ITERATIONS = 200
-_MAX_ANCHOR_ROUNDS = 4
+# optimize_frame: a trust-region search whose radius never exceeds
+# _ANCHOR_XI_NORM, the region in which the exponential chart is trusted, and
+# which re-anchors once the rotation coordinates leave it.  It stops at
+# |dK| <= _POLISH_TOL or after _MAX_SEARCH_SOLVES solves.  A step whose
+# predicted decrease is under K's roundoff, _K_ROUNDOFF relative, is judged by
+# |dK| instead of K.  A saddle needs a Hessian eigenvalue below -_SADDLE_TOL,
+# which is above the Hessian's noise SOLVE_TOL / FRAME_STEP = 1e-8 (see
+# `hessian_K`).
 _ANCHOR_XI_NORM = 1.0
-_SADDLE_TOL = max(1e-6, SOLVE_TOL / FRAME_STEP)
-_SADDLE_KICK = 0.05
 _POLISH_TOL = 1e-9
-_MAX_POLISH_STEPS = 6
-_MAX_POLISH_STEP_NORM = 1.0
+_MAX_SEARCH_SOLVES = 100
+_K_ROUNDOFF = 1e-13
+_SADDLE_TOL = max(1e-6, SOLVE_TOL / FRAME_STEP)
 
 
 @dataclass
@@ -257,6 +251,32 @@ def _algebra_embedding(n: int) -> np.ndarray:
     return basis
 
 
+def _expm(generators: np.ndarray) -> np.ndarray:
+    """The matrix exponential of each matrix of a stack [..., d, d].
+
+    Scaling and squaring: each matrix is halved s times, the fewest that
+    bring the 1-norm of its real part to 1 or below, its degree-18 Taylor
+    polynomial is summed by Horner's rule, and the result is squared s
+    times.  The Taylor remainder after degree 18 is below 1/19! * 20/19,
+    about 9e-18, at norm 1.  s comes from the real part alone, so a
+    complex-step perturbation never changes it: the result is one
+    polynomial in the perturbation, and its imaginary part is the exact
+    Frechet derivative.  Each matrix gets its own s, so a stack gives each
+    matrix what it gives alone."""
+    A = np.asarray(generators)
+    norms = np.max(np.sum(np.abs(A.real), axis=-2), axis=-1)
+    s = np.ceil(np.log2(np.maximum(norms, 1.0))).astype(int)
+    A = A / (2.0**s)[..., None, None]
+    eye = np.eye(A.shape[-1])
+    E = eye + A / 18.0
+    for k in range(17, 0, -1):
+        E = eye + (A @ E) / k
+    for j in range(int(s.max(initial=0))):
+        squared = s > j
+        E[squared] = E[squared] @ E[squared]
+    return E
+
+
 @dataclass(frozen=True)
 class FrameState:
     """A unitary frame parametrized by displacement coordinates.
@@ -291,16 +311,17 @@ class FrameState:
 
     def realize(self, metric) -> UnitaryFrame:
         """The frame at these coordinates, or the stack of frames when coords
-        has leading axes: one expm over the stacked generators and one
+        has leading axes: one `_expm` over the stacked generators and one
         `frame_fit`, whose metric evaluation takes every point at once.
 
-        The rotation is expm of the real embedding of the u(n) element, so
-        complex coordinates give the complex-analytic continuation of the
-        frame, which `_realize_jacobian` differentiates by complex step."""
+        The rotation is the exponential of the real embedding of the u(n)
+        element, so complex coordinates give the complex-analytic
+        continuation of the frame, which `_realize_jacobian` differentiates
+        by complex step."""
         n = self.n
         point = self.base_point + self.coords[..., : 2 * n]
         generator = np.tensordot(self.coords[..., 2 * n :], _algebra_embedding(n), axes=1)
-        target = self.base_matrix @ scipy.linalg.expm(generator)
+        target = self.base_matrix @ _expm(generator)
         return frame_fit(metric, point, target)
 
     def anchored(self, metric) -> "FrameState":
@@ -759,6 +780,41 @@ def _is_saddle(eigenvalue: float) -> bool:
     return bool(eigenvalue < -_SADDLE_TOL)
 
 
+def _trust_step(model: np.ndarray, grad: np.ndarray, radius: float) -> Tuple[np.ndarray, float]:
+    """The minimizer p of grad.p + p.model.p / 2 over |p| <= radius, and that
+    minimum: the predicted change in K (Moré & Sorensen, SIAM J. Sci. Stat.
+    Comput. 1983; Nocedal & Wright, Numerical Optimization, 2nd ed., 4.3).
+
+    In the model's eigenbasis p = -c / (eigs + lam) for the least lam >= 0
+    with eigs + lam >= 0 and |p| <= radius.  On the boundary lam solves
+    1/|p(lam)| = 1/radius by Newton's method from below, where the iterates
+    rise monotonically to the root.  In the hard case, c has no component on
+    the lowest eigenspace of an indefinite model and the step at the least
+    admissible lam falls inside; the step then spends the rest of the radius
+    along that eigenspace.  A saddle (grad = 0) is the extreme of it."""
+    eigs, vecs = np.linalg.eigh(model)
+    c = vecs.T @ grad
+    tiny = np.finfo(float).eps * np.max(np.abs(eigs))
+    shifted = eigs - min(eigs[0], 0.0)
+    low = shifted <= tiny
+    coeffs = -np.divide(c, shifted, out=np.zeros_like(c), where=~low)
+    # at lam + mu the lowest components alone have norm radius
+    mu = np.linalg.norm(c[low]) / radius
+    inside = np.linalg.norm(coeffs) < radius
+    if inside and low.any() and mu <= tiny:  # the hard case
+        coeffs[0] = np.copysign(np.sqrt(radius**2 - np.linalg.norm(coeffs) ** 2), -c[0])
+    elif low.any() or not inside:  # on the boundary
+        for _ in range(50):
+            shift = shifted + mu
+            coeffs = -np.divide(c, shift, out=np.zeros_like(c), where=shift > 0)
+            norm = np.linalg.norm(coeffs)
+            if norm - radius <= 1e-12 * radius:
+                break
+            curvature = np.sum(np.divide(coeffs**2, shift, out=np.zeros_like(c), where=shift > 0))
+            mu += norm**2 / curvature * (norm - radius) / radius
+    return vecs @ coeffs, float(c @ coeffs + 0.5 * np.sum(eigs * coeffs**2))
+
+
 def optimize_frame(
     ctx: ReductionContext,
     t: float,
@@ -767,118 +823,91 @@ def optimize_frame(
 ) -> OptimizationResult:
     """Minimize the reduced volume over the frame quotient.
 
-    BFGS over the quotient coordinates y (the frame moved by ctx.quotient @ y)
-    down to |dK| <= _BFGS_GTOL, with the exact `frame_gradient`, which each
-    solved frame yields without another volume; re-anchors whenever the
-    rotation coordinates leave the trust region of the exponential chart;
-    classifies the critical point by `hessian_K` (10 warm solves at n = 2)
-    and kicks off saddles along their most negative direction; then
-    Newton-polishes with that Hessian, one solve per step, down to
-    |dK| <= _POLISH_TOL.  Nothing moves along the symmetries, so the base
-    point keeps the start's component along the metric's translations.  The
-    only volumes are the solves' own gradient volumes."""
+    A trust-region search over the quotient coordinates y, the frame moved
+    by ctx.quotient @ y (Nocedal & Wright, Numerical Optimization, 2nd ed.,
+    ch. 4 and 6).  The model starts from one `hessian_K` at the anchored
+    start and takes an SR1 update, skipped when |r.s| <= 1e-8 |r| |s|, from
+    every trial's exact `frame_gradient`, which costs no volume.  SR1 need
+    not stay positive definite: `_trust_step` solves each subproblem
+    exactly, negative curvature included.  The gradient's envelope error is
+    far below |dK| while the search runs, so short secants are kept.  Each
+    trial solve starts from the last accepted field.
+
+    A step is accepted when rho, its actual over its predicted change in K,
+    exceeds 1e-4, or, once the predicted decrease is under K's roundoff,
+    when it lowers |dK|.  The radius falls to half the step after a
+    rejection or rho < 0.1, and doubles, up to _ANCHOR_XI_NORM, after a
+    boundary step with rho > 0.75; an accepted frame whose rotation
+    coordinates pass _ANCHOR_XI_NORM is re-anchored.  At |dK| <= _POLISH_TOL a `hessian_K`
+    classifies the point (a critical start reuses its start Hessian).  At a
+    saddle, while escapes remain, that Hessian becomes the model, kept
+    without updates until a step is accepted, and the subproblem's hard case
+    steps along its most negative direction.  Nothing moves along the
+    symmetries.  Each solve leaves a trace row with its radius and rho, and
+    whether it was an "anchor" or a step accepted by "ratio" or "gradient",
+    or "rejected"."""
     settings = settings if settings is not None else OptimizeSettings()
     Q = ctx.quotient
-    evaluations = 0
-    anchor_rounds = 0
-    saddle_restarts = 0
-    frame = init
     trace: List[dict] = []
+    radius = _ANCHOR_XI_NORM
 
-    def run_bfgs(anchor: FrameState) -> Tuple[FrameState, ReductionState]:
-        nonlocal evaluations
-        cache: Dict[bytes, Tuple[float, np.ndarray, ReductionState]] = {}
-        warm: List[Optional[ScalarField]] = [None]
-
-        def evaluate(y: np.ndarray) -> Tuple[float, np.ndarray, ReductionState]:
-            key = np.asarray(y, dtype=float).tobytes()
-            if key in cache:
-                return cache[key]
-            nonlocal evaluations
-            fs = anchor.shifted(Q @ y)
-            st = projected_solve(ctx, t, fs, init=warm[0])
-            warm[0] = st.f
-            evaluations += 1
-            grad = frame_gradient(ctx, st, Q.T)
-            cache[key] = (st.K_value, grad, st)
-            trace.append(
-                {
-                    "step": len(trace),
-                    "phase": "search",
-                    "K": float(st.K_value),
-                    "residual_norm": float(st.residual_norm),
-                    "gradient_norm": float(np.linalg.norm(grad)),
-                }
-            )
-            return cache[key]
-
-        result = scipy.optimize.minimize(
-            lambda y: evaluate(y)[:2],
-            np.zeros(Q.shape[1]),
-            jac=True,
-            method="BFGS",
-            options={"gtol": _BFGS_GTOL, "maxiter": _MAX_BFGS_ITERATIONS},
-        )
-        _, _, final_state = evaluate(result.x)
-        return anchor.shifted(Q @ result.x), final_state
-
-    state: Optional[ReductionState] = None
-    for anchor_rounds in range(1, _MAX_ANCHOR_ROUNDS + 1):
-        frame, state = run_bfgs(frame.anchored(ctx.metric))
-        if frame.xi_norm() <= _ANCHOR_XI_NORM:
-            break
-
-    while True:
-        hess = hessian_K(ctx, state)
-        eigs, vecs = np.linalg.eigh(hess)
-        if (
-            not _is_saddle(eigs[0])
-            or saddle_restarts >= settings.max_saddle_restarts
-        ):
-            break
-        saddle_restarts += 1
-        kick = _SADDLE_KICK * (Q @ vecs[:, 0])
-        frame = frame.shifted(kick).anchored(ctx.metric)
-        frame, state = run_bfgs(frame)
-
-    # Newton polish: along soft Hessian directions the line search stalls once
-    # volume differences drop under floating-point resolution, but the exact
-    # gradient stays measurable, so Newton steps with the Hessian still
-    # converge.  A step that does not lower the gradient ends the polish.
-    grad = frame_gradient(ctx, state, Q.T)
-    for _ in range(_MAX_POLISH_STEPS):
-        if np.linalg.norm(grad) <= _POLISH_TOL:
-            break
-        step = -vecs @ ((vecs.T @ grad) / eigs)
-        norm = float(np.linalg.norm(step))
-        if norm > _MAX_POLISH_STEP_NORM:
-            step *= _MAX_POLISH_STEP_NORM / norm
-        candidate_frame = frame.shifted(Q @ step)
-        candidate = projected_solve(ctx, t, candidate_frame, init=state.f)
-        evaluations += 1
-        halvings = 0
-        while (
-            candidate.K_value > state.K_value + 1e-13 * abs(state.K_value)
-            and halvings < 5
-        ):
-            step = 0.5 * step
-            candidate_frame = frame.shifted(Q @ step)
-            candidate = projected_solve(ctx, t, candidate_frame, init=state.f)
-            evaluations += 1
-            halvings += 1
-        candidate_grad = frame_gradient(ctx, candidate, Q.T)
-        if np.linalg.norm(candidate_grad) >= np.linalg.norm(grad):
-            break
-        frame, state, grad = candidate_frame, candidate, candidate_grad
+    def solve(frame: FrameState, warm: Optional[ScalarField]) -> Tuple[ReductionState, np.ndarray]:
+        st = projected_solve(ctx, t, frame, init=warm)
+        grad = frame_gradient(ctx, st, Q.T)
         trace.append(
             {
                 "step": len(trace),
-                "phase": "polish",
-                "K": float(state.K_value),
-                "residual_norm": float(state.residual_norm),
+                "K": float(st.K_value),
+                "residual_norm": float(st.residual_norm),
                 "gradient_norm": float(np.linalg.norm(grad)),
+                "radius": radius,
+                "ratio": float("nan"),
+                "outcome": "anchor",
             }
         )
+        return st, grad
+
+    state, grad = solve(init.anchored(ctx.metric), None)
+    anchor_rounds, saddle_restarts, escaping = 1, 0, False
+    hess = hessian_K(ctx, state)
+    hess_state, model = state, hess.copy()
+    while len(trace) < _MAX_SEARCH_SOLVES:
+        if np.linalg.norm(grad) <= _POLISH_TOL and not escaping:
+            if hess_state is not state:
+                hess, hess_state = hessian_K(ctx, state), state
+            if (
+                not _is_saddle(np.linalg.eigvalsh(hess)[0])
+                or saddle_restarts >= settings.max_saddle_restarts
+            ):
+                break
+            saddle_restarts += 1
+            model, radius, escaping = hess.copy(), _ANCHOR_XI_NORM, True
+        step, predicted = _trust_step(model, grad, radius)
+        trial, trial_grad = solve(state.frame.shifted(Q @ step), state.f)
+        ratio = (trial.K_value - state.K_value) / predicted
+        by_ratio = -predicted > _K_ROUNDOFF * abs(state.K_value)
+        if by_ratio:
+            accepted = ratio > 1e-4
+        else:
+            accepted = np.linalg.norm(trial_grad) < np.linalg.norm(grad)
+        outcome = ("ratio" if by_ratio else "gradient") if accepted else "rejected"
+        trace[-1].update(ratio=float(ratio), outcome=outcome)
+        length = float(np.linalg.norm(step))
+        r = trial_grad - grad - model @ step
+        if (accepted or not escaping) and abs(r @ step) > 1e-8 * length * np.linalg.norm(r):
+            model += np.outer(r, r) / (r @ step)
+        if not accepted or (by_ratio and ratio < 0.1):
+            radius = 0.5 * length
+        elif by_ratio and ratio > 0.75 and length > 0.8 * radius:
+            radius = min(2.0 * radius, _ANCHOR_XI_NORM)
+        if accepted:
+            state, grad, escaping = trial, trial_grad, False
+            if state.frame.xi_norm() > _ANCHOR_XI_NORM:
+                state, grad = solve(state.frame.anchored(ctx.metric), state.f)
+                anchor_rounds += 1
+    if hess_state is not state:
+        hess = hessian_K(ctx, state)
+    eigs = np.linalg.eigvalsh(hess)
 
     report = gradient_K(ctx, state)
     grad_norm = float(np.linalg.norm(report.fd[: Q.shape[1]]))
@@ -895,7 +924,7 @@ def optimize_frame(
         anchor_rounds=anchor_rounds,
         residual_relative=rel,
         residual_absolute=absolute,
-        solver_evaluations=evaluations,
+        solver_evaluations=len(trace),
         trace=trace,
     )
 

@@ -65,6 +65,45 @@ def test_anticommuting_basis_dimension_and_membership():
             assert np.max(np.abs(X @ om + om @ X)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_basis_and_default_metric_match_a_scipy_null_space_bytewise(n, monkeypatch):
+    """The basis from numpy's SVD is scipy.linalg.null_space's byte for
+    byte, and so is every coefficient of the default metric built on it: a
+    torus located in that metric and stored stays located."""
+    import hslag.ambient
+
+    def reference_basis(m):
+        null = scipy.linalg.null_space(hslag.ambient._anticommuting_constraints(m))
+        return [null[:, k].reshape(2 * m, 2 * m) for k in range(null.shape[1])]
+
+    mine = symmetric_anticommuting_basis(n)
+    assert [X.tobytes() for X in mine] == [X.tobytes() for X in reference_basis(n)]
+    built = default_perturbed_metric(n)
+    monkeypatch.setattr(hslag.ambient, "symmetric_anticommuting_basis", reference_basis)
+    reference = default_perturbed_metric(n)
+    assert built.cos_coeffs.tobytes() == reference.cos_coeffs.tobytes()
+    assert built.sin_coeffs.tobytes() == reference.sin_coeffs.tobytes()
+
+
+def test_copied_metric_keeps_its_own_workspaces():
+    """A copy evaluates in buffers of its own, so after the twin linearizes
+    as many points the original's pullback still returns its original
+    value; the original's own next evaluation makes it raise."""
+    metric = default_perturbed_metric(2)
+    rng = np.random.default_rng(0)
+    p, q = rng.uniform(0.0, 2 * np.pi, size=(2, 576, 4))
+    M = rng.normal(size=(576, 4, 4))
+    _, pullback = metric.linearize(p)
+    expected = pullback(M)
+    twin = copy.copy(metric)
+    twin_G, twin_pullback = twin.linearize(q)
+    assert pullback(M).tobytes() == expected.tobytes()
+    assert twin_G.tobytes() == metric.value(q).tobytes()
+    with pytest.raises(RuntimeError, match="stale pullback"):
+        pullback(M)
+    assert twin_pullback(M).shape == (576, 4)
+
+
 def test_exp_metric_exact_compatibility(metric, points):
     G = metric.value(points)
     assert compatibility_defect(G) < 1e-12

@@ -174,20 +174,45 @@ def test_numerical_failure_manifest_names_stage(tmp_path, monkeypatch):
     assert manifest["stage"] == "reduction.projected_solve"
 
 
-def test_module_entry_point_runs_without_warning():
-    """`python -m hslag.cli` must not find hslag.cli already imported by the package."""
+def _python(*args):
+    """A fresh interpreter with the package's source on its path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "hslag.cli", "--help"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def test_module_entry_point_runs_without_warning():
+    """`python -m hslag.cli` must not find hslag.cli already imported by the package."""
+    proc = _python("-W", "error::RuntimeWarning", "-m", "hslag.cli", "--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_cli_import_loads_no_unused_scipy():
+    """At run time the package needs numpy and scipy.fft only; the scipy
+    packages that tests use as oracles stay unloaded."""
+    unused = ["scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy.spatial"]
+    code = f"import sys, hslag.cli; print([m for m in {unused!r} if m in sys.modules])"
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_torus_spectrum_beyond_n2_exits_2_without_traceback(tmp_path):
+    """The spectrum suite's analytic torus table covers n = 2 only, so an
+    n = 3 torus is a config error up front, not an uncaught broadcast error."""
+    out = tmp_path / "run"
+    proc = _python(
+        "-m", "hslag.cli", "spectrum", "--n", "3", "--radii", "1", "1.3", "1.6",
+        "--grid", "8", "--out", str(out),
+    )
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr and "n = 2 only" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (out / "manifest.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +329,13 @@ def test_reduce_suite_end_to_end(tmp_path):
     assert payload["converged"] is True
     # config echo and per-iteration traces are present
     assert manifest["config"]["seed"] == 7
-    _, trace_rows = read_csv(os.path.join(out, "trace.csv"))
-    assert len(trace_rows) > 5
-    assert any(row[1] == "polish" for row in trace_rows) or by_name[
-        "gradient_norm"
-    ]["value"] <= 1e-8
+    header, trace_rows = read_csv(os.path.join(out, "trace.csv"))
+    assert header == list(cli.TRACE_COLUMNS)
+    assert len(trace_rows) == payload["solver_evaluations"] > 1
+    outcomes = [row[-1] for row in trace_rows]
+    assert outcomes[0] == "anchor"
+    assert set(outcomes) <= {"anchor", "ratio", "gradient", "rejected"}
+    assert "ratio" in outcomes
     _, contraction = read_csv(os.path.join(out, "contraction.csv"))
     assert contraction[-1][1] <= 1e-10
     # the solved potential field reloads exactly

@@ -7,6 +7,7 @@ stationarity certificate on located tori.
 """
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -666,7 +667,8 @@ def test_saddle_test_ignores_stencil_noise():
 
 def test_optimize_frame_makes_no_value_only_volume(reduction_ctx, frame_optimum, monkeypatch):
     """Every volume of a frame search is a solve's gradient volume: the
-    gradients are exact, and the Hessian takes 10 solves.  Only the
+    gradients are exact, and each Hessian, one at the start and one at the
+    critical point, takes 10 solves.  Only the
     second-variation field stencil makes value-only volumes.  No volume
     takes the metric's forward jet: a gradient volume gets dG : M from the
     metric's linearization, and the search's one jet is its geometric
@@ -710,7 +712,7 @@ def test_optimize_frame_makes_no_value_only_volume(reduction_ctx, frame_optimum,
     result = optimize_frame(reduction_ctx, T, start, OptimizeSettings(max_saddle_restarts=0))
     assert result.gradient_norm <= 1e-8
     assert volumes and all(volumes)
-    assert hessian_solves == [10]
+    assert hessian_solves == [10, 10]
     assert not any(volume_jets) and len(jets) == 1
     # the blocks at the result: the field stencil's 3 x 4 value-only volumes,
     # and the cross block re-solves nothing
@@ -718,3 +720,136 @@ def test_optimize_frame_makes_no_value_only_volume(reduction_ctx, frame_optimum,
     second_variation_Q(reduction_ctx, result.state, frame_block=result.hessian)
     assert volumes == [False] * 12
     assert not any(volume_jets)
+
+
+# ---------------------------------------------------------------------------
+# the trust-region search and the frame exponential
+# ---------------------------------------------------------------------------
+
+
+def _model_case(case, rng):
+    """(model, gradient, radius) for each branch of the subproblem."""
+    vecs = np.linalg.qr(rng.normal(size=(5, 5)))[0]
+    eigs = {
+        "interior": [0.5, 0.8, 1.0, 1.5, 2.0],
+        "boundary": [1e-3, 0.01, 0.1, 1.0, 2.0],
+        "indefinite": [-0.3, -1e-4, 0.2, 1.0, 3.0],
+        "hard": [-0.3, 0.1, 0.2, 1.0, 3.0],
+        "saddle": [-2e-6, 1e-4, 0.2, 1.0, 3.0],
+    }[case]
+    coeffs = {"interior": 0.1, "boundary": 1.0}.get(case, 0.05) * rng.normal(size=5)
+    if case in ("hard", "saddle"):
+        coeffs[0] = 0.0
+    if case == "saddle":
+        coeffs[:] = 0.0
+    return (vecs * eigs) @ vecs.T, vecs @ coeffs, 0.7
+
+
+@pytest.mark.parametrize("case", ["interior", "boundary", "indefinite", "hard", "saddle"])
+def test_trust_step_meets_the_global_optimality_conditions(case):
+    """The step is the subproblem's global minimizer by the Moré-Sorensen
+    conditions: (B + lam I) p = -g for one lam >= 0 with B + lam I positive
+    semidefinite and lam (radius - |p|) = 0; and its value is the model's."""
+    B, g, radius = _model_case(case, np.random.default_rng(3))
+    p, predicted = hslag.reduction._trust_step(B, g, radius)
+    lam = -(p @ (B @ p + g)) / (p @ p)
+    assert lam >= -1e-12
+    assert np.linalg.norm(B @ p + g + lam * p) <= 1e-12
+    assert np.linalg.eigvalsh(B + lam * np.eye(5))[0] >= -1e-12
+    assert np.linalg.norm(p) <= radius * (1.0 + 1e-12)
+    assert lam * (radius - np.linalg.norm(p)) <= 1e-12
+    assert predicted == pytest.approx(g @ p + 0.5 * p @ B @ p, rel=1e-12, abs=1e-15)
+    assert (lam <= 1e-12) == (case == "interior")
+
+
+def test_search_escapes_a_saddle_only_while_escapes_remain(coarse_ctx, monkeypatch):
+    """On a synthetic K with a saddle at the start and minima at y_0 = +-1/2
+    along the first quotient axis, max_saddle_restarts=0 stops at the
+    saddle, and one escape finds a minimum: the first hard-case step, of the
+    full radius, overshoots and is rejected; the next, of half of it, lands."""
+    Q = coarse_ctx.quotient
+    curvature = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
+
+    def coordinates(frame):
+        return Q.T @ frame.coords
+
+    def K(y):
+        return -y[0] ** 2 + 2.0 * y[0] ** 4 + 0.5 * np.sum(curvature * y**2)
+
+    def solve(ctx, t, frame, init=None):
+        return types.SimpleNamespace(
+            frame=frame, f=None, K_value=K(coordinates(frame)), residual_norm=0.0
+        )
+
+    def gradient(ctx, state, directions):
+        y = coordinates(state.frame)
+        return curvature * y + np.eye(5)[0] * (-2.0 * y[0] + 8.0 * y[0] ** 3)
+
+    def hessian(ctx, state):
+        y = coordinates(state.frame)
+        return np.diag(curvature + np.eye(5)[0] * (-2.0 + 24.0 * y[0] ** 2))
+
+    report = types.SimpleNamespace(fd=np.zeros(8), stabilizer_fd=np.zeros(3))
+    monkeypatch.setattr(hslag.reduction, "projected_solve", solve)
+    monkeypatch.setattr(hslag.reduction, "frame_gradient", gradient)
+    monkeypatch.setattr(hslag.reduction, "hessian_K", hessian)
+    monkeypatch.setattr(hslag.reduction, "gradient_K", lambda ctx, state: report)
+    monkeypatch.setattr(hslag.reduction, "geometric_residual", lambda ctx, state: (0.0, 0.0, 0.0))
+    start = random_frame_state(coarse_ctx, seed=1)
+
+    stuck = optimize_frame(coarse_ctx, T, start, OptimizeSettings(max_saddle_restarts=0))
+    assert (stuck.saddle_restarts, stuck.is_minimum, stuck.solver_evaluations) == (0, False, 1)
+    assert stuck.hessian_eigenvalues[0] == -2.0
+
+    found = optimize_frame(coarse_ctx, T, start)
+    assert (found.saddle_restarts, found.is_minimum, found.solver_evaluations) == (1, True, 3)
+    assert [row["outcome"] for row in found.trace] == ["anchor", "rejected", "ratio"]
+    assert [row["radius"] for row in found.trace] == [1.0, 1.0, 0.5]
+    assert abs(coordinates(found.state.frame)[0]) == pytest.approx(0.5, abs=1e-15)
+    assert found.state.K_value == pytest.approx(-0.125, abs=1e-15)
+
+
+def _u_generators(n, norms, rng):
+    """Real embeddings of random u(n) elements, scaled to the given 1-norms."""
+    basis = hslag.reduction._algebra_embedding(n)
+    A = np.tensordot(rng.normal(size=(len(norms), n * n)), basis, axes=1)
+    return A * (norms / np.max(np.sum(np.abs(A), axis=-2), axis=-1))[:, None, None]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_frame_exponential_matches_scipy_expm(n):
+    """One stacked call against scipy.linalg.expm matrix by matrix, for
+    1-norms from 1e-3 to 4.  Against a 40-digit reference the scipy value is
+    itself off by up to about 4e-15 at norm 4, so the bound here is 5e-15;
+    `test_frame_exponential_is_accurate_to_a_few_ulps` holds the series to
+    1e-15.  A matrix alone gives what it gives in the stack."""
+    A = _u_generators(n, np.geomspace(1e-3, 4.0, 30), np.random.default_rng(n))
+    E = hslag.reduction._expm(A)
+    for mine, a in zip(E, A):
+        reference = scipy.linalg.expm(a)
+        assert np.max(np.abs(mine - reference)) <= 5e-15 * np.max(np.abs(reference))
+    assert hslag.reduction._expm(A[-1]).tobytes() == E[-1].tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_frame_exponential_is_accurate_to_a_few_ulps(n):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    A = _u_generators(n, np.geomspace(1e-3, 4.0, 12), np.random.default_rng(10 + n))
+    for mine, a in zip(hslag.reduction._expm(A), A):
+        exact = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+        assert np.max(np.abs(mine - exact)) <= 1e-15 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_frame_exponential_complex_step_is_the_frechet_derivative(n):
+    """The scaling reads only the real part, so the imaginary part of a
+    complex step is the Frechet derivative at every norm."""
+    rng = np.random.default_rng(20 + n)
+    A = _u_generators(n, np.array([1e-3, 0.3, 1.0, 2.0, 4.0]), rng)
+    D = _u_generators(n, np.ones(len(A)), rng)
+    h = 1e-20
+    derivative = hslag.reduction._expm(A + 1j * h * D).imag / h
+    for mine, a, d in zip(derivative, A, D):
+        reference = scipy.linalg.expm_frechet(a, d, compute_expm=False)
+        assert np.max(np.abs(mine - reference)) <= 2e-15 * np.max(np.abs(reference))
