@@ -336,8 +336,12 @@ class SymplecticExpMetric:
 # Paterson-Stockmeyer block length s: at the default J = 14 the powers up to
 # Y^5 and two Horner steps make 6 jet products, as few as any s gives.
 _PS_BLOCK = 5
-# Workspaces a metric keeps; the least recently used one goes first.
-_WORKSPACES = 8
+# Workspaces a metric keeps; the least recently used one goes first.  A
+# located torus at grid 24 cycles through 9 (the one-point frame fit, the
+# volume's reverse sweep, three complex frame stacks and value chunks of two
+# lengths at orders 0 and 1), so fewer would rebuild most of them on every
+# torus.
+_WORKSPACES = 16
 # Points per workspace: 256 keeps an order-1 workspace near 1.5 MB, inside
 # a core's L2 cache, at any grid size.
 _CHUNK = 256

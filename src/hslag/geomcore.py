@@ -17,7 +17,6 @@ from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.fft
 
 from .errors import GridMismatchError, ImmersionError, QuotientError
 
@@ -299,21 +298,54 @@ def _forward(fields: np.ndarray, grid: GridDescriptor) -> np.ndarray:
     Complex fields go in as their real and imaginary parts, on a new axis
     before the grid axes, so the two are never mixed in one transform: a
     complex FFT would spill roundoff from an O(1) real part into the tiny
-    imaginary part that carries a complex-step derivative.  scipy.fft makes
-    the multi-axis transform one call into pocketfft, where numpy loops over
-    the axes in Python."""
+    imaginary part that carries a complex-step derivative.  The axes are
+    transformed one by one in numpy.fft.rfftn's order, so the result is
+    rfftn's bit for bit, without its argument handling, which costs a third
+    of a call on a 24 x 24 grid."""
     if np.iscomplexobj(fields):
         fields = np.stack([fields.real, fields.imag], axis=-grid.dim - 1)
-    return scipy.fft.rfftn(fields, axes=tuple(range(-grid.dim, 0)))
+    spectra = np.fft.rfft(fields, axis=-1)
+    for axis in range(-2, -grid.dim - 1, -1):
+        spectra = np.fft.fft(spectra, axis=axis)
+    return spectra
 
 
 def _inverse(spectra: np.ndarray, grid: GridDescriptor, complex_out: bool) -> np.ndarray:
-    """Real fields from `_forward`-layout spectra; complex when the fields were."""
-    values = scipy.fft.irfftn(spectra, s=grid.sizes, axes=tuple(range(-grid.dim, 0)))
+    """Real fields from `_forward`-layout spectra; complex when the fields
+    were.  numpy.fft.irfftn's axis order, as in `_forward`."""
+    for axis in range(-grid.dim, -1):
+        spectra = np.fft.ifft(spectra, axis=axis)
+    values = np.fft.irfft(spectra, n=grid.sizes[-1], axis=-1)
     if not complex_out:
         return values
     re, im = np.moveaxis(values, -grid.dim - 1, 0)
     return re + 1j * im
+
+
+@lru_cache(maxsize=_GRID_TABLES)
+def _negated_modes(grid: GridDescriptor) -> tuple[np.ndarray, ...]:
+    """Open-mesh indices that read a spectrum's mode k at -k over every grid
+    axis but the last; built once per grid and shared, so read-only."""
+    mesh = np.ix_(*[(-np.arange(size)) % size for size in grid.sizes[:-1]])
+    for index in mesh:
+        index.flags.writeable = False
+    return mesh
+
+
+def _hermitian_part(spectra: np.ndarray, grid: GridDescriptor) -> np.ndarray:
+    """`_forward`-layout spectra, in place, with the columns that a real
+    field keeps self-conjugate, 0 and Nyquist along the last grid axis,
+    replaced by their Hermitian part (X(k) + conj X(-k)) / 2 over the other
+    grid axes.
+
+    A sum of real fields' spectra times multipliers carries roundoff there
+    that no real field has, of the size of the summands, not of the sum;
+    `_inverse` drops it.  With it gone, Parseval on the half spectrum is the
+    grid norm of the fields `_inverse` returns."""
+    edges = spectra[..., :: spectra.shape[-1] - 1]
+    mirrored = edges[(Ellipsis,) + _negated_modes(grid) + (slice(None),)]
+    edges[...] = 0.5 * (edges + mirrored.conj())
+    return spectra
 
 
 def fourier_multiply(values: np.ndarray, grid: GridDescriptor, table: np.ndarray) -> np.ndarray:

@@ -43,6 +43,7 @@ from .errors import (
 from .geomcore import (
     GridDescriptor,
     ScalarField,
+    _inverse,
     band_mask,
     fourier_multiply,
     l2_norm,
@@ -214,7 +215,9 @@ def _assemble_graph_hessian(chart: WeinsteinChart, grid: GridDescriptor, metric)
 
     Column k is Im P(i eta e_k)/eta, the exact directional derivative of the
     volume-gradient residual along the k-th node indicator (no step error:
-    all operations in the residual are analytic in the field values).
+    all operations in the residual are analytic in the field values).  The
+    volume returns P's spectrum with the real and imaginary parts split on
+    a leading axis, so only the imaginary part is transformed back.
     """
     nn = grid.num_nodes
     f = np.zeros(grid.sizes, dtype=complex)
@@ -222,8 +225,8 @@ def _assemble_graph_hessian(chart: WeinsteinChart, grid: GridDescriptor, metric)
     flat = f.reshape(-1)
     for k in range(nn):
         flat[k] = 1j * _CS_STEP
-        _, P, _ = graph_volume_and_gradient(chart, grid, f, metric)
-        cols[:, k] = (P.imag / _CS_STEP).reshape(-1)
+        _, P_hat, _ = graph_volume_and_gradient(chart, grid, f, metric)
+        cols[:, k] = (_inverse(P_hat[1], grid, False) / _CS_STEP).reshape(-1)
         flat[k] = 0.0
     weight = grid.node_weight() * chart.flat_density()
     basis = band_limited_basis(grid)

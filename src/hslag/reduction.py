@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -353,9 +353,10 @@ class ReductionState:
 
     Invariants: the transverse residual norm is at most the solver tolerance
     when converged, and f lies on the band modes off the flat kernel.
-    gradient is the unprojected L^2 volume gradient (`residual_P`) that the
-    converging iteration computed at (unitary, f), kept so the kernel
-    components and the cross block read it instead of recomputing it.
+    gradient holds the grid values of the unprojected L^2 volume gradient
+    whose spectrum the converging iteration's `residual_P` returned at
+    (unitary, f), kept so the kernel components and the cross block read it
+    instead of recomputing it.
     frame_sensitivity is the same call's pair (dvol/db, dvol/dA), the
     volume's derivatives under an affine move of the chart metric (see
     `graph_volume_and_gradient`): O(n^2) floats from which `frame_gradient`
@@ -403,13 +404,14 @@ def functional_F(
 
 def residual_P(
     ctx: ReductionContext, t: float, unitary: UnitaryFrame, f: ScalarField
-) -> Tuple[float, ScalarField, Tuple[np.ndarray, np.ndarray]]:
-    """(volume, L^2 gradient of the volume, affine frame sensitivity) at the
-    graph of df; see `graph_volume_and_gradient`."""
-    vol, grad, sensitivity = graph_volume_and_gradient(
+) -> Tuple[float, np.ndarray, Callable[[], Tuple[np.ndarray, np.ndarray]]]:
+    """(volume, L^2 gradient of the volume as its rfftn half spectrum, affine
+    frame sensitivity as a function of no arguments) at the graph of df; see
+    `graph_volume_and_gradient`."""
+    vol, gradient, sensitivity = graph_volume_and_gradient(
         ctx.chart, ctx.grid, f.values, _chart_metric(ctx, t, unitary)
     )
-    return float(np.real(vol)), ScalarField(ctx.grid, np.real(grad), check=False), sensitivity
+    return float(np.real(vol)), gradient, sensitivity
 
 
 def projected_solve(
@@ -439,8 +441,11 @@ def projected_solve(
     # column but 0 and Nyquist also stands for its conjugate column
     norm_weight = np.full(half, 2.0 * grid.node_weight() * ctx.density / grid.num_nodes)
     norm_weight[[0, -1]] *= 0.5
-    # f is carried as its band spectrum: one forward transform of each
-    # gradient gives the residual and the update, one inverse the next field
+    # f is carried as its band spectrum and the volume returns its gradient
+    # as one, so an iteration masks that spectrum for the residual and the
+    # update and takes one inverse transform for the next field; the
+    # gradient's grid values and the frame sensitivity are formed once, for
+    # the converged iterate
     if init is None:
         spectrum = np.zeros(mask.shape, dtype=complex)
     else:
@@ -450,8 +455,8 @@ def projected_solve(
     history: List[float] = []
     best, stalled = np.inf, 0
     for iteration in range(_MAX_SOLVE_ITERATIONS):
-        vol, grad, sensitivity = residual_P(ctx, t, unitary, f)
-        residual = _forward(grad.values, grid) * mask
+        vol, gradient, sensitivity = residual_P(ctx, t, unitary, f)
+        residual = gradient * mask
         rnorm = float(np.sqrt(np.sum(norm_weight * (residual.real**2 + residual.imag**2))))
         stalled = 0 if rnorm < 0.99 * best else stalled + 1
         best = min(best, rnorm)
@@ -464,8 +469,8 @@ def projected_solve(
                 frame=frame,
                 unitary=unitary,
                 f=f,
-                gradient=grad,
-                frame_sensitivity=sensitivity,
+                gradient=ScalarField(grid, _inverse(gradient, grid, False), check=False),
+                frame_sensitivity=sensitivity(),
                 residual_norm=rnorm,
                 K_value=vol,
                 converged=True,

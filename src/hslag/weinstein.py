@@ -53,6 +53,7 @@ from .geomcore import (
     _GRID_TABLES,
     GridDescriptor,
     _forward,
+    _hermitian_part,
     _inverse,
     derivative_multipliers,
 )
@@ -222,10 +223,13 @@ def graph_volume_and_gradient(
 ):
     """Volume of the graph of df in the given metric, and its exact L^2 gradient.
 
-    Returns (volume, gradient_values, affine_sensitivity) with the gradient
+    Returns (volume, gradient_spectrum, affine_sensitivity) with the gradient
     taken with respect to the flat model inner product
-    <u, v> = sum_nodes u v * node_weight * prod a.  affine_sensitivity is the
-    pair (dvol/db, dvol/dA) at b = 0, A = 0 of the volume at fixed f in the
+    <u, v> = sum_nodes u v * node_weight * prod a.  The gradient comes as the
+    `_forward`-layout half spectrum the volume assembles it in (split real
+    and imaginary parts for complex f); `_inverse` gives its grid values.
+    affine_sensitivity is a function of no arguments that returns the pair
+    (dvol/db, dvol/dA) at b = 0, A = 0 of the volume at fixed f in the
     affinely moved metric
 
         G'(z) = (I + A)^T G((I + A) z + b) (I + A),
@@ -237,6 +241,8 @@ def graph_volume_and_gradient(
     graph's chart coordinates.  A moved chart frame pulls its chart metric back by exactly
     such a map, so these give the frame derivative of the volume.  With
     need_gradient=False only the value is formed and the other two are None.
+    The pair is formed only when asked for, from arrays the gradient already
+    has, so a caller that keeps one iterate's pair pays for that one alone.
     Complex f_values propagate through (for complex-step linearization); the
     returned values are then complex as well.
 
@@ -288,14 +294,18 @@ def graph_volume_and_gradient(
     # the ambient frame <M, dg_m> = t sum_k <T'^T hinv T', dG_k> u_km
     M_amb = np.swapaxes(T_amb, -1, -2) @ hinv @ T_amb
     dGM = t * (pullback(M_amb).reshape(-1, d) @ u)  # (N, d)
-    # the affine sensitivities as node sums, each one flat matrix product;
-    # T^T W = M g, the transpose of g M
-    half_q = 0.5 * w * q.reshape(-1)
-    weighted_dGM = half_q[:, None] * dGM
-    weighted_T = (half_q[:, None, None] * T.reshape(-1, n, d)).reshape(-1, d)
-    d_shift = weighted_dGM.sum(axis=0)
-    d_linear = 2.0 * (W.reshape(-1, d).T @ weighted_T) + weighted_dGM.T @ coords.reshape(-1, d)
     dGM = dGM.reshape(lead + (d,))
+
+    def affine_sensitivity():
+        # node sums, each one flat matrix product; T^T W = M g, the
+        # transpose of g M
+        half_q = 0.5 * w * q.reshape(-1)
+        weighted_dGM = half_q[:, None] * dGM.reshape(-1, d)
+        weighted_T = (half_q[:, None, None] * T.reshape(-1, n, d)).reshape(-1, d)
+        d_shift = weighted_dGM.sum(axis=0)
+        d_linear = 2.0 * (W.reshape(-1, d).T @ weighted_T) + weighted_dGM.T @ coords.reshape(-1, d)
+        return d_shift, d_linear
+
     A = q[..., None] * (A + 0.5 * (cos_r * dGM[..., 0::2] + sin_r * dGM[..., 1::2]))
     # (d Phi/d y) g T^T first: d Phi/d y is normal to the graph at the zero
     # section, so that product is small and exact, where (d Phi/d y) W^T
@@ -303,10 +313,9 @@ def graph_volume_and_gradient(
     TG_t = np.swapaxes(TG, -1, -2)  # (*s, m, b)
     normal_TG = cos_r[..., None] * TG_t[..., 0::2, :] + sin_r[..., None] * TG_t[..., 1::2, :]
     B = q[..., None, None] * (normal_TG @ np.swapaxes(hinv, -1, -2))
-    # P = -sum_j d_j A_j + sum_jc d_c d_j B_jc: one batched forward transform,
-    # the multipliers summed in Fourier space, one inverse transform
+    # P = -sum_j d_j A_j + sum_jc d_c d_j B_jc: one batched forward transform
+    # and the multipliers summed in Fourier space
     fields = np.concatenate([np.moveaxis(A, -1, 0), np.moveaxis(B.reshape(lead + (n * n,)), -1, 0)])
     spectra = _forward(fields, grid)
     P_hat = sum(k * x for k, x in zip(tables.p_symbols, spectra))
-    P = _inverse(P_hat, grid, np.iscomplexobj(fields))
-    return vol, P / chart.flat_density(), (d_shift, d_linear)
+    return vol, _hermitian_part(P_hat / chart.flat_density(), grid), affine_sensitivity

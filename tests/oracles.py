@@ -81,6 +81,14 @@ def graph_immersion(chart: WeinsteinChart, f: ScalarField) -> Immersion:
     return Immersion(f.grid, coords.real)
 
 
+def volume_gradient(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray, metric=None):
+    """`graph_volume_and_gradient` with its gradient spectrum transformed to
+    grid values (complex for complex f) and its affine sensitivity pair
+    formed: (volume, gradient, (dvol/db, dvol/dA))."""
+    vol, spectrum, sensitivity = graph_volume_and_gradient(chart, grid, f, metric)
+    return vol, _inverse(spectrum, grid, np.iscomplexobj(f)), sensitivity()
+
+
 def pullback_graph_volume(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray, metric=None):
     """`graph_volume_and_gradient` in chart coordinates: the metric's own jet
     (for a ChartMetric, the base jet pulled back through the frame), the
@@ -378,7 +386,7 @@ def assemble_by_finite_differences(
     flat = f.reshape(-1)
 
     def residual():
-        _, P, _ = graph_volume_and_gradient(chart, grid, f, metric)
+        _, P, _ = volume_gradient(chart, grid, f, metric)
         return P.reshape(-1)
 
     for k in range(nn):

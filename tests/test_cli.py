@@ -192,13 +192,56 @@ def test_module_entry_point_runs_without_warning():
 
 
 def test_cli_import_loads_no_unused_scipy():
-    """At run time the package needs numpy and scipy.fft only; the scipy
-    packages that tests use as oracles stay unloaded."""
-    unused = ["scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy.spatial"]
-    code = f"import sys, hslag.cli; print([m for m in {unused!r} if m in sys.modules])"
+    """At run time the package needs numpy only; scipy, which tests use as
+    an oracle, stays unloaded, every module of it."""
+    code = "import sys, hslag.cli; print([m for m in sys.modules if m.startswith('scipy')])"
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# The CLI's main in an interpreter whose import system refuses scipy and
+# every module under it; exits 99 if the refusal does not take.
+_WITHOUT_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} refused")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+try:
+    import scipy.fft
+except ImportError:
+    pass
+else:
+    sys.exit(99)
+from hslag.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "args, manifest_check",
+    [
+        (("reduce", "--grid", "16", "--seed", "1"), "geometric_residual_rel"),
+        (("spectrum", "--grid", "8"), "spectrum_rel_error"),
+    ],
+    ids=["reduce", "spectrum"],
+)
+def test_runs_without_scipy(tmp_path, args, manifest_check):
+    """Runs complete with scipy unimportable.  Both exit 1, as with scipy
+    present: each writes its manifest, and the one check that a coarse grid
+    misses (grid 16's geometric residual, grid 8's spectrum) fails."""
+    out = tmp_path / "run"
+    proc = _python("-c", _WITHOUT_SCIPY, *args, "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    manifest = load_manifest(str(out / "manifest.json"))
+    failed = [c["name"] for c in manifest["checks"] if not c["passed"]]
+    assert failed == [manifest_check]
 
 
 def test_torus_spectrum_beyond_n2_exits_2_without_traceback(tmp_path):

@@ -17,12 +17,13 @@ from hypothesis import strategies as st
 
 from oracles import psi_matrices, realize_jacobian_fd, xi_map
 
+import hslag.ambient
 import hslag.operators
 import hslag.reduction
 import hslag.weinstein
 from hslag.ambient import EuclideanMetric
 from hslag.errors import ExactnessError, NonContractionError
-from hslag.geomcore import ScalarField
+from hslag.geomcore import ScalarField, _inverse
 from hslag.reduction import (
     FRAME_STEP,
     H_eval,
@@ -545,12 +546,13 @@ def test_realize_jacobian_stacks_equal_one_row_calls(reduction_ctx):
 
 def test_state_gradient_is_final_residual(coarse_ctx, monkeypatch):
     state = fresh_state(coarse_ctx)
-    vol, grad, sensitivity = hslag.reduction.residual_P(
+    vol, gradient, sensitivity = hslag.reduction.residual_P(
         coarse_ctx, state.t, state.unitary, state.f
     )
-    assert state.gradient.values.tobytes() == grad.values.tobytes()
+    grad = _inverse(gradient, coarse_ctx.grid, False)
+    assert state.gradient.values.tobytes() == grad.tobytes()
     assert vol == state.K_value
-    for kept, final in zip(state.frame_sensitivity, sensitivity):
+    for kept, final in zip(state.frame_sensitivity, sensitivity()):
         assert kept.tobytes() == final.tobytes()
     # the value-only volume of the jet contract: second_variation_Q's stencil centre
     assert hslag.reduction.functional_F(coarse_ctx, state.t, state.unitary, state.f) == vol
@@ -565,6 +567,28 @@ def test_state_gradient_is_final_residual(coarse_ctx, monkeypatch):
     monkeypatch.setattr(hslag.reduction, "graph_volume_and_gradient", counting)
     H_eval(coarse_ctx, state)
     assert calls == []
+
+
+def test_solve_forms_the_frame_sensitivity_once(coarse_ctx, monkeypatch):
+    """Each iteration's volume offers its affine sensitivity; a solve forms
+    only the converged iteration's."""
+    volumes, formed = [], []
+    volume = hslag.reduction.graph_volume_and_gradient
+
+    def counting(*args, **kwargs):
+        vol, gradient, sensitivity = volume(*args, **kwargs)
+        volumes.append(1)
+
+        def forming():
+            formed.append(len(volumes))
+            return sensitivity()
+
+        return vol, gradient, forming
+
+    monkeypatch.setattr(hslag.reduction, "graph_volume_and_gradient", counting)
+    state = fresh_state(coarse_ctx)
+    assert state.iterations == len(volumes) > 3
+    assert formed == [len(volumes)]
 
 
 def test_stencils_around_a_state_solve_each_frame_once(coarse_ctx, monkeypatch):
@@ -615,7 +639,9 @@ def test_gradient_K_takes_the_centre_jets_once(coarse_ctx, monkeypatch):
 
 def test_projected_solve_norm_is_the_grid_norm(coarse_ctx, monkeypatch):
     """The residual norm read off the half spectrum by Parseval equals the
-    vol_norm of the projected residual field, at every iteration."""
+    vol_norm of the projected residual field, at every iteration.  The
+    volume returns the gradient as its half spectrum, so the projected
+    residual is that spectrum masked."""
     gradients = []
     residual = hslag.reduction.residual_P
 
@@ -627,8 +653,11 @@ def test_projected_solve_norm_is_the_grid_norm(coarse_ctx, monkeypatch):
     monkeypatch.setattr(hslag.reduction, "residual_P", recording)
     state = fresh_state(coarse_ctx)
     assert len(state.residual_history) == len(gradients) > 3
-    for rnorm, grad in zip(state.residual_history, gradients):
-        grid_norm = coarse_ctx.vol_norm(coarse_ctx.project_transverse(grad))
+    grid = coarse_ctx.grid
+    mask = coarse_ctx.transverse_mask[..., : grid.sizes[-1] // 2 + 1]
+    for rnorm, gradient in zip(state.residual_history, gradients):
+        projected = ScalarField(grid, _inverse(gradient * mask, grid, False), check=False)
+        grid_norm = coarse_ctx.vol_norm(projected)
         assert abs(rnorm - grid_norm) <= 1e-14 * grid_norm
 
 
@@ -720,6 +749,39 @@ def test_optimize_frame_makes_no_value_only_volume(reduction_ctx, frame_optimum,
     second_variation_Q(reduction_ctx, result.state, frame_block=result.hessian)
     assert volumes == [False] * 12
     assert not any(volume_jets)
+
+
+def test_second_torus_builds_no_metric_workspace(frame_optimum, monkeypatch):
+    """The metric's workspaces hold a located torus's whole working set: at
+    grid 24, value chunks of 256 and 64 points at orders 0 and 1 beside the
+    frame fit's, the reverse sweep's and the complex frame stacks'.  After
+    one torus, a second search and its second-variation blocks, from the
+    same torus turned along the diagonal torus, rebuild none."""
+    ctx = build_context(grid_size=24)
+    located = frame_optimum.state.unitary
+    builds = []
+    build = hslag.ambient._JetWorkspace.__init__
+
+    def counting(self, metric, key):
+        builds.append(key)
+        build(self, metric, key)
+
+    monkeypatch.setattr(hslag.ambient._JetWorkspace, "__init__", counting)
+
+    def locate(turn):
+        delta = np.zeros(ctx.num_frame_coords)
+        delta[ctx.stabilizer_indices] = turn
+        start = hslag.reduction.FrameState(
+            located.point, located.matrix, np.zeros(ctx.num_frame_coords)
+        ).shifted(delta)
+        result = optimize_frame(ctx, T, start, OptimizeSettings(max_saddle_restarts=0))
+        second_variation_Q(ctx, result.state, frame_block=result.hessian)
+
+    locate(0.4)
+    first = len(builds)
+    locate(1.1)
+    assert first == len(set(builds)) > 8
+    assert len(builds) == first
 
 
 # ---------------------------------------------------------------------------

