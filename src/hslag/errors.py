@@ -25,10 +25,6 @@ class SpectralGapError(HslagError):
     """No clean gap between near-kernel and bulk eigenvalues."""
 
 
-class OperatorSymmetryError(HslagError):
-    """An assembled operator is too far from volume-weighted self-adjointness."""
-
-
 class NonContractionError(HslagError):
     """The projected iteration failed to contract."""
 

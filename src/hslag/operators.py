@@ -1,19 +1,20 @@
-"""The linearized stationarity operator: flat models by their Fourier symbol,
-perturbed metrics by complex-step assembly.
+"""The linearized stationarity operator of the flat models, stored as its
+Fourier symbol.
 
 The operator is the Hessian of the discrete graph-volume functional at the
 model critical point (equivalently, the linearization of the volume-gradient
 residual at the zero graph).  On the flat torus and on the circle-sphere
 quotient it has constant coefficients, so it is diagonal in Fourier space:
-`assemble_flat_operator` stores it as its symbol on the admissible modes (the
-Nyquist-free band, and on quotient grids the deck-invariant modes).  Applying
-it is FFT, multiply, inverse FFT; its eigensolve is a sort of the symbol.
+a `SymbolOperator` holds its eigenvalue on every mode and acts on the
+admissible ones (the Nyquist-free band, and on quotient grids the
+deck-invariant modes).  Applying it is FFT, multiply, inverse FFT; its
+eigensolve is a sort of the symbol.
 
-Under a perturbed metric the coefficients vary, and `assemble_perturbed_operator`
-assembles the dense matrix column by column by complex-step differentiation of
-the exact discrete gradient -- the Hessian of the actual discrete functional
-to machine precision, with no step-size error.  At the flat metric the same
-assembly is the independent oracle the symbol is tested against.
+`assemble_flat_operator` writes the symbol down from the analytic formulas
+below.  `probe_flat_operator` reads it off the discrete volume itself, at any
+n: the flat volume is invariant under grid shifts, so its Hessian is
+circulant, and one complex-step Hessian-vector product on the band-projected
+delta at node 0 has every mode's eigenvalue as its Fourier transform.
 
 The analytic references: on the flat torus with radii a the operator acts on
 the mode exp(i k.theta) by
@@ -23,9 +24,9 @@ the mode exp(i k.theta) by
 
 and on the circle-sphere model (generalized n, sphere harmonic degree l) by
 (k^2 + lam_l - n)^2 + n^2 (k^2 - 1) with lam_l = l(l+n-2).  Both have
-seven-dimensional kernels in the default configurations, spanned by the
-restrictions of the ambient moment polynomials (rigidity), and nonnegative
-spectra (stability).
+seven-dimensional kernels at n = 2 (the torus with distinct radii n^2 + n + 1,
+13 at n = 3), spanned by the restrictions of the ambient moment polynomials
+(rigidity), and nonnegative spectra (stability).
 """
 
 from __future__ import annotations
@@ -35,15 +36,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    OperatorSymmetryError,
-    SpectralGapError,
-    UnsupportedModelError,
-)
+from .errors import SpectralGapError, UnsupportedModelError
 from .geomcore import (
     GridDescriptor,
     ScalarField,
     _inverse,
+    _negated_modes,
     band_mask,
     fourier_multiply,
     l2_norm,
@@ -53,70 +51,24 @@ from .models import CircleSphereModel, TorusModel
 from .weinstein import WeinsteinChart, graph_volume_and_gradient
 
 __all__ = [
-    "GridOperator",
     "SymbolOperator",
     "SpectralData",
     "assemble_flat_operator",
-    "assemble_perturbed_operator",
-    "band_limited_basis",
+    "probe_flat_operator",
     "torus_multiplier",
     "eigensolve",
     "kernel_dimension",
 ]
 
-# The complex step of the Hessian columns.  Its O(step^2) error is far below
-# roundoff at any small step; at 1e-100 the roundoff that the 2-D spectral
-# derivatives spread over the grid (about 1e-116) multiplies into subnormal
-# numbers, whose arithmetic is slow.
+# The complex step of the Hessian-vector product.  Its O(step^2) error is far
+# below roundoff at any small step; at 1e-100 the roundoff that the 2-D
+# spectral derivatives spread over the grid (about 1e-116) multiplies into
+# subnormal numbers, whose arithmetic is slow.
 _CS_STEP = 1e-20
 # kernel_dimension counts eigenvalues below _KERNEL_TOL and certifies the
-# count only when the next one clears _GAP_RATIO times it; eigensolve refuses
-# a dense operator whose asymmetry exceeds _SYMMETRY_TOL
+# count only when the next one clears _GAP_RATIO times it
 _KERNEL_TOL = 1e-5
 _GAP_RATIO = 100.0
-_SYMMETRY_TOL = 1e-8
-
-
-@dataclass
-class GridOperator:
-    """Dense self-adjoint operator on grid fields with a constant measure weight.
-
-    basis_matrix maps basis coefficients to node values (identity when None;
-    the Nyquist-free band basis for assembled Hessians).  The L^2 measure
-    is weight * sum over nodes, with constant weight (the model volume
-    densities are constant), so self-adjointness is plain matrix symmetry.
-    """
-
-    grid: GridDescriptor
-    matrix: np.ndarray
-    weight: float
-    basis_matrix: Optional[np.ndarray] = None
-
-    def to_node_values(self, coeffs: np.ndarray) -> np.ndarray:
-        vec = coeffs if self.basis_matrix is None else self.basis_matrix @ coeffs
-        return vec.reshape(self.grid.sizes)
-
-    def from_node_values(self, values: np.ndarray) -> np.ndarray:
-        vec = np.asarray(values).reshape(-1)
-        return vec if self.basis_matrix is None else self.basis_matrix.T @ vec
-
-    def apply(self, f: ScalarField) -> ScalarField:
-        coeffs = self.matrix @ self.from_node_values(f.values)
-        return ScalarField(self.grid, self.to_node_values(coeffs), check=False)
-
-    def asymmetry(self) -> float:
-        scale = max(float(np.max(np.abs(self.matrix))), 1e-300)
-        return float(np.max(np.abs(self.matrix - self.matrix.T))) / scale
-
-    def symmetrized(self, tol: float = 1e-8) -> "GridOperator":
-        rel = self.asymmetry()
-        if rel > tol:
-            raise OperatorSymmetryError(
-                f"assembled operator asymmetric at relative level {rel:.3e}"
-            )
-        return GridOperator(
-            self.grid, 0.5 * (self.matrix + self.matrix.T), self.weight, self.basis_matrix
-        )
 
 
 def _real_modes(grid: GridDescriptor, indices: np.ndarray) -> np.ndarray:
@@ -136,13 +88,6 @@ def _real_modes(grid: GridDescriptor, indices: np.ndarray) -> np.ndarray:
     return np.where(indices <= partner, np.cos(phase), np.sin(phase))
 
 
-def band_limited_basis(grid: GridDescriptor) -> np.ndarray:
-    """Orthonormal node-space basis (nodes x dim) of the band: its real
-    Fourier fields, in flat mode order."""
-    fields = _real_modes(grid, np.flatnonzero(band_mask(grid))).reshape(grid.num_nodes, -1)
-    return fields / np.linalg.norm(fields, axis=0)
-
-
 def torus_multiplier(radii: Sequence[float], modes: np.ndarray) -> np.ndarray:
     """Analytic symbol of the flat-torus operator on exp(i k.theta)."""
     a2 = np.array([a * a for a in radii])
@@ -160,7 +105,7 @@ class SymbolOperator:
     symbol holds the eigenvalue of every mode exp(i k.theta) on the
     `mode_mesh` layout; the operator acts on the admissible modes and maps
     the others (Nyquist, and deck-odd modes on quotient grids) to zero.  weight is the
-    model volume measure of one node, as for GridOperator.
+    model volume measure of one node.
     """
 
     grid: GridDescriptor
@@ -210,37 +155,29 @@ def assemble_flat_operator(model) -> SymbolOperator:
     return SymbolOperator(grid, symbol, admissible, weight)
 
 
-def _assemble_graph_hessian(chart: WeinsteinChart, grid: GridDescriptor, metric) -> GridOperator:
-    """Hessian of the graph volume at f = 0 by complex-step columns.
+def probe_flat_operator(model: TorusModel) -> SymbolOperator:
+    """The flat torus's operator with the symbol read off the discrete volume.
 
-    Column k is Im P(i eta e_k)/eta, the exact directional derivative of the
-    volume-gradient residual along the k-th node indicator (no step error:
-    all operations in the residual are analytic in the field values).  The
-    volume returns P's spectrum with the real and imaginary parts split on
-    a leading axis, so only the imaginary part is transformed back.
+    The Hessian is circulant, so its product with the band-projected delta
+    at node 0, one complex-step gradient volume, has the symbol on the band
+    as its Fourier transform.  The volume returns that transform as a half
+    spectrum; the symbol is real and even, so its other half is the first
+    one mirrored, which keeps the kernel modes at the volume's own roundoff
+    (a transform back and forth would add roundoff of the size of the
+    largest mode).  Only the flat Hessian is shift-invariant, so there is no
+    metric argument.
     """
-    nn = grid.num_nodes
-    f = np.zeros(grid.sizes, dtype=complex)
-    cols = np.empty((nn, nn))
-    flat = f.reshape(-1)
-    for k in range(nn):
-        flat[k] = 1j * _CS_STEP
-        _, P_hat, _ = graph_volume_and_gradient(chart, grid, f, metric)
-        cols[:, k] = (_inverse(P_hat[1], grid, False) / _CS_STEP).reshape(-1)
-        flat[k] = 0.0
+    grid = model.grid()
+    chart = WeinsteinChart(model.radii)
+    admissible = band_mask(grid)
+    last = grid.sizes[-1]
+    delta = _inverse(admissible[..., : last // 2 + 1].astype(float), grid, False)
+    _, P_hat, _ = graph_volume_and_gradient(chart, grid, 1j * _CS_STEP * delta)
+    half = P_hat[1].real / _CS_STEP
+    negated = (Ellipsis,) + _negated_modes(grid) + (slice(None),)
+    symbol = np.concatenate([half, np.flip(half[..., 1 : last // 2], axis=-1)[negated]], axis=-1)
     weight = grid.node_weight() * chart.flat_density()
-    basis = band_limited_basis(grid)
-    cols = basis.T @ cols @ basis
-    return GridOperator(grid, cols, weight, basis_matrix=basis)
-
-
-def assemble_perturbed_operator(chart: WeinsteinChart, grid: GridDescriptor, metric) -> GridOperator:
-    """Linearization of the scaled-metric residual at the zero graph.
-
-    With metric None this is the flat Hessian, the dense oracle for the symbol
-    of `assemble_flat_operator`.
-    """
-    return _assemble_graph_hessian(chart, grid, metric).symmetrized()
+    return SymbolOperator(grid, symbol, admissible, weight)
 
 
 def kernel_dimension(eigenvalues: np.ndarray) -> int:
@@ -262,7 +199,6 @@ def kernel_dimension(eigenvalues: np.ndarray) -> int:
 
 @dataclass
 class SpectralData:
-    operator: GridOperator | SymbolOperator
     eigenvalues: np.ndarray
     eigenfields: list
 
@@ -270,25 +206,8 @@ class SpectralData:
         return kernel_dimension(self.eigenvalues)
 
 
-def eigensolve(op: GridOperator | SymbolOperator, count: Optional[int] = None) -> SpectralData:
-    """The lowest `count` eigenpairs (all when None), eigenvalues ascending.
-
-    A SymbolOperator is already diagonal: its eigenvalues are the sorted
-    symbol and its eigenfields the real Fourier modes.  A GridOperator is
-    diagonalized by a dense symmetric solve.  Eigenfields are returned
-    L^2-orthonormalized against the grid weight.
-    """
-    if isinstance(op, SymbolOperator):
-        w, modes = op.sorted_modes()
-        fields = [op.mode_field(i) for i in modes[:count]]
-        return SpectralData(op, w[:count], fields)
-    if op.asymmetry() > _SYMMETRY_TOL:
-        raise OperatorSymmetryError("operator asymmetric beyond tolerance; refusing eigensolve")
-    w, V = np.linalg.eigh(0.5 * (op.matrix + op.matrix.T))
-    w, V = w[:count], V[:, :count]
-    fields = []
-    for i in range(V.shape[1]):
-        vals = op.to_node_values(V[:, i])
-        fld = ScalarField(op.grid, vals, check=False)
-        fields.append(ScalarField(op.grid, vals / l2_norm(fld), check=False))
-    return SpectralData(op, np.asarray(w, dtype=float), fields)
+def eigensolve(op: SymbolOperator, count: Optional[int] = None) -> SpectralData:
+    """The lowest `count` eigenpairs (all when None), eigenvalues ascending:
+    the sorted symbol and the L^2-normalized real Fourier modes."""
+    w, modes = op.sorted_modes()
+    return SpectralData(w[:count], [op.mode_field(i) for i in modes[:count]])

@@ -50,7 +50,8 @@ def hessian_oracle():
     The dense, independently assembled counterpart of the flat symbol operator;
     each size is assembled once per session.
     """
-    from hslag.operators import assemble_perturbed_operator
+    from oracles import assemble_perturbed_operator
+
     from hslag.weinstein import WeinsteinChart
 
     cache = {}

@@ -2,10 +2,11 @@
 
 Each one computes an object the package also computes, or a prediction for
 it, by an independent route: Richardson finite differences against the
-complex-step Hessian, the ambient moment polynomials against the operator
-kernels and the frame-variation potentials, Fourier phase shifts against
-frame rotations, and the defining identities of metrics and frames.  None of
-them runs in a suite.
+complex-step Hessian, the dense complex-step Hessian against the flat
+operator's symbol and for the perturbed metrics, the ambient moment
+polynomials against the operator kernels and the frame-variation potentials,
+Fourier phase shifts against frame rotations, and the defining identities of
+metrics and frames.  None of them runs in a suite.
 """
 
 from dataclasses import dataclass
@@ -22,13 +23,15 @@ from hslag.geomcore import (
     ScalarField,
     _forward,
     _inverse,
+    band_mask,
     derivative_multipliers,
+    l2_norm,
     spectral_gradient,
     standard_symplectic_matrix,
 )
 from hslag.models import CircleSphereModel, TorusModel
 from hslag.moser import flow_map
-from hslag.operators import GridOperator, assemble_flat_operator, band_limited_basis
+from hslag.operators import SpectralData, _CS_STEP, _real_modes, assemble_flat_operator
 from hslag.reduction import ReductionContext, ReductionState, variation_potential
 from hslag.weinstein import WeinsteinChart, graph_volume_and_gradient
 
@@ -47,6 +50,21 @@ def translate(f: ScalarField, offsets: Sequence[float]) -> ScalarField:
         shape[a] = grid.sizes[a]
         spec = spec * phase.reshape(shape)
     return ScalarField(grid, np.fft.ifftn(spec).real, check=False)
+
+
+def band_limited_field(grid: GridDescriptor, rng, scale: float, modes: int = 6, k_max: int = 3):
+    """Zero-mean real grid values from `modes` random Fourier pairs with
+    |k_j| <= k_max, scaled to max |value| = scale."""
+    spec = np.zeros(grid.sizes, dtype=complex)
+    for _ in range(modes):
+        k = rng.integers(-k_max, k_max + 1, size=grid.dim)
+        c = rng.normal() + 1j * rng.normal()
+        spec[tuple(k)] += c
+        spec[tuple(-k)] += np.conj(c)
+    vals = np.fft.ifftn(spec).real * grid.num_nodes
+    vals -= vals.mean()
+    m = np.max(np.abs(vals))
+    return vals * (scale / m) if m > 0 else vals
 
 
 def chart_map_jets(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray):
@@ -369,7 +387,110 @@ def rigidity_prediction(model) -> int:
 
 
 # ---------------------------------------------------------------------------
-# operators
+# operators: the dense complex-step Hessian of the discrete volume, the
+# independent check on the flat symbol and the operator of a perturbed metric
+
+
+class OperatorSymmetryError(ValueError):
+    """An assembled operator is too far from volume-weighted self-adjointness."""
+
+
+@dataclass
+class GridOperator:
+    """Dense self-adjoint operator on grid fields with a constant measure weight.
+
+    basis_matrix maps basis coefficients to node values (identity when None;
+    the Nyquist-free band basis for assembled Hessians).  The L^2 measure
+    is weight * sum over nodes, with constant weight (the model volume
+    densities are constant), so self-adjointness is plain matrix symmetry.
+    """
+
+    grid: GridDescriptor
+    matrix: np.ndarray
+    weight: float
+    basis_matrix: Optional[np.ndarray] = None
+
+    def to_node_values(self, coeffs: np.ndarray) -> np.ndarray:
+        vec = coeffs if self.basis_matrix is None else self.basis_matrix @ coeffs
+        return vec.reshape(self.grid.sizes)
+
+    def from_node_values(self, values: np.ndarray) -> np.ndarray:
+        vec = np.asarray(values).reshape(-1)
+        return vec if self.basis_matrix is None else self.basis_matrix.T @ vec
+
+    def apply(self, f: ScalarField) -> ScalarField:
+        coeffs = self.matrix @ self.from_node_values(f.values)
+        return ScalarField(self.grid, self.to_node_values(coeffs), check=False)
+
+    def asymmetry(self) -> float:
+        scale = max(float(np.max(np.abs(self.matrix))), 1e-300)
+        return float(np.max(np.abs(self.matrix - self.matrix.T))) / scale
+
+    def symmetrized(self, tol: float = 1e-8) -> "GridOperator":
+        rel = self.asymmetry()
+        if rel > tol:
+            raise OperatorSymmetryError(
+                f"assembled operator asymmetric at relative level {rel:.3e}"
+            )
+        return GridOperator(
+            self.grid, 0.5 * (self.matrix + self.matrix.T), self.weight, self.basis_matrix
+        )
+
+
+def band_limited_basis(grid: GridDescriptor) -> np.ndarray:
+    """Orthonormal node-space basis (nodes x dim) of the band: its real
+    Fourier fields, in flat mode order."""
+    fields = _real_modes(grid, np.flatnonzero(band_mask(grid))).reshape(grid.num_nodes, -1)
+    return fields / np.linalg.norm(fields, axis=0)
+
+
+def _assemble_graph_hessian(chart: WeinsteinChart, grid: GridDescriptor, metric) -> GridOperator:
+    """Hessian of the graph volume at f = 0 by complex-step columns.
+
+    Column k is Im P(i eta e_k)/eta, the exact directional derivative of the
+    volume-gradient residual along the k-th node indicator (no step error:
+    all operations in the residual are analytic in the field values).  The
+    volume returns P's spectrum with the real and imaginary parts split on
+    a leading axis, so only the imaginary part is transformed back.
+    """
+    nn = grid.num_nodes
+    f = np.zeros(grid.sizes, dtype=complex)
+    cols = np.empty((nn, nn))
+    flat = f.reshape(-1)
+    for k in range(nn):
+        flat[k] = 1j * _CS_STEP
+        _, P_hat, _ = graph_volume_and_gradient(chart, grid, f, metric)
+        cols[:, k] = (_inverse(P_hat[1], grid, False) / _CS_STEP).reshape(-1)
+        flat[k] = 0.0
+    weight = grid.node_weight() * chart.flat_density()
+    basis = band_limited_basis(grid)
+    cols = basis.T @ cols @ basis
+    return GridOperator(grid, cols, weight, basis_matrix=basis)
+
+
+def assemble_perturbed_operator(chart: WeinsteinChart, grid: GridDescriptor, metric) -> GridOperator:
+    """Linearization of the scaled-metric residual at the zero graph.
+
+    With metric None this is the flat Hessian, the dense oracle for the
+    symbols of `assemble_flat_operator` and `probe_flat_operator`.
+    """
+    return _assemble_graph_hessian(chart, grid, metric).symmetrized()
+
+
+def dense_eigensolve(op: GridOperator, count: Optional[int] = None) -> SpectralData:
+    """The lowest `count` eigenpairs (all when None) of a dense operator by a
+    symmetric solve, eigenvalues ascending, eigenfields L^2-orthonormalized
+    against the grid weight.  Refuses an operator asymmetric beyond 1e-8."""
+    if op.asymmetry() > 1e-8:
+        raise OperatorSymmetryError("operator asymmetric beyond tolerance; refusing eigensolve")
+    w, V = np.linalg.eigh(0.5 * (op.matrix + op.matrix.T))
+    w, V = w[:count], V[:, :count]
+    fields = []
+    for i in range(V.shape[1]):
+        vals = op.to_node_values(V[:, i])
+        fld = ScalarField(op.grid, vals, check=False)
+        fields.append(ScalarField(op.grid, vals / l2_norm(fld), check=False))
+    return SpectralData(np.asarray(w, dtype=float), fields)
 
 
 def assemble_by_finite_differences(

@@ -10,7 +10,12 @@ import time
 import numpy as np
 from scipy.linalg import subspace_angles
 
-from oracles import moment_basis, restrict_moment, second_variation_consistency
+from oracles import (
+    band_limited_field,
+    moment_basis,
+    restrict_moment,
+    second_variation_consistency,
+)
 
 from hslag.ambient import default_perturbed_metric, estimate_sweep, unitary_frame
 from hslag.geomcore import ScalarField, hs_residual, l2_norm
@@ -25,19 +30,6 @@ from hslag.reduction import (
 )
 
 T = 0.05  # the scale of the shared reduction problem
-
-
-def band_limited_field(grid, rng, scale, modes=6, k_max=3):
-    spec = np.zeros(grid.sizes, dtype=complex)
-    for _ in range(modes):
-        k = rng.integers(-k_max, k_max + 1, size=grid.dim)
-        c = rng.normal() + 1j * rng.normal()
-        spec[tuple(k)] += c
-        spec[tuple(-k)] += np.conj(c)
-    vals = np.fft.ifftn(spec).real * grid.num_nodes
-    vals -= vals.mean()
-    m = np.max(np.abs(vals))
-    return vals * (scale / m) if m > 0 else vals
 
 
 def test_criterion_01_model_immersions_stationary(torus, circle_sphere):

@@ -7,10 +7,13 @@ import sys
 
 import pytest
 
+from oracles import rigidity_prediction
+
 from hslag import cli
 from hslag.cli import ExperimentConfig, main
 from hslag.errors import ConfigError
 from hslag.fieldio import load_field, load_manifest, read_csv
+from hslag.models import TorusModel
 
 
 def run_cli(*args):
@@ -244,18 +247,19 @@ def test_runs_without_scipy(tmp_path, args, manifest_check):
     assert failed == [manifest_check]
 
 
-def test_torus_spectrum_beyond_n2_exits_2_without_traceback(tmp_path):
-    """The spectrum suite's analytic torus table covers n = 2 only, so an
-    n = 3 torus is a config error up front, not an uncaught broadcast error."""
+def test_torus_spectrum_at_n3_runs_without_traceback(tmp_path):
+    """The spectrum suite probes the torus symbol at any n: an n = 3 torus
+    runs to its 13-dimensional kernel."""
     out = tmp_path / "run"
     proc = _python(
         "-m", "hslag.cli", "spectrum", "--n", "3", "--radii", "1", "1.3", "1.6",
-        "--grid", "8", "--out", str(out),
+        "--grid", "16", "--out", str(out),
     )
-    assert proc.returncode == 2
-    assert "config error" in proc.stderr and "n = 2 only" in proc.stderr
+    assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert not (out / "manifest.json").exists()
+    manifest = load_manifest(str(out / "manifest.json"))
+    model = TorusModel(radii=(1.0, 1.3, 1.6), grid_size=16)
+    assert manifest["payload"]["kernel_dimension"] == 13 == rigidity_prediction(model)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +287,18 @@ def test_verify_models_deterministic_bytes(tmp_path):
     assert run_cli("verify-models", "--out", str(out)) == 0
     assert (out / "manifest.json").read_bytes() == first
     assert (out / "model_checks.csv").read_bytes() == first_csv
+
+
+def test_spectrum_suite_torus(tmp_path):
+    out = str(tmp_path / "st")
+    assert run_cli("spectrum", "--out", out) == 0
+    manifest = load_manifest(os.path.join(out, "manifest.json"))
+    assert manifest["passed"] is True
+    assert all(c["passed"] for c in manifest["checks"])
+    assert manifest["payload"]["kernel_dimension"] == 7
+    header, rows = read_csv(os.path.join(out, "spectrum.csv"))
+    assert header == ["k1", "k2", "multiplicity", "analytic", "numeric", "abs_diff", "rel_diff"]
+    assert len(rows) == 81
 
 
 def test_spectrum_suite_circle_sphere(tmp_path):

@@ -1,10 +1,10 @@
 """Spectral analysis of the linearized stationarity operator.
 
-Oracles: the complex-step Hessian of the discrete volume (which the flat
-symbol must reproduce column by column), the analytic Fourier multiplier on
-the flat torus, the closed-form circle-sphere eigenvalue table, Richardson
-finite differences of the exact discrete gradient, and five-point second
-differences of the volume itself.
+Oracles: the complex-step Hessian of the discrete volume (which the analytic
+and the probed flat symbols must reproduce column by column), the analytic
+Fourier multiplier on the flat torus, the closed-form circle-sphere
+eigenvalue table, Richardson finite differences of the exact discrete
+gradient, and five-point second differences of the volume itself.
 """
 
 import numpy as np
@@ -12,7 +12,13 @@ import pytest
 from scipy.linalg import subspace_angles
 
 from oracles import (
+    GridOperator,
+    OperatorSymmetryError,
+    _assemble_graph_hessian,
     assemble_by_finite_differences,
+    assemble_perturbed_operator,
+    band_limited_field,
+    dense_eigensolve,
     moment_basis,
     operator_distance,
     restrict_moment,
@@ -21,34 +27,31 @@ from oracles import (
 )
 
 from hslag.ambient import ChartMetric, default_perturbed_metric, frame_fit, unitary_frame
-from hslag.errors import OperatorSymmetryError, SpectralGapError
-from hslag.geomcore import GridDescriptor, ScalarField, fourier_multiply, l2_inner, l2_norm
+from hslag.errors import SpectralGapError
+from hslag.geomcore import (
+    GridDescriptor,
+    ScalarField,
+    _inverse,
+    band_mask,
+    fourier_multiply,
+    l2_inner,
+    l2_norm,
+    mode_mesh,
+)
 from hslag.models import TorusModel, circle_sphere_spectrum
 from hslag.operators import (
-    GridOperator,
-    _assemble_graph_hessian,
+    _CS_STEP,
+    SymbolOperator,
     assemble_flat_operator,
-    assemble_perturbed_operator,
     eigensolve,
+    kernel_dimension,
+    probe_flat_operator,
     torus_multiplier,
 )
 from hslag.reduction import build_context
-from hslag.weinstein import WeinsteinChart
+from hslag.weinstein import WeinsteinChart, graph_volume_and_gradient
 
 RADII = (1.0, 1.3)
-
-
-def band_limited_field(grid, rng, scale, modes=6, k_max=3):
-    spec = np.zeros(grid.sizes, dtype=complex)
-    for _ in range(modes):
-        k = rng.integers(-k_max, k_max + 1, size=grid.dim)
-        c = rng.normal() + 1j * rng.normal()
-        spec[tuple(k)] += c
-        spec[tuple(-k)] += np.conj(c)
-    vals = np.fft.ifftn(spec).real * grid.num_nodes
-    vals -= vals.mean()
-    m = np.max(np.abs(vals))
-    return vals * (scale / m) if m > 0 else vals
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +144,7 @@ def test_complex_step_matches_finite_differences():
 
 
 def test_spectrum_grid_convergence(hessian_oracle):
-    eigs = [eigensolve(hessian_oracle(size), count=14).eigenvalues for size in (16, 24)]
+    eigs = [dense_eigensolve(hessian_oracle(size), count=14).eigenvalues for size in (16, 24)]
     assert np.max(np.abs(eigs[0] - eigs[1])) <= 1e-8
 
 
@@ -161,24 +164,55 @@ def test_band_restriction_excludes_nyquist(hessian_oracle, torus_model):
 @pytest.mark.parametrize("size", [16, 32])
 def test_symbol_matches_complex_step_hessian(size, hessian_oracle):
     hessian = hessian_oracle(size)
-    symbol = assemble_flat_operator(TorusModel(radii=RADII, grid_size=size))
+    model = TorusModel(radii=RADII, grid_size=size)
     grid = hessian.grid
     basis = hessian.basis_matrix
-    # the symbol applied to every band basis column, read back in that basis
-    applied = np.stack(
-        [
-            symbol.apply(ScalarField(grid, basis[:, j].reshape(grid.sizes), check=False)).values
-            for j in range(basis.shape[1])
-        ],
-        axis=-1,
-    ).reshape(grid.num_nodes, -1)
-    top = float(np.max(symbol.symbol[symbol.admissible]))
-    assert np.max(np.abs(basis.T @ applied - hessian.matrix)) <= 1e-12 * top
-    assert symbol.weight == hessian.weight
-    dense = eigensolve(hessian).eigenvalues
-    sorted_symbol = eigensolve(symbol).eigenvalues
-    assert dense.shape == sorted_symbol.shape
-    assert np.max(np.abs(dense - sorted_symbol)) <= 1e-12 * top
+    dense = dense_eigensolve(hessian).eigenvalues
+    # the analytic and the probed symbol, each applied to every band basis
+    # column and read back in that basis
+    for symbol in (assemble_flat_operator(model), probe_flat_operator(model)):
+        applied = np.stack(
+            [
+                symbol.apply(ScalarField(grid, basis[:, j].reshape(grid.sizes), check=False)).values
+                for j in range(basis.shape[1])
+            ],
+            axis=-1,
+        ).reshape(grid.num_nodes, -1)
+        top = float(np.max(symbol.symbol[symbol.admissible]))
+        assert np.max(np.abs(basis.T @ applied - hessian.matrix)) <= 1e-12 * top
+        assert symbol.weight == hessian.weight
+        sorted_symbol = eigensolve(symbol).eigenvalues
+        assert dense.shape == sorted_symbol.shape
+        assert np.max(np.abs(dense - sorted_symbol)) <= 1e-12 * top
+
+
+@pytest.mark.parametrize(
+    "radii, size", [(RADII, 16), (RADII, 32), ((1.0, 1.3, 1.6), 8)], ids=["n2-16", "n2-32", "n3-8"]
+)
+def test_probed_symbol_is_circulant(radii, size):
+    """Freivalds's check (MFCS 1977) of the circulant claim the probe rests
+    on: the complex-step Hessian-vector product at a random band field g is
+    the probed symbol times g's transform."""
+    model = TorusModel(radii=radii, grid_size=size)
+    grid = model.grid()
+    probed = probe_flat_operator(model)
+    rng = np.random.default_rng(20261019)
+    g = fourier_multiply(rng.normal(size=grid.sizes), grid, band_mask(grid).astype(float))
+    _, P_hat, _ = graph_volume_and_gradient(WeinsteinChart(radii), grid, 1j * _CS_STEP * g)
+    hessian_g = np.fft.fftn(_inverse(P_hat[1], grid, False) / _CS_STEP)
+    symbol_g = np.where(probed.admissible, probed.symbol, 0.0) * np.fft.fftn(g)
+    assert np.max(np.abs(hessian_g - symbol_g)) <= 1e-14 * np.max(np.abs(hessian_g))
+
+
+@pytest.mark.parametrize("size", [8, 16])
+def test_probed_symbol_matches_multiplier_at_n3(size):
+    model = TorusModel(radii=(1.0, 1.3, 1.6), grid_size=size)
+    probed = probe_flat_operator(model)
+    analytic = torus_multiplier(model.radii, np.stack(mode_mesh(probed.grid), axis=-1))
+    band = probed.admissible
+    top = float(np.max(analytic[band]))
+    assert np.max(np.abs(probed.symbol - analytic)[band]) <= 1e-14 * top
+    assert kernel_dimension(probed.sorted_modes()[0]) == rigidity_prediction(model) == 13
 
 
 @pytest.mark.parametrize("size", [16, 32])
@@ -186,7 +220,7 @@ def test_context_inverse_and_projector_match_dense(size, hessian_oracle):
     hessian = hessian_oracle(size)
     ctx = build_context(grid_size=size)
     grid = ctx.grid
-    spec = eigensolve(hessian)
+    spec = dense_eigensolve(hessian)
     kdim = spec.kernel_size()
     assert kdim == len(ctx.kernel_fields) == 7
     # dense node-space references from eigh of the complex-step Hessian; the
@@ -284,10 +318,10 @@ def test_perturbed_operator_linear_drift(pert_setup):
 def test_perturbed_spectrum_drift(pert_setup):
     chart, grid, metric, frame, flat = pert_setup
     t = 0.05
-    spec_t = eigensolve(
+    spec_t = dense_eigensolve(
         assemble_perturbed_operator(chart, grid, ChartMetric(metric, frame, t)), count=10
     )
-    spec_0 = eigensolve(flat, count=10)
+    spec_0 = dense_eigensolve(flat, count=10)
     # kernel eigenvalues move at most O(t), the gap eigenvalues stay close
     assert np.max(np.abs(spec_t.eigenvalues[:7])) <= 1.0 * t
     assert np.max(np.abs(spec_t.eigenvalues[7:] - spec_0.eigenvalues[7:])) <= 1.0 * t
@@ -296,7 +330,7 @@ def test_perturbed_spectrum_drift(pert_setup):
 def test_torus_action_leaves_spectrum_invariant(pert_setup):
     chart, grid, metric, frame, _ = pert_setup
     t = 0.05
-    base = eigensolve(
+    base = dense_eigensolve(
         assemble_perturbed_operator(chart, grid, ChartMetric(metric, frame, t)), count=12
     )
     s = np.array([0.7, -0.4])
@@ -304,7 +338,7 @@ def test_torus_action_leaves_spectrum_invariant(pert_setup):
     from hslag.ambient import unitary_embedding
 
     rotated = frame_fit(metric, frame.point, frame.matrix @ unitary_embedding(gamma))
-    spec_r = eigensolve(
+    spec_r = dense_eigensolve(
         assemble_perturbed_operator(chart, grid, ChartMetric(metric, rotated, t)), count=12
     )
     assert np.max(np.abs(base.eigenvalues - spec_r.eigenvalues)) <= 1e-8
@@ -345,8 +379,9 @@ def test_zero_mean_kernel_basis():
 
 def test_synthetic_unstable_operator():
     grid = GridDescriptor(sizes=(8, 8), periods=(2 * np.pi, 2 * np.pi))
-    mat = np.diag(np.concatenate([[-1.0], np.linspace(1.0, 5.0, 63)]))
-    op = GridOperator(grid, mat, grid.node_weight())
+    symbol = np.linspace(1.0, 5.0, 64).reshape(grid.sizes)
+    symbol[1, 2] = -1.0
+    op = SymbolOperator(grid, symbol, band_mask(grid), grid.node_weight())
     min_eigenvalue = float(np.min(eigensolve(op).eigenvalues))
     assert not min_eigenvalue >= -1e-6
     assert min_eigenvalue == pytest.approx(-1.0)
@@ -358,15 +393,12 @@ def test_eigensolve_rejects_asymmetric():
     mat[0, 1] = 0.5
     op = GridOperator(grid, mat, grid.node_weight())
     with pytest.raises(OperatorSymmetryError):
-        eigensolve(op)
+        dense_eigensolve(op)
     with pytest.raises(OperatorSymmetryError):
         op.symmetrized(tol=1e-8)
 
 
 def test_kernel_gap_guard():
-    grid = GridDescriptor(sizes=(8, 8), periods=(2 * np.pi, 2 * np.pi))
-    mat = np.diag(np.concatenate([[0.0, 5e-5], np.linspace(1.0, 5.0, 62)]))
-    spec = eigensolve(GridOperator(grid, mat, grid.node_weight()))
+    eigenvalues = np.concatenate([[0.0, 5e-5], np.linspace(1.0, 5.0, 62)])
     with pytest.raises(SpectralGapError):
-        spec.kernel_size()
-
+        kernel_dimension(eigenvalues)

@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial.distance import directed_hausdorff
 
 from oracles import (
+    band_limited_field,
     chart_map_jets,
     graph_immersion,
     pullback_graph_volume,
@@ -53,19 +54,6 @@ def perturbed():
     m = default_perturbed_metric(2, amplitude=0.05, seed=3)
     fr = unitary_frame(m, np.array([0.3, 1.1, 4.0, 2.5]), seed=5)
     return m, fr
-
-
-def band_limited_field(grid, rng, scale, modes=6, k_max=3):
-    spec = np.zeros(grid.sizes, dtype=complex)
-    for _ in range(modes):
-        k = rng.integers(-k_max, k_max + 1, size=grid.dim)
-        c = rng.normal() + 1j * rng.normal()
-        spec[tuple(k)] += c
-        spec[tuple(-k)] += np.conj(c)
-    vals = np.fft.ifftn(spec).real * grid.num_nodes
-    vals -= vals.mean()
-    m = np.max(np.abs(vals))
-    return vals * (scale / m) if m > 0 else vals
 
 
 def test_chart_validation():
