@@ -183,6 +183,15 @@ class ReductionContext:
     def vol_norm(self, f: ScalarField) -> float:
         return l2_norm(f) * np.sqrt(self.density)
 
+    def vol_pairings(
+        self, fields: Sequence[ScalarField], others: Sequence[ScalarField]
+    ) -> np.ndarray:
+        """`vol_inner` of each of fields with each of others,
+        [len(fields), len(others)], as one matrix product over the nodes."""
+        rows = np.array([f.values.reshape(-1) for f in fields])
+        columns = np.array([g.values.reshape(-1) for g in others])
+        return (rows @ columns.T) * (self.grid.node_weight() * self.density)
+
     def project_transverse(self, f: ScalarField) -> ScalarField:
         """Keep exactly the band modes off the flat kernel."""
         values = fourier_multiply(f.values, self.grid, self.transverse_mask)
@@ -419,6 +428,8 @@ def projected_solve(
     t: float,
     frame: FrameState,
     init: Optional[ScalarField] = None,
+    *,
+    unitary: Optional[UnitaryFrame] = None,
 ) -> ReductionState:
     """Solve the kernel-orthogonal stationarity equation at a fixed frame.
 
@@ -432,8 +443,12 @@ def projected_solve(
     it 1 % below its smallest earlier value.  Roundoff jitter at a floor
     still makes tiny new minima, hence the 1 %; a solve that gains less per
     step could not gain a digit in its 200 iterations anyway.
+
+    unitary is the frame's realization when the caller already has it (a
+    stencil realizes its frames in one stack); None realizes it here.
     """
-    unitary = frame.realize(ctx.metric)
+    if unitary is None:
+        unitary = frame.realize(ctx.metric)
     grid = ctx.grid
     half = grid.sizes[-1] // 2 + 1
     mask, inverse_symbol = ctx.transverse_mask[..., :half], ctx.inverse_symbol[..., :half]
@@ -508,7 +523,7 @@ def H_eval(ctx: ReductionContext, state: ReductionState) -> np.ndarray:
             f"residual gradient acquired a mean component {mean:.3e}; "
             "the volume gradient must be mean-free"
         )
-    return np.array([ctx.vol_inner(grad, b) for b in ctx.reduced_basis])
+    return ctx.vol_pairings([grad], ctx.reduced_basis)[0]
 
 
 # --------------------------------------------------------------------------
@@ -552,12 +567,7 @@ def variation_potential(
     potential fails to differentiate back to its one-form, ExactnessError is
     raised.
     """
-    directions = np.asarray(directions, dtype=float)
-    near = [
-        _solve_near(ctx, state, sign * FRAME_STEP * direction)
-        for direction in directions
-        for sign in (1.0, -1.0)
-    ]
+    near = _solve_stencil(ctx, state, np.asarray(directions, dtype=float))
     ambient = _ambient_immersion(ctx, state.t, near)
     velocity = (ambient[0::2] - ambient[1::2]) / (2.0 * FRAME_STEP)  # (rows, *grid, 2n)
 
@@ -625,7 +635,12 @@ class GradientReport:
     stabilizer_factored: np.ndarray
 
 
-def _solve_near(ctx: ReductionContext, state: ReductionState, delta: np.ndarray) -> ReductionState:
+def _solve_near(
+    ctx: ReductionContext,
+    state: ReductionState,
+    delta: np.ndarray,
+    unitary: Optional[UnitaryFrame] = None,
+) -> ReductionState:
     """Warm solve at the state's frame shifted by delta, memoized on the state.
 
     The start predicts the solved field.  Along the diagonal torus (rows
@@ -638,7 +653,9 @@ def _solve_near(ctx: ReductionContext, state: ReductionState, delta: np.ndarray)
     is odd in delta to first order, and the start is off by O(delta^2)
     instead of O(delta).  With no turn this is the reflection 2 f - f_{-delta}.
     The key is the shifted coordinates, not delta: -e carries -0.0 where +e
-    carries +0.0, and both must find the frame they shift to."""
+    carries +0.0, and both must find the frame they shift to.  unitary is
+    the shifted frame's realization when the caller has it (see
+    `_solve_stencil`); None realizes it in the solve."""
     frame = state.frame.shifted(delta)
     key = frame.coords.tobytes()
     near = state._neighbours.get(key)
@@ -648,9 +665,27 @@ def _solve_near(ctx: ReductionContext, state: ReductionState, delta: np.ndarray)
         if mirror is not None:
             opposite = _predicted_field(ctx, state, -delta).values
             init = ScalarField(ctx.grid, init.values + opposite - mirror.f.values, check=False)
-        near = projected_solve(ctx, state.t, frame, init=init)
+        near = projected_solve(ctx, state.t, frame, init=init, unitary=unitary)
         state._neighbours[key] = near
     return near
+
+
+def _solve_stencil(
+    ctx: ReductionContext, state: ReductionState, directions: np.ndarray
+) -> List[ReductionState]:
+    """The `_solve_near` neighbours at +-FRAME_STEP along each row of
+    directions, in the order (+row 0, -row 0, +row 1, ...).  The frames not
+    yet in the state's memo are realized in one stacked `FrameState.realize`
+    (a stack of 16 costs about one lone realization) and each solve gets its
+    own."""
+    deltas = [sign * FRAME_STEP * row for row in directions for sign in (1.0, -1.0)]
+    coords = [state.frame.shifted(delta).coords for delta in deltas]
+    new = [k for k, c in enumerate(coords) if c.tobytes() not in state._neighbours]
+    unitaries: Dict[int, UnitaryFrame] = {}
+    if new:
+        stack = replace(state.frame, coords=np.array([coords[k] for k in new])).realize(ctx.metric)
+        unitaries = {k: UnitaryFrame(stack.point[i], stack.matrix[i]) for i, k in enumerate(new)}
+    return [_solve_near(ctx, state, delta, unitaries.get(k)) for k, delta in enumerate(deltas)]
 
 
 def _predicted_field(ctx: ReductionContext, state: ReductionState, delta: np.ndarray) -> ScalarField:
@@ -706,21 +741,14 @@ def gradient_K(ctx: ReductionContext, state: ReductionState) -> GradientReport:
     """Gradient of the reduced volume along quotient and symmetries, three ways.
 
     fd is central differences of the solved K at +-FRAME_STEP, whose warm
-    solves the variation potentials, `hessian_K` and the cross block share."""
+    solves the variation potentials, `hessian_K` and the cross block share;
+    factored pairs the potentials with the reduced basis in one product."""
     directions = np.hstack([ctx.quotient, ctx.symmetries]).T
     H = H_eval(ctx, state)
-    fd = np.zeros(len(directions))
-    for i, direction in enumerate(directions):
-        step = FRAME_STEP * direction
-        plus = _solve_near(ctx, state, step).K_value
-        minus = _solve_near(ctx, state, -step).K_value
-        fd[i] = (plus - minus) / (2.0 * FRAME_STEP)
-    factored = np.array(
-        [
-            np.dot([ctx.vol_inner(h, b) for b in ctx.reduced_basis], H)
-            for h in variation_potential(ctx, state, directions)
-        ]
-    )
+    K = np.array([near.K_value for near in _solve_stencil(ctx, state, directions)])
+    fd = (K[0::2] - K[1::2]) / (2.0 * FRAME_STEP)
+    potentials = variation_potential(ctx, state, directions)
+    factored = ctx.vol_pairings(potentials, ctx.reduced_basis) @ H
     m = ctx.quotient.shape[1]
     return GradientReport(
         fd=fd,
@@ -742,19 +770,16 @@ def hessian_K(ctx: ReductionContext, state: ReductionState) -> np.ndarray:
 
     Central differences of the exact `frame_gradient` at the 2m frames
     shifted by +-FRAME_STEP along each of the m columns of ctx.quotient: 10
-    warm solves at n = 2, and one stacked complex-step realization for all
-    2m Jacobians.  Each neighbour is solved through the state's memo, so
-    these frames are shared with `gradient_K` and the cross block.  The
-    symmetries are left out, so the default metric's Hessian has no exact
-    zero mode.  The gradients carry the envelope error O(tol), so an entry's
-    noise is about tol / FRAME_STEP (see `_SADDLE_TOL`); the O(FRAME_STEP^2)
-    truncation error is below it."""
+    warm solves at n = 2, one stacked realization of the frames not yet
+    solved, and one stacked complex-step realization for all 2m Jacobians.
+    Each neighbour is solved through the state's memo, so these frames are
+    shared with `gradient_K` and the cross block.  The symmetries are left
+    out, so the default metric's Hessian has no exact zero mode.  The
+    gradients carry the envelope error O(tol), so an entry's noise is about
+    tol / FRAME_STEP (see `_SADDLE_TOL`); the O(FRAME_STEP^2) truncation
+    error is below it."""
     quotient = ctx.quotient.T
-    near = [
-        _solve_near(ctx, state, sign * FRAME_STEP * direction)
-        for direction in quotient
-        for sign in (1.0, -1.0)
-    ]
+    near = _solve_stencil(ctx, state, quotient)
     stack = replace(state.frame, coords=np.array([s.frame.coords for s in near]))
     jacobians = zip(*_realize_jacobian(ctx.metric, stack, quotient))
     grads = np.array([_envelope_gradient(s, *jac) for s, jac in zip(near, jacobians)])
@@ -1035,15 +1060,9 @@ def second_variation_Q(
     frame_block = scale * np.asarray(frame_block)
     frame_eigs = np.linalg.eigvalsh(frame_block)
 
-    cross = np.zeros((len(field_directions), ctx.quotient.shape[1]))
-    for j, direction in enumerate(ctx.quotient.T):
-        step = FRAME_STEP * direction
-        plus = _solve_near(ctx, state, step)
-        minus = _solve_near(ctx, state, -step)
-        for i, direction in enumerate(field_directions):
-            pair_plus = ctx.vol_inner(plus.gradient, direction)
-            pair_minus = ctx.vol_inner(minus.gradient, direction)
-            cross[i, j] = scale * (pair_plus - pair_minus) / (2.0 * FRAME_STEP)
+    near = _solve_stencil(ctx, state, ctx.quotient.T)
+    pairs = ctx.vol_pairings([s.gradient for s in near], field_directions)
+    cross = scale * (pairs[0::2] - pairs[1::2]).T / (2.0 * FRAME_STEP)
     diag_scale = np.sqrt(
         np.abs(transverse_fd)[:, None] * np.abs(np.diag(frame_block))[None, :]
     )

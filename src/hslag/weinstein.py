@@ -101,14 +101,15 @@ class _GridTables:
 
     cos and sin are the node angles' trigonometry [*sizes, n]; pairs are the
     index pairs j <= a of the Hessian of f; jet_symbols the multipliers
-    i k_j, then i k_j i k_a per pair, that give y and the Hessian from one
+    i k_j, then i k_j i k_a per pair, stacked on a leading axis over the
+    `_forward` layout, that give y and the Hessian from one multiply and one
     transform; p_symbols -i k_j, then i k_j i k_c over all (j, c), that sum
     the residual's divergence terms in Fourier space."""
 
     cos: np.ndarray
     sin: np.ndarray
     pairs: tuple
-    jet_symbols: tuple
+    jet_symbols: np.ndarray
     p_symbols: tuple
     weight: float
 
@@ -120,9 +121,12 @@ def _grid_tables(grid: GridDescriptor) -> _GridTables:
     cos = np.stack([np.cos(m) for m in mesh], axis=-1)
     sin = np.stack([np.sin(m) for m in mesh], axis=-1)
     pairs = tuple((j, a) for j in range(n) for a in range(j, n))
-    jet_symbols = tuple(ik) + tuple(ik[j] * ik[a] for j, a in pairs)
+    half = grid.sizes[:-1] + (grid.sizes[-1] // 2 + 1,)
+    jet_symbols = np.array(
+        [np.broadcast_to(k, half) for k in ik + tuple(ik[j] * ik[a] for j, a in pairs)]
+    )
     p_symbols = tuple(-k for k in ik) + tuple(ik[j] * ik[c] for j in range(n) for c in range(n))
-    for table in (cos, sin) + jet_symbols + p_symbols:
+    for table in (cos, sin, jet_symbols) + p_symbols:
         table.flags.writeable = False
     return _GridTables(cos, sin, pairs, jet_symbols, p_symbols, grid.node_weight())
 
@@ -154,16 +158,19 @@ def _graph_jets(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray):
     if grid.dim != n:
         raise ChartDomainError("grid dimension does not match chart")
     tables = _grid_tables(grid)
-    # y_j = d_j f and the Hessian Y[j, a] = d_j d_a f from one transform of f
+    # y_j = d_j f and the Hessian Y[j, a] = d_j d_a f from one transform of f;
+    # a complex f's spectrum carries its split parts on an axis of its own
     spec = _forward(f, grid)
-    derivs = _inverse(np.stack([k * spec for k in tables.jet_symbols]), grid, np.iscomplexobj(f))
-    y = np.stack(list(derivs[:n]), axis=-1)  # (*s, n)
-    ymax = np.max(np.abs(y.real), axis=tuple(range(grid.dim)))
-    if np.any(ymax >= chart.delta):
+    symbols = tables.jet_symbols
+    symbols = symbols.reshape(symbols.shape[:1] + (1,) * (spec.ndim - grid.dim) + symbols.shape[1:])
+    derivs = _inverse(symbols * spec, grid, np.iscomplexobj(f))
+    ymax = np.max(np.abs(derivs[:n].real))
+    if ymax >= chart.delta:
         raise ChartDomainError(
-            f"graph one-form too large for the chart: max |df| = {ymax.max():.4f} "
+            f"graph one-form too large for the chart: max |df| = {ymax:.4f} "
             f">= delta = {chart.delta:.4f}"
         )
+    y = np.stack(list(derivs[:n]), axis=-1)  # (*s, n)
     r2, r, coords = _chart_points(chart, grid, y)
     cos, sin = tables.cos, tables.sin
     cos_r, sin_r = cos / r, sin / r
@@ -184,24 +191,26 @@ def _small_inverse(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(h^-1, det h) for a stack of small symmetric positive definite
     matrices h[..., n, n].
 
-    Gauss-Jordan elimination in place, without pivoting (the pivots of a
-    positive definite matrix are positive), with every entry a vector over
-    the stack: O(n^3) vector operations and no per-matrix call.  det is the
+    Gauss-Jordan elimination without pivoting (the pivots of a positive
+    definite matrix are positive), with every entry a vector over the stack:
+    O(n^3) vector operations and no per-matrix call.  The elimination runs
+    on a copy with the stack axes last, so each entry is one contiguous
+    vector; the inverse comes back as a view in h's layout.  det is the
     product of the pivots.  The arithmetic is analytic in h, so a complex
     step through it stays exact."""
     n = h.shape[-1]
-    inv = h.copy()
+    inv = np.moveaxis(h, (-2, -1), (0, 1)).copy()  # (n, n, *stack)
     for k in range(n):
-        pivot = inv[..., k, k].copy()
+        pivot = inv[k, k].copy()
         det = pivot if k == 0 else det * pivot
-        inv[..., k, k] = 1.0
-        inv[..., k, :] /= pivot[..., None]
+        inv[k, k] = 1.0
+        inv[k] /= pivot
         for i in range(n):
             if i != k:
-                factor = inv[..., i, k].copy()
-                inv[..., i, k] = 0.0
-                inv[..., i, :] -= factor[..., None] * inv[..., k, :]
-    return inv, det
+                factor = inv[i, k].copy()
+                inv[i, k] = 0.0
+                inv[i] -= factor * inv[k]
+    return np.moveaxis(inv, (0, 1), (-2, -1)), det
 
 
 def _affine_chart(metric, n: int, coords: np.ndarray):
@@ -265,10 +274,12 @@ def graph_volume_and_gradient(
     else:
         G = base.value(points)
     lead = f.shape
-    # T' = T u^T, one flat GEMM over all N n tangent rows
+    # T' = T u^T, one flat GEMM over all N n tangent rows; its per-node
+    # transpose is made contiguous once, for h and M
     T_amb = (T.reshape(-1, d) @ u.T).reshape(T.shape)
+    T_amb_t = np.ascontiguousarray(np.swapaxes(T_amb, -1, -2))
     TG_amb = T_amb @ G
-    h = TG_amb @ np.swapaxes(T_amb, -1, -2)
+    h = TG_amb @ T_amb_t
     hinv, det = _small_inverse(h)
     q = np.sqrt(det)
     w = tables.weight
@@ -288,11 +299,12 @@ def graph_volume_and_gradient(
     dTdy_sin = (-sin / r3)[..., :, None] * Y
     dTdy_cos[..., diagonal, diagonal] -= r * sin / r2
     dTdy_sin[..., diagonal, diagonal] += r * cos / r2
-    W_t = np.swapaxes(W, -1, -2)  # (*s, m, a)
-    A = np.sum(dTdy_cos * W_t[..., 0::2, :] + dTdy_sin * W_t[..., 1::2, :], axis=-1)
+    A = sum(
+        dTdy_cos[..., a] * W[..., a, 0::2] + dTdy_sin[..., a] * W[..., a, 1::2] for a in range(n)
+    )
     # d g / d y_j = sum_m (d Phi/d y_j)_m dg_m, paired with M = T^T hinv T; in
     # the ambient frame <M, dg_m> = t sum_k <T'^T hinv T', dG_k> u_km
-    M_amb = np.swapaxes(T_amb, -1, -2) @ hinv @ T_amb
+    M_amb = T_amb_t @ hinv @ T_amb
     dGM = t * (pullback(M_amb).reshape(-1, d) @ u)  # (N, d)
     dGM = dGM.reshape(lead + (d,))
 
@@ -306,16 +318,19 @@ def graph_volume_and_gradient(
         d_linear = 2.0 * (W.reshape(-1, d).T @ weighted_T) + weighted_dGM.T @ coords.reshape(-1, d)
         return d_shift, d_linear
 
-    A = q[..., None] * (A + 0.5 * (cos_r * dGM[..., 0::2] + sin_r * dGM[..., 1::2]))
+    A = A + 0.5 * (cos_r * dGM[..., 0::2] + sin_r * dGM[..., 1::2])
     # (d Phi/d y) g T^T first: d Phi/d y is normal to the graph at the zero
     # section, so that product is small and exact, where (d Phi/d y) W^T
     # would cancel
     TG_t = np.swapaxes(TG, -1, -2)  # (*s, m, b)
     normal_TG = cos_r[..., None] * TG_t[..., 0::2, :] + sin_r[..., None] * TG_t[..., 1::2, :]
-    B = q[..., None, None] * (normal_TG @ np.swapaxes(hinv, -1, -2))
-    # P = -sum_j d_j A_j + sum_jc d_c d_j B_jc: one batched forward transform
-    # and the multipliers summed in Fourier space
-    fields = np.concatenate([np.moveaxis(A, -1, 0), np.moveaxis(B.reshape(lead + (n * n,)), -1, 0)])
+    B = (normal_TG @ np.swapaxes(hinv, -1, -2)).reshape(lead + (n * n,))
+    # P = -sum_j d_j A_j + sum_jc d_c d_j B_jc: the n + n^2 fields q A_j and
+    # q B_jc written into one buffer, one batched forward transform, and the
+    # multipliers summed in Fourier space
+    fields = np.empty((n + n * n,) + lead, dtype=np.result_type(A, B))
+    np.multiply(q, np.moveaxis(A, -1, 0), out=fields[:n])
+    np.multiply(q, np.moveaxis(B, -1, 0), out=fields[n:])
     spectra = _forward(fields, grid)
     P_hat = sum(k * x for k, x in zip(tables.p_symbols, spectra))
     return vol, _hermitian_part(P_hat / chart.flat_density(), grid), affine_sensitivity

@@ -48,19 +48,22 @@ def hessian_oracle():
     """Complex-step Hessian of the discrete volume at the flat torus, by grid size.
 
     The dense, independently assembled counterpart of the flat symbol operator;
-    each size is assembled once per session.
+    each size is assembled once per session.  build(size) is the symmetrized
+    operator; build(size, raw=True) the assembly before symmetrization, whose
+    asymmetry is the one left to measure.
     """
-    from oracles import assemble_perturbed_operator
+    from oracles import _assemble_graph_hessian
 
     from hslag.weinstein import WeinsteinChart
 
     cache = {}
 
-    def build(size):
+    def build(size, raw=False):
         if size not in cache:
             grid = TorusModel(radii=RADII, grid_size=size).grid()
-            cache[size] = assemble_perturbed_operator(WeinsteinChart(RADII), grid, None)
-        return cache[size]
+            assembled = _assemble_graph_hessian(WeinsteinChart(RADII), grid, None)
+            cache[size] = (assembled, assembled.symmetrized())
+        return cache[size][0 if raw else 1]
 
     return build
 

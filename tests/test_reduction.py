@@ -596,9 +596,9 @@ def test_stencils_around_a_state_solve_each_frame_once(coarse_ctx, monkeypatch):
     seen = []
     solve = hslag.reduction.projected_solve
 
-    def counting(ctx, t, frame, init=None):
+    def counting(ctx, t, frame, init=None, **kwargs):
         seen.append((t, frame.coords.tobytes(), None if init is None else init.values.tobytes()))
-        return solve(ctx, t, frame, init=init)
+        return solve(ctx, t, frame, init=init, **kwargs)
 
     monkeypatch.setattr(hslag.reduction, "projected_solve", counting)
     gradient_K(coarse_ctx, state)
@@ -606,6 +606,74 @@ def test_stencils_around_a_state_solve_each_frame_once(coarse_ctx, monkeypatch):
     assert len(seen) == len(set(seen))
     # 16 gradient frames; the Hessian's 10 quotient frames are among them
     assert len(seen) == 16
+
+
+def test_stencils_realize_their_new_frames_in_one_stack(coarse_ctx, monkeypatch):
+    """`hessian_K` realizes its 10 neighbour frames in one real stacked call
+    beside its complex-step Jacobian stack, a following `gradient_K` only its
+    6 new frames (beside the centre's Jacobian), and no solve realizes
+    alone.  A stacked frame agrees with its lone realization to a few ulps:
+    the metric's batched products sum in another order."""
+    state = fresh_state(coarse_ctx)
+    realized = []
+    realize = hslag.reduction.FrameState.realize
+
+    def counting(frame, metric):
+        realized.append((np.iscomplexobj(frame.coords), frame.coords.shape))
+        return realize(frame, metric)
+
+    monkeypatch.setattr(hslag.reduction.FrameState, "realize", counting)
+    m, dim = coarse_ctx.quotient.shape[1], coarse_ctx.num_frame_coords
+    hslag.reduction.hessian_K(coarse_ctx, state)
+    assert realized == [(False, (2 * m, dim)), (True, (2 * m, m, dim))] == [
+        (False, (10, 8)), (True, (10, 5, 8))
+    ]
+    realized.clear()
+    gradient_K(coarse_ctx, state)
+    assert realized == [(False, (6, dim)), (True, (dim, dim))]
+    monkeypatch.undo()
+    assert len(state._neighbours) == 16
+    for near in state._neighbours.values():
+        alone = near.frame.realize(coarse_ctx.metric)
+        assert near.unitary.point.tobytes() == alone.point.tobytes()
+        assert np.max(np.abs(near.unitary.matrix - alone.matrix)) <= 4 * np.finfo(float).eps
+
+
+def test_kernel_pairings_equal_the_per_pair_loop(coarse_ctx):
+    """`H_eval`, the factored gradient and the cross block pair with the
+    reduced basis or the field directions in one matrix product; each equals
+    the per-pair `vol_inner` loop to roundoff."""
+    state = fresh_state(coarse_ctx)
+    ctx, basis = coarse_ctx, coarse_ctx.reduced_basis
+    H = H_eval(ctx, state)
+    loop_H = np.array([ctx.vol_inner(state.gradient, b) for b in basis])
+    assert np.max(np.abs(H - loop_H)) <= 1e-14 * np.max(np.abs(loop_H))
+    report = gradient_K(ctx, state)
+    directions = np.hstack([ctx.quotient, ctx.symmetries]).T
+    potentials = variation_potential(ctx, state, directions)
+    loop_factored = np.array([np.dot([ctx.vol_inner(h, b) for b in basis], H) for h in potentials])
+    assert np.max(np.abs(report.factored - loop_factored)) <= 1e-14 * np.max(np.abs(loop_factored))
+    cross = second_variation_Q(ctx, state).cross_block
+    fields = hslag.reduction._field_directions(ctx)
+    scale = state.t**ctx.n
+    loop_cross = np.zeros_like(cross)
+    for j, direction in enumerate(ctx.quotient.T):
+        plus = hslag.reduction._solve_near(ctx, state, FRAME_STEP * direction)
+        minus = hslag.reduction._solve_near(ctx, state, -FRAME_STEP * direction)
+        for i, field in enumerate(fields):
+            pair_plus = ctx.vol_inner(plus.gradient, field)
+            pair_minus = ctx.vol_inner(minus.gradient, field)
+            loop_cross[i, j] = scale * (pair_plus - pair_minus) / (2.0 * FRAME_STEP)
+
+    # a difference quotient of pairings that cancel: a pairing's roundoff is
+    # relative to the pairing of the absolute values, and the quotient
+    # divides it by 2 FRAME_STEP
+    def absolute(fld):
+        return ScalarField(ctx.grid, np.abs(fld.values), check=False)
+
+    gradients = [absolute(s.gradient) for s in state._neighbours.values()]
+    magnitude = np.max(ctx.vol_pairings(gradients, [absolute(f) for f in fields]))
+    assert np.max(np.abs(cross - loop_cross)) <= 1e-14 * scale * magnitude / FRAME_STEP
 
 
 def test_variation_potential_rows_equal_one_row_calls(coarse_ctx):
@@ -721,9 +789,9 @@ def test_optimize_frame_makes_no_value_only_volume(reduction_ctx, frame_optimum,
         volume_jets.append(len(jets) - before)
         return out
 
-    def counting_solve(ctx, t, frame, init=None):
+    def counting_solve(ctx, t, frame, init=None, **kwargs):
         solves.append(1)
-        return solve(ctx, t, frame, init=init)
+        return solve(ctx, t, frame, init=init, **kwargs)
 
     def counting_hessian(ctx, state):
         before = len(solves)

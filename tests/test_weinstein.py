@@ -327,13 +327,18 @@ def test_volume_matches_pullback_oracle(radii, size, step, metric_kind):
 
 
 @pytest.mark.parametrize("step", [0.0, 1e-20], ids=["real", "complex_step"])
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_small_inverse_matches_lapack(n, step):
+@pytest.mark.parametrize(
+    "n, stack",
+    [(1, (50,)), (2, (50,)), (3, (50,)), (2, (24, 24)), (3, (24, 24))],
+    ids=["1", "2", "3", "2-grid24", "3-grid24"],
+)
+def test_small_inverse_matches_lapack(n, stack, step):
+    # a flat stack, and a grid-shaped one as the volume passes it
     rng = np.random.default_rng(n)
-    X = rng.normal(size=(50, n, n))
+    X = rng.normal(size=stack + (n, n))
     h = X @ np.swapaxes(X, -1, -2) + n * np.eye(n)
     if step:
-        S = rng.normal(size=(50, n, n))
+        S = rng.normal(size=stack + (n, n))
         h = h + 1j * step * (S + np.swapaxes(S, -1, -2))
     inv, det = _small_inverse(h)
     ref_inv, ref_det = np.linalg.inv(h), np.linalg.det(h)
