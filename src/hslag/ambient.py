@@ -337,10 +337,10 @@ class SymplecticExpMetric:
 # Y^5 and two Horner steps make 6 jet products, as few as any s gives.
 _PS_BLOCK = 5
 # Workspaces a metric keeps; the least recently used one goes first.  A
-# located torus at grid 24 cycles through 9 (the one-point frame fit, the
-# volume's reverse sweep, three complex frame stacks and value chunks of two
-# lengths at orders 0 and 1), so fewer would rebuild most of them on every
-# torus.
+# located torus at grid 24 was measured to build 10: real frame stacks of 1,
+# 6 and 10 points, complex ones of 5 and 50, value chunks of 256 and 64
+# points at orders 0 and 1, and the volume's 576-point reverse sweep.  Fewer
+# would rebuild most of them on every torus.
 _WORKSPACES = 16
 # Points per workspace: 256 keeps an order-1 workspace near 1.5 MB, inside
 # a core's L2 cache, at any grid size.
@@ -757,28 +757,26 @@ def estimate_sweep(
     metric,
     frames: Sequence[UnitaryFrame],
     t_values: Sequence[float],
-    k_max: int = 2,
     seed: int = 0,
     ratio_bound: float = 2.0,
 ) -> EstimateReport:
     """Scaling constants of the chart metrics: sup |d^k (g^t - g0)| / t^k.
 
-    For each derivative order k the constant C_k(t) is the max over the frame
-    list and over ball samples; the report records whether each C_k stays
-    within ratio_bound across the t list (flat behaviour in t).
+    For each derivative order k = 0, 1, 2 the constant C_k(t) is the max over
+    the frame list and over ball samples; the report records whether each
+    C_k stays within ratio_bound across the t list (flat behaviour in t).
     """
     z = ball_samples(metric.dim, _SWEEP_RADIUS, _SWEEP_SAMPLES, seed)
     eye = np.eye(metric.dim)
-    constants: dict[int, list[float]] = {k: [] for k in range(k_max + 1)}
+    constants: dict[int, list[float]] = {k: [] for k in range(3)}
     for t in t_values:
-        sup = {k: 0.0 for k in range(k_max + 1)}
+        sup = [0.0, 0.0, 0.0]
         for fr in frames:
-            cm = ChartMetric(metric, fr, t)
-            jet = cm.derivative(z, k_max) if k_max else (cm.value(z),)
+            jet = ChartMetric(metric, fr, t).derivative(z, 2)
             sup[0] = max(sup[0], float(np.max(np.abs(jet[0] - eye))))
-            for k in range(1, k_max + 1):
+            for k in (1, 2):
                 sup[k] = max(sup[k], float(np.max(np.abs(jet[k]))))
-        for k in range(k_max + 1):
+        for k in range(3):
             constants[k].append(sup[k] / t**k if k > 0 else sup[0] / t)
     ratios = {}
     for k, vals in constants.items():

@@ -303,7 +303,6 @@ def _suite_estimates(config: ExperimentConfig, out: str):
         metric,
         frames,
         t_values,
-        k_max=2,
         seed=config.seed,
         ratio_bound=config.tolerance("estimate_ratio"),
     )
@@ -530,7 +529,10 @@ def _failure_stage(exc: BaseException) -> str:
 def run_suite(config: ExperimentConfig) -> int:
     """Execute a suite; write manifest + traces; return the exit code."""
     out = config.out_dir
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out!r}: {exc}") from exc
     manifest = {
         "config": config.to_dict(),
         "suite": config.suite,
@@ -650,9 +652,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except HslagError as exc:
-        print(f"suite failed: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

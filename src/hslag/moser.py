@@ -197,15 +197,13 @@ def moser_flow(form, n: int, seed: int = 0) -> MoserReport:
         raise ConfigError("perturbed form does not equal omega0 at the origin")
 
     steps = 16
-    prev = flow_map(form, z, steps, radius=_FLOW_RADIUS)
-    while steps < 512:
-        cur = flow_map(form, z, 2 * steps, radius=_FLOW_RADIUS)
-        if np.max(np.abs(cur - prev)) <= _ODE_TOL:
-            steps *= 2
-            break
-        prev, steps = cur, 2 * steps
-
     images = flow_map(form, z, steps, radius=_FLOW_RADIUS)
+    while steps < 512:
+        finer = flow_map(form, z, 2 * steps, radius=_FLOW_RADIUS)
+        converged = np.max(np.abs(finer - images)) <= _ODE_TOL
+        images, steps = finer, 2 * steps
+        if converged:
+            break
     pb = pullback_values(form, z, steps)
     pullback_defect = float(np.max(np.abs(pb - om0)))
     origin = flow_map(form, np.zeros(2 * n), steps)

@@ -625,14 +625,11 @@ class GradientReport:
     residual components; envelope is `frame_gradient`, the exact frame
     derivative at frozen f that the optimizer uses.  Agreement is the
     correctness certificate of the reduction; the symmetry components
-    (stabilizer_fd, stabilizer_factored) vanish."""
+    (entries m onwards, m = ctx.quotient.shape[1]) vanish."""
 
     fd: np.ndarray
     factored: np.ndarray
     envelope: np.ndarray
-    kernel_components: np.ndarray
-    stabilizer_fd: np.ndarray
-    stabilizer_factored: np.ndarray
 
 
 def _solve_near(
@@ -737,26 +734,30 @@ def frame_gradient(
     return _envelope_gradient(state, *_realize_jacobian(ctx.metric, state.frame, directions))
 
 
+def _fd_gradient(ctx: ReductionContext, state: ReductionState) -> np.ndarray:
+    """Central differences of the solved K at +-FRAME_STEP along the columns
+    of [ctx.quotient | ctx.symmetries], whose warm solves `hessian_K`, the
+    variation potentials and the cross block share through the state's memo."""
+    directions = np.hstack([ctx.quotient, ctx.symmetries]).T
+    K = np.array([near.K_value for near in _solve_stencil(ctx, state, directions)])
+    return (K[0::2] - K[1::2]) / (2.0 * FRAME_STEP)
+
+
 def gradient_K(ctx: ReductionContext, state: ReductionState) -> GradientReport:
     """Gradient of the reduced volume along quotient and symmetries, three ways.
 
-    fd is central differences of the solved K at +-FRAME_STEP, whose warm
-    solves the variation potentials, `hessian_K` and the cross block share;
-    factored pairs the potentials with the reduced basis in one product."""
+    fd is `_fd_gradient`, the one `optimize_frame` reports; factored pairs
+    the variation potentials with the reduced basis in one product; envelope
+    is `frame_gradient`.  A cross-check of the reduction: the search does not
+    call it."""
     directions = np.hstack([ctx.quotient, ctx.symmetries]).T
     H = H_eval(ctx, state)
-    K = np.array([near.K_value for near in _solve_stencil(ctx, state, directions)])
-    fd = (K[0::2] - K[1::2]) / (2.0 * FRAME_STEP)
+    fd = _fd_gradient(ctx, state)
     potentials = variation_potential(ctx, state, directions)
-    factored = ctx.vol_pairings(potentials, ctx.reduced_basis) @ H
-    m = ctx.quotient.shape[1]
     return GradientReport(
         fd=fd,
-        factored=factored,
+        factored=ctx.vol_pairings(potentials, ctx.reduced_basis) @ H,
         envelope=frame_gradient(ctx, state, directions),
-        kernel_components=H,
-        stabilizer_fd=fd[m:],
-        stabilizer_factored=factored[m:],
     )
 
 
@@ -773,7 +774,7 @@ def hessian_K(ctx: ReductionContext, state: ReductionState) -> np.ndarray:
     warm solves at n = 2, one stacked realization of the frames not yet
     solved, and one stacked complex-step realization for all 2m Jacobians.
     Each neighbour is solved through the state's memo, so these frames are
-    shared with `gradient_K` and the cross block.  The symmetries are left
+    shared with `_fd_gradient` and the cross block.  The symmetries are left
     out, so the default metric's Hessian has no exact zero mode.  The
     gradients carry the envelope error O(tol), so an entry's noise is about
     tol / FRAME_STEP (see `_SADDLE_TOL`); the O(FRAME_STEP^2) truncation
@@ -875,7 +876,8 @@ def optimize_frame(
     steps along its most negative direction.  Nothing moves along the
     symmetries.  Each solve leaves a trace row with its radius and rho, and
     whether it was an "anchor" or a step accepted by "ratio" or "gradient",
-    or "rejected"."""
+    or "rejected".  The reported gradient norms are `_fd_gradient`'s
+    quotient and symmetry parts at the final state."""
     settings = settings if settings is not None else OptimizeSettings()
     Q = ctx.quotient
     trace: List[dict] = []
@@ -939,14 +941,12 @@ def optimize_frame(
         hess = hessian_K(ctx, state)
     eigs = np.linalg.eigvalsh(hess)
 
-    report = gradient_K(ctx, state)
-    grad_norm = float(np.linalg.norm(report.fd[: Q.shape[1]]))
-    stab_norm = float(np.linalg.norm(report.stabilizer_fd))
+    fd = _fd_gradient(ctx, state)
     rel, absolute, _ = geometric_residual(ctx, state)
     return OptimizationResult(
         state=state,
-        gradient_norm=grad_norm,
-        stabilizer_gradient_norm=stab_norm,
+        gradient_norm=float(np.linalg.norm(fd[: Q.shape[1]])),
+        stabilizer_gradient_norm=float(np.linalg.norm(fd[Q.shape[1]:])),
         hessian=hess,
         hessian_eigenvalues=eigs,
         is_minimum=not _is_saddle(eigs[0]),

@@ -94,6 +94,18 @@ def test_unservable_shape_exit_2(tmp_path, argv):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["existing-file", "under-a-file"])
+def test_unusable_out_exit_2(tmp_path, capsys, under):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "run" if under else taken
+    assert run_cli("verify-models", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create output directory")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert [p.name for p in tmp_path.rglob("*")] == ["taken"]
+
+
 def test_radii_override_sets_an_n3_torus():
     args = cli._build_parser().parse_args(["reduce", "--n", "3", "--radii", "1", "1.3", "1.6"])
     config = cli._config_from_args(args)

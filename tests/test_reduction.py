@@ -339,8 +339,8 @@ def test_gradient_factorization_identity(reduction_ctx):
         scale = max(float(np.max(np.abs(report.fd[q]))), 1e-12)
         mismatch = float(np.max(np.abs(report.fd[q] - report.factored[q]))) / scale
         assert mismatch <= 1e-3
-        assert np.max(np.abs(report.stabilizer_fd)) <= 1e-8
-        assert np.max(np.abs(report.stabilizer_factored)) <= 1e-8
+        assert np.max(np.abs(report.fd[q.stop:])) <= 1e-8
+        assert np.max(np.abs(report.factored[q.stop:])) <= 1e-8
         # with the exact envelope gradient, all three agree along every
         # direction, symmetry components included, at a frame that is not
         # critical
@@ -517,8 +517,9 @@ def test_gradient_K_after_hessian_solves_each_symmetry_neighbour_once(coarse_ctx
     monkeypatch.setattr(hslag.reduction, "graph_volume_and_gradient", counting)
     report = gradient_K(coarse_ctx, state)
     assert len(volumes) == 2 * coarse_ctx.symmetries.shape[1] == 6
-    assert np.max(np.abs(report.stabilizer_fd)) <= 1e-8
-    assert np.max(np.abs(report.stabilizer_factored)) <= 1e-8
+    m = coarse_ctx.quotient.shape[1]
+    assert np.max(np.abs(report.fd[m:])) <= 1e-8
+    assert np.max(np.abs(report.factored[m:])) <= 1e-8
 
 
 def test_realize_jacobian_stacks_equal_one_row_calls(reduction_ctx):
@@ -819,6 +820,36 @@ def test_optimize_frame_makes_no_value_only_volume(reduction_ctx, frame_optimum,
     assert not any(volume_jets)
 
 
+def test_optimize_frame_reports_the_fd_gradient_without_the_cross_check(
+    coarse_ctx, frame_optimum, monkeypatch
+):
+    """A frame search reports the finite-difference gradient alone: it calls
+    neither `gradient_K` nor the potentials nor the kernel pairing, and its
+    norms are bitwise those of `gradient_K`'s fd at the state it returns."""
+    calls = []
+    for name in ("gradient_K", "variation_potential", "H_eval"):
+        original = getattr(hslag.reduction, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(hslag.reduction, name, counting)
+    ctx, located = coarse_ctx, frame_optimum.state.unitary
+    delta = np.zeros(ctx.num_frame_coords)
+    delta[ctx.stabilizer_indices] = 0.4
+    start = hslag.reduction.FrameState(
+        located.point, located.matrix, np.zeros(ctx.num_frame_coords)
+    ).shifted(delta)
+    result = optimize_frame(ctx, T, start, OptimizeSettings(max_saddle_restarts=0))
+    assert calls == []
+    monkeypatch.undo()
+    fd = gradient_K(ctx, result.state).fd
+    m = ctx.quotient.shape[1]
+    assert result.gradient_norm == float(np.linalg.norm(fd[:m]))
+    assert result.stabilizer_gradient_norm == float(np.linalg.norm(fd[m:]))
+
+
 def test_second_torus_builds_no_metric_workspace(frame_optimum, monkeypatch):
     """The metric's workspaces hold a located torus's whole working set: at
     grid 24, value chunks of 256 and 64 points at orders 0 and 1 beside the
@@ -919,11 +950,10 @@ def test_search_escapes_a_saddle_only_while_escapes_remain(coarse_ctx, monkeypat
         y = coordinates(state.frame)
         return np.diag(curvature + np.eye(5)[0] * (-2.0 + 24.0 * y[0] ** 2))
 
-    report = types.SimpleNamespace(fd=np.zeros(8), stabilizer_fd=np.zeros(3))
     monkeypatch.setattr(hslag.reduction, "projected_solve", solve)
     monkeypatch.setattr(hslag.reduction, "frame_gradient", gradient)
     monkeypatch.setattr(hslag.reduction, "hessian_K", hessian)
-    monkeypatch.setattr(hslag.reduction, "gradient_K", lambda ctx, state: report)
+    monkeypatch.setattr(hslag.reduction, "_fd_gradient", lambda ctx, state: np.zeros(8))
     monkeypatch.setattr(hslag.reduction, "geometric_residual", lambda ctx, state: (0.0, 0.0, 0.0))
     start = random_frame_state(coarse_ctx, seed=1)
 
