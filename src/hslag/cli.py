@@ -26,13 +26,7 @@ import numpy as np
 from .ambient import EuclideanMetric, default_perturbed_metric, estimate_sweep, unitary_frame
 from .errors import ConfigError, HslagError
 from .fieldio import read_csv, save_field, write_csv, write_long_csv, write_manifest
-from .geomcore import (
-    ScalarField,
-    codifferential,
-    mean_curvature_and_metric,
-    one_form_l2_norm,
-    volume,
-)
+from .geomcore import ScalarField, hs_residual, one_form_l2_norm, volume
 from .models import (
     CircleSphereModel,
     TorusModel,
@@ -228,8 +222,8 @@ def _suite_verify_models(config: ExperimentConfig, out: str):
     checks, rows, payload = [], [], {}
     for name, model, build in _model_instances(config):
         imm = build(model)
-        alpha_form, h = mean_curvature_and_metric(imm)
-        defect = float(np.max(np.abs(codifferential(alpha_form, h).values)))
+        residual, alpha_form, h = hs_residual(imm)
+        defect = float(np.max(np.abs(residual.values)))
         vol = volume(imm)
         alpha = one_form_l2_norm(alpha_form, h)
         checks.append(_check(f"{name}_hs_residual", defect, config.tolerance("model_residual")))
@@ -392,13 +386,13 @@ def _suite_reduce(config: ExperimentConfig, out: str):
     write_csv(
         os.path.join(out, "trace.csv"),
         TRACE_COLUMNS,
-        [[e[name] for name in TRACE_COLUMNS] for e in (result.trace or [])],
+        [[e[name] for name in TRACE_COLUMNS] for e in result.trace],
     )
     final_solve = projected_solve(ctx, config.t, result.state.frame)
     write_csv(
         os.path.join(out, "contraction.csv"),
         ["iteration", "residual_norm"],
-        list(enumerate(final_solve.residual_history or [])),
+        list(enumerate(final_solve.residual_history)),
     )
     save_field(os.path.join(out, "potential.json"), result.state.f)
 

@@ -38,8 +38,6 @@ __all__ = [
     "induced_metric",
     "volume",
     "volume_density",
-    "mean_curvature_one_form",
-    "mean_curvature_and_metric",
     "codifferential",
     "hs_residual",
     "one_form_l2_norm",
@@ -462,23 +460,17 @@ def _induced_christoffel(h: MetricField) -> np.ndarray:
     return 0.5 * (hinv @ S.reshape(S.shape[:-2] + (-1,))).reshape(S.shape)
 
 
-def mean_curvature_one_form(imm: Immersion, metric=None) -> OneFormField:
-    """alpha_H = omega0(H, d_a iota) with H the tension-field mean curvature.
+def _mean_curvature_and_metric(imm: Immersion, metric=None) -> Tuple[OneFormField, MetricField]:
+    """(alpha_H, h): alpha_H = omega0(H, d_a iota) with H the tension-field
+    mean curvature, and the induced metric h it is built on.
 
     H^mu = h^{ab} (d_a d_b iota^mu - Gamma^c_ab d_c iota^mu
                    + Gamma^mu_{nu lam} d_a iota^nu d_b iota^lam),
     which is the trace of the second fundamental form of the immersion, hence
     normal-valued; contraction with omega0 gives the Hamiltonian-stationarity
     one-form on the grid.  Sign convention: the round circle of radius a in the
-    Euclidean plane gives alpha_H(d_theta) = -1.
-    """
-    return mean_curvature_and_metric(imm, metric)[0]
-
-
-def mean_curvature_and_metric(imm: Immersion, metric=None) -> Tuple[OneFormField, MetricField]:
-    """(alpha_H, h): `mean_curvature_one_form` with the induced metric it is
-    built on, for callers that need both.  One metric jet serves both: its G
-    is `metric.value`'s bitwise, so h is the `induced_metric`."""
+    Euclidean plane gives alpha_H(d_theta) = -1.  One metric jet serves both:
+    its G is `metric.value`'s bitwise, so h is the `induced_metric`."""
     grid = imm.grid
     jac = imm.jacobian()
     dd = imm.second_derivatives()
@@ -531,14 +523,16 @@ def codifferential(alpha: OneFormField, h: MetricField) -> ScalarField:
     return ScalarField(grid, out, check=False)
 
 
-def hs_residual(imm: Immersion, metric=None) -> ScalarField:
-    """Hamiltonian-stationarity defect d* alpha_H of an immersion.
+def hs_residual(imm: Immersion, metric=None) -> Tuple[ScalarField, OneFormField, MetricField]:
+    """(d* alpha_H, alpha_H, h): the Hamiltonian-stationarity defect of an
+    immersion, with the mean-curvature one-form and the induced metric it is
+    formed from (see `_mean_curvature_and_metric`).
 
-    Zero (to discretization error) exactly on discretely Hamiltonian
-    stationary immersions.
+    The defect is zero (to discretization error) exactly on discretely
+    Hamiltonian stationary immersions.
     """
-    alpha, h = mean_curvature_and_metric(imm, metric)
-    return codifferential(alpha, h)
+    alpha, h = _mean_curvature_and_metric(imm, metric)
+    return codifferential(alpha, h), alpha, h
 
 
 def one_form_l2_norm(alpha: OneFormField, h: MetricField) -> float:

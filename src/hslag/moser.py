@@ -55,6 +55,10 @@ _FLOW_RADIUS = 1.0
 _FLOW_SAMPLES = 24
 _CLOSED_TOL = 1e-8
 _ODE_TOL = 1e-10
+# |det| of the interpolated form below which the flow counts as degenerate,
+# and the step of the central differences of the time-1 map
+_DET_FLOOR = 1e-6
+_FD_STEP = 1e-4
 
 
 class QuadraticPerturbedForm:
@@ -115,13 +119,13 @@ def homotopy_primitive(form, points: np.ndarray) -> np.ndarray:
     return zeta
 
 
-def moser_vector_field(form, s: float, points: np.ndarray, det_floor: float = 1e-6) -> np.ndarray:
+def moser_vector_field(form, s: float, points: np.ndarray) -> np.ndarray:
     """v^s with v^s .! omega^s = zeta, omega^s = (1-s) omega0 + s omega."""
     z = np.asarray(points, dtype=float)
     om0 = standard_symplectic_matrix(z.shape[-1] // 2)
     oms = (1.0 - s) * om0 + s * form.value(z)
     det = np.linalg.det(oms)
-    if np.min(np.abs(det)) < det_floor:
+    if np.min(np.abs(det)) < _DET_FLOOR:
         raise RankDeficiencyError(
             f"interpolated form degenerates along the flow (|det| = {np.min(np.abs(det)):.3e})"
         )
@@ -150,17 +154,19 @@ def flow_map(
     return z
 
 
-def pullback_values(form, points: np.ndarray, steps: int = 64, fd_step: float = 1e-4) -> np.ndarray:
-    """(phi^1)^* omega at each point, with d phi by central differences."""
+def pullback_values(form, points: np.ndarray, images: np.ndarray, steps: int) -> np.ndarray:
+    """(phi^1)^* omega at each point, with d phi by central differences.
+
+    images are the points' images under the time-1 map `flow_map(form,
+    points, steps)`, which the caller already has."""
     z = np.asarray(points, dtype=float)
     d = z.shape[-1]
-    images = flow_map(form, z, steps)
     jac = np.empty(z.shape[:-1] + (d, d))  # [..., alpha, mu] = d phi^alpha / d z^mu
     for mu in range(d):
         e = np.zeros(d)
-        e[mu] = fd_step
+        e[mu] = _FD_STEP
         jac[..., :, mu] = (flow_map(form, z + e, steps) - flow_map(form, z - e, steps)) / (
-            2 * fd_step
+            2 * _FD_STEP
         )
     w = form.value(images)
     return np.einsum("...am,...ab,...bn->...mn", jac, w, jac)
@@ -204,7 +210,7 @@ def moser_flow(form, n: int, seed: int = 0) -> MoserReport:
         images, steps = finer, 2 * steps
         if converged:
             break
-    pb = pullback_values(form, z, steps)
+    pb = pullback_values(form, z, images, steps)
     pullback_defect = float(np.max(np.abs(pb - om0)))
     origin = flow_map(form, np.zeros(2 * n), steps)
     origin_defect = float(np.max(np.abs(origin)))
@@ -212,8 +218,8 @@ def moser_flow(form, n: int, seed: int = 0) -> MoserReport:
     jac = np.empty((d, d))
     for mu in range(d):
         e = np.zeros(d)
-        e[mu] = 1e-4
-        jac[:, mu] = (flow_map(form, e, steps) - flow_map(form, -e, steps)) / 2e-4
+        e[mu] = _FD_STEP
+        jac[:, mu] = (flow_map(form, e, steps) - flow_map(form, -e, steps)) / (2 * _FD_STEP)
     identity_defect = float(np.max(np.abs(jac - np.eye(d))))
     return MoserReport(
         samples=z,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,12 +41,11 @@ from .geomcore import (
     ScalarField,
     _forward,
     _inverse,
-    codifferential,
     derivative_multipliers,
     fourier_multiply,
+    hs_residual,
     l2_inner,
     l2_norm,
-    mean_curvature_and_metric,
     one_form_l2_norm,
     spectral_gradient,
     standard_symplectic_matrix,
@@ -67,8 +66,6 @@ __all__ = [
     "SecondVariationReport",
     "build_context",
     "random_frame_state",
-    "functional_F",
-    "residual_P",
     "projected_solve",
     "H_eval",
     "variation_potential",
@@ -363,9 +360,9 @@ class ReductionState:
     Invariants: the transverse residual norm is at most the solver tolerance
     when converged, and f lies on the band modes off the flat kernel.
     gradient holds the grid values of the unprojected L^2 volume gradient
-    whose spectrum the converging iteration's `residual_P` returned at
-    (unitary, f), kept so the kernel components and the cross block read it
-    instead of recomputing it.
+    whose spectrum the converging iteration's `graph_volume_and_gradient`
+    returned at (unitary, f), kept so the kernel components and the cross
+    block read it instead of recomputing it.
     frame_sensitivity is the same call's pair (dvol/db, dvol/dA), the
     volume's derivatives under an affine move of the chart metric (see
     `graph_volume_and_gradient`): O(n^2) floats from which `frame_gradient`
@@ -388,39 +385,13 @@ class ReductionState:
     K_value: float
     converged: bool
     iterations: int
-    residual_history: Optional[List[float]] = None
+    residual_history: List[float]
     _neighbours: Dict[bytes, "ReductionState"] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def kernel_overlap(self, ctx: ReductionContext) -> float:
         return max(abs(l2_inner(self.f, b)) for b in ctx.kernel_fields)
-
-
-def _chart_metric(ctx: ReductionContext, t: float, unitary: UnitaryFrame) -> ChartMetric:
-    return ChartMetric(ctx.metric, unitary, t)
-
-
-def functional_F(
-    ctx: ReductionContext, t: float, unitary: UnitaryFrame, f: ScalarField
-) -> float:
-    """Chart-scale volume of the graph of df in the frame's scaled metric."""
-    vol, _, _ = graph_volume_and_gradient(
-        ctx.chart, ctx.grid, f.values, _chart_metric(ctx, t, unitary), need_gradient=False
-    )
-    return float(np.real(vol))
-
-
-def residual_P(
-    ctx: ReductionContext, t: float, unitary: UnitaryFrame, f: ScalarField
-) -> Tuple[float, np.ndarray, Callable[[], Tuple[np.ndarray, np.ndarray]]]:
-    """(volume, L^2 gradient of the volume as its rfftn half spectrum, affine
-    frame sensitivity as a function of no arguments) at the graph of df; see
-    `graph_volume_and_gradient`."""
-    vol, gradient, sensitivity = graph_volume_and_gradient(
-        ctx.chart, ctx.grid, f.values, _chart_metric(ctx, t, unitary)
-    )
-    return float(np.real(vol)), gradient, sensitivity
 
 
 def projected_solve(
@@ -445,10 +416,13 @@ def projected_solve(
     step could not gain a digit in its 200 iterations anyway.
 
     unitary is the frame's realization when the caller already has it (a
-    stencil realizes its frames in one stack); None realizes it here.
+    stencil realizes its frames in one stack); None realizes it here.  Every
+    iteration's volume is one `graph_volume_and_gradient` call in the
+    frame's chart metric.
     """
     if unitary is None:
         unitary = frame.realize(ctx.metric)
+    metric = ChartMetric(ctx.metric, unitary, t)
     grid = ctx.grid
     half = grid.sizes[-1] // 2 + 1
     mask, inverse_symbol = ctx.transverse_mask[..., :half], ctx.inverse_symbol[..., :half]
@@ -470,7 +444,7 @@ def projected_solve(
     history: List[float] = []
     best, stalled = np.inf, 0
     for iteration in range(_MAX_SOLVE_ITERATIONS):
-        vol, gradient, sensitivity = residual_P(ctx, t, unitary, f)
+        vol, gradient, sensitivity = graph_volume_and_gradient(ctx.chart, grid, f.values, metric)
         residual = gradient * mask
         rnorm = float(np.sqrt(np.sum(norm_weight * (residual.real**2 + residual.imag**2))))
         stalled = 0 if rnorm < 0.99 * best else stalled + 1
@@ -487,7 +461,7 @@ def projected_solve(
                 gradient=ScalarField(grid, _inverse(gradient, grid, False), check=False),
                 frame_sensitivity=sensitivity(),
                 residual_norm=rnorm,
-                K_value=vol,
+                K_value=float(np.real(vol)),
                 converged=True,
                 iterations=iteration + 1,
                 residual_history=history,
@@ -803,7 +777,7 @@ class OptimizationResult:
     residual_relative: float
     residual_absolute: float
     solver_evaluations: int
-    trace: Optional[List[dict]] = None
+    trace: List[dict]
 
 
 def _is_saddle(eigenvalue: float) -> bool:
@@ -969,8 +943,7 @@ def geometric_residual(
     measured with the induced volume density.  This certificate never touches
     the reduction machinery."""
     imm = Immersion(ctx.grid, _ambient_immersion(ctx, state.t, [state])[0])
-    alpha, h = mean_curvature_and_metric(imm, ctx.metric)
-    defect = codifferential(alpha, h)  # hs_residual, from the same alpha_H and h
+    defect, alpha, h = hs_residual(imm, ctx.metric)
     alpha_norm = one_form_l2_norm(alpha, h)
     defect_norm = l2_norm(defect, density=volume_density(h))
     return defect_norm / alpha_norm, defect_norm, alpha_norm
@@ -1016,18 +989,16 @@ def _field_directions(ctx: ReductionContext) -> List[ScalarField]:
 
 
 def second_variation_Q(
-    ctx: ReductionContext,
-    state: ReductionState,
-    frame_block: Optional[np.ndarray] = None,
+    ctx: ReductionContext, state: ReductionState, frame_block: np.ndarray
 ) -> SecondVariationReport:
     """Assemble the three Hessian blocks at a solved critical frame.
 
-    frame_block is the reduced Hessian when the caller already has it
-    (`optimize_frame` returns it); None computes it with `hessian_K`."""
+    frame_block is the reduced Hessian `hessian_K` at the state, which
+    `optimize_frame` returns.  The field stencil's volumes are value-only
+    `graph_volume_and_gradient` calls in the state's chart metric."""
     field_directions = _field_directions(ctx)
-    t = state.t
-    tn = t**ctx.n
-    scale = tn
+    metric = ChartMetric(ctx.metric, state.unitary, state.t)
+    scale = state.t**ctx.n
 
     transverse_fd = np.zeros(len(field_directions))
     transverse_model = np.zeros(len(field_directions))
@@ -1038,10 +1009,11 @@ def second_variation_Q(
                 # the centre is the solved state, whose volume K_value holds
                 values.append(state.K_value)
                 continue
-            f = ScalarField(
-                ctx.grid, state.f.values + s * FIELD_STEP * direction.values, check=False
+            f = state.f.values + s * FIELD_STEP * direction.values
+            vol, _, _ = graph_volume_and_gradient(
+                ctx.chart, ctx.grid, f, metric, need_gradient=False
             )
-            values.append(functional_F(ctx, t, state.unitary, f))
+            values.append(float(np.real(vol)))
         second = (
             -values[4] + 16.0 * values[3] - 30.0 * values[2] + 16.0 * values[1] - values[0]
         ) / (12.0 * FIELD_STEP**2)
@@ -1055,8 +1027,6 @@ def second_variation_Q(
         )
     )
 
-    if frame_block is None:
-        frame_block = hessian_K(ctx, state)
     frame_block = scale * np.asarray(frame_block)
     frame_eigs = np.linalg.eigvalsh(frame_block)
 

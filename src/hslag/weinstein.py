@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -63,32 +62,27 @@ __all__ = ["WeinsteinChart", "graph_volume_and_gradient"]
 
 @dataclass(frozen=True)
 class WeinsteinChart:
-    """Cotangent chart of the model torus with radii a_1..a_n.
-
-    delta bounds the admissible one-form size max_j |df/dtheta_j|; the default
-    0.4 * min(a_j^2)/2 keeps the graph comfortably inside the tube where the
-    square roots stay well conditioned.
-    """
+    """Cotangent chart of the model torus with radii a_1..a_n, over the
+    grids of `TorusModel`."""
 
     radii: tuple
-    delta: Optional[float] = None
 
     def __post_init__(self) -> None:
         radii = tuple(float(a) for a in self.radii)
         object.__setattr__(self, "radii", radii)
         if any(a <= 0 for a in radii):
             raise ChartDomainError("chart radii must be positive")
-        if self.delta is None:
-            object.__setattr__(self, "delta", 0.4 * min(a * a for a in radii) / 2)
-        elif self.delta <= 0:
-            raise ChartDomainError("delta must be positive")
 
     @property
     def n(self) -> int:
         return len(self.radii)
 
-    def grid(self, size: int = 32) -> GridDescriptor:
-        return GridDescriptor(sizes=(size,) * self.n, periods=(2 * np.pi,) * self.n)
+    @property
+    def delta(self) -> float:
+        """Bound on the admissible one-form size max_j |df/dtheta_j|:
+        0.4 * min(a_j^2)/2 keeps the graph comfortably inside the tube where
+        the square roots stay well conditioned."""
+        return 0.4 * min(a * a for a in self.radii) / 2
 
     def flat_density(self) -> float:
         """Constant density of the flat model volume dV0 = prod a_j dtheta."""

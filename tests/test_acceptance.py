@@ -34,7 +34,7 @@ T = 0.05  # the scale of the shared reduction problem
 
 def test_criterion_01_model_immersions_stationary(torus, circle_sphere):
     for imm in (torus, circle_sphere):
-        assert np.max(np.abs(hs_residual(imm).values)) <= 1e-8
+        assert np.max(np.abs(hs_residual(imm)[0].values)) <= 1e-8
 
 
 def test_criterion_02_circle_sphere_spectrum_analytic(cs_spectrum):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import hslag.moser
+
 from oracles import ConstantForm, refinement_orders
 
 from hslag.errors import ChartDomainError, ConfigError, RankDeficiencyError
@@ -13,6 +15,7 @@ from hslag.moser import (
     homotopy_primitive,
     moser_flow,
     moser_vector_field,
+    pullback_values,
 )
 
 
@@ -65,6 +68,30 @@ def test_perturbed_flow_normalizes(form):
     assert rep.origin_defect == 0.0
     assert rep.identity_defect <= 1e-8
     assert rep.closedness_defect <= 1e-8
+
+
+def test_pullback_reuses_the_converged_images(form, monkeypatch):
+    """The pullback takes the images the step doubling converged on: 16 and
+    32 steps, 2 x 4 neighbours of the samples for d phi, the origin and
+    2 x 4 neighbours of it, 19 time-1 maps in all.  The images and the
+    pullback defect equal their recomputation with the images flowed afresh."""
+    calls = []
+    flow = hslag.moser.flow_map
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(hslag.moser, "flow_map", counting)
+    rep = moser_flow(form, 2)
+    assert len(calls) == 19
+    monkeypatch.undo()
+    images = flow_map(form, rep.samples, rep.steps)
+    assert rep.images.tobytes() == images.tobytes()
+    pullback = pullback_values(form, rep.samples, images, rep.steps)
+    om0 = standard_symplectic_matrix(2)
+    assert rep.pullback_defect == float(np.max(np.abs(pullback - om0)))
+    assert rep.steps == 32
 
 
 def test_refinement_order_at_least_three(form):

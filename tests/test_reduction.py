@@ -21,7 +21,7 @@ import hslag.ambient
 import hslag.operators
 import hslag.reduction
 import hslag.weinstein
-from hslag.ambient import EuclideanMetric
+from hslag.ambient import ChartMetric, EuclideanMetric
 from hslag.errors import ExactnessError, NonContractionError
 from hslag.geomcore import ScalarField, _inverse
 from hslag.reduction import (
@@ -33,6 +33,7 @@ from hslag.reduction import (
     build_context,
     geometric_residual,
     gradient_K,
+    hessian_K,
     optimize_frame,
     projected_solve,
     random_frame_state,
@@ -181,13 +182,13 @@ def test_roundoff_floor_raises_early(monkeypatch):
     is out of reach."""
     ctx = build_context(grid_size=24)
     calls = []
-    residual = hslag.reduction.residual_P
+    volume = hslag.reduction.graph_volume_and_gradient
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return residual(*args)
+        return volume(*args, **kwargs)
 
-    monkeypatch.setattr(hslag.reduction, "residual_P", counting)
+    monkeypatch.setattr(hslag.reduction, "graph_volume_and_gradient", counting)
     monkeypatch.setattr(hslag.reduction, "SOLVE_TOL", 1e-16)
     with pytest.raises(NonContractionError, match=r"floor of [0-9.]+e-1[3-5] above tol=1\.0e-16"):
         projected_solve(ctx, T, random_frame_state(ctx, seed=5))
@@ -547,19 +548,19 @@ def test_realize_jacobian_stacks_equal_one_row_calls(reduction_ctx):
 
 def test_state_gradient_is_final_residual(coarse_ctx, monkeypatch):
     state = fresh_state(coarse_ctx)
-    vol, gradient, sensitivity = hslag.reduction.residual_P(
-        coarse_ctx, state.t, state.unitary, state.f
-    )
+    volume = hslag.reduction.graph_volume_and_gradient
+    metric = ChartMetric(coarse_ctx.metric, state.unitary, state.t)
+    args = (coarse_ctx.chart, coarse_ctx.grid, state.f.values, metric)
+    vol, gradient, sensitivity = volume(*args)
     grad = _inverse(gradient, coarse_ctx.grid, False)
     assert state.gradient.values.tobytes() == grad.tobytes()
     assert vol == state.K_value
     for kept, final in zip(state.frame_sensitivity, sensitivity()):
         assert kept.tobytes() == final.tobytes()
     # the value-only volume of the jet contract: second_variation_Q's stencil centre
-    assert hslag.reduction.functional_F(coarse_ctx, state.t, state.unitary, state.f) == vol
+    assert volume(*args, need_gradient=False)[0] == vol
 
     calls = []
-    volume = hslag.reduction.graph_volume_and_gradient
 
     def counting(*args, **kwargs):
         calls.append(1)
@@ -603,7 +604,7 @@ def test_stencils_around_a_state_solve_each_frame_once(coarse_ctx, monkeypatch):
 
     monkeypatch.setattr(hslag.reduction, "projected_solve", counting)
     gradient_K(coarse_ctx, state)
-    second_variation_Q(coarse_ctx, state)
+    second_variation_Q(coarse_ctx, state, hessian_K(coarse_ctx, state))
     assert len(seen) == len(set(seen))
     # 16 gradient frames; the Hessian's 10 quotient frames are among them
     assert len(seen) == 16
@@ -654,7 +655,7 @@ def test_kernel_pairings_equal_the_per_pair_loop(coarse_ctx):
     potentials = variation_potential(ctx, state, directions)
     loop_factored = np.array([np.dot([ctx.vol_inner(h, b) for b in basis], H) for h in potentials])
     assert np.max(np.abs(report.factored - loop_factored)) <= 1e-14 * np.max(np.abs(loop_factored))
-    cross = second_variation_Q(ctx, state).cross_block
+    cross = second_variation_Q(ctx, state, hessian_K(ctx, state)).cross_block
     fields = hslag.reduction._field_directions(ctx)
     scale = state.t**ctx.n
     loop_cross = np.zeros_like(cross)
@@ -712,14 +713,14 @@ def test_projected_solve_norm_is_the_grid_norm(coarse_ctx, monkeypatch):
     volume returns the gradient as its half spectrum, so the projected
     residual is that spectrum masked."""
     gradients = []
-    residual = hslag.reduction.residual_P
+    volume = hslag.reduction.graph_volume_and_gradient
 
-    def recording(*args):
-        out = residual(*args)
+    def recording(*args, **kwargs):
+        out = volume(*args, **kwargs)
         gradients.append(out[1])
         return out
 
-    monkeypatch.setattr(hslag.reduction, "residual_P", recording)
+    monkeypatch.setattr(hslag.reduction, "graph_volume_and_gradient", recording)
     state = fresh_state(coarse_ctx)
     assert len(state.residual_history) == len(gradients) > 3
     grid = coarse_ctx.grid
