@@ -274,15 +274,9 @@ class SymplecticExpMetric:
         for weights, slot in zip(ws.weights, ws.power_jets[1].slots):
             np.matmul(ws.phases.T, weights, out=slot)
 
-    def _generator_jet(self, points: np.ndarray, order: int) -> list[np.ndarray]:
-        """[Y, dY, d2Y][:order + 1], with dY[..., mu, i, j] = dY_ij / dp_mu and
-        d2Y[..., mu, nu, i, j] likewise."""
-        return list(self._jet(points, order, series=False))
-
-    def _jet(self, points: np.ndarray, order: int, series: bool = True) -> tuple[np.ndarray, ...]:
+    def _jet(self, points: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
         """(G, dG, d2G)[:order + 1] from one Paterson-Stockmeyer evaluation
-        per chunk of at most _CHUNK points; the generator's jet instead when
-        series is False."""
+        per chunk of at most _CHUNK points."""
         if order > 2:
             raise ValueError(f"metric jets are available to order 2, not {order}")
         self._evaluations += 1
@@ -296,8 +290,7 @@ class SymplecticExpMetric:
             chunk = flat[start : start + _CHUNK]
             ws = self._workspace(len(chunk), dtype, order)
             self._generator_into(ws, chunk)
-            jet = _paterson_stockmeyer(ws) if series else ws.power_jets[1]
-            _copy_out(jet, rows, start)
+            _copy_out(_paterson_stockmeyer(ws), rows, start)
         return tuple(outputs)
 
     def value(self, points: np.ndarray) -> np.ndarray:

@@ -222,9 +222,10 @@ def _suite_verify_models(config: ExperimentConfig, out: str):
     checks, rows, payload = [], [], {}
     for name, model, build in _model_instances(config):
         imm = build(model)
-        residual, alpha_form, h = hs_residual(imm)
+        flat = EuclideanMetric(model.n)
+        residual, alpha_form, h = hs_residual(imm, flat)
         defect = float(np.max(np.abs(residual.values)))
-        vol = volume(imm)
+        vol = volume(imm, flat)
         alpha = one_form_l2_norm(alpha_form, h)
         checks.append(_check(f"{name}_hs_residual", defect, config.tolerance("model_residual")))
         rows.append((name, config.grid_size, defect, vol, alpha))

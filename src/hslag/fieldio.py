@@ -86,11 +86,18 @@ def field_to_dict(field: ScalarField) -> dict:
 
 
 def field_from_dict(data: dict) -> ScalarField:
+    """The field of a container, through `ScalarField`'s gate, so a field on
+    a quotient grid must be Z2-invariant."""
     if data.get("format") != FIELD_FORMAT:
         raise ConfigError(f"not a field container: format={data.get('format')!r}")
+    for key in ("grid", "values"):
+        if key not in data:
+            raise ConfigError(f"field container has no {key!r}")
     grid = grid_from_dict(data["grid"])
-    values = np.array(data["values"], dtype=float).reshape(grid.sizes)
-    return ScalarField(grid, values, check=False)
+    values = np.array(data["values"], dtype=float)
+    if values.size != grid.num_nodes:
+        raise ConfigError(f"field container has {values.size} values for {grid.num_nodes} nodes")
+    return ScalarField(grid, values.reshape(grid.sizes))
 
 
 def save_field(path: Union[str, os.PathLike], field: ScalarField) -> None:

@@ -7,7 +7,8 @@ uniform rectangle rule; both are spectrally accurate on smooth periodic data.
 
 Ambient space is R^{2n} with interleaved coordinates (x1, y1, ..., xn, yn),
 standard symplectic form omega0(u, v) = sum_j (u_xj v_yj - u_yj v_xj), and an
-ambient metric supplied by an evaluator object (None means Euclidean).
+ambient metric supplied by an evaluator object (`ambient.EuclideanMetric` for
+flat space).
 """
 
 from __future__ import annotations
@@ -165,8 +166,8 @@ class MetricField:
 
     grid: GridDescriptor
     entries: np.ndarray
-    _inv: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _det: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _inv: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _det: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.entries = np.asarray(self.entries, dtype=float)
@@ -206,7 +207,7 @@ class Immersion:
     grid: GridDescriptor
     coords: np.ndarray
     check: bool = True
-    _jac: Optional[np.ndarray] = field(default=None, repr=False)
+    _jac: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.coords = np.asarray(self.coords, dtype=float)
@@ -409,17 +410,15 @@ def _symplectic_pullback(grid: GridDescriptor, jac: np.ndarray) -> np.ndarray:
     return np.einsum("...ma,mn,...nb->...ab", jac, omega, jac)
 
 
-def induced_metric(imm: Immersion, metric=None) -> MetricField:
+def induced_metric(imm: Immersion, metric) -> MetricField:
     """First fundamental form h_ab = g(d_a iota, d_b iota)."""
-    g = None if metric is None else metric.value(imm.coords)
-    return _first_fundamental_form(imm, g)
+    return _first_fundamental_form(imm, metric.value(imm.coords))
 
 
-def _first_fundamental_form(imm: Immersion, g: Optional[np.ndarray]) -> MetricField:
-    """h = jac^T g jac as batched products, or jac^T jac when g is None."""
+def _first_fundamental_form(imm: Immersion, g: np.ndarray) -> MetricField:
+    """h = jac^T g jac as batched products."""
     jac = imm.jacobian()
-    jac_t = np.swapaxes(jac, -1, -2)
-    return MetricField(imm.grid, jac_t @ jac if g is None else jac_t @ g @ jac)
+    return MetricField(imm.grid, np.swapaxes(jac, -1, -2) @ g @ jac)
 
 
 def volume_density(h: MetricField) -> ScalarField:
@@ -429,7 +428,7 @@ def volume_density(h: MetricField) -> ScalarField:
     return ScalarField(h.grid, np.sqrt(det), check=False)
 
 
-def volume(imm: Immersion, metric=None) -> float:
+def volume(imm: Immersion, metric) -> float:
     """Riemannian volume by rectangle-rule quadrature of sqrt(det h).
 
     Spectrally accurate for smooth immersions; on quotient grids the result is
@@ -460,7 +459,7 @@ def _induced_christoffel(h: MetricField) -> np.ndarray:
     return 0.5 * (hinv @ S.reshape(S.shape[:-2] + (-1,))).reshape(S.shape)
 
 
-def _mean_curvature_and_metric(imm: Immersion, metric=None) -> Tuple[OneFormField, MetricField]:
+def _mean_curvature_and_metric(imm: Immersion, metric) -> Tuple[OneFormField, MetricField]:
     """(alpha_H, h): alpha_H = omega0(H, d_a iota) with H the tension-field
     mean curvature, and the induced metric h it is built on.
 
@@ -474,12 +473,9 @@ def _mean_curvature_and_metric(imm: Immersion, metric=None) -> Tuple[OneFormFiel
     grid = imm.grid
     jac = imm.jacobian()
     dd = imm.second_derivatives()
-    if metric is None:
-        h, gamma_a = induced_metric(imm), None
-    else:
-        g, dg = metric.derivative(imm.coords)
-        h = _first_fundamental_form(imm, g)
-        gamma_a = _ambient_christoffel(g, dg)
+    g, dg = metric.derivative(imm.coords)
+    h = _first_fundamental_form(imm, g)
+    gamma_a = _ambient_christoffel(g, dg)
     hinv = h.inverse()
     gamma_l = _induced_christoffel(h)
     # each h^ab contraction as one batched product: the (a, b) pair is one
@@ -488,9 +484,8 @@ def _mean_curvature_and_metric(imm: Immersion, metric=None) -> Tuple[OneFormFiel
     hinv_col = hinv.reshape(lead + (n * n, 1))
     trace_l = gamma_l.reshape(lead + (n, n * n)) @ hinv_col  # Gamma^c_ab h^ab
     H = dd.reshape(lead + (d, n * n)) @ hinv_col - jac @ trace_l
-    if gamma_a is not None:
-        spread = jac @ hinv @ np.swapaxes(jac, -1, -2)
-        H += gamma_a.reshape(lead + (d, d * d)) @ spread.reshape(lead + (d * d, 1))
+    spread = jac @ hinv @ np.swapaxes(jac, -1, -2)
+    H += gamma_a.reshape(lead + (d, d * d)) @ spread.reshape(lead + (d * d, 1))
     omega = standard_symplectic_matrix(grid.dim)
     comps = (np.swapaxes(H, -1, -2) @ omega) @ jac  # (*s, 1, n)
     return OneFormField(grid, np.moveaxis(comps[..., 0, :], -1, 0)), h
@@ -523,7 +518,7 @@ def codifferential(alpha: OneFormField, h: MetricField) -> ScalarField:
     return ScalarField(grid, out, check=False)
 
 
-def hs_residual(imm: Immersion, metric=None) -> Tuple[ScalarField, OneFormField, MetricField]:
+def hs_residual(imm: Immersion, metric) -> Tuple[ScalarField, OneFormField, MetricField]:
     """(d* alpha_H, alpha_H, h): the Hamiltonian-stationarity defect of an
     immersion, with the mean-curvature one-form and the induced metric it is
     formed from (see `_mean_curvature_and_metric`).

@@ -36,6 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .ambient import ChartMetric, EuclideanMetric, UnitaryFrame
 from .errors import SpectralGapError, UnsupportedModelError
 from .geomcore import (
     GridDescriptor,
@@ -165,14 +166,16 @@ def probe_flat_operator(model: TorusModel) -> SymbolOperator:
     one mirrored, which keeps the kernel modes at the volume's own roundoff
     (a transform back and forth would add roundoff of the size of the
     largest mode).  Only the flat Hessian is shift-invariant, so there is no
-    metric argument.
+    metric argument: the volume runs in EuclideanMetric's identity chart.
     """
     grid = model.grid()
     chart = WeinsteinChart(model.radii)
+    d = 2 * chart.n
+    flat = ChartMetric(EuclideanMetric(chart.n), UnitaryFrame(np.zeros(d), np.eye(d)), 1.0)
     admissible = band_mask(grid)
     last = grid.sizes[-1]
     delta = _inverse(admissible[..., : last // 2 + 1].astype(float), grid, False)
-    _, P_hat, _ = graph_volume_and_gradient(chart, grid, 1j * _CS_STEP * delta)
+    _, P_hat, _ = graph_volume_and_gradient(chart, grid, 1j * _CS_STEP * delta, flat)
     half = P_hat[1].real / _CS_STEP
     negated = (Ellipsis,) + _negated_modes(grid) + (slice(None),)
     symbol = np.concatenate([half, np.flip(half[..., 1 : last // 2], axis=-1)[negated]], axis=-1)

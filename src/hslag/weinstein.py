@@ -26,11 +26,11 @@ the base metric is linearized at the embedded points, and the induced
 metric, its inverse and the contraction dG : M are formed there, with no
 pullback of G or dG.  The gradient reads the metric's derivative only
 through that contraction, so it takes it from the linearization's reverse
-sweep and never forms dG (see `SymplecticExpMetric.linearize`).  Any other
-metric evaluator is the identity chart (p = 0, u = I, t = 1).  The n x n
-induced metric is inverted by elimination on node vectors, and the per-grid
-tables (node trigonometry, spectral symbols, node weight) are built once per
-grid.
+sweep and never forms dG (see `SymplecticExpMetric.linearize`).  The metric
+is a ChartMetric; flat space is EuclideanMetric's identity chart (p = 0,
+u = I, t = 1).  The n x n induced metric is inverted by elimination on node
+vectors, and the per-grid tables (node trigonometry, spectral symbols, node
+weight) are built once per grid.
 
 The chart's Jacobian is diagonal per pair of slots (2j, 2j+1): d Phi/d theta_j
 is r_j (-sin, cos)(theta_j) and d Phi/d y_j is (cos, sin)(theta_j) / r_j.  So
@@ -46,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ambient import ChartMetric, EuclideanMetric
+from .ambient import ChartMetric
 from .errors import ChartDomainError
 from .geomcore import (
     _GRID_TABLES,
@@ -207,21 +207,11 @@ def _small_inverse(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.moveaxis(inv, (0, 1), (-2, -1)), det
 
 
-def _affine_chart(metric, n: int, coords: np.ndarray):
-    """(base, u, t, points): the metric as u^T base(p + t u z) u, and the
-    chart points z = coords embedded as p + t u z.  A metric other than a
-    ChartMetric is its own base in the identity chart."""
-    if isinstance(metric, ChartMetric):
-        return metric.base, metric.frame.matrix, metric.t, metric.embed(coords)
-    base = EuclideanMetric(n) if metric is None else metric
-    return base, np.eye(2 * n), 1.0, coords
-
-
 def graph_volume_and_gradient(
     chart: WeinsteinChart,
     grid: GridDescriptor,
     f_values: np.ndarray,
-    metric=None,
+    metric: ChartMetric,
     need_gradient: bool = True,
 ):
     """Volume of the graph of df in the given metric, and its exact L^2 gradient.
@@ -250,19 +240,21 @@ def graph_volume_and_gradient(
     returned values are then complex as well.
 
     The volume is assembled in the ambient frame through the chart's affine
-    map z -> p + t u z (the identity for a metric that is not a ChartMetric):
-    with T' = T u^T the ambient tangent vectors (up to the factor t), the
-    chart metric's h = T g T^T is T' G T'^T, its rows T g are (T' G) u, and
-    its contraction <M, dg_m> is t ((dG : T'^T h^-1 T') u)_m, so the base
-    metric is used as it comes, at the embedded points.  The base metric's
+    map z -> p + t u z (flat space is EuclideanMetric's identity chart, p = 0,
+    u = I, t = 1): with T' = T u^T the ambient tangent vectors (up to the
+    factor t), the chart metric's h = T g T^T is T' G T'^T, its rows T g are
+    (T' G) u, and its contraction <M, dg_m> is t ((dG : T'^T h^-1 T') u)_m,
+    so the base metric is used as it comes, at the embedded points.  The
+    base metric's
     `linearize` gives G and then dG : M' by one reverse sweep; dG itself is
     never formed.
     """
     f = np.asarray(f_values)
     n, d = chart.n, 2 * chart.n
-    r2, r, cos_r, sin_r, coords, Y, T = _graph_jets(chart, grid, f)
+    r2, _, cos_r, sin_r, coords, Y, T = _graph_jets(chart, grid, f)
     tables = _grid_tables(grid)
-    base, u, t, points = _affine_chart(metric, n, coords)
+    base, u, t = metric.base, metric.frame.matrix, metric.t
+    points = metric.embed(coords)
     if need_gradient:
         G, pullback = base.linearize(points)
     else:
@@ -282,29 +274,32 @@ def graph_volume_and_gradient(
         return vol, None, None
 
     TG = (TG_amb.reshape(-1, d) @ u).reshape(T.shape)  # rows T_a g in the chart
-    # A_j = sum_{a,m} dT_am/dy_j W_am with W = hinv T g, where dT_a/dy_j in
-    # slots (2j, 2j+1) is delta_aj d Phi/d theta_j / r_j^2 + Y_ja d^2 Phi/d y_j^2,
-    # d^2 Phi/d y_j^2 = -(cos, sin)/r_j^3: per pair of slots, elementwise
-    W = hinv @ TG
-    cos, sin = tables.cos, tables.sin
-    diagonal = np.arange(n)
-    r3 = r**3
-    dTdy_cos = (-cos / r3)[..., :, None] * Y  # (*s, j, a)
-    dTdy_sin = (-sin / r3)[..., :, None] * Y
-    dTdy_cos[..., diagonal, diagonal] -= r * sin / r2
-    dTdy_sin[..., diagonal, diagonal] += r * cos / r2
-    A = sum(
-        dTdy_cos[..., a] * W[..., a, 0::2] + dTdy_sin[..., a] * W[..., a, 1::2] for a in range(n)
-    )
+    # g T_b projected on the chart's unit directions per pair of slots: the
+    # normal (cos, sin)/r_j = d Phi/d y_j and the tangential
+    # (-sin, cos)/r_j = d Phi/d theta_j / r_j^2.  The normal one is small and
+    # exact at the zero section, where (d Phi/d y) hinv T g would cancel
+    TG_t = np.swapaxes(TG, -1, -2)  # (*s, m, b)
+    normal_TG = cos_r[..., None] * TG_t[..., 0::2, :] + sin_r[..., None] * TG_t[..., 1::2, :]
+    tangent_TG = cos_r[..., None] * TG_t[..., 1::2, :] - sin_r[..., None] * TG_t[..., 0::2, :]
+    B = normal_TG @ np.swapaxes(hinv, -1, -2)  # (*s, j, a)
     # d g / d y_j = sum_m (d Phi/d y_j)_m dg_m, paired with M = T^T hinv T; in
     # the ambient frame <M, dg_m> = t sum_k <T'^T hinv T', dG_k> u_km
     M_amb = T_amb_t @ hinv @ T_amb
     dGM = t * (pullback(M_amb).reshape(-1, d) @ u)  # (N, d)
     dGM = dGM.reshape(lead + (d,))
+    # A_j = sum_{a,m} dT_am/dy_j (hinv T g)_am + <M, dg/dy_j> / 2, where dT_a/dy_j
+    # in slots (2j, 2j+1) is delta_aj d Phi/d theta_j / r_j^2 - Y_ja (cos, sin)/r_j^3:
+    # the tangential projection at a = j and the normal one through B
+    A = (
+        np.sum(hinv * tangent_TG, axis=-1)
+        - np.sum(Y * B, axis=-1) / r2
+        + 0.5 * (cos_r * dGM[..., 0::2] + sin_r * dGM[..., 1::2])
+    )
 
     def affine_sensitivity():
-        # node sums, each one flat matrix product; T^T W = M g, the
-        # transpose of g M
+        # node sums, each one flat matrix product; T^T W with W = hinv T g
+        # is M g, the transpose of g M
+        W = hinv @ TG
         half_q = 0.5 * w * q.reshape(-1)
         weighted_dGM = half_q[:, None] * dGM.reshape(-1, d)
         weighted_T = (half_q[:, None, None] * T.reshape(-1, n, d)).reshape(-1, d)
@@ -312,19 +307,12 @@ def graph_volume_and_gradient(
         d_linear = 2.0 * (W.reshape(-1, d).T @ weighted_T) + weighted_dGM.T @ coords.reshape(-1, d)
         return d_shift, d_linear
 
-    A = A + 0.5 * (cos_r * dGM[..., 0::2] + sin_r * dGM[..., 1::2])
-    # (d Phi/d y) g T^T first: d Phi/d y is normal to the graph at the zero
-    # section, so that product is small and exact, where (d Phi/d y) W^T
-    # would cancel
-    TG_t = np.swapaxes(TG, -1, -2)  # (*s, m, b)
-    normal_TG = cos_r[..., None] * TG_t[..., 0::2, :] + sin_r[..., None] * TG_t[..., 1::2, :]
-    B = (normal_TG @ np.swapaxes(hinv, -1, -2)).reshape(lead + (n * n,))
     # P = -sum_j d_j A_j + sum_jc d_c d_j B_jc: the n + n^2 fields q A_j and
     # q B_jc written into one buffer, one batched forward transform, and the
     # multipliers summed in Fourier space
     fields = np.empty((n + n * n,) + lead, dtype=np.result_type(A, B))
     np.multiply(q, np.moveaxis(A, -1, 0), out=fields[:n])
-    np.multiply(q, np.moveaxis(B, -1, 0), out=fields[n:])
+    np.multiply(q, np.moveaxis(B.reshape(lead + (n * n,)), -1, 0), out=fields[n:])
     spectra = _forward(fields, grid)
     P_hat = sum(k * x for k, x in zip(tables.p_symbols, spectra))
     return vol, _hermitian_part(P_hat / chart.flat_density(), grid), affine_sensitivity

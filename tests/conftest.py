@@ -52,7 +52,7 @@ def hessian_oracle():
     operator; build(size, raw=True) the assembly before symmetrization, whose
     asymmetry is the one left to measure.
     """
-    from oracles import _assemble_graph_hessian
+    from oracles import _assemble_graph_hessian, flat_chart
 
     from hslag.weinstein import WeinsteinChart
 
@@ -61,7 +61,7 @@ def hessian_oracle():
     def build(size, raw=False):
         if size not in cache:
             grid = TorusModel(radii=RADII, grid_size=size).grid()
-            assembled = _assemble_graph_hessian(WeinsteinChart(RADII), grid, None)
+            assembled = _assemble_graph_hessian(WeinsteinChart(RADII), grid, flat_chart(len(RADII)))
             cache[size] = (assembled, assembled.symmetrized())
         return cache[size][0 if raw else 1]
 

@@ -15,7 +15,13 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from hslag.ambient import EuclideanMetric, ball_samples, unitary_algebra_basis
+from hslag.ambient import (
+    ChartMetric,
+    EuclideanMetric,
+    UnitaryFrame,
+    ball_samples,
+    unitary_algebra_basis,
+)
 from hslag.errors import RankDeficiencyError, UnsupportedModelError
 from hslag.geomcore import (
     GridDescriptor,
@@ -99,7 +105,13 @@ def graph_immersion(chart: WeinsteinChart, f: ScalarField) -> Immersion:
     return Immersion(f.grid, coords.real)
 
 
-def volume_gradient(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray, metric=None):
+def flat_chart(n: int) -> ChartMetric:
+    """Flat space as the graph volume takes it: EuclideanMetric in the
+    identity chart (p = 0, u = I, t = 1)."""
+    return ChartMetric(EuclideanMetric(n), UnitaryFrame(np.zeros(2 * n), np.eye(2 * n)), 1.0)
+
+
+def volume_gradient(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray, metric):
     """`graph_volume_and_gradient` with its gradient spectrum transformed to
     grid values (complex for complex f) and its affine sensitivity pair
     formed: (volume, gradient, (dvol/db, dvol/dA))."""
@@ -107,7 +119,7 @@ def volume_gradient(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray, 
     return vol, _inverse(spectrum, grid, np.iscomplexobj(f)), sensitivity()
 
 
-def pullback_graph_volume(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray, metric=None):
+def pullback_graph_volume(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray, metric):
     """`graph_volume_and_gradient` in chart coordinates: the metric's own jet
     (for a ChartMetric, the base jet pulled back through the frame), the
     induced metric T g T^T, and LAPACK's per-node det and inv.  Returns
@@ -115,7 +127,7 @@ def pullback_graph_volume(chart: WeinsteinChart, grid: GridDescriptor, f: np.nda
     n, d = chart.n, 2 * chart.n
     r2, coords, phi_theta, phi_y, phi_yy, Y = chart_map_jets(chart, grid, f)
     T = phi_theta + np.swapaxes(Y, -1, -2) @ phi_y
-    G, dG = (EuclideanMetric(n) if metric is None else metric).derivative(coords)
+    G, dG = metric.derivative(coords)
     Tt = np.swapaxes(T, -1, -2)
     GTt = G @ Tt
     h = T @ GTt
@@ -160,8 +172,11 @@ def compatibility_defect(values: np.ndarray) -> float:
 def einsum_generator_jet(metric, points: np.ndarray, order: int) -> list:
     """[Y, dY, d2Y][:order + 1] of a SymplecticExpMetric's generator, each
     derivative written out as its own einsum over the waves, in the jet
-    contract's layout dY[..., mu, i, j] and d2Y[..., mu, nu, i, j]."""
-    arg = np.einsum("...m,km->...k", points, metric.wave_vectors)
+    contract's layout dY[..., mu, i, j] and d2Y[..., mu, nu, i, j].  The
+    phase arguments m.p are one matrix product, as in the package: an einsum
+    rounds them differently, by a few ulps of the largest argument (up to
+    about 50), which is more than the jet oracles' tolerance."""
+    arg = points @ metric.wave_vectors.T
     c, s = np.cos(arg), np.sin(arg)
     m, A, B = metric.wave_vectors, metric.cos_coeffs, metric.sin_coeffs
     jet = [np.einsum("...k,kij->...ij", c, A) + np.einsum("...k,kij->...ij", s, B)]
@@ -187,12 +202,12 @@ def recurrence_jet(metric, points: np.ndarray, order: int) -> tuple:
         S_j(E1,E2) = (S_{j-1} Y + F_{j-1}(E1) E2 + F_{j-1}(E2) E1) / j,
 
     G = sum T_j, dG = sum F_j(dY), d2G = sum S_j(dY, dY) + sum F_j(d2Y), over
-    the metric's own number of terms and from its own generator jet: the
+    the metric's own number of terms and from `einsum_generator_jet`: the
     same polynomial as the package's Paterson-Stockmeyer jet, summed term by
-    term in another order.  F runs
-    over the stacked directions [dY; d2Y] and S over the pairs (dY_mu, dY_nu),
-    stored direction-inside as [..., a, e, j] and [..., a, mu, nu, j]."""
-    Y, *dY = metric._generator_jet(np.asarray(points), order)
+    term in another order.  F runs over the stacked directions [dY; d2Y]
+    and S over the pairs (dY_mu, dY_nu), stored direction-inside as
+    [..., a, e, j] and [..., a, mu, nu, j]."""
+    Y, *dY = einsum_generator_jet(metric, np.asarray(points), order)
     lead, d = Y.shape[:-2], Y.shape[-1]
     T = np.broadcast_to(np.eye(d, dtype=Y.dtype), Y.shape).copy()
     G = T.copy()
@@ -471,7 +486,7 @@ def _assemble_graph_hessian(chart: WeinsteinChart, grid: GridDescriptor, metric)
 def assemble_perturbed_operator(chart: WeinsteinChart, grid: GridDescriptor, metric) -> GridOperator:
     """Linearization of the scaled-metric residual at the zero graph.
 
-    With metric None this is the flat Hessian, the dense oracle for the
+    In `flat_chart` this is the flat Hessian, the dense oracle for the
     symbols of `assemble_flat_operator` and `probe_flat_operator`.
     """
     return _assemble_graph_hessian(chart, grid, metric).symmetrized()
@@ -494,7 +509,7 @@ def dense_eigensolve(op: GridOperator, count: Optional[int] = None) -> SpectralD
 
 
 def assemble_by_finite_differences(
-    chart: WeinsteinChart, grid: GridDescriptor, metric=None, step: float = 1e-4
+    chart: WeinsteinChart, grid: GridDescriptor, metric, step: float = 1e-4
 ) -> GridOperator:
     """Richardson-extrapolated central-difference assembly (cross-check path).
 
@@ -536,7 +551,9 @@ def second_variation_consistency(
     grid = f.grid
 
     def vol(s: float) -> float:
-        v, _, _ = graph_volume_and_gradient(chart, grid, s * f.values, None, need_gradient=False)
+        v, _, _ = graph_volume_and_gradient(
+            chart, grid, s * f.values, flat_chart(chart.n), need_gradient=False
+        )
         return float(v.real)
 
     e = step

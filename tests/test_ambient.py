@@ -113,7 +113,7 @@ def test_exp_metric_exact_compatibility(metric, points):
 
 def test_exp_metric_derivative_matches_scipy_frechet(metric):
     p = np.array([0.3, 1.1, 4.0, 2.5])
-    Y, dY = metric._generator_jet(p, 1)
+    Y, dY = einsum_generator_jet(metric, p, 1)
     mine = metric.derivative(p)[1]
     for mu in range(4):
         ref = scipy.linalg.expm_frechet(Y, dY[mu], compute_expm=False)
@@ -343,7 +343,7 @@ def test_series_length_is_the_bound_length(seed, amplitude):
     else:
         assert 25 <= J <= 28
     p = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size=(200, 4))
-    Y = metric._generator_jet(p, 0)[0]
+    Y = einsum_generator_jet(metric, p, 0)[0]
     assert np.max(np.linalg.norm(Y, ord=2, axis=(-2, -1))) <= r
 
 
@@ -355,7 +355,7 @@ def test_series_length_is_shared_by_every_order_and_dtype():
     metric = copy.copy(default_perturbed_metric(2, amplitude=0.5, seed=1))
     metric._terms = 4
     p = np.random.default_rng(4).uniform(0.0, 2 * np.pi, size=(30, 4))
-    Y = metric._generator_jet(p, 0)[0]
+    Y = einsum_generator_jet(metric, p, 0)[0]
     power = np.broadcast_to(np.eye(4), Y.shape)
     taylor = power.copy()
     for j in range(1, 5):
@@ -393,7 +393,7 @@ def test_series_equals_thirty_term_reference_bitwise(seed, step):
 def test_large_amplitude_series_matches_scipy_expm():
     metric = default_perturbed_metric(2, amplitude=0.5, seed=1)
     p = np.random.default_rng(6).uniform(0.0, 2 * np.pi, size=(20, 4))
-    Y, dY = metric._generator_jet(p, 1)
+    Y, dY = einsum_generator_jet(metric, p, 1)
     G, D = metric.derivative(p)
     for k in range(len(p)):
         ref = scipy.linalg.expm(Y[k])
@@ -478,17 +478,18 @@ def test_jet_matches_recurrence_oracle(case, step, order):
 @pytest.mark.parametrize("amplitude", [0.05, 0.5])
 @pytest.mark.parametrize("step", [0.0, 1e-100], ids=["real", "complex_step"])
 def test_generator_jet_matches_einsum_oracle(amplitude, step):
-    """The GEMM generator jet against one einsum per slot.  The two
-    round the phase arguments m.p (up to about 50 here) differently, so they
-    agree to a few ulps of the largest argument rather than of Y."""
-    metric = default_perturbed_metric(2, amplitude=amplitude, seed=3)
+    """The GEMM generator jet against one einsum per slot, read through the
+    series cut after one term, whose jet is (I + Y, dY, d2Y).  The bound is
+    a few ulps of the largest phase argument m.p (up to about 50 here)."""
+    metric = copy.copy(default_perturbed_metric(2, amplitude=amplitude, seed=3))
+    metric._terms = 1
     rng = np.random.default_rng(8)
     p = rng.uniform(0.0, 2 * np.pi, size=(200, 4))
     tol = 4 * np.spacing(np.max(np.abs(p @ metric.wave_vectors.T)))
     if step:
         p = p + 1j * step * rng.normal(size=p.shape)
-    mine = metric._generator_jet(p, 2)
-    for a, b in zip(mine, einsum_generator_jet(metric, p, 2)):
+    G, dG, d2G = metric.derivative(p, 2)
+    for a, b in zip((G - np.eye(4), dG, d2G), einsum_generator_jet(metric, p, 2)):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert np.max(np.abs(a.real - b.real)) <= tol * np.max(np.abs(b.real))
         if step:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hslag.errors import ConfigError
+from hslag.errors import ConfigError, QuotientError
 from hslag.fieldio import (
     load_field,
     load_manifest,
@@ -56,6 +56,38 @@ def test_load_field_rejects_malformed(tmp_path):
         load_field(str(path))
     path.write_text("not json at all")
     with pytest.raises(ConfigError):
+        load_field(str(path))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.pop("grid"),
+        lambda doc: doc.pop("values"),
+        lambda doc: doc["values"].pop(),
+    ],
+    ids=["no_grid", "no_values", "wrong_length"],
+)
+def test_load_field_rejects_incomplete_container(tmp_path, grid, edit):
+    path = tmp_path / "field.json"
+    save_field(str(path), ScalarField(grid, np.zeros(grid.sizes)))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError):
+        load_field(str(path))
+
+
+def test_load_field_rejects_field_breaking_quotient(tmp_path):
+    # a field file written for the covering grid, declared on the quotient:
+    # cos(theta_1) changes sign under the half-period shift
+    cover = GridDescriptor(sizes=(8, 8), periods=(2.0 * np.pi, 2.0 * np.pi))
+    path = tmp_path / "field.json"
+    save_field(str(path), ScalarField(cover, np.cos(cover.meshgrid()[0])))
+    doc = json.loads(path.read_text())
+    doc["grid"]["quotient"] = [True, True]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(QuotientError):
         load_field(str(path))
 
 

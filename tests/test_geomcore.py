@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from oracles import translate
 
 import hslag.geomcore
+from hslag.ambient import EuclideanMetric
 from hslag.errors import GridMismatchError, ImmersionError, QuotientError
 from hslag.geomcore import (
     GridDescriptor,
@@ -37,6 +38,9 @@ from hslag.geomcore import (
 )
 
 TWO_PI = 2.0 * np.pi
+# flat space around the n = 2 models, and around the plane curves
+FLAT = EuclideanMetric(2)
+PLANE = EuclideanMetric(1)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +280,7 @@ def test_symplectic_matrix_convention():
 
 
 def test_torus_induced_metric_diagonal(torus, torus_model):
-    h = induced_metric(torus)
+    h = induced_metric(torus, FLAT)
     a1, a2 = torus_model.radii
     assert np.max(np.abs(h.entries[..., 0, 0] - a1**2)) < 1e-12
     assert np.max(np.abs(h.entries[..., 1, 1] - a2**2)) < 1e-12
@@ -285,24 +289,24 @@ def test_torus_induced_metric_diagonal(torus, torus_model):
 
 def test_torus_volume_closed_form(torus, torus_model):
     a1, a2 = torus_model.radii
-    assert np.isclose(volume(torus), TWO_PI**2 * a1 * a2, rtol=1e-13)
+    assert np.isclose(volume(torus, FLAT), TWO_PI**2 * a1 * a2, rtol=1e-13)
 
 
 def test_torus_curvature_form_is_minus_one(torus):
-    alpha = hs_residual(torus)[1]
+    alpha = hs_residual(torus, FLAT)[1]
     assert np.max(np.abs(alpha.components + 1.0)) < 1e-12
 
 
 def test_torus_curvature_form_norm(torus, torus_model):
     a1, a2 = torus_model.radii
-    h = induced_metric(torus)
-    alpha = hs_residual(torus)[1]
+    h = induced_metric(torus, FLAT)
+    alpha = hs_residual(torus, FLAT)[1]
     expect = np.sqrt((1 / a1**2 + 1 / a2**2) * TWO_PI**2 * a1 * a2)
     assert np.isclose(one_form_l2_norm(alpha, h), expect, rtol=1e-12)
 
 
 def test_torus_is_discretely_stationary(torus):
-    res, _, _ = hs_residual(torus)
+    res, _, _ = hs_residual(torus, FLAT)
     assert np.max(np.abs(res.values)) < 1e-11
 
 
@@ -310,8 +314,8 @@ def test_residual_scaling_under_dilation(torus):
     # iota -> s iota scales d*alpha_H by 1/s^2
     s = 1.7
     big = Immersion(torus.grid, s * torus.coords)
-    r1 = hs_residual(torus)[0].values
-    r2 = hs_residual(big)[0].values
+    r1 = hs_residual(torus, FLAT)[0].values
+    r2 = hs_residual(big, FLAT)[0].values
     assert np.max(np.abs(r2 - r1 / s**2)) < 1e-11
 
 
@@ -328,8 +332,8 @@ def _ellipse(n_nodes=256, p=1.0, q=1.7):
 
 def test_first_variation_identity_on_ellipse():
     g, imm = _ellipse()
-    res, _, _ = hs_residual(imm)
-    dens = volume_density(induced_metric(imm))
+    res, _, _ = hs_residual(imm, PLANE)
+    dens = volume_density(induced_metric(imm, PLANE))
 
     def u_fn(c):
         x, y = c[..., 0], c[..., 1]
@@ -342,7 +346,7 @@ def test_first_variation_identity_on_ellipse():
         return np.stack([uy, -ux], axis=-1)  # omega0(X_u, .) = du
 
     def vol_of(c):
-        return volume(Immersion(g, c, check=False))
+        return volume(Immersion(g, c, check=False), PLANE)
 
     s = 5e-5
     X = hamiltonian_field(imm.coords)
@@ -366,7 +370,7 @@ def test_ellipse_curvature_against_plane_curve_formula():
     nu = np.stack([-q * np.cos(th), -p * np.sin(th)], axis=-1) / np.sqrt(speed2)[:, None]
     H = kappa[:, None] * nu
     alpha_expect = H[:, 0] * gamma_p[:, 1] - H[:, 1] * gamma_p[:, 0]
-    alpha = hs_residual(imm)[1]
+    alpha = hs_residual(imm, PLANE)[1]
     assert np.max(np.abs(alpha.components[0] - alpha_expect)) < 1e-10
 
 
@@ -375,10 +379,10 @@ def test_ellipse_curvature_against_plane_curve_formula():
 
 
 def test_circle_sphere_metric_volume_curvature(circle_sphere):
-    h = induced_metric(circle_sphere)
+    h = induced_metric(circle_sphere, FLAT)
     assert np.max(np.abs(h.entries - np.eye(2))) < 1e-12
-    assert np.isclose(volume(circle_sphere), 2 * np.pi**2, rtol=1e-13)
-    residual, alpha, _ = hs_residual(circle_sphere)
+    assert np.isclose(volume(circle_sphere, FLAT), 2 * np.pi**2, rtol=1e-13)
+    residual, alpha, _ = hs_residual(circle_sphere, FLAT)
     assert np.max(np.abs(alpha.components[0] + 2.0)) < 1e-12
     assert np.max(np.abs(alpha.components[1])) < 1e-12
     assert np.max(np.abs(residual.values)) < 1e-11

@@ -19,6 +19,7 @@ from oracles import (
     assemble_perturbed_operator,
     band_limited_field,
     dense_eigensolve,
+    flat_chart,
     moment_basis,
     operator_distance,
     restrict_moment,
@@ -138,8 +139,8 @@ def test_second_variation_kernel_direction(flat_operator, torus_model):
 def test_complex_step_matches_finite_differences():
     chart = WeinsteinChart(RADII)
     grid = GridDescriptor(sizes=(8, 8), periods=(2 * np.pi, 2 * np.pi))
-    cs = _assemble_graph_hessian(chart, grid, None).symmetrized()
-    fd = assemble_by_finite_differences(chart, grid, None)
+    cs = _assemble_graph_hessian(chart, grid, flat_chart(chart.n)).symmetrized()
+    fd = assemble_by_finite_differences(chart, grid, flat_chart(chart.n))
     assert operator_distance(cs, fd) <= 1e-6
 
 
@@ -198,7 +199,8 @@ def test_probed_symbol_is_circulant(radii, size):
     probed = probe_flat_operator(model)
     rng = np.random.default_rng(20261019)
     g = fourier_multiply(rng.normal(size=grid.sizes), grid, band_mask(grid).astype(float))
-    _, P_hat, _ = graph_volume_and_gradient(WeinsteinChart(radii), grid, 1j * _CS_STEP * g)
+    chart = WeinsteinChart(radii)
+    _, P_hat, _ = graph_volume_and_gradient(chart, grid, 1j * _CS_STEP * g, flat_chart(chart.n))
     hessian_g = np.fft.fftn(_inverse(P_hat[1], grid, False) / _CS_STEP)
     symbol_g = np.where(probed.admissible, probed.symbol, 0.0) * np.fft.fftn(g)
     assert np.max(np.abs(hessian_g - symbol_g)) <= 1e-14 * np.max(np.abs(hessian_g))
