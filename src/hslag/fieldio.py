@@ -18,7 +18,7 @@ from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, GridMismatchError, QuotientError
 from .geomcore import GridDescriptor, ScalarField
 
 __all__ = [
@@ -73,7 +73,10 @@ def grid_from_dict(data: dict) -> GridDescriptor:
         raise ConfigError(f"malformed grid descriptor: {exc}") from exc
     if quotient is not None:
         quotient = tuple(bool(q) for q in quotient)
-    return GridDescriptor(sizes=sizes, periods=periods, quotient=quotient)
+    try:
+        return GridDescriptor(sizes=sizes, periods=periods, quotient=quotient)
+    except (GridMismatchError, QuotientError) as exc:
+        raise ConfigError(f"malformed grid descriptor: {exc}") from exc
 
 
 def field_to_dict(field: ScalarField) -> dict:
@@ -94,7 +97,13 @@ def field_from_dict(data: dict) -> ScalarField:
         if key not in data:
             raise ConfigError(f"field container has no {key!r}")
     grid = grid_from_dict(data["grid"])
-    values = np.array(data["values"], dtype=float)
+    try:
+        values = np.array(data["values"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field container values are not numbers: {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        # a JSON null reads as NaN
+        raise ConfigError("field container values are not all finite numbers")
     if values.size != grid.num_nodes:
         raise ConfigError(f"field container has {values.size} values for {grid.num_nodes} nodes")
     return ScalarField(grid, values.reshape(grid.sizes))

@@ -206,7 +206,6 @@ class Immersion:
 
     grid: GridDescriptor
     coords: np.ndarray
-    check: bool = True
     _jac: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -214,23 +213,22 @@ class Immersion:
         want = self.grid.sizes + (2 * self.grid.dim,)
         if self.coords.shape != want:
             raise GridMismatchError(f"coords shape {self.coords.shape} != {want}")
-        if self.check:
-            jac = self.jacobian()
-            sv = np.linalg.svd(jac, compute_uv=False)
-            if float(np.min(sv)) <= 1e-10:
-                raise ImmersionError("Jacobian loses rank at some node")
-            pb = _symplectic_pullback(self.grid, jac)
-            defect = float(np.max(np.abs(pb)))
-            if defect > 1e-8:
-                raise ImmersionError(f"omega0 pullback defect {defect:.3e} exceeds 1e-8")
-            if self.grid.quotient is not None:
-                # the immersion must descend: coords equal at identified nodes,
-                # so every geometric scalar downstream inherits Z2 invariance
-                shift = self.grid.quotient_shift()
-                rolled = np.roll(self.coords, shift, axis=tuple(range(self.grid.dim)))
-                defect = float(np.max(np.abs(self.coords - rolled)))
-                if defect > 1e-10:
-                    raise QuotientError(f"coords not Z2-invariant (defect {defect:.3e})")
+        jac = self.jacobian()
+        sv = np.linalg.svd(jac, compute_uv=False)
+        if float(np.min(sv)) <= 1e-10:
+            raise ImmersionError("Jacobian loses rank at some node")
+        pb = _symplectic_pullback(self.grid, jac)
+        defect = float(np.max(np.abs(pb)))
+        if defect > 1e-8:
+            raise ImmersionError(f"omega0 pullback defect {defect:.3e} exceeds 1e-8")
+        if self.grid.quotient is not None:
+            # the immersion must descend: coords equal at identified nodes,
+            # so every geometric scalar downstream inherits Z2 invariance
+            shift = self.grid.quotient_shift()
+            rolled = np.roll(self.coords, shift, axis=tuple(range(self.grid.dim)))
+            defect = float(np.max(np.abs(self.coords - rolled)))
+            if defect > 1e-10:
+                raise QuotientError(f"coords not Z2-invariant (defect {defect:.3e})")
 
     def jacobian(self) -> np.ndarray:
         """d_a iota^mu, shape (*sizes, 2 dim, dim), via spectral derivatives."""
@@ -439,24 +437,13 @@ def volume(imm: Immersion, metric) -> float:
     return float(np.sum(dens.values) * imm.grid.node_weight())
 
 
-def _ambient_christoffel(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Gamma^mu_{nu lam} of the ambient metric from its jet (g, dg) =
-    metric.derivative(points), whose second element has index layout
-    dg[..., mu, i, j] = dg_ij / dz_mu.
-    """
-    ginv = np.linalg.inv(g)
-    # S[..., s, nu, l] = d_nu g_{sl} + d_l g_{s nu} - d_s g_{nu l}
-    S = np.moveaxis(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg
-    return 0.5 * (ginv @ S.reshape(S.shape[:-2] + (-1,))).reshape(S.shape)
-
-
-def _induced_christoffel(h: MetricField) -> np.ndarray:
-    grid = h.grid
-    dh = np.moveaxis(spectral_gradient(h.entries, grid), 0, -3)  # dh[..., c, a, b] = d_c h_{ab}
-    hinv = h.inverse()
-    # S[..., d, a, b] = d_a h_{db} + d_b h_{da} - d_d h_{ab}
-    S = np.moveaxis(dh, -3, -2) + np.moveaxis(dh, -3, -1) - dh
-    return 0.5 * (hinv @ S.reshape(S.shape[:-2] + (-1,))).reshape(S.shape)
+def _christoffel(inverse: np.ndarray, derivative: np.ndarray) -> np.ndarray:
+    """Gamma^s_{ab} = 1/2 g^{sl} (d_a g_{lb} + d_b g_{la} - d_l g_{ab}) of a
+    metric from its inverse and its derivative stack laid out
+    derivative[..., c, a, b] = d_c g_{ab}."""
+    # S[..., l, a, b] = d_a g_{lb} + d_b g_{la} - d_l g_{ab}
+    S = np.moveaxis(derivative, -3, -2) + np.moveaxis(derivative, -3, -1) - derivative
+    return 0.5 * (inverse @ S.reshape(S.shape[:-2] + (-1,))).reshape(S.shape)
 
 
 def _mean_curvature_and_metric(imm: Immersion, metric) -> Tuple[OneFormField, MetricField]:
@@ -475,9 +462,10 @@ def _mean_curvature_and_metric(imm: Immersion, metric) -> Tuple[OneFormField, Me
     dd = imm.second_derivatives()
     g, dg = metric.derivative(imm.coords)
     h = _first_fundamental_form(imm, g)
-    gamma_a = _ambient_christoffel(g, dg)
+    gamma_a = _christoffel(np.linalg.inv(g), dg)
     hinv = h.inverse()
-    gamma_l = _induced_christoffel(h)
+    # dh[..., c, a, b] = d_c h_{ab}
+    gamma_l = _christoffel(hinv, np.moveaxis(spectral_gradient(h.entries, grid), 0, -3))
     # each h^ab contraction as one batched product: the (a, b) pair is one
     # axis of length n^2, and the ambient term contracts d iota h^-1 d iota^T
     lead, (d, n) = jac.shape[:-2], jac.shape[-2:]

@@ -19,7 +19,11 @@ z -> sigma(z, .)/2, whose exterior derivative is +sigma.)
 The integral is evaluated by 8-node Gauss-Legendre quadrature (exact whenever
 the form has polynomial coefficients of degree <= 13), and the trajectories by
 classical RK4 over a fixed uniform grid in s, with an adaptive driver that
-doubles the step count until two successive resolutions agree.
+doubles the step count until two successive resolutions agree.  `moser_flow`
+flows the samples of the half ball at each resolution, then, at the converged
+step count, the 2 x 2n shifted copies of the samples and of the origin in one
+stack (d phi by central differences, for the pullback and identity defects)
+and the origin itself.
 
 Everything here is an independent verifier for the chart normal form: the main
 pipeline uses exact affine Darboux charts and never calls this module.
@@ -40,7 +44,6 @@ __all__ = [
     "homotopy_primitive",
     "moser_vector_field",
     "flow_map",
-    "pullback_values",
     "moser_flow",
     "MoserReport",
 ]
@@ -136,7 +139,7 @@ def moser_vector_field(form, s: float, points: np.ndarray) -> np.ndarray:
 def flow_map(
     form,
     points: np.ndarray,
-    steps: int = 64,
+    steps: int,
     radius: Optional[float] = None,
 ) -> np.ndarray:
     """Time-1 map of dz/ds = v^s(z) by classical RK4 with uniform steps."""
@@ -154,22 +157,14 @@ def flow_map(
     return z
 
 
-def pullback_values(form, points: np.ndarray, images: np.ndarray, steps: int) -> np.ndarray:
-    """(phi^1)^* omega at each point, with d phi by central differences.
-
-    images are the points' images under the time-1 map `flow_map(form,
-    points, steps)`, which the caller already has."""
+def _time1_jacobian(form, points: np.ndarray, steps: int) -> np.ndarray:
+    """d phi^1 at a stack of points (p, 2n), [p, alpha, mu] = d phi^alpha /
+    d z^mu, by central differences at +-_FD_STEP; the 2 x 2n shifted copies of
+    every point flow as one stack."""
     z = np.asarray(points, dtype=float)
-    d = z.shape[-1]
-    jac = np.empty(z.shape[:-1] + (d, d))  # [..., alpha, mu] = d phi^alpha / d z^mu
-    for mu in range(d):
-        e = np.zeros(d)
-        e[mu] = _FD_STEP
-        jac[..., :, mu] = (flow_map(form, z + e, steps) - flow_map(form, z - e, steps)) / (
-            2 * _FD_STEP
-        )
-    w = form.value(images)
-    return np.einsum("...am,...ab,...bn->...mn", jac, w, jac)
+    shifts = _FD_STEP * np.eye(z.shape[-1])  # row mu shifts coordinate mu
+    plus, minus = flow_map(form, z[..., None, :] + np.stack([shifts, -shifts])[:, None], steps)
+    return np.swapaxes(plus - minus, -1, -2) / (2 * _FD_STEP)
 
 
 @dataclass
@@ -197,7 +192,8 @@ def moser_flow(form, n: int, seed: int = 0) -> MoserReport:
 
     om0 = standard_symplectic_matrix(n)
     z = ball_samples(2 * n, _FLOW_RADIUS / 2, _FLOW_SAMPLES, seed)
-    if _closedness_defect(form, z) > _CLOSED_TOL:
+    closedness_defect = _closedness_defect(form, z)
+    if closedness_defect > _CLOSED_TOL:
         raise ConfigError("perturbed form is not closed to tolerance")
     if np.max(np.abs(form.value(np.zeros(2 * n)) - om0)) > 1e-12:
         raise ConfigError("perturbed form does not equal omega0 at the origin")
@@ -210,23 +206,16 @@ def moser_flow(form, n: int, seed: int = 0) -> MoserReport:
         images, steps = finer, 2 * steps
         if converged:
             break
-    pb = pullback_values(form, z, images, steps)
-    pullback_defect = float(np.max(np.abs(pb - om0)))
-    origin = flow_map(form, np.zeros(2 * n), steps)
-    origin_defect = float(np.max(np.abs(origin)))
-    d = 2 * n
-    jac = np.empty((d, d))
-    for mu in range(d):
-        e = np.zeros(d)
-        e[mu] = _FD_STEP
-        jac[:, mu] = (flow_map(form, e, steps) - flow_map(form, -e, steps)) / (2 * _FD_STEP)
-    identity_defect = float(np.max(np.abs(jac - np.eye(d))))
+    origin = np.zeros(2 * n)
+    # d phi at the samples, then at the origin, from one stacked flow
+    jac = _time1_jacobian(form, np.vstack([z, origin]), steps)
+    pullback = np.einsum("...am,...ab,...bn->...mn", jac[:-1], form.value(images), jac[:-1])
     return MoserReport(
         samples=z,
         images=images,
         steps=steps,
-        pullback_defect=pullback_defect,
-        origin_defect=origin_defect,
-        identity_defect=identity_defect,
-        closedness_defect=_closedness_defect(form, z),
+        pullback_defect=float(np.max(np.abs(pullback - om0))),
+        origin_defect=float(np.max(np.abs(flow_map(form, origin, steps)))),
+        identity_defect=float(np.max(np.abs(jac[-1] - np.eye(2 * n)))),
+        closedness_defect=closedness_defect,
     )

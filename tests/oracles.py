@@ -36,7 +36,7 @@ from hslag.geomcore import (
     standard_symplectic_matrix,
 )
 from hslag.models import CircleSphereModel, TorusModel
-from hslag.moser import flow_map
+from hslag.moser import _FD_STEP, flow_map
 from hslag.operators import SpectralData, _CS_STEP, _real_modes, assemble_flat_operator
 from hslag.reduction import ReductionContext, ReductionState, variation_potential
 from hslag.weinstein import WeinsteinChart, graph_volume_and_gradient
@@ -710,3 +710,34 @@ def refinement_orders(
     ref = flow_map(form, z, reference_steps)
     errs = [float(np.max(np.abs(flow_map(form, z, N) - ref))) for N in steps_list]
     return [float(np.log2(errs[i] / errs[i + 1])) for i in range(len(errs) - 1)]
+
+
+def pullback_values(form, points: np.ndarray, images: np.ndarray, steps: int) -> np.ndarray:
+    """(phi^1)^* omega at each point, with d phi by central differences, one
+    flow per direction and sign.
+
+    images are the points' images under the time-1 map `flow_map(form,
+    points, steps)`."""
+    z = np.asarray(points, dtype=float)
+    d = z.shape[-1]
+    jac = np.empty(z.shape[:-1] + (d, d))  # [..., alpha, mu] = d phi^alpha / d z^mu
+    for mu in range(d):
+        e = np.zeros(d)
+        e[mu] = _FD_STEP
+        jac[..., :, mu] = (flow_map(form, z + e, steps) - flow_map(form, z - e, steps)) / (
+            2 * _FD_STEP
+        )
+    w = form.value(images)
+    return np.einsum("...am,...ab,...bn->...mn", jac, w, jac)
+
+
+def origin_jacobian(form, n: int, steps: int) -> np.ndarray:
+    """d phi^1 at the origin by central differences, one flow per direction
+    and sign."""
+    d = 2 * n
+    jac = np.empty((d, d))
+    for mu in range(d):
+        e = np.zeros(d)
+        e[mu] = _FD_STEP
+        jac[:, mu] = (flow_map(form, e, steps) - flow_map(form, -e, steps)) / (2 * _FD_STEP)
+    return jac

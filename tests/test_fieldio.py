@@ -65,8 +65,24 @@ def test_load_field_rejects_malformed(tmp_path):
         lambda doc: doc.pop("grid"),
         lambda doc: doc.pop("values"),
         lambda doc: doc["values"].pop(),
+        lambda doc: doc["grid"].update(sizes=[7, 8]),
+        lambda doc: doc["grid"].update(sizes=[6, 8]),
+        lambda doc: doc["grid"].update(periods=[0.0, 1.0]),
+        lambda doc: doc["grid"].update(quotient=[False, False]),
+        lambda doc: doc["values"].__setitem__(0, "a"),
+        lambda doc: doc["values"].__setitem__(0, None),
     ],
-    ids=["no_grid", "no_values", "wrong_length"],
+    ids=[
+        "no_grid",
+        "no_values",
+        "wrong_length",
+        "odd_size",
+        "size_below_8",
+        "period_not_positive",
+        "no_quotient_axis",
+        "non_numeric",
+        "null_value",
+    ],
 )
 def test_load_field_rejects_incomplete_container(tmp_path, grid, edit):
     path = tmp_path / "field.json"

@@ -346,7 +346,7 @@ def test_first_variation_identity_on_ellipse():
         return np.stack([uy, -ux], axis=-1)  # omega0(X_u, .) = du
 
     def vol_of(c):
-        return volume(Immersion(g, c, check=False), PLANE)
+        return volume(Immersion(g, c), PLANE)
 
     s = 5e-5
     X = hamiltonian_field(imm.coords)

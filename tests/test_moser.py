@@ -5,7 +5,7 @@ import pytest
 
 import hslag.moser
 
-from oracles import ConstantForm, refinement_orders
+from oracles import ConstantForm, origin_jacobian, pullback_values, refinement_orders
 
 from hslag.errors import ChartDomainError, ConfigError, RankDeficiencyError
 from hslag.geomcore import standard_symplectic_matrix
@@ -15,7 +15,6 @@ from hslag.moser import (
     homotopy_primitive,
     moser_flow,
     moser_vector_field,
-    pullback_values,
 )
 
 
@@ -72,9 +71,10 @@ def test_perturbed_flow_normalizes(form):
 
 def test_pullback_reuses_the_converged_images(form, monkeypatch):
     """The pullback takes the images the step doubling converged on: 16 and
-    32 steps, 2 x 4 neighbours of the samples for d phi, the origin and
-    2 x 4 neighbours of it, 19 time-1 maps in all.  The images and the
-    pullback defect equal their recomputation with the images flowed afresh."""
+    32 steps, one stacked flow of the 2 x 4 neighbours of the samples and of
+    the origin for d phi, and the origin itself, 4 time-1 maps in all.  The
+    images equal their recomputation, and the pullback and identity defects
+    equal those of the per-direction oracles, bit for bit."""
     calls = []
     flow = hslag.moser.flow_map
 
@@ -84,13 +84,15 @@ def test_pullback_reuses_the_converged_images(form, monkeypatch):
 
     monkeypatch.setattr(hslag.moser, "flow_map", counting)
     rep = moser_flow(form, 2)
-    assert len(calls) == 19
+    assert len(calls) == 4
     monkeypatch.undo()
     images = flow_map(form, rep.samples, rep.steps)
     assert rep.images.tobytes() == images.tobytes()
     pullback = pullback_values(form, rep.samples, images, rep.steps)
     om0 = standard_symplectic_matrix(2)
     assert rep.pullback_defect == float(np.max(np.abs(pullback - om0)))
+    jac = origin_jacobian(form, 2, rep.steps)
+    assert rep.identity_defect == float(np.max(np.abs(jac - np.eye(4))))
     assert rep.steps == 32
 
 
