@@ -9,7 +9,8 @@ anticommute with Omega0.  Such G is compatible exactly (expm(Y/2) is
 symplectic and symmetric, so G = S^T S with S symplectic), periodic, and
 complex-analytic in the point, which the complex-step linearization of the
 volume gradient relies on.  expm is its Taylor series, cut at a length that
-each metric fixes once from a bound on |Y|, so the evaluated G is one
+each metric fixes once from a bound on |Y| (at most 8, so that rounding
+keeps J^2 + I within 1e-12; a larger bound raises), so the evaluated G is one
 polynomial in the point.  SymplecticExpMetric evaluates that polynomial in
 Paterson-Stockmeyer form over jets: the product rule carries G, dG and d2G
 through the same few matrix products, and the generator's jet is one GEMM
@@ -164,7 +165,8 @@ class SymplecticExpMetric:
     below 2^-60 (14 terms for the default amplitude 0.05, about 27 at 0.5;
     there is no scaling and squaring).  J never depends on the points, so
     the jet stays one polynomial in the point: exact under complex-step
-    differentiation.
+    differentiation.  An r that is not finite or above _MAX_SERIES_BOUND
+    raises ConfigError.
 
     The polynomial is evaluated in Paterson-Stockmeyer form (Paterson &
     Stockmeyer, SIAM J. Comput. 1973) with blocks of s = 5 powers,
@@ -232,7 +234,13 @@ class SymplecticExpMetric:
             raise ConfigError("wave vectors must be integers (periodicity)")
         # |A c + B s|_F <= sqrt(|A|_F^2 + |B|_F^2) whenever c^2 + s^2 = 1
         norms = np.sqrt(np.sum(self.cos_coeffs**2 + self.sin_coeffs**2, axis=(1, 2)))
-        self._terms = _series_length(abs(self.amplitude) * float(np.sum(norms)))
+        r = abs(self.amplitude) * float(np.sum(norms))
+        if not r <= _MAX_SERIES_BOUND:  # also refuses NaN, for which no series is certified
+            raise ConfigError(
+                f"amplitude {self.amplitude} gives the series bound r = {r:.4g}, not within "
+                f"{_MAX_SERIES_BOUND}, past which G is not compatible to 1e-12"
+            )
+        self._terms = _series_length(r)
         self._phase_weights = _phase_weights(
             self.wave_vectors, self.cos_coeffs, self.sin_coeffs, self.amplitude
         )
@@ -338,6 +346,10 @@ _WORKSPACES = 16
 # Points per workspace: 256 keeps an order-1 workspace near 1.5 MB, inside
 # a core's L2 cache, at any grid size.
 _CHUNK = 256
+# The largest bound r on |Y| a metric takes: the rounding of G grows like e^r.
+# Over 200 points at n = 2 and 3, seeds 0 and 1, |J^2 + I| measured <= 2e-14
+# at r <= 4, 8.0e-13 at r = 8.1 (50 terms), 2.9e-12 at 10.8, 9e-11 at 14.4.
+_MAX_SERIES_BOUND = 8.0
 
 
 def _phase_weights(m: np.ndarray, A: np.ndarray, B: np.ndarray, amplitude: float) -> np.ndarray:

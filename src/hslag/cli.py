@@ -15,10 +15,11 @@ import dataclasses
 import glob
 import itertools
 import json
+import math
 import os
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,6 +54,8 @@ __all__ = ["ExperimentConfig", "run_suite", "main", "SUITES"]
 
 SUITES = ("verify-models", "spectrum", "estimates", "reduce", "sweep", "plot-data")
 
+# The bound of every check, fixed by the package: each manifest check
+# records the threshold it was held to.
 DEFAULT_TOLERANCES: Dict[str, float] = {
     "model_residual": 1e-8,
     "spectrum_rel": 1e-4,
@@ -71,9 +74,23 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
     "frame_eig_floor": 1e-8,
 }
 
+# Every scale t lies in (0, T_MAX].
+T_MAX = 0.1
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _finite_tuple(name: str, values) -> Tuple[float, ...]:
+    if not isinstance(values, (list, tuple)) or not all(_is_finite(v) for v in values):
+        raise ConfigError(f"{name} must be a list of finite numbers, got {values!r}")
+    return tuple(float(v) for v in values)
+
+
 @dataclass
 class ExperimentConfig:
-    """One experiment run: suite, model/metric descriptors, seed, tolerances."""
+    """One experiment run: suite, model and metric descriptors, seed, output."""
 
     suite: str
     model: str = "torus"
@@ -82,12 +99,9 @@ class ExperimentConfig:
     grid_size: int = 32
     t: float = 0.05
     t_values: Optional[Tuple[float, ...]] = None
-    t_max: float = 0.1
     amplitude: float = 0.05
-    metric: str = "perturbed"
     num_waves: int = 3
     seed: int = 0
-    tolerances: Dict[str, float] = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     out_dir: str = "runs"
     run: Optional[str] = None
 
@@ -96,23 +110,30 @@ class ExperimentConfig:
             raise ConfigError(f"unknown suite {self.suite!r}; expected one of {SUITES}")
         if self.model not in ("torus", "ln"):
             raise ConfigError(f"unknown model {self.model!r}; expected 'torus' or 'ln'")
-        if self.metric not in ("perturbed", "flat"):
-            raise ConfigError(f"unknown metric {self.metric!r}")
+        for name in ("n", "grid_size", "num_waves", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
+        if not isinstance(self.run, (str, type(None))):
+            raise ConfigError(f"run must be a string, got {self.run!r}")
         if self.n < 2:
             raise ConfigError("n must be at least 2")
         if self.grid_size < 8 or self.grid_size % 2:
             raise ConfigError("grid_size must be even and at least 8")
-        if not self.t_max > 0:
-            raise ConfigError("t_max must be positive")
-        for name, value in self.tolerances.items():
-            if name not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"unknown tolerance {name!r}")
-            if not value > 0:
-                raise ConfigError(f"tolerance {name!r} must be positive, got {value}")
-        for t in self.all_t_values():
-            if not 0 < t <= self.t_max:
-                raise ConfigError(f"t value {t} outside (0, t_max={self.t_max}]")
-        self.radii = tuple(float(r) for r in self.radii)
+        if self.num_waves < 1:
+            raise ConfigError("num_waves must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
+        if not _is_finite(self.amplitude):
+            raise ConfigError(f"amplitude must be a finite number, got {self.amplitude!r}")
+        if self.t_values is not None:
+            self.t_values = _finite_tuple("t_values", self.t_values)
+        for t in (self.t, *(self.t_values or ())):
+            if not (_is_finite(t) and 0 < t <= T_MAX):
+                raise ConfigError(f"t value {t!r} outside (0, {T_MAX}]")
+        self.radii = _finite_tuple("radii", self.radii)
         if any(r <= 0 for r in self.radii):
             raise ConfigError("radii must be positive")
         spectrum_of = self.model if self.suite == "spectrum" else None
@@ -130,12 +151,6 @@ class ExperimentConfig:
         if self.suite in scale_t and len(set(scale_t[self.suite]())) < 2:
             raise ConfigError(f"the {self.suite} suite needs at least two distinct t_values")
 
-    def all_t_values(self) -> Tuple[float, ...]:
-        values = [self.t]
-        if self.t_values is not None:
-            values.extend(self.t_values)
-        return tuple(values)
-
     def sweep_t_values(self) -> Tuple[float, ...]:
         return self.t_values if self.t_values is not None else (0.08, 0.04, 0.02)
 
@@ -143,14 +158,9 @@ class ExperimentConfig:
         return self.t_values if self.t_values is not None else (0.1, 0.05, 0.025)
 
     def ambient_metric(self):
-        if self.metric == "flat":
-            return EuclideanMetric(self.n)
         return default_perturbed_metric(
             self.n, amplitude=self.amplitude, seed=self.seed, num_waves=self.num_waves
         )
-
-    def tolerance(self, name: str) -> float:
-        return self.tolerances[name]
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -161,19 +171,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "suite" not in data:
             raise ConfigError("config must name a suite")
-        kwargs = dict(data)
-        try:
-            if "radii" in kwargs:
-                kwargs["radii"] = tuple(kwargs["radii"])
-            if "t_values" in kwargs and kwargs["t_values"] is not None:
-                kwargs["t_values"] = tuple(float(t) for t in kwargs["t_values"])
-            if "tolerances" in kwargs:
-                merged = dict(DEFAULT_TOLERANCES)
-                merged.update(kwargs["tolerances"])
-                kwargs["tolerances"] = merged
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed config: {exc}") from exc
+        return cls(**data)
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -227,7 +225,7 @@ def _suite_verify_models(config: ExperimentConfig, out: str):
         defect = float(np.max(np.abs(residual.values)))
         vol = volume(imm, flat)
         alpha = one_form_l2_norm(alpha_form, h)
-        checks.append(_check(f"{name}_hs_residual", defect, config.tolerance("model_residual")))
+        checks.append(_check(f"{name}_hs_residual", defect, DEFAULT_TOLERANCES["model_residual"]))
         rows.append((name, config.grid_size, defect, vol, alpha))
         payload[name] = {"max_residual": defect, "volume": vol, "alpha_h_norm": alpha}
     write_csv(
@@ -266,12 +264,8 @@ def _suite_spectrum(config: ExperimentConfig, out: str):
         worst = max(worst, rel)
         rows.append((*index, mult, eig, numeric, diff, rel))
     checks = [
-        _check("spectrum_rel_error", worst, config.tolerance("spectrum_rel")),
-        _check(
-            "min_eigenvalue",
-            -float(np.min(eigs)),
-            config.tolerance("stability"),
-        ),
+        _check("spectrum_rel_error", worst, DEFAULT_TOLERANCES["spectrum_rel"]),
+        _check("min_eigenvalue", -float(np.min(eigs)), DEFAULT_TOLERANCES["stability"]),
     ]
     write_csv(
         os.path.join(out, "spectrum.csv"),
@@ -287,6 +281,7 @@ def _suite_spectrum(config: ExperimentConfig, out: str):
 
 
 def _suite_estimates(config: ExperimentConfig, out: str):
+    tol = DEFAULT_TOLERANCES
     metric = config.ambient_metric()
     rng = np.random.default_rng(config.seed)
     frames = [
@@ -296,7 +291,7 @@ def _suite_estimates(config: ExperimentConfig, out: str):
     t_values = config.estimate_t_values()
     report = estimate_sweep(metric, frames, t_values, seed=config.seed)
     checks = [
-        _check(f"estimate_ratio_k{k}", report.ratios[k], config.tolerance("estimate_ratio"))
+        _check(f"estimate_ratio_k{k}", report.ratios[k], tol["estimate_ratio"])
         for k in sorted(report.ratios)
     ]
     bounded = all(check["passed"] for check in checks)
@@ -308,13 +303,9 @@ def _suite_estimates(config: ExperimentConfig, out: str):
     write_csv(os.path.join(out, "estimates.csv"), ["t", "k", "constant"], rows)
 
     moser = moser_flow(QuadraticPerturbedForm(config.n, c=0.1), config.n, seed=config.seed)
-    checks.append(
-        _check("moser_pullback", moser.pullback_defect, config.tolerance("moser_pullback"))
-    )
-    checks.append(_check("moser_origin", moser.origin_defect, config.tolerance("moser_identity")))
-    checks.append(
-        _check("moser_identity", moser.identity_defect, config.tolerance("moser_identity"))
-    )
+    checks.append(_check("moser_pullback", moser.pullback_defect, tol["moser_pullback"]))
+    checks.append(_check("moser_origin", moser.origin_defect, tol["moser_identity"]))
+    checks.append(_check("moser_identity", moser.identity_defect, tol["moser_identity"]))
     write_csv(
         os.path.join(out, "moser.csv"),
         ["steps", "pullback_defect", "origin_defect", "identity_defect", "closedness_defect"],
@@ -352,28 +343,17 @@ def _suite_reduce(config: ExperimentConfig, out: str):
     result = optimize_frame(ctx, config.t, start)
     report = second_variation_Q(ctx, result.state, frame_block=result.hessian)
 
+    tol = DEFAULT_TOLERANCES
     checks = [
-        _check("gradient_norm", result.gradient_norm, config.tolerance("gradient_norm")),
-        _check(
-            "stabilizer_gradient_norm",
-            result.stabilizer_gradient_norm,
-            config.tolerance("gradient_norm"),
-        ),
-        _check(
-            "geometric_residual_rel",
-            result.residual_relative,
-            config.tolerance("geometric_residual"),
-        ),
-        _check(
-            "transverse_hessian_rel",
-            report.transverse_relative_error,
-            config.tolerance("transverse_rel"),
-        ),
-        _check("cross_block_rel", report.cross_relative, config.tolerance("cross_rel")),
+        _check("gradient_norm", result.gradient_norm, tol["gradient_norm"]),
+        _check("stabilizer_gradient_norm", result.stabilizer_gradient_norm, tol["gradient_norm"]),
+        _check("geometric_residual_rel", result.residual_relative, tol["geometric_residual"]),
+        _check("transverse_hessian_rel", report.transverse_relative_error, tol["transverse_rel"]),
+        _check("cross_block_rel", report.cross_relative, tol["cross_rel"]),
         _check(
             "frame_min_eigenvalue",
             float(np.min(report.frame_eigenvalues)),
-            -config.tolerance("frame_eig_floor"),
+            -tol["frame_eig_floor"],
             comparison=">=",
         ),
         _check("converged", 1.0 if result.state.converged else 0.0, 1.0, comparison=">="),
@@ -449,12 +429,11 @@ def _suite_sweep(config: ExperimentConfig, out: str):
     log_n = np.log([norms[t] for t in ts])
     slope = float(np.polyfit(log_t, log_n, 1)[0])
 
-    checks.append(_check("solve_residual", worst_residual, config.tolerance("solve_residual")))
-    checks.append(_check("kernel_overlap", worst_overlap, config.tolerance("kernel_overlap")))
-    checks.append(_check("uniqueness", worst_agreement, config.tolerance("uniqueness")))
-    checks.append(
-        _check("scaling_slope", slope, config.tolerance("scaling_slope"), comparison=">=")
-    )
+    tol = DEFAULT_TOLERANCES
+    checks.append(_check("solve_residual", worst_residual, tol["solve_residual"]))
+    checks.append(_check("kernel_overlap", worst_overlap, tol["kernel_overlap"]))
+    checks.append(_check("uniqueness", worst_agreement, tol["uniqueness"]))
+    checks.append(_check("scaling_slope", slope, tol["scaling_slope"], comparison=">="))
     write_csv(
         os.path.join(out, "sweep.csv"),
         ["t", "f_norm", "residual_norm", "iterations", "init_agreement"],
@@ -566,6 +545,21 @@ def run_suite(config: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Each override flag: the config field it sets and its argparse options.
+# --run is plot-data's alone.
+_FLAGS = {
+    "--out": ("out_dir", dict(help="output directory")),
+    "--seed": ("seed", dict(type=int, help="seed override")),
+    "--t": ("t", dict(type=float, help="scale parameter override")),
+    "--amplitude": ("amplitude", dict(type=float, help="metric perturbation amplitude")),
+    "--model": ("model", dict(choices=["torus", "ln"], help="model override")),
+    "--n": ("n", dict(type=int, help="complex dimension override")),
+    "--radii": ("radii", dict(type=float, nargs="+", metavar="A", help="torus radii, one per n")),
+    "--grid": ("grid_size", dict(type=int, help="grid size override")),
+    "--run": ("run", dict(help="run directory containing CSV traces")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hslag",
@@ -575,18 +569,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in SUITES:
         p = sub.add_parser(name, help=f"run the {name} suite")
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="seed override")
-        p.add_argument("--t", type=float, help="scale parameter override")
-        p.add_argument("--amplitude", type=float, help="metric perturbation amplitude")
-        p.add_argument("--model", choices=["torus", "ln"], help="model override")
-        p.add_argument("--n", type=int, help="complex dimension override")
-        p.add_argument(
-            "--radii", type=float, nargs="+", metavar="A", help="torus radii override, one per n"
-        )
-        p.add_argument("--grid", type=int, help="grid size override")
-        if name == "plot-data":
-            p.add_argument("--run", help="run directory containing CSV traces")
+        for flag, (_, options) in _FLAGS.items():
+            if flag != "--run" or name == "plot-data":
+                p.add_argument(flag, **options)
     return parser
 
 
@@ -597,30 +582,17 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             config = dataclasses.replace(config, suite=args.suite)
     else:
         config = ExperimentConfig(suite=args.suite)
-    overrides = {}
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.t is not None:
-        overrides["t"] = args.t
-    if args.amplitude is not None:
-        overrides["amplitude"] = args.amplitude
-    if args.model is not None:
-        overrides["model"] = args.model
-    if args.n is not None:
-        overrides["n"] = args.n
-    if args.grid is not None:
-        overrides["grid_size"] = args.grid
-    if args.radii is not None:
+    overrides = {
+        field: getattr(args, flag[2:])
+        for flag, (field, _) in _FLAGS.items()
+        if getattr(args, flag[2:], None) is not None
+    }
+    if "radii" in overrides:
         n = overrides.get("n", config.n)
-        if len(args.radii) != n:
+        if len(overrides["radii"]) != n:
             raise ConfigError(
-                f"--radii needs one radius per complex dimension: n = {n}, got {args.radii}"
+                f"--radii needs one radius per complex dimension: n = {n}, got {overrides['radii']}"
             )
-        overrides["radii"] = tuple(args.radii)
-    if getattr(args, "run", None) is not None:
-        overrides["run"] = args.run
     if overrides:
         config = dataclasses.replace(config, **overrides)
     return config

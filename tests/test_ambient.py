@@ -24,7 +24,7 @@ from hslag.ambient import (
     unitary_embedding,
     unitary_frame,
 )
-from hslag.ambient import _gram_schmidt_frame
+from hslag.ambient import _MAX_SERIES_BOUND, _gram_schmidt_frame
 from hslag.errors import ConfigError, RankDeficiencyError
 from hslag.geomcore import standard_symplectic_matrix
 
@@ -345,6 +345,22 @@ def test_series_length_is_the_bound_length(seed, amplitude):
     p = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size=(200, 4))
     Y = einsum_generator_jet(metric, p, 0)[0]
     assert np.max(np.linalg.norm(Y, ord=2, axis=(-2, -1))) <= r
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_series_bound_is_capped(seed):
+    """A metric whose bound r is not finite or past the cap raises at once
+    (at r = inf the series length would never be found, and a NaN r would
+    evaluate silently); just below the cap the series, about 50 terms, is
+    still compatible to 1e-12."""
+    unit_r = _bound_length(default_perturbed_metric(2, amplitude=1.0, seed=seed))[0]
+    at_cap = _MAX_SERIES_BOUND / unit_r
+    metric = default_perturbed_metric(2, amplitude=0.999 * at_cap, seed=seed)
+    p = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size=(200, 4))
+    assert compatibility_defect(metric.value(p)) <= 1e-12
+    for amplitude in (math.inf, math.nan, 1.001 * at_cap):
+        with pytest.raises(ConfigError, match="series bound"):
+            default_perturbed_metric(2, amplitude=amplitude, seed=seed)
 
 
 def test_series_length_is_shared_by_every_order_and_dtype():

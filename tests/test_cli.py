@@ -1,11 +1,15 @@
 """Experiment harness: config validation, suite runs, determinism, exit codes."""
 
+import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import rigidity_prediction
 
@@ -41,26 +45,84 @@ def test_config_rejects_bad_suite():
         ExperimentConfig.from_dict({"suite": "frobnicate"})
 
 
-def test_config_rejects_nonpositive_tolerance():
-    with pytest.raises(ConfigError, match="must be positive"):
-        ExperimentConfig.from_dict(
-            {"suite": "sweep", "tolerances": {"solve_residual": 0.0}}
-        )
-    with pytest.raises(ConfigError, match="unknown tolerance"):
-        ExperimentConfig.from_dict({"suite": "sweep", "tolerances": {"nope": 1.0}})
+def test_config_refuses_tolerances_exit_2(tmp_path, capsys):
+    """Check bounds belong to the package: a config cannot set them."""
+    tolerances = {"suite": "sweep", "tolerances": {"solve_residual": 1.0}}
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['tolerances'\]"):
+        ExperimentConfig.from_dict(tolerances)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(tolerances))
+    out = tmp_path / "run"
+    assert run_cli("sweep", "--config", str(path), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("config error: unknown config keys")
+    assert not out.exists()
 
 
 def test_config_rejects_t_beyond_bound():
     with pytest.raises(ConfigError, match="outside"):
         ExperimentConfig.from_dict({"suite": "reduce", "t": 0.2})
-    # raising the bound makes the same t legal
-    cfg = ExperimentConfig.from_dict({"suite": "reduce", "t": 0.2, "t_max": 0.25})
-    assert cfg.t == 0.2
+    # the bound is the package's, not a config key
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['t_max'\]"):
+        ExperimentConfig.from_dict({"suite": "reduce", "t": 0.2, "t_max": 0.25})
 
 
 def test_config_rejects_odd_grid():
     with pytest.raises(ConfigError, match="grid_size"):
         ExperimentConfig.from_dict({"suite": "sweep", "grid_size": 31})
+
+
+_NUMBERS = st.one_of(st.integers(-3, 40), st.floats(allow_nan=True, allow_infinity=True))
+_VALUES = st.one_of(
+    _NUMBERS,
+    st.text(max_size=4),
+    st.lists(st.one_of(_NUMBERS, st.text(max_size=2)), max_size=4),
+    st.none(),
+    st.booleans(),
+    st.sampled_from(cli.SUITES + ("torus", "ln")),
+)
+
+_DEFAULTS = ExperimentConfig(suite="sweep").to_dict()
+
+
+@given(
+    st.sampled_from(cli.SUITES),
+    # up to three keys, each value the key's default or of any type, so that
+    # some documents are accepted
+    st.lists(st.sampled_from(sorted(_DEFAULTS)), max_size=3, unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries(
+            {key: st.one_of(st.just(_DEFAULTS[key]), _VALUES) for key in keys}
+        )
+    ),
+)
+def test_config_is_refused_or_well_typed(suite, drawn):
+    """Any config document either raises ConfigError or gives a config whose
+    echo is strict JSON and whose integer fields are ints."""
+    try:
+        config = ExperimentConfig.from_dict({"suite": suite, **drawn})
+    except ConfigError:
+        return
+    json.dumps(config.to_dict(), allow_nan=False)
+    assert all(type(getattr(config, key)) is int for key in ("n", "grid_size", "num_waves", "seed"))
+
+
+def _readme_commands():
+    """The `hslag` lines of README's quick-start bash block, as argv lists."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as handle:
+        text = handle.read()
+    block = text.split("## Quick start", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("hslag ")]
+
+
+def test_readme_commands_parse():
+    """Every documented command parses and gives a valid config, with no
+    suite run."""
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    parser = cli._build_parser()
+    for argv in commands:
+        config = cli._config_from_args(parser.parse_args(argv))
+        assert config.suite == argv[0]
 
 
 def test_config_file_errors_exit_2(tmp_path):
@@ -136,14 +198,47 @@ def test_radii_override_errors_exit_2(tmp_path, capsys, radii, message):
         {"suite": "sweep", "radii": 1.0},
         {"suite": "sweep", "t_values": [0.01, "a"]},
         {"suite": "sweep", "tolerances": [1]},
+        {"suite": "sweep", "amplitude": float("nan")},
+        {"suite": "sweep", "radii": [1.0, float("nan")]},
+        {"suite": "sweep", "out_dir": 5},
+        {"suite": "sweep", "seed": -1},
+        {"suite": "sweep", "seed": 1.5},
+        {"suite": "sweep", "grid_size": 32.0},
     ],
-    ids=["seeds", "radii", "t_values", "tolerances"],
+    ids=[
+        "seeds", "radii", "t_values", "tolerances", "nan-amplitude", "nan-radius",
+        "int-out_dir", "negative-seed", "float-seed", "float-grid_size",
+    ],
 )
-def test_config_value_of_wrong_type_exit_2(tmp_path, config):
+def test_config_value_of_wrong_type_exit_2(tmp_path, capsys, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "run"
     assert run_cli("sweep", "--config", str(path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        ["--seed", "-1"],
+        ["--amplitude", "nan"],
+        ["--amplitude", "inf"],
+        ["--radii", "1", "inf"],
+        ["--t", "nan"],
+        ["--amplitude", "1e6"],  # finite, but past the metric's series cap
+    ],
+    ids=["negative-seed", "nan-amplitude", "inf-amplitude", "inf-radius", "nan-t", "huge-amplitude"],
+)
+def test_override_of_unservable_value_exit_2(tmp_path, capsys, override):
+    """Overrides pass the config's own checks: each exits 2 at once, with one
+    line on stderr and no manifest."""
+    out = tmp_path / "run"
+    assert run_cli("estimates", *override, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
     assert not (out / "manifest.json").exists()
 
 
