@@ -112,23 +112,16 @@ def _anticommuting_constraints(n: int) -> np.ndarray:
     flattened X in R^{2n x 2n}, one per row."""
     d = 2 * n
     om = standard_symplectic_matrix(n)
-    rows = []
-    # antisymmetry constraints X_ij - X_ji = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            r = np.zeros((d, d))
-            r[i, j], r[j, i] = 1.0, -1.0
-            rows.append(r.reshape(-1))
-    # anticommutator constraints (X Om + Om X)_ij = 0
-    for i in range(d):
-        for j in range(d):
-            r = np.zeros((d, d))
-            # d/dX_kl of (X Om + Om X)_ij = delta_ik Om_lj + Om_ik delta_jl
-            for k in range(d):
-                for l in range(d):
-                    r[k, l] = (om[l, j] if k == i else 0.0) + (om[i, k] if l == j else 0.0)
-            rows.append(r.reshape(-1))
-    return np.array(rows)
+    # antisymmetry constraints X_ij - X_ji = 0 for i < j, rows in (i, j) order
+    units = np.eye(d * d).reshape(d, d, d, d)  # units[i, j] = e_i e_j^T
+    antisymmetry = (units - units.transpose(1, 0, 2, 3))[np.less.outer(range(d), range(d))]
+    # anticommutator constraints (X Om + Om X)_ij = 0: row (i, j), column
+    # (k, l) is d/dX_kl of (X Om + Om X)_ij = delta_ik Om_lj + Om_ik delta_jl
+    eye = np.eye(d, dtype=bool)
+    anticommutator = np.where(eye[:, None, :, None], om.T[None, :, None, :], 0.0) + np.where(
+        eye[None, :, None, :], om[:, None, :, None], 0.0
+    )
+    return np.concatenate([antisymmetry, anticommutator.reshape(-1, d, d)]).reshape(-1, d * d)
 
 
 def symmetric_anticommuting_basis(n: int) -> list[np.ndarray]:
@@ -142,12 +135,12 @@ def symmetric_anticommuting_basis(n: int) -> list[np.ndarray]:
     rows = _anticommuting_constraints(n)
     _, singular, vt = np.linalg.svd(rows)
     rank = int(np.count_nonzero(singular > max(rows.shape) * np.finfo(float).eps * singular[0]))
-    null = vt[rank:].T
-    if null.shape[1] != n * (n + 1):
+    null = vt[rank:]
+    if len(null) != n * (n + 1):
         raise RankDeficiencyError(
-            f"anticommuting-symmetric space has dim {null.shape[1]}, expected {n * (n + 1)}"
+            f"anticommuting-symmetric space has dim {len(null)}, expected {n * (n + 1)}"
         )
-    return [null[:, k].reshape(d, d) for k in range(null.shape[1])]
+    return list(null.reshape(-1, d, d))
 
 
 @dataclass
@@ -224,10 +217,14 @@ class SymplecticExpMetric:
         self.sin_coeffs = np.asarray(self.sin_coeffs, dtype=float)
         d = 2 * self.n
         om = standard_symplectic_matrix(self.n)
-        for name, coeffs in (("cos", self.cos_coeffs), ("sin", self.sin_coeffs)):
-            for X in coeffs:
-                if np.max(np.abs(X - X.T)) > 1e-12 or np.max(np.abs(X @ om + om @ X)) > 1e-12:
-                    raise ConfigError(f"{name} coefficient not in the compatible tangent space")
+        # every cos and sin coefficient symmetric and anticommuting with Omega0
+        coeffs = np.stack([self.cos_coeffs, self.sin_coeffs])
+        asymmetry = np.abs(coeffs - np.swapaxes(coeffs, -1, -2))
+        defect = np.maximum(asymmetry, np.abs(coeffs @ om + om @ coeffs))
+        outside = np.max(defect.reshape(2, -1), axis=1, initial=0.0) > 1e-12
+        if outside.any():
+            name = "cos" if outside[0] else "sin"
+            raise ConfigError(f"{name} coefficient not in the compatible tangent space")
         if self.wave_vectors.shape != (len(self.cos_coeffs), d):
             raise ConfigError("wave vector shape mismatch")
         if np.max(np.abs(self.wave_vectors - np.round(self.wave_vectors))) > 0:
@@ -548,20 +545,19 @@ def default_perturbed_metric(
 ) -> SymplecticExpMetric:
     """Seeded trigonometric compatible perturbation of the flat metric."""
     rng = np.random.default_rng(seed)
-    basis = symmetric_anticommuting_basis(n)
-    waves, cos_c, sin_c = [], [], []
+    basis = np.array(symmetric_anticommuting_basis(n))
+    waves, weights = [], []
     while len(waves) < num_waves:
         m = rng.integers(-2, 3, size=2 * n)
         if not np.any(m):
             continue
         waves.append(m)
-        ca = rng.normal(size=len(basis))
-        cb = rng.normal(size=len(basis))
-        cos_c.append(sum(a * X for a, X in zip(ca, basis)) / np.sqrt(len(basis)))
-        sin_c.append(sum(b * X for b, X in zip(cb, basis)) / np.sqrt(len(basis)))
-    return SymplecticExpMetric(
-        n, np.array(waves, dtype=float), np.array(cos_c), np.array(sin_c), amplitude
-    )
+        weights.append([rng.normal(size=len(basis)), rng.normal(size=len(basis))])
+    # [cos | sin, wave] combinations of the basis, each summed from 0 in basis
+    # order: a reduction over an outer axis adds term by term
+    terms = np.transpose(weights, (1, 0, 2))[..., None, None] * basis
+    coeffs = np.add.reduce(terms, axis=2, initial=0.0) / np.sqrt(len(basis))
+    return SymplecticExpMetric(n, np.array(waves, dtype=float), coeffs[0], coeffs[1], amplitude)
 
 
 # ---------------------------------------------------------------------------

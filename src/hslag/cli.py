@@ -250,7 +250,7 @@ def _suite_spectrum(config: ExperimentConfig, out: str):
         model = TorusModel(config.radii, grid_size=config.grid_size)
         index_names = [f"k{j + 1}" for j in range(config.n)]
         modes = list(itertools.product(range(-4, 5), repeat=config.n))
-        values = torus_multiplier(config.radii, np.array(modes))
+        values = torus_multiplier(config.radii, np.array(modes).T)
         analytic = [(*k, 1, float(eig)) for k, eig in zip(modes, values)]
         # the probed symbol, not the analytic one: the suite certifies that the
         # discrete volume reproduces the analytic multiplier
@@ -498,6 +498,12 @@ def _failure_stage(exc: BaseException) -> str:
 def run_suite(config: ExperimentConfig) -> int:
     """Execute a suite; write manifest + traces; return the exit code."""
     out = config.out_dir
+    # the directories this run creates, deepest first: a config error raised
+    # inside the suite removes them again while they are empty
+    created, missing = [], os.path.abspath(out)
+    while not os.path.exists(missing):
+        created.append(missing)
+        missing = os.path.dirname(missing)
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
@@ -510,6 +516,10 @@ def run_suite(config: ExperimentConfig) -> int:
     try:
         checks, artifacts, payload = _SUITE_RUNNERS[config.suite](config, out)
     except ConfigError:
+        for path in created:
+            if os.listdir(path):
+                break
+            os.rmdir(path)
         raise
     except Exception as exc:
         # Any failure leaves a manifest.  An exception outside the package's

@@ -263,8 +263,12 @@ def band_mask(grid: GridDescriptor) -> np.ndarray:
     whose non-Nyquist part lies in an operator kernel would appear spuriously
     flat.  Grid operators and the fields they act on live on this band.
     """
-    inside = [np.abs(k) < size / 2 for k, size in zip(mode_mesh(grid), grid.sizes)]
-    return np.logical_and.reduce(inside)
+    return _band_of(mode_mesh(grid), grid.sizes)
+
+
+def _band_of(k: Sequence[np.ndarray], sizes: Sequence[int]) -> np.ndarray:
+    """`band_mask` on a `mode_mesh` already built."""
+    return np.logical_and.reduce([np.abs(kj) < size / 2 for kj, size in zip(k, sizes)])
 
 
 @lru_cache(maxsize=_GRID_TABLES)

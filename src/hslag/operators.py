@@ -41,11 +41,11 @@ from .errors import SpectralGapError, UnsupportedModelError
 from .geomcore import (
     GridDescriptor,
     ScalarField,
+    _band_of,
     _inverse,
     _negated_modes,
     band_mask,
     fourier_multiply,
-    l2_norm,
     mode_mesh,
 )
 from .models import CircleSphereModel, TorusModel
@@ -74,29 +74,49 @@ _GAP_RATIO = 100.0
 
 def _real_modes(grid: GridDescriptor, indices: np.ndarray) -> np.ndarray:
     """Real Fourier fields of the modes at flat `mode_mesh` indices, unnormalized,
-    stacked on a trailing axis.
+    stacked on a leading axis.
 
     Mode k gives cos(k.theta) when its flat index is below that of -k and
     sin(k.theta) when above, so each pair {k, -k} yields one of each (the
-    mode k = 0 gives the constant).
+    mode k = 0 gives the constant).  Each axis's phase is formed on that
+    axis alone and the sum broadcasts over the grid; cos runs only on the
+    cos modes and sin only on the others.
     """
     sizes = grid.sizes
     indices = np.asarray(indices)
     k = np.unravel_index(indices, sizes)
     partner = np.ravel_multi_index(tuple(-kj for kj in k), sizes, mode="wrap")
-    nodes = np.indices(sizes)[..., None]
-    phase = sum(2.0 * np.pi * kj * nodes[j] / sizes[j] for j, kj in enumerate(k))
-    return np.where(indices <= partner, np.cos(phase), np.sin(phase))
+    nodes = np.ix_(*(np.arange(size) for size in sizes))
+    lead = (slice(None),) + (None,) * len(sizes)
+    phase = sum(2.0 * np.pi * kj[lead] * nodes[j] / sizes[j] for j, kj in enumerate(k))
+    cos = indices <= partner
+    fields = np.empty((len(indices),) + tuple(sizes))
+    fields[cos] = np.cos(phase[cos])
+    fields[~cos] = np.sin(phase[~cos])
+    return fields
 
 
-def torus_multiplier(radii: Sequence[float], modes: np.ndarray) -> np.ndarray:
-    """Analytic symbol of the flat-torus operator on exp(i k.theta)."""
-    a2 = np.array([a * a for a in radii])
+def _unit_modes(grid: GridDescriptor, indices: np.ndarray) -> np.ndarray:
+    """The `_real_modes` fields, each divided by its `l2_norm`: one stacked
+    evaluation and one stacked norm."""
+    fields = _real_modes(grid, indices)
+    squares = np.sum((fields * fields).reshape(len(fields), -1), axis=1) * grid.node_weight()
+    fields /= np.sqrt(squares).reshape((-1,) + (1,) * grid.dim)
+    return fields
+
+
+def torus_multiplier(radii: Sequence[float], modes) -> np.ndarray:
+    """Analytic symbol of the flat-torus operator on exp(i k.theta).
+
+    modes holds the wave numbers on a leading axis, k_j for radius a_j (the
+    `mode_mesh` list, or an [n, ...] array), so each sum over j runs over
+    whole arrays."""
     k = np.asarray(modes, dtype=float)
-    lap = np.sum(k**2 / a2, axis=-1)
-    corr = np.sum(k**2 / a2**2, axis=-1)
-    cross = (np.sum(k / a2, axis=-1) ** 2 - np.sum(k**2 / a2**2, axis=-1))
-    return lap**2 - corr + cross
+    a2 = np.array([a * a for a in radii]).reshape((-1,) + (1,) * (k.ndim - 1))
+    k2 = k**2
+    lap = np.sum(k2 / a2, axis=0)
+    corr = np.sum(k2 / a2**2, axis=0)
+    return lap**2 - corr + (np.sum(k / a2, axis=0) ** 2 - corr)
 
 
 @dataclass
@@ -129,20 +149,14 @@ class SymbolOperator:
         order = np.lexsort((modes, values))
         return values[order], modes[order]
 
-    def mode_field(self, index: int) -> ScalarField:
-        """L^2-normalized real eigenfield of one mode (see `_real_modes`)."""
-        values = _real_modes(self.grid, np.array([index]))[..., 0]
-        fld = ScalarField(self.grid, values, check=False)
-        return ScalarField(self.grid, values / l2_norm(fld), check=False)
-
 
 def assemble_flat_operator(model) -> SymbolOperator:
     """The linearized operator of the model at its stationary configuration."""
     grid = model.grid()
     k = mode_mesh(grid)
-    admissible = band_mask(grid)
+    admissible = _band_of(k, grid.sizes)
     if isinstance(model, TorusModel):
-        symbol = torus_multiplier(model.radii, np.stack(k, axis=-1))
+        symbol = torus_multiplier(model.radii, k)
         weight = grid.node_weight() * WeinsteinChart(model.radii).flat_density()
     elif isinstance(model, CircleSphereModel):
         # (k^2+l^2)^2 - 2n(k^2+l^2) + n^2 k^2 on exp(i(k s + l phi)); the
@@ -213,4 +227,5 @@ def eigensolve(op: SymbolOperator, count: Optional[int] = None) -> SpectralData:
     """The lowest `count` eigenpairs (all when None), eigenvalues ascending:
     the sorted symbol and the L^2-normalized real Fourier modes."""
     w, modes = op.sorted_modes()
-    return SpectralData(w[:count], [op.mode_field(i) for i in modes[:count]])
+    fields = _unit_modes(op.grid, modes[:count])
+    return SpectralData(w[:count], [ScalarField(op.grid, f, check=False) for f in fields])

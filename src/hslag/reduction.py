@@ -53,7 +53,7 @@ from .geomcore import (
     volume_density,
 )
 from .models import TorusModel
-from .operators import SymbolOperator, assemble_flat_operator, kernel_dimension
+from .operators import SymbolOperator, _unit_modes, assemble_flat_operator, kernel_dimension
 from .weinstein import WeinsteinChart, _chart_points, _graph_jets, graph_volume_and_gradient
 
 __all__ = [
@@ -211,18 +211,14 @@ def build_context(
     operator = assemble_flat_operator(model)
     eigenvalues, modes = operator.sorted_modes()
     kdim = kernel_dimension(eigenvalues)
-    kernel = [operator.mode_field(i) for i in modes[:kdim]]
+    fields = _unit_modes(grid, modes[:kdim])
     transverse_mask = np.zeros(grid.sizes, dtype=bool)
     transverse_mask.flat[modes[kdim:]] = True
     inverse_symbol = np.zeros(grid.sizes)
     inverse_symbol.flat[modes[kdim:]] = 1.0 / eigenvalues[kdim:]
     # The kernel fields are single Fourier modes; all but the constant one
     # (mode index 0) have zero mean.
-    density = chart.flat_density()
-    reduced = [
-        ScalarField(grid, b.values / np.sqrt(density), check=False)
-        for b, mode in zip(kernel, modes) if mode != 0
-    ]
+    reduced = fields[modes[:kdim] != 0] / np.sqrt(chart.flat_density())
     # Displacement axes: the wave vectors' row space, then their null space.
     n = model.n
     _, singular, vt = np.linalg.svd(metric.wave_vectors)
@@ -234,8 +230,8 @@ def build_context(
         grid=grid,
         metric=metric,
         flat_operator=operator,
-        kernel_fields=kernel,
-        reduced_basis=reduced,
+        kernel_fields=[ScalarField(grid, f, check=False) for f in fields],
+        reduced_basis=[ScalarField(grid, f, check=False) for f in reduced],
         transverse_mask=transverse_mask,
         inverse_symbol=inverse_symbol,
         quotient=np.hstack([moves[:, :rank], moves[:, 3 * n :]]),

@@ -18,6 +18,7 @@ import scipy.linalg
 from hslag.ambient import (
     ChartMetric,
     EuclideanMetric,
+    SymplecticExpMetric,
     UnitaryFrame,
     ball_samples,
     unitary_algebra_basis,
@@ -455,7 +456,7 @@ class GridOperator:
 def band_limited_basis(grid: GridDescriptor) -> np.ndarray:
     """Orthonormal node-space basis (nodes x dim) of the band: its real
     Fourier fields, in flat mode order."""
-    fields = _real_modes(grid, np.flatnonzero(band_mask(grid))).reshape(grid.num_nodes, -1)
+    fields = _real_modes(grid, np.flatnonzero(band_mask(grid))).reshape(-1, grid.num_nodes).T
     return fields / np.linalg.norm(fields, axis=0)
 
 
@@ -571,6 +572,108 @@ def operator_distance(op_a: GridOperator, op_b: GridOperator) -> float:
     diff = op_a.matrix - op_b.matrix
     diff = 0.5 * (diff + diff.T)
     return float(np.max(np.abs(np.linalg.eigvalsh(diff))))
+
+
+# ---------------------------------------------------------------------------
+# set-up one mode, one constraint and one basis element at a time: the
+# references the whole-array set-up must equal bit for bit
+
+
+def mode_field(grid: GridDescriptor, index: int) -> np.ndarray:
+    """L^2-normalized real field of one flat mode index on the full node mesh:
+    cos(k.theta) when the index is below that of -k, else sin(k.theta)."""
+    sizes = grid.sizes
+    k = np.unravel_index(np.array([index]), sizes)
+    partner = np.ravel_multi_index(tuple(-kj for kj in k), sizes, mode="wrap")
+    nodes = np.indices(sizes)[..., None]
+    phase = sum(2.0 * np.pi * kj * nodes[j] / sizes[j] for j, kj in enumerate(k))
+    values = np.where(index <= partner, np.cos(phase), np.sin(phase))[..., 0]
+    return values / l2_norm(ScalarField(grid, values, check=False))
+
+
+def anticommuting_constraints(n: int) -> np.ndarray:
+    """X_ij - X_ji = 0 (i < j), then (X Om + Om X)_ij = 0, one row per
+    condition on the flattened X, built entry by entry."""
+    d = 2 * n
+    om = standard_symplectic_matrix(n)
+    rows = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            r = np.zeros((d, d))
+            r[i, j], r[j, i] = 1.0, -1.0
+            rows.append(r.reshape(-1))
+    for i in range(d):
+        for j in range(d):
+            r = np.zeros((d, d))
+            for k in range(d):
+                for l in range(d):
+                    r[k, l] = (om[l, j] if k == i else 0.0) + (om[i, k] if l == j else 0.0)
+            rows.append(r.reshape(-1))
+    return np.array(rows)
+
+
+def loop_perturbed_metric(
+    n: int = 2, amplitude: float = 0.05, seed: int = 0, num_waves: int = 3
+) -> SymplecticExpMetric:
+    """default_perturbed_metric from the entry-by-entry constraints, with each
+    coefficient summed over the basis one element at a time."""
+    rows = anticommuting_constraints(n)
+    _, singular, vt = np.linalg.svd(rows)
+    rank = int(np.count_nonzero(singular > max(rows.shape) * np.finfo(float).eps * singular[0]))
+    basis = [vt[k].reshape(2 * n, 2 * n) for k in range(rank, len(vt))]
+    rng = np.random.default_rng(seed)
+    waves, cos_c, sin_c = [], [], []
+    while len(waves) < num_waves:
+        m = rng.integers(-2, 3, size=2 * n)
+        if not np.any(m):
+            continue
+        waves.append(m)
+        ca = rng.normal(size=len(basis))
+        cb = rng.normal(size=len(basis))
+        cos_c.append(sum(a * X for a, X in zip(ca, basis)) / np.sqrt(len(basis)))
+        sin_c.append(sum(b * X for b, X in zip(cb, basis)) / np.sqrt(len(basis)))
+    return SymplecticExpMetric(
+        n, np.array(waves, dtype=float), np.array(cos_c), np.array(sin_c), amplitude
+    )
+
+
+def loop_context(radii: Sequence[float], grid_size: int, metric) -> dict:
+    """build_context's arrays from the analytic symbol summed term by term
+    and one `mode_field` per kernel mode."""
+    model = TorusModel(tuple(radii), grid_size=grid_size)
+    grid = model.grid()
+    a2 = np.array([a * a for a in radii])
+    k = np.stack(np.meshgrid(*[np.fft.fftfreq(s, d=1.0 / s) for s in grid.sizes], indexing="ij"), -1)
+    lap = np.sum(k**2 / a2, axis=-1)
+    symbol = lap**2 - np.sum(k**2 / a2**2, axis=-1) + (
+        np.sum(k / a2, axis=-1) ** 2 - np.sum(k**2 / a2**2, axis=-1)
+    )
+    admissible = np.all(np.abs(k) < np.array(grid.sizes) / 2, axis=-1)
+    modes = np.flatnonzero(admissible)
+    order = np.lexsort((modes, symbol.reshape(-1)[modes]))
+    eigenvalues, modes = symbol.reshape(-1)[modes][order], modes[order]
+    kdim = int(np.sum(np.abs(eigenvalues) < 1e-5))
+    kernel = [mode_field(grid, i) for i in modes[:kdim]]
+    transverse_mask = np.zeros(grid.sizes, dtype=bool)
+    transverse_mask.flat[modes[kdim:]] = True
+    inverse_symbol = np.zeros(grid.sizes)
+    inverse_symbol.flat[modes[kdim:]] = 1.0 / eigenvalues[kdim:]
+    density = WeinsteinChart(model.radii).flat_density()
+    n = model.n
+    _, singular, vt = np.linalg.svd(metric.wave_vectors)
+    rank = int(np.count_nonzero(singular > 1e-10 * singular.max(initial=0.0)))
+    moves = np.eye(2 * n + n * n)
+    moves[: 2 * n, : 2 * n] = vt.T
+    return {
+        "symbol": symbol,
+        "admissible": admissible,
+        "kernel_fields": kernel,
+        "reduced_basis": [b / np.sqrt(density) for b, i in zip(kernel, modes) if i != 0],
+        "transverse_mask": transverse_mask,
+        "inverse_symbol": inverse_symbol,
+        "quotient": np.hstack([moves[:, :rank], moves[:, 3 * n :]]),
+        "symmetries": np.hstack([moves[:, rank : 2 * n], moves[:, 2 * n : 3 * n]]),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -234,12 +234,20 @@ def test_config_value_of_wrong_type_exit_2(tmp_path, capsys, config):
 )
 def test_override_of_unservable_value_exit_2(tmp_path, capsys, override):
     """Overrides pass the config's own checks: each exits 2 at once, with one
-    line on stderr and no manifest."""
-    out = tmp_path / "run"
+    line on stderr and no output directory, nor the parent it would create."""
+    out = tmp_path / "runs" / "run"
     assert run_cli("estimates", *override, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
-    assert not (out / "manifest.json").exists()
+    assert not (tmp_path / "runs").exists()
+
+
+def test_config_error_in_a_suite_keeps_an_existing_output_directory(tmp_path):
+    """Only directories the run itself created are removed on a config error."""
+    out = tmp_path / "run"
+    out.mkdir()
+    assert run_cli("estimates", "--amplitude", "1e6", "--out", str(out)) == 2
+    assert out.is_dir() and not any(out.iterdir())
 
 
 @pytest.mark.parametrize("suite", ["sweep", "estimates"])
@@ -249,7 +257,7 @@ def test_scaling_suites_need_two_distinct_t_exit_2(tmp_path, suite, t_values):
     path.write_text(json.dumps({"suite": suite, "t_values": t_values}))
     out = tmp_path / "run"
     assert run_cli(suite, "--config", str(path), "--out", str(out)) == 2
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()
 
 
 def test_unexpected_error_writes_failure_manifest(tmp_path, monkeypatch):

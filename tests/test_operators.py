@@ -72,7 +72,7 @@ def test_torus_matches_multiplier(hessian_oracle, torus_model):
         for k2 in range(-4, 5):
             if k1 == 0 and k2 == 0:
                 continue
-            lam = float(torus_multiplier(RADII, np.array([[k1, k2]]))[0])
+            lam = float(torus_multiplier(RADII, [k1, k2]))
             for phase, trig in ((0.0, np.cos), (0.0, np.sin)):
                 vals = trig(k1 * mesh[0] + k2 * mesh[1] + phase)
                 if np.max(np.abs(vals)) < 1e-12:
@@ -210,7 +210,7 @@ def test_probed_symbol_is_circulant(radii, size):
 def test_probed_symbol_matches_multiplier_at_n3(size):
     model = TorusModel(radii=(1.0, 1.3, 1.6), grid_size=size)
     probed = probe_flat_operator(model)
-    analytic = torus_multiplier(model.radii, np.stack(mode_mesh(probed.grid), axis=-1))
+    analytic = torus_multiplier(model.radii, mode_mesh(probed.grid))
     band = probed.admissible
     top = float(np.max(analytic[band]))
     assert np.max(np.abs(probed.symbol - analytic)[band]) <= 1e-14 * top

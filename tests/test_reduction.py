@@ -15,13 +15,20 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import psi_matrices, realize_jacobian_fd, xi_map
+from oracles import (
+    loop_context,
+    loop_perturbed_metric,
+    mode_field,
+    psi_matrices,
+    realize_jacobian_fd,
+    xi_map,
+)
 
 import hslag.ambient
 import hslag.operators
 import hslag.reduction
 import hslag.weinstein
-from hslag.ambient import ChartMetric, EuclideanMetric
+from hslag.ambient import ChartMetric, EuclideanMetric, default_perturbed_metric
 from hslag.errors import ExactnessError, NonContractionError
 from hslag.geomcore import ScalarField, _inverse
 from hslag.reduction import (
@@ -81,6 +88,43 @@ def test_build_context_is_solve_free(size, monkeypatch):
     assert calls == []
     assert len(ctx.kernel_fields) == 7
     assert len(ctx.reduced_basis) == 6
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "radii, size",
+    [((1.0, 1.3), 24), ((1.0, 1.3), 32), ((1.0, 1.0), 24), ((1.0, 1.0), 32), ((1.0, 1.3, 1.6), 16)],
+)
+def test_setup_equals_loop_references_bit_for_bit(radii, size):
+    """The whole-array set-up, the default metric, the context and the
+    eigenfields, equals its one-mode-at-a-time references byte for byte, so
+    every located torus and stored result is unchanged by it."""
+    n = len(radii)
+    for seed, waves in ((0, 3), (1, 4)):
+        metric = default_perturbed_metric(n, seed=seed, num_waves=waves)
+        reference = loop_perturbed_metric(n, seed=seed, num_waves=waves)
+        for name in ("wave_vectors", "cos_coeffs", "sin_coeffs", "_phase_weights"):
+            assert _same_bits(getattr(metric, name), getattr(reference, name)), name
+        assert metric._terms == reference._terms
+    ctx = build_context(radii, size, metric)
+    expected = loop_context(radii, size, reference)
+    assert _same_bits(ctx.flat_operator.symbol, expected["symbol"])
+    assert _same_bits(ctx.flat_operator.admissible, expected["admissible"])
+    for name in ("kernel_fields", "reduced_basis"):
+        fields = [f.values for f in getattr(ctx, name)]
+        assert len(fields) == len(expected[name]), name
+        assert all(_same_bits(f, g) for f, g in zip(fields, expected[name])), name
+    for name in ("transverse_mask", "inverse_symbol", "quotient", "symmetries"):
+        assert _same_bits(getattr(ctx, name), expected[name]), name
+    spectrum = hslag.operators.eigensolve(ctx.flat_operator, 20)
+    _, modes = ctx.flat_operator.sorted_modes()
+    assert len(spectrum.eigenfields) == 20
+    for f, index in zip(spectrum.eigenfields, modes):
+        assert _same_bits(f.values, mode_field(ctx.grid, index)), index
 
 
 # ---------------------------------------------------------------------------
