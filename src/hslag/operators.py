@@ -78,9 +78,12 @@ def _real_modes(grid: GridDescriptor, indices: np.ndarray) -> np.ndarray:
 
     Mode k gives cos(k.theta) when its flat index is below that of -k and
     sin(k.theta) when above, so each pair {k, -k} yields one of each (the
-    mode k = 0 gives the constant).  Each axis's phase is formed on that
-    axis alone and the sum broadcasts over the grid; cos runs only on the
-    cos modes and sin only on the others.
+    mode k = 0 gives the constant).  Each axis's phase term is formed on that
+    axis alone.  A mode's phase sums, in axis order, only the terms of the
+    axes where its wave number is nonzero, so it and its cos or sin live on
+    the mesh of those axes and broadcast along the others.  The terms left
+    out are exact +0.0 (the indices are non-negative), so every value is the
+    full sum's bit for bit.
     """
     sizes = grid.sizes
     indices = np.asarray(indices)
@@ -88,11 +91,12 @@ def _real_modes(grid: GridDescriptor, indices: np.ndarray) -> np.ndarray:
     partner = np.ravel_multi_index(tuple(-kj for kj in k), sizes, mode="wrap")
     nodes = np.ix_(*(np.arange(size) for size in sizes))
     lead = (slice(None),) + (None,) * len(sizes)
-    phase = sum(2.0 * np.pi * kj[lead] * nodes[j] / sizes[j] for j, kj in enumerate(k))
-    cos = indices <= partner
+    terms = [2.0 * np.pi * kj[lead] * nodes[j] / sizes[j] for j, kj in enumerate(k)]
+    waves = [kj.tolist() for kj in k]
     fields = np.empty((len(indices),) + tuple(sizes))
-    fields[cos] = np.cos(phase[cos])
-    fields[~cos] = np.sin(phase[~cos])
+    for m, cos in enumerate((indices <= partner).tolist()):
+        phase = sum((term[m] for term, wave in zip(terms, waves) if wave[m]), 0.0)
+        fields[m] = np.cos(phase) if cos else np.sin(phase)
     return fields
 
 

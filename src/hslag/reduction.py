@@ -94,6 +94,21 @@ class OptimizeSettings:
 # The transverse contraction: its residual tolerance, its iteration cap, and
 # the growth over the first residual at which it counts as diverged.
 SOLVE_TOL = 1e-12
+# The contraction also stops when its update u = Linv Pi P(f) has volume norm
+# at most UPDATE_TOL.  With contraction factor q (about 0.36 t, so at most
+# 0.04 for t <= 0.1), the a posteriori bound |f - f*| <= |u| / (1 - q) puts f
+# within 1.05e-16 of the fixed point, closer than the residual test's
+# SOLVE_TOL / (lambda_min (1 - q)): 4e-13 at radii (1, 1.3), lambda_min 2.37,
+# and 1.1e-12 at (1, 1.3, 1.6), lambda_min 0.92.  The residual's roundoff
+# floor grows with the grid (P holds second derivatives: 1.0e-12 at grid 64
+# at the located `reduce --seed 1` torus); the update's, damped by about
+# |k|^-4, stays at 2e-17 to 5e-17 at grids 32-128, so the update test ends
+# the solves at grid 64 and above.  It can end a solve before the residual
+# test only when the residual sits on modes whose symbol exceeds
+# SOLVE_TOL / UPDATE_TOL = 1e4, the top of the grid-24 band: over 2220
+# grid-24 cold solves (the benchmark's transverse workload, 37 seeds) the
+# smallest update at a residual above SOLVE_TOL was 9.1e-16.
+UPDATE_TOL = 1e-16
 _MAX_SOLVE_ITERATIONS = 200
 _DIVERGENCE_FACTOR = 50.0
 # Step of every central difference over frame coordinates: the reduced
@@ -101,8 +116,14 @@ _DIVERGENCE_FACTOR = 50.0
 FRAME_STEP = 1e-4
 # Imaginary step of the complex-step Jacobian of FrameState.realize.
 _COMPLEX_STEP = 1e-20
-# Step of the transverse-block stencil along field directions.
-FIELD_STEP = 1e-3
+# Step of the transverse block along field directions.  Its error is a
+# truncation term, O(eps^3) and seen here to fall as eps^4, plus the volume's
+# roundoff amplified by about 8 / eps^2.  Against the complex-step Hessian-
+# vector product the largest relative errors read, at steps 3e-3, 1e-2 and
+# 2e-2: 1.7e-9, 7.4e-10 and 1.1e-8 on located n = 2 tori at grids 24 and 32
+# (2e-2 is truncation), and 3.6e-8, 2.5e-9 and 4e-10 on solved n = 3 states
+# at grid 16 (3e-3 is roundoff).  1e-2 has the smallest worst case.
+FIELD_STEP = 1e-2
 # Relative defect above which a recovered potential fails its exactness check.
 EXACTNESS_TOL = 1e-6
 
@@ -353,8 +374,9 @@ def random_frame_state(ctx: ReductionContext, seed: int) -> FrameState:
 class ReductionState:
     """A solved transverse configuration at one frame.
 
-    Invariants: the transverse residual norm is at most the solver tolerance
-    when converged, and f lies on the band modes off the flat kernel.
+    Invariants: when converged, the transverse residual norm is at most
+    SOLVE_TOL or the norm of the update it gives at most UPDATE_TOL (see
+    `projected_solve`), and f lies on the band modes off the flat kernel.
     gradient holds the grid values of the unprojected L^2 volume gradient
     whose spectrum the converging iteration's `graph_volume_and_gradient`
     returned at (unitary, f), kept so the kernel components and the cross
@@ -404,10 +426,13 @@ def projected_solve(
     Pi projects onto the band modes off the flat kernel, the modes Linv
     inverts, so f and the tested residual share one band and every residual
     mode is one an update can reduce.  For metrics t-close to flat this is a
-    contraction and converges linearly; geometric divergence raises
-    NonContractionError, and so does a residual that stops falling above the
-    tolerance (a roundoff floor): three iterations in a row that do not bring
-    it 1 % below its smallest earlier value.  Roundoff jitter at a floor
+    contraction and converges linearly.  It stops when the residual's volume
+    norm is at most SOLVE_TOL or the update's is at most UPDATE_TOL (the
+    bound that does not grow with the grid; see UPDATE_TOL).  Geometric
+    divergence raises NonContractionError, and so does a residual that stops
+    falling above the tolerance while its update stays above UPDATE_TOL (a
+    roundoff floor): three iterations in a row that do not bring the residual
+    1 % below its smallest earlier value.  Roundoff jitter at a floor
     still makes tiny new minima, hence the 1 %; a solve that gains less per
     step could not gain a digit in its 200 iterations anyway.
 
@@ -422,8 +447,9 @@ def projected_solve(
     grid = ctx.grid
     half = grid.sizes[-1] // 2 + 1
     mask, inverse_symbol = ctx.transverse_mask[..., :half], ctx.inverse_symbol[..., :half]
-    # the residual's vol_norm by Parseval on the half spectrum, where every
-    # column but 0 and Nyquist also stands for its conjugate column
+    # the vol_norm of the residual and of the update by Parseval on the half
+    # spectrum, where every column but 0 and Nyquist also stands for its
+    # conjugate column
     norm_weight = np.full(half, 2.0 * grid.node_weight() * ctx.density / grid.num_nodes)
     norm_weight[[0, -1]] *= 0.5
     # f is carried as its band spectrum and the volume returns its gradient
@@ -443,12 +469,14 @@ def projected_solve(
         vol, gradient, sensitivity = graph_volume_and_gradient(ctx.chart, grid, f.values, metric)
         residual = gradient * mask
         rnorm = float(np.sqrt(np.sum(norm_weight * (residual.real**2 + residual.imag**2))))
+        update = inverse_symbol * residual
+        unorm = float(np.sqrt(np.sum(norm_weight * (update.real**2 + update.imag**2))))
         stalled = 0 if rnorm < 0.99 * best else stalled + 1
         best = min(best, rnorm)
         history.append(rnorm)
         if first_norm is None:
             first_norm = rnorm
-        if rnorm <= SOLVE_TOL:
+        if rnorm <= SOLVE_TOL or unorm <= UPDATE_TOL:
             return ReductionState(
                 t=t,
                 frame=frame,
@@ -472,7 +500,7 @@ def projected_solve(
                 f"projected iteration stagnated at a residual floor of {best:.3e} "
                 f"above tol={SOLVE_TOL:.1e}: no 1 % drop in 3 iterations"
             )
-        spectrum = spectrum - inverse_symbol * residual
+        spectrum = spectrum - update
         f = ScalarField(grid, _inverse(spectrum, grid, False), check=False)
     raise NonContractionError(
         f"projected iteration did not reach tol={SOLVE_TOL:.1e} within "
@@ -954,11 +982,13 @@ def geometric_residual(
 class SecondVariationReport:
     """Blocks of the volume Hessian at a located stationary torus.
 
-    transverse_* compare finite differences of the full functional along
-    kernel-orthogonal field directions with the flat quadratic form (both in
-    ambient scale, i.e. multiplied by t^n); frame_block is the reduced
-    Hessian; cross_* measure the mixed block, which vanishes at leading
-    order."""
+    transverse_fd is the second variation of the full functional along three
+    kernel-orthogonal field directions, from the solved state and two volumes
+    per direction (see `second_variation_Q`), and transverse_model the flat
+    quadratic form on them (both in ambient scale, i.e. multiplied by t^n),
+    and transverse_relative_error their largest relative gap; frame_block is
+    the reduced Hessian; cross_* measure the mixed block, which vanishes at
+    leading order."""
 
     transverse_fd: np.ndarray
     transverse_model: np.ndarray
@@ -984,38 +1014,61 @@ def _field_directions(ctx: ReductionContext) -> List[ScalarField]:
     return out
 
 
+def _transverse_second_variation(
+    ctx: ReductionContext, state: ReductionState, directions: Sequence[ScalarField]
+) -> np.ndarray:
+    """The second variation of the volume at a solved state along each of
+    directions, in chart scale, from two volumes per direction h in the
+    state's chart metric, with eps = FIELD_STEP: a gradient volume at
+    f + eps h, which gives V+ and the slope p+ = <h, P(f + eps h)>, and a
+    value-only volume V- at f - eps h.  The state holds V0 (K_value) and
+    p0 = <h, P(f)> (its gradient).  With Taylor's expansions
+    V(+-eps) = V0 +- eps p0 + eps^2 Q/2 +- eps^3 C/6 + eps^4 D/24 and
+    p+ = p0 + eps Q + eps^2 C/2 + eps^3 D/6,
+
+        Q = (3.5 V+ + 0.5 V- - 4 V0 - eps (2 p0 + p+)) / eps^2 + O(eps^3):
+
+    the weights cancel V0, p0, C and D exactly."""
+    metric = ChartMetric(ctx.metric, state.unitary, state.t)
+    eps = FIELD_STEP
+    slopes = ctx.vol_pairings([state.gradient], directions)[0]
+    second = np.zeros(len(directions))
+    for i, direction in enumerate(directions):
+        step = eps * direction.values
+        plus, gradient, _ = graph_volume_and_gradient(
+            ctx.chart, ctx.grid, state.f.values + step, metric
+        )
+        minus, _, _ = graph_volume_and_gradient(
+            ctx.chart, ctx.grid, state.f.values - step, metric, need_gradient=False
+        )
+        slope = ctx.vol_inner(
+            direction, ScalarField(ctx.grid, _inverse(gradient, ctx.grid, False), check=False)
+        )
+        second[i] = (
+            3.5 * float(np.real(plus))
+            + 0.5 * float(np.real(minus))
+            - 4.0 * state.K_value
+            - eps * (2.0 * slopes[i] + slope)
+        ) / eps**2
+    return second
+
+
 def second_variation_Q(
     ctx: ReductionContext, state: ReductionState, frame_block: np.ndarray
 ) -> SecondVariationReport:
     """Assemble the three Hessian blocks at a solved critical frame.
 
     frame_block is the reduced Hessian `hessian_K` at the state, which
-    `optimize_frame` returns.  The field stencil's volumes are value-only
-    `graph_volume_and_gradient` calls in the state's chart metric."""
+    `optimize_frame` returns.  The transverse block takes two volumes per
+    field direction (`_transverse_second_variation`); the cross block reads
+    the gradients of the neighbour solves along the quotient, which a
+    located state has memoized from `hessian_K`."""
     field_directions = _field_directions(ctx)
-    metric = ChartMetric(ctx.metric, state.unitary, state.t)
     scale = state.t**ctx.n
-
-    transverse_fd = np.zeros(len(field_directions))
-    transverse_model = np.zeros(len(field_directions))
-    for i, direction in enumerate(field_directions):
-        values = []
-        for s in (-2, -1, 0, 1, 2):
-            if s == 0:
-                # the centre is the solved state, whose volume K_value holds
-                values.append(state.K_value)
-                continue
-            f = state.f.values + s * FIELD_STEP * direction.values
-            vol, _, _ = graph_volume_and_gradient(
-                ctx.chart, ctx.grid, f, metric, need_gradient=False
-            )
-            values.append(float(np.real(vol)))
-        second = (
-            -values[4] + 16.0 * values[3] - 30.0 * values[2] + 16.0 * values[1] - values[0]
-        ) / (12.0 * FIELD_STEP**2)
-        transverse_fd[i] = scale * second
-        lf = ctx.flat_operator.apply(direction)
-        transverse_model[i] = scale * ctx.vol_inner(direction, lf)
+    transverse_fd = scale * _transverse_second_variation(ctx, state, field_directions)
+    transverse_model = scale * np.array(
+        [ctx.vol_inner(h, ctx.flat_operator.apply(h)) for h in field_directions]
+    )
     rel_err = float(
         np.max(
             np.abs(transverse_fd - transverse_model)

@@ -3,10 +3,12 @@
 Each one computes an object the package also computes, or a prediction for
 it, by an independent route: Richardson finite differences against the
 complex-step Hessian, the dense complex-step Hessian against the flat
-operator's symbol and for the perturbed metrics, the ambient moment
-polynomials against the operator kernels and the frame-variation potentials,
-Fourier phase shifts against frame rotations, and the defining identities of
-metrics and frames.  None of them runs in a suite.
+operator's symbol and for the perturbed metrics, the complex-step
+Hessian-vector product against the second variation's transverse block,
+the ambient moment polynomials against the operator kernels and the
+frame-variation potentials, Fourier phase shifts against frame rotations,
+and the defining identities of metrics and frames.  None of them runs in a
+suite.
 """
 
 from dataclasses import dataclass
@@ -565,6 +567,22 @@ def second_variation_consistency(
     fv = f.values.reshape(-1)
     quad = float(fv @ op.apply(f).values.reshape(-1)) * op.weight
     return fd2, quad
+
+
+def complex_step_second_variation(
+    ctx: ReductionContext, state: ReductionState, directions: Sequence[ScalarField]
+) -> np.ndarray:
+    """<h, Im P(f + i s h)> / s for each direction h at a solved state, in
+    chart scale: the volume's Hessian-vector product from one complex-step
+    gradient volume, paired with h, with no step error at s = _CS_STEP."""
+    metric = ChartMetric(ctx.metric, state.unitary, state.t)
+    out = []
+    for h in directions:
+        f = state.f.values + 1j * _CS_STEP * h.values
+        _, gradient, _ = graph_volume_and_gradient(ctx.chart, ctx.grid, f, metric)
+        product = _inverse(gradient[1], ctx.grid, False) / _CS_STEP
+        out.append(ctx.vol_inner(h, ScalarField(ctx.grid, product, check=False)))
+    return np.array(out)
 
 
 def operator_distance(op_a: GridOperator, op_b: GridOperator) -> float:

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    complex_step_second_variation,
     loop_context,
     loop_perturbed_metric,
     mode_field,
@@ -223,7 +224,8 @@ def test_roundoff_floor_raises_early(monkeypatch):
     """Below the true roundoff floor the solve stops at the floor instead of
     running its 200 iterations: at grid 24 and t = 0.05 this frame converges
     to about 7e-13, and its residual floors near 3e-14, so a 1e-16 tolerance
-    is out of reach."""
+    is out of reach, and so is an update tolerance of 1e-20, far under the
+    update's floor (about 2e-17)."""
     ctx = build_context(grid_size=24)
     calls = []
     volume = hslag.reduction.graph_volume_and_gradient
@@ -234,9 +236,27 @@ def test_roundoff_floor_raises_early(monkeypatch):
 
     monkeypatch.setattr(hslag.reduction, "graph_volume_and_gradient", counting)
     monkeypatch.setattr(hslag.reduction, "SOLVE_TOL", 1e-16)
+    monkeypatch.setattr(hslag.reduction, "UPDATE_TOL", 1e-20)
     with pytest.raises(NonContractionError, match=r"floor of [0-9.]+e-1[3-5] above tol=1\.0e-16"):
         projected_solve(ctx, T, random_frame_state(ctx, seed=5))
     assert len(calls) <= 20
+
+
+def test_grid_64_solve_stops_at_its_update():
+    """In `reduce --seed 1`'s metric, the torus located at grid 24 and solved
+    cold at grid 64: there the residual's roundoff floor (about 1.03e-12) is
+    above SOLVE_TOL, so the solve stops on the update test, where the
+    residual test alone stagnates.  K is grid 24's to 1e-13 relative.  About
+    0.6 s, most of it the grid-24 search."""
+    metric = default_perturbed_metric(2, seed=1)
+    coarse = build_context(grid_size=24, metric=metric)
+    located = optimize_frame(coarse, T, random_frame_state(coarse, seed=1))
+    state = projected_solve(build_context(grid_size=64, metric=metric), T, located.state.frame)
+    assert state.converged
+    assert state.iterations < 20
+    assert state.residual_norm <= 1e-10
+    K = located.state.K_value
+    assert abs(state.K_value - K) <= 1e-13 * abs(K)
 
 
 @pytest.mark.parametrize(
@@ -493,6 +513,28 @@ def test_second_variation_blocks(reduction_ctx, frame_optimum):
     assert np.allclose(report.frame_eigenvalues, expected, rtol=1e-10, atol=1e-16)
 
 
+def test_transverse_block_matches_complex_step(coarse_ctx):
+    """The two-volume transverse block against the complex-step Hessian, to
+    2e-8 relative: at the located n = 2 tori of seeds 1 and 3 at grid 24 (two
+    distinct tori), through `second_variation_Q`, and at solved n = 3 states
+    at grid 16, whose cross block would cost 18 solves, through the block
+    alone.  The block reads at most 7e-10 and 2.5e-9 there; a 5-point value
+    stencil at step 1e-3 reads up to 1.9e-7 at these n = 3 states."""
+    directions = hslag.reduction._field_directions(coarse_ctx)
+    for seed in (1, 3):
+        located = optimize_frame(coarse_ctx, T, random_frame_state(coarse_ctx, seed=seed))
+        report = second_variation_Q(coarse_ctx, located.state, frame_block=located.hessian)
+        exact = T**2 * complex_step_second_variation(coarse_ctx, located.state, directions)
+        assert np.max(np.abs(report.transverse_fd - exact) / np.abs(exact)) <= 2e-8
+    ctx = build_context(radii=(1.0, 1.3, 1.6), grid_size=16)
+    directions = hslag.reduction._field_directions(ctx)
+    for seed in (1, 6):
+        state = projected_solve(ctx, T, random_frame_state(ctx, seed=seed))
+        block = hslag.reduction._transverse_second_variation(ctx, state, directions)
+        exact = complex_step_second_variation(ctx, state, directions)
+        assert np.max(np.abs(block - exact) / np.abs(exact)) <= 2e-8
+
+
 # ---------------------------------------------------------------------------
 # a solved state: its own residual and its memo of neighbour solves
 # ---------------------------------------------------------------------------
@@ -601,7 +643,8 @@ def test_state_gradient_is_final_residual(coarse_ctx, monkeypatch):
     assert vol == state.K_value
     for kept, final in zip(state.frame_sensitivity, sensitivity()):
         assert kept.tobytes() == final.tobytes()
-    # the value-only volume of the jet contract: second_variation_Q's stencil centre
+    # the value-only volume of the jet contract: the centre value V0 that
+    # second_variation_Q's transverse block reads from K_value
     assert volume(*args, need_gradient=False)[0] == vol
 
     calls = []
@@ -811,8 +854,9 @@ def test_saddle_test_ignores_stencil_noise():
 def test_optimize_frame_makes_no_value_only_volume(reduction_ctx, frame_optimum, monkeypatch):
     """Every volume of a frame search is a solve's gradient volume: the
     gradients are exact, and each Hessian, one at the start and one at the
-    critical point, takes 10 solves.  Only the
-    second-variation field stencil makes value-only volumes.  No volume
+    critical point, takes 10 solves.  Only the second variation's transverse
+    block makes value-only volumes: per field direction one gradient volume
+    at f + eps h, then one value-only volume at f - eps h.  No volume
     takes the metric's forward jet: a gradient volume gets dG : M from the
     metric's linearization, and the search's one jet is its geometric
     residual's.  The start is the located torus kicked off its critical
@@ -857,11 +901,11 @@ def test_optimize_frame_makes_no_value_only_volume(reduction_ctx, frame_optimum,
     assert volumes and all(volumes)
     assert hessian_solves == [10, 10]
     assert not any(volume_jets) and len(jets) == 1
-    # the blocks at the result: the field stencil's 3 x 4 value-only volumes,
-    # and the cross block re-solves nothing
+    # the blocks at the result: the transverse block's two volumes for each
+    # of its 3 directions, and the cross block re-solves nothing
     volumes.clear()
     second_variation_Q(reduction_ctx, result.state, frame_block=result.hessian)
-    assert volumes == [False] * 12
+    assert volumes == [True, False] * 3
     assert not any(volume_jets)
 
 
