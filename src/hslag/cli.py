@@ -14,19 +14,26 @@ import argparse
 import dataclasses
 import glob
 import itertools
-import json
 import math
 import os
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .ambient import EuclideanMetric, default_perturbed_metric, estimate_sweep, unitary_frame
 from .errors import ConfigError, HslagError
-from .fieldio import read_csv, save_field, write_csv, write_long_csv, write_manifest
+from .fieldio import (
+    _load_object,
+    load_manifest,
+    read_csv,
+    save_field,
+    write_csv,
+    write_long_csv,
+    write_manifest,
+)
 from .geomcore import ScalarField, hs_residual, one_form_l2_norm, volume
 from .models import (
     CircleSphereModel,
@@ -43,6 +50,7 @@ from .operators import (
 )
 from .moser import QuadraticPerturbedForm, moser_flow
 from .reduction import (
+    FrameState,
     build_context,
     optimize_frame,
     projected_solve,
@@ -53,6 +61,7 @@ from .reduction import (
 __all__ = ["ExperimentConfig", "run_suite", "main", "SUITES"]
 
 SUITES = ("verify-models", "spectrum", "estimates", "reduce", "sweep", "plot-data")
+_RUN_SUITES = ("plot-data", "reduce")  # the suites that read a run directory, `run`
 
 # The bound of every check, fixed by the package: each manifest check
 # records the threshold it was held to.
@@ -148,6 +157,10 @@ class ExperimentConfig:
             raise ConfigError(f"the {self.suite} suite needs n = 2 for its circle-sphere grid")
         # the sweep fits a slope and the estimates compare constants across t
         scale_t = {"sweep": self.sweep_t_values, "estimates": self.estimate_t_values}
+        # a value the suite never reads is refused, not ignored
+        for name, readers in (("run", _RUN_SUITES), ("t_values", tuple(scale_t))):
+            if getattr(self, name) is not None and self.suite not in readers:
+                raise ConfigError(f"the {self.suite} suite reads no {name}")
         if self.suite in scale_t and len(set(scale_t[self.suite]())) < 2:
             raise ConfigError(f"the {self.suite} suite needs at least two distinct t_values")
 
@@ -175,14 +188,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(_load_object(path, "config"))
 
     def to_dict(self) -> dict:
         data = dataclasses.asdict(self)
@@ -306,19 +312,8 @@ def _suite_estimates(config: ExperimentConfig, out: str):
     checks.append(_check("moser_pullback", moser.pullback_defect, tol["moser_pullback"]))
     checks.append(_check("moser_origin", moser.origin_defect, tol["moser_identity"]))
     checks.append(_check("moser_identity", moser.identity_defect, tol["moser_identity"]))
-    write_csv(
-        os.path.join(out, "moser.csv"),
-        ["steps", "pullback_defect", "origin_defect", "identity_defect", "closedness_defect"],
-        [
-            (
-                moser.steps,
-                moser.pullback_defect,
-                moser.origin_defect,
-                moser.identity_defect,
-                moser.closedness_defect,
-            )
-        ],
-    )
+    columns = ("steps", "pullback_defect", "origin_defect", "identity_defect", "closedness_defect")
+    write_csv(os.path.join(out, "moser.csv"), columns, [[getattr(moser, c) for c in columns]])
     payload = {
         "ratios": {str(k): report.ratios[k] for k in report.ratios},
         "bounded": bounded,
@@ -335,12 +330,39 @@ def _reduction_context(config: ExperimentConfig):
 
 # One row per solve of the frame search (see `optimize_frame`).
 TRACE_COLUMNS = ("step", "K", "residual_norm", "gradient_norm", "radius", "ratio", "outcome")
+_FRAME_KEYS = ("point", "matrix", "coords")  # a manifest's final_frame: FrameState's fields
+
+
+def _start_frame(config: ExperimentConfig, ctx) -> FrameState:
+    """A random frame or, with config.run, the final frame of that reduce run,
+    made with this config but for grid_size.  Started there the search takes
+    no step, so `reduce --run` re-certifies the stored torus at this grid."""
+    run = config.run
+    if run is None:
+        return random_frame_state(ctx, seed=config.seed)
+    if os.path.realpath(config.out_dir) == os.path.realpath(run):
+        raise ConfigError(f"the output directory is the run directory {run!r}")
+    manifest = load_manifest(os.path.join(run, "manifest.json"))
+    echo, mine = manifest.get("config"), config.to_dict()
+    if manifest.get("suite") != "reduce" or not isinstance(echo, dict):
+        raise ConfigError(f"{run!r} holds no reduce run")
+    keys = (set(echo) | set(mine)) - {"grid_size", "out_dir", "run"}
+    if differ := sorted(key for key in keys if echo.get(key) != mine.get(key)):
+        raise ConfigError(f"the run in {run!r} was made with other {', '.join(differ)}")
+    try:
+        frame = manifest["payload"]["final_frame"]
+        arrays = [np.array(frame[key], dtype=float) for key in _FRAME_KEYS]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"the run in {run!r} stored no final frame: {exc!r}") from exc
+    shapes = [(2 * ctx.n,), (2 * ctx.n, 2 * ctx.n), (ctx.num_frame_coords,)]
+    if [a.shape for a in arrays] != shapes or not all(np.isfinite(a).all() for a in arrays):
+        raise ConfigError(f"the final frame in {run!r} is not finite with shapes {shapes}")
+    return FrameState(*arrays)
 
 
 def _suite_reduce(config: ExperimentConfig, out: str):
     ctx = _reduction_context(config)
-    start = random_frame_state(ctx, seed=config.seed)
-    result = optimize_frame(ctx, config.t, start)
+    result = optimize_frame(ctx, config.t, _start_frame(config, ctx))
     report = second_variation_Q(ctx, result.state, frame_block=result.hessian)
 
     tol = DEFAULT_TOLERANCES
@@ -359,17 +381,10 @@ def _suite_reduce(config: ExperimentConfig, out: str):
         _check("converged", 1.0 if result.state.converged else 0.0, 1.0, comparison=">="),
     ]
 
-    write_csv(
-        os.path.join(out, "trace.csv"),
-        TRACE_COLUMNS,
-        [[e[name] for name in TRACE_COLUMNS] for e in result.trace],
-    )
-    final_solve = projected_solve(ctx, config.t, result.state.frame)
-    write_csv(
-        os.path.join(out, "contraction.csv"),
-        ["iteration", "residual_norm"],
-        list(enumerate(final_solve.residual_history)),
-    )
+    rows = [[e[name] for name in TRACE_COLUMNS] for e in result.trace]
+    write_csv(os.path.join(out, "trace.csv"), TRACE_COLUMNS, rows)
+    history = list(enumerate(result.start_history))
+    write_csv(os.path.join(out, "contraction.csv"), ["iteration", "residual_norm"], history)
     save_field(os.path.join(out, "potential.json"), result.state.f)
 
     payload = {
@@ -385,11 +400,7 @@ def _suite_reduce(config: ExperimentConfig, out: str):
         "saddle_restarts": result.saddle_restarts,
         "anchor_rounds": result.anchor_rounds,
         "hessian_eigenvalues": [float(v) for v in result.hessian_eigenvalues],
-        "final_frame": {
-            "point": [float(v) for v in result.state.frame.base_point],
-            "matrix": [[float(v) for v in row] for row in result.state.frame.base_matrix],
-            "coords": [float(v) for v in result.state.frame.coords],
-        },
+        "final_frame": dict(zip(_FRAME_KEYS, (a.tolist() for a in astuple(result.state.frame)))),
         "second_variation": {
             "transverse_fd": [float(v) for v in report.transverse_fd],
             "transverse_model": [float(v) for v in report.transverse_model],
@@ -556,7 +567,7 @@ def run_suite(config: ExperimentConfig) -> int:
 
 
 # Each override flag: the config field it sets and its argparse options.
-# --run is plot-data's alone.
+# Only the _RUN_SUITES take --run.
 _FLAGS = {
     "--out": ("out_dir", dict(help="output directory")),
     "--seed": ("seed", dict(type=int, help="seed override")),
@@ -566,7 +577,7 @@ _FLAGS = {
     "--n": ("n", dict(type=int, help="complex dimension override")),
     "--radii": ("radii", dict(type=float, nargs="+", metavar="A", help="torus radii, one per n")),
     "--grid": ("grid_size", dict(type=int, help="grid size override")),
-    "--run": ("run", dict(help="run directory containing CSV traces")),
+    "--run": ("run", dict(help="plot-data's trace directory, or the reduce run to re-certify")),
 }
 
 
@@ -580,7 +591,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} suite")
         p.add_argument("--config", help="JSON config file")
         for flag, (_, options) in _FLAGS.items():
-            if flag != "--run" or name == "plot-data":
+            if flag != "--run" or name in _RUN_SUITES:
                 p.add_argument(flag, **options)
     return parser
 

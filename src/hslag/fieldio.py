@@ -113,15 +113,21 @@ def save_field(path: Union[str, os.PathLike], field: ScalarField) -> None:
     atomic_write_text(path, json.dumps(field_to_dict(field), sort_keys=True) + "\n")
 
 
-def load_field(path: Union[str, os.PathLike]) -> ScalarField:
+def _load_object(path: Union[str, os.PathLike], what: str) -> dict:
     try:
         with open(path) as handle:
             document = json.load(handle)
     except OSError as exc:
-        raise ConfigError(f"cannot read field file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"field file {path} is not valid JSON: {exc}") from exc
-    return field_from_dict(document)
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise ConfigError(f"{what} {path} is not a JSON object")
+    return document
+
+
+def load_field(path: Union[str, os.PathLike]) -> ScalarField:
+    return field_from_dict(_load_object(path, "field file"))
 
 
 def write_manifest(path: Union[str, os.PathLike], payload: dict) -> str:
@@ -132,8 +138,7 @@ def write_manifest(path: Union[str, os.PathLike], payload: dict) -> str:
 
 
 def load_manifest(path: Union[str, os.PathLike]) -> dict:
-    with open(path) as handle:
-        return json.load(handle)
+    return _load_object(path, "manifest")
 
 
 def _render_cell(value) -> str:

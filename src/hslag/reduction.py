@@ -802,6 +802,7 @@ class OptimizationResult:
     residual_absolute: float
     solver_evaluations: int
     trace: List[dict]
+    start_history: List[float]
 
 
 def _is_saddle(eigenvalue: float) -> bool:
@@ -875,7 +876,8 @@ def optimize_frame(
     symmetries.  Each solve leaves a trace row with its radius and rho, and
     whether it was an "anchor" or a step accepted by "ratio" or "gradient",
     or "rejected".  The reported gradient norms are `_fd_gradient`'s
-    quotient and symmetry parts at the final state."""
+    quotient and symmetry parts at the final state, and start_history the
+    residuals of the cold solve at the anchored start."""
     settings = settings if settings is not None else OptimizeSettings()
     Q = ctx.quotient
     trace: List[dict] = []
@@ -898,6 +900,7 @@ def optimize_frame(
         return st, grad
 
     state, grad = solve(init.anchored(ctx.metric), None)
+    start_history = state.residual_history
     anchor_rounds, saddle_restarts, escaping = 1, 0, False
     hess = hessian_K(ctx, state)
     hess_state, model = state, hess.copy()
@@ -954,6 +957,7 @@ def optimize_frame(
         residual_absolute=absolute,
         solver_evaluations=len(trace),
         trace=trace,
+        start_history=start_history,
     )
 
 
@@ -986,14 +990,13 @@ class SecondVariationReport:
     kernel-orthogonal field directions, from the solved state and two volumes
     per direction (see `second_variation_Q`), and transverse_model the flat
     quadratic form on them (both in ambient scale, i.e. multiplied by t^n),
-    and transverse_relative_error their largest relative gap; frame_block is
-    the reduced Hessian; cross_* measure the mixed block, which vanishes at
-    leading order."""
+    and transverse_relative_error their largest relative gap;
+    frame_eigenvalues are those of the reduced Hessian; cross_* measure the
+    mixed block, which vanishes at leading order."""
 
     transverse_fd: np.ndarray
     transverse_model: np.ndarray
     transverse_relative_error: float
-    frame_block: np.ndarray
     frame_eigenvalues: np.ndarray
     cross_block: np.ndarray
     cross_relative: float
@@ -1091,7 +1094,6 @@ def second_variation_Q(
         transverse_fd=transverse_fd,
         transverse_model=transverse_model,
         transverse_relative_error=rel_err,
-        frame_block=frame_block,
         frame_eigenvalues=frame_eigs,
         cross_block=cross,
         cross_relative=cross_rel,

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -260,6 +261,48 @@ def test_scaling_suites_need_two_distinct_t_exit_2(tmp_path, suite, t_values):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"suite": "verify-models", "run": "x"},
+        {"suite": "spectrum", "run": "x"},
+        {"suite": "estimates", "run": "x"},
+        {"suite": "sweep", "run": "x"},
+        {"suite": "verify-models", "t_values": [0.1]},
+        {"suite": "spectrum", "t_values": [0.1, 0.05]},
+        {"suite": "reduce", "t_values": [0.1, 0.05]},
+        {"suite": "plot-data", "run": "x", "t_values": [0.1, 0.05]},
+    ],
+    ids=[
+        "verify-models-run", "spectrum-run", "estimates-run", "sweep-run",
+        "verify-models-t_values", "spectrum-t_values", "reduce-t_values", "plot-data-t_values",
+    ],
+)
+def test_value_a_suite_never_reads_exit_2(tmp_path, capsys, config):
+    """`run` is read by plot-data and reduce alone, and `t_values` by sweep
+    and estimates alone: elsewhere each is refused, not ignored."""
+    key = "run" if "t_values" not in config else "t_values"
+    with pytest.raises(ConfigError, match=f"the {config['suite']} suite reads no {key}"):
+        ExperimentConfig.from_dict(config)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert run_cli(config["suite"], "--config", str(path), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+def test_run_flag_only_on_suites_that_read_it(capsys):
+    parser = cli._build_parser()
+    for suite in cli.SUITES:
+        if suite in ("plot-data", "reduce"):
+            assert parser.parse_args([suite, "--run", "x"]).run == "x"
+        else:
+            with pytest.raises(SystemExit):
+                parser.parse_args([suite, "--run", "x"])
+            assert "unrecognized arguments: --run" in capsys.readouterr().err
+
+
 def test_unexpected_error_writes_failure_manifest(tmp_path, monkeypatch):
     def broken(config, out):
         raise ValueError("synthetic defect")
@@ -488,9 +531,16 @@ def test_plot_data_requires_run_dir(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_reduce_suite_end_to_end(tmp_path):
-    out = str(tmp_path / "rd")
+@pytest.fixture(scope="module")
+def reduce_run(tmp_path_factory):
+    """One `reduce --seed 7` run directory, shared by the tests below."""
+    out = str(tmp_path_factory.mktemp("reduce") / "rd")
     assert run_cli("reduce", "--seed", "7", "--t", "0.05", "--out", out) == 0
+    return out
+
+
+def test_reduce_suite_end_to_end(reduce_run):
+    out = reduce_run
     manifest = load_manifest(os.path.join(out, "manifest.json"))
     assert manifest["passed"] is True
     by_name = {c["name"]: c for c in manifest["checks"]}
@@ -517,6 +567,90 @@ def test_reduce_suite_end_to_end(tmp_path):
     assert field.grid.sizes == (32, 32)
     frame = payload["final_frame"]
     assert len(frame["point"]) == 4 and len(frame["coords"]) == 8
+
+
+@pytest.mark.parametrize("grid", [32, 48])
+def test_reduce_run_recertifies_at_any_grid(tmp_path, reduce_run, grid):
+    """Started at a stored run's final frame, the search takes no step: its
+    one solve and the certificates re-certify the torus at the new grid."""
+    out = str(tmp_path / "again")
+    argv = ["reduce", "--seed", "7", "--t", "0.05", "--run", reduce_run, "--grid", str(grid)]
+    assert run_cli(*argv, "--out", out) == 0
+    stored = load_manifest(os.path.join(reduce_run, "manifest.json"))
+    manifest = load_manifest(os.path.join(out, "manifest.json"))
+    assert len(manifest["checks"]) == 7 and all(c["passed"] for c in manifest["checks"])
+    assert manifest["payload"]["solver_evaluations"] == 1
+    K, stored_K = manifest["payload"]["K"], stored["payload"]["K"]
+    assert abs(K - stored_K) <= 1e-13 * abs(stored_K)
+    assert manifest["config"]["run"] == reduce_run
+
+
+def _edited_run(edit):
+    """A run directory builder: the stored run's manifest, edited."""
+
+    def build(tmp_path, run):
+        manifest = load_manifest(os.path.join(run, "manifest.json"))
+        edit(manifest)
+        directory = tmp_path / "stored"
+        directory.mkdir()
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+        return str(directory)
+
+    return build
+
+
+def _sweep_run(tmp_path, run):
+    out = str(tmp_path / "sweep")
+    assert run_cli("sweep", "--grid", "8", "--seed", "7", "--out", out) in (0, 1)
+    return out
+
+
+def _empty_run(tmp_path, run):
+    (tmp_path / "empty").mkdir()
+    return str(tmp_path / "empty")
+
+
+def _failed(manifest):
+    """The manifest of a run that failed in its pipeline: no payload."""
+    del manifest["payload"]
+    manifest.update(checks=[], passed=False, error="synthetic", error_type="NonContractionError")
+
+
+@pytest.mark.parametrize(
+    "build, flags, message",
+    [
+        (None, ["--seed", "8"], "made with other seed"),
+        (None, ["--seed", "8", "--amplitude", "0.04"], "made with other amplitude, seed"),
+        (None, ["--out", None], "is the run directory"),
+        (_sweep_run, [], "holds no reduce run"),
+        (_edited_run(_failed), [], "stored no final frame"),
+        (_edited_run(lambda m: m["payload"]["final_frame"]["point"].__setitem__(0, None)),
+         [], "not finite"),
+        (_edited_run(lambda m: m["payload"]["final_frame"]["coords"].pop()), [], "shapes"),
+        (_edited_run(lambda m: m["payload"]["final_frame"]["matrix"].__setitem__(0, "a")),
+         [], "stored no final frame"),
+        (_empty_run, [], "cannot read manifest"),
+    ],
+    ids=[
+        "other-seed", "two-fields", "out-is-run", "sweep-run", "failure-manifest",
+        "non-finite", "wrong-shape", "non-numeric", "no-manifest",
+    ],
+)
+def test_reduce_run_refusals_exit_2(tmp_path, capsys, reduce_run, build, flags, message):
+    """A run directory reduce cannot start from exits 2, with one
+    `config error:` line, no output directory, and the run left as it was."""
+    run = reduce_run if build is None else build(tmp_path, reduce_run)
+    out = str(tmp_path / "out")
+    flags = [run if flag is None else flag for flag in flags]  # --out at the run itself
+    before = {path.name: path.read_bytes() for path in Path(run).iterdir()}
+    capsys.readouterr()
+    argv = ["reduce", "--seed", "7", "--t", "0.05", "--run", run, "--out", out, *flags]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err
+    assert not os.path.exists(out)
+    assert {path.name: path.read_bytes() for path in Path(run).iterdir()} == before
 
 
 def test_reduce_suite_with_a_generic_metric(tmp_path):

@@ -118,6 +118,30 @@ def test_manifest_deterministic_bytes(tmp_path):
     assert load_manifest(p1) == doc
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read manifest"),
+        ("{not json", "not valid JSON"),
+        ("[1, 2]", "not a JSON object"),
+        (b"\xff\xfe", "not valid JSON"),
+    ],
+    ids=["missing", "invalid-json", "not-an-object", "not-utf8"],
+)
+def test_load_manifest_refuses_unusable_file(tmp_path, text, message):
+    """A manifest that cannot be read, parsed or used as an object raises
+    ConfigError, as a field file does."""
+    path = tmp_path / "manifest.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
+        path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        load_manifest(str(path))
+    with pytest.raises(ConfigError, match=message.replace("manifest", "field file")):
+        load_field(str(path))
+
+
 def test_manifest_rejects_nan(tmp_path):
     with pytest.raises(ValueError):
         write_manifest(str(tmp_path / "m.json"), {"x": float("nan")})

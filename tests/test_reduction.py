@@ -1028,7 +1028,8 @@ def test_search_escapes_a_saddle_only_while_escapes_remain(coarse_ctx, monkeypat
 
     def solve(ctx, t, frame, init=None):
         return types.SimpleNamespace(
-            frame=frame, f=None, K_value=K(coordinates(frame)), residual_norm=0.0
+            frame=frame, f=None, K_value=K(coordinates(frame)), residual_norm=0.0,
+            residual_history=[0.0],
         )
 
     def gradient(ctx, state, directions):
