@@ -119,6 +119,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown suite {self.suite!r}; expected one of {SUITES}")
         if self.model not in ("torus", "ln"):
             raise ConfigError(f"unknown model {self.model!r}; expected 'torus' or 'ln'")
+        # a value the suite never reads is refused, not ignored: model here,
+        # before the shape checks below read it, run and t_values further on
+        if self.model != "torus" and self.suite != "spectrum":
+            raise ConfigError(f"the {self.suite} suite reads no model")
         for name in ("n", "grid_size", "num_waves", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -145,22 +149,24 @@ class ExperimentConfig:
         self.radii = _finite_tuple("radii", self.radii)
         if any(r <= 0 for r in self.radii):
             raise ConfigError("radii must be positive")
-        spectrum_of = self.model if self.suite == "spectrum" else None
-        builds_torus = self.suite in ("verify-models", "reduce", "sweep") or spectrum_of == "torus"
+        # only spectrum reads model, so every other suite has model "torus"
+        builds_torus = self.model == "torus" and self.suite not in ("estimates", "plot-data")
         if builds_torus and len(self.radii) != self.n:
             raise ConfigError(
                 f"the {self.suite} suite needs one torus radius per complex dimension: "
                 f"n = {self.n}, radii = {self.radii}"
             )
-        builds_circle_sphere = self.suite == "verify-models" or spectrum_of == "ln"
+        builds_circle_sphere = self.suite == "verify-models" or self.model == "ln"
         if builds_circle_sphere and self.n != 2:
             raise ConfigError(f"the {self.suite} suite needs n = 2 for its circle-sphere grid")
         # the sweep fits a slope and the estimates compare constants across t
         scale_t = {"sweep": self.sweep_t_values, "estimates": self.estimate_t_values}
-        # a value the suite never reads is refused, not ignored
         for name, readers in (("run", _RUN_SUITES), ("t_values", tuple(scale_t))):
             if getattr(self, name) is not None and self.suite not in readers:
                 raise ConfigError(f"the {self.suite} suite reads no {name}")
+        # no suite writes over the run it reads
+        if self.run is not None and os.path.realpath(self.out_dir) == os.path.realpath(self.run):
+            raise ConfigError(f"the output directory is the run directory {self.run!r}")
         if self.suite in scale_t and len(set(scale_t[self.suite]())) < 2:
             raise ConfigError(f"the {self.suite} suite needs at least two distinct t_values")
 
@@ -340,8 +346,6 @@ def _start_frame(config: ExperimentConfig, ctx) -> FrameState:
     run = config.run
     if run is None:
         return random_frame_state(ctx, seed=config.seed)
-    if os.path.realpath(config.out_dir) == os.path.realpath(run):
-        raise ConfigError(f"the output directory is the run directory {run!r}")
     manifest = load_manifest(os.path.join(run, "manifest.json"))
     echo, mine = manifest.get("config"), config.to_dict()
     if manifest.get("suite") != "reduce" or not isinstance(echo, dict):

@@ -42,7 +42,6 @@ from .geomcore import (
     _forward,
     _inverse,
     derivative_multipliers,
-    fourier_multiply,
     hs_residual,
     l2_inner,
     l2_norm,
@@ -209,11 +208,6 @@ class ReductionContext:
         rows = np.array([f.values.reshape(-1) for f in fields])
         columns = np.array([g.values.reshape(-1) for g in others])
         return (rows @ columns.T) * (self.grid.node_weight() * self.density)
-
-    def project_transverse(self, f: ScalarField) -> ScalarField:
-        """Keep exactly the band modes off the flat kernel."""
-        values = fourier_multiply(f.values, self.grid, self.transverse_mask)
-        return ScalarField(self.grid, values, check=False)
 
 
 def build_context(
@@ -430,11 +424,12 @@ def projected_solve(
     norm is at most SOLVE_TOL or the update's is at most UPDATE_TOL (the
     bound that does not grow with the grid; see UPDATE_TOL).  Geometric
     divergence raises NonContractionError, and so does a residual that stops
-    falling above the tolerance while its update stays above UPDATE_TOL (a
-    roundoff floor): three iterations in a row that do not bring the residual
-    1 % below its smallest earlier value.  Roundoff jitter at a floor
-    still makes tiny new minima, hence the 1 %; a solve that gains less per
-    step could not gain a digit in its 200 iterations anyway.
+    falling above the tolerance while its update stays above UPDATE_TOL:
+    three iterations in a row that do not bring the residual 1 % below its
+    smallest earlier value, named a divergence if it then exceeds its first
+    value and a roundoff floor otherwise.  Roundoff jitter at a floor still
+    makes tiny new minima, hence the 1 %; a solve that gains less per step
+    could not gain a digit in its 200 iterations anyway.
 
     unitary is the frame's realization when the caller already has it (a
     stencil realizes its frames in one stack); None realizes it here.  Every
@@ -490,12 +485,12 @@ def projected_solve(
                 iterations=iteration + 1,
                 residual_history=history,
             )
-        if rnorm > _DIVERGENCE_FACTOR * max(first_norm, SOLVE_TOL):
-            raise NonContractionError(
-                f"projected iteration diverged: residual {rnorm:.3e} after "
-                f"{iteration + 1} steps from initial {first_norm:.3e}"
-            )
-        if stalled == 3:
+        if stalled == 3 or rnorm > _DIVERGENCE_FACTOR * max(first_norm, SOLVE_TOL):
+            if rnorm > first_norm:
+                raise NonContractionError(
+                    f"projected iteration diverged: residual {rnorm:.3e} after "
+                    f"{iteration + 1} steps from initial {first_norm:.3e}"
+                )
             raise NonContractionError(
                 f"projected iteration stagnated at a residual floor of {best:.3e} "
                 f"above tol={SOLVE_TOL:.1e}: no 1 % drop in 3 iterations"
@@ -1002,19 +997,22 @@ class SecondVariationReport:
     cross_relative: float
 
 
+def _field_modes(ctx: ReductionContext) -> np.ndarray:
+    """Flat `mode_mesh` indices of the transverse probes, k = (2, 0), (1, 1)
+    and (0, -2) on the first two axes: band modes (|k| <= 2 < N/2) off the
+    flat kernel, their symbols 12/a1^4, 4/(a1^2 a2^2), 12/a2^4 positive."""
+    k = np.zeros((ctx.n, 3), dtype=int)
+    k[:2] = [[2, 1, 0], [0, 1, -2]]
+    return np.ravel_multi_index(tuple(k), ctx.grid.sizes, mode="wrap")
+
+
 def _field_directions(ctx: ReductionContext) -> List[ScalarField]:
-    """Three volume-normalized kernel-orthogonal modes for the transverse block."""
-    mesh = ctx.grid.meshgrid()
-    raw = [
-        np.cos(2.0 * mesh[0]),
-        np.cos(mesh[0] + mesh[1]),
-        np.sin(2.0 * mesh[1]),
-    ]
-    out = []
-    for vals in raw:
-        fld = ctx.project_transverse(ScalarField(ctx.grid, vals, check=False))
-        out.append(ScalarField(ctx.grid, fld.values / ctx.vol_norm(fld), check=False))
-    return out
+    """The transverse probes cos 2 theta_1, cos(theta_1 + theta_2) and
+    sin 2 theta_2, volume-normalized: the unit modes at `_field_modes`, the
+    last negated (`_real_modes` gives k = (0, -2) as sin(-2 theta_2))."""
+    fields = _unit_modes(ctx.grid, _field_modes(ctx)) / np.sqrt(ctx.density)
+    fields[2] *= -1.0
+    return [ScalarField(ctx.grid, f, check=False) for f in fields]
 
 
 def _transverse_second_variation(
@@ -1069,9 +1067,9 @@ def second_variation_Q(
     field_directions = _field_directions(ctx)
     scale = state.t**ctx.n
     transverse_fd = scale * _transverse_second_variation(ctx, state, field_directions)
-    transverse_model = scale * np.array(
-        [ctx.vol_inner(h, ctx.flat_operator.apply(h)) for h in field_directions]
-    )
+    # on a volume-normalized real Fourier mode the flat form <h, L h> is the
+    # mode's symbol
+    transverse_model = scale * ctx.flat_operator.symbol.flat[_field_modes(ctx)]
     rel_err = float(
         np.max(
             np.abs(transverse_fd - transverse_model)

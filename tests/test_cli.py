@@ -292,6 +292,20 @@ def test_value_a_suite_never_reads_exit_2(tmp_path, capsys, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("suite", [suite for suite in cli.SUITES if suite != "spectrum"])
+def test_model_outside_spectrum_exit_2(tmp_path, capsys, suite):
+    """Only spectrum reads `model`: elsewhere a model other than the default
+    torus is refused, not ignored, and the default itself is accepted."""
+    with pytest.raises(ConfigError, match=f"the {suite} suite reads no model"):
+        ExperimentConfig.from_dict({"suite": suite, "model": "ln"})
+    assert ExperimentConfig.from_dict({"suite": suite, "model": "torus"}).model == "torus"
+    out = tmp_path / "out"
+    assert run_cli(suite, "--model", "ln", "--grid", "16", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_run_flag_only_on_suites_that_read_it(capsys):
     parser = cli._build_parser()
     for suite in cli.SUITES:
@@ -518,6 +532,19 @@ def test_plot_data_empty_dir_exit_2(tmp_path):
     plot_out = tmp_path / "pd"
     assert run_cli("plot-data", "--run", str(run_dir), "--out", str(plot_out)) == 2
     assert not (plot_out / "plot.csv").exists()
+
+
+def test_plot_data_out_at_its_run_exit_2(tmp_path, capsys):
+    """plot-data with --out at its --run directory exits 2 with one
+    `config error:` line and leaves the stored run byte for byte as it was."""
+    run = _sweep_run(tmp_path, None)
+    before = {path.name: path.read_bytes() for path in Path(run).iterdir()}
+    capsys.readouterr()
+    assert run_cli("plot-data", "--run", run, "--out", run) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "is the run directory" in err
+    assert {path.name: path.read_bytes() for path in Path(run).iterdir()} == before
 
 
 def test_plot_data_requires_run_dir(tmp_path):

@@ -31,7 +31,7 @@ import hslag.reduction
 import hslag.weinstein
 from hslag.ambient import ChartMetric, EuclideanMetric, default_perturbed_metric
 from hslag.errors import ExactnessError, NonContractionError
-from hslag.geomcore import ScalarField, _inverse
+from hslag.geomcore import ScalarField, _inverse, fourier_multiply
 from hslag.reduction import (
     FRAME_STEP,
     H_eval,
@@ -242,6 +242,19 @@ def test_roundoff_floor_raises_early(monkeypatch):
     assert len(calls) <= 20
 
 
+@pytest.mark.parametrize("factor", [-1.0, -0.5, 2.5])
+def test_growing_residual_raises_as_divergence(factor):
+    """A pseudo-inverse of the wrong sign, or with too large a gain, makes the
+    residual grow: at grid 16 from 8.6e-2 to 2.9e-1 (factors -0.5 and 2.5)
+    or 6.9e-1 (-1) in three iterations, short of the _DIVERGENCE_FACTOR.  The
+    stall rule stops the solve there, and its error names a divergence, not a
+    residual floor."""
+    ctx = build_context(grid_size=16)
+    ctx = dataclasses.replace(ctx, inverse_symbol=factor * ctx.inverse_symbol)
+    with pytest.raises(NonContractionError, match=r"diverged: residual \S+ after 4 steps"):
+        projected_solve(ctx, T, random_frame_state(ctx, seed=5))
+
+
 def test_grid_64_solve_stops_at_its_update():
     """In `reduce --seed 1`'s metric, the torus located at grid 24 and solved
     cold at grid 64: there the residual's roundoff floor (about 1.03e-12) is
@@ -280,8 +293,10 @@ def test_solved_state_lives_on_the_band(reduction_ctx, base_reduction_state):
     kernel = operator.admissible & (np.abs(operator.symbol) < 1e-8)
     assert np.count_nonzero(kernel) == 7
     band = operator.admissible & ~kernel
-    residual = reduction_ctx.project_transverse(base_reduction_state.gradient)
-    for values in (base_reduction_state.f.values, residual.values):
+    residual = fourier_multiply(
+        base_reduction_state.gradient.values, reduction_ctx.grid, reduction_ctx.transverse_mask
+    )
+    for values in (base_reduction_state.f.values, residual):
         spectrum = np.abs(np.fft.fftn(values))
         assert np.max(spectrum[~band]) <= 1e-14 * np.max(spectrum)
 
@@ -533,6 +548,32 @@ def test_transverse_block_matches_complex_step(coarse_ctx):
         block = hslag.reduction._transverse_second_variation(ctx, state, directions)
         exact = complex_step_second_variation(ctx, state, directions)
         assert np.max(np.abs(block - exact) / np.abs(exact)) <= 2e-8
+
+
+@pytest.mark.parametrize(
+    "radii, size", [(RADII, 24), (RADII, 32), ((1.0, 1.3, 1.6), 16)], ids=["n2-24", "n2-32", "n3-16"]
+)
+def test_field_directions_are_the_projected_probes(radii, size):
+    """The transverse probes, unit modes at three mode indices, equal the
+    construction they replaced to 1e-14: cos 2 theta_1, cos(theta_1 +
+    theta_2) and sin 2 theta_2 on the mesh, projected onto the band off the
+    flat kernel and volume-normalized.  The symbol at those indices is that
+    construction's flat form <h, L h> through `SymbolOperator.apply` to 1e-15
+    relative."""
+    ctx = build_context(radii=radii, grid_size=size)
+    mesh = ctx.grid.meshgrid()
+    reference = []
+    for values in (np.cos(2.0 * mesh[0]), np.cos(mesh[0] + mesh[1]), np.sin(2.0 * mesh[1])):
+        band = fourier_multiply(values, ctx.grid, ctx.transverse_mask)
+        norm = ctx.vol_norm(ScalarField(ctx.grid, band, check=False))
+        reference.append(ScalarField(ctx.grid, band / norm, check=False))
+    directions = hslag.reduction._field_directions(ctx)
+    assert len(directions) == 3
+    for h, expected in zip(directions, reference):
+        assert np.max(np.abs(h.values - expected.values)) <= 1e-14
+    model = np.array([ctx.vol_inner(h, ctx.flat_operator.apply(h)) for h in reference])
+    symbol = ctx.flat_operator.symbol.flat[hslag.reduction._field_modes(ctx)]
+    assert np.max(np.abs(symbol - model) / model) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
