@@ -1,7 +1,8 @@
 """Reproducible experiment harness.
 
 Five experiment suites (verify-models, spectrum, estimates, reduce, sweep)
-plus a plot-data emitter, driven by a JSON config with CLI overrides.  Every
+plus a plot-data emitter, driven by a JSON config with CLI overrides; each
+suite takes only the config fields (and flags) of its row in `_READS`.  Every
 suite writes a deterministic ``manifest.json`` (config echo, per-assertion
 report, suite payload) and CSV traces into the output directory; identical
 config and seed give byte-identical manifests in serial runs.  Exit codes:
@@ -51,6 +52,7 @@ from .operators import (
 from .moser import QuadraticPerturbedForm, moser_flow
 from .reduction import (
     FrameState,
+    OptimizeSettings,
     build_context,
     optimize_frame,
     projected_solve,
@@ -60,8 +62,16 @@ from .reduction import (
 
 __all__ = ["ExperimentConfig", "run_suite", "main", "SUITES"]
 
-SUITES = ("verify-models", "spectrum", "estimates", "reduce", "sweep", "plot-data")
-_RUN_SUITES = ("plot-data", "reduce")  # the suites that read a run directory, `run`
+# The config fields each suite reads besides suite and out_dir; others keep their defaults.
+_READS = {
+    "verify-models": ("n", "radii", "grid_size"),
+    "spectrum": ("model", "n", "radii", "grid_size"),
+    "estimates": ("n", "t_values", "amplitude", "num_waves", "seed"),
+    "reduce": ("n", "radii", "grid_size", "t", "amplitude", "num_waves", "seed", "run"),
+    "sweep": ("n", "radii", "grid_size", "t_values", "amplitude", "num_waves", "seed"),
+    "plot-data": ("run",),
+}
+SUITES = tuple(_READS)
 
 # The bound of every check, fixed by the package: each manifest check
 # records the threshold it was held to.
@@ -119,10 +129,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown suite {self.suite!r}; expected one of {SUITES}")
         if self.model not in ("torus", "ln"):
             raise ConfigError(f"unknown model {self.model!r}; expected 'torus' or 'ln'")
-        # a value the suite never reads is refused, not ignored: model here,
-        # before the shape checks below read it, run and t_values further on
-        if self.model != "torus" and self.suite != "spectrum":
-            raise ConfigError(f"the {self.suite} suite reads no model")
         for name in ("n", "grid_size", "num_waves", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -149,24 +155,29 @@ class ExperimentConfig:
         self.radii = _finite_tuple("radii", self.radii)
         if any(r <= 0 for r in self.radii):
             raise ConfigError("radii must be positive")
-        # only spectrum reads model, so every other suite has model "torus"
-        builds_torus = self.model == "torus" and self.suite not in ("estimates", "plot-data")
-        if builds_torus and len(self.radii) != self.n:
+        # a value the suite never reads is refused, not ignored; compared once
+        # normalized, so a JSON list equal to the default radii passes
+        reads = {"suite", "out_dir", *_READS[self.suite]}
+        if self.model == "ln":  # the circle-sphere spectrum reads no radii
+            reads.discard("radii")
+        for field in dataclasses.fields(self):
+            if field.name not in reads and getattr(self, field.name) != field.default:
+                raise ConfigError(f"the {self.suite} suite reads no {field.name}")
+        if "radii" in reads and len(self.radii) != self.n:
             raise ConfigError(
-                f"the {self.suite} suite needs one torus radius per complex dimension: "
+                f"the {self.suite} suite needs one radius per complex dimension for its torus: "
                 f"n = {self.n}, radii = {self.radii}"
             )
         builds_circle_sphere = self.suite == "verify-models" or self.model == "ln"
         if builds_circle_sphere and self.n != 2:
             raise ConfigError(f"the {self.suite} suite needs n = 2 for its circle-sphere grid")
-        # the sweep fits a slope and the estimates compare constants across t
-        scale_t = {"sweep": self.sweep_t_values, "estimates": self.estimate_t_values}
-        for name, readers in (("run", _RUN_SUITES), ("t_values", tuple(scale_t))):
-            if getattr(self, name) is not None and self.suite not in readers:
-                raise ConfigError(f"the {self.suite} suite reads no {name}")
+        if self.suite == "plot-data" and not self.run:
+            raise ConfigError("plot-data requires a run directory (--run)")
         # no suite writes over the run it reads
         if self.run is not None and os.path.realpath(self.out_dir) == os.path.realpath(self.run):
             raise ConfigError(f"the output directory is the run directory {self.run!r}")
+        # the sweep fits a slope and the estimates compare constants across t
+        scale_t = {"sweep": self.sweep_t_values, "estimates": self.estimate_t_values}
         if self.suite in scale_t and len(set(scale_t[self.suite]())) < 2:
             raise ConfigError(f"the {self.suite} suite needs at least two distinct t_values")
 
@@ -366,7 +377,9 @@ def _start_frame(config: ExperimentConfig, ctx) -> FrameState:
 
 def _suite_reduce(config: ExperimentConfig, out: str):
     ctx = _reduction_context(config)
-    result = optimize_frame(ctx, config.t, _start_frame(config, ctx))
+    # a stored critical point is certified where it is: a saddle is not escaped
+    settings = None if config.run is None else OptimizeSettings(max_saddle_restarts=0)
+    result = optimize_frame(ctx, config.t, _start_frame(config, ctx), settings)
     report = second_variation_Q(ctx, result.state, frame_block=result.hessian)
 
     tol = DEFAULT_TOLERANCES
@@ -459,15 +472,12 @@ def _suite_sweep(config: ExperimentConfig, out: str):
 
 
 def _suite_plot_data(config: ExperimentConfig, out: str):
-    run_dir = config.run
-    if not run_dir:
-        raise ConfigError("plot-data requires a run directory (--run)")
-    if not os.path.isdir(run_dir):
-        raise ConfigError(f"run directory {run_dir!r} does not exist")
-    traces = sorted(glob.glob(os.path.join(run_dir, "*.csv")))
+    if not os.path.isdir(config.run):
+        raise ConfigError(f"run directory {config.run!r} does not exist")
+    traces = sorted(glob.glob(os.path.join(config.run, "*.csv")))
     traces = [p for p in traces if os.path.basename(p) != "plot.csv"]
     if not traces:
-        raise ConfigError(f"run directory {run_dir!r} contains no CSV traces")
+        raise ConfigError(f"run directory {config.run!r} contains no CSV traces")
     long_rows: List[Tuple[str, float, float]] = []
     for path in traces:
         stem = os.path.splitext(os.path.basename(path))[0]
@@ -570,8 +580,7 @@ def run_suite(config: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Each override flag: the config field it sets and its argparse options.
-# Only the _RUN_SUITES take --run.
+# Each override flag: its config field and argparse options; a subcommand takes its row's.
 _FLAGS = {
     "--out": ("out_dir", dict(help="output directory")),
     "--seed": ("seed", dict(type=int, help="seed override")),
@@ -594,33 +603,21 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in SUITES:
         p = sub.add_parser(name, help=f"run the {name} suite")
         p.add_argument("--config", help="JSON config file")
-        for flag, (_, options) in _FLAGS.items():
-            if flag != "--run" or name in _RUN_SUITES:
+        for flag, (field, options) in _FLAGS.items():
+            if field in ("out_dir", *_READS[name]):
                 p.add_argument(flag, **options)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    if args.config:
-        config = ExperimentConfig.from_file(args.config)
-        if config.suite != args.suite:
-            config = dataclasses.replace(config, suite=args.suite)
-    else:
-        config = ExperimentConfig(suite=args.suite)
-    overrides = {
-        field: getattr(args, flag[2:])
-        for flag, (field, _) in _FLAGS.items()
-        if getattr(args, flag[2:], None) is not None
-    }
-    if "radii" in overrides:
-        n = overrides.get("n", config.n)
-        if len(overrides["radii"]) != n:
-            raise ConfigError(
-                f"--radii needs one radius per complex dimension: n = {n}, got {overrides['radii']}"
-            )
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return config
+    """The config file's config, if any, run as the subcommand's suite with the
+    flags set over it: the file is checked on its own, the result as a whole."""
+    data = ExperimentConfig.from_file(args.config).to_dict() if args.config else {}
+    data["suite"] = args.suite
+    for flag, (field, _) in _FLAGS.items():
+        if getattr(args, flag[2:], None) is not None:
+            data[field] = getattr(args, flag[2:])
+    return ExperimentConfig.from_dict(data)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from hslag.cli import ExperimentConfig, main
 from hslag.errors import ConfigError
 from hslag.fieldio import load_field, load_manifest, read_csv
 from hslag.models import TorusModel
+from hslag.reduction import OptimizeSettings, optimize_frame
 
 
 def run_cli(*args):
@@ -31,7 +33,7 @@ def run_cli(*args):
 
 
 def test_config_round_trip():
-    cfg = ExperimentConfig(suite="sweep", seed=3, t=0.04)
+    cfg = ExperimentConfig(suite="reduce", seed=3, t=0.04)
     back = ExperimentConfig.from_dict(cfg.to_dict())
     assert back == cfg
 
@@ -97,22 +99,125 @@ _DEFAULTS = ExperimentConfig(suite="sweep").to_dict()
 )
 def test_config_is_refused_or_well_typed(suite, drawn):
     """Any config document either raises ConfigError or gives a config whose
-    echo is strict JSON and whose integer fields are ints."""
+    echo is strict JSON, whose integer fields are ints, and which differs
+    from the defaults only in the fields its suite reads."""
     try:
         config = ExperimentConfig.from_dict({"suite": suite, **drawn})
     except ConfigError:
         return
-    json.dumps(config.to_dict(), allow_nan=False)
+    echo = config.to_dict()
+    json.dumps(echo, allow_nan=False)
     assert all(type(getattr(config, key)) is int for key in ("n", "grid_size", "num_waves", "seed"))
+    row = {"suite", "out_dir", *cli._READS[suite]}
+    assert {key for key in echo if echo[key] != _DEFAULTS[key]} <= row
+
+
+# A value other than the default for each config field besides suite and out_dir.
+_OTHER_VALUES = {
+    "model": "ln",
+    "n": 3,
+    "radii": [1.0, 1.5],
+    "grid_size": 16,
+    "t": 0.01,
+    "t_values": [0.1, 0.05],
+    "amplitude": 0.04,
+    "num_waves": 4,
+    "seed": 5,
+    "run": "x",
+}
+_UNREAD = [
+    (suite, key) for suite in cli.SUITES for key in _OTHER_VALUES if key not in cli._READS[suite]
+]
+
+
+def _document(suite, **values):
+    """A config document for suite; plot-data's names the run it needs."""
+    return {"suite": suite, **({"run": "x"} if suite == "plot-data" else {}), **values}
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [(_document(suite, **{key: _OTHER_VALUES[key]}), key) for suite, key in _UNREAD]
+    + [({"suite": "spectrum", "model": "ln", "radii": [1.0, 1.5]}, "radii")],
+    ids=[f"{suite}-{key}" for suite, key in _UNREAD] + ["spectrum-ln-radii"],
+)
+def test_value_outside_the_suite_row_exit_2(tmp_path, capsys, config, key):
+    """Every (suite, field) outside `_READS`, at a value other than the
+    default, is refused by the config and by the command line, which writes
+    nothing; the circle-sphere spectrum reads no radii."""
+    message = f"the {config['suite']} suite reads no {key}"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        ExperimentConfig.from_dict(config)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert run_cli(config["suite"], "--config", str(path), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suite", cli.SUITES)
+def test_default_valued_lists_are_accepted(suite):
+    """The config echo of a manifest, with its radii as a JSON list, is
+    accepted by every suite, read there or not, and so is [1, 1.3]."""
+    config = ExperimentConfig.from_dict(_document(suite))
+    assert ExperimentConfig.from_dict(config.to_dict()) == config
+    assert ExperimentConfig.from_dict(_document(suite, radii=[1, 1.3])) == config
+    if suite == "spectrum":
+        ln = _document(suite, model="ln", radii=[1.0, 1.3])
+        assert ExperimentConfig.from_dict(ln).radii == (1.0, 1.3)
+
+
+# The flags of each subcommand besides --config and --out: those of its row.
+_ROW_FLAGS = {
+    "verify-models": {"--n", "--radii", "--grid"},
+    "spectrum": {"--model", "--n", "--radii", "--grid"},
+    "estimates": {"--n", "--amplitude", "--seed"},
+    "reduce": {"--n", "--radii", "--grid", "--t", "--amplitude", "--seed", "--run"},
+    "sweep": {"--n", "--radii", "--grid", "--amplitude", "--seed"},
+    "plot-data": {"--run"},
+}
+
+
+@pytest.mark.parametrize("suite", cli.SUITES)
+def test_help_lists_only_the_flags_of_the_suite_row(capsys, suite):
+    assert run_cli(suite, "--help") == 0
+    flags = set(re.findall(r"(?<![\w-])--[a-z]+", capsys.readouterr().out))
+    assert flags == {"--help", "--config", "--out", *_ROW_FLAGS[suite]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--t", "0.01"], ["estimates", "--grid", "64"], ["plot-data", "--seed", "5"]],
+    ids=["sweep-t", "estimates-grid", "plot-data-seed"],
+)
+def test_flag_outside_the_suite_row_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _readme_text():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as handle:
+        return handle.read()
 
 
 def _readme_commands():
     """The `hslag` lines of README's quick-start bash block, as argv lists."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(path) as handle:
-        text = handle.read()
-    block = text.split("## Quick start", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    block = _readme_text().split("## Quick start", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("hslag ")]
+
+
+def test_readme_key_table_is_the_reads_table():
+    """README's per-suite key table is `cli._READS`, row by row."""
+    header = "| suite | keys it reads |\n| --- | --- |\n"
+    table = _readme_text().split(header, 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        suite, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[suite.strip("`")] = tuple(key.strip("`") for key in keys.split(", "))
+    assert rows == cli._READS
 
 
 def test_readme_commands_parse():
@@ -237,7 +342,7 @@ def test_override_of_unservable_value_exit_2(tmp_path, capsys, override):
     """Overrides pass the config's own checks: each exits 2 at once, with one
     line on stderr and no output directory, nor the parent it would create."""
     out = tmp_path / "runs" / "run"
-    assert run_cli("estimates", *override, "--out", str(out)) == 2
+    assert run_cli("reduce", *override, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not (tmp_path / "runs").exists()
@@ -297,10 +402,12 @@ def test_model_outside_spectrum_exit_2(tmp_path, capsys, suite):
     """Only spectrum reads `model`: elsewhere a model other than the default
     torus is refused, not ignored, and the default itself is accepted."""
     with pytest.raises(ConfigError, match=f"the {suite} suite reads no model"):
-        ExperimentConfig.from_dict({"suite": suite, "model": "ln"})
-    assert ExperimentConfig.from_dict({"suite": suite, "model": "torus"}).model == "torus"
+        ExperimentConfig.from_dict(_document(suite, model="ln"))
+    assert ExperimentConfig.from_dict(_document(suite, model="torus")).model == "torus"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_document(suite, model="ln")))
     out = tmp_path / "out"
-    assert run_cli(suite, "--model", "ln", "--grid", "16", "--out", str(out)) == 2
+    assert run_cli(suite, "--config", str(path), "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not out.exists()
@@ -610,6 +717,24 @@ def test_reduce_run_recertifies_at_any_grid(tmp_path, reduce_run, grid):
     K, stored_K = manifest["payload"]["K"], stored["payload"]["K"]
     assert abs(K - stored_K) <= 1e-13 * abs(stored_K)
     assert manifest["config"]["run"] == reduce_run
+
+
+def test_reduce_run_certifies_the_stored_point_in_place(tmp_path, monkeypatch, reduce_run):
+    """`reduce --run` searches with no saddle escape, so a stored saddle is
+    certified as a saddle; a fresh search keeps the default escapes."""
+    seen = []
+
+    def spy(ctx, t, init, settings=None):
+        seen.append(settings)
+        return optimize_frame(ctx, t, init, settings)
+
+    monkeypatch.setattr(cli, "optimize_frame", spy)
+    argv = ["reduce", "--seed", "7", "--t", "0.05", "--run", reduce_run]
+    assert run_cli(*argv, "--out", str(tmp_path / "again")) == 0
+    fresh = str(tmp_path / "fresh")
+    assert run_cli("reduce", "--seed", "7", "--grid", "16", "--out", fresh) in (0, 1)
+    default = OptimizeSettings().max_saddle_restarts
+    assert [default if s is None else s.max_saddle_restarts for s in seen] == [0, default]
 
 
 def _edited_run(edit):
