@@ -335,10 +335,10 @@ class SymplecticExpMetric:
 # Y^5 and two Horner steps make 6 jet products, as few as any s gives.
 _PS_BLOCK = 5
 # Workspaces a metric keeps; the least recently used one goes first.  A
-# located torus at grid 24 was measured to build 10: real frame stacks of 1,
-# 6 and 10 points, complex ones of 5 and 50, value chunks of 256 and 64
-# points at orders 0 and 1, and the volume's 576-point reverse sweep.  Fewer
-# would rebuild most of them on every torus.
+# located torus at grid 24 was measured to build 8: real frame stacks of 1,
+# 6 and 10 points, complex ones of 5 and 50, order-1 chunks of 256 and 64
+# points, and the volume's 576-point reverse sweep.  Fewer would rebuild
+# most of them on every torus.
 _WORKSPACES = 16
 # Points per workspace: 256 keeps an order-1 workspace near 1.5 MB, inside
 # a core's L2 cache, at any grid size.

@@ -31,7 +31,6 @@ __all__ = [
     "mode_mesh",
     "band_mask",
     "derivative_multipliers",
-    "fourier_multiply",
     "translate",
     "spectral_gradient",
     "l2_inner",
@@ -139,9 +138,6 @@ class ScalarField:
             scale = max(1.0, float(np.max(np.abs(self.values))))
             if defect > _QUOTIENT_TOL * scale:
                 raise QuotientError(f"field breaks Z2 invariance by {defect:.3e}")
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy(), check=False)
 
 
 @dataclass
@@ -347,13 +343,6 @@ def _hermitian_part(spectra: np.ndarray, grid: GridDescriptor) -> np.ndarray:
     mirrored = edges[(Ellipsis,) + _negated_modes(grid) + (slice(None),)]
     edges[...] = 0.5 * (edges + mirrored.conj())
     return spectra
-
-
-def fourier_multiply(values: np.ndarray, grid: GridDescriptor, table: np.ndarray) -> np.ndarray:
-    """Apply a real, even multiplier, given on the `mode_mesh` layout, to real
-    fields over the trailing grid axes."""
-    half = table[..., : grid.sizes[-1] // 2 + 1]
-    return _inverse(_forward(values, grid) * half, grid, False)
 
 
 def translate(values: np.ndarray, grid: GridDescriptor, shift: Sequence[float]) -> np.ndarray:

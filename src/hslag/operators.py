@@ -7,8 +7,7 @@ residual at the zero graph).  On the flat torus and on the circle-sphere
 quotient it has constant coefficients, so it is diagonal in Fourier space:
 a `SymbolOperator` holds its eigenvalue on every mode and acts on the
 admissible ones (the Nyquist-free band, and on quotient grids the
-deck-invariant modes).  Applying it is FFT, multiply, inverse FFT; its
-eigensolve is a sort of the symbol.
+deck-invariant modes).  Its eigensolve is a sort of the symbol.
 
 `assemble_flat_operator` writes the symbol down from the analytic formulas
 below.  `probe_flat_operator` reads it off the discrete volume itself, at any
@@ -45,7 +44,6 @@ from .geomcore import (
     _inverse,
     _negated_modes,
     band_mask,
-    fourier_multiply,
     mode_mesh,
 )
 from .models import CircleSphereModel, TorusModel
@@ -70,6 +68,8 @@ _CS_STEP = 1e-20
 # count only when the next one clears _GAP_RATIO times it
 _KERNEL_TOL = 1e-5
 _GAP_RATIO = 100.0
+# Values `_unit_modes` squares at once: 256 KB, which the allocator recycles
+_SQUARE_BLOCK = 32768
 
 
 def _real_modes(grid: GridDescriptor, indices: np.ndarray) -> np.ndarray:
@@ -78,16 +78,17 @@ def _real_modes(grid: GridDescriptor, indices: np.ndarray) -> np.ndarray:
 
     Mode k gives cos(k.theta) when its flat index is below that of -k and
     sin(k.theta) when above, so each pair {k, -k} yields one of each (the
-    mode k = 0 gives the constant).  Each axis's phase term is formed on that
-    axis alone.  A mode's phase sums, in axis order, only the terms of the
-    axes where its wave number is nonzero, so it and its cos or sin live on
-    the mesh of those axes and broadcast along the others.  The terms left
-    out are exact +0.0 (the indices are non-negative), so every value is the
-    full sum's bit for bit.
+    mode k = 0 gives the constant).  The phases take the signed wave numbers
+    of `mode_mesh`, so a negative one stays under 2 pi |k_j| in size.  Each
+    axis's phase term is formed on that axis alone.  A mode's phase sums, in
+    axis order, only the terms of the axes where its wave number is nonzero,
+    so it and its cos or sin live on the mesh of those axes and broadcast
+    along the others.  The terms left out are exact +0.0 (a zero wave number
+    times a non-negative node), so every value is the full sum's bit for bit.
     """
     sizes = grid.sizes
     indices = np.asarray(indices)
-    k = np.unravel_index(indices, sizes)
+    k = [kj - size * (2 * kj >= size) for kj, size in zip(np.unravel_index(indices, sizes), sizes)]
     partner = np.ravel_multi_index(tuple(-kj for kj in k), sizes, mode="wrap")
     nodes = np.ix_(*(np.arange(size) for size in sizes))
     lead = (slice(None),) + (None,) * len(sizes)
@@ -102,9 +103,13 @@ def _real_modes(grid: GridDescriptor, indices: np.ndarray) -> np.ndarray:
 
 def _unit_modes(grid: GridDescriptor, indices: np.ndarray) -> np.ndarray:
     """The `_real_modes` fields, each divided by its `l2_norm`: one stacked
-    evaluation and one stacked norm."""
+    evaluation, and the squares summed in blocks of modes of at most
+    _SQUARE_BLOCK values, not as one fresh temporary the size of the fields."""
     fields = _real_modes(grid, indices)
-    squares = np.sum((fields * fields).reshape(len(fields), -1), axis=1) * grid.node_weight()
+    rows = fields.reshape(len(fields), -1)
+    step = max(1, _SQUARE_BLOCK // rows.shape[1])
+    blocks = [rows[start : start + step] for start in range(0, len(rows), step)]
+    squares = np.concatenate([np.sum(b * b, axis=1) for b in blocks]) * grid.node_weight()
     fields /= np.sqrt(squares).reshape((-1,) + (1,) * grid.dim)
     return fields
 
@@ -129,19 +134,12 @@ class SymbolOperator:
 
     symbol holds the eigenvalue of every mode exp(i k.theta) on the
     `mode_mesh` layout; the operator acts on the admissible modes and maps
-    the others (Nyquist, and deck-odd modes on quotient grids) to zero.  weight is the
-    model volume measure of one node.
+    the others (Nyquist, and deck-odd modes on quotient grids) to zero.
     """
 
     grid: GridDescriptor
     symbol: np.ndarray
     admissible: np.ndarray
-    weight: float
-
-    def apply(self, f: ScalarField) -> ScalarField:
-        multiplier = np.where(self.admissible, self.symbol, 0.0)
-        values = fourier_multiply(f.values, self.grid, multiplier)
-        return ScalarField(self.grid, values, check=False)
 
     def sorted_modes(self) -> tuple[np.ndarray, np.ndarray]:
         """(eigenvalues, flat mode indices) of the admissible modes, ascending.
@@ -161,17 +159,15 @@ def assemble_flat_operator(model) -> SymbolOperator:
     admissible = _band_of(k, grid.sizes)
     if isinstance(model, TorusModel):
         symbol = torus_multiplier(model.radii, k)
-        weight = grid.node_weight() * WeinsteinChart(model.radii).flat_density()
     elif isinstance(model, CircleSphereModel):
         # (k^2+l^2)^2 - 2n(k^2+l^2) + n^2 k^2 on exp(i(k s + l phi)); the
         # half-period deck shift multiplies it by (-1)^(k+l).
         lap = k[0] ** 2 + k[1] ** 2
         symbol = lap**2 - 2 * model.n * lap + model.n**2 * k[0] ** 2
         admissible &= (k[0] + k[1]) % 2 == 0
-        weight = grid.node_weight()
     else:
         raise UnsupportedModelError(f"no flat operator assembly for {type(model).__name__}")
-    return SymbolOperator(grid, symbol, admissible, weight)
+    return SymbolOperator(grid, symbol, admissible)
 
 
 def probe_flat_operator(model: TorusModel) -> SymbolOperator:
@@ -197,8 +193,7 @@ def probe_flat_operator(model: TorusModel) -> SymbolOperator:
     half = P_hat[1].real / _CS_STEP
     negated = (Ellipsis,) + _negated_modes(grid) + (slice(None),)
     symbol = np.concatenate([half, np.flip(half[..., 1 : last // 2], axis=-1)[negated]], axis=-1)
-    weight = grid.node_weight() * chart.flat_density()
-    return SymbolOperator(grid, symbol, admissible, weight)
+    return SymbolOperator(grid, symbol, admissible)
 
 
 def kernel_dimension(eigenvalues: np.ndarray) -> int:
@@ -222,9 +217,6 @@ def kernel_dimension(eigenvalues: np.ndarray) -> int:
 class SpectralData:
     eigenvalues: np.ndarray
     eigenfields: list
-
-    def kernel_size(self) -> int:
-        return kernel_dimension(self.eigenvalues)
 
 
 def eigensolve(op: SymbolOperator, count: Optional[int] = None) -> SpectralData:

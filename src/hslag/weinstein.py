@@ -244,21 +244,17 @@ def graph_volume_and_gradient(
     u = I, t = 1): with T' = T u^T the ambient tangent vectors (up to the
     factor t), the chart metric's h = T g T^T is T' G T'^T, its rows T g are
     (T' G) u, and its contraction <M, dg_m> is t ((dG : T'^T h^-1 T') u)_m,
-    so the base metric is used as it comes, at the embedded points.  The
-    base metric's
-    `linearize` gives G and then dG : M' by one reverse sweep; dG itself is
-    never formed.
+    so the base metric is used as it comes, at the embedded points.  Every
+    volume makes one metric call, the base metric's `linearize`, value-only
+    ones too: it gives G, and its pullback gives dG : M' by one reverse sweep
+    when the gradient is asked for; dG itself is never formed.
     """
     f = np.asarray(f_values)
     n, d = chart.n, 2 * chart.n
     r2, _, cos_r, sin_r, coords, Y, T = _graph_jets(chart, grid, f)
     tables = _grid_tables(grid)
     base, u, t = metric.base, metric.frame.matrix, metric.t
-    points = metric.embed(coords)
-    if need_gradient:
-        G, pullback = base.linearize(points)
-    else:
-        G = base.value(points)
+    G, pullback = base.linearize(metric.embed(coords))
     lead = f.shape
     # T' = T u^T, one flat GEMM over all N n tangent rows; its per-node
     # transpose is made contiguous once, for h and M

@@ -8,7 +8,8 @@ Hessian-vector product against the second variation's transverse block,
 the ambient moment polynomials against the operator kernels and the
 frame-variation potentials, Fourier phase shifts against frame rotations,
 and the defining identities of metrics and frames.  None of them runs in a
-suite.
+suite.  The flat operator's action on a field, a Fourier multiplier
+through its symbol, lives here too: only the tests apply it.
 """
 
 from dataclasses import dataclass
@@ -35,12 +36,19 @@ from hslag.geomcore import (
     band_mask,
     derivative_multipliers,
     l2_norm,
+    mode_mesh,
     spectral_gradient,
     standard_symplectic_matrix,
 )
 from hslag.models import CircleSphereModel, TorusModel
 from hslag.moser import _FD_STEP, flow_map
-from hslag.operators import SpectralData, _CS_STEP, _real_modes, assemble_flat_operator
+from hslag.operators import (
+    _CS_STEP,
+    SpectralData,
+    SymbolOperator,
+    _real_modes,
+    assemble_flat_operator,
+)
 from hslag.reduction import ReductionContext, ReductionState, variation_potential
 from hslag.weinstein import WeinsteinChart, graph_volume_and_gradient
 
@@ -74,6 +82,20 @@ def band_limited_field(grid: GridDescriptor, rng, scale: float, modes: int = 6, 
     vals -= vals.mean()
     m = np.max(np.abs(vals))
     return vals * (scale / m) if m > 0 else vals
+
+
+def fourier_multiply(values: np.ndarray, grid: GridDescriptor, table: np.ndarray) -> np.ndarray:
+    """Apply a real, even multiplier, given on the `mode_mesh` layout, to real
+    fields over the trailing grid axes."""
+    half = table[..., : grid.sizes[-1] // 2 + 1]
+    return _inverse(_forward(values, grid) * half, grid, False)
+
+
+def symbol_apply(op: SymbolOperator, f: ScalarField) -> ScalarField:
+    """The flat operator applied to a field: FFT, its symbol on the
+    admissible modes (zero on the rest), inverse FFT."""
+    multiplier = np.where(op.admissible, op.symbol, 0.0)
+    return ScalarField(op.grid, fourier_multiply(f.values, op.grid, multiplier), check=False)
 
 
 def chart_map_jets(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray):
@@ -561,11 +583,12 @@ def second_variation_consistency(
 
     e = step
     fd2 = (-vol(2 * e) + 16 * vol(e) - 30 * vol(0.0) + 16 * vol(-e) - vol(-2 * e)) / (12 * e * e)
-    # The Hessian form lives in L^2 of the model volume measure, i.e. the
-    # operator's weight (node weight times the flat density), not the bare
-    # coordinate measure used by l2_inner.
+    # The Hessian form lives in L^2 of the model volume measure (node weight
+    # times the flat density), not the bare coordinate measure used by
+    # l2_inner.
     fv = f.values.reshape(-1)
-    quad = float(fv @ op.apply(f).values.reshape(-1)) * op.weight
+    weight = grid.node_weight() * chart.flat_density()
+    quad = float(fv @ symbol_apply(op, f).values.reshape(-1)) * weight
     return fd2, quad
 
 
@@ -599,9 +622,10 @@ def operator_distance(op_a: GridOperator, op_b: GridOperator) -> float:
 
 def mode_field(grid: GridDescriptor, index: int) -> np.ndarray:
     """L^2-normalized real field of one flat mode index on the full node mesh:
-    cos(k.theta) when the index is below that of -k, else sin(k.theta)."""
+    cos(k.theta) when the index is below that of -k, else sin(k.theta), with
+    k the signed wave numbers `mode_mesh` gives the index."""
     sizes = grid.sizes
-    k = np.unravel_index(np.array([index]), sizes)
+    k = [kj.reshape(-1)[[index]].astype(int) for kj in mode_mesh(grid)]
     partner = np.ravel_multi_index(tuple(-kj for kj in k), sizes, mode="wrap")
     nodes = np.indices(sizes)[..., None]
     phase = sum(2.0 * np.pi * kj * nodes[j] / sizes[j] for j, kj in enumerate(k))

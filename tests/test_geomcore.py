@@ -15,7 +15,7 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import translate
+from oracles import fourier_multiply, translate
 
 import hslag.geomcore
 from hslag.ambient import EuclideanMetric
@@ -23,7 +23,6 @@ from hslag.errors import GridMismatchError, ImmersionError, QuotientError
 from hslag.geomcore import (
     GridDescriptor,
     band_mask,
-    fourier_multiply,
     Immersion,
     ScalarField,
     hs_residual,

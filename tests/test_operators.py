@@ -20,11 +20,13 @@ from oracles import (
     band_limited_field,
     dense_eigensolve,
     flat_chart,
+    fourier_multiply,
     moment_basis,
     operator_distance,
     restrict_moment,
     rigidity_prediction,
     second_variation_consistency,
+    symbol_apply,
 )
 
 from hslag.ambient import ChartMetric, default_perturbed_metric, frame_fit, unitary_frame
@@ -34,7 +36,6 @@ from hslag.geomcore import (
     ScalarField,
     _inverse,
     band_mask,
-    fourier_multiply,
     l2_inner,
     l2_norm,
     mode_mesh,
@@ -43,6 +44,7 @@ from hslag.models import TorusModel, circle_sphere_spectrum
 from hslag.operators import (
     _CS_STEP,
     SymbolOperator,
+    _unit_modes,
     assemble_flat_operator,
     eigensolve,
     kernel_dimension,
@@ -86,7 +88,7 @@ def test_torus_matches_multiplier(hessian_oracle, torus_model):
 
 
 def test_torus_kernel_dimension_and_gap(flat_spectrum):
-    assert flat_spectrum.kernel_size() == 7
+    assert kernel_dimension(flat_spectrum.eigenvalues) == 7
     eigs = flat_spectrum.eigenvalues
     gap = 4.0 / (RADII[0] * RADII[1]) ** 2
     assert abs(eigs[7] - gap) / gap <= 1e-9
@@ -98,7 +100,7 @@ def test_torus_stability(flat_spectrum):
 
 
 def test_moment_restrictions_span_kernel(flat_spectrum, torus, torus_model):
-    kern = flat_spectrum.eigenfields[: flat_spectrum.kernel_size()]
+    kern = flat_spectrum.eigenfields[: kernel_dimension(flat_spectrum.eigenvalues)]
     K = np.stack([b.values.reshape(-1) for b in kern], axis=1)
     R = np.stack(
         [restrict_moment(Q, torus).values.reshape(-1) for Q in moment_basis(2)], axis=1
@@ -115,7 +117,7 @@ def test_moment_restrictions_annihilated(flat_operator, torus):
         nrm = l2_norm(r)
         if nrm < 1e-12:
             continue
-        assert l2_norm(flat_operator.apply(r)) / nrm <= 1e-6
+        assert l2_norm(symbol_apply(flat_operator, r)) / nrm <= 1e-6
 
 
 def test_second_variation_matches_quadratic_form(flat_operator, torus_model, rng):
@@ -171,17 +173,14 @@ def test_symbol_matches_complex_step_hessian(size, hessian_oracle):
     dense = dense_eigensolve(hessian).eigenvalues
     # the analytic and the probed symbol, each applied to every band basis
     # column and read back in that basis
+    columns = [ScalarField(grid, b.reshape(grid.sizes), check=False) for b in basis.T]
     for symbol in (assemble_flat_operator(model), probe_flat_operator(model)):
         applied = np.stack(
-            [
-                symbol.apply(ScalarField(grid, basis[:, j].reshape(grid.sizes), check=False)).values
-                for j in range(basis.shape[1])
-            ],
+            [symbol_apply(symbol, column).values for column in columns],
             axis=-1,
         ).reshape(grid.num_nodes, -1)
         top = float(np.max(symbol.symbol[symbol.admissible]))
         assert np.max(np.abs(basis.T @ applied - hessian.matrix)) <= 1e-12 * top
-        assert symbol.weight == hessian.weight
         sorted_symbol = eigensolve(symbol).eigenvalues
         assert dense.shape == sorted_symbol.shape
         assert np.max(np.abs(dense - sorted_symbol)) <= 1e-12 * top
@@ -223,7 +222,7 @@ def test_context_inverse_and_projector_match_dense(size, hessian_oracle):
     ctx = build_context(grid_size=size)
     grid = ctx.grid
     spec = dense_eigensolve(hessian)
-    kdim = spec.kernel_size()
+    kdim = kernel_dimension(spec.eigenvalues)
     assert kdim == len(ctx.kernel_fields) == 7
     # dense node-space references from eigh of the complex-step Hessian; the
     # eigenfields are L^2-orthonormal, so the projectors carry the node weight.
@@ -244,7 +243,7 @@ def test_context_inverse_and_projector_match_dense(size, hessian_oracle):
 def test_three_torus_kernel_matches_rigidity():
     model = TorusModel(radii=(1.0, 1.3, 1.7), grid_size=12)
     spec = eigensolve(assemble_flat_operator(model), count=20)
-    assert spec.kernel_size() == rigidity_prediction(model) == 13
+    assert kernel_dimension(spec.eigenvalues) == rigidity_prediction(model) == 13
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +252,8 @@ def test_three_torus_kernel_matches_rigidity():
 
 
 def test_circle_sphere_kernel(cs_spectrum, circle_sphere_model):
-    assert cs_spectrum.kernel_size() == rigidity_prediction(circle_sphere_model) == 7
+    kdim = kernel_dimension(cs_spectrum.eigenvalues)
+    assert kdim == rigidity_prediction(circle_sphere_model) == 7
 
 
 def test_circle_sphere_spectrum_multiset(cs_spectrum):
@@ -374,11 +374,30 @@ def test_zero_mean_kernel_basis():
             assert np.max(np.abs(span @ coeffs - b.values.reshape(-1))) <= 1e-12
 
 
+@pytest.mark.parametrize("size", [24, 32])
+def test_negative_wave_number_modes_match_mpmath(size):
+    """The unit modes with a negative wave number that the package reads,
+    the flat kernel's sin modes k = (-1, 0), (0, -1), (-1, 1) and the
+    transverse probe k = (0, -2), equal their exact values to 4e-16: sin of
+    2 pi k.j / N over the rectangle-rule norm pi sqrt 2, in 40-digit mpmath.
+    Phases formed from the wrapped index k mod N read 2.3e-15 to 6.9e-15."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    grid = GridDescriptor(sizes=(size, size), periods=(2 * np.pi, 2 * np.pi))
+    waves = [(-1, 0), (0, -1), (-1, 1), (0, -2)]
+    indices = np.ravel_multi_index(tuple(np.array(waves).T), grid.sizes, mode="wrap")
+    norm = mpmath.pi * mpmath.sqrt(2)
+    nodes = np.indices(grid.sizes).reshape(2, -1).T.tolist()
+    for field, (k1, k2) in zip(_unit_modes(grid, indices), waves):
+        exact = [mpmath.sin(2 * mpmath.pi * (k1 * a + k2 * b) / size) / norm for a, b in nodes]
+        assert np.max(np.abs(field.reshape(-1) - np.array(exact, dtype=float))) <= 4e-16
+
+
 def test_synthetic_unstable_operator():
     grid = GridDescriptor(sizes=(8, 8), periods=(2 * np.pi, 2 * np.pi))
     symbol = np.linspace(1.0, 5.0, 64).reshape(grid.sizes)
     symbol[1, 2] = -1.0
-    op = SymbolOperator(grid, symbol, band_mask(grid), grid.node_weight())
+    op = SymbolOperator(grid, symbol, band_mask(grid))
     min_eigenvalue = float(np.min(eigensolve(op).eigenvalues))
     assert not min_eigenvalue >= -1e-6
     assert min_eigenvalue == pytest.approx(-1.0)

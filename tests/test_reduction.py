@@ -7,6 +7,7 @@ stationarity certificate on located tori.
 """
 
 import dataclasses
+import os
 import types
 
 import numpy as np
@@ -17,11 +18,13 @@ from hypothesis import strategies as st
 
 from oracles import (
     complex_step_second_variation,
+    fourier_multiply,
     loop_context,
     loop_perturbed_metric,
     mode_field,
     psi_matrices,
     realize_jacobian_fd,
+    symbol_apply,
     xi_map,
 )
 
@@ -30,10 +33,13 @@ import hslag.operators
 import hslag.reduction
 import hslag.weinstein
 from hslag.ambient import ChartMetric, EuclideanMetric, default_perturbed_metric
+from hslag.cli import ExperimentConfig
 from hslag.errors import ExactnessError, NonContractionError
-from hslag.geomcore import ScalarField, _inverse, fourier_multiply
+from hslag.fieldio import load_manifest
+from hslag.geomcore import ScalarField, _inverse
 from hslag.reduction import (
     FRAME_STEP,
+    FrameState,
     H_eval,
     OptimizeSettings,
     SOLVE_TOL,
@@ -51,6 +57,7 @@ from hslag.reduction import (
 
 RADII = (1.0, 1.3)
 T = 0.05  # the scale of the shared reduction problem
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 @pytest.fixture(scope="module")
@@ -516,6 +523,24 @@ def test_grid_24_locates_the_grid_32_torus(coarse_ctx, reduction_ctx, frame_opti
     assert np.linalg.norm(gap) <= 1e-9
 
 
+def test_stored_n3_torus_solves_cold_to_its_K():
+    """The manifest of `hslag reduce --n 3 --radii 1 1.3 1.6 --grid 24
+    --seed 1`: one cold solve at its final frame converges to its K within
+    1e-14 relative, and the torus is stationary in the full metric,
+    geometric residual <= 1e-5 (it reads about 1.2e-8)."""
+    manifest = load_manifest(os.path.join(DATA, "reduce_n3_seed1_manifest.json"))
+    config = ExperimentConfig.from_dict(manifest["config"])
+    ctx = build_context(config.radii, config.grid_size, config.ambient_metric())
+    frame = manifest["payload"]["final_frame"]
+    keys = ("point", "matrix", "coords")
+    start = FrameState(*(np.array(frame[key], dtype=float) for key in keys))
+    state = projected_solve(ctx, config.t, start)
+    assert state.converged
+    K = manifest["payload"]["K"]
+    assert abs(state.K_value - K) <= 1e-14 * abs(K)
+    assert geometric_residual(ctx, state)[0] <= 1e-5
+
+
 def test_second_variation_blocks(reduction_ctx, frame_optimum):
     report = second_variation_Q(
         reduction_ctx, frame_optimum.state, frame_block=frame_optimum.hessian
@@ -558,8 +583,10 @@ def test_field_directions_are_the_projected_probes(radii, size):
     construction they replaced to 1e-14: cos 2 theta_1, cos(theta_1 +
     theta_2) and sin 2 theta_2 on the mesh, projected onto the band off the
     flat kernel and volume-normalized.  The symbol at those indices is that
-    construction's flat form <h, L h> through `SymbolOperator.apply` to 1e-15
-    relative."""
+    construction's flat form <h, L h> through the symbol as a multiplier to 1e-15
+    relative.  The sin probe is the mesh's own sin 2 theta_2, normalized, to
+    4e-16 (3.1e-16 at n = 2, grid 24; phases from the wrapped index
+    k mod N read 3.4e-15 there)."""
     ctx = build_context(radii=radii, grid_size=size)
     mesh = ctx.grid.meshgrid()
     reference = []
@@ -571,7 +598,10 @@ def test_field_directions_are_the_projected_probes(radii, size):
     assert len(directions) == 3
     for h, expected in zip(directions, reference):
         assert np.max(np.abs(h.values - expected.values)) <= 1e-14
-    model = np.array([ctx.vol_inner(h, ctx.flat_operator.apply(h)) for h in reference])
+    sin_2 = np.sin(2.0 * mesh[1])
+    unit_sin_2 = sin_2 / ctx.vol_norm(ScalarField(ctx.grid, sin_2, check=False))
+    assert np.max(np.abs(directions[2].values - unit_sin_2)) <= 4e-16
+    model = np.array([ctx.vol_inner(h, symbol_apply(ctx.flat_operator, h)) for h in reference])
     symbol = ctx.flat_operator.symbol.flat[hslag.reduction._field_modes(ctx)]
     assert np.max(np.abs(symbol - model) / model) <= 1e-15
 
@@ -982,10 +1012,11 @@ def test_optimize_frame_reports_the_fd_gradient_without_the_cross_check(
 
 def test_second_torus_builds_no_metric_workspace(frame_optimum, monkeypatch):
     """The metric's workspaces hold a located torus's whole working set: at
-    grid 24, value chunks of 256 and 64 points at orders 0 and 1 beside the
-    frame fit's, the reverse sweep's and the complex frame stacks'.  After
-    one torus, a second search and its second-variation blocks, from the
-    same torus turned along the diagonal torus, rebuild none."""
+    grid 24, order-1 chunks of 256 and 64 points beside the frame fit's, the
+    reverse sweep's and the complex frame stacks', 8 in all.  Value-only
+    volumes linearize like gradient volumes, so there is no order-0 chunk.
+    After one torus, a second search and its second-variation blocks, from
+    the same torus turned along the diagonal torus, rebuild none."""
     ctx = build_context(grid_size=24)
     located = frame_optimum.state.unitary
     builds = []
@@ -1009,7 +1040,8 @@ def test_second_torus_builds_no_metric_workspace(frame_optimum, monkeypatch):
     locate(0.4)
     first = len(builds)
     locate(1.1)
-    assert first == len(set(builds)) > 8
+    assert first == len(set(builds)) == 8
+    assert not any(key[0] in (256, 64) and key[2] == 0 for key in builds)
     assert len(builds) == first
 
 
