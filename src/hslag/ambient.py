@@ -467,8 +467,8 @@ class _JetWorkspace:
 
     powers[l] holds the jet of Y^l for l < s (powers[0] is the identity, set
     once); blocks[i] the jet of the block B_i, and then of the Horner partial
-    sum from B_i up.  The block GEMM runs on float views, so complex points
-    take the real GEMM twice over, with no complex cast of the coefficients."""
+    sum from B_i up.  The block GEMM runs on views in the buffers' real dtype
+    (float64 or longdouble): complex points take the real GEMM twice over."""
 
     def __init__(self, metric: SymplecticExpMetric, key: tuple):
         N, dtype, order, terms, reverse = key
@@ -491,8 +491,8 @@ class _JetWorkspace:
             [[1 / math.factorial(i * s + l) if i * s + l <= terms else 0.0 for l in range(s)]
              for i in range(m)]
         )
-        self.powers_flat = self.powers.view(np.float64)
-        self.blocks_flat = self.blocks.view(np.float64)
+        self.powers_flat = self.powers.view(self.powers.real.dtype)
+        self.blocks_flat = self.blocks.view(self.blocks.real.dtype)
         self.power_jets = [_JetView(x, N, d, order) for x in self.powers]
         self.block_jets = [_JetView(x, N, d, order) for x in self.blocks]
         self.scratch = _JetView(np.empty(N * sum(widths), dtype), N, d, order)
@@ -506,7 +506,7 @@ class _JetWorkspace:
         self.top, self.product = _JetView(np.empty(N * d * d, dtype), N, d, 0), self.scratch
         self.top_bar = np.empty((N, d, d), dtype)
         bars = np.empty((m + s, N * d * d), dtype)
-        self.block_bars_flat, self.power_bars_flat = np.split(bars.view(np.float64), [m])
+        self.block_bars_flat, self.power_bars_flat = np.split(bars.view(bars.real.dtype), [m])
         self.block_bars = [x.reshape(N, d, d) for x in bars[:m]]
         self.power_bars = [x.reshape(N, d, d) for x in bars[m:]]
         self.phase_bars = np.empty((2 * K, N), dtype)

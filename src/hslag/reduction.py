@@ -145,12 +145,12 @@ _SADDLE_TOL = max(1e-6, SOLVE_TOL / FRAME_STEP)
 class ReductionContext:
     """Precomputed flat-model data shared by every reduction run.
 
-    The flat linearized operator is a Fourier symbol; only its kernel modes
-    get eigenfields.  transverse_mask holds the band modes off the kernel
-    (`operator.admissible & ~kernel`): the transverse fields, residuals and
-    updates all live there.  inverse_symbol (1/lambda there, 0 elsewhere) is
-    the pseudo-inverse that drives the contraction, and the zero-mean kernel
-    fields (volume-orthonormalized) index the reduced equation.
+    The flat linearized operator is a Fourier symbol and its kernel a set of
+    modes: kernel_modes, flat `mode_mesh` indices in `sorted_modes` order,
+    whose fields each reader evaluates (`_volume_modes`); all but index 0
+    have zero mean and index the reduced equation.  inverse_symbol (1/lambda
+    on the band modes off the kernel, 0 elsewhere) drives the contraction,
+    and its support holds the transverse fields, residuals and updates.
 
     quotient and symmetries split the frame coordinates into two constant
     orthonormal bases (columns).  K is exactly constant along symmetries: the
@@ -164,9 +164,7 @@ class ReductionContext:
     grid: GridDescriptor
     metric: object
     flat_operator: SymbolOperator
-    kernel_fields: List[ScalarField]
-    reduced_basis: List[ScalarField]
-    transverse_mask: np.ndarray
+    kernel_modes: np.ndarray
     inverse_symbol: np.ndarray
     quotient: np.ndarray
     symmetries: np.ndarray
@@ -226,14 +224,8 @@ def build_context(
     operator = assemble_flat_operator(model)
     eigenvalues, modes = operator.sorted_modes()
     kdim = kernel_dimension(eigenvalues)
-    fields = _unit_modes(grid, modes[:kdim])
-    transverse_mask = np.zeros(grid.sizes, dtype=bool)
-    transverse_mask.flat[modes[kdim:]] = True
     inverse_symbol = np.zeros(grid.sizes)
     inverse_symbol.flat[modes[kdim:]] = 1.0 / eigenvalues[kdim:]
-    # The kernel fields are single Fourier modes; all but the constant one
-    # (mode index 0) have zero mean.
-    reduced = fields[modes[:kdim] != 0] / np.sqrt(chart.flat_density())
     # Displacement axes: the wave vectors' row space, then their null space.
     n = model.n
     _, singular, vt = np.linalg.svd(metric.wave_vectors)
@@ -245,9 +237,7 @@ def build_context(
         grid=grid,
         metric=metric,
         flat_operator=operator,
-        kernel_fields=[ScalarField(grid, f, check=False) for f in fields],
-        reduced_basis=[ScalarField(grid, f, check=False) for f in reduced],
-        transverse_mask=transverse_mask,
+        kernel_modes=modes[:kdim],
         inverse_symbol=inverse_symbol,
         quotient=np.hstack([moves[:, :rank], moves[:, 3 * n :]]),
         symmetries=np.hstack([moves[:, rank : 2 * n], moves[:, 2 * n : 3 * n]]),
@@ -403,7 +393,8 @@ class ReductionState:
     )
 
     def kernel_overlap(self, ctx: ReductionContext) -> float:
-        return max(abs(l2_inner(self.f, b)) for b in ctx.kernel_fields)
+        kernel = _unit_modes(ctx.grid, ctx.kernel_modes)
+        return max(abs(l2_inner(self.f, ScalarField(ctx.grid, b, check=False))) for b in kernel)
 
 
 def projected_solve(
@@ -441,7 +432,8 @@ def projected_solve(
     metric = ChartMetric(ctx.metric, unitary, t)
     grid = ctx.grid
     half = grid.sizes[-1] // 2 + 1
-    mask, inverse_symbol = ctx.transverse_mask[..., :half], ctx.inverse_symbol[..., :half]
+    inverse_symbol = ctx.inverse_symbol[..., :half]
+    mask = inverse_symbol != 0.0
     # the vol_norm of the residual and of the update by Parseval on the half
     # spectrum, where every column but 0 and Nyquist also stands for its
     # conjugate column
@@ -516,7 +508,14 @@ def H_eval(ctx: ReductionContext, state: ReductionState) -> np.ndarray:
             f"residual gradient acquired a mean component {mean:.3e}; "
             "the volume gradient must be mean-free"
         )
-    return ctx.vol_pairings([grad], ctx.reduced_basis)[0]
+    zero_mean = ctx.kernel_modes[ctx.kernel_modes != 0]
+    return ctx.vol_pairings([grad], _volume_modes(ctx, zero_mean))[0]
+
+
+def _volume_modes(ctx: ReductionContext, indices: np.ndarray) -> List[ScalarField]:
+    """The `_unit_modes` at flat `mode_mesh` indices, volume-normalized."""
+    fields = _unit_modes(ctx.grid, indices) / np.sqrt(ctx.density)
+    return [ScalarField(ctx.grid, f, check=False) for f in fields]
 
 
 # --------------------------------------------------------------------------
@@ -744,12 +743,13 @@ def gradient_K(ctx: ReductionContext, state: ReductionState) -> GradientReport:
     is `frame_gradient`.  A cross-check of the reduction: the search does not
     call it."""
     directions = np.hstack([ctx.quotient, ctx.symmetries]).T
+    basis = _volume_modes(ctx, ctx.kernel_modes[ctx.kernel_modes != 0])
     H = H_eval(ctx, state)
     fd = _fd_gradient(ctx, state)
     potentials = variation_potential(ctx, state, directions)
     return GradientReport(
         fd=fd,
-        factored=ctx.vol_pairings(potentials, ctx.reduced_basis) @ H,
+        factored=ctx.vol_pairings(potentials, basis) @ H,
         envelope=frame_gradient(ctx, state, directions),
     )
 
@@ -1008,11 +1008,11 @@ def _field_modes(ctx: ReductionContext) -> np.ndarray:
 
 def _field_directions(ctx: ReductionContext) -> List[ScalarField]:
     """The transverse probes cos 2 theta_1, cos(theta_1 + theta_2) and
-    sin 2 theta_2, volume-normalized: the unit modes at `_field_modes`, the
-    last negated (`_real_modes` gives k = (0, -2) as sin(-2 theta_2))."""
-    fields = _unit_modes(ctx.grid, _field_modes(ctx)) / np.sqrt(ctx.density)
-    fields[2] *= -1.0
-    return [ScalarField(ctx.grid, f, check=False) for f in fields]
+    sin 2 theta_2: the `_volume_modes` at `_field_modes`, the last negated
+    (`_real_modes` gives k = (0, -2) as sin(-2 theta_2))."""
+    directions = _volume_modes(ctx, _field_modes(ctx))
+    directions[2].values *= -1.0
+    return directions
 
 
 def _transverse_second_variation(

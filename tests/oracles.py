@@ -49,7 +49,7 @@ from hslag.operators import (
     _real_modes,
     assemble_flat_operator,
 )
-from hslag.reduction import ReductionContext, ReductionState, variation_potential
+from hslag.reduction import ReductionContext, ReductionState, _volume_modes, variation_potential
 from hslag.weinstein import WeinsteinChart, graph_volume_and_gradient
 
 # ---------------------------------------------------------------------------
@@ -680,8 +680,9 @@ def loop_perturbed_metric(
 
 
 def loop_context(radii: Sequence[float], grid_size: int, metric) -> dict:
-    """build_context's arrays from the analytic symbol summed term by term
-    and one `mode_field` per kernel mode."""
+    """build_context's arrays from the analytic symbol summed term by term,
+    with the kernel's mode indices, the flat density that volume-normalizes
+    them, and the band off the kernel as a mask of its own."""
     model = TorusModel(tuple(radii), grid_size=grid_size)
     grid = model.grid()
     a2 = np.array([a * a for a in radii])
@@ -695,12 +696,10 @@ def loop_context(radii: Sequence[float], grid_size: int, metric) -> dict:
     order = np.lexsort((modes, symbol.reshape(-1)[modes]))
     eigenvalues, modes = symbol.reshape(-1)[modes][order], modes[order]
     kdim = int(np.sum(np.abs(eigenvalues) < 1e-5))
-    kernel = [mode_field(grid, i) for i in modes[:kdim]]
     transverse_mask = np.zeros(grid.sizes, dtype=bool)
     transverse_mask.flat[modes[kdim:]] = True
     inverse_symbol = np.zeros(grid.sizes)
     inverse_symbol.flat[modes[kdim:]] = 1.0 / eigenvalues[kdim:]
-    density = WeinsteinChart(model.radii).flat_density()
     n = model.n
     _, singular, vt = np.linalg.svd(metric.wave_vectors)
     rank = int(np.count_nonzero(singular > 1e-10 * singular.max(initial=0.0)))
@@ -709,8 +708,8 @@ def loop_context(radii: Sequence[float], grid_size: int, metric) -> dict:
     return {
         "symbol": symbol,
         "admissible": admissible,
-        "kernel_fields": kernel,
-        "reduced_basis": [b / np.sqrt(density) for b, i in zip(kernel, modes) if i != 0],
+        "kernel_modes": modes[:kdim],
+        "density": WeinsteinChart(model.radii).flat_density(),
         "transverse_mask": transverse_mask,
         "inverse_symbol": inverse_symbol,
         "quotient": np.hstack([moves[:, :rank], moves[:, 3 * n :]]),
@@ -720,6 +719,12 @@ def loop_context(radii: Sequence[float], grid_size: int, metric) -> dict:
 
 # ---------------------------------------------------------------------------
 # the reduction: leading-order frame-variation potentials
+
+
+def reduced_basis(ctx: ReductionContext) -> list:
+    """The zero-mean kernel modes, volume-normalized, as `H_eval` pairs with
+    them: the context's kernel indices but the constant's (index 0)."""
+    return _volume_modes(ctx, ctx.kernel_modes[ctx.kernel_modes != 0])
 
 
 def xi_map(
@@ -794,14 +799,15 @@ def psi_matrices(ctx: ReductionContext, state: ReductionState) -> PsiReport:
     """Assemble the reduced pairing matrix and its leading-order model."""
     dim = ctx.num_frame_coords
     quotient = np.delete(np.arange(dim), ctx.stabilizer_indices)
-    full_psi = np.zeros((dim, len(ctx.reduced_basis)))
+    basis = reduced_basis(ctx)
+    full_psi = np.zeros((dim, len(basis)))
     full_leading = np.zeros_like(full_psi)
     stabilizer_norms = np.zeros(len(ctx.stabilizer_indices))
     axes = np.eye(dim)
     for i, h in enumerate(variation_potential(ctx, state, axes)):
         lead = xi_map(ctx, state.t, axes[i], state.unitary.matrix)
-        full_leading[i] = [ctx.vol_inner(lead, b) for b in ctx.reduced_basis]
-        full_psi[i] = [ctx.vol_inner(h, b) for b in ctx.reduced_basis]
+        full_leading[i] = [ctx.vol_inner(lead, b) for b in basis]
+        full_psi[i] = [ctx.vol_inner(h, b) for b in basis]
     for pos, idx in enumerate(ctx.stabilizer_indices):
         stabilizer_norms[pos] = np.linalg.norm(full_psi[idx])
     Psi = full_psi[quotient]

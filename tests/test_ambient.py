@@ -609,3 +609,39 @@ def test_warm_linearize_allocates_only_its_outputs():
     kept = G.copy(), dGM.copy()
     metric.linearize(q)[1](M)
     assert G.tobytes() == kept[0].tobytes() and dGM.tobytes() == kept[1].tobytes()
+
+
+def _relative_gap(extended, reference) -> float:
+    return float(np.max(np.abs(extended - reference)) / np.max(np.abs(reference)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_longdouble_points_give_longdouble_jets(n):
+    """Longdouble points evaluate in longdouble: value, the order-2 jet,
+    linearize with its pullback, and a complex-longdouble complex step each
+    return their points' precision and agree with float64 to 1e-14 relative
+    (at most 2.8e-15 measured).  The workspace views each buffer in its
+    own real dtype; read as float64, the 80-bit values gave inf."""
+    assert np.finfo(np.longdouble).eps < 1e-18  # else the check is vacuous
+    metric = default_perturbed_metric(n, amplitude=0.05, seed=1)
+    rng = np.random.default_rng(5)
+    p = rng.uniform(0.0, 2 * np.pi, size=(300, 2 * n))
+    M = rng.normal(size=(300, 2 * n, 2 * n))
+    M = M + np.swapaxes(M, -1, -2)
+    wide = p.astype(np.longdouble)
+    checks = [(metric.value(wide), metric.value(p))]
+    checks += list(zip(metric.derivative(wide, order=2), metric.derivative(p, order=2)))
+    G, pullback = metric.linearize(p)
+    dGM = pullback(M)
+    wide_G, wide_pullback = metric.linearize(wide)
+    checks += [(wide_G, G), (wide_pullback(M.astype(np.longdouble)), dGM)]
+    for extended, reference in checks:
+        assert extended.dtype == np.longdouble
+        assert _relative_gap(extended, reference) <= 1e-14
+    step = np.longdouble(1e-30)
+    direction = rng.normal(size=p.shape)
+    moved = metric.value(wide + 1j * step * direction.astype(np.longdouble))
+    assert moved.dtype == np.clongdouble
+    dG = np.einsum("nmij,nm->nij", metric.derivative(p)[1], direction)
+    assert _relative_gap(moved.real, G) <= 1e-14
+    assert _relative_gap(moved.imag / step, dG) <= 1e-14

@@ -18,13 +18,38 @@ from oracles import rigidity_prediction
 from hslag import cli
 from hslag.cli import ExperimentConfig, main
 from hslag.errors import ConfigError
-from hslag.fieldio import load_field, load_manifest, read_csv
+from hslag.fieldio import load_field, load_manifest, read_csv, write_manifest
 from hslag.models import TorusModel
 from hslag.reduction import OptimizeSettings, optimize_frame
 
 
 def run_cli(*args):
     return main(list(args))
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def assert_matches_stored(run_dir, name, tmp_path):
+    """Every output of a run equals its stored copy in tests/data/<name>
+    byte for byte; the manifest is compared without config.out_dir, the one
+    value that names the run's own directory.
+
+    To regenerate a stored run, make it with the invocation of the test that
+    calls this, copy its files into tests/data/<name>, and rewrite the
+    manifest through `write_manifest` with config.out_dir deleted.  That is
+    a data change: list every moved value and its size in CHANGES.md."""
+    stored = sorted(path.name for path in (DATA / name).iterdir())
+    assert sorted(path.name for path in Path(run_dir).iterdir()) == stored
+    for file_name in stored:
+        fresh = Path(run_dir) / file_name
+        if file_name == "manifest.json":
+            manifest = load_manifest(fresh)
+            del manifest["config"]["out_dir"]
+            text = write_manifest(tmp_path / file_name, manifest)
+        else:
+            text = fresh.read_text()
+        assert text == (DATA / name / file_name).read_text(), file_name
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +644,7 @@ def test_sweep_suite_and_plot_round_trip(tmp_path):
     manifest = load_manifest(os.path.join(out, "manifest.json"))
     assert manifest["passed"] is True
     assert manifest["payload"]["slope"] >= 0.8
+    assert_matches_stored(out, "sweep_seed0", tmp_path)
 
     plot_out = str(tmp_path / "pd")
     assert run_cli("plot-data", "--run", out, "--out", plot_out) == 0
@@ -673,8 +699,9 @@ def reduce_run(tmp_path_factory):
     return out
 
 
-def test_reduce_suite_end_to_end(reduce_run):
+def test_reduce_suite_end_to_end(reduce_run, tmp_path):
     out = reduce_run
+    assert_matches_stored(out, "reduce_seed7", tmp_path)
     manifest = load_manifest(os.path.join(out, "manifest.json"))
     assert manifest["passed"] is True
     by_name = {c["name"]: c for c in manifest["checks"]}

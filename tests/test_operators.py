@@ -23,6 +23,7 @@ from oracles import (
     fourier_multiply,
     moment_basis,
     operator_distance,
+    reduced_basis,
     restrict_moment,
     rigidity_prediction,
     second_variation_consistency,
@@ -223,7 +224,7 @@ def test_context_inverse_and_projector_match_dense(size, hessian_oracle):
     grid = ctx.grid
     spec = dense_eigensolve(hessian)
     kdim = kernel_dimension(spec.eigenvalues)
-    assert kdim == len(ctx.kernel_fields) == 7
+    assert kdim == len(ctx.kernel_modes) == 7
     # dense node-space references from eigh of the complex-step Hessian; the
     # eigenfields are L^2-orthonormal, so the projectors carry the node weight.
     # The transverse projector is the one onto the band's non-kernel
@@ -235,7 +236,8 @@ def test_context_inverse_and_projector_match_dense(size, hessian_oracle):
     proj = V[:, kdim:] @ V[:, kdim:].T * w
     indicators = np.eye(grid.num_nodes).reshape((grid.num_nodes,) + grid.sizes)
     ctx_pinv = fourier_multiply(indicators, grid, ctx.inverse_symbol).reshape(len(indicators), -1).T
-    ctx_proj = fourier_multiply(indicators, grid, ctx.transverse_mask).reshape(grid.num_nodes, -1).T
+    band = ctx.inverse_symbol != 0.0
+    ctx_proj = fourier_multiply(indicators, grid, band).reshape(grid.num_nodes, -1).T
     assert np.max(np.abs(ctx_pinv - pinv)) <= 1e-11 * np.max(np.abs(pinv))
     assert np.max(np.abs(ctx_proj - proj)) <= 1e-11 * np.max(np.abs(proj))
 
@@ -348,10 +350,10 @@ def test_torus_action_leaves_spectrum_invariant(pert_setup):
 def test_project_out_kernel(reduction_ctx, rng):
     grid = reduction_ctx.grid
     f = ScalarField(grid, band_limited_field(grid, rng, scale=1.0), check=False)
-    mask = reduction_ctx.transverse_mask
+    mask = reduction_ctx.inverse_symbol != 0.0
     g = ScalarField(grid, fourier_multiply(f.values, grid, mask), check=False)
-    for b in reduction_ctx.kernel_fields:
-        assert abs(l2_inner(g, b)) <= 1e-10
+    for b in _unit_modes(grid, reduction_ctx.kernel_modes):
+        assert abs(l2_inner(g, ScalarField(grid, b, check=False))) <= 1e-10
     g2 = ScalarField(grid, fourier_multiply(g.values, grid, mask), check=False)
     assert np.max(np.abs(g2.values - g.values)) <= 1e-12
 
@@ -359,7 +361,7 @@ def test_project_out_kernel(reduction_ctx, rng):
 def test_zero_mean_kernel_basis():
     for size in (24, 32):
         ctx = build_context(grid_size=size)
-        basis = ctx.reduced_basis
+        basis = reduced_basis(ctx)
         assert len(basis) == 6
         for b in basis:
             assert abs(np.mean(b.values)) <= 1e-12
@@ -369,9 +371,9 @@ def test_zero_mean_kernel_basis():
         span = np.stack(
             [b.values.reshape(-1) for b in basis] + [np.ones(ctx.grid.num_nodes)], axis=1
         )
-        for b in ctx.kernel_fields:
-            coeffs = np.linalg.lstsq(span, b.values.reshape(-1), rcond=None)[0]
-            assert np.max(np.abs(span @ coeffs - b.values.reshape(-1))) <= 1e-12
+        for b in _unit_modes(ctx.grid, ctx.kernel_modes):
+            coeffs = np.linalg.lstsq(span, b.reshape(-1), rcond=None)[0]
+            assert np.max(np.abs(span @ coeffs - b.reshape(-1))) <= 1e-12
 
 
 @pytest.mark.parametrize("size", [24, 32])

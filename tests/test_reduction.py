@@ -24,6 +24,7 @@ from oracles import (
     mode_field,
     psi_matrices,
     realize_jacobian_fd,
+    reduced_basis,
     symbol_apply,
     xi_map,
 )
@@ -92,10 +93,15 @@ def test_build_context_is_solve_free(size, monkeypatch):
     eigensolve = hslag.operators.eigensolve
     monkeypatch.setattr(hslag.operators, "eigensolve", counting("eigensolve", eigensolve))
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    # the kernel stays as mode indices: no mode is evaluated on the grid
+    for module in (hslag.operators, hslag.reduction):
+        for name in ("_unit_modes", "_real_modes"):
+            if name in module.__dict__:
+                monkeypatch.setattr(module, name, counting(name, module.__dict__[name]))
     ctx = build_context(grid_size=size)
     assert calls == []
-    assert len(ctx.kernel_fields) == 7
-    assert len(ctx.reduced_basis) == 6
+    assert len(ctx.kernel_modes) == 7
+    assert np.count_nonzero(ctx.kernel_modes) == 6
 
 
 def _same_bits(a, b) -> bool:
@@ -110,7 +116,10 @@ def _same_bits(a, b) -> bool:
 def test_setup_equals_loop_references_bit_for_bit(radii, size):
     """The whole-array set-up, the default metric, the context and the
     eigenfields, equals its one-mode-at-a-time references byte for byte, so
-    every located torus and stored result is unchanged by it."""
+    every located torus and stored result is unchanged by it.  The kernel
+    fields that readers build from ctx.kernel_modes, unit and
+    volume-normalized, are each `mode_field` at the reference's index, and
+    the support of inverse_symbol is the reference's transverse mask."""
     n = len(radii)
     for seed, waves in ((0, 3), (1, 4)):
         metric = default_perturbed_metric(n, seed=seed, num_waves=waves)
@@ -122,11 +131,18 @@ def test_setup_equals_loop_references_bit_for_bit(radii, size):
     expected = loop_context(radii, size, reference)
     assert _same_bits(ctx.flat_operator.symbol, expected["symbol"])
     assert _same_bits(ctx.flat_operator.admissible, expected["admissible"])
-    for name in ("kernel_fields", "reduced_basis"):
-        fields = [f.values for f in getattr(ctx, name)]
-        assert len(fields) == len(expected[name]), name
-        assert all(_same_bits(f, g) for f, g in zip(fields, expected[name])), name
-    for name in ("transverse_mask", "inverse_symbol", "quotient", "symmetries"):
+    assert _same_bits(ctx.kernel_modes, expected["kernel_modes"])
+    indices = expected["kernel_modes"]
+    kernel = hslag.operators._unit_modes(ctx.grid, ctx.kernel_modes)
+    assert all(_same_bits(f, mode_field(ctx.grid, i)) for f, i in zip(kernel, indices))
+    zero_mean = [i for i in indices if i != 0]
+    reduced = reduced_basis(ctx)
+    assert len(reduced) == len(zero_mean) == len(kernel) - 1
+    root = np.sqrt(expected["density"])
+    for f, i in zip(reduced, zero_mean):
+        assert _same_bits(f.values, mode_field(ctx.grid, i) / root), i
+    assert _same_bits(ctx.inverse_symbol != 0.0, expected["transverse_mask"])
+    for name in ("inverse_symbol", "quotient", "symmetries"):
         assert _same_bits(getattr(ctx, name), expected[name]), name
     spectrum = hslag.operators.eigensolve(ctx.flat_operator, 20)
     _, modes = ctx.flat_operator.sorted_modes()
@@ -179,7 +195,7 @@ def test_perturbed_solve_invariants(reduction_ctx, base_reduction_state):
     assert state.kernel_overlap(reduction_ctx) <= 1e-10
     assert abs(float(np.mean(state.f.values))) <= 1e-12
     coeffs = H_eval(reduction_ctx, state)
-    assert coeffs.shape == (len(reduction_ctx.reduced_basis),)
+    assert coeffs.shape == (np.count_nonzero(reduction_ctx.kernel_modes),)
     assert np.max(np.abs(coeffs)) <= 1e-2
 
 
@@ -300,9 +316,9 @@ def test_solved_state_lives_on_the_band(reduction_ctx, base_reduction_state):
     kernel = operator.admissible & (np.abs(operator.symbol) < 1e-8)
     assert np.count_nonzero(kernel) == 7
     band = operator.admissible & ~kernel
-    residual = fourier_multiply(
-        base_reduction_state.gradient.values, reduction_ctx.grid, reduction_ctx.transverse_mask
-    )
+    transverse = reduction_ctx.inverse_symbol != 0.0
+    gradient = base_reduction_state.gradient.values
+    residual = fourier_multiply(gradient, reduction_ctx.grid, transverse)
     for values in (base_reduction_state.f.values, residual):
         spectrum = np.abs(np.fft.fftn(values))
         assert np.max(spectrum[~band]) <= 1e-14 * np.max(spectrum)
@@ -388,9 +404,7 @@ def test_moment_potentials_span_reduced_kernel(reduction_ctx, base_reduction_sta
     axes = np.eye(reduction_ctx.num_frame_coords)
     for e in np.delete(axes, reduction_ctx.stabilizer_indices, axis=0):
         columns.append(xi_map(reduction_ctx, T, e, matrix).values.reshape(-1))
-    kernel = np.stack(
-        [b.values.reshape(-1) for b in reduction_ctx.reduced_basis], axis=1
-    )
+    kernel = np.stack([b.values.reshape(-1) for b in reduced_basis(reduction_ctx)], axis=1)
     angles = scipy.linalg.subspace_angles(np.stack(columns, axis=1), kernel)
     assert np.max(angles) <= 1e-6
 
@@ -591,7 +605,7 @@ def test_field_directions_are_the_projected_probes(radii, size):
     mesh = ctx.grid.meshgrid()
     reference = []
     for values in (np.cos(2.0 * mesh[0]), np.cos(mesh[0] + mesh[1]), np.sin(2.0 * mesh[1])):
-        band = fourier_multiply(values, ctx.grid, ctx.transverse_mask)
+        band = fourier_multiply(values, ctx.grid, ctx.inverse_symbol != 0.0)
         norm = ctx.vol_norm(ScalarField(ctx.grid, band, check=False))
         reference.append(ScalarField(ctx.grid, band / norm, check=False))
     directions = hslag.reduction._field_directions(ctx)
@@ -804,7 +818,7 @@ def test_kernel_pairings_equal_the_per_pair_loop(coarse_ctx):
     reduced basis or the field directions in one matrix product; each equals
     the per-pair `vol_inner` loop to roundoff."""
     state = fresh_state(coarse_ctx)
-    ctx, basis = coarse_ctx, coarse_ctx.reduced_basis
+    ctx, basis = coarse_ctx, reduced_basis(coarse_ctx)
     H = H_eval(ctx, state)
     loop_H = np.array([ctx.vol_inner(state.gradient, b) for b in basis])
     assert np.max(np.abs(H - loop_H)) <= 1e-14 * np.max(np.abs(loop_H))
@@ -882,7 +896,7 @@ def test_projected_solve_norm_is_the_grid_norm(coarse_ctx, monkeypatch):
     state = fresh_state(coarse_ctx)
     assert len(state.residual_history) == len(gradients) > 3
     grid = coarse_ctx.grid
-    mask = coarse_ctx.transverse_mask[..., : grid.sizes[-1] // 2 + 1]
+    mask = coarse_ctx.inverse_symbol[..., : grid.sizes[-1] // 2 + 1] != 0.0
     for rnorm, gradient in zip(state.residual_history, gradients):
         projected = ScalarField(grid, _inverse(gradient * mask, grid, False), check=False)
         grid_norm = coarse_ctx.vol_norm(projected)
