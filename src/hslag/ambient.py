@@ -758,11 +758,12 @@ def estimate_sweep(
     t_values: Sequence[float],
     seed: int = 0,
 ) -> EstimateReport:
-    """Scaling constants of the chart metrics: sup |d^k (g^t - g0)| / t^k.
+    """Scaling constants of the chart metrics: C_0 = sup |g^t - g0| / t, and
+    C_k = sup |d^k g^t| / t^k for the derivative orders k = 1, 2.
 
-    For each derivative order k = 0, 1, 2 the constant C_k(t) is the max over
-    the frame list and over ball samples; the report records each C_k's
-    max/min ratio across the t list, near 1 when C_k is flat in t.
+    Each C_k(t) is the max over the frame list and over ball samples; the
+    report records each C_k's max/min ratio across the t list, near 1 when
+    C_k is flat in t.
     """
     z = ball_samples(metric.dim, _SWEEP_RADIUS, _SWEEP_SAMPLES, seed)
     eye = np.eye(metric.dim)

@@ -453,6 +453,9 @@ def _suite_sweep(config: ExperimentConfig, out: str):
         rows.append((t, norms[t], state.residual_norm, state.iterations, agreement))
 
     ts = sorted(norms)
+    vanishing = [t for t in ts if not norms[t] > 0.0]
+    if vanishing:
+        raise HslagError(f"no scaling slope: the solved |f| is not above 0 at t = {vanishing}")
     log_t = np.log([t for t in ts])
     log_n = np.log([norms[t] for t in ts])
     slope = float(np.polyfit(log_t, log_n, 1)[0])

@@ -68,8 +68,6 @@ _CS_STEP = 1e-20
 # count only when the next one clears _GAP_RATIO times it
 _KERNEL_TOL = 1e-5
 _GAP_RATIO = 100.0
-# Values `_unit_modes` squares at once: 256 KB, which the allocator recycles
-_SQUARE_BLOCK = 32768
 
 
 def _real_modes(grid: GridDescriptor, indices: np.ndarray) -> np.ndarray:
@@ -79,12 +77,7 @@ def _real_modes(grid: GridDescriptor, indices: np.ndarray) -> np.ndarray:
     Mode k gives cos(k.theta) when its flat index is below that of -k and
     sin(k.theta) when above, so each pair {k, -k} yields one of each (the
     mode k = 0 gives the constant).  The phases take the signed wave numbers
-    of `mode_mesh`, so a negative one stays under 2 pi |k_j| in size.  Each
-    axis's phase term is formed on that axis alone.  A mode's phase sums, in
-    axis order, only the terms of the axes where its wave number is nonzero,
-    so it and its cos or sin live on the mesh of those axes and broadcast
-    along the others.  The terms left out are exact +0.0 (a zero wave number
-    times a non-negative node), so every value is the full sum's bit for bit.
+    of `mode_mesh`, so a negative one stays under 2 pi |k_j| in size.
     """
     sizes = grid.sizes
     indices = np.asarray(indices)
@@ -92,24 +85,14 @@ def _real_modes(grid: GridDescriptor, indices: np.ndarray) -> np.ndarray:
     partner = np.ravel_multi_index(tuple(-kj for kj in k), sizes, mode="wrap")
     nodes = np.ix_(*(np.arange(size) for size in sizes))
     lead = (slice(None),) + (None,) * len(sizes)
-    terms = [2.0 * np.pi * kj[lead] * nodes[j] / sizes[j] for j, kj in enumerate(k)]
-    waves = [kj.tolist() for kj in k]
-    fields = np.empty((len(indices),) + tuple(sizes))
-    for m, cos in enumerate((indices <= partner).tolist()):
-        phase = sum((term[m] for term, wave in zip(terms, waves) if wave[m]), 0.0)
-        fields[m] = np.cos(phase) if cos else np.sin(phase)
-    return fields
+    phase = sum(2.0 * np.pi * kj[lead] * nodes[j] / sizes[j] for j, kj in enumerate(k))
+    return np.where((indices <= partner)[lead], np.cos(phase), np.sin(phase))
 
 
 def _unit_modes(grid: GridDescriptor, indices: np.ndarray) -> np.ndarray:
-    """The `_real_modes` fields, each divided by its `l2_norm`: one stacked
-    evaluation, and the squares summed in blocks of modes of at most
-    _SQUARE_BLOCK values, not as one fresh temporary the size of the fields."""
+    """The `_real_modes` fields, each divided by its `l2_norm`."""
     fields = _real_modes(grid, indices)
-    rows = fields.reshape(len(fields), -1)
-    step = max(1, _SQUARE_BLOCK // rows.shape[1])
-    blocks = [rows[start : start + step] for start in range(0, len(rows), step)]
-    squares = np.concatenate([np.sum(b * b, axis=1) for b in blocks]) * grid.node_weight()
+    squares = np.sum((fields * fields).reshape(len(fields), -1), axis=1) * grid.node_weight()
     fields /= np.sqrt(squares).reshape((-1,) + (1,) * grid.dim)
     return fields
 

@@ -481,6 +481,19 @@ def test_numerical_failure_manifest_names_stage(tmp_path, monkeypatch):
     assert manifest["stage"] == "reduction.projected_solve"
 
 
+def test_sweep_with_vanishing_fields_fails_with_a_manifest(tmp_path, capsys):
+    """At amplitude 0 every solved field is zero, so the sweep has no log-log
+    slope to fit: it exits 1 with a failure manifest naming its stage, and
+    prints no traceback."""
+    out = str(tmp_path / "flat")
+    assert run_cli("sweep", "--amplitude", "0", "--grid", "16", "--out", out) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    manifest = load_manifest(os.path.join(out, "manifest.json"))
+    assert manifest["passed"] is False
+    assert manifest["error_type"] == "HslagError"
+    assert manifest["stage"] == "cli._suite_sweep"
+
+
 def _python(*args):
     """A fresh interpreter with the package's source on its path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -581,6 +594,7 @@ def test_verify_models_suite(tmp_path):
     assert all(c["value"] <= c["threshold"] for c in manifest["checks"])
     header, rows = read_csv(os.path.join(out, "model_checks.csv"))
     assert header[0] == "model" and len(rows) == 2
+    assert_matches_stored(out, "verify_models", tmp_path)
 
 
 def test_verify_models_deterministic_bytes(tmp_path):
@@ -603,6 +617,7 @@ def test_spectrum_suite_torus(tmp_path):
     header, rows = read_csv(os.path.join(out, "spectrum.csv"))
     assert header == ["k1", "k2", "multiplicity", "analytic", "numeric", "abs_diff", "rel_diff"]
     assert len(rows) == 81
+    assert_matches_stored(out, "spectrum_torus", tmp_path)
 
 
 def test_spectrum_suite_circle_sphere(tmp_path):
@@ -617,6 +632,7 @@ def test_spectrum_suite_circle_sphere(tmp_path):
     ls = {row[1] for row in rows}
     assert max(ks) == 4 and max(ls) == 4
     assert all((row[0] + row[1]) % 2 == 0 for row in rows)
+    assert_matches_stored(out, "spectrum_ln", tmp_path)
 
 
 def test_spectrum_suite_circle_sphere_beyond_dense_size(tmp_path):
@@ -636,6 +652,7 @@ def test_estimates_suite(tmp_path):
         assert by_name[f"estimate_ratio_k{k}"]["value"] <= 2.0
     assert by_name["moser_pullback"]["value"] <= 1e-6
     assert by_name["moser_identity"]["value"] <= 1e-8
+    assert_matches_stored(out, "estimates_seed0", tmp_path)
 
 
 def test_sweep_suite_and_plot_round_trip(tmp_path):

@@ -34,7 +34,7 @@ import hslag.operators
 import hslag.reduction
 import hslag.weinstein
 from hslag.ambient import ChartMetric, EuclideanMetric, default_perturbed_metric
-from hslag.cli import ExperimentConfig
+from hslag.cli import ExperimentConfig, main
 from hslag.errors import ExactnessError, NonContractionError
 from hslag.fieldio import load_manifest
 from hslag.geomcore import ScalarField, _inverse
@@ -149,6 +149,28 @@ def test_setup_equals_loop_references_bit_for_bit(radii, size):
     assert len(spectrum.eigenfields) == 20
     for f, index in zip(spectrum.eigenfields, modes):
         assert _same_bits(f.values, mode_field(ctx.grid, index)), index
+
+
+# signed wave numbers with a negative or mixed-sign component, per n
+_SIGNED_WAVES = {
+    2: [(-1, 0), (0, -1), (-1, 1), (1, -1), (-2, -3), (3, -2), (-11, 7)],
+    3: [(-1, 0, 0), (0, 0, -1), (1, -1, 0), (-1, 1, -1), (2, -3, 1), (0, -2, 0), (-15, 4, -7)],
+}
+
+
+@pytest.mark.parametrize("radii, size", [((1.0, 1.3), 24), ((1.0, 1.3, 1.6), 32)])
+def test_unit_modes_equal_the_one_mode_oracle_bit_for_bit(radii, size):
+    """`_unit_modes` at the kernel's indices, at the transverse probes' and
+    at negative and mixed wave numbers equals `mode_field`, one mode on the
+    full node mesh, byte for byte."""
+    ctx = build_context(radii, size)
+    waves = np.array(_SIGNED_WAVES[len(radii)])
+    signed = np.ravel_multi_index(tuple(waves.T), ctx.grid.sizes, mode="wrap")
+    for indices in (ctx.kernel_modes, hslag.reduction._field_modes(ctx), signed):
+        fields = hslag.operators._unit_modes(ctx.grid, indices)
+        assert len(fields) == len(indices)
+        for f, index in zip(fields, indices):
+            assert _same_bits(f, mode_field(ctx.grid, index)), index
 
 
 # ---------------------------------------------------------------------------
@@ -1062,6 +1084,33 @@ def test_second_torus_builds_no_metric_workspace(frame_optimum, monkeypatch):
 # ---------------------------------------------------------------------------
 # the trust-region search and the frame exponential
 # ---------------------------------------------------------------------------
+
+
+def test_search_at_its_solve_budget_returns_the_hessian_at_its_state(
+    coarse_ctx, monkeypatch, tmp_path
+):
+    """A search that stops at _MAX_SEARCH_SOLVES, not at |dK| <= _POLISH_TOL,
+    forms its Hessian again at the state it returns, and `reduce` reports
+    such a torus as failed: exit 1 with a full manifest."""
+    hessian, states = hslag.reduction.hessian_K, []
+
+    def recording(ctx, state):
+        states.append(state)
+        return hessian(ctx, state)
+
+    monkeypatch.setattr(hslag.reduction, "_MAX_SEARCH_SOLVES", 3)
+    monkeypatch.setattr(hslag.reduction, "hessian_K", recording)
+    result = optimize_frame(coarse_ctx, T, random_frame_state(coarse_ctx, seed=1))
+    assert result.solver_evaluations == 3
+    # the start's Hessian is not the one returned: it is formed again at the end
+    assert states[0] is not result.state and states[-1] is result.state
+    assert _same_bits(result.hessian, hessian(coarse_ctx, result.state))
+    out = tmp_path / "budget"
+    assert main(["reduce", "--grid", "16", "--out", str(out)]) == 1
+    manifest = load_manifest(out / "manifest.json")
+    assert manifest["passed"] is False and "error" not in manifest
+    assert manifest["payload"]["solver_evaluations"] == 3
+    assert not all(check["passed"] for check in manifest["checks"])
 
 
 def _model_case(case, rng):
