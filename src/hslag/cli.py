@@ -35,7 +35,7 @@ from .fieldio import (
     write_long_csv,
     write_manifest,
 )
-from .geomcore import ScalarField, hs_residual, one_form_l2_norm, volume
+from .geomcore import ScalarField, hs_residual
 from .models import (
     CircleSphereModel,
     TorusModel,
@@ -242,12 +242,9 @@ def _model_instances(config: ExperimentConfig):
 def _suite_verify_models(config: ExperimentConfig, out: str):
     checks, rows, payload = [], [], {}
     for name, model, build in _model_instances(config):
-        imm = build(model)
-        flat = EuclideanMetric(model.n)
-        residual, alpha_form, h = hs_residual(imm, flat)
-        defect = float(np.max(np.abs(residual.values)))
-        vol = volume(imm, flat)
-        alpha = one_form_l2_norm(alpha_form, h)
+        certificate = hs_residual(build(model), EuclideanMetric(model.n))
+        defect = float(np.max(np.abs(certificate.defect.values)))
+        vol, alpha = certificate.volume, certificate.alpha_norm
         checks.append(_check(f"{name}_hs_residual", defect, DEFAULT_TOLERANCES["model_residual"]))
         rows.append((name, config.grid_size, defect, vol, alpha))
         payload[name] = {"max_residual": defect, "volume": vol, "alpha_h_norm": alpha}
@@ -512,11 +509,13 @@ _SUITE_RUNNERS = {
 
 
 def _failure_stage(exc: BaseException) -> str:
-    """`module.function` of the innermost hslag frame in the traceback."""
+    """`module.function` of the innermost hslag frame in the traceback, by
+    import name: under `python -m hslag.cli`, cli's frames are `__main__`'s."""
     stage = ""
     tb = exc.__traceback__
     while tb is not None:
-        module = tb.tb_frame.f_globals.get("__name__", "")
+        spec = tb.tb_frame.f_globals.get("__spec__")
+        module = spec.name if spec is not None else tb.tb_frame.f_globals.get("__name__", "")
         if module.startswith("hslag."):
             stage = f"{module[len('hslag.'):]}.{tb.tb_frame.f_code.co_name}"
         tb = tb.tb_next

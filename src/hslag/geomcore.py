@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -24,8 +24,6 @@ from .errors import GridMismatchError, ImmersionError, QuotientError
 __all__ = [
     "GridDescriptor",
     "ScalarField",
-    "OneFormField",
-    "MetricField",
     "Immersion",
     "standard_symplectic_matrix",
     "mode_mesh",
@@ -35,12 +33,8 @@ __all__ = [
     "spectral_gradient",
     "l2_inner",
     "l2_norm",
-    "induced_metric",
-    "volume",
-    "volume_density",
-    "codifferential",
+    "HSResidual",
     "hs_residual",
-    "one_form_l2_norm",
 ]
 
 _QUOTIENT_TOL = 1e-12
@@ -140,48 +134,6 @@ class ScalarField:
                 raise QuotientError(f"field breaks Z2 invariance by {defect:.3e}")
 
 
-@dataclass
-class OneFormField:
-    """Coordinate components alpha_a of a one-form, stacked along axis 0."""
-
-    grid: GridDescriptor
-    components: np.ndarray  # shape (dim, *sizes)
-
-    def __post_init__(self) -> None:
-        self.components = np.asarray(self.components, dtype=float)
-        want = (self.grid.dim,) + self.grid.sizes
-        if self.components.shape != want:
-            raise GridMismatchError(f"component shape {self.components.shape} != {want}")
-
-
-@dataclass
-class MetricField:
-    """Symmetric 2-tensor h_ab per node; entries has shape (*sizes, dim, dim).
-
-    The inverse and the determinant are computed on first use and kept."""
-
-    grid: GridDescriptor
-    entries: np.ndarray
-    _inv: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-    _det: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.entries = np.asarray(self.entries, dtype=float)
-        want = self.grid.sizes + (self.grid.dim, self.grid.dim)
-        if self.entries.shape != want:
-            raise GridMismatchError(f"entry shape {self.entries.shape} != {want}")
-
-    def inverse(self) -> np.ndarray:
-        if self._inv is None:
-            self._inv = np.linalg.inv(self.entries)
-        return self._inv
-
-    def determinant(self) -> np.ndarray:
-        if self._det is None:
-            self._det = np.linalg.det(self.entries)
-        return self._det
-
-
 def standard_symplectic_matrix(n: int) -> np.ndarray:
     """omega0 as a matrix in interleaved coordinates: Omega[2j, 2j+1] = +1."""
     omega = np.zeros((2 * n, 2 * n))
@@ -220,9 +172,7 @@ class Immersion:
         if self.grid.quotient is not None:
             # the immersion must descend: coords equal at identified nodes,
             # so every geometric scalar downstream inherits Z2 invariance
-            shift = self.grid.quotient_shift()
-            rolled = np.roll(self.coords, shift, axis=tuple(range(self.grid.dim)))
-            defect = float(np.max(np.abs(self.coords - rolled)))
+            defect = _quotient_defect(self.grid, self.coords)
             if defect > 1e-10:
                 raise QuotientError(f"coords not Z2-invariant (defect {defect:.3e})")
 
@@ -374,22 +324,18 @@ def spectral_gradient(values: np.ndarray, grid: GridDescriptor) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(derivs, trailing, tuple(range(1, d + 1))))
 
 
-def l2_inner(f: ScalarField, g: ScalarField, density: Optional[ScalarField] = None) -> float:
-    """L2 inner product; density defaults to 1 (unit volume element).
+def l2_inner(f: ScalarField, g: ScalarField) -> float:
+    """L2 inner product with the unit volume element.
 
-    On quotient grids the covering quadrature is halved, consistent with
-    `volume`, so <1, 1> equals the quotient volume.
+    On quotient grids the covering quadrature is halved, as in the volume of
+    `hs_residual`, so <1, 1> equals the quotient's coordinate volume.
     """
     _check_same_grid(f.grid, g.grid)
-    w = f.grid.node_weight()
-    if density is None:
-        return float(np.sum(f.values * g.values) * w)
-    _check_same_grid(f.grid, density.grid)
-    return float(np.sum(f.values * g.values * density.values) * w)
+    return float(np.sum(f.values * g.values) * f.grid.node_weight())
 
 
-def l2_norm(f: ScalarField, density: Optional[ScalarField] = None) -> float:
-    return float(np.sqrt(max(l2_inner(f, f, density), 0.0)))
+def l2_norm(f: ScalarField) -> float:
+    return float(np.sqrt(max(l2_inner(f, f), 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -401,35 +347,6 @@ def _symplectic_pullback(grid: GridDescriptor, jac: np.ndarray) -> np.ndarray:
     return np.einsum("...ma,mn,...nb->...ab", jac, omega, jac)
 
 
-def induced_metric(imm: Immersion, metric) -> MetricField:
-    """First fundamental form h_ab = g(d_a iota, d_b iota)."""
-    return _first_fundamental_form(imm, metric.value(imm.coords))
-
-
-def _first_fundamental_form(imm: Immersion, g: np.ndarray) -> MetricField:
-    """h = jac^T g jac as batched products."""
-    jac = imm.jacobian()
-    return MetricField(imm.grid, np.swapaxes(jac, -1, -2) @ g @ jac)
-
-
-def volume_density(h: MetricField) -> ScalarField:
-    det = h.determinant()
-    if np.any(det <= 0):
-        raise ImmersionError("induced metric is not positive definite")
-    return ScalarField(h.grid, np.sqrt(det), check=False)
-
-
-def volume(imm: Immersion, metric) -> float:
-    """Riemannian volume by rectangle-rule quadrature of sqrt(det h).
-
-    Spectrally accurate for smooth immersions; on quotient grids the result is
-    the covering-space value divided by 2.
-    """
-    h = induced_metric(imm, metric)
-    dens = volume_density(h)
-    return float(np.sum(dens.values) * imm.grid.node_weight())
-
-
 def _christoffel(inverse: np.ndarray, derivative: np.ndarray) -> np.ndarray:
     """Gamma^s_{ab} = 1/2 g^{sl} (d_a g_{lb} + d_b g_{la} - d_l g_{ab}) of a
     metric from its inverse and its derivative stack laid out
@@ -439,9 +356,28 @@ def _christoffel(inverse: np.ndarray, derivative: np.ndarray) -> np.ndarray:
     return 0.5 * (inverse @ S.reshape(S.shape[:-2] + (-1,))).reshape(S.shape)
 
 
-def _mean_curvature_and_metric(imm: Immersion, metric) -> Tuple[OneFormField, MetricField]:
-    """(alpha_H, h): alpha_H = omega0(H, d_a iota) with H the tension-field
-    mean curvature, and the induced metric h it is built on.
+class HSResidual(NamedTuple):
+    """The Hamiltonian-stationarity certificate of an immersion.
+
+    defect: d* alpha_H, zero (to discretization error) exactly on discretely
+        Hamiltonian stationary immersions.
+    alpha: the mean-curvature one-form alpha_H, components [dim, *sizes].
+    h: the induced metric h_ab = g(d_a iota, d_b iota), [*sizes, dim, dim].
+    defect_norm, alpha_norm: their L2 norms in the volume density sqrt(det h).
+    volume: the rectangle rule on sqrt(det h), halved on quotient grids.
+    """
+
+    defect: ScalarField
+    alpha: np.ndarray
+    h: np.ndarray
+    defect_norm: float
+    alpha_norm: float
+    volume: float
+
+
+def _mean_curvature(imm: Immersion, metric) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(alpha_H, h, h^-1): alpha_H = omega0(H, d_a iota) with H the
+    tension-field mean curvature, and the induced metric h it is built on.
 
     H^mu = h^{ab} (d_a d_b iota^mu - Gamma^c_ab d_c iota^mu
                    + Gamma^mu_{nu lam} d_a iota^nu d_b iota^lam),
@@ -449,16 +385,16 @@ def _mean_curvature_and_metric(imm: Immersion, metric) -> Tuple[OneFormField, Me
     normal-valued; contraction with omega0 gives the Hamiltonian-stationarity
     one-form on the grid.  Sign convention: the round circle of radius a in the
     Euclidean plane gives alpha_H(d_theta) = -1.  One metric jet serves both:
-    its G is `metric.value`'s bitwise, so h is the `induced_metric`."""
+    its G is `metric.value`'s bitwise."""
     grid = imm.grid
     jac = imm.jacobian()
     dd = imm.second_derivatives()
     g, dg = metric.derivative(imm.coords)
-    h = _first_fundamental_form(imm, g)
+    h = np.swapaxes(jac, -1, -2) @ g @ jac
     gamma_a = _christoffel(np.linalg.inv(g), dg)
-    hinv = h.inverse()
+    hinv = np.linalg.inv(h)
     # dh[..., c, a, b] = d_c h_{ab}
-    gamma_l = _christoffel(hinv, np.moveaxis(spectral_gradient(h.entries, grid), 0, -3))
+    gamma_l = _christoffel(hinv, np.moveaxis(spectral_gradient(h, grid), 0, -3))
     # each h^ab contraction as one batched product: the (a, b) pair is one
     # axis of length n^2, and the ambient term contracts d iota h^-1 d iota^T
     lead, (d, n) = jac.shape[:-2], jac.shape[-2:]
@@ -469,57 +405,51 @@ def _mean_curvature_and_metric(imm: Immersion, metric) -> Tuple[OneFormField, Me
     H += gamma_a.reshape(lead + (d, d * d)) @ spread.reshape(lead + (d * d, 1))
     omega = standard_symplectic_matrix(grid.dim)
     comps = (np.swapaxes(H, -1, -2) @ omega) @ jac  # (*s, 1, n)
-    return OneFormField(grid, np.moveaxis(comps[..., 0, :], -1, 0)), h
+    return np.moveaxis(comps[..., 0, :], -1, 0), h, hinv
 
 
-def codifferential(alpha: OneFormField, h: MetricField) -> ScalarField:
-    """Coordinate codifferential of a one-form w.r.t. the metric h:
+def _density_norm(square: np.ndarray, density: np.ndarray, weight: float) -> float:
+    return float(np.sqrt(max(float(np.sum(square * density) * weight), 0.0)))
+
+
+def hs_residual(imm: Immersion, metric) -> HSResidual:
+    """The stationarity certificate of an immersion in one pass (see
+    `HSResidual`): alpha_H and h from one metric jet (`_mean_curvature`),
+    then the coordinate codifferential
 
         d* alpha = - (d_b h^{ab}) alpha_a - h^{ab} d_b alpha_a
                    - 1/2 h^{ab} alpha_a d_b(log det h)
 
-    Spectral derivatives throughout; exact up to aliasing on analytic data.
+    with spectral derivatives throughout, exact up to aliasing on analytic
+    data, and the norms and the volume in the density sqrt(det h).  Raises
+    ImmersionError when h is not positive definite.
     """
-    _check_same_grid(alpha.grid, h.grid)
-    grid = alpha.grid
-    hinv = h.inverse()
+    grid = imm.grid
+    alpha, h, hinv = _mean_curvature(imm, metric)
+    det = np.linalg.det(h)
+    if np.any(det <= 0):
+        raise ImmersionError("induced metric is not positive definite")
+    density = np.sqrt(det)
     dhinv = np.moveaxis(spectral_gradient(hinv, grid), 0, -3)  # [..., b, a, c] = d_b h^{ac}
-    comp = alpha.components  # [a, ...]
     # [b, a, ...] = d_b alpha_a
-    dalpha = np.moveaxis(spectral_gradient(np.moveaxis(comp, 0, -1), grid), -1, 1)
-    dlog = spectral_gradient(np.log(h.determinant()), grid)  # [b, ...]
+    dalpha = np.moveaxis(spectral_gradient(np.moveaxis(alpha, 0, -1), grid), -1, 1)
+    dlog = spectral_gradient(np.log(det), grid)  # [b, ...]
     # Explicit loops over the (small) coordinate indices beat einsum gymnastics
     # here for clarity; dim <= 3 in every use.
-    out = np.zeros(grid.sizes, dtype=np.result_type(comp, hinv))
+    defect = np.zeros(grid.sizes, dtype=np.result_type(alpha, hinv))
+    alpha_sq = np.zeros(grid.sizes)  # h^{ab} alpha_a alpha_b
     for a in range(grid.dim):
         for b in range(grid.dim):
-            out -= dhinv[..., b, a, b] * comp[a]
-            out -= hinv[..., a, b] * dalpha[b, a]
-            out -= 0.5 * hinv[..., a, b] * comp[a] * dlog[b]
-    return ScalarField(grid, out, check=False)
-
-
-def hs_residual(imm: Immersion, metric) -> Tuple[ScalarField, OneFormField, MetricField]:
-    """(d* alpha_H, alpha_H, h): the Hamiltonian-stationarity defect of an
-    immersion, with the mean-curvature one-form and the induced metric it is
-    formed from (see `_mean_curvature_and_metric`).
-
-    The defect is zero (to discretization error) exactly on discretely
-    Hamiltonian stationary immersions.
-    """
-    alpha, h = _mean_curvature_and_metric(imm, metric)
-    return codifferential(alpha, h), alpha, h
-
-
-def one_form_l2_norm(alpha: OneFormField, h: MetricField) -> float:
-    """L2 norm of a one-form w.r.t. h and its volume density."""
-    _check_same_grid(alpha.grid, h.grid)
-    hinv = h.inverse()
-    dens = volume_density(h).values
-    comp = alpha.components
-    sq = np.zeros(alpha.grid.sizes)
-    for a in range(alpha.grid.dim):
-        for b in range(alpha.grid.dim):
-            sq += hinv[..., a, b] * comp[a] * comp[b]
-    total = float(np.sum(sq * dens) * alpha.grid.node_weight())
-    return float(np.sqrt(max(total, 0.0)))
+            defect -= dhinv[..., b, a, b] * alpha[a]
+            defect -= hinv[..., a, b] * dalpha[b, a]
+            defect -= 0.5 * hinv[..., a, b] * alpha[a] * dlog[b]
+            alpha_sq += hinv[..., a, b] * alpha[a] * alpha[b]
+    w = grid.node_weight()
+    return HSResidual(
+        ScalarField(grid, defect, check=False),
+        alpha,
+        h,
+        _density_norm(defect * defect, density, w),
+        _density_norm(alpha_sq, density, w),
+        float(np.sum(density) * w),
+    )

@@ -80,7 +80,7 @@ def _real_modes(grid: GridDescriptor, indices: np.ndarray) -> np.ndarray:
     of `mode_mesh`, so a negative one stays under 2 pi |k_j| in size.
     """
     sizes = grid.sizes
-    indices = np.asarray(indices)
+    indices = np.asarray(indices, dtype=int)
     k = [kj - size * (2 * kj >= size) for kj, size in zip(np.unravel_index(indices, sizes), sizes)]
     partner = np.ravel_multi_index(tuple(-kj for kj in k), sizes, mode="wrap")
     nodes = np.ix_(*(np.arange(size) for size in sizes))
@@ -92,7 +92,8 @@ def _real_modes(grid: GridDescriptor, indices: np.ndarray) -> np.ndarray:
 def _unit_modes(grid: GridDescriptor, indices: np.ndarray) -> np.ndarray:
     """The `_real_modes` fields, each divided by its `l2_norm`."""
     fields = _real_modes(grid, indices)
-    squares = np.sum((fields * fields).reshape(len(fields), -1), axis=1) * grid.node_weight()
+    squares = np.sum((fields * fields).reshape(len(fields), grid.num_nodes), axis=1)
+    squares *= grid.node_weight()
     fields /= np.sqrt(squares).reshape((-1,) + (1,) * grid.dim)
     return fields
 

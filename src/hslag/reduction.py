@@ -45,11 +45,9 @@ from .geomcore import (
     hs_residual,
     l2_inner,
     l2_norm,
-    one_form_l2_norm,
     spectral_gradient,
     standard_symplectic_matrix,
     translate,
-    volume_density,
 )
 from .models import TorusModel
 from .operators import SymbolOperator, _unit_modes, assemble_flat_operator, kernel_dimension
@@ -966,9 +964,8 @@ def geometric_residual(
     measured with the induced volume density.  This certificate never touches
     the reduction machinery."""
     imm = Immersion(ctx.grid, _ambient_immersion(ctx, state.t, [state])[0])
-    defect, alpha, h = hs_residual(imm, ctx.metric)
-    alpha_norm = one_form_l2_norm(alpha, h)
-    defect_norm = l2_norm(defect, density=volume_density(h))
+    certificate = hs_residual(imm, ctx.metric)
+    defect_norm, alpha_norm = certificate.defect_norm, certificate.alpha_norm
     return defect_norm / alpha_norm, defect_norm, alpha_norm
 
 

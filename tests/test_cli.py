@@ -504,6 +504,18 @@ def _python(*args):
     )
 
 
+def test_failure_stage_under_module_entry_point(tmp_path):
+    """Run as `python -m hslag.cli`, cli's frames carry the module name
+    `__main__`; the failure manifest still names the stage by the import
+    name, as the in-process `main` does."""
+    out = str(tmp_path / "flat")
+    proc = _python("-m", "hslag.cli", "sweep", "--amplitude", "0", "--grid", "16", "--out", out)
+    assert proc.returncode == 1, proc.stderr
+    manifest = load_manifest(os.path.join(out, "manifest.json"))
+    assert manifest["error_type"] == "HslagError"
+    assert manifest["stage"] == "cli._suite_sweep"
+
+
 def test_module_entry_point_runs_without_warning():
     """`python -m hslag.cli` must not find hslag.cli already imported by the package."""
     proc = _python("-W", "error::RuntimeWarning", "-m", "hslag.cli", "--help")

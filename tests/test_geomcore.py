@@ -1,12 +1,15 @@
 """Grids, spectral calculus, and induced geometry.
 
 Oracles used here:
-  * closed forms on the product torus (diagonal metric, volume, curvature form),
+  * closed forms on the product torus (diagonal metric, volume, curvature
+    form and its norm), each read off the `HSResidual` that `hs_residual`
+    returns,
   * analytic derivatives of explicit trigonometric polynomials,
   * exact antisymmetry of the spectral derivative matrix,
   * the first-variation identity  d/ds Vol(iota + s X_u) = -<u, d*alpha_H>
-    on a non-stationary Lagrangian (an ellipse), which exercises the full
-    curvature + codifferential chain against an independent finite difference.
+    on a non-stationary Lagrangian (an ellipse), which checks the whole pass
+    of `hs_residual` (curvature, codifferential and volume) against an
+    independent finite difference of its own volume.
 """
 
 import numpy as np
@@ -26,14 +29,10 @@ from hslag.geomcore import (
     Immersion,
     ScalarField,
     hs_residual,
-    induced_metric,
     l2_inner,
     l2_norm,
-    one_form_l2_norm,
     spectral_gradient,
     standard_symplectic_matrix,
-    volume,
-    volume_density,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -279,33 +278,31 @@ def test_symplectic_matrix_convention():
 
 
 def test_torus_induced_metric_diagonal(torus, torus_model):
-    h = induced_metric(torus, FLAT)
+    h = hs_residual(torus, FLAT).h
     a1, a2 = torus_model.radii
-    assert np.max(np.abs(h.entries[..., 0, 0] - a1**2)) < 1e-12
-    assert np.max(np.abs(h.entries[..., 1, 1] - a2**2)) < 1e-12
-    assert np.max(np.abs(h.entries[..., 0, 1])) < 1e-12
+    assert np.max(np.abs(h[..., 0, 0] - a1**2)) < 1e-12
+    assert np.max(np.abs(h[..., 1, 1] - a2**2)) < 1e-12
+    assert np.max(np.abs(h[..., 0, 1])) < 1e-12
 
 
 def test_torus_volume_closed_form(torus, torus_model):
     a1, a2 = torus_model.radii
-    assert np.isclose(volume(torus, FLAT), TWO_PI**2 * a1 * a2, rtol=1e-13)
+    assert np.isclose(hs_residual(torus, FLAT).volume, TWO_PI**2 * a1 * a2, rtol=1e-13)
 
 
 def test_torus_curvature_form_is_minus_one(torus):
-    alpha = hs_residual(torus, FLAT)[1]
-    assert np.max(np.abs(alpha.components + 1.0)) < 1e-12
+    alpha = hs_residual(torus, FLAT).alpha
+    assert np.max(np.abs(alpha + 1.0)) < 1e-12
 
 
 def test_torus_curvature_form_norm(torus, torus_model):
     a1, a2 = torus_model.radii
-    h = induced_metric(torus, FLAT)
-    alpha = hs_residual(torus, FLAT)[1]
     expect = np.sqrt((1 / a1**2 + 1 / a2**2) * TWO_PI**2 * a1 * a2)
-    assert np.isclose(one_form_l2_norm(alpha, h), expect, rtol=1e-12)
+    assert np.isclose(hs_residual(torus, FLAT).alpha_norm, expect, rtol=1e-12)
 
 
 def test_torus_is_discretely_stationary(torus):
-    res, _, _ = hs_residual(torus, FLAT)
+    res = hs_residual(torus, FLAT).defect
     assert np.max(np.abs(res.values)) < 1e-11
 
 
@@ -313,8 +310,8 @@ def test_residual_scaling_under_dilation(torus):
     # iota -> s iota scales d*alpha_H by 1/s^2
     s = 1.7
     big = Immersion(torus.grid, s * torus.coords)
-    r1 = hs_residual(torus, FLAT)[0].values
-    r2 = hs_residual(big, FLAT)[0].values
+    r1 = hs_residual(torus, FLAT).defect.values
+    r2 = hs_residual(big, FLAT).defect.values
     assert np.max(np.abs(r2 - r1 / s**2)) < 1e-11
 
 
@@ -331,8 +328,8 @@ def _ellipse(n_nodes=256, p=1.0, q=1.7):
 
 def test_first_variation_identity_on_ellipse():
     g, imm = _ellipse()
-    res, _, _ = hs_residual(imm, PLANE)
-    dens = volume_density(induced_metric(imm, PLANE))
+    certificate = hs_residual(imm, PLANE)
+    dens = np.sqrt(np.linalg.det(certificate.h))
 
     def u_fn(c):
         x, y = c[..., 0], c[..., 1]
@@ -345,13 +342,13 @@ def test_first_variation_identity_on_ellipse():
         return np.stack([uy, -ux], axis=-1)  # omega0(X_u, .) = du
 
     def vol_of(c):
-        return volume(Immersion(g, c), PLANE)
+        return hs_residual(Immersion(g, c), PLANE).volume
 
     s = 5e-5
     X = hamiltonian_field(imm.coords)
     dvol = (vol_of(imm.coords + s * X) - vol_of(imm.coords - s * X)) / (2 * s)
     u = ScalarField(g, u_fn(imm.coords), check=False)
-    pairing = l2_inner(u, res, density=dens)
+    pairing = np.sum(u.values * certificate.defect.values * dens) * g.node_weight()
     # d/ds Vol = -<u, d*alpha_H>_{L2(dV)}
     assert abs(dvol + pairing) < 1e-7 * max(1.0, abs(pairing))
 
@@ -369,8 +366,8 @@ def test_ellipse_curvature_against_plane_curve_formula():
     nu = np.stack([-q * np.cos(th), -p * np.sin(th)], axis=-1) / np.sqrt(speed2)[:, None]
     H = kappa[:, None] * nu
     alpha_expect = H[:, 0] * gamma_p[:, 1] - H[:, 1] * gamma_p[:, 0]
-    alpha = hs_residual(imm, PLANE)[1]
-    assert np.max(np.abs(alpha.components[0] - alpha_expect)) < 1e-10
+    alpha = hs_residual(imm, PLANE).alpha
+    assert np.max(np.abs(alpha[0] - alpha_expect)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +375,9 @@ def test_ellipse_curvature_against_plane_curve_formula():
 
 
 def test_circle_sphere_metric_volume_curvature(circle_sphere):
-    h = induced_metric(circle_sphere, FLAT)
-    assert np.max(np.abs(h.entries - np.eye(2))) < 1e-12
-    assert np.isclose(volume(circle_sphere, FLAT), 2 * np.pi**2, rtol=1e-13)
-    residual, alpha, _ = hs_residual(circle_sphere, FLAT)
-    assert np.max(np.abs(alpha.components[0] + 2.0)) < 1e-12
-    assert np.max(np.abs(alpha.components[1])) < 1e-12
+    residual, alpha, h, _, _, vol = hs_residual(circle_sphere, FLAT)
+    assert np.max(np.abs(h - np.eye(2))) < 1e-12
+    assert np.isclose(vol, 2 * np.pi**2, rtol=1e-13)
+    assert np.max(np.abs(alpha[0] + 2.0)) < 1e-12
+    assert np.max(np.abs(alpha[1])) < 1e-12
     assert np.max(np.abs(residual.values)) < 1e-11

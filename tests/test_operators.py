@@ -405,6 +405,16 @@ def test_synthetic_unstable_operator():
     assert min_eigenvalue == pytest.approx(-1.0)
 
 
+def test_no_eigenpairs_requested():
+    """No modes give an empty stack on the grid's shape, and `eigensolve`
+    asked for none returns no eigenvalues and no fields."""
+    grid = GridDescriptor(sizes=(8, 8), periods=(2 * np.pi, 2 * np.pi))
+    assert _unit_modes(grid, []).shape == (0, 8, 8)
+    spec = eigensolve(SymbolOperator(grid, np.ones(grid.sizes), band_mask(grid)), 0)
+    assert spec.eigenvalues.shape == (0,)
+    assert spec.eigenfields == []
+
+
 def test_eigensolve_rejects_asymmetric():
     grid = GridDescriptor(sizes=(8, 8), periods=(2 * np.pi, 2 * np.pi))
     mat = np.eye(64)

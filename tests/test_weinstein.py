@@ -23,7 +23,7 @@ from hslag.ambient import (
     unitary_frame,
 )
 from hslag.errors import ChartDomainError
-from hslag.geomcore import ScalarField, l2_inner, spectral_gradient, volume
+from hslag.geomcore import ScalarField, hs_residual, l2_inner, spectral_gradient
 from hslag.models import TorusModel, clifford_torus
 from hslag.weinstein import (
     WeinsteinChart,
@@ -116,7 +116,7 @@ def test_volume_agrees_with_direct_quadrature(chart, grid, perturbed, rng):
     m, fr = perturbed
     cm = ChartMetric(m, fr, 0.05)
     f = ScalarField(grid, band_limited_field(grid, rng, 0.05))
-    direct = volume(graph_immersion(chart, f), metric=cm)
+    direct = hs_residual(graph_immersion(chart, f), cm).volume
     assert volume_of(chart, f, cm) == pytest.approx(direct, rel=1e-13)
 
 
