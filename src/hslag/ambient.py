@@ -763,11 +763,13 @@ def estimate_sweep(
 
     Each C_k(t) is the max over the frame list and over ball samples; the
     report records each C_k's max/min ratio across the t list, near 1 when
-    C_k is flat in t.
+    C_k is flat in t, and 1 when its sups are roundoff (below 1e-15 at every
+    t, tested before the division by t, which lifts roundoff above 1e-15).
     """
     z = ball_samples(metric.dim, _SWEEP_RADIUS, _SWEEP_SAMPLES, seed)
     eye = np.eye(metric.dim)
     constants: dict[int, list[float]] = {k: [] for k in range(3)}
+    peaks = [0.0, 0.0, 0.0]
     for t in t_values:
         sup = [0.0, 0.0, 0.0]
         for fr in frames:
@@ -777,8 +779,9 @@ def estimate_sweep(
                 sup[k] = max(sup[k], float(np.max(np.abs(jet[k]))))
         for k in range(3):
             constants[k].append(sup[k] / t**k if k > 0 else sup[0] / t)
+            peaks[k] = max(peaks[k], sup[k])
     ratios = {}
     for k, vals in constants.items():
         lo, hi = min(vals), max(vals)
-        ratios[k] = 1.0 if hi < 1e-15 else hi / max(lo, 1e-300)
+        ratios[k] = 1.0 if peaks[k] < 1e-15 else hi / max(lo, 1e-300)
     return EstimateReport(list(map(float, t_values)), constants, ratios)

@@ -261,15 +261,17 @@ def _nearest(values: np.ndarray, target: float) -> float:
 
 
 def _suite_spectrum(config: ExperimentConfig, out: str):
+    # the wave numbers the grid's band carries: |k| = N/2 is its Nyquist mode
+    top = min(4, config.grid_size // 2 - 1)
     if config.model == "ln":
         model = CircleSphereModel(config.n, grid_size=config.grid_size)
         index_names = ["k", "l"]
-        analytic = circle_sphere_spectrum(config.n, 4, 4)
+        analytic = circle_sphere_spectrum(config.n, top, top)
         operator = assemble_flat_operator(model)
     else:
         model = TorusModel(config.radii, grid_size=config.grid_size)
         index_names = [f"k{j + 1}" for j in range(config.n)]
-        modes = list(itertools.product(range(-4, 5), repeat=config.n))
+        modes = list(itertools.product(range(-top, top + 1), repeat=config.n))
         values = torus_multiplier(config.radii, np.array(modes).T)
         analytic = [(*k, 1, float(eig)) for k, eig in zip(modes, values)]
         # the probed symbol, not the analytic one: the suite certifies that the
@@ -337,9 +339,8 @@ def _suite_estimates(config: ExperimentConfig, out: str):
 
 
 def _reduction_context(config: ExperimentConfig):
-    return build_context(
-        radii=config.radii, grid_size=config.grid_size, metric=config.ambient_metric()
-    )
+    model = TorusModel(config.radii, grid_size=config.grid_size)
+    return build_context(model, config.ambient_metric())
 
 
 # One row per solve of the frame search (see `optimize_frame`).

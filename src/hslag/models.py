@@ -12,7 +12,7 @@ Two model families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,23 +32,36 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class TorusModel:
-    """Product of round circles with the given radii."""
+    """Product of round circles with the given radii, and the grid of
+    grid_size nodes per angle that its fields live on, built once."""
 
     radii: tuple[float, ...]
     grid_size: int = 32
+    _grid: GridDescriptor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.radii) < 1 or any(r <= 0 for r in self.radii):
             raise UnsupportedModelError("radii must be positive")
+        grid = GridDescriptor(sizes=(self.grid_size,) * self.n, periods=(TWO_PI,) * self.n)
+        object.__setattr__(self, "_grid", grid)
 
     @property
     def n(self) -> int:
         return len(self.radii)
 
+    @property
+    def delta(self) -> float:
+        """Bound on the admissible one-form size max_j |df/dtheta_j|:
+        0.4 * min(a_j^2)/2 keeps the graph comfortably inside the tube where
+        the chart's square roots stay well conditioned."""
+        return 0.4 * min(a * a for a in self.radii) / 2
+
+    def flat_density(self) -> float:
+        """Constant density of the flat model volume dV0 = prod a_j dtheta."""
+        return float(np.prod(self.radii))
+
     def grid(self) -> GridDescriptor:
-        return GridDescriptor(
-            sizes=(self.grid_size,) * self.n, periods=(TWO_PI,) * self.n
-        )
+        return self._grid
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ from .geomcore import (
     mode_mesh,
 )
 from .models import CircleSphereModel, TorusModel
-from .weinstein import WeinsteinChart, graph_volume_and_gradient
+from .weinstein import graph_volume_and_gradient
 
 __all__ = [
     "SymbolOperator",
@@ -166,14 +166,12 @@ def probe_flat_operator(model: TorusModel) -> SymbolOperator:
     largest mode).  Only the flat Hessian is shift-invariant, so there is no
     metric argument: the volume runs in EuclideanMetric's identity chart.
     """
-    grid = model.grid()
-    chart = WeinsteinChart(model.radii)
-    d = 2 * chart.n
-    flat = ChartMetric(EuclideanMetric(chart.n), UnitaryFrame(np.zeros(d), np.eye(d)), 1.0)
+    grid, d = model.grid(), 2 * model.n
+    flat = ChartMetric(EuclideanMetric(model.n), UnitaryFrame(np.zeros(d), np.eye(d)), 1.0)
     admissible = band_mask(grid)
     last = grid.sizes[-1]
     delta = _inverse(admissible[..., : last // 2 + 1].astype(float), grid, False)
-    _, P_hat, _ = graph_volume_and_gradient(chart, grid, 1j * _CS_STEP * delta, flat)
+    _, P_hat, _ = graph_volume_and_gradient(model, 1j * _CS_STEP * delta, flat)
     half = P_hat[1].real / _CS_STEP
     negated = (Ellipsis,) + _negated_modes(grid) + (slice(None),)
     symbol = np.concatenate([half, np.flip(half[..., 1 : last // 2], axis=-1)[negated]], axis=-1)

@@ -51,7 +51,7 @@ from .geomcore import (
 )
 from .models import TorusModel
 from .operators import SymbolOperator, _unit_modes, assemble_flat_operator, kernel_dimension
-from .weinstein import WeinsteinChart, _chart_points, _graph_jets, graph_volume_and_gradient
+from .weinstein import _chart_points, _graph_jets, graph_volume_and_gradient
 
 __all__ = [
     "OptimizeSettings",
@@ -141,7 +141,7 @@ _SADDLE_TOL = max(1e-6, SOLVE_TOL / FRAME_STEP)
 
 @dataclass
 class ReductionContext:
-    """Precomputed flat-model data shared by every reduction run.
+    """Precomputed data around the model torus, shared by every reduction run.
 
     The flat linearized operator is a Fourier symbol and its kernel a set of
     modes: kernel_modes, flat `mode_mesh` indices in `sorted_modes` order,
@@ -158,8 +158,7 @@ class ReductionContext:
     for three independent waves).
     """
 
-    chart: WeinsteinChart
-    grid: GridDescriptor
+    model: TorusModel
     metric: object
     flat_operator: SymbolOperator
     kernel_modes: np.ndarray
@@ -168,12 +167,16 @@ class ReductionContext:
     symmetries: np.ndarray
 
     @property
+    def grid(self) -> GridDescriptor:
+        return self.model.grid()
+
+    @property
     def n(self) -> int:
-        return self.chart.n
+        return self.model.n
 
     @property
     def density(self) -> float:
-        return self.chart.flat_density()
+        return self.model.flat_density()
 
     @property
     def num_frame_coords(self) -> int:
@@ -206,16 +209,10 @@ class ReductionContext:
         return (rows @ columns.T) * (self.grid.node_weight() * self.density)
 
 
-def build_context(
-    radii: Sequence[float] = (1.0, 1.3),
-    grid_size: int = 32,
-    metric=None,
-) -> ReductionContext:
+def build_context(model: TorusModel, metric=None) -> ReductionContext:
     """Assemble the shared reduction data for a perturbed torus problem.
 
     metric None means `default_perturbed_metric` with its defaults."""
-    model = TorusModel(tuple(radii), grid_size=grid_size)
-    chart = WeinsteinChart(model.radii)
     grid = model.grid()
     if metric is None:
         metric = default_perturbed_metric(model.n)
@@ -231,8 +228,7 @@ def build_context(
     moves = np.eye(2 * n + n * n)
     moves[: 2 * n, : 2 * n] = vt.T
     return ReductionContext(
-        chart=chart,
-        grid=grid,
+        model=model,
         metric=metric,
         flat_operator=operator,
         kernel_modes=modes[:kdim],
@@ -451,7 +447,7 @@ def projected_solve(
     history: List[float] = []
     best, stalled = np.inf, 0
     for iteration in range(_MAX_SOLVE_ITERATIONS):
-        vol, gradient, sensitivity = graph_volume_and_gradient(ctx.chart, grid, f.values, metric)
+        vol, gradient, sensitivity = graph_volume_and_gradient(ctx.model, f.values, metric)
         residual = gradient * mask
         rnorm = float(np.sqrt(np.sum(norm_weight * (residual.real**2 + residual.imag**2))))
         update = inverse_symbol * residual
@@ -530,7 +526,7 @@ def _ambient_immersion(
     grid, d = ctx.grid, 2 * ctx.n
     fields = np.stack([s.f.values for s in states], axis=-1)
     y = np.moveaxis(spectral_gradient(fields, grid), (0, -1), (-1, 0))  # (states, *grid, n)
-    chart_coords = _chart_points(ctx.chart, grid, y)[2].reshape(len(states), -1, d)
+    chart_coords = _chart_points(ctx.model, y)[2].reshape(len(states), -1, d)
     points = np.array([s.unitary.point for s in states])[:, None, :]
     matrices = np.array([s.unitary.matrix for s in states])
     ambient = points + t * (chart_coords @ np.swapaxes(matrices, -1, -2))
@@ -561,7 +557,7 @@ def variation_potential(
     ambient = _ambient_immersion(ctx, state.t, near)
     velocity = (ambient[0::2] - ambient[1::2]) / (2.0 * FRAME_STEP)  # (rows, *grid, 2n)
 
-    tangents = np.real(_graph_jets(ctx.chart, ctx.grid, state.f.values)[-1])  # (*grid, n, 2n)
+    tangents = np.real(_graph_jets(ctx.model, state.f.values)[-1])  # (*grid, n, 2n)
     frame_tangents = np.einsum("nm,...am->...an", state.unitary.matrix, tangents)
     omega = standard_symplectic_matrix(ctx.n)
     # ambient tangents are t * frame_tangents; with the 1/t^2 chart
@@ -578,7 +574,7 @@ def _integrate_exact_one_form(ctx: ReductionContext, beta: np.ndarray) -> np.nda
     leading axes a stack of one-forms, and each is certified on its own."""
     grid = ctx.grid
     forms = beta.reshape((-1,) + grid.sizes + (grid.dim,))
-    radii_sq = [a * a for a in ctx.chart.radii]
+    radii_sq = [a * a for a in ctx.model.radii]
     ik = derivative_multipliers(grid)
     spectra = _forward(np.moveaxis(forms, -1, 0), grid)
     laplacian = sum(k * k / r2 for k, r2 in zip(ik, radii_sq))
@@ -1033,11 +1029,9 @@ def _transverse_second_variation(
     second = np.zeros(len(directions))
     for i, direction in enumerate(directions):
         step = eps * direction.values
-        plus, gradient, _ = graph_volume_and_gradient(
-            ctx.chart, ctx.grid, state.f.values + step, metric
-        )
+        plus, gradient, _ = graph_volume_and_gradient(ctx.model, state.f.values + step, metric)
         minus, _, _ = graph_volume_and_gradient(
-            ctx.chart, ctx.grid, state.f.values - step, metric, need_gradient=False
+            ctx.model, state.f.values - step, metric, need_gradient=False
         )
         slope = ctx.vol_inner(
             direction, ScalarField(ctx.grid, _inverse(gradient, ctx.grid, False), check=False)

@@ -4,7 +4,8 @@ The chart Phi(theta, y) = (sqrt(a_j^2 + 2 y_j) e^{i theta_j})_j maps the
 cotangent disc bundle of the torus with radii a onto a tubular neighbourhood,
 pulling the standard symplectic form back to the canonical one exactly.
 Lagrangian graphs over the zero section are exact one-forms df, realized as
-the node map theta -> Phi(theta, grad f) with spectral gradients.
+the node map theta -> Phi(theta, grad f) with spectral gradients on the grid
+of a `TorusModel`, which also holds the radii, delta and density prod a_j.
 
 The central computation is the volume of such a graph in an arbitrary ambient
 metric evaluator together with its exact discrete L^2 gradient.  The gradient
@@ -56,37 +57,9 @@ from .geomcore import (
     _inverse,
     derivative_multipliers,
 )
+from .models import TorusModel
 
-__all__ = ["WeinsteinChart", "graph_volume_and_gradient"]
-
-
-@dataclass(frozen=True)
-class WeinsteinChart:
-    """Cotangent chart of the model torus with radii a_1..a_n, over the
-    grids of `TorusModel`."""
-
-    radii: tuple
-
-    def __post_init__(self) -> None:
-        radii = tuple(float(a) for a in self.radii)
-        object.__setattr__(self, "radii", radii)
-        if any(a <= 0 for a in radii):
-            raise ChartDomainError("chart radii must be positive")
-
-    @property
-    def n(self) -> int:
-        return len(self.radii)
-
-    @property
-    def delta(self) -> float:
-        """Bound on the admissible one-form size max_j |df/dtheta_j|:
-        0.4 * min(a_j^2)/2 keeps the graph comfortably inside the tube where
-        the square roots stay well conditioned."""
-        return 0.4 * min(a * a for a in self.radii) / 2
-
-    def flat_density(self) -> float:
-        """Constant density of the flat model volume dV0 = prod a_j dtheta."""
-        return float(np.prod(self.radii))
+__all__ = ["graph_volume_and_gradient"]
 
 
 @dataclass(frozen=True)
@@ -125,20 +98,20 @@ def _grid_tables(grid: GridDescriptor) -> _GridTables:
     return _GridTables(cos, sin, pairs, jet_symbols, p_symbols, grid.node_weight())
 
 
-def _chart_points(chart: WeinsteinChart, grid: GridDescriptor, y: np.ndarray):
+def _chart_points(model: TorusModel, y: np.ndarray):
     """(r^2, r, coords) of the chart points Phi(theta, y) over the grid nodes:
     r_j^2 = a_j^2 + 2 y_j and coords (r_j cos theta_j, r_j sin theta_j).
     y is [..., *sizes, n]; leading axes are a stack of fields."""
-    tables = _grid_tables(grid)
-    r2 = np.array([a * a for a in chart.radii]) + 2 * y
+    tables = _grid_tables(model.grid())
+    r2 = np.array([a * a for a in model.radii]) + 2 * y
     r = np.sqrt(r2)
-    coords = np.empty(y.shape[:-1] + (2 * chart.n,), dtype=r.dtype)
+    coords = np.empty(y.shape[:-1] + (2 * model.n,), dtype=r.dtype)
     coords[..., 0::2] = r * tables.cos
     coords[..., 1::2] = r * tables.sin
     return r2, r, coords
 
 
-def _graph_jets(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray):
+def _graph_jets(model: TorusModel, f: np.ndarray):
     """Chart data of the graph of df over the grid nodes, as per-node scalars.
 
     Returns (r2, r, cos_r, sin_r, coords, Y, T): r_j^2 = a_j^2 + 2 d_j f, r_j,
@@ -148,9 +121,7 @@ def _graph_jets(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray):
     r_j (-sin, cos) and d Phi/d y_j is (cos, sin)/r_j in slots (2j, 2j+1), so
     T[a, 2j] = Y_ja cos_j/r_j - delta_aj r_j sin_j and
     T[a, 2j+1] = Y_ja sin_j/r_j + delta_aj r_j cos_j, formed elementwise."""
-    n = chart.n
-    if grid.dim != n:
-        raise ChartDomainError("grid dimension does not match chart")
+    n, grid = model.n, model.grid()
     tables = _grid_tables(grid)
     # y_j = d_j f and the Hessian Y[j, a] = d_j d_a f from one transform of f;
     # a complex f's spectrum carries its split parts on an axis of its own
@@ -159,13 +130,13 @@ def _graph_jets(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray):
     symbols = symbols.reshape(symbols.shape[:1] + (1,) * (spec.ndim - grid.dim) + symbols.shape[1:])
     derivs = _inverse(symbols * spec, grid, np.iscomplexobj(f))
     ymax = np.max(np.abs(derivs[:n].real))
-    if ymax >= chart.delta:
+    if ymax >= model.delta:
         raise ChartDomainError(
             f"graph one-form too large for the chart: max |df| = {ymax:.4f} "
-            f">= delta = {chart.delta:.4f}"
+            f">= delta = {model.delta:.4f}"
         )
     y = np.stack(list(derivs[:n]), axis=-1)  # (*s, n)
-    r2, r, coords = _chart_points(chart, grid, y)
+    r2, r, coords = _chart_points(model, y)
     cos, sin = tables.cos, tables.sin
     cos_r, sin_r = cos / r, sin / r
     Y = np.empty(f.shape + (n, n), dtype=derivs.dtype)  # (*s, j, a)
@@ -208,13 +179,14 @@ def _small_inverse(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def graph_volume_and_gradient(
-    chart: WeinsteinChart,
-    grid: GridDescriptor,
+    model: TorusModel,
     f_values: np.ndarray,
     metric: ChartMetric,
+    *,
     need_gradient: bool = True,
 ):
-    """Volume of the graph of df in the given metric, and its exact L^2 gradient.
+    """Volume of the graph of df over the model's grid in the given metric,
+    and its exact L^2 gradient.
 
     Returns (volume, gradient_spectrum, affine_sensitivity) with the gradient
     taken with respect to the flat model inner product
@@ -250,8 +222,8 @@ def graph_volume_and_gradient(
     when the gradient is asked for; dG itself is never formed.
     """
     f = np.asarray(f_values)
-    n, d = chart.n, 2 * chart.n
-    r2, _, cos_r, sin_r, coords, Y, T = _graph_jets(chart, grid, f)
+    n, d, grid = model.n, 2 * model.n, model.grid()
+    r2, _, cos_r, sin_r, coords, Y, T = _graph_jets(model, f)
     tables = _grid_tables(grid)
     base, u, t = metric.base, metric.frame.matrix, metric.t
     G, pullback = base.linearize(metric.embed(coords))
@@ -311,4 +283,4 @@ def graph_volume_and_gradient(
     np.multiply(q, np.moveaxis(B.reshape(lead + (n * n,)), -1, 0), out=fields[n:])
     spectra = _forward(fields, grid)
     P_hat = sum(k * x for k, x in zip(tables.p_symbols, spectra))
-    return vol, _hermitian_part(P_hat / chart.flat_density(), grid), affine_sensitivity
+    return vol, _hermitian_part(P_hat / model.flat_density(), grid), affine_sensitivity

@@ -54,14 +54,12 @@ def hessian_oracle():
     """
     from oracles import _assemble_graph_hessian, flat_chart
 
-    from hslag.weinstein import WeinsteinChart
-
     cache = {}
 
     def build(size, raw=False):
         if size not in cache:
-            grid = TorusModel(radii=RADII, grid_size=size).grid()
-            assembled = _assemble_graph_hessian(WeinsteinChart(RADII), grid, flat_chart(len(RADII)))
+            model = TorusModel(radii=RADII, grid_size=size)
+            assembled = _assemble_graph_hessian(model, flat_chart(model.n))
             cache[size] = (assembled, assembled.symmetrized())
         return cache[size][0 if raw else 1]
 
@@ -90,10 +88,10 @@ def cs_spectrum(cs_operator):
 
 
 @pytest.fixture(scope="session")
-def reduction_ctx():
+def reduction_ctx(torus_model):
     from hslag.reduction import build_context
 
-    return build_context()
+    return build_context(torus_model)
 
 
 @pytest.fixture(scope="session")

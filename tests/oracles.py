@@ -50,7 +50,7 @@ from hslag.operators import (
     assemble_flat_operator,
 )
 from hslag.reduction import ReductionContext, ReductionState, _volume_modes, variation_potential
-from hslag.weinstein import WeinsteinChart, graph_volume_and_gradient
+from hslag.weinstein import graph_volume_and_gradient
 
 # ---------------------------------------------------------------------------
 # grids and graphs
@@ -98,19 +98,20 @@ def symbol_apply(op: SymbolOperator, f: ScalarField) -> ScalarField:
     return ScalarField(op.grid, fourier_multiply(f.values, op.grid, multiplier), check=False)
 
 
-def chart_map_jets(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray):
-    """The graph of df through the chart map Phi(theta, y), with dense chart
-    Jacobians: (r2, coords, phi_theta, phi_y, phi_yy, Y).
+def chart_map_jets(model: TorusModel, f: np.ndarray):
+    """The graph of df over the model's grid through the chart map
+    Phi(theta, y), with dense chart Jacobians:
+    (r2, coords, phi_theta, phi_y, phi_yy, Y).
 
     y = grad f and the Hessian Y[j, a] = d_j d_a f come from `spectral_gradient`;
     coords = Phi(theta, y) with Phi_j = sqrt(a_j^2 + 2 y_j) (cos, sin)(theta_j),
     and phi_theta, phi_y, phi_yy [..., n, 2n] hold d Phi/d theta_j,
     d Phi/d y_j and d^2 Phi/d y_j^2 in row j, written out slot by slot."""
-    n = chart.n
+    n, grid = model.n, model.grid()
     y = np.moveaxis(spectral_gradient(f, grid), 0, -1)
     Y = np.moveaxis(spectral_gradient(y, grid), 0, -1)  # [..., j, a] = d_a y_j
     theta = grid.meshgrid()
-    r2 = np.array([a * a for a in chart.radii]) + 2 * y
+    r2 = np.array([a * a for a in model.radii]) + 2 * y
     r = np.sqrt(r2)
     coords = np.zeros(f.shape + (2 * n,), dtype=r.dtype)
     phi_theta = np.zeros(f.shape + (n, 2 * n), dtype=r.dtype)
@@ -124,9 +125,9 @@ def chart_map_jets(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray):
     return r2, coords, phi_theta, phi_y, phi_yy, Y
 
 
-def graph_immersion(chart: WeinsteinChart, f: ScalarField) -> Immersion:
+def graph_immersion(model: TorusModel, f: ScalarField) -> Immersion:
     """Node immersion theta -> Phi(theta, grad f), validity-gated."""
-    coords = chart_map_jets(chart, f.grid, f.values)[1]
+    coords = chart_map_jets(model, f.values)[1]
     return Immersion(f.grid, coords.real)
 
 
@@ -136,21 +137,21 @@ def flat_chart(n: int) -> ChartMetric:
     return ChartMetric(EuclideanMetric(n), UnitaryFrame(np.zeros(2 * n), np.eye(2 * n)), 1.0)
 
 
-def volume_gradient(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray, metric):
+def volume_gradient(model: TorusModel, f: np.ndarray, metric):
     """`graph_volume_and_gradient` with its gradient spectrum transformed to
     grid values (complex for complex f) and its affine sensitivity pair
     formed: (volume, gradient, (dvol/db, dvol/dA))."""
-    vol, spectrum, sensitivity = graph_volume_and_gradient(chart, grid, f, metric)
-    return vol, _inverse(spectrum, grid, np.iscomplexobj(f)), sensitivity()
+    vol, spectrum, sensitivity = graph_volume_and_gradient(model, f, metric)
+    return vol, _inverse(spectrum, model.grid(), np.iscomplexobj(f)), sensitivity()
 
 
-def pullback_graph_volume(chart: WeinsteinChart, grid: GridDescriptor, f: np.ndarray, metric):
+def pullback_graph_volume(model: TorusModel, f: np.ndarray, metric):
     """`graph_volume_and_gradient` in chart coordinates: the metric's own jet
     (for a ChartMetric, the base jet pulled back through the frame), the
     induced metric T g T^T, and LAPACK's per-node det and inv.  Returns
     (volume, gradient, (dvol/db, dvol/dA)) as the package does."""
-    n, d = chart.n, 2 * chart.n
-    r2, coords, phi_theta, phi_y, phi_yy, Y = chart_map_jets(chart, grid, f)
+    n, d, grid = model.n, 2 * model.n, model.grid()
+    r2, coords, phi_theta, phi_y, phi_yy, Y = chart_map_jets(model, f)
     T = phi_theta + np.swapaxes(Y, -1, -2) @ phi_y
     G, dG = metric.derivative(coords)
     Tt = np.swapaxes(T, -1, -2)
@@ -178,7 +179,7 @@ def pullback_graph_volume(chart: WeinsteinChart, grid: GridDescriptor, f: np.nda
     symbols = [-ik[j] for j in range(n)] + [ik[j] * ik[c] for j in range(n) for c in range(n)]
     P_hat = sum(k * x for k, x in zip(symbols, _forward(fields, grid)))
     P = _inverse(P_hat, grid, np.iscomplexobj(fields))
-    return np.sum(q) * w, P / chart.flat_density(), (d_shift, d_linear)
+    return np.sum(q) * w, P / model.flat_density(), (d_shift, d_linear)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +485,7 @@ def band_limited_basis(grid: GridDescriptor) -> np.ndarray:
     return fields / np.linalg.norm(fields, axis=0)
 
 
-def _assemble_graph_hessian(chart: WeinsteinChart, grid: GridDescriptor, metric) -> GridOperator:
+def _assemble_graph_hessian(model: TorusModel, metric) -> GridOperator:
     """Hessian of the graph volume at f = 0 by complex-step columns.
 
     Column k is Im P(i eta e_k)/eta, the exact directional derivative of the
@@ -493,28 +494,29 @@ def _assemble_graph_hessian(chart: WeinsteinChart, grid: GridDescriptor, metric)
     volume returns P's spectrum with the real and imaginary parts split on
     a leading axis, so only the imaginary part is transformed back.
     """
+    grid = model.grid()
     nn = grid.num_nodes
     f = np.zeros(grid.sizes, dtype=complex)
     cols = np.empty((nn, nn))
     flat = f.reshape(-1)
     for k in range(nn):
         flat[k] = 1j * _CS_STEP
-        _, P_hat, _ = graph_volume_and_gradient(chart, grid, f, metric)
+        _, P_hat, _ = graph_volume_and_gradient(model, f, metric)
         cols[:, k] = (_inverse(P_hat[1], grid, False) / _CS_STEP).reshape(-1)
         flat[k] = 0.0
-    weight = grid.node_weight() * chart.flat_density()
+    weight = grid.node_weight() * model.flat_density()
     basis = band_limited_basis(grid)
     cols = basis.T @ cols @ basis
     return GridOperator(grid, cols, weight, basis_matrix=basis)
 
 
-def assemble_perturbed_operator(chart: WeinsteinChart, grid: GridDescriptor, metric) -> GridOperator:
+def assemble_perturbed_operator(model: TorusModel, metric) -> GridOperator:
     """Linearization of the scaled-metric residual at the zero graph.
 
     In `flat_chart` this is the flat Hessian, the dense oracle for the
     symbols of `assemble_flat_operator` and `probe_flat_operator`.
     """
-    return _assemble_graph_hessian(chart, grid, metric).symmetrized()
+    return _assemble_graph_hessian(model, metric).symmetrized()
 
 
 def dense_eigensolve(op: GridOperator, count: Optional[int] = None) -> SpectralData:
@@ -533,21 +535,20 @@ def dense_eigensolve(op: GridOperator, count: Optional[int] = None) -> SpectralD
     return SpectralData(np.asarray(w, dtype=float), fields)
 
 
-def assemble_by_finite_differences(
-    chart: WeinsteinChart, grid: GridDescriptor, metric, step: float = 1e-4
-) -> GridOperator:
+def assemble_by_finite_differences(model: TorusModel, metric, step: float = 1e-4) -> GridOperator:
     """Richardson-extrapolated central-difference assembly (cross-check path).
 
     Columns combine central differences at steps h and h/2 to cancel the
     O(h^2) truncation term; used to validate the complex-step assembly.
     """
+    grid = model.grid()
     nn = grid.num_nodes
     cols = np.empty((nn, nn))
     f = np.zeros(grid.sizes)
     flat = f.reshape(-1)
 
     def residual():
-        _, P, _ = volume_gradient(chart, grid, f, metric)
+        _, P, _ = volume_gradient(model, f, metric)
         return P.reshape(-1)
 
     for k in range(nn):
@@ -560,7 +561,7 @@ def assemble_by_finite_differences(
             flat[k] = 0.0
             estimates.append((plus - minus) / (2 * h))
         cols[:, k] = (4 * estimates[1] - estimates[0]) / 3
-    weight = grid.node_weight() * chart.flat_density()
+    weight = grid.node_weight() * model.flat_density()
     basis = band_limited_basis(grid)
     cols = basis.T @ cols @ basis
     return GridOperator(grid, cols, weight, basis_matrix=basis).symmetrized(tol=1e-6)
@@ -572,12 +573,11 @@ def second_variation_consistency(
     """(5-point FD second derivative of Vol along the graph ray, <Lf, f>)."""
     if op is None:
         op = assemble_flat_operator(model)
-    chart = WeinsteinChart(model.radii)
-    grid = f.grid
+    grid = model.grid()
 
     def vol(s: float) -> float:
         v, _, _ = graph_volume_and_gradient(
-            chart, grid, s * f.values, flat_chart(chart.n), need_gradient=False
+            model, s * f.values, flat_chart(model.n), need_gradient=False
         )
         return float(v.real)
 
@@ -587,7 +587,7 @@ def second_variation_consistency(
     # times the flat density), not the bare coordinate measure used by
     # l2_inner.
     fv = f.values.reshape(-1)
-    weight = grid.node_weight() * chart.flat_density()
+    weight = grid.node_weight() * model.flat_density()
     quad = float(fv @ symbol_apply(op, f).values.reshape(-1)) * weight
     return fd2, quad
 
@@ -602,7 +602,7 @@ def complex_step_second_variation(
     out = []
     for h in directions:
         f = state.f.values + 1j * _CS_STEP * h.values
-        _, gradient, _ = graph_volume_and_gradient(ctx.chart, ctx.grid, f, metric)
+        _, gradient, _ = graph_volume_and_gradient(ctx.model, f, metric)
         product = _inverse(gradient[1], ctx.grid, False) / _CS_STEP
         out.append(ctx.vol_inner(h, ScalarField(ctx.grid, product, check=False)))
     return np.array(out)
@@ -709,7 +709,7 @@ def loop_context(radii: Sequence[float], grid_size: int, metric) -> dict:
         "symbol": symbol,
         "admissible": admissible,
         "kernel_modes": modes[:kdim],
-        "density": WeinsteinChart(model.radii).flat_density(),
+        "density": model.flat_density(),
         "transverse_mask": transverse_mask,
         "inverse_symbol": inverse_symbol,
         "quotient": np.hstack([moves[:, :rank], moves[:, 3 * n :]]),
@@ -755,7 +755,7 @@ def xi_map(
     poly = moment_from_generator(translation=translation, rotation=rotation)
     mesh = ctx.grid.meshgrid()
     z0 = np.stack(
-        [ctx.chart.radii[j] * np.exp(1j * mesh[j]) for j in range(n)], axis=-1
+        [ctx.model.radii[j] * np.exp(1j * mesh[j]) for j in range(n)], axis=-1
     )
     # The ambient symplectic form pulls back to t^2 times the chart form
     # dtheta ^ dy, so the chart-Hamiltonian potential of the ambient moment

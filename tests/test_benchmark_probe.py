@@ -7,12 +7,14 @@ against the package.
 """
 
 import importlib
+import inspect
 import os
 import types
 
 import pytest
 
 from hslag import operators, reduction, weinstein
+from hslag.models import TorusModel
 from hslag.reduction import build_context, projected_solve, random_frame_state
 
 PROBE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "probe.py")
@@ -44,10 +46,19 @@ def test_volume_is_one_object_in_every_module():
     assert operators.graph_volume_and_gradient is volume
 
 
+def test_volume_flag_is_keyword_only():
+    """The probe splits volume calls by need_gradient, read from the call's
+    kwargs (or a fifth positional argument the volume does not have), so
+    the flag can only be passed by keyword."""
+    parameters = inspect.signature(weinstein.graph_volume_and_gradient).parameters
+    assert parameters["need_gradient"].kind is inspect.Parameter.KEYWORD_ONLY
+    assert len(parameters) == 4
+
+
 def test_geometric_residual_calls_the_defect_by_its_bound_name(probe, monkeypatch):
     """One certificate is one `hs_residual` call through reduction's name,
     so the probe's hs_residual layer counts it."""
-    ctx = build_context(grid_size=16)
+    ctx = build_context(TorusModel((1.0, 1.3), grid_size=16))
     state = projected_solve(ctx, 0.02, random_frame_state(ctx, seed=5))
     calls = []
     residual = reduction.hs_residual

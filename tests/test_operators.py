@@ -53,7 +53,7 @@ from hslag.operators import (
     torus_multiplier,
 )
 from hslag.reduction import build_context
-from hslag.weinstein import WeinsteinChart, graph_volume_and_gradient
+from hslag.weinstein import graph_volume_and_gradient
 
 RADII = (1.0, 1.3)
 
@@ -140,10 +140,9 @@ def test_second_variation_kernel_direction(flat_operator, torus_model):
 
 
 def test_complex_step_matches_finite_differences():
-    chart = WeinsteinChart(RADII)
-    grid = GridDescriptor(sizes=(8, 8), periods=(2 * np.pi, 2 * np.pi))
-    cs = _assemble_graph_hessian(chart, grid, flat_chart(chart.n)).symmetrized()
-    fd = assemble_by_finite_differences(chart, grid, flat_chart(chart.n))
+    model = TorusModel(RADII, grid_size=8)
+    cs = _assemble_graph_hessian(model, flat_chart(model.n)).symmetrized()
+    fd = assemble_by_finite_differences(model, flat_chart(model.n))
     assert operator_distance(cs, fd) <= 1e-6
 
 
@@ -199,8 +198,7 @@ def test_probed_symbol_is_circulant(radii, size):
     probed = probe_flat_operator(model)
     rng = np.random.default_rng(20261019)
     g = fourier_multiply(rng.normal(size=grid.sizes), grid, band_mask(grid).astype(float))
-    chart = WeinsteinChart(radii)
-    _, P_hat, _ = graph_volume_and_gradient(chart, grid, 1j * _CS_STEP * g, flat_chart(chart.n))
+    _, P_hat, _ = graph_volume_and_gradient(model, 1j * _CS_STEP * g, flat_chart(model.n))
     hessian_g = np.fft.fftn(_inverse(P_hat[1], grid, False) / _CS_STEP)
     symbol_g = np.where(probed.admissible, probed.symbol, 0.0) * np.fft.fftn(g)
     assert np.max(np.abs(hessian_g - symbol_g)) <= 1e-14 * np.max(np.abs(hessian_g))
@@ -220,7 +218,7 @@ def test_probed_symbol_matches_multiplier_at_n3(size):
 @pytest.mark.parametrize("size", [16, 32])
 def test_context_inverse_and_projector_match_dense(size, hessian_oracle):
     hessian = hessian_oracle(size)
-    ctx = build_context(grid_size=size)
+    ctx = build_context(TorusModel(RADII, grid_size=size))
     grid = ctx.grid
     spec = dense_eigensolve(hessian)
     kdim = kernel_dimension(spec.eigenvalues)
@@ -294,19 +292,18 @@ def test_circle_sphere_stability(cs_spectrum):
 
 @pytest.fixture(scope="module")
 def pert_setup(hessian_oracle):
-    chart = WeinsteinChart(RADII)
     flat = hessian_oracle(16)
     metric = default_perturbed_metric(n=2, amplitude=0.05, seed=0)
     p = np.array([0.15, -0.3, 0.42, 0.07])
     frame = unitary_frame(metric, p)
-    return chart, flat.grid, metric, frame, flat
+    return TorusModel(RADII, grid_size=16), metric, frame, flat
 
 
 def test_perturbed_operator_linear_drift(pert_setup):
-    chart, grid, metric, frame, flat = pert_setup
+    model, metric, frame, flat = pert_setup
     dists = []
     for t in (0.08, 0.04, 0.02):
-        op_t = assemble_perturbed_operator(chart, grid, ChartMetric(metric, frame, t))
+        op_t = assemble_perturbed_operator(model, ChartMetric(metric, frame, t))
         dists.append(operator_distance(op_t, flat))
     assert 1.4 <= dists[0] / dists[1] <= 2.6
     assert 1.4 <= dists[1] / dists[2] <= 2.6
@@ -314,10 +311,10 @@ def test_perturbed_operator_linear_drift(pert_setup):
 
 
 def test_perturbed_spectrum_drift(pert_setup):
-    chart, grid, metric, frame, flat = pert_setup
+    model, metric, frame, flat = pert_setup
     t = 0.05
     spec_t = dense_eigensolve(
-        assemble_perturbed_operator(chart, grid, ChartMetric(metric, frame, t)), count=10
+        assemble_perturbed_operator(model, ChartMetric(metric, frame, t)), count=10
     )
     spec_0 = dense_eigensolve(flat, count=10)
     # kernel eigenvalues move at most O(t), the gap eigenvalues stay close
@@ -326,10 +323,10 @@ def test_perturbed_spectrum_drift(pert_setup):
 
 
 def test_torus_action_leaves_spectrum_invariant(pert_setup):
-    chart, grid, metric, frame, _ = pert_setup
+    model, metric, frame, _ = pert_setup
     t = 0.05
     base = dense_eigensolve(
-        assemble_perturbed_operator(chart, grid, ChartMetric(metric, frame, t)), count=12
+        assemble_perturbed_operator(model, ChartMetric(metric, frame, t)), count=12
     )
     s = np.array([0.7, -0.4])
     gamma = np.diag(np.exp(1j * s))
@@ -337,7 +334,7 @@ def test_torus_action_leaves_spectrum_invariant(pert_setup):
 
     rotated = frame_fit(metric, frame.point, frame.matrix @ unitary_embedding(gamma))
     spec_r = dense_eigensolve(
-        assemble_perturbed_operator(chart, grid, ChartMetric(metric, rotated, t)), count=12
+        assemble_perturbed_operator(model, ChartMetric(metric, rotated, t)), count=12
     )
     assert np.max(np.abs(base.eigenvalues - spec_r.eigenvalues)) <= 1e-8
 
@@ -360,7 +357,7 @@ def test_project_out_kernel(reduction_ctx, rng):
 
 def test_zero_mean_kernel_basis():
     for size in (24, 32):
-        ctx = build_context(grid_size=size)
+        ctx = build_context(TorusModel(RADII, grid_size=size))
         basis = reduced_basis(ctx)
         assert len(basis) == 6
         for b in basis:

@@ -38,6 +38,7 @@ from hslag.cli import ExperimentConfig, main
 from hslag.errors import ExactnessError, NonContractionError
 from hslag.fieldio import load_manifest
 from hslag.geomcore import ScalarField, _inverse
+from hslag.models import TorusModel
 from hslag.reduction import (
     FRAME_STEP,
     FrameState,
@@ -63,7 +64,7 @@ DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 @pytest.fixture(scope="module")
 def flat_ctx():
-    return build_context(metric=EuclideanMetric(2))
+    return build_context(TorusModel(RADII), EuclideanMetric(2))
 
 
 def field_norm(ctx, values):
@@ -98,7 +99,7 @@ def test_build_context_is_solve_free(size, monkeypatch):
         for name in ("_unit_modes", "_real_modes"):
             if name in module.__dict__:
                 monkeypatch.setattr(module, name, counting(name, module.__dict__[name]))
-    ctx = build_context(grid_size=size)
+    ctx = build_context(TorusModel(RADII, grid_size=size))
     assert calls == []
     assert len(ctx.kernel_modes) == 7
     assert np.count_nonzero(ctx.kernel_modes) == 6
@@ -127,7 +128,7 @@ def test_setup_equals_loop_references_bit_for_bit(radii, size):
         for name in ("wave_vectors", "cos_coeffs", "sin_coeffs", "_phase_weights"):
             assert _same_bits(getattr(metric, name), getattr(reference, name)), name
         assert metric._terms == reference._terms
-    ctx = build_context(radii, size, metric)
+    ctx = build_context(TorusModel(radii, grid_size=size), metric)
     expected = loop_context(radii, size, reference)
     assert _same_bits(ctx.flat_operator.symbol, expected["symbol"])
     assert _same_bits(ctx.flat_operator.admissible, expected["admissible"])
@@ -163,7 +164,7 @@ def test_unit_modes_equal_the_one_mode_oracle_bit_for_bit(radii, size):
     """`_unit_modes` at the kernel's indices, at the transverse probes' and
     at negative and mixed wave numbers equals `mode_field`, one mode on the
     full node mesh, byte for byte."""
-    ctx = build_context(radii, size)
+    ctx = build_context(TorusModel(radii, grid_size=size))
     waves = np.array(_SIGNED_WAVES[len(radii)])
     signed = np.ravel_multi_index(tuple(waves.T), ctx.grid.sizes, mode="wrap")
     for indices in (ctx.kernel_modes, hslag.reduction._field_modes(ctx), signed):
@@ -271,7 +272,7 @@ def test_roundoff_floor_raises_early(monkeypatch):
     to about 7e-13, and its residual floors near 3e-14, so a 1e-16 tolerance
     is out of reach, and so is an update tolerance of 1e-20, far under the
     update's floor (about 2e-17)."""
-    ctx = build_context(grid_size=24)
+    ctx = build_context(TorusModel(RADII, grid_size=24))
     calls = []
     volume = hslag.reduction.graph_volume_and_gradient
 
@@ -294,7 +295,7 @@ def test_growing_residual_raises_as_divergence(factor):
     or 6.9e-1 (-1) in three iterations, short of the _DIVERGENCE_FACTOR.  The
     stall rule stops the solve there, and its error names a divergence, not a
     residual floor."""
-    ctx = build_context(grid_size=16)
+    ctx = build_context(TorusModel(RADII, grid_size=16))
     ctx = dataclasses.replace(ctx, inverse_symbol=factor * ctx.inverse_symbol)
     with pytest.raises(NonContractionError, match=r"diverged: residual \S+ after 4 steps"):
         projected_solve(ctx, T, random_frame_state(ctx, seed=5))
@@ -307,9 +308,10 @@ def test_grid_64_solve_stops_at_its_update():
     residual test alone stagnates.  K is grid 24's to 1e-13 relative.  About
     0.6 s, most of it the grid-24 search."""
     metric = default_perturbed_metric(2, seed=1)
-    coarse = build_context(grid_size=24, metric=metric)
+    coarse = build_context(TorusModel(RADII, grid_size=24), metric)
     located = optimize_frame(coarse, T, random_frame_state(coarse, seed=1))
-    state = projected_solve(build_context(grid_size=64, metric=metric), T, located.state.frame)
+    fine = build_context(TorusModel(RADII, grid_size=64), metric)
+    state = projected_solve(fine, T, located.state.frame)
     assert state.converged
     assert state.iterations < 20
     assert state.residual_norm <= 1e-10
@@ -326,7 +328,7 @@ def test_band_projector_has_no_off_band_floor(radii, size, seed):
     """Solves whose residual used to floor above the tolerance on its Nyquist
     modes, where the pseudo-inverse is zero: with f and the residual both on
     the band, they converge."""
-    ctx = build_context(radii=radii, grid_size=size)
+    ctx = build_context(TorusModel(radii, grid_size=size))
     state = projected_solve(ctx, T, random_frame_state(ctx, seed=seed))
     assert state.converged
     assert state.residual_norm < 1e-12
@@ -537,7 +539,7 @@ def test_frame_bases_split_the_coordinates_at_n3():
     """Three wave vectors in R^6 leave three translations that fix the
     metric: the quotient has 3 + 6 columns, the symmetries 3 + 3, and
     together they are an orthonormal basis of the 15 frame coordinates."""
-    ctx = build_context(radii=(1.0, 1.3, 1.6), grid_size=16)
+    ctx = build_context(TorusModel((1.0, 1.3, 1.6), grid_size=16))
     assert ctx.quotient.shape == (15, 9)
     assert ctx.symmetries.shape == (15, 6)
     basis = np.hstack([ctx.quotient, ctx.symmetries])
@@ -571,7 +573,8 @@ def test_stored_n3_torus_solves_cold_to_its_K():
     for name in names:
         manifest = load_manifest(os.path.join(DATA, name))
         config = ExperimentConfig.from_dict(manifest["config"])
-        ctx = build_context(config.radii, config.grid_size, config.ambient_metric())
+        model = TorusModel(config.radii, grid_size=config.grid_size)
+        ctx = build_context(model, config.ambient_metric())
         frame = manifest["payload"]["final_frame"]
         keys = ("point", "matrix", "coords")
         start = FrameState(*(np.array(frame[key], dtype=float) for key in keys))
@@ -607,7 +610,7 @@ def test_transverse_block_matches_complex_step(coarse_ctx):
         report = second_variation_Q(coarse_ctx, located.state, frame_block=located.hessian)
         exact = T**2 * complex_step_second_variation(coarse_ctx, located.state, directions)
         assert np.max(np.abs(report.transverse_fd - exact) / np.abs(exact)) <= 2e-8
-    ctx = build_context(radii=(1.0, 1.3, 1.6), grid_size=16)
+    ctx = build_context(TorusModel((1.0, 1.3, 1.6), grid_size=16))
     directions = hslag.reduction._field_directions(ctx)
     for seed in (1, 6):
         state = projected_solve(ctx, T, random_frame_state(ctx, seed=seed))
@@ -628,7 +631,7 @@ def test_field_directions_are_the_projected_probes(radii, size):
     relative.  The sin probe is the mesh's own sin 2 theta_2, normalized, to
     4e-16 (3.1e-16 at n = 2, grid 24; phases from the wrapped index
     k mod N read 3.4e-15 there)."""
-    ctx = build_context(radii=radii, grid_size=size)
+    ctx = build_context(TorusModel(radii, grid_size=size))
     mesh = ctx.grid.meshgrid()
     reference = []
     for values in (np.cos(2.0 * mesh[0]), np.cos(mesh[0] + mesh[1]), np.sin(2.0 * mesh[1])):
@@ -654,7 +657,7 @@ def test_field_directions_are_the_projected_probes(radii, size):
 
 @pytest.fixture(scope="module")
 def coarse_ctx():
-    return build_context(grid_size=24)
+    return build_context(TorusModel(RADII, grid_size=24))
 
 
 def fresh_state(ctx, seed=5):
@@ -748,7 +751,7 @@ def test_state_gradient_is_final_residual(coarse_ctx, monkeypatch):
     state = fresh_state(coarse_ctx)
     volume = hslag.reduction.graph_volume_and_gradient
     metric = ChartMetric(coarse_ctx.metric, state.unitary, state.t)
-    args = (coarse_ctx.chart, coarse_ctx.grid, state.f.values, metric)
+    args = (coarse_ctx.model, state.f.values, metric)
     vol, gradient, sensitivity = volume(*args)
     grad = _inverse(gradient, coarse_ctx.grid, False)
     assert state.gradient.values.tobytes() == grad.tobytes()
@@ -895,9 +898,9 @@ def test_gradient_K_takes_the_centre_jets_once(coarse_ctx, monkeypatch):
     calls = []
     jets = hslag.weinstein._graph_jets
 
-    def counting(chart, grid, f):
+    def counting(model, f):
         calls.append(f)
-        return jets(chart, grid, f)
+        return jets(model, f)
 
     for module in (hslag.weinstein, hslag.reduction):
         monkeypatch.setattr(module, "_graph_jets", counting)
@@ -985,7 +988,7 @@ def test_optimize_frame_makes_no_value_only_volume(reduction_ctx, frame_optimum,
         return jet(*args, **kwargs)
 
     def counting_volume(*args, **kwargs):
-        volumes.append(kwargs.get("need_gradient", args[4] if len(args) > 4 else True))
+        volumes.append(kwargs.get("need_gradient", True))
         before = len(jets)
         out = volume(*args, **kwargs)
         volume_jets.append(len(jets) - before)
@@ -1058,7 +1061,7 @@ def test_second_torus_builds_no_metric_workspace(frame_optimum, monkeypatch):
     volumes linearize like gradient volumes, so there is no order-0 chunk.
     After one torus, a second search and its second-variation blocks, from
     the same torus turned along the diagonal torus, rebuild none."""
-    ctx = build_context(grid_size=24)
+    ctx = build_context(TorusModel(RADII, grid_size=24))
     located = frame_optimum.state.unitary
     builds = []
     build = hslag.ambient._JetWorkspace.__init__
