@@ -335,8 +335,8 @@ class SymplecticExpMetric:
 # Y^5 and two Horner steps make 6 jet products, as few as any s gives.
 _PS_BLOCK = 5
 # Workspaces a metric keeps; the least recently used one goes first.  A
-# located torus at grid 24 was measured to build 8: real frame stacks of 1,
-# 6 and 10 points, complex ones of 5 and 50, order-1 chunks of 256 and 64
+# located torus at grid 24 was measured to build 8: real frame stacks of 1
+# and 10 points, complex ones of 3, 5 and 50, order-1 chunks of 256 and 64
 # points, and the volume's 576-point reverse sweep.  Fewer would rebuild
 # most of them on every torus.
 _WORKSPACES = 16

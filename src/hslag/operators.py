@@ -86,7 +86,10 @@ def _real_modes(grid: GridDescriptor, indices: np.ndarray) -> np.ndarray:
     nodes = np.ix_(*(np.arange(size) for size in sizes))
     lead = (slice(None),) + (None,) * len(sizes)
     phase = sum(2.0 * np.pi * kj[lead] * nodes[j] / sizes[j] for j, kj in enumerate(k))
-    return np.where((indices <= partner)[lead], np.cos(phase), np.sin(phase))
+    cos = indices <= partner
+    phase[cos] = np.cos(phase[cos])
+    phase[~cos] = np.sin(phase[~cos])
+    return phase
 
 
 def _unit_modes(grid: GridDescriptor, indices: np.ndarray) -> np.ndarray:

@@ -720,11 +720,14 @@ def frame_gradient(
     return _envelope_gradient(state, *_realize_jacobian(ctx.metric, state.frame, directions))
 
 
-def _fd_gradient(ctx: ReductionContext, state: ReductionState) -> np.ndarray:
-    """Central differences of the solved K at +-FRAME_STEP along the columns
-    of [ctx.quotient | ctx.symmetries], whose warm solves `hessian_K`, the
-    variation potentials and the cross block share through the state's memo."""
-    directions = np.hstack([ctx.quotient, ctx.symmetries]).T
+def _fd_gradient(
+    ctx: ReductionContext, state: ReductionState, directions: np.ndarray
+) -> np.ndarray:
+    """Central differences of the solved K at +-FRAME_STEP along each row of
+    directions, whose warm solves `hessian_K`, the variation potentials and
+    the cross block share through the state's memo.  Along the quotient
+    columns, after a `hessian_K` at the state, every neighbour is a memo hit.
+    Each component moves in steps of ulp(K) / (2 FRAME_STEP)."""
     K = np.array([near.K_value for near in _solve_stencil(ctx, state, directions)])
     return (K[0::2] - K[1::2]) / (2.0 * FRAME_STEP)
 
@@ -732,14 +735,15 @@ def _fd_gradient(ctx: ReductionContext, state: ReductionState) -> np.ndarray:
 def gradient_K(ctx: ReductionContext, state: ReductionState) -> GradientReport:
     """Gradient of the reduced volume along quotient and symmetries, three ways.
 
-    fd is `_fd_gradient`, the one `optimize_frame` reports; factored pairs
-    the variation potentials with the reduced basis in one product; envelope
-    is `frame_gradient`.  A cross-check of the reduction: the search does not
-    call it."""
+    fd is `_fd_gradient`, whose quotient part `optimize_frame` reports;
+    factored pairs the variation potentials with the reduced basis in one
+    product; envelope is `frame_gradient`, whose symmetry part
+    `optimize_frame` reports.  A cross-check of the reduction: the search
+    does not call it, so the solves along the symmetries are made only here."""
     directions = np.hstack([ctx.quotient, ctx.symmetries]).T
     basis = _volume_modes(ctx, ctx.kernel_modes[ctx.kernel_modes != 0])
     H = H_eval(ctx, state)
-    fd = _fd_gradient(ctx, state)
+    fd = _fd_gradient(ctx, state, directions)
     potentials = variation_potential(ctx, state, directions)
     return GradientReport(
         fd=fd,
@@ -761,8 +765,9 @@ def hessian_K(ctx: ReductionContext, state: ReductionState) -> np.ndarray:
     warm solves at n = 2, one stacked realization of the frames not yet
     solved, and one stacked complex-step realization for all 2m Jacobians.
     Each neighbour is solved through the state's memo, so these frames are
-    shared with `_fd_gradient` and the cross block.  The symmetries are left
-    out, so the default metric's Hessian has no exact zero mode.  The
+    shared with `_fd_gradient` (whose quotient part `optimize_frame` reads
+    off them with no further solve) and the cross block.  The symmetries are
+    left out, so the default metric's Hessian has no exact zero mode.  The
     gradients carry the envelope error O(tol), so an entry's noise is about
     tol / FRAME_STEP (see `_SADDLE_TOL`); the O(FRAME_STEP^2) truncation
     error is below it."""
@@ -777,7 +782,13 @@ def hessian_K(ctx: ReductionContext, state: ReductionState) -> np.ndarray:
 
 @dataclass
 class OptimizationResult:
-    """Outcome of a reduced-volume frame search."""
+    """Outcome of a reduced-volume frame search.
+
+    gradient_norm is the norm of `_fd_gradient` over ctx.quotient at the
+    final state, read off the final `hessian_K`'s neighbour solves;
+    stabilizer_gradient_norm is the norm of the exact `frame_gradient`
+    along ctx.symmetries there, which K's invariance makes vanish up to the
+    envelope error and the grid's aliasing, and which costs no solve."""
 
     state: ReductionState
     gradient_norm: float
@@ -864,9 +875,11 @@ def optimize_frame(
     steps along its most negative direction.  Nothing moves along the
     symmetries.  Each solve leaves a trace row with its radius and rho, and
     whether it was an "anchor" or a step accepted by "ratio" or "gradient",
-    or "rejected".  The reported gradient norms are `_fd_gradient`'s
-    quotient and symmetry parts at the final state, and start_history the
-    residuals of the cold solve at the anchored start."""
+    or "rejected".  At the final state the reported gradient_norm is that of
+    `_fd_gradient` over the quotient, from the final Hessian's neighbours,
+    and stabilizer_gradient_norm that of `frame_gradient` along the
+    symmetries, so no frame along a symmetry is solved; start_history holds
+    the residuals of the cold solve at the anchored start."""
     settings = settings if settings is not None else OptimizeSettings()
     Q = ctx.quotient
     trace: List[dict] = []
@@ -931,12 +944,13 @@ def optimize_frame(
         hess = hessian_K(ctx, state)
     eigs = np.linalg.eigvalsh(hess)
 
-    fd = _fd_gradient(ctx, state)
+    fd = _fd_gradient(ctx, state, Q.T)
+    stabilizer = frame_gradient(ctx, state, ctx.symmetries.T)
     rel, absolute, _ = geometric_residual(ctx, state)
     return OptimizationResult(
         state=state,
-        gradient_norm=float(np.linalg.norm(fd[: Q.shape[1]])),
-        stabilizer_gradient_norm=float(np.linalg.norm(fd[Q.shape[1]:])),
+        gradient_norm=float(np.linalg.norm(fd)),
+        stabilizer_gradient_norm=float(np.linalg.norm(stabilizer)),
         hessian=hess,
         hessian_eigenvalues=eigs,
         is_minimum=not _is_saddle(eigs[0]),

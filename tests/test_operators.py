@@ -45,6 +45,7 @@ from hslag.models import TorusModel, circle_sphere_spectrum
 from hslag.operators import (
     _CS_STEP,
     SymbolOperator,
+    _real_modes,
     _unit_modes,
     assemble_flat_operator,
     eigensolve,
@@ -52,7 +53,7 @@ from hslag.operators import (
     probe_flat_operator,
     torus_multiplier,
 )
-from hslag.reduction import build_context
+from hslag.reduction import _field_modes, build_context
 from hslag.weinstein import graph_volume_and_gradient
 
 RADII = (1.0, 1.3)
@@ -390,6 +391,30 @@ def test_negative_wave_number_modes_match_mpmath(size):
     for field, (k1, k2) in zip(_unit_modes(grid, indices), waves):
         exact = [mpmath.sin(2 * mpmath.pi * (k1 * a + k2 * b) / size) / norm for a, b in nodes]
         assert np.max(np.abs(field.reshape(-1) - np.array(exact, dtype=float))) <= 4e-16
+
+
+@pytest.mark.parametrize("radii, size", [((1.0, 1.3), 24), ((1.0, 1.3, 1.6), 32)])
+def test_real_modes_equal_the_both_functions_form_bit_for_bit(radii, size):
+    """`_real_modes`, which takes cos or sin of each mode's phase only,
+    equals the form that takes both on every phase and keeps one with
+    `np.where`, byte for byte: at the flat kernel, at the transverse probes
+    and at every band mode of a grid-8 mesh of the same dimension."""
+    ctx = build_context(TorusModel(radii, grid_size=size))
+    small = TorusModel(radii, grid_size=8).grid()
+    cases = [
+        (ctx.grid, ctx.kernel_modes),
+        (ctx.grid, _field_modes(ctx)),
+        (small, np.flatnonzero(band_mask(small))),
+    ]
+    for mesh, indices in cases:
+        sizes = mesh.sizes
+        k = [kj - s * (2 * kj >= s) for kj, s in zip(np.unravel_index(indices, sizes), sizes)]
+        partner = np.ravel_multi_index(tuple(-kj for kj in k), sizes, mode="wrap")
+        nodes = np.ix_(*(np.arange(s) for s in sizes))
+        lead = (slice(None),) + (None,) * len(sizes)
+        phase = sum(2.0 * np.pi * kj[lead] * nodes[j] / sizes[j] for j, kj in enumerate(k))
+        both = np.where((indices <= partner)[lead], np.cos(phase), np.sin(phase))
+        assert _real_modes(mesh, indices).tobytes() == both.tobytes()
 
 
 def test_synthetic_unstable_operator():

@@ -47,6 +47,7 @@ from hslag.reduction import (
     SOLVE_TOL,
     _integrate_exact_one_form,
     build_context,
+    frame_gradient,
     geometric_residual,
     gradient_K,
     hessian_K,
@@ -665,6 +666,14 @@ def fresh_state(ctx, seed=5):
     return projected_solve(ctx, 0.02, random_frame_state(ctx, seed=seed))
 
 
+def _turned_start(ctx, located, turn):
+    """The located torus's frame turned by turn along each diagonal-torus
+    axis: the same torus, reparametrized, so K and its gradient stay."""
+    delta = np.zeros(ctx.num_frame_coords)
+    delta[ctx.stabilizer_indices] = turn
+    return FrameState(located.point, located.matrix, np.zeros(ctx.num_frame_coords)).shifted(delta)
+
+
 def test_solve_near_is_memoized_and_equals_direct_solve(coarse_ctx):
     # the first neighbour starts from f, its mirror image from the reflection
     # 2 f - f_{+e} through it
@@ -722,6 +731,35 @@ def test_gradient_K_after_hessian_solves_each_symmetry_neighbour_once(coarse_ctx
     m = coarse_ctx.quotient.shape[1]
     assert np.max(np.abs(report.fd[m:])) <= 1e-8
     assert np.max(np.abs(report.factored[m:])) <= 1e-8
+
+
+def test_envelope_symmetry_gradient_matches_the_finite_differences(coarse_ctx, frame_optimum):
+    """The reported stabilizer gradient is the envelope one; the finite
+    differences it replaced stay its oracle.  Both vanish to 1e-8, and they
+    differ by at most 3 quanta of the fd, ulp(K) / (2 FRAME_STEP): the two
+    solved K values each carry about an ulp of roundoff, while the envelope's
+    error is O(SOLVE_TOL) times a derivative of order 1.  At the located
+    n = 2 torus on grid 24 the fd reads whole quanta (3.6e-11 each) and the
+    envelope about 1e-14.  At n = 3 with 6 waves the translations have no
+    null space, so the symmetries are the 3 diagonal-torus axes; at a random
+    frame on grid 16 the two gradients read 1e-12 to 1e-11 and at most a
+    quantum, 5.7e-10, apart (on grid 12 the grid's aliasing breaks the
+    invariance and both read 1e-8 to 3e-8)."""
+    state = optimize_frame(
+        coarse_ctx, T, _turned_start(coarse_ctx, frame_optimum.state.unitary, 0.4),
+        OptimizeSettings(max_saddle_restarts=0),
+    ).state
+    ctx3 = build_context(
+        TorusModel((1.0, 1.3, 1.6), grid_size=16), default_perturbed_metric(3, num_waves=6)
+    )
+    assert ctx3.quotient.shape == (15, 12) and ctx3.symmetries.shape == (15, 3)
+    state3 = projected_solve(ctx3, T, random_frame_state(ctx3, seed=1))
+    for ctx, solved in ((coarse_ctx, state), (ctx3, state3)):
+        fd = hslag.reduction._fd_gradient(ctx, solved, ctx.symmetries.T)
+        envelope = frame_gradient(ctx, solved, ctx.symmetries.T)
+        assert np.linalg.norm(fd) <= 1e-8 and np.linalg.norm(envelope) <= 1e-8
+        quantum = np.spacing(solved.K_value) / (2.0 * FRAME_STEP)
+        assert np.max(np.abs(fd - envelope)) <= 3.0 * quantum
 
 
 def test_realize_jacobian_stacks_equal_one_row_calls(reduction_ctx):
@@ -1024,12 +1062,38 @@ def test_optimize_frame_makes_no_value_only_volume(reduction_ctx, frame_optimum,
     assert not any(volume_jets)
 
 
+def test_located_search_solves_only_the_quotient_stencil(coarse_ctx, frame_optimum, monkeypatch):
+    """A search started at a located torus makes 11 solves: the cold one at
+    its anchored start and the start Hessian's 2 x 5 quotient neighbours,
+    which also give the reported finite-difference gradient.  The symmetry
+    part of the reported gradient is the envelope one, so no frame shifted
+    along ctx.symmetries is solved (those 6 solves made it 17)."""
+    ctx, solved = coarse_ctx, []
+    solve = hslag.reduction.projected_solve
+
+    def counting(ctx, t, frame, init=None, **kwargs):
+        solved.append((frame.coords, init is None))
+        return solve(ctx, t, frame, init=init, **kwargs)
+
+    monkeypatch.setattr(hslag.reduction, "projected_solve", counting)
+    start = _turned_start(ctx, frame_optimum.state.unitary, 0.4)
+    result = optimize_frame(ctx, T, start, OptimizeSettings(max_saddle_restarts=0))
+    assert result.solver_evaluations == 1
+    assert len(solved) == 11
+    assert [cold for _, cold in solved] == [True] + [False] * 10
+    for coords, _ in solved[1:]:
+        assert np.linalg.norm(coords) == pytest.approx(FRAME_STEP, rel=1e-12)
+        assert np.max(np.abs(ctx.symmetries.T @ coords)) <= 1e-12 * FRAME_STEP
+
+
 def test_optimize_frame_reports_the_fd_gradient_without_the_cross_check(
     coarse_ctx, frame_optimum, monkeypatch
 ):
-    """A frame search reports the finite-difference gradient alone: it calls
-    neither `gradient_K` nor the potentials nor the kernel pairing, and its
-    norms are bitwise those of `gradient_K`'s fd at the state it returns."""
+    """A frame search calls neither `gradient_K` nor the potentials nor the
+    kernel pairing.  Its gradient norm is bitwise that of `gradient_K`'s fd
+    over the quotient at the state it returns, and its stabilizer gradient
+    norm bitwise that of the envelope `frame_gradient` along the
+    symmetries."""
     calls = []
     for name in ("gradient_K", "variation_potential", "H_eval"):
         original = getattr(hslag.reduction, name)
@@ -1039,28 +1103,26 @@ def test_optimize_frame_reports_the_fd_gradient_without_the_cross_check(
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(hslag.reduction, name, counting)
-    ctx, located = coarse_ctx, frame_optimum.state.unitary
-    delta = np.zeros(ctx.num_frame_coords)
-    delta[ctx.stabilizer_indices] = 0.4
-    start = hslag.reduction.FrameState(
-        located.point, located.matrix, np.zeros(ctx.num_frame_coords)
-    ).shifted(delta)
+    ctx = coarse_ctx
+    start = _turned_start(ctx, frame_optimum.state.unitary, 0.4)
     result = optimize_frame(ctx, T, start, OptimizeSettings(max_saddle_restarts=0))
     assert calls == []
     monkeypatch.undo()
     fd = gradient_K(ctx, result.state).fd
     m = ctx.quotient.shape[1]
     assert result.gradient_norm == float(np.linalg.norm(fd[:m]))
-    assert result.stabilizer_gradient_norm == float(np.linalg.norm(fd[m:]))
+    envelope = frame_gradient(ctx, result.state, ctx.symmetries.T)
+    assert result.stabilizer_gradient_norm == float(np.linalg.norm(envelope))
 
 
 def test_second_torus_builds_no_metric_workspace(frame_optimum, monkeypatch):
     """The metric's workspaces hold a located torus's whole working set: at
-    grid 24, order-1 chunks of 256 and 64 points beside the frame fit's, the
-    reverse sweep's and the complex frame stacks', 8 in all.  Value-only
-    volumes linearize like gradient volumes, so there is no order-0 chunk.
-    After one torus, a second search and its second-variation blocks, from
-    the same torus turned along the diagonal torus, rebuild none."""
+    grid 24, order-1 chunks of 256 and 64 points beside the reverse sweep's,
+    the real frame stacks' of 1 and 10 frames and the complex ones' of 3, 5
+    and 50, 8 in all.  Value-only volumes linearize like gradient volumes,
+    so there is no order-0 chunk.  After one torus, a second search and its
+    second-variation blocks, from the same torus turned along the diagonal
+    torus, rebuild none."""
     ctx = build_context(TorusModel(RADII, grid_size=24))
     located = frame_optimum.state.unitary
     builds = []
@@ -1073,11 +1135,7 @@ def test_second_torus_builds_no_metric_workspace(frame_optimum, monkeypatch):
     monkeypatch.setattr(hslag.ambient._JetWorkspace, "__init__", counting)
 
     def locate(turn):
-        delta = np.zeros(ctx.num_frame_coords)
-        delta[ctx.stabilizer_indices] = turn
-        start = hslag.reduction.FrameState(
-            located.point, located.matrix, np.zeros(ctx.num_frame_coords)
-        ).shifted(delta)
+        start = _turned_start(ctx, located, turn)
         result = optimize_frame(ctx, T, start, OptimizeSettings(max_saddle_restarts=0))
         second_variation_Q(ctx, result.state, frame_block=result.hessian)
 
@@ -1187,7 +1245,9 @@ def test_search_escapes_a_saddle_only_while_escapes_remain(coarse_ctx, monkeypat
     monkeypatch.setattr(hslag.reduction, "projected_solve", solve)
     monkeypatch.setattr(hslag.reduction, "frame_gradient", gradient)
     monkeypatch.setattr(hslag.reduction, "hessian_K", hessian)
-    monkeypatch.setattr(hslag.reduction, "_fd_gradient", lambda ctx, state: np.zeros(8))
+    monkeypatch.setattr(
+        hslag.reduction, "_fd_gradient", lambda ctx, state, directions: np.zeros(len(directions))
+    )
     monkeypatch.setattr(hslag.reduction, "geometric_residual", lambda ctx, state: (0.0, 0.0, 0.0))
     start = random_frame_state(coarse_ctx, seed=1)
 
