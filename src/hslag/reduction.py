@@ -855,31 +855,32 @@ def optimize_frame(
 
     A trust-region search over the quotient coordinates y, the frame moved
     by ctx.quotient @ y (Nocedal & Wright, Numerical Optimization, 2nd ed.,
-    ch. 4 and 6).  The model starts from one `hessian_K` at the anchored
-    start and takes an SR1 update, skipped when |r.s| <= 1e-8 |r| |s|, from
-    every trial's exact `frame_gradient`, which costs no volume.  SR1 need
-    not stay positive definite: `_trust_step` solves each subproblem
-    exactly, negative curvature included.  The gradient's envelope error is
-    far below |dK| while the search runs, so short secants are kept.  Each
-    trial solve starts from the last accepted field.
+    ch. 4 and 6).  The model starts at zero, so the first step runs down the
+    gradient to the radius, and takes an SR1 update, skipped when |r.s| <=
+    1e-8 |r| |s|, from every trial's exact `frame_gradient`, which costs no
+    volume.  SR1 needs no start Hessian and need not stay positive definite:
+    `_trust_step` solves each subproblem exactly, negative curvature
+    included.  The gradient's envelope error is far below |dK| while the
+    search runs, so short secants are kept.  Each trial solve starts from
+    the last accepted field.
 
     A step is accepted when rho, its actual over its predicted change in K,
     exceeds 1e-4, or, once the predicted decrease is under K's roundoff,
     when it lowers |dK|.  The radius falls to half the step after a
     rejection or rho < 0.1, and doubles, up to _ANCHOR_XI_NORM, after a
     boundary step with rho > 0.75; an accepted frame whose rotation
-    coordinates pass _ANCHOR_XI_NORM is re-anchored.  At |dK| <= _POLISH_TOL a `hessian_K`
-    classifies the point (a critical start reuses its start Hessian).  At a
-    saddle, while escapes remain, that Hessian becomes the model, kept
-    without updates until a step is accepted, and the subproblem's hard case
-    steps along its most negative direction.  Nothing moves along the
-    symmetries.  Each solve leaves a trace row with its radius and rho, and
-    whether it was an "anchor" or a step accepted by "ratio" or "gradient",
-    or "rejected".  At the final state the reported gradient_norm is that of
-    `_fd_gradient` over the quotient, from the final Hessian's neighbours,
-    and stabilizer_gradient_norm that of `frame_gradient` along the
-    symmetries, so no frame along a symmetry is solved; start_history holds
-    the residuals of the cold solve at the anchored start."""
+    coordinates pass _ANCHOR_XI_NORM is re-anchored.  A `hessian_K` is
+    formed only to classify a point at |dK| <= _POLISH_TOL, or at the state
+    returned at the solve budget.  At a saddle, while escapes remain, that
+    Hessian becomes the model, kept without updates until a step is
+    accepted, and the subproblem's hard case steps along its most negative
+    direction.  Nothing moves along the symmetries.  Each solve leaves a
+    trace row with its radius and rho, and whether it was an "anchor" or a
+    step accepted by "ratio" or "gradient", or "rejected".  At the final
+    state gradient_norm is that of `_fd_gradient` over the quotient, from
+    the final Hessian's neighbours, and stabilizer_gradient_norm that of
+    `frame_gradient` along the symmetries, so no frame along a symmetry is
+    solved; start_history holds the cold start solve's residuals."""
     settings = settings if settings is not None else OptimizeSettings()
     Q = ctx.quotient
     trace: List[dict] = []
@@ -904,12 +905,11 @@ def optimize_frame(
     state, grad = solve(init.anchored(ctx.metric), None)
     start_history = state.residual_history
     anchor_rounds, saddle_restarts, escaping = 1, 0, False
-    hess = hessian_K(ctx, state)
-    hess_state, model = state, hess.copy()
+    model, hess = np.zeros((Q.shape[1],) * 2), None  # the current state's Hessian, or None
     while len(trace) < _MAX_SEARCH_SOLVES:
         if np.linalg.norm(grad) <= _POLISH_TOL and not escaping:
-            if hess_state is not state:
-                hess, hess_state = hessian_K(ctx, state), state
+            if hess is None:
+                hess = hessian_K(ctx, state)
             if (
                 not _is_saddle(np.linalg.eigvalsh(hess)[0])
                 or saddle_restarts >= settings.max_saddle_restarts
@@ -936,11 +936,11 @@ def optimize_frame(
         elif by_ratio and ratio > 0.75 and length > 0.8 * radius:
             radius = min(2.0 * radius, _ANCHOR_XI_NORM)
         if accepted:
-            state, grad, escaping = trial, trial_grad, False
+            state, grad, escaping, hess = trial, trial_grad, False, None
             if state.frame.xi_norm() > _ANCHOR_XI_NORM:
                 state, grad = solve(state.frame.anchored(ctx.metric), state.f)
                 anchor_rounds += 1
-    if hess_state is not state:
+    if hess is None:
         hess = hessian_K(ctx, state)
     eigs = np.linalg.eigvalsh(hess)
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from oracles import rigidity_prediction
 
+import hslag.reduction
 from hslag import cli
 from hslag.cli import ExperimentConfig, main
 from hslag.errors import ConfigError
@@ -752,9 +753,23 @@ def test_plot_data_requires_run_dir(tmp_path):
 
 @pytest.fixture(scope="module")
 def reduce_run(tmp_path_factory):
-    """One `reduce --seed 7` run directory, shared by the tests below."""
+    """One `reduce --seed 7 --t 0.05` run directory, shared by the tests
+    below.  The run's work is pinned: 31 solves, 177 volumes and one
+    `hessian_K`, at the located torus."""
     out = str(tmp_path_factory.mktemp("reduce") / "rd")
-    assert run_cli("reduce", "--seed", "7", "--t", "0.05", "--out", out) == 0
+    names = ("projected_solve", "graph_volume_and_gradient", "hessian_K")
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in names:
+            original = getattr(hslag.reduction, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            patch.setattr(hslag.reduction, name, counting)
+        assert run_cli("reduce", "--seed", "7", "--t", "0.05", "--out", out) == 0
+    assert [calls.count(name) for name in names] == [31, 177, 1]
     return out
 
 

@@ -1006,8 +1006,8 @@ def test_saddle_test_ignores_stencil_noise():
 
 def test_optimize_frame_makes_no_value_only_volume(reduction_ctx, frame_optimum, monkeypatch):
     """Every volume of a frame search is a solve's gradient volume: the
-    gradients are exact, and each Hessian, one at the start and one at the
-    critical point, takes 10 solves.  Only the second variation's transverse
+    gradients are exact, and its one Hessian, formed at the critical point
+    it classifies, takes 10 solves.  Only the second variation's transverse
     block makes value-only volumes: per field direction one gradient volume
     at f + eps h, then one value-only volume at f - eps h.  No volume
     takes the metric's forward jet: a gradient volume gets dG : M from the
@@ -1052,7 +1052,7 @@ def test_optimize_frame_makes_no_value_only_volume(reduction_ctx, frame_optimum,
     result = optimize_frame(reduction_ctx, T, start, OptimizeSettings(max_saddle_restarts=0))
     assert result.gradient_norm <= 1e-8
     assert volumes and all(volumes)
-    assert hessian_solves == [10, 10]
+    assert hessian_solves == [10]
     assert not any(volume_jets) and len(jets) == 1
     # the blocks at the result: the transverse block's two volumes for each
     # of its 3 directions, and the cross block re-solves nothing
@@ -1064,7 +1064,7 @@ def test_optimize_frame_makes_no_value_only_volume(reduction_ctx, frame_optimum,
 
 def test_located_search_solves_only_the_quotient_stencil(coarse_ctx, frame_optimum, monkeypatch):
     """A search started at a located torus makes 11 solves: the cold one at
-    its anchored start and the start Hessian's 2 x 5 quotient neighbours,
+    its anchored start and the final Hessian's 2 x 5 quotient neighbours,
     which also give the reported finite-difference gradient.  The symmetry
     part of the reported gradient is the envelope one, so no frame shifted
     along ctx.symmetries is solved (those 6 solves made it 17)."""
@@ -1156,7 +1156,7 @@ def test_search_at_its_solve_budget_returns_the_hessian_at_its_state(
     coarse_ctx, monkeypatch, tmp_path
 ):
     """A search that stops at _MAX_SEARCH_SOLVES, not at |dK| <= _POLISH_TOL,
-    forms its Hessian again at the state it returns, and `reduce` reports
+    forms its one Hessian at the state it returns, and `reduce` reports
     such a torus as failed: exit 1 with a full manifest."""
     hessian, states = hslag.reduction.hessian_K, []
 
@@ -1168,8 +1168,7 @@ def test_search_at_its_solve_budget_returns_the_hessian_at_its_state(
     monkeypatch.setattr(hslag.reduction, "hessian_K", recording)
     result = optimize_frame(coarse_ctx, T, random_frame_state(coarse_ctx, seed=1))
     assert result.solver_evaluations == 3
-    # the start's Hessian is not the one returned: it is formed again at the end
-    assert states[0] is not result.state and states[-1] is result.state
+    assert len(states) == 1 and states[0] is result.state
     assert _same_bits(result.hessian, hessian(coarse_ctx, result.state))
     out = tmp_path / "budget"
     assert main(["reduce", "--grid", "16", "--out", str(out)]) == 1
@@ -1188,6 +1187,7 @@ def _model_case(case, rng):
         "indefinite": [-0.3, -1e-4, 0.2, 1.0, 3.0],
         "hard": [-0.3, 0.1, 0.2, 1.0, 3.0],
         "saddle": [-2e-6, 1e-4, 0.2, 1.0, 3.0],
+        "zero": [0.0] * 5,
     }[case]
     coeffs = {"interior": 0.1, "boundary": 1.0}.get(case, 0.05) * rng.normal(size=5)
     if case in ("hard", "saddle"):
@@ -1197,11 +1197,13 @@ def _model_case(case, rng):
     return (vecs * eigs) @ vecs.T, vecs @ coeffs, 0.7
 
 
-@pytest.mark.parametrize("case", ["interior", "boundary", "indefinite", "hard", "saddle"])
+@pytest.mark.parametrize("case", ["interior", "boundary", "indefinite", "hard", "saddle", "zero"])
 def test_trust_step_meets_the_global_optimality_conditions(case):
     """The step is the subproblem's global minimizer by the Moré-Sorensen
     conditions: (B + lam I) p = -g for one lam >= 0 with B + lam I positive
-    semidefinite and lam (radius - |p|) = 0; and its value is the model's."""
+    semidefinite and lam (radius - |p|) = 0; and its value is the model's.
+    The zero model, the search's first, steps down the gradient to the
+    radius, and warnings are errors here, so it divides by no zero."""
     B, g, radius = _model_case(case, np.random.default_rng(3))
     p, predicted = hslag.reduction._trust_step(B, g, radius)
     lam = -(p @ (B @ p + g)) / (p @ p)
@@ -1212,6 +1214,9 @@ def test_trust_step_meets_the_global_optimality_conditions(case):
     assert lam * (radius - np.linalg.norm(p)) <= 1e-12
     assert predicted == pytest.approx(g @ p + 0.5 * p @ B @ p, rel=1e-12, abs=1e-15)
     assert (lam <= 1e-12) == (case == "interior")
+    if case == "zero":
+        assert np.linalg.norm(p + radius * g / np.linalg.norm(g)) <= 1e-15
+        assert predicted == pytest.approx(-radius * np.linalg.norm(g), rel=1e-15)
 
 
 def test_search_escapes_a_saddle_only_while_escapes_remain(coarse_ctx, monkeypatch):
