@@ -109,7 +109,7 @@ UPDATE_TOL = 1e-16
 _MAX_SOLVE_ITERATIONS = 200
 _DIVERGENCE_FACTOR = 50.0
 # Step of every central difference over frame coordinates: the reduced
-# gradient and Hessian, the variation potentials and the cross block.
+# Hessian, the variation potentials, the cross block and `gradient_K`'s fd.
 FRAME_STEP = 1e-4
 # Imaginary step of the complex-step Jacobian of FrameState.realize.
 _COMPLEX_STEP = 1e-20
@@ -724,10 +724,10 @@ def _fd_gradient(
     ctx: ReductionContext, state: ReductionState, directions: np.ndarray
 ) -> np.ndarray:
     """Central differences of the solved K at +-FRAME_STEP along each row of
-    directions, whose warm solves `hessian_K`, the variation potentials and
-    the cross block share through the state's memo.  Along the quotient
-    columns, after a `hessian_K` at the state, every neighbour is a memo hit.
-    Each component moves in steps of ulp(K) / (2 FRAME_STEP)."""
+    directions: `gradient_K`'s oracle of the envelope gradient, not read by
+    the search.  Its warm solves are shared with `hessian_K`, the variation
+    potentials and the cross block through the state's memo.  Each
+    component moves in steps of ulp(K) / (2 FRAME_STEP)."""
     K = np.array([near.K_value for near in _solve_stencil(ctx, state, directions)])
     return (K[0::2] - K[1::2]) / (2.0 * FRAME_STEP)
 
@@ -735,9 +735,8 @@ def _fd_gradient(
 def gradient_K(ctx: ReductionContext, state: ReductionState) -> GradientReport:
     """Gradient of the reduced volume along quotient and symmetries, three ways.
 
-    fd is `_fd_gradient`, whose quotient part `optimize_frame` reports;
-    factored pairs the variation potentials with the reduced basis in one
-    product; envelope is `frame_gradient`, whose symmetry part
+    fd is `_fd_gradient`; factored pairs the variation potentials with the
+    reduced basis in one product; envelope is `frame_gradient`, the one
     `optimize_frame` reports.  A cross-check of the reduction: the search
     does not call it, so the solves along the symmetries are made only here."""
     directions = np.hstack([ctx.quotient, ctx.symmetries]).T
@@ -758,19 +757,19 @@ def gradient_K(ctx: ReductionContext, state: ReductionState) -> GradientReport:
 
 
 def hessian_K(ctx: ReductionContext, state: ReductionState) -> np.ndarray:
-    """Hessian of the solved K over the quotient basis, symmetrized.
+    """Hessian of the solved K over the quotient basis, symmetrized, in the
+    exponential coordinates of the state's anchor: at a critical point its
+    signs do not depend on the chart, but its values move with the anchor.
 
     Central differences of the exact `frame_gradient` at the 2m frames
     shifted by +-FRAME_STEP along each of the m columns of ctx.quotient: 10
     warm solves at n = 2, one stacked realization of the frames not yet
     solved, and one stacked complex-step realization for all 2m Jacobians.
-    Each neighbour is solved through the state's memo, so these frames are
-    shared with `_fd_gradient` (whose quotient part `optimize_frame` reads
-    off them with no further solve) and the cross block.  The symmetries are
-    left out, so the default metric's Hessian has no exact zero mode.  The
-    gradients carry the envelope error O(tol), so an entry's noise is about
-    tol / FRAME_STEP (see `_SADDLE_TOL`); the O(FRAME_STEP^2) truncation
-    error is below it."""
+    The neighbours are solved through the state's memo, shared with the
+    cross block and `_fd_gradient`.  The symmetries are left out, so the
+    default metric's Hessian has no exact zero mode.  The gradients carry
+    the envelope error O(tol), so an entry's noise is about tol / FRAME_STEP
+    (see `_SADDLE_TOL`); the O(FRAME_STEP^2) truncation error is below it."""
     quotient = ctx.quotient.T
     near = _solve_stencil(ctx, state, quotient)
     stack = replace(state.frame, coords=np.array([s.frame.coords for s in near]))
@@ -784,11 +783,12 @@ def hessian_K(ctx: ReductionContext, state: ReductionState) -> np.ndarray:
 class OptimizationResult:
     """Outcome of a reduced-volume frame search.
 
-    gradient_norm is the norm of `_fd_gradient` over ctx.quotient at the
-    final state, read off the final `hessian_K`'s neighbour solves;
-    stabilizer_gradient_norm is the norm of the exact `frame_gradient`
-    along ctx.symmetries there, which K's invariance makes vanish up to the
-    envelope error and the grid's aliasing, and which costs no solve."""
+    gradient_norm and stabilizer_gradient_norm are the norms of the exact
+    `frame_gradient` at the final state over ctx.quotient, the one the
+    search stops on, and along ctx.symmetries, where K's invariance makes it
+    vanish up to the envelope error and aliasing.  hessian_eigenvalues are
+    taken in the exponential coordinates of the state's anchor: their signs,
+    and so is_minimum, do not depend on the chart, but their values do."""
 
     state: ReductionState
     gradient_norm: float
@@ -876,11 +876,11 @@ def optimize_frame(
     accepted, and the subproblem's hard case steps along its most negative
     direction.  Nothing moves along the symmetries.  Each solve leaves a
     trace row with its radius and rho, and whether it was an "anchor" or a
-    step accepted by "ratio" or "gradient", or "rejected".  At the final
-    state gradient_norm is that of `_fd_gradient` over the quotient, from
-    the final Hessian's neighbours, and stabilizer_gradient_norm that of
-    `frame_gradient` along the symmetries, so no frame along a symmetry is
-    solved; start_history holds the cold start solve's residuals."""
+    step accepted by "ratio" or "gradient", or "rejected".  gradient_norm
+    and stabilizer_gradient_norm are those of `frame_gradient` at the final
+    state over the quotient and along the symmetries, so no finite
+    difference of K is taken and no frame along a symmetry is solved;
+    start_history holds the cold start solve's residuals."""
     settings = settings if settings is not None else OptimizeSettings()
     Q = ctx.quotient
     trace: List[dict] = []
@@ -944,12 +944,11 @@ def optimize_frame(
         hess = hessian_K(ctx, state)
     eigs = np.linalg.eigvalsh(hess)
 
-    fd = _fd_gradient(ctx, state, Q.T)
     stabilizer = frame_gradient(ctx, state, ctx.symmetries.T)
     rel, absolute, _ = geometric_residual(ctx, state)
     return OptimizationResult(
         state=state,
-        gradient_norm=float(np.linalg.norm(fd)),
+        gradient_norm=float(np.linalg.norm(grad)),
         stabilizer_gradient_norm=float(np.linalg.norm(stabilizer)),
         hessian=hess,
         hessian_eigenvalues=eigs,

@@ -567,8 +567,8 @@ def test_stored_n3_torus_solves_cold_to_its_K():
     --seed 1` and of `hslag reduce --seed 1`, `2` and `3` at grid 32: one
     cold solve at each final frame converges to the stored K within 1e-14
     relative, and the torus is stationary in the full metric, geometric
-    residual <= 1e-5 (it reads about 1.2e-8 at n = 3 and 2.0e-10 to 2.8e-10
-    at n = 2)."""
+    residual <= 1e-5 (the stored values read 1.14e-8 at n = 3, and 2.99e-10,
+    2.00e-10 and 2.31e-10 at seeds 1, 2 and 3)."""
     names = ["reduce_n3_seed1_manifest.json"]
     names += [f"reduce_seed{seed}_grid32_manifest.json" for seed in (1, 2, 3)]
     for name in names:
@@ -733,18 +733,43 @@ def test_gradient_K_after_hessian_solves_each_symmetry_neighbour_once(coarse_ctx
     assert np.max(np.abs(report.factored[m:])) <= 1e-8
 
 
-def test_envelope_symmetry_gradient_matches_the_finite_differences(coarse_ctx, frame_optimum):
-    """The reported stabilizer gradient is the envelope one; the finite
-    differences it replaced stay its oracle.  Both vanish to 1e-8, and they
-    differ by at most 3 quanta of the fd, ulp(K) / (2 FRAME_STEP): the two
-    solved K values each carry about an ulp of roundoff, while the envelope's
-    error is O(SOLVE_TOL) times a derivative of order 1.  At the located
-    n = 2 torus on grid 24 the fd reads whole quanta (3.6e-11 each) and the
-    envelope about 1e-14.  At n = 3 with 6 waves the translations have no
-    null space, so the symmetries are the 3 diagonal-torus axes; at a random
-    frame on grid 16 the two gradients read 1e-12 to 1e-11 and at most a
-    quantum, 5.7e-10, apart (on grid 12 the grid's aliasing breaks the
-    invariance and both read 1e-8 to 3e-8)."""
+def test_envelope_gradient_matches_the_finite_differences(coarse_ctx, frame_optimum):
+    """Both reported gradients, along the quotient and along the symmetries,
+    are the envelope `frame_gradient`; the finite differences `_fd_gradient`
+    stay their oracle.  An fd component is (K+ - K-) / (2 h), h = FRAME_STEP,
+    and moves in quanta q = ulp(K) / (2 h): 3.6e-11 at n = 2, 5.7e-10 at
+    n = 3.  Its error model is
+
+        fd - envelope = (e+ - e-) / (2 h) + h^2 K''' / 6 + O(h^4) + E,
+
+    with e+- the roundoff of the two solved K values and E the envelope
+    error, O(SOLVE_TOL) times the frame derivative of f (at most 0.11 at the
+    n = 3 state), so below a hundredth of a quantum.
+
+    Along the symmetries K is exactly constant, so there is no truncation,
+    and the two K values each carry about an ulp: at most 3 quanta.  Both
+    gradients vanish to 1e-8 there.
+
+    Along the quotient the truncation is read off the envelope gradients at
+    the fd's own neighbours, h^2 K''' / 6 = (g(+h) + g(-h) - 2 g(0)) / 6
+    componentwise, which solves nothing more.  K = w sum_i q_i is the
+    pairwise node sum of the volume density times the node weight.  With
+    random rounding the sum's error grows as sqrt(log2 N) u K (Higham & Mary,
+    SIAM J. Sci. Comput. 2019), and u K <= ulp(K); the product adds half an
+    ulp, and each density's own rounding of a few u averages down by
+    sqrt(N) >= 24.  So each K is off by at most sqrt(log2 N) + 1/2 ulps,
+    and the roundoff term by at most 2 sqrt(log2 N) + 1 quanta: 7.1 at
+    grid 24 (N = 576) and 7.9 at n = 3 on grid 16 (N = 4096).  Measured
+    there: the node sum's rounding at most 1.1 ulps, the truncation at most
+    0.2 and 1.1 quanta, and |fd - envelope| at most 1.7 and 2.1 quanta.
+
+    At the located n = 2 torus on grid 24 the fd reads whole quanta and the
+    envelope about 1e-14 along the symmetries.  At n = 3 with 6 waves the
+    translations have no null space, so the symmetries are the 3
+    diagonal-torus axes; at a random frame on grid 16 |dK| is 0.09 along
+    the quotient, and along the symmetries the two gradients read 1e-12 to
+    1e-11 and at most a quantum apart (on grid 12 the grid's aliasing
+    breaks the invariance and both read 1e-8 to 3e-8)."""
     state = optimize_frame(
         coarse_ctx, T, _turned_start(coarse_ctx, frame_optimum.state.unitary, 0.4),
         OptimizeSettings(max_saddle_restarts=0),
@@ -755,11 +780,21 @@ def test_envelope_symmetry_gradient_matches_the_finite_differences(coarse_ctx, f
     assert ctx3.quotient.shape == (15, 12) and ctx3.symmetries.shape == (15, 3)
     state3 = projected_solve(ctx3, T, random_frame_state(ctx3, seed=1))
     for ctx, solved in ((coarse_ctx, state), (ctx3, state3)):
+        quantum = np.spacing(solved.K_value) / (2.0 * FRAME_STEP)
         fd = hslag.reduction._fd_gradient(ctx, solved, ctx.symmetries.T)
         envelope = frame_gradient(ctx, solved, ctx.symmetries.T)
         assert np.linalg.norm(fd) <= 1e-8 and np.linalg.norm(envelope) <= 1e-8
-        quantum = np.spacing(solved.K_value) / (2.0 * FRAME_STEP)
         assert np.max(np.abs(fd - envelope)) <= 3.0 * quantum
+
+        quotient = ctx.quotient.T
+        fd = hslag.reduction._fd_gradient(ctx, solved, quotient)
+        envelope = frame_gradient(ctx, solved, quotient)
+        near = hslag.reduction._solve_stencil(ctx, solved, quotient)
+        rows = np.repeat(quotient, 2, axis=0)  # the stencil's order: +row 0, -row 0, ...
+        sides = np.array([frame_gradient(ctx, s, row[None])[0] for s, row in zip(near, rows)])
+        truncation = np.abs(sides[0::2] + sides[1::2] - 2.0 * envelope) / 6.0
+        roundoff = (2.0 * np.sqrt(np.log2(ctx.grid.num_nodes)) + 1.0) * quantum
+        assert np.all(np.abs(fd - envelope) <= roundoff + truncation)
 
 
 def test_realize_jacobian_stacks_equal_one_row_calls(reduction_ctx):
@@ -1064,10 +1099,9 @@ def test_optimize_frame_makes_no_value_only_volume(reduction_ctx, frame_optimum,
 
 def test_located_search_solves_only_the_quotient_stencil(coarse_ctx, frame_optimum, monkeypatch):
     """A search started at a located torus makes 11 solves: the cold one at
-    its anchored start and the final Hessian's 2 x 5 quotient neighbours,
-    which also give the reported finite-difference gradient.  The symmetry
-    part of the reported gradient is the envelope one, so no frame shifted
-    along ctx.symmetries is solved (those 6 solves made it 17)."""
+    its anchored start and the final Hessian's 2 x 5 quotient neighbours.
+    Both reported gradients are envelope ones, so no frame shifted along
+    ctx.symmetries is solved (those 6 solves made it 17)."""
     ctx, solved = coarse_ctx, []
     solve = hslag.reduction.projected_solve
 
@@ -1086,16 +1120,16 @@ def test_located_search_solves_only_the_quotient_stencil(coarse_ctx, frame_optim
         assert np.max(np.abs(ctx.symmetries.T @ coords)) <= 1e-12 * FRAME_STEP
 
 
-def test_optimize_frame_reports_the_fd_gradient_without_the_cross_check(
+def test_optimize_frame_reports_the_envelope_gradient_without_the_cross_check(
     coarse_ctx, frame_optimum, monkeypatch
 ):
-    """A frame search calls neither `gradient_K` nor the potentials nor the
-    kernel pairing.  Its gradient norm is bitwise that of `gradient_K`'s fd
-    over the quotient at the state it returns, and its stabilizer gradient
-    norm bitwise that of the envelope `frame_gradient` along the
-    symmetries."""
+    """A frame search calls neither `gradient_K` nor its finite differences
+    nor the potentials nor the kernel pairing.  Its gradient norm is bitwise
+    that of the envelope `frame_gradient` over the quotient at the state it
+    returns, and its stabilizer gradient norm bitwise that of the envelope
+    along the symmetries."""
     calls = []
-    for name in ("gradient_K", "variation_potential", "H_eval"):
+    for name in ("gradient_K", "_fd_gradient", "variation_potential", "H_eval"):
         original = getattr(hslag.reduction, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
@@ -1108,9 +1142,8 @@ def test_optimize_frame_reports_the_fd_gradient_without_the_cross_check(
     result = optimize_frame(ctx, T, start, OptimizeSettings(max_saddle_restarts=0))
     assert calls == []
     monkeypatch.undo()
-    fd = gradient_K(ctx, result.state).fd
-    m = ctx.quotient.shape[1]
-    assert result.gradient_norm == float(np.linalg.norm(fd[:m]))
+    quotient = frame_gradient(ctx, result.state, ctx.quotient.T)
+    assert result.gradient_norm == float(np.linalg.norm(quotient))
     envelope = frame_gradient(ctx, result.state, ctx.symmetries.T)
     assert result.stabilizer_gradient_norm == float(np.linalg.norm(envelope))
 
@@ -1250,9 +1283,6 @@ def test_search_escapes_a_saddle_only_while_escapes_remain(coarse_ctx, monkeypat
     monkeypatch.setattr(hslag.reduction, "projected_solve", solve)
     monkeypatch.setattr(hslag.reduction, "frame_gradient", gradient)
     monkeypatch.setattr(hslag.reduction, "hessian_K", hessian)
-    monkeypatch.setattr(
-        hslag.reduction, "_fd_gradient", lambda ctx, state, directions: np.zeros(len(directions))
-    )
     monkeypatch.setattr(hslag.reduction, "geometric_residual", lambda ctx, state: (0.0, 0.0, 0.0))
     start = random_frame_state(coarse_ctx, seed=1)
 
