@@ -29,7 +29,6 @@ __all__ = [
     "mode_mesh",
     "band_mask",
     "derivative_multipliers",
-    "translate",
     "spectral_gradient",
     "l2_inner",
     "l2_norm",
@@ -293,17 +292,6 @@ def _hermitian_part(spectra: np.ndarray, grid: GridDescriptor) -> np.ndarray:
     mirrored = edges[(Ellipsis,) + _negated_modes(grid) + (slice(None),)]
     edges[...] = 0.5 * (edges + mirrored.conj())
     return spectra
-
-
-def translate(values: np.ndarray, grid: GridDescriptor, shift: Sequence[float]) -> np.ndarray:
-    """Real fields over the trailing grid axes, translated: values(theta + shift).
-
-    The phase exp(i k . shift) on the rfftn spectrum, with the derivative
-    multipliers' wave numbers: exact on the band, and an unpaired Nyquist
-    mode, whose translate no real grid field carries, is not moved along its
-    Nyquist axis."""
-    phase = np.exp(sum(ik * s for ik, s in zip(derivative_multipliers(grid), shift)))
-    return _inverse(_forward(values, grid) * phase, grid, False)
 
 
 def spectral_gradient(values: np.ndarray, grid: GridDescriptor) -> np.ndarray:

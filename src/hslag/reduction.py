@@ -47,7 +47,6 @@ from .geomcore import (
     l2_norm,
     spectral_gradient,
     standard_symplectic_matrix,
-    translate,
 )
 from .models import TorusModel
 from .operators import SymbolOperator, _unit_modes, assemble_flat_operator, kernel_dimension
@@ -151,11 +150,14 @@ class ReductionContext:
     and its support holds the transverse fields, residuals and updates.
 
     quotient and symmetries split the frame coordinates into two constant
-    orthonormal bases (columns).  K is exactly constant along symmetries: the
-    translations along the null space of the metric's wave vectors, and the
-    diagonal torus.  The search moves along quotient: the wave vectors' row
-    space and the off-diagonal u(n) axes (5 columns at n = 2 and 9 at n = 3
-    for three independent waves).
+    orthonormal bases (columns).  K is constant along symmetries in exact
+    arithmetic (shifts of up to 1e-4 moved the solved K by -3 to +29 ulps
+    at the located n = 2 torus, an even term): the translations along the
+    null space of the metric's wave vectors, and the diagonal torus (the
+    rows of quotient at `stabilizer_indices` are exact zeros).  The search
+    moves along quotient: the wave vectors' row space and the off-diagonal
+    u(n) axes (5 columns at n = 2 and 9 at n = 3 for three independent
+    waves).
     """
 
     model: TorusModel
@@ -364,10 +366,10 @@ class ReductionState:
     `graph_volume_and_gradient`): O(n^2) floats from which `frame_gradient`
     forms the exact reduced gradient without another volume.
 
-    Warm solves at frames shifted from this one, started from f turned along
-    the diagonal torus and corrected through an opposite neighbour, are kept
-    in a private memo (`_solve_near`): the finite-difference stencils around
-    a state share their neighbour solves, and the memo is freed with the
+    Warm solves at frames shifted from this one, started from f or from the
+    reflection through an opposite neighbour, are kept in a private memo
+    that `_solve_stencil` owns: the finite-difference stencils around a
+    state share their neighbour solves, and the memo is freed with the
     state.
     """
 
@@ -618,66 +620,35 @@ class GradientReport:
     envelope: np.ndarray
 
 
-def _solve_near(
-    ctx: ReductionContext,
-    state: ReductionState,
-    delta: np.ndarray,
-    unitary: Optional[UnitaryFrame] = None,
-) -> ReductionState:
-    """Warm solve at the state's frame shifted by delta, memoized on the state.
-
-    The start predicts the solved field.  Along the diagonal torus (rows
-    ctx.stabilizer_indices) the turned frame only reparametrizes the model,
-    theta -> theta + delta, so the prediction is f turned by those
-    components, f(theta + delta): exact at an anchored state.  Along every
-    other direction it is f itself.  When the opposite neighbour (shift
-    -delta) is already solved, the start also subtracts that neighbour's
-    prediction error: the solved field is smooth in the frame, so the error
-    is odd in delta to first order, and the start is off by O(delta^2)
-    instead of O(delta).  With no turn this is the reflection 2 f - f_{-delta}.
-    The key is the shifted coordinates, not delta: -e carries -0.0 where +e
-    carries +0.0, and both must find the frame they shift to.  unitary is
-    the shifted frame's realization when the caller has it (see
-    `_solve_stencil`); None realizes it in the solve."""
-    frame = state.frame.shifted(delta)
-    key = frame.coords.tobytes()
-    near = state._neighbours.get(key)
-    if near is None:
-        init = _predicted_field(ctx, state, delta)
-        mirror = state._neighbours.get(state.frame.shifted(-delta).coords.tobytes())
-        if mirror is not None:
-            opposite = _predicted_field(ctx, state, -delta).values
-            init = ScalarField(ctx.grid, init.values + opposite - mirror.f.values, check=False)
-        near = projected_solve(ctx, state.t, frame, init=init, unitary=unitary)
-        state._neighbours[key] = near
-    return near
-
-
 def _solve_stencil(
     ctx: ReductionContext, state: ReductionState, directions: np.ndarray
 ) -> List[ReductionState]:
-    """The `_solve_near` neighbours at +-FRAME_STEP along each row of
-    directions, in the order (+row 0, -row 0, +row 1, ...).  The frames not
-    yet in the state's memo are realized in one stacked `FrameState.realize`
-    (a stack of 16 costs about one lone realization) and each solve gets its
-    own."""
+    """Warm solves at the state's frame shifted by +-FRAME_STEP along each row
+    of directions, in the order (+row 0, -row 0, +row 1, ...), memoized on
+    the state.  A neighbour starts from f, or, once its opposite neighbour
+    is solved, from the reflection 2 f - f_opposite, off by O(FRAME_STEP^2)
+    instead of O(FRAME_STEP) since the solved field is smooth in the frame.
+    The key is the shifted coordinates, not the shift: -e carries -0.0 where
+    +e carries +0.0, and both must find the frame they shift to.  The frames
+    not yet in the memo are realized in one stacked `FrameState.realize` (a
+    stack of 16 costs about one lone realization)."""
     deltas = [sign * FRAME_STEP * row for row in directions for sign in (1.0, -1.0)]
-    coords = [state.frame.shifted(delta).coords for delta in deltas]
-    new = [k for k, c in enumerate(coords) if c.tobytes() not in state._neighbours]
-    unitaries: Dict[int, UnitaryFrame] = {}
+    frames = [state.frame.shifted(delta) for delta in deltas]
+    keys = [frame.coords.tobytes() for frame in frames]
+    new = [k for k, key in enumerate(keys) if key not in state._neighbours]
     if new:
-        stack = replace(state.frame, coords=np.array([coords[k] for k in new])).realize(ctx.metric)
-        unitaries = {k: UnitaryFrame(stack.point[i], stack.matrix[i]) for i, k in enumerate(new)}
-    return [_solve_near(ctx, state, delta, unitaries.get(k)) for k, delta in enumerate(deltas)]
-
-
-def _predicted_field(ctx: ReductionContext, state: ReductionState, delta: np.ndarray) -> ScalarField:
-    """The state's field turned by delta's diagonal-torus components; f
-    itself when delta has none."""
-    turn = np.asarray(delta, dtype=float)[ctx.stabilizer_indices]
-    if not np.any(turn):
-        return state.f
-    return ScalarField(ctx.grid, translate(state.f.values, ctx.grid, turn), check=False)
+        stack = replace(state.frame, coords=np.array([frames[k].coords for k in new]))
+        realized = stack.realize(ctx.metric)
+    for i, k in enumerate(new):
+        init = state.f
+        mirror = state._neighbours.get(state.frame.shifted(-deltas[k]).coords.tobytes())
+        if mirror is not None:
+            init = ScalarField(ctx.grid, 2.0 * state.f.values - mirror.f.values, check=False)
+        unitary = UnitaryFrame(realized.point[i], realized.matrix[i])
+        state._neighbours[keys[k]] = projected_solve(
+            ctx, state.t, frames[k], init=init, unitary=unitary
+        )
+    return [state._neighbours[key] for key in keys]
 
 
 def _realize_jacobian(

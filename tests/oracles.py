@@ -679,6 +679,62 @@ def loop_perturbed_metric(
     )
 
 
+class ShearedFlatMetric:
+    """The flat metric pulled back by the symplectic shear
+    phi(x, y) = (x, y + grad V(x)), V(x) = sum_k c_k cos(m_k . x).
+
+    phi preserves omega0 and maps the torus isometrically onto the flat one,
+    so every frame's projected solution is Hamiltonian stationary and K is
+    the flat volume (2 pi)^n prod a_j at every frame and t, while the solved
+    f is not zero: a known answer for the whole reduction.
+
+    Dphi = I + P, with P's y-rows-by-x-columns block E = hess V, so
+    G = (I + P)^T (I + P) and dG : M = <dP, (I + P)(M + M^T)>.  It keeps
+    the ambient metrics' contract (n, dim, wave_vectors, value, derivative
+    to order 1, linearize), with transposes and no conjugates, so complex
+    points pass through.  wave_vectors are V's waves in the x slots, so the
+    translations along y fix the metric."""
+
+    def __init__(self, waves: np.ndarray, coefficients: Sequence[float]):
+        waves = np.asarray(waves, dtype=float)  # (K, n)
+        self.n = waves.shape[1]
+        self.dim = 2 * self.n
+        self.coefficients = np.asarray(coefficients, dtype=float)
+        self.wave_vectors = np.zeros((len(waves), self.dim))
+        self.wave_vectors[:, 0::2] = waves
+        # each wave's hess V pattern m m^T, in the y rows and x columns
+        self._blocks = np.zeros((len(waves), self.dim, self.dim))
+        self._blocks[:, 1::2, 0::2] = waves[:, :, None] * waves[:, None, :]
+
+    def _shear(self, points: np.ndarray):
+        """Dphi = I + P and dP[..., mu, i, j] = dP_ij / dp_mu at points."""
+        phase = np.asarray(points) @ self.wave_vectors.T  # (..., K)
+        P = np.tensordot(-self.coefficients * np.cos(phase), self._blocks, axes=1)
+        rates = self.coefficients * np.sin(phase)
+        dP = np.einsum("...k,km,kij->...mij", rates, self.wave_vectors, self._blocks)
+        return np.eye(self.dim) + P, dP
+
+    def value(self, points: np.ndarray) -> np.ndarray:
+        D, _ = self._shear(points)
+        return np.swapaxes(D, -1, -2) @ D
+
+    def derivative(self, points: np.ndarray, order: int = 1) -> tuple:
+        if order != 1:
+            raise ValueError(f"the sheared metric's jet is of order 1, not {order}")
+        D, dP = self._shear(points)
+        D_t = np.swapaxes(D, -1, -2)
+        dG = np.swapaxes(dP, -1, -2) @ D[..., None, :, :] + D_t[..., None, :, :] @ dP
+        return D_t @ D, dG
+
+    def linearize(self, points: np.ndarray):
+        D, dP = self._shear(points)
+
+        def pullback(M: np.ndarray) -> np.ndarray:
+            return np.einsum("...mij,...ij->...m", dP, D @ (M + np.swapaxes(M, -1, -2)))
+
+        return np.swapaxes(D, -1, -2) @ D, pullback
+
+
 def loop_context(radii: Sequence[float], grid_size: int, metric) -> dict:
     """build_context's arrays from the analytic symbol summed term by term,
     with the kernel's mode indices, the flat density that volume-normalizes

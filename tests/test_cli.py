@@ -751,12 +751,9 @@ def test_plot_data_requires_run_dir(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def reduce_run(tmp_path_factory):
-    """One `reduce --seed 7 --t 0.05` run directory, shared by the tests
-    below.  The run's work is pinned: 31 solves, 177 volumes and one
-    `hessian_K`, at the located torus."""
-    out = str(tmp_path_factory.mktemp("reduce") / "rd")
+def _counted_reduce(out, *args):
+    """Run `reduce` with args into out; its calls of `projected_solve`,
+    `graph_volume_and_gradient` and `hessian_K`."""
     names = ("projected_solve", "graph_volume_and_gradient", "hessian_K")
     calls = []
     with pytest.MonkeyPatch.context() as patch:
@@ -768,9 +765,28 @@ def reduce_run(tmp_path_factory):
                 return _original(*args, **kwargs)
 
             patch.setattr(hslag.reduction, name, counting)
-        assert run_cli("reduce", "--seed", "7", "--t", "0.05", "--out", out) == 0
-    assert [calls.count(name) for name in names] == [31, 177, 1]
+        assert run_cli("reduce", *args, "--out", out) == 0
+    return [calls.count(name) for name in names]
+
+
+@pytest.fixture(scope="module")
+def reduce_run(tmp_path_factory):
+    """One `reduce --seed 7 --t 0.05` run directory, shared by the tests
+    below.  The run's work is pinned: 31 solves, 177 volumes and one
+    `hessian_K`, at the located torus."""
+    out = str(tmp_path_factory.mktemp("reduce") / "rd")
+    assert _counted_reduce(out, "--seed", "7", "--t", "0.05") == [31, 177, 1]
     return out
+
+
+def test_reduce_seed_1_matches_the_stored_run(tmp_path):
+    """`reduce --seed 1` at grid 32: the manifest, `trace.csv`,
+    `contraction.csv` and `potential.json` equal their stored copies byte
+    for byte, and the run takes 32 solves, 195 volumes and one
+    `hessian_K`."""
+    out = str(tmp_path / "rd")
+    assert _counted_reduce(out, "--seed", "1") == [32, 195, 1]
+    assert_matches_stored(out, "reduce_seed1", tmp_path)
 
 
 def test_reduce_suite_end_to_end(reduce_run, tmp_path):

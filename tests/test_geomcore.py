@@ -18,14 +18,13 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fourier_multiply, translate
+from oracles import translate
 
 import hslag.geomcore
 from hslag.ambient import EuclideanMetric
 from hslag.errors import GridMismatchError, ImmersionError, QuotientError
 from hslag.geomcore import (
     GridDescriptor,
-    band_mask,
     Immersion,
     ScalarField,
     hs_residual,
@@ -139,22 +138,6 @@ def test_translate_matches_analytic_shift():
         t1 + off[0] + t2 + off[1]
     )
     assert np.max(np.abs(shifted.values - expect)) < 1e-12
-
-
-def test_spectral_translate_matches_oracle_and_grid_shifts():
-    """The spectral layer's rfftn translate agrees with the full-fftn oracle
-    on band fields, stack axes included, and a shift by one grid spacing is a
-    roll of the nodes."""
-    g = GridDescriptor(sizes=(24, 16), periods=(TWO_PI, 3.0))
-    rng = np.random.default_rng(3)
-    stack = fourier_multiply(rng.normal(size=(2,) + g.sizes), g, band_mask(g).astype(float))
-    off = (0.4113, -1.207)
-    moved = hslag.geomcore.translate(stack, g, off)
-    for values, got in zip(stack, moved):
-        want = translate(ScalarField(g, values), off).values
-        assert np.max(np.abs(got - want)) < 1e-13
-    spacing = (TWO_PI / 24, 0.0)
-    assert np.max(np.abs(hslag.geomcore.translate(stack[0], g, spacing) - np.roll(stack[0], -1, axis=0))) < 1e-13
 
 
 # The transform pair against scipy.fft's pocketfft, per layout: grids at

@@ -25,6 +25,7 @@ from oracles import (
     psi_matrices,
     realize_jacobian_fd,
     reduced_basis,
+    ShearedFlatMetric,
     symbol_apply,
     xi_map,
 )
@@ -520,11 +521,14 @@ def test_optimize_frame_locates_stationary_torus(reduction_ctx, frame_optimum):
 
 
 def test_symmetries_fix_K_and_leave_no_hessian_zero_mode(reduction_ctx, frame_optimum):
-    """K is exactly invariant along every column of ctx.symmetries: the one
-    translation along the null space of the three wave vectors in R^4, and
-    the diagonal torus, turned here by one grid spacing so nodes map to
-    nodes.  With the symmetries out of the quotient, the located Hessian has
-    no zero mode."""
+    """In exact arithmetic K is invariant along every column of
+    ctx.symmetries: the one translation along the null space of the three
+    wave vectors in R^4, and the diagonal torus, turned here by one grid
+    spacing so nodes map to nodes.  The solved K is not invariant to
+    roundoff: random shifts of up to 1e-4 along them moved it by -3 to +29
+    ulps (4e-15 relative) at the located torus on grids 24 and 32, far
+    inside the 1e-12 relative bound here.  With the symmetries out of the
+    quotient, the located Hessian has no zero mode."""
     state = frame_optimum.state
     anchor = state.frame.anchored(reduction_ctx.metric)
     step = 2.0 * np.pi / reduction_ctx.grid.sizes[0]
@@ -539,7 +543,12 @@ def test_symmetries_fix_K_and_leave_no_hessian_zero_mode(reduction_ctx, frame_op
 def test_frame_bases_split_the_coordinates_at_n3():
     """Three wave vectors in R^6 leave three translations that fix the
     metric: the quotient has 3 + 6 columns, the symmetries 3 + 3, and
-    together they are an orthonormal basis of the 15 frame coordinates."""
+    together they are an orthonormal basis of the 15 frame coordinates.
+
+    At n = 2 (1 and 3 waves) and n = 3 (3 and 6 waves) the rows of the
+    quotient at the diagonal-torus coordinates are exact zeros, so no
+    quotient stencil turns the model and each neighbour solve starts from
+    f or from its reflection."""
     ctx = build_context(TorusModel((1.0, 1.3, 1.6), grid_size=16))
     assert ctx.quotient.shape == (15, 9)
     assert ctx.symmetries.shape == (15, 6)
@@ -547,6 +556,11 @@ def test_frame_bases_split_the_coordinates_at_n3():
     assert np.max(np.abs(basis.T @ basis - np.eye(15))) <= 1e-14
     translations = ctx.symmetries[: 2 * ctx.n]
     assert np.max(np.abs(ctx.metric.wave_vectors @ translations)) <= 1e-14
+    radii2, radii3 = (1.0, 1.3), (1.0, 1.3, 1.6)
+    for radii, num_waves in ((radii2, 1), (radii2, 3), (radii3, 3), (radii3, 6)):
+        metric = default_perturbed_metric(len(radii), num_waves=num_waves)
+        shaped = build_context(TorusModel(radii, grid_size=16), metric)
+        assert not np.any(shaped.quotient[shaped.stabilizer_indices])
 
 
 def test_grid_24_locates_the_grid_32_torus(coarse_ctx, reduction_ctx, frame_optimum):
@@ -562,15 +576,90 @@ def test_grid_24_locates_the_grid_32_torus(coarse_ctx, reduction_ctx, frame_opti
     assert np.linalg.norm(gap) <= 1e-9
 
 
+def test_sheared_flat_metric_keeps_the_flat_volume_at_every_frame():
+    """A known answer for the whole reduction: the flat metric pulled back by
+    the symplectic shear of V = 0.05 cos x1 + 0.02 cos(x1 + 2 x2) +
+    0.03 cos x2 (`oracles.ShearedFlatMetric`).  Every solved torus is the
+    flat one moved by an isometry, so K = (2 pi)^2 1.3 at every frame and t,
+    while |f| reads up to 7e-3.  The bounds:
+
+    - The metric's derivative against a complex step (no subtraction at step
+      1e-20) and the pullback against the derivative: both sides are a few
+      rounded products of entries below 1, so they agree to 1e-15.
+    - K against the flat volume, taken in mpmath and rounded (half an ulp):
+      K is a pairwise node sum, off by at most sqrt(log2 N) + 1/2 ulps (see
+      `test_envelope_gradient_matches_the_finite_differences`).  The field's
+      truncation enters K squared, since the volume is stationary in f at a
+      solution; grid 24 reads no further off than grid 32 (0 to 2 ulps).
+    - `frame_gradient`: K is constant, so the envelope theorem leaves
+      -<R, df/dc>, at most |R| |df/dc| with R the state's residual and
+      df/dc read off the located state's stencil (at most 0.01); and the
+      roundoff of the affine sensitivity, 2n + 4n^2 = 20 node sums, each
+      off by at most (sqrt(log2 N) + 1/2) ulp(K) as K is, met by Jacobian
+      entries of order one (the 1/t of the shift meets the t of its
+      sensitivity).  About 5e-13 in all; the gradients read at most 1e-14.
+    - `hessian_K`: central differences of those gradients, with no
+      truncation since K is constant, so an entry is at most the neighbours'
+      gradient bound over FRAME_STEP (5e-9), far inside the saddle test's
+      1e-6; the entries read at most 4e-11.
+    - `optimize_frame` stops at its start, |dK| <= 1e-9, after one
+      evaluation, and calls the point no saddle.
+    - The geometric residual at a frame falls from grid 24 (5e-8 to 6e-7)
+      to grid 32 (2e-10 to 3e-9)."""
+    mpmath = pytest.importorskip("mpmath")
+    metric = ShearedFlatMetric([[1, 0], [1, 2], [0, 1]], [0.05, 0.02, 0.03])
+    rng = np.random.default_rng(4)
+    points = rng.uniform(0.0, 2.0 * np.pi, size=(6, 4))
+    G, dG = metric.derivative(points)
+    step = [metric.value(points + 1e-20j * e).imag / 1e-20 for e in np.eye(4)]
+    assert np.max(np.abs(np.moveaxis(step, 0, 1) - dG)) <= 1e-15
+    M = rng.normal(size=(6, 4, 4))
+    value, pullback = metric.linearize(points)
+    assert np.array_equal(value, G)
+    assert np.max(np.abs(pullback(M) - np.einsum("pmij,pij->pm", dG, M))) <= 1e-15
+
+    flat = float((2 * mpmath.pi) ** 2 * mpmath.mpf(RADII[1]))
+    coarse, fine = (build_context(TorusModel(RADII, grid_size=g), metric) for g in (24, 32))
+
+    def roundoff(ctx):
+        return (np.sqrt(np.log2(ctx.grid.num_nodes)) + 0.5) * np.spacing(flat)
+
+    located = optimize_frame(coarse, 0.05, random_frame_state(coarse, seed=1))
+    assert located.solver_evaluations == 1 and located.is_minimum
+    state = located.state
+    quotient = coarse.quotient.T
+    near = hslag.reduction._solve_stencil(coarse, state, quotient)
+    rate = max(
+        coarse.vol_norm(ScalarField(coarse.grid, (a.f.values - b.f.values) / (2.0 * FRAME_STEP)))
+        for a, b in zip(near[0::2], near[1::2])
+    )
+
+    def gradient_bound(solved):
+        return solved.residual_norm * rate + 20.0 * roundoff(coarse)
+
+    for solved in [state] + near:
+        assert np.max(np.abs(frame_gradient(coarse, solved, quotient))) <= gradient_bound(solved)
+    assert np.max(np.abs(located.hessian)) <= max(map(gradient_bound, near)) / FRAME_STEP
+
+    for seed, t in ((1, 0.05), (2, 0.1), (3, 0.1)):
+        residuals = []
+        for ctx in (coarse, fine):
+            solved = projected_solve(ctx, t, random_frame_state(ctx, seed=seed))
+            assert abs(solved.K_value - flat) <= roundoff(ctx) + 0.5 * np.spacing(flat)
+            residuals.append(geometric_residual(ctx, solved)[0])
+        assert residuals[1] < residuals[0] <= 1e-5
+
+
 def test_stored_n3_torus_solves_cold_to_its_K():
     """The manifests of `hslag reduce --n 3 --radii 1 1.3 1.6 --grid 24
-    --seed 1` and of `hslag reduce --seed 1`, `2` and `3` at grid 32: one
-    cold solve at each final frame converges to the stored K within 1e-14
-    relative, and the torus is stationary in the full metric, geometric
-    residual <= 1e-5 (the stored values read 1.14e-8 at n = 3, and 2.99e-10,
-    2.00e-10 and 2.31e-10 at seeds 1, 2 and 3)."""
-    names = ["reduce_n3_seed1_manifest.json"]
-    names += [f"reduce_seed{seed}_grid32_manifest.json" for seed in (1, 2, 3)]
+    --seed 1` and of `hslag reduce --seed 1` (the stored run
+    `reduce_seed1`), `2` and `3` at grid 32: one cold solve at each final
+    frame converges to the stored K within 1e-14 relative, and the torus is
+    stationary in the full metric, geometric residual <= 1e-5 (the stored
+    values read 1.14e-8 at n = 3, and 2.99e-10, 2.00e-10 and 2.31e-10 at
+    seeds 1, 2 and 3)."""
+    names = ["reduce_n3_seed1_manifest.json", os.path.join("reduce_seed1", "manifest.json")]
+    names += [f"reduce_seed{seed}_grid32_manifest.json" for seed in (2, 3)]
     for name in names:
         manifest = load_manifest(os.path.join(DATA, name))
         config = ExperimentConfig.from_dict(manifest["config"])
@@ -674,17 +763,21 @@ def _turned_start(ctx, located, turn):
     return FrameState(located.point, located.matrix, np.zeros(ctx.num_frame_coords)).shifted(delta)
 
 
-def test_solve_near_is_memoized_and_equals_direct_solve(coarse_ctx):
+def test_solve_stencil_is_memoized_and_equals_direct_solve(coarse_ctx):
     # the first neighbour starts from f, its mirror image from the reflection
-    # 2 f - f_{+e} through it
+    # 2 f - f_{+e} through it; the direct solves take the frames the stencil
+    # realized in one stack
     state = fresh_state(coarse_ctx)
     init = state.f
-    for sign in (1.0, -1.0):
-        e = np.zeros(coarse_ctx.num_frame_coords)
-        e[1] = sign * FRAME_STEP
-        near = hslag.reduction._solve_near(coarse_ctx, state, e)
-        assert hslag.reduction._solve_near(coarse_ctx, state, e) is near
-        direct = projected_solve(coarse_ctx, state.t, state.frame.shifted(e), init=init)
+    row = np.zeros((1, coarse_ctx.num_frame_coords))
+    row[0, 1] = 1.0
+    stencil = hslag.reduction._solve_stencil(coarse_ctx, state, row)
+    again = hslag.reduction._solve_stencil(coarse_ctx, state, row)
+    for sign, near, memo in zip((1.0, -1.0), stencil, again):
+        e = sign * FRAME_STEP * row[0]
+        assert memo is near
+        frame = state.frame.shifted(e)
+        direct = projected_solve(coarse_ctx, state.t, frame, init=init, unitary=near.unitary)
         assert near.f.values.tobytes() == direct.f.values.tobytes()
         assert near.K_value == direct.K_value
         assert near.residual_history == direct.residual_history
@@ -694,40 +787,32 @@ def test_solve_near_is_memoized_and_equals_direct_solve(coarse_ctx):
     assert near.residual_history[0] < 1e-3 * from_f.residual_history[0]
 
 
-def test_diagonal_neighbours_start_from_the_turned_field(coarse_ctx):
-    """Turning an anchored frame along the diagonal torus reparametrizes the
-    model, theta -> theta + delta, so the neighbour solve started from
-    f(theta + delta) is solved at its first residual, and its K is the K of
-    a solve started from f."""
-    state = fresh_state(coarse_ctx)
-    for index in coarse_ctx.stabilizer_indices:
-        for sign in (1.0, -1.0):
-            e = np.zeros(coarse_ctx.num_frame_coords)
-            e[index] = sign * FRAME_STEP
-            near = hslag.reduction._solve_near(coarse_ctx, state, e)
-            assert near.iterations == 1
-            direct = projected_solve(coarse_ctx, state.t, state.frame.shifted(e), init=state.f)
-            assert direct.iterations > 1
-            assert abs(near.K_value - direct.K_value) <= 1e-13 * abs(direct.K_value)
-
-
 def test_gradient_K_after_hessian_solves_each_symmetry_neighbour_once(coarse_ctx, monkeypatch):
     """After `hessian_K` the gradient stencil needs only the 2 x 3 symmetry
     neighbours (one translation and the two diagonal-torus axes at n = 2),
-    and each is solved by its first volume: the translation fixes the metric,
-    and the diagonal torus starts from the turned field."""
+    and solves each once.  The translation fixes the metric, so its
+    neighbours, started from f and from the reflection, are solved by their
+    first volume; the diagonal-torus neighbours start from f too and take a
+    few iterations."""
     state = fresh_state(coarse_ctx)
     hslag.reduction.hessian_K(coarse_ctx, state)
-    volumes = []
-    volume = hslag.reduction.graph_volume_and_gradient
+    solved = []
+    solve = hslag.reduction.projected_solve
 
     def counting(*args, **kwargs):
-        volumes.append(1)
-        return volume(*args, **kwargs)
+        solved.append(solve(*args, **kwargs))
+        return solved[-1]
 
-    monkeypatch.setattr(hslag.reduction, "graph_volume_and_gradient", counting)
+    monkeypatch.setattr(hslag.reduction, "projected_solve", counting)
     report = gradient_K(coarse_ctx, state)
-    assert len(volumes) == 2 * coarse_ctx.symmetries.shape[1] == 6
+    assert len(solved) == 2 * coarse_ctx.symmetries.shape[1] == 6
+    assert len({near.frame.coords.tobytes() for near in solved}) == 6
+    turns = coarse_ctx.symmetries[coarse_ctx.stabilizer_indices]
+    translations = coarse_ctx.symmetries[:, ~np.any(turns, axis=0)].T
+    assert len(translations) == 1
+    near = hslag.reduction._solve_stencil(coarse_ctx, state, translations)
+    assert {id(s) for s in near} <= {id(s) for s in solved}
+    assert [s.iterations for s in near] == [1, 1]
     m = coarse_ctx.quotient.shape[1]
     assert np.max(np.abs(report.fd[m:])) <= 1e-8
     assert np.max(np.abs(report.factored[m:])) <= 1e-8
@@ -746,9 +831,11 @@ def test_envelope_gradient_matches_the_finite_differences(coarse_ctx, frame_opti
     error, O(SOLVE_TOL) times the frame derivative of f (at most 0.11 at the
     n = 3 state), so below a hundredth of a quantum.
 
-    Along the symmetries K is exactly constant, so there is no truncation,
-    and the two K values each carry about an ulp: at most 3 quanta.  Both
-    gradients vanish to 1e-8 there.
+    Along the symmetries K is constant in exact arithmetic, so there is no
+    odd truncation term.  The solved K does carry an even term there (-3 to
+    +29 ulps over shifts of up to 1e-4 at the located n = 2 torus), which
+    the central difference cancels, and the two K values each carry about an
+    ulp: at most 3 quanta.  Both gradients vanish to 1e-8 there.
 
     Along the quotient the truncation is read off the envelope gradients at
     the fd's own neighbours, h^2 K''' / 6 = (g(+h) + g(-h) - 2 g(0)) / 6
@@ -935,8 +1022,7 @@ def test_kernel_pairings_equal_the_per_pair_loop(coarse_ctx):
     scale = state.t**ctx.n
     loop_cross = np.zeros_like(cross)
     for j, direction in enumerate(ctx.quotient.T):
-        plus = hslag.reduction._solve_near(ctx, state, FRAME_STEP * direction)
-        minus = hslag.reduction._solve_near(ctx, state, -FRAME_STEP * direction)
+        plus, minus = hslag.reduction._solve_stencil(ctx, state, direction[None])
         for i, field in enumerate(fields):
             pair_plus = ctx.vol_inner(plus.gradient, field)
             pair_minus = ctx.vol_inner(minus.gradient, field)
