@@ -12,7 +12,7 @@ volume gradient relies on.  expm is its Taylor series, cut at a length that
 each metric fixes once from a bound on |Y| (at most 8, so that rounding
 keeps J^2 + I within 1e-12; a larger bound raises), so the evaluated G is one
 polynomial in the point.  SymplecticExpMetric evaluates that polynomial in
-Paterson-Stockmeyer form over jets: the product rule carries G, dG and d2G
+Paterson-Stockmeyer form over jets: the product rule carries G and dG
 through the same few matrix products, and the generator's jet is one GEMM
 of the phases against a weight matrix fixed at construction.  Where only
 the contraction dG : M is wanted, one value pass and one reverse sweep
@@ -22,14 +22,15 @@ returns; for the same reason one metric instance is not thread-safe.
 
 Every metric evaluator (EuclideanMetric, SymplecticExpMetric, ChartMetric)
 has two methods: value(points) returns G with shape [..., i, j], and
-derivative(points, order=1) returns the jet (G, dG), or (G, dG, d2G) when
-order=2, with dG[..., mu, i, j] = dG_ij / dp_mu and
-d2G[..., mu, nu, i, j] = d^2 G_ij / dp_mu dp_nu.  The jet's G equals value's
-bit for bit.  Every call returns new arrays that the caller owns and may
-overwrite (ChartMetric pulls back in its base's returned jet).  The ambient
-metrics also have linearize(points), which returns (G, pullback) with G
-value's bit for bit and pullback(M)[..., mu] = sum_ij dG_ij / dp_mu M_ij:
-the graph volume's whole use of the metric.
+derivative(points) returns the jet (G, dG) with
+dG[..., mu, i, j] = dG_ij / dp_mu.  The jet's G equals value's bit for bit.
+Every evaluator takes complex points, so a second derivative is the
+complex step of the jet: the scaling estimates take d2G so.  Every call
+returns new arrays that the caller owns and may overwrite (ChartMetric
+pulls back in its base's returned jet).  The ambient metrics also have
+linearize(points), which returns (G, pullback) with G value's bit for bit
+and pullback(M)[..., mu] = sum_ij dG_ij / dp_mu M_ij: the graph volume's
+whole use of the metric.
 
 Frames: a unitary frame at p is a real matrix upsilon with
 upsilon^T G(p) upsilon = I and upsilon^T Omega0 upsilon = Omega0, built by
@@ -50,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, RankDeficiencyError
-from .geomcore import standard_symplectic_matrix
+from .geomcore import _COMPLEX_STEP, standard_symplectic_matrix
 
 __all__ = [
     "EuclideanMetric",
@@ -92,14 +93,9 @@ class EuclideanMetric:
         points = np.asarray(points)
         return _eye_like(points.shape[:-1], self.dim, points.dtype)
 
-    def derivative(self, points: np.ndarray, order: int = 1) -> tuple[np.ndarray, ...]:
+    def derivative(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         points = np.asarray(points)
-        d = self.dim
-        zeros = [
-            np.zeros(points.shape[:-1] + (d,) * (2 + k), dtype=points.dtype)
-            for k in range(1, order + 1)
-        ]
-        return (self.value(points), *zeros)
+        return self.value(points), np.zeros(points.shape[:-1] + (self.dim,) * 3, points.dtype)
 
     def linearize(self, points: np.ndarray):
         """(I, pullback) with pullback(M) = 0: the flat metric is constant."""
@@ -154,12 +150,13 @@ class SymplecticExpMetric:
     expm is its Taylor polynomial sum_{j <= J} Y^j / j!.  The number of terms
     J is fixed once, at construction, from the bound
     r = amplitude * sum_k sqrt(|A_k|_F^2 + |B_k|_F^2) >= sup_p |Y(p)|_2: it is
-    the fewest terms whose geometric tail bound for the order-2 series is
-    below 2^-60 (14 terms for the default amplitude 0.05, about 27 at 0.5;
-    there is no scaling and squaring).  J never depends on the points, so
-    the jet stays one polynomial in the point: exact under complex-step
-    differentiation.  An r that is not finite or above _MAX_SERIES_BOUND
-    raises ConfigError.
+    the fewest terms whose geometric tail bound for the second derivative's
+    series is below 2^-60 (14 terms for the default amplitude 0.05, about 27
+    at 0.5; there is no scaling and squaring).  J never depends on the
+    points, so the jet stays one polynomial in the point: exact under
+    complex-step differentiation, which gives the scaling estimates their
+    second derivative within that tail.  An r that is not finite or above
+    _MAX_SERIES_BOUND raises ConfigError.
 
     The polynomial is evaluated in Paterson-Stockmeyer form (Paterson &
     Stockmeyer, SIAM J. Comput. 1973) with blocks of s = 5 powers,
@@ -167,12 +164,11 @@ class SymplecticExpMetric:
         G = (...(B_{m-1} Y^s + B_{m-2}) Y^s + ...) Y^s + B_0,
         B_i = sum_{l < s} Y^l / (i s + l)!,
 
-    over jets, so that the same products give G and its first and second
-    derivatives (the Frechet-derivative jet of Al-Mohy & Higham, SIAM J.
-    Matrix Anal. Appl. 2009).  A jet (X, dX, d2X) is stored direction-inside,
-    X as [N, a, j], dX as [N, a, mu, j] and d2X as [N, a, mu, nu, j], so a jet
-    product is the product rule with one batched matmul per pair of slots,
-    and the generator's d2Y enters through the chain rule.  The powers
+    over jets, so that the same products give G and its derivative (the
+    Frechet-derivative jet of Al-Mohy & Higham, SIAM J. Matrix Anal. Appl.
+    2009).  A jet (X, dX) is stored direction-inside, X as [N, a, j] and dX
+    as [N, a, mu, j], so a jet product is the product rule with one batched
+    matmul per pair of slots.  The powers
     Y^0..Y^(s-1) are stacked, so every block B_i comes from one small GEMM
     against the coefficient matrix; at J = 14 the series costs 4 power
     products and 2 Horner products.  The generator's jet is one weight
@@ -199,10 +195,8 @@ class SymplecticExpMetric:
     reads its linearize's workspace, so it is valid until the metric's next
     evaluation and raises RuntimeError after that; nor may two threads
     evaluate one metric at once, since they would share the workspaces.
-    The value slot's arithmetic is the same at every order and in
-    linearize, so the jet contract (value's G is the jet's G and
-    linearize's, the order-1 jet the head of the order-2 one) holds bit
-    for bit.
+    The value slot's arithmetic is the same in value, derivative and
+    linearize, so all three return the same G bit for bit.
     """
 
     n: int
@@ -258,8 +252,9 @@ class SymplecticExpMetric:
         return 2 * self.n
 
     def _workspace(self, count: int, dtype, order: int, reverse: bool = False) -> "_JetWorkspace":
-        """The reused buffers for `count` points of this dtype at this order,
-        most recent last; reverse ones also keep what a reverse sweep reads."""
+        """The reused buffers for `count` points of this dtype, for the value
+        alone (order 0) or the jet (order 1), most recent last; reverse ones
+        also keep what a reverse sweep reads."""
         key = (count, dtype, order, self._terms, reverse)
         ws = self._workspaces.pop(key, None)
         if ws is None:
@@ -280,10 +275,8 @@ class SymplecticExpMetric:
             np.matmul(ws.phases.T, weights, out=slot)
 
     def _jet(self, points: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
-        """(G, dG, d2G)[:order + 1] from one Paterson-Stockmeyer evaluation
-        per chunk of at most _CHUNK points."""
-        if order > 2:
-            raise ValueError(f"metric jets are available to order 2, not {order}")
+        """(G,) at order 0, (G, dG) at order 1, from one Paterson-Stockmeyer
+        evaluation per chunk of at most _CHUNK points."""
         self._evaluations += 1
         points = np.asarray(points)
         lead, d = points.shape[:-1], self.dim
@@ -301,9 +294,9 @@ class SymplecticExpMetric:
     def value(self, points: np.ndarray) -> np.ndarray:
         return self._jet(points, 0)[0]
 
-    def derivative(self, points: np.ndarray, order: int = 1) -> tuple[np.ndarray, ...]:
-        """The jet (G, dG), or (G, dG, d2G) when order=2, from one series."""
-        return self._jet(points, order)
+    def derivative(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The jet (G, dG) from one series."""
+        return self._jet(points, 1)
 
     def linearize(self, points: np.ndarray):
         """(G, pullback): G is value(points) bit for bit, and pullback(M) for
@@ -350,13 +343,12 @@ _MAX_SERIES_BOUND = 8.0
 
 
 def _phase_weights(m: np.ndarray, A: np.ndarray, B: np.ndarray, amplitude: float) -> np.ndarray:
-    """(2K, d^2 + d^3 + d^4) weights W with [cos | sin](m.p) W = [Y | dY | d2Y],
-    each slot in the jet's direction-inside layout [a, (mu, (nu,)) j]."""
+    """(2K, d^2 + d^3) weights W with [cos | sin](m.p) W = [Y | dY], each
+    slot in the jet's direction-inside layout [a, (mu,) j]."""
     K = len(m)
     m1 = m[:, None, :, None]  # [k, a, mu, j]
-    m2 = (m[:, :, None] * m[:, None, :])[:, None, :, :, None]  # [k, a, mu, nu, j]
-    cos_rows = [A, B[:, :, None, :] * m1, -A[:, :, None, None, :] * m2]
-    sin_rows = [B, -A[:, :, None, :] * m1, -B[:, :, None, None, :] * m2]
+    cos_rows = [A, B[:, :, None, :] * m1]
+    sin_rows = [B, -A[:, :, None, :] * m1]
     rows = [np.concatenate([x.reshape(K, -1) for x in r], axis=1) for r in (cos_rows, sin_rows)]
     return amplitude * np.concatenate(rows, axis=0)
 
@@ -364,27 +356,19 @@ def _phase_weights(m: np.ndarray, A: np.ndarray, B: np.ndarray, amplitude: float
 class _JetView:
     """One jet stored slot by slot in a flat buffer, as matmul-ready views.
 
-    The buffer holds X as [N, a, j], then dX as [N, a, mu, j], then d2X as
-    [N, a, mu, nu, j], each slot contiguous.  slots are the [N, -1] views the
-    generator GEMM writes; g_rows / g_cols view dX as [N, (a, mu), j] and
-    [N, a, (mu, j)], and h_rows / h_cols / h_pairs view d2X as
-    [N, (a, mu, nu), j], [N, a, (mu, nu, j)] and [N, (a, mu), (nu, j)]."""
+    The buffer holds X as [N, a, j], then at order 1 dX as [N, a, mu, j],
+    each slot contiguous.  slots are the [N, -1] views the generator GEMM
+    writes; g_rows / g_cols view dX as [N, (a, mu), j] and [N, a, (mu, j)]."""
 
     def __init__(self, flat: np.ndarray, N: int, d: int, order: int):
-        ends = np.cumsum([N * d ** (2 + k) for k in range(order + 1)])
         self.flat = flat
-        self.slots = [x.reshape(N, -1) for x in np.split(flat, ends[:-1])]
+        self.slots = [x.reshape(N, -1) for x in np.split(flat, [N * d * d][:order])]
         self.v = self.slots[0].reshape(N, d, d)
-        self.g = self.h = None
-        if order >= 1:
+        self.g = None
+        if order:
             self.g = self.slots[1].reshape(N, d, d, d)
             self.g_rows = self.g.reshape(N, d * d, d)
             self.g_cols = self.g.reshape(N, d, d * d)
-        if order == 2:
-            self.h = self.slots[2].reshape(N, d, d, d, d)
-            self.h_rows = self.h.reshape(N, d**3, d)
-            self.h_cols = self.h.reshape(N, d, d**3)
-            self.h_pairs = self.h.reshape(N, d * d, d * d)
 
 
 def _paterson_stockmeyer(ws: "_JetWorkspace") -> "_JetView":
@@ -442,24 +426,14 @@ def _reverse_sweep(ws: "_JetWorkspace", M: np.ndarray) -> np.ndarray:
 
 
 def _jet_product(x: _JetView, w: _JetView, out: _JetView, tmp: _JetView) -> None:
-    """out = x w over jets, by the product rule; tmp is scratch.
-
-    d(xw) = dx w + x dw and d2(xw)_mn = d2x_mn w + x d2w_mn + dx_m dw_n + dx_n dw_m,
-    each term one batched matmul in the direction-inside layout."""
+    """out = x w over jets, by the product rule d(xw) = dx w + x dw, each
+    term one batched matmul in the direction-inside layout; tmp is scratch."""
     np.matmul(x.v, w.v, out=out.v)
     if out.g is None:
         return
     np.matmul(x.g_rows, w.v, out=out.g_rows)
     np.matmul(x.v, w.g_cols, out=tmp.g_cols)
     out.g += tmp.g
-    if out.h is None:
-        return
-    np.matmul(x.h_rows, w.v, out=out.h_rows)
-    np.matmul(x.v, w.h_cols, out=tmp.h_cols)
-    out.h += tmp.h
-    np.matmul(x.g_rows, w.g_cols, out=tmp.h_pairs)
-    out.h += tmp.h
-    out.h += tmp.h.swapaxes(2, 3)
 
 
 class _JetWorkspace:
@@ -522,17 +496,18 @@ def _copy_out(jet: _JetView, rows: list, start: int) -> None:
     np.copyto(rows[0][start:stop], jet.v)
     if jet.g is not None:
         np.copyto(rows[1][start:stop], jet.g.swapaxes(1, 2))
-    if jet.h is not None:
-        np.copyto(rows[2][start:stop], np.moveaxis(jet.h, 1, 3))
 
 
 def _series_length(r: float) -> int:
-    """Fewest series terms J whose omitted order-2 tail is below 2^-60.
+    """Fewest series terms J whose omitted second-derivative tail is below
+    2^-60.
 
-    With |Y|_2 <= r the j-th term of the d2G series is at most r^(j-2)/(j-2)!
-    per unit pair of directions (the terms of G and dG are smaller), and
-    after the J-th term each falls by a factor r/J or more, so the tail after
-    J terms is at most r^(J-1)/(J-1)! / (1 - r/J)."""
+    The complex step of the jet is the second derivative of the J-term
+    polynomial, and the scaling estimates read it as d2G.  With |Y|_2 <= r
+    the j-th term of the d2G series is at most r^(j-2)/(j-2)! per unit pair
+    of directions (the terms of G and dG are smaller), and after the J-th
+    term each falls by a factor r/J or more, so the tail after J terms is
+    at most r^(J-1)/(J-1)! / (1 - r/J)."""
     J, lead = 2, r  # lead = r^(J-1)/(J-1)!
     while r >= J or lead / (1.0 - r / J) >= 2.0**-60:
         lead *= r / J
@@ -691,11 +666,11 @@ class ChartMetric:
     """Scaled chart pullback g^t(z) = upsilon^T G(p + t upsilon z) upsilon.
 
     Implements the same value/derivative contract as the ambient metrics; a
-    jet makes one base call and pulls back each order.  Those jets serve
-    `estimate_sweep` and the tests.  The graph volume does not call them: it
-    reads base, frame and t and works in the ambient frame (see
-    `weinstein.graph_volume_and_gradient`).  At t = 0 (or for the flat
-    metric) it is identically the identity matrix.
+    jet makes one base call and pulls back G and dG.  Those jets serve
+    `estimate_sweep`, which takes their complex step for d2g^t, and the
+    tests.  The graph volume does not call them: it reads base, frame and t
+    and works in the ambient frame (see `weinstein.graph_volume_and_gradient`).
+    At t = 0 (or for the flat metric) it is identically the identity matrix.
     """
 
     def __init__(self, base, frame: UnitaryFrame, t: float):
@@ -708,27 +683,20 @@ class ChartMetric:
         """Ambient coordinates of chart points: p + t * upsilon z."""
         return self.frame.point + self.t * (np.asarray(z) @ self.frame.matrix.T)
 
-    def value(self, z: np.ndarray) -> np.ndarray:
+    def value(self, points: np.ndarray) -> np.ndarray:
         u = self.frame.matrix
-        return u.T @ self.base.value(self.embed(z)) @ u
+        return u.T @ self.base.value(self.embed(points)) @ u
 
-    def derivative(self, z: np.ndarray, order: int = 1) -> tuple[np.ndarray, ...]:
-        G, *dG = self.base.derivative(self.embed(z), order)
+    def derivative(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        G, dG = self.base.derivative(self.embed(points))
         u = self.frame.matrix
         lead, d = G.shape[:-2], self.dim
-        jet = [u.T @ G @ u]
-        # chain rule d/dz_m = t sum_n u[n, m] d/dp_n on each direction slot;
+        # chain rule d/dz_m = t sum_n u[n, m] d/dp_n on the direction axis;
         # the base jet is fresh, so its buffer takes the inner pullback
-        if order >= 1:
-            np.matmul(u.T @ dG[0], u, out=dG[0])
-            D = u.T @ dG[0].reshape(lead + (d, d * d))
-            D *= self.t
-            jet.append(D.reshape(lead + (d, d, d)))
-        if order >= 2:
-            S = u.T @ (u.T @ dG[1] @ u).reshape(lead + (d, d**3))
-            S = u.T @ S.reshape(lead + (d, d, d * d))
-            jet.append(self.t**2 * S.reshape(lead + (d,) * 4))
-        return tuple(jet)
+        np.matmul(u.T @ dG, u, out=dG)
+        D = u.T @ dG.reshape(lead + (d, d * d))
+        D *= self.t
+        return u.T @ G @ u, D.reshape(lead + (d, d, d))
 
 
 def ball_samples(dim: int, radius: float, count: int, seed: int = 0) -> np.ndarray:
@@ -761,22 +729,26 @@ def estimate_sweep(
     """Scaling constants of the chart metrics: C_0 = sup |g^t - g0| / t, and
     C_k = sup |d^k g^t| / t^k for the derivative orders k = 1, 2.
 
-    Each C_k(t) is the max over the frame list and over ball samples; the
+    d2g^t is the complex step of the chart's jet along each chart axis,
+    taken in one stacked call per t and frame: exact to roundoff, since the
+    jet is one polynomial in the point (see `SymplecticExpMetric`).  Each
+    C_k(t) is the max over the frame list and over ball samples; the
     report records each C_k's max/min ratio across the t list, near 1 when
     C_k is flat in t, and 1 when its sups are roundoff (below 1e-15 at every
     t, tested before the division by t, which lifts roundoff above 1e-15).
     """
     z = ball_samples(metric.dim, _SWEEP_RADIUS, _SWEEP_SAMPLES, seed)
     eye = np.eye(metric.dim)
+    steps = z + 1j * _COMPLEX_STEP * eye[:, None, :]  # [axis, sample, mu]
     constants: dict[int, list[float]] = {k: [] for k in range(3)}
     peaks = [0.0, 0.0, 0.0]
     for t in t_values:
         sup = [0.0, 0.0, 0.0]
         for fr in frames:
-            jet = ChartMetric(metric, fr, t).derivative(z, 2)
-            sup[0] = max(sup[0], float(np.max(np.abs(jet[0] - eye))))
-            for k in (1, 2):
-                sup[k] = max(sup[k], float(np.max(np.abs(jet[k]))))
+            chart = ChartMetric(metric, fr, t)
+            G, dG = chart.derivative(z)
+            d2G = chart.derivative(steps)[1].imag / _COMPLEX_STEP
+            sup = [max(s, float(np.max(np.abs(x)))) for s, x in zip(sup, (G - eye, dG, d2G))]
         for k in range(3):
             constants[k].append(sup[k] / t**k if k > 0 else sup[0] / t)
             peaks[k] = max(peaks[k], sup[k])

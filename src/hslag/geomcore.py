@@ -37,6 +37,12 @@ __all__ = [
 ]
 
 _QUOTIENT_TOL = 1e-12
+# The package's one complex step: the frame Jacobian, the operator's
+# Hessian-vector product and the scaling estimates' d2g take it.  Its
+# O(step^2) error is far below roundoff at any small step; at 1e-100 the
+# roundoff that the 2-D spectral derivatives spread over the grid (about
+# 1e-116) multiplies into subnormal numbers, whose arithmetic is slow.
+_COMPLEX_STEP = 1e-20
 # Grids whose tables (the derivative multipliers here, the graph volume's
 # in weinstein) stay cached; a run uses one or two.
 _GRID_TABLES = 8

@@ -38,6 +38,7 @@ import numpy as np
 from .ambient import ChartMetric, EuclideanMetric, UnitaryFrame
 from .errors import SpectralGapError, UnsupportedModelError
 from .geomcore import (
+    _COMPLEX_STEP,
     GridDescriptor,
     ScalarField,
     _band_of,
@@ -59,11 +60,6 @@ __all__ = [
     "kernel_dimension",
 ]
 
-# The complex step of the Hessian-vector product.  Its O(step^2) error is far
-# below roundoff at any small step; at 1e-100 the roundoff that the 2-D
-# spectral derivatives spread over the grid (about 1e-116) multiplies into
-# subnormal numbers, whose arithmetic is slow.
-_CS_STEP = 1e-20
 # kernel_dimension counts eigenvalues below _KERNEL_TOL and certifies the
 # count only when the next one clears _GAP_RATIO times it
 _KERNEL_TOL = 1e-5
@@ -174,8 +170,8 @@ def probe_flat_operator(model: TorusModel) -> SymbolOperator:
     admissible = band_mask(grid)
     last = grid.sizes[-1]
     delta = _inverse(admissible[..., : last // 2 + 1].astype(float), grid, False)
-    _, P_hat, _ = graph_volume_and_gradient(model, 1j * _CS_STEP * delta, flat)
-    half = P_hat[1].real / _CS_STEP
+    _, P_hat, _ = graph_volume_and_gradient(model, 1j * _COMPLEX_STEP * delta, flat)
+    half = P_hat[1].real / _COMPLEX_STEP
     negated = (Ellipsis,) + _negated_modes(grid) + (slice(None),)
     symbol = np.concatenate([half, np.flip(half[..., 1 : last // 2], axis=-1)[negated]], axis=-1)
     return SymbolOperator(grid, symbol, admissible)

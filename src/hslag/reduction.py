@@ -36,6 +36,7 @@ from .ambient import (
 )
 from .errors import ExactnessError, HslagError, NonContractionError
 from .geomcore import (
+    _COMPLEX_STEP,
     GridDescriptor,
     Immersion,
     ScalarField,
@@ -110,8 +111,6 @@ _DIVERGENCE_FACTOR = 50.0
 # Step of every central difference over frame coordinates: the reduced
 # Hessian, the variation potentials, the cross block and `gradient_K`'s fd.
 FRAME_STEP = 1e-4
-# Imaginary step of the complex-step Jacobian of FrameState.realize.
-_COMPLEX_STEP = 1e-20
 # Step of the transverse block along field directions.  Its error is a
 # truncation term, O(eps^3) and seen here to fall as eps^4, plus the volume's
 # roundoff amplified by about 8 / eps^2.  Against the complex-step Hessian-

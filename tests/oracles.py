@@ -28,6 +28,7 @@ from hslag.ambient import (
 )
 from hslag.errors import RankDeficiencyError, UnsupportedModelError
 from hslag.geomcore import (
+    _COMPLEX_STEP,
     GridDescriptor,
     Immersion,
     ScalarField,
@@ -43,7 +44,6 @@ from hslag.geomcore import (
 from hslag.models import CircleSphereModel, TorusModel
 from hslag.moser import _FD_STEP, flow_map
 from hslag.operators import (
-    _CS_STEP,
     SpectralData,
     SymbolOperator,
     _real_modes,
@@ -263,6 +263,22 @@ def recurrence_jet(metric, points: np.ndarray, order: int) -> tuple:
         return G, dG
     d2G = np.moveaxis(d2G, -4, -2) + dG[..., d:, :, :].reshape(S.shape)
     return G, dG[..., :d, :, :], d2G
+
+
+def einsum_chart_jet(chart: ChartMetric, jet: Sequence[np.ndarray]) -> list:
+    """A base metric's jet (G, dG, d2G)[:k] at chart.embed(z) pulled back to
+    the chart's jet, in three-operand einsums: u^T G u, and each derivative
+    slot's directions through t u, as the chain rule of z -> p + t u z."""
+    u, t = chart.frame.matrix, chart.t
+    out = [np.einsum("ia,...ij,jb->...ab", u, jet[0], u)]
+    if len(jet) > 1:
+        D = np.einsum("ia,...nij,jb->...nab", u, jet[1], u)
+        out.append(t * np.einsum("nm,...nab->...mab", u, D))
+    if len(jet) > 2:
+        S = np.einsum("ia,...mnij,jb->...mnab", u, jet[2], u)
+        S = np.einsum("mc,...mnab->...cnab", u, S)
+        out.append(t**2 * np.einsum("nd,...cnab->...cdab", u, S))
+    return out
 
 
 def frame_defects(metric, frame) -> tuple[float, float]:
@@ -500,9 +516,9 @@ def _assemble_graph_hessian(model: TorusModel, metric) -> GridOperator:
     cols = np.empty((nn, nn))
     flat = f.reshape(-1)
     for k in range(nn):
-        flat[k] = 1j * _CS_STEP
+        flat[k] = 1j * _COMPLEX_STEP
         _, P_hat, _ = graph_volume_and_gradient(model, f, metric)
-        cols[:, k] = (_inverse(P_hat[1], grid, False) / _CS_STEP).reshape(-1)
+        cols[:, k] = (_inverse(P_hat[1], grid, False) / _COMPLEX_STEP).reshape(-1)
         flat[k] = 0.0
     weight = grid.node_weight() * model.flat_density()
     basis = band_limited_basis(grid)
@@ -597,13 +613,13 @@ def complex_step_second_variation(
 ) -> np.ndarray:
     """<h, Im P(f + i s h)> / s for each direction h at a solved state, in
     chart scale: the volume's Hessian-vector product from one complex-step
-    gradient volume, paired with h, with no step error at s = _CS_STEP."""
+    gradient volume, paired with h, with no step error at s = _COMPLEX_STEP."""
     metric = ChartMetric(ctx.metric, state.unitary, state.t)
     out = []
     for h in directions:
-        f = state.f.values + 1j * _CS_STEP * h.values
+        f = state.f.values + 1j * _COMPLEX_STEP * h.values
         _, gradient, _ = graph_volume_and_gradient(ctx.model, f, metric)
-        product = _inverse(gradient[1], ctx.grid, False) / _CS_STEP
+        product = _inverse(gradient[1], ctx.grid, False) / _COMPLEX_STEP
         out.append(ctx.vol_inner(h, ScalarField(ctx.grid, product, check=False)))
     return np.array(out)
 
@@ -690,8 +706,8 @@ class ShearedFlatMetric:
 
     Dphi = I + P, with P's y-rows-by-x-columns block E = hess V, so
     G = (I + P)^T (I + P) and dG : M = <dP, (I + P)(M + M^T)>.  It keeps
-    the ambient metrics' contract (n, dim, wave_vectors, value, derivative
-    to order 1, linearize), with transposes and no conjugates, so complex
+    the ambient metrics' contract (n, dim, wave_vectors, value, derivative,
+    linearize), with transposes and no conjugates, so complex
     points pass through.  wave_vectors are V's waves in the x slots, so the
     translations along y fix the metric."""
 
@@ -718,9 +734,7 @@ class ShearedFlatMetric:
         D, _ = self._shear(points)
         return np.swapaxes(D, -1, -2) @ D
 
-    def derivative(self, points: np.ndarray, order: int = 1) -> tuple:
-        if order != 1:
-            raise ValueError(f"the sheared metric's jet is of order 1, not {order}")
+    def derivative(self, points: np.ndarray) -> tuple:
         D, dP = self._shear(points)
         D_t = np.swapaxes(D, -1, -2)
         dG = np.swapaxes(dP, -1, -2) @ D[..., None, :, :] + D_t[..., None, :, :] @ dP

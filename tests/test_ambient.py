@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import compatibility_defect, einsum_generator_jet, frame_defects, recurrence_jet
+from oracles import (
+    compatibility_defect,
+    einsum_chart_jet,
+    einsum_generator_jet,
+    frame_defects,
+    recurrence_jet,
+)
 
 from hslag.ambient import (
     ChartMetric,
@@ -24,9 +30,24 @@ from hslag.ambient import (
     unitary_embedding,
     unitary_frame,
 )
-from hslag.ambient import _MAX_SERIES_BOUND, _gram_schmidt_frame
+from hslag.ambient import (
+    _MAX_SERIES_BOUND,
+    _SWEEP_RADIUS,
+    _SWEEP_SAMPLES,
+    _gram_schmidt_frame,
+)
 from hslag.errors import ConfigError, RankDeficiencyError
-from hslag.geomcore import standard_symplectic_matrix
+from hslag.geomcore import _COMPLEX_STEP, standard_symplectic_matrix
+
+
+def complex_step_hessian(evaluator, points: np.ndarray) -> np.ndarray:
+    """d2G[..., mu, nu, i, j] = d/dp_nu of the jet's dG[..., mu, i, j], as
+    the complex step of derivative along each axis nu, stacked in one call."""
+    points = np.asarray(points)
+    d = points.shape[-1]
+    axes = np.eye(d).reshape((d,) + (1,) * (points.ndim - 1) + (d,))
+    dG = evaluator.derivative(points + 1j * _COMPLEX_STEP * axes)[1]
+    return np.moveaxis(dG.imag / _COMPLEX_STEP, 0, -3)
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +65,8 @@ def test_flat_metric_trivial():
     g0 = EuclideanMetric(2)
     pts = np.zeros((3, 4))
     assert np.array_equal(g0.value(pts), np.broadcast_to(np.eye(4), (3, 4, 4)))
-    _, D, S = g0.derivative(pts, 2)
+    _, D = g0.derivative(pts)
+    S = complex_step_hessian(g0, pts)
     assert D.shape == (3, 4, 4, 4) and not D.any()
     assert S.shape == (3, 4, 4, 4, 4) and not S.any()
     # complex points keep complex dtype (complex-step safety)
@@ -121,8 +143,11 @@ def test_exp_metric_derivative_matches_scipy_frechet(metric):
 
 
 def test_exp_metric_complex_step_consistency(metric, points):
+    """The complex step of value is the jet's dG, and the complex step of
+    the jet is the recurrence oracle's analytic d2G."""
     h = 1e-100
-    _, D, S = metric.derivative(points, 2)
+    _, D = metric.derivative(points)
+    S = recurrence_jet(metric, points, 2)[2]
     for mu in range(4):
         e = np.zeros(4)
         e[mu] = 1.0
@@ -132,8 +157,10 @@ def test_exp_metric_complex_step_consistency(metric, points):
 
 
 def test_exp_metric_second_derivative_symmetric_and_fd(metric):
+    """The complex-step d2G is symmetric and matches a second difference."""
     p = np.array([0.3, 1.1, 4.0, 2.5])
-    G, _, S = metric.derivative(p, 2)
+    G = metric.value(p)
+    S = complex_step_hessian(metric, p)
     assert np.max(np.abs(S - np.swapaxes(S, 0, 1))) < 1e-14
     h = 1e-5
     e = np.zeros(4)
@@ -177,18 +204,17 @@ def _contract_evaluators():
 @pytest.mark.parametrize("name", ["euclidean", "exp", "chart"])
 @pytest.mark.parametrize("step", [0.0, 1e-20], ids=["real", "complex_step"])
 def test_evaluator_jet_contract(name, step, points):
-    """The order-1 jet is the head of the order-2 jet, and G is value's, bitwise."""
+    """derivative returns the pair (G, dG) in the points' dtype, its G is
+    value's bitwise, and a second call repeats it bitwise."""
     ev = _contract_evaluators()[name]
     rng = np.random.default_rng(2)
     p = points + 1j * step * rng.normal(size=points.shape) if step else points
-    G, D = ev.derivative(p, 1)
-    jet2 = ev.derivative(p, 2)
-    G_value = ev.value(p)
-    assert len(jet2) == 3 and jet2[2].shape == p.shape[:-1] + (4,) * 4
-    for a, b in ((jet2[0], G), (jet2[1], D), (G, G_value)):
+    jet, again = ev.derivative(p), ev.derivative(p)
+    assert len(jet) == 2 and jet[1].shape == p.shape[:-1] + (4,) * 3
+    assert jet[1].dtype == p.dtype
+    for a, b in ((ev.value(p), jet[0]), (jet[0], again[0]), (jet[1], again[1])):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
-    assert ev.derivative(p)[1].tobytes() == D.tobytes()
 
 
 def test_unitary_frame_properties(metric):
@@ -255,7 +281,8 @@ def test_chart_metric_flat_is_identity():
     fr = unitary_frame(g0, np.array([0.3, 1.1, 4.0, 2.5]), seed=0)
     cm = ChartMetric(g0, fr, t=0.07)
     z = ball_samples(4, 1.0, 11, seed=2)
-    G, D, S = cm.derivative(z, 2)
+    G, D = cm.derivative(z)
+    S = complex_step_hessian(cm, z)
     assert np.max(np.abs(G - np.eye(4))) < 1e-13
     assert np.max(np.abs(D)) < 1e-13
     assert not S.any()
@@ -268,11 +295,14 @@ def test_chart_metric_identity_at_origin(metric):
 
 
 def test_chart_metric_complex_step(metric):
+    """The complex step of the chart's value is its dG, and the complex step
+    of its jet is the recurrence oracle's d2G pulled back through the chart."""
     fr = unitary_frame(metric, np.array([0.3, 1.1, 4.0, 2.5]), seed=5)
     cm = ChartMetric(metric, fr, t=0.05)
     z = ball_samples(4, 0.8, 7, seed=3)
     h = 1e-100
-    _, D, S = cm.derivative(z, 2)
+    _, D = cm.derivative(z)
+    S = einsum_chart_jet(cm, recurrence_jet(metric, cm.embed(z), 2))[2]
     for mu in range(4):
         e = np.zeros(4)
         e[mu] = 1.0
@@ -313,6 +343,32 @@ def test_estimate_sweep_perturbed_bounded(metric):
     for k in range(3):
         assert rep.ratios[k] <= 2.0
         assert max(rep.constants[k]) > 1e-4  # genuinely nonzero perturbation
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_estimate_sweep_second_derivative_is_the_analytic_one(n):
+    """C_2, the sup of the complex-step d2g^t over frames and ball samples,
+    equals the sup of the recurrence oracle's analytic d2G pulled back
+    through each chart, to 1e-13 relative at every t, and so does every
+    entry of the chart's complex-step d2G, relative to the largest (both
+    read at most 1.1e-15)."""
+    metric = default_perturbed_metric(n, amplitude=0.05, seed=1)
+    rng = np.random.default_rng(n)
+    frames = [
+        unitary_frame(metric, q, seed=k)
+        for k, q in enumerate(rng.uniform(0, 2 * np.pi, size=(2, 2 * n)))
+    ]
+    t_values = [0.1, 0.025]
+    report = estimate_sweep(metric, frames, t_values, seed=2)
+    z = ball_samples(2 * n, _SWEEP_RADIUS, _SWEEP_SAMPLES, seed=2)
+    for t, C2 in zip(t_values, report.constants[2]):
+        sup = 0.0
+        for fr in frames:
+            chart = ChartMetric(metric, fr, t)
+            S = einsum_chart_jet(chart, recurrence_jet(metric, chart.embed(z), 2))[2]
+            sup = max(sup, float(np.max(np.abs(S))))
+            assert np.max(np.abs(complex_step_hessian(chart, z) - S)) <= 1e-13 * sup
+        assert abs(C2 - sup / t**2) <= 1e-13 * C2
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +421,10 @@ def test_series_bound_is_capped(seed):
 
 def test_series_length_is_shared_by_every_order_and_dtype():
     """Cut the series after 4 terms at amplitude 0.5, where the cut shows:
-    value is then the degree-4 Taylor polynomial of expm(Y), and the real
-    jet of each order is the complex-step derivative of the order below,
-    taken at complex points, so every path sums the same terms."""
+    value is then the degree-4 Taylor polynomial of expm(Y), the real jet's
+    dG is the complex-step derivative of value and of the jet's G, and the
+    complex step of the jet's dG is the recurrence oracle's d2G of the same
+    cut series, so every path sums the same terms."""
     metric = copy.copy(default_perturbed_metric(2, amplitude=0.5, seed=1))
     metric._terms = 4
     p = np.random.default_rng(4).uniform(0.0, 2 * np.pi, size=(30, 4))
@@ -377,7 +434,8 @@ def test_series_length_is_shared_by_every_order_and_dtype():
     for j in range(1, 5):
         power = power @ Y / j
         taylor += power
-    G, D, S = metric.derivative(p, 2)
+    G, D = metric.derivative(p)
+    S = recurrence_jet(metric, p, 2)[2]
     assert np.max(np.abs(G - taylor)) < 1e-14 * np.max(np.abs(G))
     longer = copy.copy(metric)
     longer._terms = 5
@@ -386,7 +444,7 @@ def test_series_length_is_shared_by_every_order_and_dtype():
     for mu in range(4):
         e = np.zeros(4)
         e[mu] = 1.0
-        G_cs, D_cs = metric.derivative(p + 1j * h * e, 1)
+        G_cs, D_cs = metric.derivative(p + 1j * h * e)
         assert np.max(np.abs(metric.value(p + 1j * h * e).imag / h - D[:, mu])) < 1e-13
         assert np.max(np.abs(G_cs.imag / h - D[:, mu])) < 1e-13
         assert np.max(np.abs(D_cs.imag / h - S[:, mu])) < 1e-13 * np.max(np.abs(S))
@@ -395,6 +453,9 @@ def test_series_length_is_shared_by_every_order_and_dtype():
 @pytest.mark.parametrize("seed", [0, 1, 3])
 @pytest.mark.parametrize("step", [0.0, 1e-100], ids=["real", "complex_step"])
 def test_series_equals_thirty_term_reference_bitwise(seed, step):
+    """At the default amplitude the J = 14 jet equals the 30-term one bit
+    for bit, and so does its complex step along each axis, the d2G of the
+    scaling estimates."""
     metric = default_perturbed_metric(2, amplitude=0.05, seed=seed)
     reference = copy.copy(metric)
     reference._terms = 30
@@ -402,8 +463,10 @@ def test_series_equals_thirty_term_reference_bitwise(seed, step):
     p = rng.uniform(0.0, 2 * np.pi, size=(200, 4))
     if step:
         p = p + 1j * step * rng.normal(size=p.shape)
-    for mine, ref in zip(metric.derivative(p, 2), reference.derivative(p, 2)):
+    for mine, ref in zip(metric.derivative(p), reference.derivative(p)):
         assert mine.tobytes() == ref.tobytes()
+    mine, ref = (complex_step_hessian(ev, p) for ev in (metric, reference))
+    assert mine.tobytes() == ref.tobytes()
 
 
 def test_large_amplitude_series_matches_scipy_expm():
@@ -419,30 +482,26 @@ def test_large_amplitude_series_matches_scipy_expm():
             assert np.max(np.abs(D[k, mu] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def _einsum_pullback(chart, z, order):
-    """The chart jet in three-operand einsum form, as an independent oracle."""
-    G, *dG = chart.base.derivative(chart.embed(z), order)
-    u, t = chart.frame.matrix, chart.t
-    jet = [np.einsum("ia,...ij,jb->...ab", u, G, u)]
-    if order >= 1:
-        D = np.einsum("ia,...nij,jb->...nab", u, dG[0], u)
-        jet.append(t * np.einsum("nm,...nab->...mab", u, D))
-    if order >= 2:
-        S = np.einsum("ia,...mnij,jb->...mnab", u, dG[1], u)
-        S = np.einsum("mc,...mnab->...cnab", u, S)
-        jet.append(t**2 * np.einsum("nd,...cnab->...cdab", u, S))
-    return jet
-
-
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_chart_pullbacks_match_einsum_oracle(metric, order):
+    """The chart's value and jet are the einsum pullback of the base's at
+    the embedded points; at order 2, the chart's complex-step d2G is the
+    einsum pullback of the base's jet at the same complex points."""
     fr = unitary_frame(metric, np.array([0.3, 1.1, 4.0, 2.5]), seed=5)
     cm = ChartMetric(metric, fr, t=0.05)
     z = ball_samples(4, 0.8, 50, seed=3)
     embedded = fr.point + 0.05 * np.einsum("nm,...m->...n", fr.matrix, z)
     assert np.max(np.abs(cm.embed(z) - embedded)) <= 1e-15 * np.max(np.abs(embedded))
-    mine = cm.derivative(z, order) if order else (cm.value(z),)
-    for a, b in zip(mine, _einsum_pullback(cm, z, order)):
+    if order == 0:
+        mine, reference = (cm.value(z),), einsum_chart_jet(cm, (metric.value(cm.embed(z)),))
+    elif order == 1:
+        mine, reference = cm.derivative(z), einsum_chart_jet(cm, metric.derivative(cm.embed(z)))
+    else:
+        steps = z + 1j * _COMPLEX_STEP * np.eye(4)[:, None, :]
+        pulled = einsum_chart_jet(cm, metric.derivative(cm.embed(steps)))[1]
+        mine = (complex_step_hessian(cm, z),)
+        reference = (np.moveaxis(pulled.imag / _COMPLEX_STEP, 0, -3),)
+    for a, b in zip(mine, reference):
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
 
@@ -471,7 +530,9 @@ def _series_case(case):
 def test_jet_matches_recurrence_oracle(case, step, order):
     """Every slot of the jet, and under complex step its imaginary part,
     agrees with the recurrence oracle to a few ulps of the slot's size, on
-    more points than one workspace chunk holds."""
+    more points than one workspace chunk holds.  At order 2 the slot is the
+    jet's complex step along each axis, a real d2G, against the oracle's
+    analytic d2G (its real part at complex points)."""
     metric, terms = _series_case(case)
     assert metric._terms == terms
     if case == "amplitude_0.5":
@@ -480,8 +541,11 @@ def test_jet_matches_recurrence_oracle(case, step, order):
     p = rng.uniform(0.0, 2 * np.pi, size=(300, 4))
     if step:
         p = p + 1j * step * rng.normal(size=p.shape)
-    mine = metric.derivative(p, order) if order else (metric.value(p),)
+    mine = metric.derivative(p) if order else (metric.value(p),)
     reference = recurrence_jet(metric, p, order)
+    if order == 2:
+        mine += (complex_step_hessian(metric, p),)
+        reference = reference[:2] + (reference[2].real,)
     assert len(mine) == len(reference) == order + 1
     ulps = 8 * np.finfo(float).eps
     for a, b in zip(mine, reference):
@@ -495,8 +559,10 @@ def test_jet_matches_recurrence_oracle(case, step, order):
 @pytest.mark.parametrize("step", [0.0, 1e-100], ids=["real", "complex_step"])
 def test_generator_jet_matches_einsum_oracle(amplitude, step):
     """The GEMM generator jet against one einsum per slot, read through the
-    series cut after one term, whose jet is (I + Y, dY, d2Y).  The bound is
-    a few ulps of the largest phase argument m.p (up to about 50 here)."""
+    series cut after one term, whose jet is (I + Y, dY) and whose complex
+    step is d2Y (real, against the oracle's real part at complex points).
+    The bound is a few ulps of the largest phase argument m.p (up to about
+    50 here)."""
     metric = copy.copy(default_perturbed_metric(2, amplitude=amplitude, seed=3))
     metric._terms = 1
     rng = np.random.default_rng(8)
@@ -504,8 +570,10 @@ def test_generator_jet_matches_einsum_oracle(amplitude, step):
     tol = 4 * np.spacing(np.max(np.abs(p @ metric.wave_vectors.T)))
     if step:
         p = p + 1j * step * rng.normal(size=p.shape)
-    G, dG, d2G = metric.derivative(p, 2)
-    for a, b in zip((G - np.eye(4), dG, d2G), einsum_generator_jet(metric, p, 2)):
+    G, dG = metric.derivative(p)
+    Y, dY, d2Y = einsum_generator_jet(metric, p, 2)
+    pairs = ((G - np.eye(4), Y), (dG, dY), (complex_step_hessian(metric, p), d2Y.real))
+    for a, b in pairs:
         assert a.dtype == b.dtype and a.shape == b.shape
         assert np.max(np.abs(a.real - b.real)) <= tol * np.max(np.abs(b.real))
         if step:
@@ -617,10 +685,10 @@ def _relative_gap(extended, reference) -> float:
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_longdouble_points_give_longdouble_jets(n):
-    """Longdouble points evaluate in longdouble: value, the order-2 jet,
-    linearize with its pullback, and a complex-longdouble complex step each
-    return their points' precision and agree with float64 to 1e-14 relative
-    (at most 2.8e-15 measured).  The workspace views each buffer in its
+    """Longdouble points evaluate in longdouble: value, the jet, its
+    complex-step d2G, linearize with its pullback, and a complex-longdouble
+    complex step each return their points' precision and agree with float64
+    to 1e-14 relative (at most 2.8e-15 measured).  The workspace views each buffer in its
     own real dtype; read as float64, the 80-bit values gave inf."""
     assert np.finfo(np.longdouble).eps < 1e-18  # else the check is vacuous
     metric = default_perturbed_metric(n, amplitude=0.05, seed=1)
@@ -630,7 +698,8 @@ def test_longdouble_points_give_longdouble_jets(n):
     M = M + np.swapaxes(M, -1, -2)
     wide = p.astype(np.longdouble)
     checks = [(metric.value(wide), metric.value(p))]
-    checks += list(zip(metric.derivative(wide, order=2), metric.derivative(p, order=2)))
+    checks += list(zip(metric.derivative(wide), metric.derivative(p)))
+    checks += [(complex_step_hessian(metric, wide), complex_step_hessian(metric, p))]
     G, pullback = metric.linearize(p)
     dGM = pullback(M)
     wide_G, wide_pullback = metric.linearize(wide)

@@ -697,6 +697,14 @@ def test_estimates_suite(tmp_path):
     assert_matches_stored(out, "estimates_seed0", tmp_path)
 
 
+def test_estimates_suite_n3(tmp_path):
+    """`estimates --n 3`: C_2 by complex step over six chart axes, and
+    every other output, equal the stored run byte for byte."""
+    out = str(tmp_path / "es3")
+    assert run_cli("estimates", "--n", "3", "--out", out) == 0
+    assert_matches_stored(out, "estimates_n3_seed0", tmp_path)
+
+
 def test_sweep_suite_and_plot_round_trip(tmp_path):
     out = str(tmp_path / "sw")
     assert run_cli("sweep", "--out", out) == 0
@@ -787,6 +795,16 @@ def test_reduce_seed_1_matches_the_stored_run(tmp_path):
     out = str(tmp_path / "rd")
     assert _counted_reduce(out, "--seed", "1") == [32, 195, 1]
     assert_matches_stored(out, "reduce_seed1", tmp_path)
+
+
+@pytest.mark.parametrize("seed, work", [(2, [25, 145, 1]), (3, [28, 171, 1])], ids=["2", "3"])
+def test_reduce_seeds_2_and_3_match_the_stored_runs(tmp_path, seed, work):
+    """`reduce --seed 2` and `--seed 3` at grid 32, as seed 1 above: every
+    output equals `tests/data/reduce_seed<seed>/` byte for byte, in 25 and
+    28 solves, 145 and 171 volumes, and one `hessian_K` each."""
+    out = str(tmp_path / "rd")
+    assert _counted_reduce(out, "--seed", str(seed)) == work
+    assert_matches_stored(out, f"reduce_seed{seed}", tmp_path)
 
 
 def test_reduce_suite_end_to_end(reduce_run, tmp_path):

@@ -33,6 +33,7 @@ from oracles import (
 from hslag.ambient import ChartMetric, default_perturbed_metric, frame_fit, unitary_frame
 from hslag.errors import SpectralGapError
 from hslag.geomcore import (
+    _COMPLEX_STEP,
     GridDescriptor,
     ScalarField,
     _inverse,
@@ -43,7 +44,6 @@ from hslag.geomcore import (
 )
 from hslag.models import TorusModel, circle_sphere_spectrum
 from hslag.operators import (
-    _CS_STEP,
     SymbolOperator,
     _real_modes,
     _unit_modes,
@@ -199,8 +199,8 @@ def test_probed_symbol_is_circulant(radii, size):
     probed = probe_flat_operator(model)
     rng = np.random.default_rng(20261019)
     g = fourier_multiply(rng.normal(size=grid.sizes), grid, band_mask(grid).astype(float))
-    _, P_hat, _ = graph_volume_and_gradient(model, 1j * _CS_STEP * g, flat_chart(model.n))
-    hessian_g = np.fft.fftn(_inverse(P_hat[1], grid, False) / _CS_STEP)
+    _, P_hat, _ = graph_volume_and_gradient(model, 1j * _COMPLEX_STEP * g, flat_chart(model.n))
+    hessian_g = np.fft.fftn(_inverse(P_hat[1], grid, False) / _COMPLEX_STEP)
     symbol_g = np.where(probed.admissible, probed.symbol, 0.0) * np.fft.fftn(g)
     assert np.max(np.abs(hessian_g - symbol_g)) <= 1e-14 * np.max(np.abs(hessian_g))
 

@@ -605,7 +605,15 @@ def test_sheared_flat_metric_keeps_the_flat_volume_at_every_frame():
     - `optimize_frame` stops at its start, |dK| <= 1e-9, after one
       evaluation, and calls the point no saddle.
     - The geometric residual at a frame falls from grid 24 (5e-8 to 6e-7)
-      to grid 32 (2e-10 to 3e-9)."""
+      to grid 32 (2e-10 to 3e-9).
+
+    At n = 3 the shear of V = 0.05 cos x1 + 0.03 cos x2 + 0.02 cos x3 +
+    0.02 cos(x1 + x2), radii (1, 1.3, 1.6), gives K = (2 pi)^3 1.3 1.6 at
+    random frames, t = 0.05 and grid 16, to the same sqrt(log2 N) + 1 ulps
+    (reads 0 to 2 over seeds 1 to 3 and t 0.05 and 0.1), while the
+    vol-norm of f reads 7e-3 to 1.5e-2 at t = 0.05.  Every wave is
+    resolved at grid 16: a wave (1, 2, 0) there reads up to 790 ulps off,
+    the field's truncation."""
     mpmath = pytest.importorskip("mpmath")
     metric = ShearedFlatMetric([[1, 0], [1, 2], [0, 1]], [0.05, 0.02, 0.03])
     rng = np.random.default_rng(4)
@@ -649,17 +657,28 @@ def test_sheared_flat_metric_keeps_the_flat_volume_at_every_frame():
             residuals.append(geometric_residual(ctx, solved)[0])
         assert residuals[1] < residuals[0] <= 1e-5
 
+    waves = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]]
+    metric = ShearedFlatMetric(waves, [0.05, 0.03, 0.02, 0.02])
+    radii = (1.0, 1.3, 1.6)
+    with mpmath.workdps(40):  # roundoff(ctx) reads this flat from here on
+        flat = float((2 * mpmath.pi) ** 3 * mpmath.mpf(radii[1]) * mpmath.mpf(radii[2]))
+    ctx = build_context(TorusModel(radii, grid_size=16), metric)
+    for seed in (1, 2):
+        solved = projected_solve(ctx, 0.05, random_frame_state(ctx, seed=seed))
+        assert ctx.vol_norm(solved.f) > 1e-3
+        assert abs(solved.K_value - flat) <= roundoff(ctx) + 0.5 * np.spacing(flat)
+
 
 def test_stored_n3_torus_solves_cold_to_its_K():
     """The manifests of `hslag reduce --n 3 --radii 1 1.3 1.6 --grid 24
-    --seed 1` and of `hslag reduce --seed 1` (the stored run
-    `reduce_seed1`), `2` and `3` at grid 32: one cold solve at each final
+    --seed 1` and of `hslag reduce --seed 1`, `2` and `3` at grid 32 (the
+    stored runs `reduce_seed1` to `reduce_seed3`): one cold solve at each final
     frame converges to the stored K within 1e-14 relative, and the torus is
     stationary in the full metric, geometric residual <= 1e-5 (the stored
     values read 1.14e-8 at n = 3, and 2.99e-10, 2.00e-10 and 2.31e-10 at
     seeds 1, 2 and 3)."""
-    names = ["reduce_n3_seed1_manifest.json", os.path.join("reduce_seed1", "manifest.json")]
-    names += [f"reduce_seed{seed}_grid32_manifest.json" for seed in (2, 3)]
+    names = ["reduce_n3_seed1_manifest.json"]
+    names += [os.path.join(f"reduce_seed{seed}", "manifest.json") for seed in (1, 2, 3)]
     for name in names:
         manifest = load_manifest(os.path.join(DATA, name))
         config = ExperimentConfig.from_dict(manifest["config"])
