@@ -51,6 +51,7 @@ from .operators import (
 )
 from .moser import QuadraticPerturbedForm, moser_flow
 from .reduction import (
+    TRACE_COLUMNS,
     FrameState,
     OptimizeSettings,
     build_context,
@@ -343,8 +344,6 @@ def _reduction_context(config: ExperimentConfig):
     return build_context(model, config.ambient_metric())
 
 
-# One row per solve of the frame search (see `optimize_frame`).
-TRACE_COLUMNS = ("step", "K", "residual_norm", "gradient_norm", "radius", "ratio", "outcome")
 _FRAME_KEYS = ("point", "matrix", "coords")  # a manifest's final_frame: FrameState's fields
 
 

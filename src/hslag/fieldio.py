@@ -181,7 +181,7 @@ def _parse_cell(text: str):
 
 
 def read_csv(path: Union[str, os.PathLike]) -> Tuple[List[str], List[list]]:
-    """Read a CSV trace back; numeric cells are parsed to int/float."""
+    """Read a CSV trace back, numeric cells as int/float; a ragged row is a ConfigError."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -189,6 +189,8 @@ def read_csv(path: Union[str, os.PathLike]) -> Tuple[List[str], List[list]]:
         except StopIteration:
             raise ConfigError(f"empty trace file: {path}") from None
         rows = [[_parse_cell(cell) for cell in row] for row in reader]
+    if any(len(row) != len(header) for row in rows):
+        raise ConfigError(f"a row of {path} does not have the header's {len(header)} cells")
     return header, rows
 
 

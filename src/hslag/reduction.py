@@ -122,14 +122,12 @@ FIELD_STEP = 1e-2
 # Relative defect above which a recovered potential fails its exactness check.
 EXACTNESS_TOL = 1e-6
 
-# optimize_frame: a trust-region search whose radius never exceeds
-# _ANCHOR_XI_NORM, the region in which the exponential chart is trusted, and
-# which re-anchors once the rotation coordinates leave it.  It stops at
-# |dK| <= _POLISH_TOL or after _MAX_SEARCH_SOLVES solves.  A step whose
-# predicted decrease is under K's roundoff, _K_ROUNDOFF relative, is judged by
-# |dK| instead of K.  A saddle needs a Hessian eigenvalue below -_SADDLE_TOL,
-# which is above the Hessian's noise SOLVE_TOL / FRAME_STEP = 1e-8 (see
-# `hessian_K`).
+# The frame search (`_descend`): its radius never exceeds _ANCHOR_XI_NORM,
+# the region in which the exponential chart is trusted, and it re-anchors
+# once the rotation coordinates leave it.  A step whose predicted decrease is
+# under K's roundoff, _K_ROUNDOFF relative, is judged by |dK| instead of K.
+# A saddle needs a Hessian eigenvalue below -_SADDLE_TOL, above the Hessian's
+# noise SOLVE_TOL / FRAME_STEP = 1e-8 (see `hessian_K`).
 _ANCHOR_XI_NORM = 1.0
 _POLISH_TOL = 1e-9
 _MAX_SEARCH_SOLVES = 100
@@ -815,80 +813,43 @@ def _trust_step(model: np.ndarray, grad: np.ndarray, radius: float) -> Tuple[np.
     return vecs @ coeffs, float(c @ coeffs + 0.5 * np.sum(eigs * coeffs**2))
 
 
-def optimize_frame(
-    ctx: ReductionContext,
-    t: float,
-    init: FrameState,
-    settings: Optional[OptimizeSettings] = None,
-) -> OptimizationResult:
-    """Minimize the reduced volume over the frame quotient.
+TRACE_COLUMNS = ("step", "K", "residual_norm", "gradient_norm", "radius", "ratio", "outcome")
 
-    A trust-region search over the quotient coordinates y, the frame moved
-    by ctx.quotient @ y (Nocedal & Wright, Numerical Optimization, 2nd ed.,
-    ch. 4 and 6).  The model starts at zero, so the first step runs down the
-    gradient to the radius, and takes an SR1 update, skipped when |r.s| <=
-    1e-8 |r| |s|, from every trial's exact `frame_gradient`, which costs no
-    volume.  SR1 needs no start Hessian and need not stay positive definite:
-    `_trust_step` solves each subproblem exactly, negative curvature
-    included.  The gradient's envelope error is far below |dK| while the
-    search runs, so short secants are kept.  Each trial solve starts from
-    the last accepted field.
 
-    A step is accepted when rho, its actual over its predicted change in K,
-    exceeds 1e-4, or, once the predicted decrease is under K's roundoff,
-    when it lowers |dK|.  The radius falls to half the step after a
-    rejection or rho < 0.1, and doubles, up to _ANCHOR_XI_NORM, after a
-    boundary step with rho > 0.75; an accepted frame whose rotation
-    coordinates pass _ANCHOR_XI_NORM is re-anchored.  A `hessian_K` is
-    formed only to classify a point at |dK| <= _POLISH_TOL, or at the state
-    returned at the solve budget.  At a saddle, while escapes remain, that
-    Hessian becomes the model, kept without updates until a step is
-    accepted, and the subproblem's hard case steps along its most negative
-    direction.  Nothing moves along the symmetries.  Each solve leaves a
-    trace row with its radius and rho, and whether it was an "anchor" or a
-    step accepted by "ratio" or "gradient", or "rejected".  gradient_norm
-    and stabilizer_gradient_norm are those of `frame_gradient` at the final
-    state over the quotient and along the symmetries, so no finite
-    difference of K is taken and no frame along a symmetry is solved;
-    start_history holds the cold start solve's residuals."""
-    settings = settings if settings is not None else OptimizeSettings()
+def _solve(
+    ctx: ReductionContext, t: float, frame: FrameState, warm, radius: float, trace: List[dict]
+) -> Tuple[ReductionState, np.ndarray]:
+    """A projected solve and its `frame_gradient` over the quotient, traced as
+    a `TRACE_COLUMNS` row: an "anchor" unless `_descend` relabels it."""
+    state = projected_solve(ctx, t, frame, init=warm)
+    grad = frame_gradient(ctx, state, ctx.quotient.T)
+    values = (float(state.K_value), float(state.residual_norm), float(np.linalg.norm(grad)))
+    trace.append(dict(zip(TRACE_COLUMNS, (len(trace), *values, radius, float("nan"), "anchor"))))
+    return state, grad
+
+
+def _descend(
+    ctx: ReductionContext, t: float, state: ReductionState, grad, model, radius: float, trace
+) -> Tuple[ReductionState, np.ndarray, np.ndarray, float]:
+    """Trust-region descent over the quotient coordinates y from a solved
+    state, the frame moved by ctx.quotient @ y (Nocedal & Wright, Numerical
+    Optimization, 2nd ed., ch. 4 and 6), to the state, gradient, model and
+    radius at which it stops: after an accepted step at |dK| <= _POLISH_TOL,
+    or once the trace holds _MAX_SEARCH_SOLVES solves.  The model takes an
+    SR1 update, skipped when |r.s| <= 1e-8 |r| |s| (the envelope error is
+    far below |dK| here), from each trial's exact `frame_gradient`, at a
+    critical state only from an accepted step; `_trust_step` solves each
+    subproblem exactly, negative curvature included.  A trial starts from
+    the last accepted field, and is accepted ("ratio") when rho, its actual
+    over its predicted change in K, exceeds 1e-4, or ("gradient"), once the
+    predicted decrease is under K's roundoff, when it lowers |dK|.  The
+    radius falls to half the step after a rejection or rho < 0.1, and
+    doubles, up to _ANCHOR_XI_NORM, after a boundary step with rho > 0.75;
+    a frame whose rotation coordinates pass it is re-anchored."""
     Q = ctx.quotient
-    trace: List[dict] = []
-    radius = _ANCHOR_XI_NORM
-
-    def solve(frame: FrameState, warm: Optional[ScalarField]) -> Tuple[ReductionState, np.ndarray]:
-        st = projected_solve(ctx, t, frame, init=warm)
-        grad = frame_gradient(ctx, st, Q.T)
-        trace.append(
-            {
-                "step": len(trace),
-                "K": float(st.K_value),
-                "residual_norm": float(st.residual_norm),
-                "gradient_norm": float(np.linalg.norm(grad)),
-                "radius": radius,
-                "ratio": float("nan"),
-                "outcome": "anchor",
-            }
-        )
-        return st, grad
-
-    state, grad = solve(init.anchored(ctx.metric), None)
-    start_history = state.residual_history
-    anchor_rounds, saddle_restarts, escaping = 1, 0, False
-    model, hess = np.zeros((Q.shape[1],) * 2), None  # the current state's Hessian, or None
     while len(trace) < _MAX_SEARCH_SOLVES:
-        if np.linalg.norm(grad) <= _POLISH_TOL and not escaping:
-            if hess is None:
-                hess = hessian_K(ctx, state)
-            if (
-                not _is_saddle(np.linalg.eigvalsh(hess)[0])
-                or saddle_restarts >= settings.max_saddle_restarts
-            ):
-                break
-            saddle_restarts += 1
-            model, radius, escaping = hess.copy(), _ANCHOR_XI_NORM, True
         step, predicted = _trust_step(model, grad, radius)
-        trial, trial_grad = solve(state.frame.shifted(Q @ step), state.f)
+        trial, trial_grad = _solve(ctx, t, state.frame.shifted(Q @ step), state.f, radius, trace)
         ratio = (trial.K_value - state.K_value) / predicted
         by_ratio = -predicted > _K_ROUNDOFF * abs(state.K_value)
         if by_ratio:
@@ -899,19 +860,57 @@ def optimize_frame(
         trace[-1].update(ratio=float(ratio), outcome=outcome)
         length = float(np.linalg.norm(step))
         r = trial_grad - grad - model @ step
-        if (accepted or not escaping) and abs(r @ step) > 1e-8 * length * np.linalg.norm(r):
-            model += np.outer(r, r) / (r @ step)
+        critical = np.linalg.norm(grad) <= _POLISH_TOL
+        if (accepted or not critical) and abs(r @ step) > 1e-8 * length * np.linalg.norm(r):
+            model = model + np.outer(r, r) / (r @ step)
         if not accepted or (by_ratio and ratio < 0.1):
             radius = 0.5 * length
         elif by_ratio and ratio > 0.75 and length > 0.8 * radius:
             radius = min(2.0 * radius, _ANCHOR_XI_NORM)
         if accepted:
-            state, grad, escaping, hess = trial, trial_grad, False, None
+            state, grad = trial, trial_grad
             if state.frame.xi_norm() > _ANCHOR_XI_NORM:
-                state, grad = solve(state.frame.anchored(ctx.metric), state.f)
-                anchor_rounds += 1
-    if hess is None:
-        hess = hessian_K(ctx, state)
+                anchored = state.frame.anchored(ctx.metric)
+                state, grad = _solve(ctx, t, anchored, state.f, radius, trace)
+            if np.linalg.norm(grad) <= _POLISH_TOL:
+                break
+    return state, grad, model, radius
+
+
+def optimize_frame(
+    ctx: ReductionContext,
+    t: float,
+    init: FrameState,
+    settings: Optional[OptimizeSettings] = None,
+) -> OptimizationResult:
+    """Minimize the reduced volume over the frame quotient, then classify.
+
+    `_descend` runs from the cold solve with a zero model, so its first step
+    runs down the gradient to the radius; a critical start takes no step.
+    One `hessian_K` classifies each point where it stops.  At a saddle, while
+    escapes and solves remain, the descent leaves it along the most negative
+    direction with that Hessian as its model at the full radius; if it
+    returns the saddle itself, the Hessian is kept.  Nothing moves along the
+    symmetries.  gradient_norm and stabilizer_gradient_norm are the exact
+    `frame_gradient` at the final state over the quotient and along the
+    symmetries (no finite difference of K); start_history holds the cold
+    solve's residuals."""
+    settings = settings if settings is not None else OptimizeSettings()
+    trace: List[dict] = []
+    state, grad = _solve(ctx, t, init.anchored(ctx.metric), None, _ANCHOR_XI_NORM, trace)
+    start_history = state.residual_history
+    if np.linalg.norm(grad) > _POLISH_TOL:
+        zero = np.zeros((ctx.quotient.shape[1],) * 2)
+        state, grad, _, _ = _descend(ctx, t, state, grad, zero, _ANCHOR_XI_NORM, trace)
+    hess, saddle_restarts = hessian_K(ctx, state), 0
+    while saddle_restarts < settings.max_saddle_restarts and len(trace) < _MAX_SEARCH_SOLVES:
+        if not _is_saddle(np.linalg.eigvalsh(hess)[0]):
+            break
+        saddle_restarts += 1
+        saddle = state
+        state, grad, _, _ = _descend(ctx, t, state, grad, hess, _ANCHOR_XI_NORM, trace)
+        if state is not saddle:
+            hess = hessian_K(ctx, state)
     eigs = np.linalg.eigvalsh(hess)
 
     stabilizer = frame_gradient(ctx, state, ctx.symmetries.T)
@@ -924,7 +923,7 @@ def optimize_frame(
         hessian_eigenvalues=eigs,
         is_minimum=not _is_saddle(eigs[0]),
         saddle_restarts=saddle_restarts,
-        anchor_rounds=anchor_rounds,
+        anchor_rounds=sum(row["outcome"] == "anchor" for row in trace),
         residual_relative=rel,
         residual_absolute=absolute,
         solver_evaluations=len(trace),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import shlex
@@ -746,6 +747,38 @@ def test_plot_data_out_at_its_run_exit_2(tmp_path, capsys):
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert "is the run directory" in err
     assert {path.name: path.read_bytes() for path in Path(run).iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "body", ["1,2\n3\n", "1,2\n\n3,4\n", "1,2\n3,4,5\n"], ids=["short", "blank", "long"]
+)
+def test_plot_data_refuses_a_ragged_trace_exit_2(tmp_path, capsys, body):
+    """A run whose CSV has a row with fewer or more cells than its header,
+    a blank line included, is refused by `read_csv` (`write_csv` writes no
+    such row): exit 2, one `config error:` line, nothing written."""
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "trace.csv").write_text("x,y\n" + body)
+    plot_out = tmp_path / "pd"
+    assert run_cli("plot-data", "--run", str(run), "--out", str(plot_out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "header's 2 cells" in err
+    assert not plot_out.exists()
+
+
+def test_plot_data_of_the_stored_reduce_run(tmp_path):
+    """`plot-data --run tests/data/reduce_seed7` equals
+    `tests/data/plot_reduce_seed7/` byte for byte: 112 rows from
+    `contraction.csv` and `trace.csv`, among them the NaN ratio cells of the
+    two anchor rows, and none from the string outcome column."""
+    out = str(tmp_path / "pd")
+    assert run_cli("plot-data", "--run", str(DATA / "reduce_seed7"), "--out", out) == 0
+    assert_matches_stored(out, "plot_reduce_seed7", tmp_path)
+    _, rows = read_csv(os.path.join(out, "plot.csv"))
+    assert len(rows) == 112
+    assert sum(series == "trace:ratio" and math.isnan(y) for series, _, y in rows) == 2
+    assert not any(series == "trace:outcome" for series, _, _ in rows)
 
 
 def test_plot_data_requires_run_dir(tmp_path):

@@ -602,6 +602,11 @@ def test_sheared_flat_metric_keeps_the_flat_volume_at_every_frame():
       truncation since K is constant, so an entry is at most the neighbours'
       gradient bound over FRAME_STEP (5e-9), far inside the saddle test's
       1e-6; the entries read at most 4e-11.
+    - `_fd_gradient` at the located state reads the stencil `hessian_K`
+      solved, so its memo keeps 8 entries.  Each K is within roundoff(ctx)
+      plus half an ulp of the flat volume, so a component is at most
+      2 (sqrt(log2 N) + 1/2) + 1 quanta of ulp(K) / (2 FRAME_STEP), 8.06 at
+      grid 24; the components read 0 to 2 quanta.
     - `optimize_frame` stops at its start, |dK| <= 1e-9, after one
       evaluation, and calls the point no saddle.
     - The geometric residual at a frame falls from grid 24 (5e-8 to 6e-7)
@@ -648,6 +653,10 @@ def test_sheared_flat_metric_keeps_the_flat_volume_at_every_frame():
     for solved in [state] + near:
         assert np.max(np.abs(frame_gradient(coarse, solved, quotient))) <= gradient_bound(solved)
     assert np.max(np.abs(located.hessian)) <= max(map(gradient_bound, near)) / FRAME_STEP
+    assert len(state._neighbours) == 8
+    fd = hslag.reduction._fd_gradient(coarse, state, quotient)
+    assert len(state._neighbours) == 8
+    assert np.max(np.abs(fd)) <= (2.0 * roundoff(coarse) + np.spacing(flat)) / (2.0 * FRAME_STEP)
 
     for seed, t in ((1, 0.05), (2, 0.1), (3, 0.1)):
         residuals = []
@@ -1361,7 +1370,9 @@ def test_search_escapes_a_saddle_only_while_escapes_remain(coarse_ctx, monkeypat
     """On a synthetic K with a saddle at the start and minima at y_0 = +-1/2
     along the first quotient axis, max_saddle_restarts=0 stops at the
     saddle, and one escape finds a minimum: the first hard-case step, of the
-    full radius, overshoots and is rejected; the next, of half of it, lands."""
+    full radius, overshoots and is rejected; the next, of half of it, lands.
+    With a budget of two solves the escape's one trial is rejected, and the
+    search returns the saddle with the one Hessian it formed there."""
     Q = coarse_ctx.quotient
     curvature = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
 
@@ -1381,7 +1392,10 @@ def test_search_escapes_a_saddle_only_while_escapes_remain(coarse_ctx, monkeypat
         y = coordinates(state.frame)
         return curvature * y + np.eye(5)[0] * (-2.0 * y[0] + 8.0 * y[0] ** 3)
 
+    hessian_states = []
+
     def hessian(ctx, state):
+        hessian_states.append(state)
         y = coordinates(state.frame)
         return np.diag(curvature + np.eye(5)[0] * (-2.0 + 24.0 * y[0] ** 2))
 
@@ -1401,6 +1415,15 @@ def test_search_escapes_a_saddle_only_while_escapes_remain(coarse_ctx, monkeypat
     assert [row["radius"] for row in found.trace] == [1.0, 1.0, 0.5]
     assert abs(coordinates(found.state.frame)[0]) == pytest.approx(0.5, abs=1e-15)
     assert found.state.K_value == pytest.approx(-0.125, abs=1e-15)
+
+    monkeypatch.setattr(hslag.reduction, "_MAX_SEARCH_SOLVES", 2)
+    hessian_states.clear()
+    cut = optimize_frame(coarse_ctx, T, start)
+    assert (cut.saddle_restarts, cut.is_minimum, cut.solver_evaluations) == (1, False, 2)
+    assert [row["outcome"] for row in cut.trace] == ["anchor", "rejected"]
+    assert len(hessian_states) == 1 and hessian_states[0] is cut.state
+    assert cut.state.frame.coords.tobytes() == stuck.state.frame.coords.tobytes()
+    assert cut.hessian_eigenvalues[0] == -2.0
 
 
 def _u_generators(n, norms, rng):
